@@ -15,9 +15,9 @@ from .complexes import (
     induced_map,
     truncate_leq,
 )
-from .eta import eta, eta_m, eta_filtration, graded_piece, mod_xi_subquotient
-from .bockstein import bockstein_complex, connecting_factorization, split_mod_xi
-from .sites import PosetSite, SheafComplex, global_sections_complex
+from .eta import eta_m, eta_filtration, graded_piece, mod_xi_subquotient
+from .bockstein import ComplexContext, bockstein_complex, connecting_factorization, split_mod_xi
+from .sites import InstanceContext, PosetSite, SheafComplex, global_sections_complex
 from .spectral import (
     FilteredComplex,
     SSPage,

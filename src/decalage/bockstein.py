@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .checks import CheckResult
 from .complexes import FGModule, FreeComplex, cohomology, cohomology_presentation, hodge_filtration, truncate_leq
-from .eta import eta, eta_m, graded_piece, mod_xi_subquotient, stage_inclusion
+from .eta import eta_m, graded_piece, mod_xi_subquotient, stage_inclusion
 from .kmatrix import QuotientSpace, field_rank, kernel_cols, solve_field
 from .rmatrix import Matrix, solve_exact
 
@@ -136,32 +136,72 @@ def beta_squared_is_zero(bc: BocksteinComplex) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# one complex's stages and Bockstein data, built once per call
+
+
+class Memo:
+    """Builds each keyed object once; a context lives for one top-level call."""
+
+    def __init__(self):
+        self._built = {}
+
+    def once(self, key, build, *args):
+        if key not in self._built:
+            self._built[key] = build(*args)
+        return self._built[key]
+
+
+class ComplexContext(Memo):
+    """The stages of K and its Bockstein data, for the stage checks to share."""
+
+    def __init__(self, K: FreeComplex):
+        super().__init__()
+        self.K = K
+
+    def stage(self, m: int):
+        return self.once(("stage", m), eta_m, self.K, m)
+
+    def inclusion(self, m: int):
+        """stage(m+1) -> stage(m)."""
+        return self.once(("inclusion", m), stage_inclusion, self.stage(m + 1), self.stage(m))
+
+    def graded(self, m: int):
+        return self.once(("graded", m), graded_piece, self, m)
+
+    def subquotient(self, m: int):
+        return self.once(("subquotient", m), mod_xi_subquotient, self, m)
+
+    def kbar(self) -> FreeComplex:
+        return self.once("kbar", self.K.reduce_mod_xi)
+
+    def truncation(self, m: int):
+        """tau_{<=m}(K/xi) with its inclusion, untwisted."""
+        return self.once(("truncation", m), truncate_leq, self.kbar(), m)
+
+    def bockstein(self) -> BocksteinComplex:
+        return self.once("bockstein", bockstein_complex, self.K)
+
+    def hodge(self, p: int):
+        """The Hodge part F_p of the Bockstein complex with its inclusion."""
+        return self.once(("hodge", p), hodge_filtration, self.bockstein().as_complex(), p)
+
+    def comparison(self, m: int) -> dict:
+        return self.once(("comparison", m), hodge_stage_comparison, self, m)
+
+
+# ---------------------------------------------------------------------------
 # comparison maps into the Bockstein complex
 
 
-def decalage_comparison(K: FreeComplex, bc: BocksteinComplex) -> dict:
-    """Per-degree k-matrices from (decalage of K) mod xi to H^i(K/xi).
-
-    Generator j of the reduced stage at degree i is xi^i * w_j; it maps to
-    the class of w_j mod xi.
-    """
-    emb = eta(K)
-    maps = {}
-    for i in K.degrees():
-        wbar = emb.basis(i).xi_divide(i).residue()
-        cols = [bc.class_of(i, wbar.column(j)) for j in range(wbar.cols)]
-        maps[i] = Matrix.from_columns(bc.field, cols, rows=bc.dim(i))
-    return maps
-
-
-def hodge_stage_comparison(K: FreeComplex, bc: BocksteinComplex, m: int) -> dict:
+def hodge_stage_comparison(cx: ComplexContext, m: int) -> dict:
     """Comparison from stage(m)/xi*stage(m-1) onto the Hodge part F_m of H^*(K/xi).
 
     For m = 0 this is the comparison of the full reduced decalage.  Degrees
     below m are zero on both sides; at degree i >= m generator j is
     xi^i * w_j and maps to the class of w_j.
     """
-    emb = eta_m(K, m)
+    K, bc = cx.K, cx.bockstein()
+    emb = cx.stage(m)
     maps = {}
     for i in K.degrees():
         if i < m:
@@ -173,17 +213,16 @@ def hodge_stage_comparison(K: FreeComplex, bc: BocksteinComplex, m: int) -> dict
     return maps
 
 
-def verify_reduction_identification(K: FreeComplex, bc: BocksteinComplex | None = None) -> CheckResult:
+def verify_reduction_identification(cx: ComplexContext) -> CheckResult:
     """(decalage of K) mod xi is the Bockstein complex, via explicit maps.
 
     Checks the comparison is a chain map over k and induces an isomorphism on
     cohomology in every degree (dimension match plus full rank).
     """
     out = CheckResult("eta.mod-xi-bockstein-model")
-    bc = bc or bockstein_complex(K)
-    emb = eta(K)
-    red = emb.complex.reduce_mod_xi()
-    comp = decalage_comparison(K, bc)
+    K, bc = cx.K, cx.bockstein()
+    red = cx.stage(0).complex.reduce_mod_xi()
+    comp = cx.comparison(0)
     bcx = bc.as_complex()
     for i in range(K.lo, K.hi):
         lhs = comp[i + 1] @ red.d(i)
@@ -206,15 +245,14 @@ def verify_reduction_identification(K: FreeComplex, bc: BocksteinComplex | None 
     return out
 
 
-def verify_mod_xi_subquotient(K: FreeComplex, m: int,
-                              bc: BocksteinComplex | None = None) -> CheckResult:
+def verify_mod_xi_subquotient(cx: ComplexContext, m: int) -> CheckResult:
     """stage(m+1)/xi*stage(m) has the cohomology of the Hodge part F_{m+1}."""
     out = CheckResult("eta-m.mod-xi-subquotient")
-    sq = mod_xi_subquotient(K, m)
+    K = cx.K
+    sq = cx.subquotient(m)
     out.expect(sq.degree_m_cohomology_vanishes(), degree=m, m=m,
                reason="degree-m cohomology of the subquotient must vanish")
-    bc = bc or bockstein_complex(K)
-    hodge, _ = hodge_filtration(bc.as_complex(), m + 1)
+    hodge, _ = cx.hodge(m + 1)
     for i in K.degrees():
         got = cohomology(sq.fp, i)
         want = FGModule.of_k_dimension(K.ring, cohomology(hodge, i).free_rank)
@@ -226,8 +264,7 @@ def verify_mod_xi_subquotient(K: FreeComplex, m: int,
 # the connecting map of the graded triangle
 
 
-def connecting_factorization(K: FreeComplex, m: int,
-                             bc: BocksteinComplex | None = None) -> CheckResult:
+def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
     """Connecting map of stage(m+1) -> stage(m) -> graded piece, versus beta.
 
     Verifies, in order: the four-term sequence
@@ -238,7 +275,7 @@ def connecting_factorization(K: FreeComplex, m: int,
     under the comparison identifications.
     """
     out = CheckResult("eta-m.connecting-bockstein")
-    bc = bc or bockstein_complex(K)
+    K, bc = cx.K, cx.bockstein()
     bcx = bc.as_complex()
     field = bc.field
 
@@ -257,7 +294,7 @@ def connecting_factorization(K: FreeComplex, m: int,
                reason="cokernel of beta_m inside Z^{m+1} is not H^{m+1}")
 
     # three-case formula for stage(m) mod xi
-    red = eta_m(K, m).complex.reduce_mod_xi()
+    red = cx.stage(m).complex.reduce_mod_xi()
     for i in K.degrees():
         got = k_cohomology_quotient(red, i).dim
         if i <= m - 1:
@@ -271,9 +308,9 @@ def connecting_factorization(K: FreeComplex, m: int,
 
     # snake of the graded triangle equals beta
     if m + 1 <= K.hi:
-        grade = graded_piece(K, m)
+        grade = cx.graded(m)
         stage, finer = grade.stage, grade.finer
-        inc = stage_inclusion(finer, stage)
+        inc = cx.inclusion(m)
         pres = cohomology_presentation(grade.fp, m)
         for j in range(pres.gens_basis.cols):
             z = pres.gens_basis.take_columns([j])
@@ -311,22 +348,16 @@ class Splitting:
     check: CheckResult
 
 
-def split_mod_xi(K: FreeComplex, m: int,
-                 bc: BocksteinComplex | None = None) -> Splitting:
+def split_mod_xi(cx: ComplexContext, m: int) -> Splitting:
     """Decomposition record for stage(m+1)/xi: truncation part + Hodge part.
 
     ``dims`` holds the per-degree bookkeeping; the check asserts cohomology
     additivity in every degree and the two compatibility squares.
     """
-    bc = bc or bockstein_complex(K)
-    bcx = bc.as_complex()
-
-    finer = eta_m(K, m + 1)
-    red = finer.complex.reduce_mod_xi()
-    kbar = K.reduce_mod_xi()
-    tau, _ = truncate_leq(kbar, m)
-    tau = tau.with_twist(m + 1)
-    hodge, _ = hodge_filtration(bcx, m + 1)
+    K = cx.K
+    hodge, _ = cx.hodge(m + 1)
+    red = cx.stage(m + 1).complex.reduce_mod_xi()
+    tau = cx.truncation(m)[0].with_twist(m + 1)
 
     result = CheckResult("eta-m.mod-xi-splitting")
     dims = {}
@@ -342,11 +373,11 @@ def split_mod_xi(K: FreeComplex, m: int,
         result.expect(got == want, degree=i, m=m, got=got, want=want,
                       reason="cohomology does not split")
 
-    result.merge(_splitting_compatibility(K, bc, m))
+    result.merge(_splitting_compatibility(cx, m))
     return Splitting(dims, red, tau, hodge, result)
 
 
-def _splitting_compatibility(K: FreeComplex, bc: BocksteinComplex, m: int) -> CheckResult:
+def _splitting_compatibility(cx: ComplexContext, m: int) -> CheckResult:
     """The two compatibility squares of the splitting, on cohomology.
 
     (a) Hodge side: stage(m+1)/xi*stage(m) -> stage(m)/xi*stage(m-1)
@@ -355,17 +386,14 @@ def _splitting_compatibility(K: FreeComplex, bc: BocksteinComplex, m: int) -> Ch
         agrees with the truncation inclusion tau_{<=m-1} -> tau_{<=m}.
     """
     out = CheckResult("eta-m.mod-xi-splitting-compat")
-    bcx = bc.as_complex()
-    field = bc.field
+    K = cx.K
 
     # (a): compare through the Hodge comparisons at levels m+1 and m
-    sq = mod_xi_subquotient(K, m)
-    stage_m = eta_m(K, m)
-    inc = stage_inclusion(sq.finer, stage_m)
-    comp_fine = hodge_stage_comparison(K, bc, m + 1)
-    comp_coarse = hodge_stage_comparison(K, bc, m)
-    f_fine, _ = hodge_filtration(bcx, m + 1)
-    f_coarse, _ = hodge_filtration(bcx, m)
+    sq = cx.subquotient(m)
+    inc = cx.inclusion(m)
+    comp_fine = cx.comparison(m + 1)
+    comp_coarse = cx.comparison(m)
+    f_coarse, _ = cx.hodge(m)
     for i in K.degrees():
         if i < m + 1:
             continue
@@ -382,14 +410,13 @@ def _splitting_compatibility(K: FreeComplex, bc: BocksteinComplex, m: int) -> Ch
 
     # (b): truncation side, only meaningful for m >= 1
     if m >= 1:
-        kbar = K.reduce_mod_xi()
-        grade_prev = graded_piece(K, m - 1)
-        grade = graded_piece(K, m)
-        tau_prev, tau_prev_inc = truncate_leq(kbar, m - 1)
-        tau, tau_inc = truncate_leq(kbar, m)
+        grade_prev = cx.graded(m - 1)
+        grade = cx.graded(m)
+        _, tau_prev_inc = cx.truncation(m - 1)
+        _, tau_inc = cx.truncation(m)
         # inclusion tau_{<=m-1} -> tau_{<=m} over k
         jmaps = {}
-        for i in kbar.degrees():
+        for i in K.degrees():
             sol = solve_field(tau_inc.map(i), tau_prev_inc.map(i))
             if sol is None:
                 out.fail(degree=i, reason="truncations are not nested")

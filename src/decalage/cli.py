@@ -18,7 +18,7 @@ from .serialize import (
     dump_json,
     load_instance_file,
 )
-from .sites import PosetSite
+from .sites import InstanceContext, PosetSite
 from .spectral import hdr_spectral_sequence, ht_spectral_sequence, ht_e2_crosscheck
 from .suites import sheaf_lemma_report
 from .theorem import verify_main_theorem
@@ -245,12 +245,13 @@ def cmd_ss(args) -> int:
     except SerializeError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    ctx = InstanceContext(F)
     if args.filtration == "tau":
-        pages, _, _ = ht_spectral_sequence(F, r_max=args.pages)
-        mism = ht_e2_crosscheck(F, pages)
+        pages, _, _ = ht_spectral_sequence(ctx, r_max=args.pages)
+        mism = ht_e2_crosscheck(ctx, pages)
         extra = [] if not mism else [f"E_2 crosscheck mismatches: {mism}"]
     else:
-        pages, _, _ = hdr_spectral_sequence(F, r_max=args.pages)
+        pages, _, _ = hdr_spectral_sequence(ctx, r_max=args.pages)
         extra = []
     lines = _render_pages(pages) + extra
     _emit(args, {"pages": [p.to_json() for p in pages]}, lines)

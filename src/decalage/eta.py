@@ -12,7 +12,9 @@ The family decreases in m and squeezes between xi-multiples:
 xi * stage(m) <= stage(m+1) <= stage(m).
 
 Quotients of consecutive stages are produced as finitely presented complexes
-together with the comparison maps onto truncations of K/xi.
+together with the comparison maps onto truncations of K/xi.  Everything built
+from several stages takes a ``ComplexContext`` (bockstein module), which
+builds each stage of K once per call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .complexes import (
     FPModule,
     FreeComplex,
     cohomology,
-    truncate_leq,
 )
 from .kmatrix import field_rank, solve_field
 from .rmatrix import Matrix, image_basis, kernel_basis, solve_exact
@@ -124,19 +125,18 @@ def stage_inclusion(finer: SubcomplexEmbedding, coarser: SubcomplexEmbedding) ->
     return ChainMap(finer.complex, coarser.complex, maps)
 
 
-def eta_filtration(K: FreeComplex, m_max: int):
+def eta_filtration(cx, m_max: int):
     """Stages 0..m_max with inclusion maps stage(m+1) -> stage(m)."""
-    stages = [eta_m(K, m) for m in range(m_max + 1)]
-    inclusions = [
-        stage_inclusion(stages[m + 1], stages[m]) for m in range(m_max)
-    ]
+    stages = [cx.stage(m) for m in range(m_max + 1)]
+    inclusions = [cx.inclusion(m) for m in range(m_max)]
     return stages, inclusions
 
 
-def xi_step_inclusion_holds(K: FreeComplex, m: int) -> bool:
+def xi_step_inclusion_holds(cx, m: int) -> bool:
     """Membership test for xi * stage(m) <= stage(m+1) <= stage(m)."""
-    fine = eta_m(K, m + 1)
-    coarse = eta_m(K, m)
+    K = cx.K
+    fine = cx.stage(m + 1)
+    coarse = cx.stage(m)
     for i in K.degrees():
         if solve_exact(coarse.basis(i), fine.basis(i)) is None:
             return False
@@ -145,9 +145,10 @@ def xi_step_inclusion_holds(K: FreeComplex, m: int) -> bool:
     return True
 
 
-def is_stationary_stage(K: FreeComplex, m: int) -> bool:
+def is_stationary_stage(cx, m: int) -> bool:
     """True when stage(m) equals xi^m * K on the nose (holds for m > hi)."""
-    emb = eta_m(K, m)
+    K = cx.K
+    emb = cx.stage(m)
     ring = K.ring
     for i in K.degrees():
         scaled = Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
@@ -216,18 +217,19 @@ class GradedPiece:
         return out
 
 
-def graded_piece(K: FreeComplex, m: int) -> GradedPiece:
+def graded_piece(cx, m: int) -> GradedPiece:
     """stage(m)/stage(m+1) with comparison to the truncation of K/xi at m."""
-    stage = eta_m(K, m)
-    finer = eta_m(K, m + 1)
-    inc = stage_inclusion(finer, stage)
+    K = cx.K
+    stage = cx.stage(m)
+    finer = cx.stage(m + 1)
+    inc = cx.inclusion(m)
     ring = K.ring
     modules = [FPModule(stage.complex.rank(i), inc.map(i)) for i in K.degrees()]
     diffs = [stage.complex.d(i) for i in range(K.lo, K.hi)]
     fp = FPComplex(ring, K.lo, modules, diffs, twist=m)
 
-    kbar = K.reduce_mod_xi()
-    tau, tau_inc = truncate_leq(kbar, m)
+    kbar = cx.kbar()
+    tau, tau_inc = cx.truncation(m)
     tau = tau.with_twist(m)
 
     comparison = {}
@@ -272,9 +274,10 @@ class ModXiSubquotient:
         return cohomology(self.fp, self.m).is_zero()
 
 
-def mod_xi_subquotient(K: FreeComplex, m: int) -> ModXiSubquotient:
-    stage = eta_m(K, m)
-    finer = eta_m(K, m + 1)
+def mod_xi_subquotient(cx, m: int) -> ModXiSubquotient:
+    K = cx.K
+    stage = cx.stage(m)
+    finer = cx.stage(m + 1)
     ring = K.ring
     modules = []
     for i in K.degrees():
@@ -287,17 +290,11 @@ def mod_xi_subquotient(K: FreeComplex, m: int) -> ModXiSubquotient:
     return ModXiSubquotient(K, m, fp, finer, stage)
 
 
-def stage_mod_xi(K: FreeComplex, m: int):
-    """stage(m) modulo xi as a complex over k, with its stage embedding."""
-    emb = eta_m(K, m)
-    return emb.complex.reduce_mod_xi(), emb
-
-
 # ---------------------------------------------------------------------------
 # cohomology of the stages
 
 
-def verify_eta_m_cohomology(K: FreeComplex, m: int) -> CheckResult:
+def verify_eta_m_cohomology(cx, m: int) -> CheckResult:
     """Three-case cohomology formula for stage(m), as exact FGModule equality.
 
     Above m the stage has the cohomology of the plain decalage (whose own
@@ -305,8 +302,9 @@ def verify_eta_m_cohomology(K: FreeComplex, m: int) -> CheckResult:
     at and below m it matches H(K) up to the twist tag.
     """
     out = CheckResult("eta-m.cohomology")
-    emb = eta_m(K, m)
-    plain = eta(K)
+    K = cx.K
+    emb = cx.stage(m)
+    plain = cx.stage(0)
     for i in K.degrees():
         got = cohomology(emb.complex, i)
         if i > m:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .complexes import ChainMap, FreeComplex, direct_sum
 from .rings import BaseRing, IntegerRing, PolynomialRing, PrimeField
 from .rmatrix import Matrix, solve_exact
-from .sites import PosetSite, SheafComplex
+from .sites import InstanceContext, PosetSite, SheafComplex
 from .theorem import hypothesis_h1
 from .spectral import degeneration_check_HT
 
@@ -365,11 +365,11 @@ def generate_instance(profile: str, seed: int, ring: BaseRing | None = None,
         if profile == "free":
             return F
         if profile == "h1":
-            ok, _ = hypothesis_h1(F)
+            ok, _ = hypothesis_h1(InstanceContext(F))
             if ok:
                 return F
         elif profile == "adversarial":
-            ok, witness, _ = degeneration_check_HT(F)
+            ok, witness, _ = degeneration_check_HT(InstanceContext(F))
             if not ok:
                 return F
         else:

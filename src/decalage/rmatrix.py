@@ -403,17 +403,6 @@ def solve_exact(A: Matrix, B: Matrix):
     return res.v @ Matrix(R, Y, cols=B.cols)
 
 
-def in_span(M: Matrix, vec) -> bool:
-    """Membership of a column vector in the column span of M."""
-    B = Matrix.from_columns(M.ring, [tuple(vec)], rows=M.rows)
-    return solve_exact(M, B) is not None
-
-
-def span_contains(M: Matrix, N: Matrix) -> bool:
-    """Column span of N inside column span of M."""
-    return solve_exact(M, N) is not None
-
-
 def intersect_spans(A: Matrix, B: Matrix) -> Matrix:
     """Basis of span(A) ∩ span(B) inside the common ambient R^rows."""
     if A.rows != B.rows:
@@ -422,10 +411,6 @@ def intersect_spans(A: Matrix, B: Matrix) -> Matrix:
     ker = kernel_basis(stacked)
     xpart = ker.submatrix(0, A.cols, 0, ker.cols)
     return image_basis(A @ xpart)
-
-
-def invariant_factors(M: Matrix):
-    return snf(M).factors
 
 
 def determinant(M: Matrix):

@@ -124,15 +124,6 @@ def sheaf_from_json(data: dict) -> SheafComplex:
     return SheafComplex(site, stalks, restrictions)
 
 
-def embedding_to_json(emb) -> dict:
-    K = emb.ambient
-    return {
-        "complex": complex_to_json(emb.complex),
-        "iota": [matrix_to_json(emb.basis(i)) for i in range(K.lo, K.hi + 1)],
-        "twists": [emb.twists[i] for i in range(K.lo, K.hi + 1)],
-    }
-
-
 def load_instance(data):
     """A sheaf complex from JSON: bare complexes become point-site sheaves."""
     if isinstance(data, dict) and "site" in data:

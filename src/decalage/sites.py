@@ -18,9 +18,8 @@ circle and pins the convention in the tests.
 from __future__ import annotations
 
 from .complexes import ChainMap, FreeComplex, truncate_leq, hodge_filtration
-from .eta import eta_m
 from .rmatrix import Matrix, solve_exact
-from .bockstein import bockstein_complex
+from .bockstein import ComplexContext, Memo, bockstein_complex
 
 
 class InvalidSheaf(ValueError):
@@ -198,12 +197,6 @@ class SheafComplex:
                                 (a, b, c),
                             )
 
-    def map_stalks(self, fn) -> "SheafComplex":
-        """Apply fn(element, stalk) -> FreeComplex with identity-induced restrictions.
-
-        Only valid when fn is natural in the stalk; used by reduce."""
-        raise NotImplementedError
-
 
 class SheafMap:
     """Stalkwise chain map between sheaf complexes on the same site."""
@@ -357,22 +350,14 @@ def global_sections_map(phi: SheafMap, src_idx: SectionsIndex, tgt_idx: Sections
     return ChainMap(src_total, tgt_total, maps)
 
 
-def sections_of_map(phi: SheafMap):
-    """Convenience: build both global sections complexes and the induced map."""
-    src_total, src_idx = global_sections_complex(phi.source)
-    tgt_total, tgt_idx = global_sections_complex(phi.target)
-    cm = global_sections_map(phi, src_idx, tgt_idx, src_total, tgt_total)
-    cm.validate()
-    return src_total, tgt_total, cm
-
-
 # ---------------------------------------------------------------------------
 # objectwise operations
 
 
-def sheaf_eta_m(F: SheafComplex, m: int):
+def sheaf_eta_m(ctx: "InstanceContext", m: int):
     """Objectwise decalage stage with induced restrictions and inclusion into F."""
-    embs = {x: eta_m(F.stalk(x), m) for x in F.site.elements}
+    F = ctx.F
+    embs = {x: ctx.stalks[x].stage(m) for x in F.site.elements}
     stalks = {x: embs[x].complex for x in F.site.elements}
     restrictions = {}
     for a, b in F.site.strict_pairs():
@@ -387,6 +372,26 @@ def sheaf_eta_m(F: SheafComplex, m: int):
     sub = SheafComplex(F.site, stalks, restrictions)
     incl = SheafMap(sub, F, {x: embs[x].iota for x in F.site.elements})
     return sub, incl, embs
+
+
+def stage_reduction_map(ctx: "InstanceContext", m: int) -> ChainMap:
+    """Sections of stage m mod xi -> sections of F/xi.
+
+    Stage m maps by dividing its embedding by xi^m and reducing.
+    """
+    F = ctx.F
+    sub, _, embs = ctx.stage(m)
+    subbar, Fbar = sheaf_reduce(sub), ctx.reduced()
+    maps = {
+        x: ChainMap(subbar.stalk(x), Fbar.stalk(x),
+                    {j: embs[x].reduction_map(j)
+                     for j in range(F.stalk(x).lo, F.stalk(x).hi + 1)})
+        for x in F.site.elements
+    }
+    sub_total, sub_idx = global_sections_complex(subbar)
+    bar_total, bar_idx = ctx.reduced_sections()
+    return global_sections_map(SheafMap(subbar, Fbar, maps), sub_idx, bar_idx,
+                               sub_total, bar_total)
 
 
 def sheaf_reduce(F: SheafComplex) -> SheafComplex:
@@ -463,13 +468,14 @@ def sheaf_bockstein(F: SheafComplex):
     return SheafComplex(F.site, stalks, restrictions), bcs
 
 
-def bockstein_term_sheaf(F: SheafComplex, q: int, place_at: int = 0):
+def bockstein_term_sheaf(ctx: "InstanceContext", q: int, place_at: int = 0):
     """The degree-q term of the objectwise Bockstein complex as a one-degree sheaf.
 
     Placing it at internal degree ``place_at`` realizes the shift by -q when
     place_at = q.
     """
-    omega, bcs = sheaf_bockstein(F)
+    F = ctx.F
+    omega, _ = ctx.bockstein()
     stalks = {}
     for x in F.site.elements:
         dim = omega.stalk(x).rank(q)
@@ -479,3 +485,79 @@ def bockstein_term_sheaf(F: SheafComplex, q: int, place_at: int = 0):
         maps = {place_at: omega.res(a, b).map(q)}
         restrictions[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
     return SheafComplex(F.site, stalks, restrictions)
+
+
+# ---------------------------------------------------------------------------
+# one instance's shared objects, built once per call
+
+
+class InstanceContext(Memo):
+    """The objects of one sheaf complex F that the theorem path shares.
+
+    ``stalks[x]`` is the ComplexContext of the stalk at x.  Sections come as
+    (complex, index) pairs; higher layers keep their own objects via ``once``.
+    """
+
+    def __init__(self, F: SheafComplex):
+        super().__init__()
+        self.F = F
+        self.stalks = {x: ComplexContext(F.stalk(x)) for x in F.site.elements}
+
+    def _sections_map(self, key, phi, src, tgt):
+        (src_total, src_idx), (tgt_total, tgt_idx) = src, tgt
+        return self.once(key, global_sections_map, phi, src_idx, tgt_idx, src_total, tgt_total)
+
+    def sections(self):
+        return self.once("sections", global_sections_complex, self.F)
+
+    def reduced(self) -> SheafComplex:
+        return self.once("reduced", sheaf_reduce, self.F)
+
+    def reduced_sections(self):
+        return self.once("reduced-sections", global_sections_complex, self.reduced())
+
+    def stage(self, m: int):
+        """(stage sheaf, its inclusion into F, stalk embeddings), as sheaf_eta_m."""
+        return self.once(("stage", m), sheaf_eta_m, self, m)
+
+    def stage_sections(self, m: int):
+        return self.once(("stage-sections", m), global_sections_complex, self.stage(m)[0])
+
+    def stage_map(self, m: int) -> ChainMap:
+        """Sections of stage m -> sections of F."""
+        return self._sections_map(("stage-map", m), self.stage(m)[1],
+                                  self.stage_sections(m), self.sections())
+
+    def stage_reduction(self, m: int) -> ChainMap:
+        """Sections of stage m mod xi -> sections of F/xi, as stage_reduction_map."""
+        return self.once(("stage-reduction", m), stage_reduction_map, self, m)
+
+    def truncation(self, q: int):
+        """tau_{<=q}(F/xi) with its inclusion."""
+        return self.once(("truncation", q), sheaf_truncate_leq, self.reduced(), q)
+
+    def truncation_sections(self, q: int):
+        return self.once(("truncation-sections", q), global_sections_complex,
+                         self.truncation(q)[0])
+
+    def truncation_map(self, q: int) -> ChainMap:
+        return self._sections_map(("truncation-map", q), self.truncation(q)[1],
+                                  self.truncation_sections(q), self.reduced_sections())
+
+    def bockstein(self):
+        """(Bockstein sheaf, stalkwise Bockstein complexes), as sheaf_bockstein."""
+        return self.once("bockstein", sheaf_bockstein, self.F)
+
+    def term(self, q: int, place_at: int) -> SheafComplex:
+        return self.once(("term", q, place_at), bockstein_term_sheaf, self, q, place_at)
+
+    def term_sections(self, q: int, place_at: int):
+        return self.once(("term-sections", q, place_at), global_sections_complex,
+                         self.term(q, place_at))
+
+    def hodge(self, p: int):
+        """The degree >= p part of the Bockstein sheaf with its inclusion."""
+        return self.once(("hodge", p), sheaf_hodge, self.bockstein()[0], p)
+
+    def hodge_sections(self, p: int):
+        return self.once(("hodge-sections", p), global_sections_complex, self.hodge(p)[0])

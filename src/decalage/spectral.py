@@ -22,15 +22,10 @@ from .complexes import ChainMap, FreeComplex
 from .kmatrix import QuotientSpace, Subspace, kernel_cols
 from .rmatrix import Matrix
 from .sites import (
-    SheafComplex,
+    InstanceContext,
     SheafMap,
-    bockstein_term_sheaf,
     global_sections_complex,
     global_sections_map,
-    sheaf_bockstein,
-    sheaf_hodge,
-    sheaf_reduce,
-    sheaf_truncate_leq,
 )
 
 
@@ -40,14 +35,6 @@ class HypothesisH1Failed(ValueError):
     def __init__(self, witness_degree):
         self.witness_degree = witness_degree
         super().__init__(f"H^{witness_degree} of the global sections has xi-torsion")
-
-
-class HypothesisH3Failed(ValueError):
-    """The truncation-filtration maps on cohomology are not all injective."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"truncation map not injective at (i, m) = {witness}")
 
 
 def quotient_map_matrix(W: Subspace) -> Matrix:
@@ -241,29 +228,17 @@ def ss_pages(fc: FilteredComplex, r_max: int, label_shift: int = 0,
 # the two spectral sequences of the engine
 
 
-def _truncation_filtration(F: SheafComplex):
-    """Decreasing filtration on RGamma(K/xi) from the truncation levels."""
-    Fbar = sheaf_reduce(F)
-    total, idx = global_sections_complex(Fbar)
-    q_min, q_max = Fbar.lo(), Fbar.hi()
-    inclusions = {}
-    for q in range(q_min, q_max + 1):
-        sub, incl = sheaf_truncate_leq(Fbar, q)
-        sub_total, sub_idx = global_sections_complex(sub)
-        cm = global_sections_map(incl, sub_idx, idx, sub_total, total)
-        # decreasing index p = q_max - q
-        inclusions[q_max - q] = cm
-    fc = FilteredComplex.from_inclusions(total, inclusions)
-    return fc, total, idx, (q_min, q_max), Fbar
-
-
-def ht_spectral_sequence(F: SheafComplex, r_max: int = 4):
+def ht_spectral_sequence(ctx: InstanceContext, r_max: int = 4):
     """Pages of the truncation-filtration spectral sequence, labeled from 2.
 
     Entries are reported as (p, q) with E_2^{p,q} = H^p(S, H^q(K/xi)-sheaf),
     abutting to H^{p+q} of the global sections of K/xi.
     """
-    fc, total, idx, (q_min, q_max), Fbar = _truncation_filtration(F)
+    total, _ = ctx.reduced_sections()
+    q_min, q_max = ctx.reduced().lo(), ctx.reduced().hi()
+    # decreasing filtration on RGamma(K/xi) from the truncation levels: p = q_max - q
+    inclusions = {q_max - q: ctx.truncation_map(q) for q in range(q_min, q_max + 1)}
+    fc = FilteredComplex.from_inclusions(total, inclusions)
 
     def relabel(p, q):
         s = q_max - p          # truncation level = sheaf degree
@@ -274,15 +249,14 @@ def ht_spectral_sequence(F: SheafComplex, r_max: int = 4):
     return pages, fc, total
 
 
-def ht_e2_crosscheck(F: SheafComplex, pages) -> list:
+def ht_e2_crosscheck(ctx: InstanceContext, pages) -> list:
     """Recompute every E_2 entry as H^p(S, H^q-sheaf); returns mismatches."""
     first = pages[0]
     mismatches = []
     covered = set()
-    Fbar = sheaf_reduce(F)
+    Fbar = ctx.reduced()
     for q in range(Fbar.lo(), Fbar.hi() + 1):
-        avatar = bockstein_term_sheaf(F, q, place_at=0)
-        av_total, _ = global_sections_complex(avatar)
+        av_total, _ = ctx.term_sections(q, place_at=0)
         for p in av_total.degrees():
             want = k_cohomology_quotient(av_total, p).dim
             got = first.dim(p, q)
@@ -295,18 +269,18 @@ def ht_e2_crosscheck(F: SheafComplex, pages) -> list:
     return mismatches
 
 
-def hdr_spectral_sequence(F: SheafComplex, r_max: int = 4):
+def hdr_spectral_sequence(ctx: InstanceContext, r_max: int = 4):
     """Hodge-filtration spectral sequence of the Bockstein sheaf, labeled from 1.
 
     E_1^{p,q} = H^q(S, degree-p term), abutting to the cohomology of the
     global sections of the Bockstein sheaf complex.
     """
-    omega, _ = sheaf_bockstein(F)
+    omega, _ = ctx.bockstein()
     total, idx = global_sections_complex(omega)
     inclusions = {}
     for p in range(omega.lo(), omega.hi() + 1):
-        sub, incl = sheaf_hodge(omega, p)
-        sub_total, sub_idx = global_sections_complex(sub)
+        _, incl = ctx.hodge(p)
+        sub_total, sub_idx = ctx.hodge_sections(p)
         inclusions[p] = global_sections_map(incl, sub_idx, idx, sub_total, total)
     fc = FilteredComplex.from_inclusions(total, inclusions)
     pages = ss_pages(fc, r_max)
@@ -317,21 +291,20 @@ def hdr_spectral_sequence(F: SheafComplex, r_max: int = 4):
 # degeneration checks
 
 
-def degeneration_check_HT(F: SheafComplex, r_max: int = 4):
+def degeneration_check_HT(ctx: InstanceContext, r_max: int = 4):
     """Injectivity of every truncation-level map on cohomology.
 
     Returns (verdict, witness, crosscheck_agrees): witness is the first
     failing (i, m); crosscheck compares with vanishing of all reported HT
     differentials from page 2 on.
     """
-    Fbar = sheaf_reduce(F)
-    total, idx = global_sections_complex(Fbar)
+    Fbar = ctx.reduced()
+    total, _ = ctx.reduced_sections()
     verdict = True
     witness = None
     for m in range(Fbar.lo(), Fbar.hi() + 1):
-        sub, incl = sheaf_truncate_leq(Fbar, m)
-        sub_total, sub_idx = global_sections_complex(sub)
-        cm = global_sections_map(incl, sub_idx, idx, sub_total, total)
+        sub_total, _ = ctx.truncation_sections(m)
+        cm = ctx.truncation_map(m)
         for i in total.degrees():
             src_q = k_cohomology_quotient(sub_total, i)
             if src_q.dim == 0:
@@ -341,14 +314,14 @@ def degeneration_check_HT(F: SheafComplex, r_max: int = 4):
                 verdict = False
                 if witness is None:
                     witness = (i, m)
-    pages, _, _ = ht_spectral_sequence(F, r_max=r_max)
+    pages, _, _ = ht_spectral_sequence(ctx, r_max=r_max)
     pages_vanish = all(p.all_differentials_vanish() for p in pages)
     return verdict, witness, pages_vanish == verdict
 
 
-def degeneration_check_HdR(F: SheafComplex, r_max: int = 4):
+def degeneration_check_HdR(ctx: InstanceContext, r_max: int = 4):
     """All differentials vanish on every Hodge-filtration page from 1 on."""
-    pages, fc, total = hdr_spectral_sequence(F, r_max=r_max)
+    pages, fc, total = hdr_spectral_sequence(ctx, r_max=r_max)
     for page in pages:
         for (p, q), mat in sorted(page.differentials.items()):
             if not mat.is_zero():
@@ -369,59 +342,46 @@ class CokernelComparison:
     h1_holds: bool
 
 
-class DegenerationContext:
-    """Caches the per-sheaf objects that every (i, m) comparison reuses."""
+def cokernel_maps(ctx: InstanceContext, m: int):
+    """Sections of Omega^m[-m] with the truncation-side and Hodge-side maps into them."""
+    F = ctx.F
+    avatar = ctx.term(m, place_at=m)
+    av_total, av_idx = ctx.term_sections(m, place_at=m)
 
-    def __init__(self, F: SheafComplex):
-        self.F = F
-        self.Fbar = sheaf_reduce(F)
-        self.omega, self.bcs = sheaf_bockstein(F)
-        self._per_m = {}
+    tau, tau_incl = ctx.truncation(m)
+    _, bcs = ctx.bockstein()
+    maps = {}
+    for x in F.site.elements:
+        stalk = tau.stalk(x)
+        zbasis = tau_incl.map(x).map(m)
+        qx = bcs[x].quotients.get(m)
+        mat_cols = [
+            qx.coords(zbasis.column(j)) if qx is not None else ()
+            for j in range(zbasis.cols)
+        ]
+        mats = {m: Matrix.from_columns(
+            avatar.ring, mat_cols, rows=avatar.stalk(x).rank(m))}
+        maps[x] = ChainMap(stalk, avatar.stalk(x), mats)
+    qmap = SheafMap(tau, avatar, maps)
+    tau_total, tau_idx = ctx.truncation_sections(m)
+    cm_f = global_sections_map(qmap, tau_idx, av_idx, tau_total, av_total)
+    cm_f.validate()
 
-    def level(self, m: int):
-        if m in self._per_m:
-            return self._per_m[m]
-        F = self.F
-        avatar = bockstein_term_sheaf(F, m, place_at=m)
-        av_total, av_idx = global_sections_complex(avatar)
-
-        tau, tau_incl = sheaf_truncate_leq(self.Fbar, m)
-        maps = {}
-        for x in F.site.elements:
-            stalk = tau.stalk(x)
-            zbasis = tau_incl.map(x).map(m)
-            qx = self.bcs[x].quotients.get(m)
-            mat_cols = [
-                qx.coords(zbasis.column(j)) if qx is not None else ()
-                for j in range(zbasis.cols)
-            ]
-            mats = {m: Matrix.from_columns(
-                avatar.ring, mat_cols, rows=avatar.stalk(x).rank(m))}
-            maps[x] = ChainMap(stalk, avatar.stalk(x), mats)
-        qmap = SheafMap(tau, avatar, maps)
-        tau_total, tau_idx = global_sections_complex(tau)
-        cm_f = global_sections_map(qmap, tau_idx, av_idx, tau_total, av_total)
-        cm_f.validate()
-
-        hodge, _ = sheaf_hodge(self.omega, m)
-        maps_g = {
-            x: ChainMap(hodge.stalk(x), avatar.stalk(x),
-                        {m: Matrix.identity(avatar.ring, hodge.stalk(x).rank(m))})
-            for x in F.site.elements
-        }
-        gmap = SheafMap(hodge, avatar, maps_g)
-        hodge_total, hodge_idx = global_sections_complex(hodge)
-        cm_g = global_sections_map(gmap, hodge_idx, av_idx, hodge_total, av_total)
-        cm_g.validate()
-
-        level = {"av_total": av_total, "cm_f": cm_f, "cm_g": cm_g}
-        self._per_m[m] = level
-        return level
+    hodge, _ = ctx.hodge(m)
+    maps_g = {
+        x: ChainMap(hodge.stalk(x), avatar.stalk(x),
+                    {m: Matrix.identity(avatar.ring, hodge.stalk(x).rank(m))})
+        for x in F.site.elements
+    }
+    gmap = SheafMap(hodge, avatar, maps_g)
+    hodge_total, hodge_idx = ctx.hodge_sections(m)
+    cm_g = global_sections_map(gmap, hodge_idx, av_idx, hodge_total, av_total)
+    cm_g.validate()
+    return av_total, cm_f, cm_g
 
 
-def compare_degeneration(F: SheafComplex, i: int, m: int, h1_holds: bool,
-                         require_h1: bool = False,
-                         ctx: DegenerationContext | None = None) -> CokernelComparison:
+def compare_degeneration(ctx: InstanceContext, i: int, m: int, h1_holds: bool,
+                         require_h1: bool = False) -> CokernelComparison:
     """Both cokernel images inside H^i(RGamma(S, Omega^m[-m])), compared.
 
     The truncation side maps tau_{<=m}(K/xi) onto its top cohomology sheaf;
@@ -431,12 +391,11 @@ def compare_degeneration(F: SheafComplex, i: int, m: int, h1_holds: bool,
     """
     if require_h1 and not h1_holds:
         raise HypothesisH1Failed(i)
-    ctx = ctx or DegenerationContext(F)
-    level = ctx.level(m)
-    av_q = k_cohomology_quotient(level["av_total"], i)
-    mat_f = k_induced_matrix(level["cm_f"], i, tgt_q=av_q)
+    av_total, cm_f, cm_g = ctx.once(("cokernel-maps", m), cokernel_maps, ctx, m)
+    av_q = k_cohomology_quotient(av_total, i)
+    mat_f = k_induced_matrix(cm_f, i, tgt_q=av_q)
     coker_f = Subspace.from_columns(mat_f)
-    mat_g = k_induced_matrix(level["cm_g"], i, tgt_q=av_q)
+    mat_g = k_induced_matrix(cm_g, i, tgt_q=av_q)
     coker_g = Subspace.from_columns(mat_g)
     return CokernelComparison(
         i, m, av_q.dim, coker_f, coker_g, coker_f == coker_g, h1_holds

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .bockstein import (
+    ComplexContext,
     connecting_factorization,
     split_mod_xi,
     verify_reduction_identification,
@@ -10,7 +11,7 @@ from .bockstein import (
 )
 from .checks import CheckResult
 from .complexes import FreeComplex
-from .eta import graded_piece, verify_eta_m_cohomology, xi_step_inclusion_holds
+from .eta import verify_eta_m_cohomology, xi_step_inclusion_holds
 from .sites import SheafComplex
 
 
@@ -25,31 +26,26 @@ def _guard(name: str, fn) -> CheckResult:
 
 def lemma_battery(K: FreeComplex) -> list:
     """Every stage-level identity for one complex, across all useful m."""
-    from .bockstein import bockstein_complex
-
+    cx = ComplexContext(K)
     results = []
-    try:
-        bc = bockstein_complex(K)
-    except Exception:
-        bc = None
     for m in range(0, K.hi + 3):
         results.append(_guard("eta-m.cohomology",
-                              lambda m=m: verify_eta_m_cohomology(K, m)))
+                              lambda m=m: verify_eta_m_cohomology(cx, m)))
     for m in range(0, K.hi + 2):
         results.append(_guard("eta-m.graded-piece",
-                              lambda m=m: graded_piece(K, m).verify()))
+                              lambda m=m: cx.graded(m).verify()))
         results.append(_guard("eta-m.mod-xi-subquotient",
-                              lambda m=m: verify_mod_xi_subquotient(K, m, bc)))
+                              lambda m=m: verify_mod_xi_subquotient(cx, m)))
         results.append(_guard("eta-m.connecting-bockstein",
-                              lambda m=m: connecting_factorization(K, m, bc)))
+                              lambda m=m: connecting_factorization(cx, m)))
         results.append(_guard("eta-m.mod-xi-splitting",
-                              lambda m=m: split_mod_xi(K, m, bc).check))
+                              lambda m=m: split_mod_xi(cx, m).check))
     results.append(_guard("eta.mod-xi-bockstein-model",
-                          lambda: verify_reduction_identification(K, bc)))
+                          lambda: verify_reduction_identification(cx)))
     filt = CheckResult("eta-m.filtration-steps")
     for m in range(0, K.hi + 2):
         try:
-            filt.expect(xi_step_inclusion_holds(K, m), m=m)
+            filt.expect(xi_step_inclusion_holds(cx, m), m=m)
         except Exception as exc:
             filt.fail(m=m, error=str(exc))
     results.append(filt)

@@ -16,7 +16,6 @@ dimensions against the cohomology of the term sheaves.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .bockstein import k_cohomology_quotient
@@ -26,18 +25,10 @@ from .eta import is_stationary_stage
 from .kmatrix import Subspace, field_rank
 from .rmatrix import Matrix, determinant, image_basis, intersect_spans, snf, solve_exact
 from .sites import (
+    InstanceContext,
     SheafComplex,
-    SheafMap,
-    global_sections_complex,
-    global_sections_map,
-    bockstein_term_sheaf,
-    sheaf_eta_m,
-    sheaf_reduce,
 )
 from .spectral import (
-    DegenerationContext,
-    HypothesisH1Failed,
-    HypothesisH3Failed,
     compare_degeneration,
     degeneration_check_HT,
     degeneration_check_HdR,
@@ -249,29 +240,16 @@ class LatticePairData:
     inclusion: ChainMap
 
 
-def lattice_pair_from_complex(F: SheafComplex, i: int,
-                              shared=None) -> LatticePairData:
+def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> LatticePairData:
     """L = image of H^i of the decalage stage, L0 = H^i of the sections of F.
 
     Both cohomologies must be xi-torsion-free (TorsionObstruction names the
     offender); coordinates are fixed by the presentation of H^i(sections).
     """
-    ring = F.ring
-    if shared is None:
-        shared = {}
-    if "total" not in shared:
-        total, idx = global_sections_complex(F)
-        shared["total"], shared["idx"] = total, idx
-    total, idx = shared["total"], shared["idx"]
-    if "stage" not in shared:
-        sub, incl, _ = sheaf_eta_m(F, 0)
-        stage_total, stage_idx = global_sections_complex(sub)
-        shared["stage"] = stage_total
-        shared["stage_map"] = global_sections_map(
-            incl, stage_idx, idx, stage_total, total
-        )
-    stage_total = shared["stage"]
-    cm = shared["stage_map"]
+    ring = ctx.F.ring
+    total, _ = ctx.sections()
+    stage_total, _ = ctx.stage_sections(0)
+    cm = ctx.stage_map(0)
 
     pres0 = cohomology_presentation(total, i)
     if not pres0.module.xi_torsion_free:
@@ -294,15 +272,14 @@ def lattice_pair_from_complex(F: SheafComplex, i: int,
 # torsion-freeness table and hypothesis checks
 
 
-def check_torsionfree_eta_m(F: SheafComplex, m_max=None) -> dict:
+def check_torsionfree_eta_m(ctx: InstanceContext, m_max=None) -> dict:
     """FG invariants of H^i of the sections of every stage, with verdicts."""
-    hi = F.hi()
+    hi = ctx.F.hi()
     if m_max is None:
         m_max = hi + 1
     table = {}
     for m in range(0, m_max + 1):
-        sub, incl, _ = sheaf_eta_m(F, m)
-        total, _ = global_sections_complex(sub)
+        total, _ = ctx.stage_sections(m)
         for i in total.degrees():
             fg = cohomology_presentation(total, i).module
             table[(i, m)] = {
@@ -312,14 +289,9 @@ def check_torsionfree_eta_m(F: SheafComplex, m_max=None) -> dict:
     return table
 
 
-def hypothesis_h1(F: SheafComplex, shared=None) -> tuple:
+def hypothesis_h1(ctx: InstanceContext) -> tuple:
     """All H^i of the sections xi-torsion-free; witness is the first failure."""
-    if shared is None:
-        shared = {}
-    if "total" not in shared:
-        total, idx = global_sections_complex(F)
-        shared["total"], shared["idx"] = total, idx
-    total = shared["total"]
+    total, _ = ctx.sections()
     for i in total.degrees():
         fg = cohomology_presentation(total, i).module
         if not fg.xi_torsion_free:
@@ -327,7 +299,7 @@ def hypothesis_h1(F: SheafComplex, shared=None) -> tuple:
     return True, None
 
 
-def reduction_iso_matrices(F: SheafComplex, shared=None) -> dict:
+def reduction_iso_matrices(ctx: InstanceContext) -> dict:
     """Per-degree matrices H^i(sections of F) tensor k -> H^i(sections of F/xi).
 
     The sections complex reduces literally, so the right side is the
@@ -335,12 +307,7 @@ def reduction_iso_matrices(F: SheafComplex, shared=None) -> dict:
     basis cocycles.  Only meaningful (and an isomorphism) when H^i and
     H^{i+1} are torsion-free; callers check.
     """
-    if shared is None:
-        shared = {}
-    if "total" not in shared:
-        total, idx = global_sections_complex(F)
-        shared["total"], shared["idx"] = total, idx
-    total = shared["total"]
+    total, _ = ctx.sections()
     red = total.reduce_mod_xi()
     out = {}
     for i in total.degrees():
@@ -360,31 +327,20 @@ def reduction_iso_matrices(F: SheafComplex, shared=None) -> dict:
 # the image filtration (the comparison's right-hand side)
 
 
-def image_flag(F: SheafComplex, i: int, m_max: int) -> Flag:
+def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
     """Flag of images of H^i of the stage sections in H^i of sections of F/xi.
 
     Stage m maps by dividing its embedding by xi^m and reducing; the images
     increase with m and stabilize at the image of the full reduction.
     """
-    Fbar = sheaf_reduce(F)
-    bar_total, bar_idx = global_sections_complex(Fbar)
+    bar_total, _ = ctx.reduced_sections()
     kfield = bar_total.ring
     spaces = {}
     hq = {j: k_cohomology_quotient(bar_total, j) for j in bar_total.degrees()}
     for m in range(0, m_max + 1):
-        sub, incl, embs = sheaf_eta_m(F, m)
-        subbar = sheaf_reduce(sub)
-        maps = {
-            x: ChainMap(subbar.stalk(x), Fbar.stalk(x),
-                        {j: embs[x].reduction_map(j)
-                         for j in range(F.stalk(x).lo, F.stalk(x).hi + 1)})
-            for x in F.site.elements
-        }
-        phi = SheafMap(subbar, Fbar, maps)
-        sub_total, sub_idx = global_sections_complex(subbar)
-        cm = global_sections_map(phi, sub_idx, bar_idx, sub_total, bar_total)
+        cm = ctx.stage_reduction(m)
         # generators of H^i of the stage sections over R, reduced mod xi
-        stage_total, _ = global_sections_complex(sub)
+        stage_total, _ = ctx.stage_sections(m)
         pres = cohomology_presentation(stage_total, i)
         gens = pres.gens_basis.residue()
         pushed = cm.map(i) @ gens
@@ -439,12 +395,13 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     torsion-freeness; for each degree compute the lattice flag and the image
     flag; when both hypotheses hold, assert flag equality and the graded
     dimension identity against the term sheaves.  With a failed hypothesis
-    the same data is returned unasserted.
+    the same data is returned unasserted.  All steps share one
+    InstanceContext, dropped on return.
     """
     report = TheoremReport()
-    shared = {}
-    h1, h1_witness = hypothesis_h1(F, shared)
-    h3, h3_witness, h3_agrees = degeneration_check_HT(F)
+    ctx = InstanceContext(F)
+    h1, h1_witness = hypothesis_h1(ctx)
+    h3, h3_witness, h3_agrees = degeneration_check_HT(ctx)
     report.hypotheses = {
         "H1": {"holds": h1, "witness": h1_witness},
         "H3": {"holds": h3, "witness": list(h3_witness) if h3_witness else None,
@@ -454,7 +411,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
 
     hi = F.hi()
     m_max = hi + 1
-    report.torsion_table = check_torsionfree_eta_m(F, m_max)
+    report.torsion_table = check_torsionfree_eta_m(ctx, m_max)
     torsion_check = CheckResult("torsion-free.eta-m-global")
     for (i, m), row in sorted(report.torsion_table.items()):
         if h1:
@@ -464,11 +421,11 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
 
     stationary = CheckResult("torsion-free.stage-stationarity")
     for x in F.site.elements:
-        stationary.expect(is_stationary_stage(F.stalk(x), m_max), element=x, m=m_max)
+        stationary.expect(is_stationary_stage(ctx.stalks[x], m_max), element=x, m=m_max)
     report.add_check(stationary)
 
-    total = shared["total"]
-    rho = reduction_iso_matrices(F, shared)
+    total, _ = ctx.sections()
+    rho = reduction_iso_matrices(ctx)
     red = total.reduce_mod_xi()
 
     flag_check = CheckResult("main.flag-equality")
@@ -478,8 +435,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     # graded target dimensions: H^{i-m}(S, Omega^m-avatar)
     omega_dims = {}
     for m in range(0, m_max + 1):
-        avatar = bockstein_term_sheaf(F, m, place_at=0)
-        av_total, _ = global_sections_complex(avatar)
+        av_total, _ = ctx.term_sections(m, place_at=0)
         omega_dims[m] = {p: k_cohomology_quotient(av_total, p).dim
                          for p in av_total.degrees()}
 
@@ -487,7 +443,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
         red_q = k_cohomology_quotient(red, i)
         entry = {"i": i}
         try:
-            pair = lattice_pair_from_complex(F, i, shared)
+            pair = lattice_pair_from_complex(ctx, i)
         except TorsionObstruction as exc:
             entry["torsion_obstruction"] = str(exc)
             report.flags[str(i)] = entry
@@ -513,10 +469,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
                                  free_rank=bb.n, reduced_dim=red_q.dim)
         else:
             bb_moved = None
-        img = image_flag(F, i, m_max)
-        if os.environ.get("DECALAGE_INJECT_FLAG_BUG"):
-            # fault injection for the exit-code harness tests only
-            img = img.shifted(1)
+        img = image_flag(ctx, i, m_max)
         entry["bb_flag"] = bb.to_json()
         entry["image_flag"] = img.to_json()
         report.flags[str(i)] = entry
@@ -540,17 +493,16 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     report.add_check(graded_check)
 
     # degeneration equivalence data rides along
-    ctx = DegenerationContext(F)
     comp_check = CheckResult("degeneration.coker-comparison")
     for i in total.degrees():
         for m in range(0, m_max + 1):
-            rec = compare_degeneration(F, i, m, h1_holds=h1, ctx=ctx)
+            rec = compare_degeneration(ctx, i, m, h1_holds=h1)
             if h1:
                 comp_check.expect(rec.equal, i=i, m=m,
                                   coker_f=rec.coker_f.to_json(),
                                   coker_g=rec.coker_g.to_json())
     report.add_check(comp_check)
-    hdr_ok, hdr_wit = degeneration_check_HdR(F)
+    hdr_ok, hdr_wit = degeneration_check_HdR(ctx)
     equiv_check = CheckResult("degeneration.ht-vs-hdr")
     if h1:
         equiv_check.expect(h3 == hdr_ok, ht=h3, hdr=hdr_ok,

@@ -1,6 +1,7 @@
 import random
 
 from decalage.bockstein import (
+    ComplexContext,
     beta_squared_is_zero,
     bockstein_complex,
     connecting_factorization,
@@ -60,24 +61,24 @@ def test_torsion_free_forces_beta_zero(rng, z5):
 
 
 def test_reduction_identification_examples(z3):
-    res = verify_reduction_identification(shell(z3, 3))
+    res = verify_reduction_identification(ComplexContext(shell(z3, 3)))
     assert res.passed, res.failures
     K0 = FreeComplex(z3, 0, [2, 1], [Matrix.zeros(z3, 1, 2)])
-    assert verify_reduction_identification(K0).passed
+    assert verify_reduction_identification(ComplexContext(K0)).passed
 
 
 def test_reduction_identification_random(rng):
     for ring in desk_rings():
         for _ in range(5):
             K = random_complex(ring, rng, max_degree=3, max_rank=3)
-            res = verify_reduction_identification(K)
+            res = verify_reduction_identification(ComplexContext(K))
             assert res.passed, (ring, res.failures)
 
 
 def test_connecting_factorization_example(z3):
     # beta is an isomorphism, so the four-term sequence is 0 -> 0 -> k -> k -> 0 -> 0
     K = shell(z3, 3)
-    res = connecting_factorization(K, 0)
+    res = connecting_factorization(ComplexContext(K), 0)
     assert res.passed, res.failures
     bc = bockstein_complex(K)
     from decalage.kmatrix import kernel_cols
@@ -88,14 +89,14 @@ def test_connecting_factorization_example(z3):
 def test_connecting_factorization_zero_differential(z3):
     K = FreeComplex(z3, 0, [2, 2], [Matrix.zeros(z3, 2, 2)])
     for m in range(0, 3):
-        assert connecting_factorization(K, m).passed
+        assert connecting_factorization(ComplexContext(K), m).passed
 
 
 def test_connecting_factorization_random(rng, z2):
     for _ in range(10):
         K = random_complex(z2, rng, max_degree=3, max_rank=3)
         for m in range(0, K.hi + 2):
-            res = connecting_factorization(K, m)
+            res = connecting_factorization(ComplexContext(K), m)
             assert res.passed, (m, res.failures)
 
 
@@ -104,13 +105,13 @@ def test_mod_xi_subquotient_vs_hodge(rng):
         for _ in range(4):
             K = random_complex(ring, rng, max_degree=3, max_rank=3)
             for m in range(0, K.hi + 2):
-                res = verify_mod_xi_subquotient(K, m)
+                res = verify_mod_xi_subquotient(ComplexContext(K), m)
                 assert res.passed, (ring, m, res.failures)
 
 
 def test_split_example(z3):
     K = shell(z3, 3)
-    s = split_mod_xi(K, 0)
+    s = split_mod_xi(ComplexContext(K), 0)
     assert s.check.passed, s.check.failures
     assert s.dims[0] == {"reduced": 1, "truncation_factor": 1, "hodge_factor": 0}
     assert s.dims[1] == {"reduced": 1, "truncation_factor": 0, "hodge_factor": 1}
@@ -119,9 +120,9 @@ def test_split_example(z3):
 def test_split_zero_differential_and_acyclic(z3):
     K0 = FreeComplex(z3, 0, [2, 1], [Matrix.zeros(z3, 1, 2)])
     for m in range(0, 3):
-        assert split_mod_xi(K0, m).check.passed
+        assert split_mod_xi(ComplexContext(K0), m).check.passed
     unit = shell(z3, 1)
-    s = split_mod_xi(unit, 0)
+    s = split_mod_xi(ComplexContext(unit), 0)
     assert s.check.passed
     from decalage.bockstein import k_cohomology_quotient
 
@@ -134,5 +135,5 @@ def test_split_random(rng):
         for _ in range(4):
             K = random_complex(ring, rng, max_degree=3, max_rank=3)
             for m in range(0, K.hi + 2):
-                s = split_mod_xi(K, m)
+                s = split_mod_xi(ComplexContext(K), m)
                 assert s.check.passed, (ring, m, s.check.failures)

@@ -1,5 +1,6 @@
 import pytest
 
+from decalage.bockstein import ComplexContext
 from decalage.complexes import FGModule, FreeComplex, cohomology
 from decalage.eta import (
     DegreeBelowZero,
@@ -83,7 +84,7 @@ def test_eta_m_beyond_top_degree(z5, rng):
     for _ in range(10):
         K = random_complex(z5, rng, max_degree=2, max_rank=3)
         m = K.hi + 1
-        assert is_stationary_stage(K, m)
+        assert is_stationary_stage(ComplexContext(K), m)
         emb = eta_m(K, m)
         for i in K.degrees():
             assert cohomology(emb.complex, i) == cohomology(K, i)
@@ -91,7 +92,7 @@ def test_eta_m_beyond_top_degree(z5, rng):
 
 def test_filtration_containments(z5, rng):
     K = shell(z5, 5)
-    stages, incs = eta_filtration(K, 3)
+    stages, incs = eta_filtration(ComplexContext(K), 3)
     for inc in incs:
         inc.validate()
         assert inc.is_degreewise_injective()
@@ -101,13 +102,13 @@ def test_filtration_containments(z5, rng):
     for _ in range(10):
         K = random_complex(z5, rng, max_degree=2, max_rank=3)
         for m in range(0, K.hi + 2):
-            assert xi_step_inclusion_holds(K, m)
+            assert xi_step_inclusion_holds(ComplexContext(K), m)
 
 
 def test_cohomology_lemma_examples(z2):
     K = shell(z2, 4)
     for m in (0, 1, 2, 3):
-        res = verify_eta_m_cohomology(K, m)
+        res = verify_eta_m_cohomology(ComplexContext(K), m)
         assert res.passed, (m, res.failures)
     # explicit values: H^1(stage 0) = Z/2, H^1(stage 2) carries Z/4
     assert cohomology(eta_m(K, 0).complex, 1) == FGModule(z2, 0, (2,))
@@ -116,7 +117,7 @@ def test_cohomology_lemma_examples(z2):
 
 def test_graded_piece_example(z3):
     K = shell(z3, 3)
-    g = graded_piece(K, 0)
+    g = graded_piece(ComplexContext(K), 0)
     assert g.fp.term_invariants(0).k_dimension() == 1
     assert g.fp.term_invariants(1).k_dimension() == 0
     assert g.tau.rank(0) == 1
@@ -127,7 +128,7 @@ def test_graded_piece_example(z3):
 def test_graded_piece_zero_differential(z3):
     K = FreeComplex(z3, 0, [2, 1], [Matrix.zeros(z3, 1, 2)])
     for m in range(0, 4):
-        g = graded_piece(K, m)
+        g = graded_piece(ComplexContext(K), m)
         assert g.verify().passed
         for i in K.degrees():
             want = K.rank(i) if i <= m else 0
@@ -136,7 +137,7 @@ def test_graded_piece_zero_differential(z3):
 
 def test_mod_xi_subquotient_example(z3):
     K = shell(z3, 3)
-    sq = mod_xi_subquotient(K, 0)
+    sq = mod_xi_subquotient(ComplexContext(K), 0)
     sq.fp.validate()
     assert sq.degree_m_cohomology_vanishes()
     assert sq.fp.term_invariants(0).k_dimension() == 0
@@ -146,7 +147,7 @@ def test_mod_xi_subquotient_example(z3):
 def test_mod_xi_subquotient_above_top(z3, rng):
     K = random_complex(z3, rng, max_degree=2, max_rank=2)
     m = K.hi + 1
-    sq = mod_xi_subquotient(K, m)
+    sq = mod_xi_subquotient(ComplexContext(K), m)
     for i in K.degrees():
         assert sq.fp.term_invariants(i).k_dimension() == 0 or i >= m + 1
 
@@ -171,5 +172,5 @@ def test_lemma_suite_random(rng):
         for _ in range(6):
             K = random_complex(ring, rng, max_degree=3, max_rank=3)
             for m in range(0, K.hi + 3):
-                res = verify_eta_m_cohomology(K, m)
+                res = verify_eta_m_cohomology(ComplexContext(K), m)
                 assert res.passed, (ring, m, res.failures)

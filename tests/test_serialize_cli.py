@@ -115,8 +115,15 @@ def test_cli_check_theorem_reports_injected_bug(tmp_path, z3):
         FreeComplex(z3, 0, [1, 1], [Matrix.zeros(z3, 1, 1)]))))
     clean = run_cli("check-theorem", str(path))
     assert clean.returncode == 0
-    r = run_cli("check-theorem", str(path),
-                env={"DECALAGE_INJECT_FLAG_BUG": "1"})
+    # the fault is injected from here: a shifted image flag, then the CLI
+    script = (
+        "import sys\n"
+        "import decalage.cli, decalage.theorem as theorem\n"
+        "original = theorem.image_flag\n"
+        "theorem.image_flag = lambda ctx, i, m_max: original(ctx, i, m_max).shifted(1)\n"
+        f"sys.exit(decalage.cli.main(['check-theorem', {str(path)!r}]))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert r.returncode == 1
     assert "FAIL" in r.stdout
 
@@ -166,5 +173,7 @@ def test_golden_instance_regenerates(z2):
     F = generate_instance("free", 42, ring=z2)
     assert sheaf_to_json(F) == frozen["instance"]
     from decalage.suites import sheaf_lemma_report
+    from decalage.theorem import verify_main_theorem
 
     assert sheaf_lemma_report(F, "free-42") == frozen["lemma_report"]
+    assert verify_main_theorem(F).to_json() == frozen["theorem_report"]

@@ -11,12 +11,12 @@ from decalage.instances import (
 )
 from decalage.rmatrix import Matrix
 from decalage.sites import (
+    InstanceContext,
     InvalidSheaf,
     PosetSite,
     SheafComplex,
     bockstein_term_sheaf,
     global_sections_complex,
-    sections_of_map,
     sheaf_bockstein,
     sheaf_eta_m,
     sheaf_hodge,
@@ -162,8 +162,9 @@ def test_sections_exact_on_split_sums(rng, z3):
 def test_sheaf_eta_point_reduces_to_complex_level(z5):
     K = FreeComplex(z5, 0, [1, 1], [Matrix(z5, [[5]])])
     F = SheafComplex.constant(PosetSite.point(), K)
+    ctx = InstanceContext(F)
     for m in (0, 1, 2):
-        sub, incl, embs = sheaf_eta_m(F, m)
+        sub, incl, embs = sheaf_eta_m(ctx, m)
         direct = eta_m(K, m)
         assert sub.stalk("pt") == direct.complex
         assert all(incl.map("pt").map(i) == direct.basis(i) for i in K.degrees())
@@ -173,17 +174,20 @@ def test_sheaf_eta_constant_stalks(z5, rng):
     site = PosetSite.pseudo_circle()
     K = FreeComplex(z5, 0, [1, 1], [Matrix(z5, [[5]])])
     F = SheafComplex.constant(site, K)
-    sub, incl, _ = sheaf_eta_m(F, 1)
+    ctx = InstanceContext(F)
+    sub, incl, _ = sheaf_eta_m(ctx, 1)
     sub.validate()
     incl.validate()
-    src, tgt, cm = sections_of_map(incl)
+    cm = ctx.stage_map(1)
+    cm.validate()
     assert cm.is_degreewise_injective()
 
 
 def test_sheaf_eta_inclusion_chain(z5, rng):
     F = generate_instance("free", 11, ring=z5)
-    sub1, incl1, _ = sheaf_eta_m(F, 1)
-    sub0, incl0, _ = sheaf_eta_m(F, 0)
+    ctx = InstanceContext(F)
+    sub1, incl1, _ = sheaf_eta_m(ctx, 1)
+    sub0, incl0, _ = sheaf_eta_m(ctx, 0)
     for x in F.site.elements:
         for i in F.stalk(x).degrees():
             inner = incl1.map(x).map(i)
@@ -212,8 +216,9 @@ def test_sheaf_reduce_truncate_hodge(z5, rng):
 def test_bockstein_term_sheaf_dims(z3):
     K = FreeComplex(z3, 0, [1, 1], [Matrix(z3, [[3]])])
     F = SheafComplex.constant(PosetSite.pseudo_circle(), K)
+    ctx = InstanceContext(F)
     for q in (0, 1):
-        avatar = bockstein_term_sheaf(F, q, place_at=0)
+        avatar = bockstein_term_sheaf(ctx, q, place_at=0)
         avatar.validate()
         T, _ = global_sections_complex(avatar)
         # H^q(K/xi) is one-dimensional at every stalk; circle cohomology

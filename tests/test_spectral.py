@@ -6,9 +6,8 @@ from decalage.complexes import ChainMap, FreeComplex
 from decalage.instances import generate_instance
 from decalage.rmatrix import Matrix
 from decalage.serialize import sheaf_from_json
-from decalage.sites import PosetSite, SheafComplex, global_sections_complex
+from decalage.sites import InstanceContext, PosetSite, SheafComplex
 from decalage.spectral import (
-    DegenerationContext,
     FilteredComplex,
     compare_degeneration,
     degeneration_check_HT,
@@ -50,7 +49,8 @@ def test_page_consistency_and_abutment(rng, z2):
 
     for seed in (3, 4, 5):
         F = generate_instance("free", seed, ring=z2)
-        pages, fc, total = ht_spectral_sequence(F, r_max=5)
+        ctx = InstanceContext(F)
+        pages, fc, total = ht_spectral_sequence(ctx, r_max=5)
         for a, b in zip(pages, pages[1:]):
             for key, dim in b.entries.items():
                 da_out = a.differentials.get(key)
@@ -72,33 +72,37 @@ def test_page_consistency_and_abutment(rng, z2):
 
 def test_ht_point_site(z3):
     F = shell_sheaf(z3, 3)
-    pages, fc, total = ht_spectral_sequence(F)
+    ctx = InstanceContext(F)
+    pages, fc, total = ht_spectral_sequence(ctx)
     assert pages[0].entries == {(0, 0): 1, (0, 1): 1}
-    assert not ht_e2_crosscheck(F, pages)
-    ok, wit, agree = degeneration_check_HT(F)
+    assert not ht_e2_crosscheck(ctx, pages)
+    ok, wit, agree = degeneration_check_HT(ctx)
     assert ok and wit is None and agree
 
 
 def test_ht_pseudo_circle_product_table(z3):
     K = FreeComplex(z3, 0, [1, 1], [Matrix.zeros(z3, 1, 1)])
     F = SheafComplex.constant(PosetSite.pseudo_circle(), K)
-    pages, _, _ = ht_spectral_sequence(F)
+    ctx = InstanceContext(F)
+    pages, _, _ = ht_spectral_sequence(ctx)
     assert pages[0].entries == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
-    assert not ht_e2_crosscheck(F, pages)
+    assert not ht_e2_crosscheck(ctx, pages)
 
 
 def test_ht_e2_crosscheck_random(rng, z2):
     for seed in range(6):
         F = generate_instance("free", 100 + seed, ring=z2)
-        pages, _, _ = ht_spectral_sequence(F)
-        assert not ht_e2_crosscheck(F, pages), seed
+        ctx = InstanceContext(F)
+        pages, _, _ = ht_spectral_sequence(ctx)
+        assert not ht_e2_crosscheck(ctx, pages), seed
 
 
 def test_hdr_detects_nonzero_beta(z3):
     F = shell_sheaf(z3, 3)
-    ok, wit = degeneration_check_HdR(F)
+    ctx = InstanceContext(F)
+    ok, wit = degeneration_check_HdR(ctx)
     assert not ok
-    pages, _, _ = hdr_spectral_sequence(F)
+    pages, _, _ = hdr_spectral_sequence(ctx)
     nonzero = [k for k, m in pages[0].differentials.items() if not m.is_zero()]
     assert nonzero == [(0, 0)]
 
@@ -106,7 +110,8 @@ def test_hdr_detects_nonzero_beta(z3):
 def test_hdr_degenerates_for_zero_beta(z3):
     K = FreeComplex(z3, 0, [1, 1], [Matrix.zeros(z3, 1, 1)])
     F = SheafComplex.constant(PosetSite.point(), K)
-    ok, wit = degeneration_check_HdR(F)
+    ctx = InstanceContext(F)
+    ok, wit = degeneration_check_HdR(ctx)
     assert ok and wit is None
 
 
@@ -115,27 +120,28 @@ def test_golden_d2_witness():
         data = json.load(fh)
     F = sheaf_from_json(data["instance"])
     F.validate()
+    ctx = InstanceContext(F)
     facts = data["facts"]
-    pages, _, _ = ht_spectral_sequence(F)
+    pages, _, _ = ht_spectral_sequence(ctx)
     nonzero = [[p, q] for (p, q), m in sorted(pages[0].differentials.items())
                if not m.is_zero()]
     assert nonzero == facts["nonzero_d2_at"] == [[0, 1]]
-    ok, wit, agree = degeneration_check_HT(F)
+    ok, wit, agree = degeneration_check_HT(ctx)
     assert not ok and list(wit) == facts["ht_witness"] and agree
-    hdr_ok, _ = degeneration_check_HdR(F)
+    hdr_ok, _ = degeneration_check_HdR(ctx)
     assert hdr_ok == facts["hdr_degenerates"]
     from decalage.theorem import hypothesis_h1
 
-    assert hypothesis_h1(F)[0] == facts["h1_holds"] is True
+    assert hypothesis_h1(ctx)[0] == facts["h1_holds"] is True
 
 
 def test_compare_degeneration_point_zero_differential(z3):
     K = FreeComplex(z3, 0, [1, 1], [Matrix.zeros(z3, 1, 1)])
     F = SheafComplex.constant(PosetSite.point(), K)
-    ctx = DegenerationContext(F)
+    ctx = InstanceContext(F)
     for i in range(0, 2):
         for m in range(0, 2):
-            rec = compare_degeneration(F, i, m, h1_holds=True, ctx=ctx)
+            rec = compare_degeneration(ctx, i, m, h1_holds=True)
             assert rec.equal
             want = 1 if i == m else 0
             assert rec.coker_f.dim == want == rec.coker_g.dim
@@ -143,26 +149,26 @@ def test_compare_degeneration_point_zero_differential(z3):
 
 def test_compare_degeneration_non_torsion_free_fixture(z2):
     F = shell_sheaf(z2, 2)
-    ctx = DegenerationContext(F)
-    rec = compare_degeneration(F, 0, 0, h1_holds=False, ctx=ctx)
+    ctx = InstanceContext(F)
+    rec = compare_degeneration(ctx, 0, 0, h1_holds=False)
     assert not rec.equal
     assert rec.coker_f.dim == 1 and rec.coker_g.dim == 0
     import pytest
     from decalage.spectral import HypothesisH1Failed
 
     with pytest.raises(HypothesisH1Failed):
-        compare_degeneration(F, 0, 0, h1_holds=False, require_h1=True, ctx=ctx)
+        compare_degeneration(ctx, 0, 0, h1_holds=False, require_h1=True)
 
 
 def test_h1_instances_equal_cokernels(rng, z2):
     for seed in (21, 22, 23):
         F = generate_instance("h1", seed, ring=z2)
-        ctx = DegenerationContext(F)
-        ht_ok, _, _ = degeneration_check_HT(F)
-        hdr_ok, _ = degeneration_check_HdR(F)
+        ctx = InstanceContext(F)
+        ht_ok, _, _ = degeneration_check_HT(ctx)
+        hdr_ok, _ = degeneration_check_HdR(ctx)
         assert ht_ok == hdr_ok
-        total, _ = global_sections_complex(F)
+        total, _ = ctx.sections()
         for i in total.degrees():
             for m in range(0, F.hi() + 2):
-                rec = compare_degeneration(F, i, m, h1_holds=True, ctx=ctx)
+                rec = compare_degeneration(ctx, i, m, h1_holds=True)
                 assert rec.equal, (seed, i, m)

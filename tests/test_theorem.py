@@ -7,7 +7,7 @@ from decalage.complexes import FreeComplex
 from decalage.instances import generate_instance, random_unimodular
 from decalage.rmatrix import Matrix, snf
 from decalage.serialize import sheaf_from_json, sheaf_to_json
-from decalage.sites import PosetSite, SheafComplex, global_sections_complex, sheaf_eta_m, global_sections_map
+from decalage.sites import InstanceContext, PosetSite, SheafComplex, global_sections_map
 from decalage.theorem import (
     Lattice,
     SingularBasis,
@@ -119,28 +119,29 @@ def test_lattice_pair_examples(z3):
     pt = PosetSite.point()
     K = FreeComplex(z3, 0, [1, 1], [Matrix.zeros(z3, 1, 1)])
     F = SheafComplex.constant(pt, K)
-    pair = lattice_pair_from_complex(F, 1)
+    pair = lattice_pair_from_complex(InstanceContext(F), 1)
     fl = bb_filtration(pair.L, pair.L0)
     assert fl.dim(0) == 0 and fl.dim(1) == 1
 
     K0 = FreeComplex(z3, 0, [2], [])
     F0 = SheafComplex.constant(pt, K0)
-    pair0 = lattice_pair_from_complex(F0, 0)
+    pair0 = lattice_pair_from_complex(InstanceContext(F0), 0)
     assert relative_position(pair0.L, pair0.L0) == [0, 0]
 
     Kp = FreeComplex(z3, 0, [1, 1], [Matrix(z3, [[3]])])
     Fp = SheafComplex.constant(pt, Kp)
     with pytest.raises(TorsionObstruction):
-        lattice_pair_from_complex(Fp, 1)
+        lattice_pair_from_complex(InstanceContext(Fp), 1)
 
 
 def test_torsionfree_table_example(z3):
     K = FreeComplex(z3, 0, [1, 1], [Matrix(z3, [[3]])])
     F = SheafComplex.constant(PosetSite.point(), K)
-    table = check_torsionfree_eta_m(F)
+    ctx = InstanceContext(F)
+    table = check_torsionfree_eta_m(ctx)
     assert table[(1, 1)]["xi_torsion_free"] is False
     assert table[(0, 0)]["xi_torsion_free"] is True
-    assert not hypothesis_h1(F)[0]
+    assert not hypothesis_h1(ctx)[0]
 
 
 def test_main_theorem_zero_differential(z3):
@@ -180,21 +181,20 @@ def test_main_theorem_poset_h1_instances(rng, z2):
 def test_image_flag_oracle_agrees(z2):
     # recompute the image flag of an instance by the truncated-kernel oracle
     from decalage.bockstein import k_cohomology_quotient
-    from decalage.sites import sheaf_reduce
     from decalage.theorem import image_flag
 
     F = generate_instance("h1", 33, ring=z2, site=PosetSite.pseudo_circle())
-    Fbar = sheaf_reduce(F)
-    bar_total, bar_idx = global_sections_complex(Fbar)
+    ctx = InstanceContext(F)
+    bar_total, bar_idx = ctx.reduced_sections()
     m_max = F.hi() + 1
     for i in bar_total.degrees():
         hq = k_cohomology_quotient(bar_total, i)
         if hq.dim == 0:
             continue
-        main = image_flag(F, i, m_max)
+        main = image_flag(ctx, i, m_max)
         for m in range(0, m_max + 1):
-            sub, incl, _ = sheaf_eta_m(F, m)
-            stage_total, stage_idx = global_sections_complex(sub)
+            _, incl, _ = ctx.stage(m)
+            stage_total, stage_idx = ctx.stage_sections(m)
             cm = global_sections_map(incl, stage_idx, bar_idx, stage_total,
                                      bar_total)
             vmax = 0
@@ -221,7 +221,7 @@ def test_adversarial_profile_finds_witness(z2):
     from decalage.spectral import degeneration_check_HT
 
     F = generate_instance("adversarial", 0, ring=z2, budget=12)
-    ok, wit, _ = degeneration_check_HT(F)
+    ok, wit, _ = degeneration_check_HT(InstanceContext(F))
     assert not ok and wit is not None
 
 
