@@ -8,6 +8,8 @@ is the comparison contract for flags and cokernel images.
 
 from __future__ import annotations
 
+from bisect import insort
+
 from .rmatrix import Matrix
 
 
@@ -81,10 +83,25 @@ def solve_field(A: Matrix, B: Matrix):
     return Matrix(F, X, cols=B.cols)
 
 
+def reduce_vector(F, echelon, vec) -> list:
+    """vec minus its components along ``echelon``, as a list.
+
+    ``echelon`` is a sequence of (pivot, row) pairs in increasing pivot order,
+    each row zero before its pivot and one at it.  The result is zero at every
+    pivot, so it is zero exactly when vec lies in the span of the rows.
+    """
+    v = list(vec)
+    for c, row in echelon:
+        f = v[c]
+        if not F.is_zero(f):
+            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
+    return v
+
+
 class Subspace:
     """A subspace of k^n in row-space normal form (RREF rows, no zero rows)."""
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "basis", "pivots")
 
     def __init__(self, field, ambient: int, vectors=()):
         self.field = field
@@ -96,8 +113,10 @@ class Subspace:
         if rows:
             R, pivots = rref(Matrix(field, rows, cols=ambient))
             self.basis = tuple(R.data[i] for i in range(len(pivots)))
+            self.pivots = pivots
         else:
             self.basis = ()
+            self.pivots = ()
 
     @classmethod
     def from_columns(cls, M: Matrix) -> "Subspace":
@@ -132,10 +151,10 @@ class Subspace:
         return Matrix(self.field, self.basis, cols=self.ambient)
 
     def contains(self, vec) -> bool:
-        if self.dim == 0:
-            return all(self.field.is_zero(x) for x in vec)
-        probe = Subspace(self.field, self.ambient, list(self.basis) + [tuple(vec)])
-        return probe.dim == self.dim
+        if len(vec) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
+        rest = reduce_vector(self.field, zip(self.pivots, self.basis), vec)
+        return all(self.field.is_zero(x) for x in rest)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -174,12 +193,18 @@ class QuotientSpace:
         self.bspace = Subspace(field, ambient, b_vectors)
         if not self.zspace.contains_space(self.bspace):
             raise ValueError("boundaries do not lie inside cocycles")
+        # greedy: keep each Z basis vector outside the span of B and the
+        # representatives kept so far, tracked as one growing echelon
+        echelon = list(zip(self.bspace.pivots, self.bspace.basis))
         reps = []
-        current = self.bspace
         for v in self.zspace.basis:
-            if not current.contains(v):
-                reps.append(v)
-                current = current.add(Subspace(field, ambient, [v]))
+            rest = reduce_vector(field, echelon, v)
+            c = next((j for j, x in enumerate(rest) if not field.is_zero(x)), None)
+            if c is None:
+                continue
+            reps.append(v)
+            inv = field.inv_unit(rest[c])
+            insort(echelon, (c, tuple(field.mul(inv, x) for x in rest)))
         self.reps = tuple(reps)
         cols = [tuple(b) for b in self.bspace.basis] + [tuple(r) for r in reps]
         self._solver = Matrix.from_columns(field, cols, rows=ambient)
@@ -191,16 +216,15 @@ class QuotientSpace:
     def coords(self, vec):
         """Coordinates of [vec] in the representative basis; vec must be in Z."""
         target = Matrix.from_columns(self.field, [tuple(vec)], rows=self.ambient)
-        sol = solve_field(self._solver, target)
+        return self.coords_matrix(target).column(0)
+
+    def coords_matrix(self, M: Matrix) -> Matrix:
+        """Columnwise coords, in one solve: each column of M must be in Z."""
+        sol = solve_field(self._solver, M)
         if sol is None:
             raise ValueError("vector not in the cocycle space")
         nb = self.bspace.dim
-        return tuple(sol.entry(nb + i, 0) for i in range(self.dim))
-
-    def coords_matrix(self, M: Matrix) -> Matrix:
-        """Columnwise coords: each column of M is a cocycle."""
-        cols = [self.coords(M.column(j)) for j in range(M.cols)]
-        return Matrix.from_columns(self.field, cols, rows=self.dim)
+        return sol.submatrix(nb, nb + self.dim, 0, M.cols)
 
     def rep_matrix(self) -> Matrix:
         return Matrix.from_columns(self.field, self.reps, rows=self.ambient)

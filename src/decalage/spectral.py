@@ -5,9 +5,12 @@ Pages are computed from the closed-form cycle/boundary subquotients
     Z_r(p, n) = F_p C^n  ∩  d^{-1}(F_{p+r} C^{n+1})
     E_r(p, q) = Z_r(p, n) / ( Z_{r-1}(p+1, n) + d Z_{r-1}(p-r+1, n-1) ),
 
-with n = p + q, entirely in exact linear algebra over k.  Two spectral
-sequences are packaged: the truncation-filtration one on the global sections
-of K/xi (reported with its customary page numbering, starting at 2) and the
+with n = p + q, entirely in exact linear algebra over k.  A filtered complex
+builds each Z_r(p, n) once, with one kernel computation, and every entry and
+page after that reuses it; the store lives on the filtered complex, which
+each spectral-sequence call builds and drops.  Two spectral sequences are
+packaged: the truncation-filtration one on the global sections of K/xi
+(reported with its customary page numbering, starting at 2) and the
 Hodge-filtration one on the global sections of the objectwise Bockstein
 complex (starting at 1).  Degeneration detectors and the cokernel-comparison
 record live here as well.
@@ -37,29 +40,11 @@ class HypothesisH1Failed(ValueError):
         super().__init__(f"H^{witness_degree} of the global sections has xi-torsion")
 
 
-def quotient_map_matrix(W: Subspace) -> Matrix:
-    """Matrix of the projection k^n -> k^n / W in complement coordinates."""
-    field = W.field
-    n = W.ambient
-    ident = Matrix.identity(field, n)
-    q = QuotientSpace(field, n, [ident.column(j) for j in range(n)], list(W.basis))
-    cols = [q.coords(ident.column(j)) for j in range(n)]
-    return Matrix.from_columns(field, cols, rows=q.dim)
-
-
-def preimage_subspace(d: Matrix, W: Subspace) -> Subspace:
-    """{ x : d(x) in W } as a subspace of the source."""
-    qmat = quotient_map_matrix(W)
-    ker = kernel_cols(qmat @ d)
-    return Subspace.from_columns(ker)
-
-
 def k_induced_matrix(cm: ChainMap, i: int, src_q=None, tgt_q=None) -> Matrix:
     """Induced map on degree-i cohomology of a chain map over a field."""
     src_q = src_q or k_cohomology_quotient(cm.source, i)
     tgt_q = tgt_q or k_cohomology_quotient(cm.target, i)
-    cols = [tgt_q.coords(cm.map(i).apply(rep)) for rep in src_q.reps]
-    return Matrix.from_columns(cm.source.ring, cols, rows=tgt_q.dim)
+    return tgt_q.coords_matrix(cm.map(i) @ src_q.rep_matrix())
 
 
 class FilteredComplex:
@@ -67,10 +52,12 @@ class FilteredComplex:
 
     ``pieces[p][n]`` is the subspace F_p C^n; p runs over [p_min, p_max] with
     F_{p_min} the whole complex and F_{p_max+1} = 0.  Validated: each F_p is
-    d-stable and F_{p+1} <= F_p degreewise.
+    d-stable and F_{p+1} <= F_p degreewise.  The images d(F_p C^n) and the
+    spaces Z_r(p, n) are kept on the object as they are first built.
     """
 
-    __slots__ = ("ambient", "field", "p_min", "p_max", "pieces")
+    __slots__ = ("ambient", "field", "p_min", "p_max", "pieces", "_d_images",
+                 "_z_spaces")
 
     def __init__(self, ambient: FreeComplex, pieces: dict):
         self.ambient = ambient
@@ -80,6 +67,8 @@ class FilteredComplex:
         self.p_min = min(pieces)
         self.p_max = max(pieces)
         self.pieces = pieces
+        self._d_images = {}
+        self._z_spaces = {}
 
     @classmethod
     def from_inclusions(cls, ambient: FreeComplex, inclusions: dict) -> "FilteredComplex":
@@ -108,35 +97,53 @@ class FilteredComplex:
                 finer = self.subspace(p + 1, n)
                 if not here.contains_space(finer):
                     raise ValueError(f"filtration not nested at (p, n) = {(p, n)}")
-                image = Subspace.from_columns(
-                    self.ambient.d(n) @ here.matrix().transpose()
-                )
+                image = Subspace.from_columns(self.d_image(p, n))
                 if not self.subspace(p, n + 1).contains_space(image):
                     raise ValueError(f"filtration not d-stable at (p, n) = {(p, n)}")
 
     # -- page machinery -----------------------------------------------------
 
+    def d_image(self, p: int, n: int) -> Matrix:
+        """d applied to the basis of F_p C^n, one column per basis vector."""
+        key = (p, n)
+        if key not in self._d_images:
+            basis = self.subspace(p, n).matrix().transpose()
+            self._d_images[key] = self.ambient.d(n) @ basis
+        return self._d_images[key]
+
     def z_space(self, r: int, p: int, n: int) -> Subspace:
-        if r <= 0:
-            return self.subspace(p, n)
-        return self.subspace(p, n).intersect(
-            preimage_subspace(self.ambient.d(n), self.subspace(p + r, n + 1))
-        )
+        """Z_r(p, n) = F_p C^n ∩ d^{-1}(F_{p+r} C^{n+1}).
+
+        With B_p the matrix whose columns are the basis of F_p, one kernel of
+        [d B_p | B_{p+r}] has an x-part that, mapped back through B_p, spans
+        the intersection.
+        """
+        # F_p is the whole complex below p_min and zero above p_max
+        src = min(max(p, self.p_min - 1), self.p_max + 1)
+        tgt = min(max(p + r, self.p_min - 1), self.p_max + 1)
+        fp = self.subspace(src, n)
+        if tgt <= src:
+            return fp  # F_{p+r} contains F_p, which is d-stable
+        key = (src, tgt, n)
+        if key not in self._z_spaces:
+            bound = self.subspace(tgt, n + 1)
+            if fp.dim == 0 or bound.is_full():
+                z = fp
+            else:
+                ker = kernel_cols(self.d_image(src, n).hstack(bound.matrix().transpose()))
+                xpart = ker.submatrix(0, fp.dim, 0, ker.cols)
+                z = Subspace.from_columns(fp.matrix().transpose() @ xpart)
+            self._z_spaces[key] = z
+        return self._z_spaces[key]
 
     def entry(self, r: int, p: int, q: int) -> QuotientSpace:
         n = p + q
         num = self.z_space(r, p, n)
-        den_a = self.z_space(r - 1, p + 1, n)
         prev = self.z_space(r - 1, p - r + 1, n - 1)
-        den_b = Subspace.from_columns(
-            self.ambient.d(n - 1) @ prev.matrix().transpose()
-        )
-        den = den_a.add(den_b)
+        boundaries = self.ambient.d(n - 1) @ prev.matrix().transpose()
+        den = list(self.z_space(r - 1, p + 1, n).basis) + boundaries.columns()
         return QuotientSpace(
-            self.field,
-            max(self.ambient.rank(n), 0),
-            list(num.basis),
-            list(den.basis),
+            self.field, max(self.ambient.rank(n), 0), list(num.basis), den
         )
 
     def abutment_graded_dims(self, n: int) -> dict:
@@ -207,17 +214,11 @@ def ss_pages(fc: FilteredComplex, r_max: int, label_shift: int = 0,
                     lp, lq = (p, q) if relabel is None else relabel(p, q)
                     page.entries[(lp, lq)] = cell.dim
         for (p, q), cell in cells.items():
-            n = p + q
             tgt = cells.get((p + r, q - r + 1))
-            tgt_dim = 0 if tgt is None else tgt.dim
-            cols = []
-            for rep in cell.reps:
-                image = fc.ambient.d(n).apply(rep)
-                if tgt is None:
-                    cols.append(tuple())
-                else:
-                    cols.append(tgt.coords(image))
-            mat = Matrix.from_columns(fc.field, cols, rows=tgt_dim)
+            if tgt is None:
+                mat = Matrix.zeros(fc.field, 0, cell.dim)
+            else:
+                mat = tgt.coords_matrix(fc.ambient.d(p + q) @ cell.rep_matrix())
             lp, lq = (p, q) if relabel is None else relabel(p, q)
             page.differentials[(lp, lq)] = mat
         pages.append(page)

@@ -2,9 +2,10 @@
 
 Each oracle recomputes a library quantity along a different route: invariant
 factors from gcds of minors, ranks from minors, cohomology of posets from a
-standalone order-complex cochain construction, and the lattice / image flags
-from Gaussian elimination over the truncated ring R/xi^N instead of exact
-Smith form machinery.
+standalone order-complex cochain construction, the cycle spaces Z_r(p, n) of a
+filtered complex as an intersection with a preimage taken through a quotient
+map, and the lattice / image flags from Gaussian elimination over the
+truncated ring R/xi^N instead of exact Smith form machinery.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from decalage.kmatrix import Subspace, kernel_cols, rref
+from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
 from decalage.rings import IntegerRing, PolynomialRing
 from decalage.rmatrix import Matrix, determinant
 
@@ -96,6 +97,37 @@ def fraction_kernel_rank(M: Matrix) -> int:
                 rows[i] = [rows[i][j] - f * rows[rank][j] for j in range(nc)]
         rank += 1
     return nc - rank
+
+
+# ---------------------------------------------------------------------------
+# cycle spaces of a filtered complex, through the quotient map
+
+
+def quotient_map_matrix(W: Subspace) -> Matrix:
+    """Matrix of the projection k^n -> k^n / W in complement coordinates."""
+    field = W.field
+    n = W.ambient
+    ident = Matrix.identity(field, n)
+    q = QuotientSpace(field, n, [ident.column(j) for j in range(n)], list(W.basis))
+    cols = [q.coords(ident.column(j)) for j in range(n)]
+    return Matrix.from_columns(field, cols, rows=q.dim)
+
+
+def preimage_subspace(d: Matrix, W: Subspace) -> Subspace:
+    """{ x : d(x) in W } as a subspace of the source."""
+    qmat = quotient_map_matrix(W)
+    ker = kernel_cols(qmat @ d)
+    return Subspace.from_columns(ker)
+
+
+def z_space_oracle(fc, r: int, p: int, n: int) -> Subspace:
+    """Z_r(p, n) = F_p ∩ d^{-1}(F_{p+r}), with the preimage as the kernel of d
+    followed by the projection onto C^{n+1} / F_{p+r}."""
+    if r <= 0:
+        return fc.subspace(p, n)
+    return fc.subspace(p, n).intersect(
+        preimage_subspace(fc.ambient.d(n), fc.subspace(p + r, n + 1))
+    )
 
 
 # ---------------------------------------------------------------------------

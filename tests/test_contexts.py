@@ -4,10 +4,11 @@ import random
 from collections import Counter
 
 import decalage
-from decalage import bockstein, sites
+from decalage import bockstein, sites, spectral
 from decalage.eta import eta_m
 from decalage.instances import generate_instance, random_complex
-from decalage.sites import PosetSite
+from decalage.sites import InstanceContext, PosetSite
+from decalage.spectral import FilteredComplex, ht_spectral_sequence, ss_pages
 from decalage.suites import lemma_battery
 from decalage.theorem import verify_main_theorem
 
@@ -55,3 +56,34 @@ def test_main_theorem_builds_each_stalk_stage_once_per_call(monkeypatch, z2):
     calls.clear()
     assert verify_main_theorem(F).to_json() == first
     assert sum(calls.values()) == built
+
+
+def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch, z2):
+    F = generate_instance("free", 1, ring=z2, site=PosetSite.sphere())
+    _, built, _ = ht_spectral_sequence(InstanceContext(F))
+    # every kernel is taken inside z_space; record the (r, p, n) it was taken for
+    requests, kernels = [], []
+    z_space, kernel_cols = FilteredComplex.z_space, spectral.kernel_cols
+
+    def traced_z_space(fc, r, p, n):
+        requests.append((r, p, n))
+        try:
+            return z_space(fc, r, p, n)
+        finally:
+            requests.pop()
+
+    def counted_kernel_cols(M):
+        kernels.append(requests[-1] if requests else None)
+        return kernel_cols(M)
+
+    monkeypatch.setattr(FilteredComplex, "z_space", traced_z_space)
+    monkeypatch.setattr(spectral, "kernel_cols", counted_kernel_cols)
+    first = ss_pages(FilteredComplex(built.ambient, built.pieces), 4)
+    assert kernels and all(key is not None and 1 <= key[0] <= 4 for key in kernels)
+    assert max(Counter(kernels).values()) == 1
+    taken = len(kernels)
+    kernels.clear()
+    # a fresh filtered complex on the same input keeps nothing from the first
+    second = ss_pages(FilteredComplex(built.ambient, built.pieces), 4)
+    assert len(kernels) == taken
+    assert [page.to_json() for page in first] == [page.to_json() for page in second]

@@ -1,9 +1,12 @@
 import json
 import os
 
+import pytest
+
 from decalage.bockstein import k_cohomology_quotient
 from decalage.complexes import ChainMap, FreeComplex
 from decalage.instances import generate_instance
+from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix
 from decalage.serialize import sheaf_from_json
 from decalage.sites import InstanceContext, PosetSite, SheafComplex
@@ -17,6 +20,7 @@ from decalage.spectral import (
     ht_spectral_sequence,
     ss_pages,
 )
+from oracles import z_space_oracle
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
 
@@ -172,3 +176,30 @@ def test_h1_instances_equal_cokernels(rng, z2):
             for m in range(0, F.hi() + 2):
                 rec = compare_degeneration(ctx, i, m, h1_holds=True)
                 assert rec.equal, (seed, i, m)
+
+
+def z_space_instance(case):
+    if case == "h3_failure_witness":
+        with open(os.path.join(FIXTURES, "h3_failure_witness.json")) as fh:
+            return sheaf_from_json(json.load(fh)["instance"])
+    site, ring, seed = case.split(":")
+    rings = {"z2": IntegerRing(2), "z5": IntegerRing(5),
+             "f5t": PolynomialRing(PrimeField(5))}
+    return generate_instance("free", int(seed), ring=rings[ring],
+                             site=PosetSite.builtin(site))
+
+
+@pytest.mark.parametrize("case", [
+    f"{site}:{ring}:{seed}"
+    for site in ("point", "pseudo-circle", "chain3", "sphere")
+    for ring, seed in (("z2", 1), ("z5", 3), ("f5t", 2))
+] + ["h3_failure_witness"])
+def test_z_space_matches_intersection_oracle(case):
+    ctx = InstanceContext(z_space_instance(case))
+    for spectral_sequence in (ht_spectral_sequence, hdr_spectral_sequence):
+        _, fc, total = spectral_sequence(ctx)
+        for r in range(0, 6):
+            for p in range(fc.p_min - 1, fc.p_max + 2):
+                for n in total.degrees():
+                    assert fc.z_space(r, p, n) == z_space_oracle(fc, r, p, n), \
+                        (spectral_sequence.__name__, r, p, n)
