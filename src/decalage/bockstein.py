@@ -69,10 +69,6 @@ class BocksteinComplex:
         diffs = [self.beta_matrix(i) for i in range(lo, hi)]
         return FreeComplex(self.field, lo, ranks, diffs)
 
-    def class_of(self, i: int, kbar_vector):
-        """Class coordinates in H^i(K/xi) of a mod-xi cocycle vector."""
-        return self.quotients[i].coords(kbar_vector)
-
     def describe(self) -> dict:
         return {
             "dims": [self.dim(i) for i in range(self.K.lo, self.K.hi + 1)],
@@ -83,38 +79,31 @@ class BocksteinComplex:
         }
 
 
-def _beta_entry(K, i, rep, lift_noise=None):
-    """beta of one representative: lift, apply d, divide by xi, reduce, classify."""
-    ring = K.ring
-    lifted = [ring.lift(c) for c in rep]
-    if lift_noise is not None:
-        lifted = [ring.add(x, ring.mul(ring.xi, n)) for x, n in zip(lifted, lift_noise)]
-    dx = K.d(i).apply(lifted)
-    divided = [ring.xi_divide(x, 1) for x in dx]
-    return [ring.residue(x) for x in divided]
-
-
 def bockstein_complex(K: FreeComplex, rng: random.Random | None = None) -> BocksteinComplex:
     """Build H^*(K/xi) with beta computed through explicit lifts.
 
-    When ``rng`` is given, every lift is perturbed by a random multiple of
-    xi; the resulting matrices must not change (lift independence).
+    The representatives of H^i(K/xi) are lifted together: apply d, divide by
+    xi, reduce and classify.  When ``rng`` is given, every lift is perturbed
+    by a random multiple of xi; the resulting matrices must not change (lift
+    independence).
     """
     kbar = K.reduce_mod_xi()
     quotients = {i: k_cohomology_quotient(kbar, i) for i in K.degrees()}
     beta = {}
     ring = K.ring
     for i in range(K.lo, K.hi):
-        cols = []
-        for rep in quotients[i].reps:
-            noise = None
-            if rng is not None:
-                noise = [ring.parse(str(rng.randint(-3, 3))) if ring.kind == "z"
-                         else ring.constant(_random_field_element(ring.base, rng))
-                         for _ in rep]
-            image = _beta_entry(K, i, rep, noise)
-            cols.append(quotients[i + 1].coords(image))
-        beta[i] = Matrix.from_columns(kbar.ring, cols, rows=quotients[i + 1].dim)
+        reps = quotients[i].rep_matrix()
+        lifted = reps.map_entries(ring.lift, ring)
+        if rng is not None:
+            noise = Matrix.from_columns(ring, [
+                [ring.parse(str(rng.randint(-3, 3))) if ring.kind == "z"
+                 else ring.constant(_random_field_element(ring.base, rng))
+                 for _ in range(reps.rows)]
+                for _ in range(reps.cols)
+            ], rows=reps.rows)
+            lifted = lifted + noise.scale(ring.xi)
+        image = (K.d(i) @ lifted).xi_divide(1).residue()
+        beta[i] = quotients[i + 1].coords_matrix(image)
     return BocksteinComplex(K, kbar, quotients, beta)
 
 
@@ -208,8 +197,7 @@ def hodge_stage_comparison(cx: ComplexContext, m: int) -> dict:
             maps[i] = Matrix.zeros(bc.field, 0, emb.complex.rank(i))
             continue
         wbar = emb.basis(i).xi_divide(i).residue()
-        cols = [bc.class_of(i, wbar.column(j)) for j in range(wbar.cols)]
-        maps[i] = Matrix.from_columns(bc.field, cols, rows=bc.dim(i))
+        maps[i] = bc.quotients[i].coords_matrix(wbar)
     return maps
 
 
@@ -235,11 +223,7 @@ def verify_reduction_identification(cx: ComplexContext) -> CheckResult:
                    reduced=hq.dim, bockstein=hb.dim)
         if hq.dim != hb.dim:
             continue
-        cols = []
-        for rep in hq.reps:
-            image = comp[i].apply(rep)
-            cols.append(hb.coords(image))
-        induced = Matrix.from_columns(bc.field, cols, rows=hb.dim)
+        induced = hb.coords_matrix(comp[i] @ hq.rep_matrix())
         out.expect(field_rank(induced) == hq.dim, degree=i,
                    reason="induced map on cohomology is not invertible")
     return out
@@ -311,13 +295,13 @@ def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
         grade = cx.graded(m)
         stage, finer = grade.stage, grade.finer
         inc = cx.inclusion(m)
-        pres = cohomology_presentation(grade.fp, m)
-        for j in range(pres.gens_basis.cols):
-            z = pres.gens_basis.take_columns([j])
-            # class of z in H^m(K/xi)
-            elt = (stage.basis(m) @ z).xi_divide(m).residue()
-            src_class = bc.class_of(m, elt.column(0))
-            rhs = beta_m.apply(src_class)
+        gens = cohomology_presentation(grade.fp, m).gens_basis
+        # beta of the classes of the generators in H^m(K/xi)
+        elts = (stage.basis(m) @ gens).xi_divide(m).residue()
+        betas = beta_m @ bc.quotients[m].coords_matrix(elts)
+        for j in range(gens.cols):
+            z = gens.take_columns([j])
+            rhs = betas.column(j)
             # snake: lift z, apply d, pull back along the stage inclusion
             dz = stage.complex.d(m) @ z
             y = solve_exact(inc.map(m + 1), dz)
@@ -325,8 +309,8 @@ def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
                 out.fail(m=m, generator=j, reason="snake image escaped the finer stage")
                 continue
             velt = (finer.basis(m + 1) @ y).xi_divide(m + 1).residue()
-            lhs = bc.class_of(m + 1, velt.column(0))
-            out.expect(tuple(lhs) == tuple(rhs), m=m, generator=j,
+            lhs = bc.quotients[m + 1].coords(velt.column(0))
+            out.expect(lhs == rhs, m=m, generator=j,
                        reason="connecting map does not factor through beta",
                        snake=[field.format(x) for x in lhs],
                        beta=[field.format(x) for x in rhs])
@@ -397,15 +381,12 @@ def _splitting_compatibility(cx: ComplexContext, m: int) -> CheckResult:
     for i in K.degrees():
         if i < m + 1:
             continue
-        pres = cohomology_presentation(sq.fp, i)
+        gens = cohomology_presentation(sq.fp, i).gens_basis
         hq = k_cohomology_quotient(f_coarse, i)
-        for j in range(pres.gens_basis.cols):
-            z = pres.gens_basis.take_columns([j])
-            via_stage = comp_coarse[i] @ (inc.map(i) @ z).residue()
-            via_hodge = comp_fine[i] @ z.residue()
-            lhs = hq.coords(via_stage.column(0))
-            rhs = hq.coords(via_hodge.column(0))
-            out.expect(lhs == rhs, degree=i, m=m, generator=j,
+        lhs = hq.coords_matrix(comp_coarse[i] @ (inc.map(i) @ gens).residue())
+        rhs = hq.coords_matrix(comp_fine[i] @ gens.residue())
+        for j in range(gens.cols):
+            out.expect(lhs.column(j) == rhs.column(j), degree=i, m=m, generator=j,
                        reason="Hodge-side compatibility square fails")
 
     # (b): truncation side, only meaningful for m >= 1
@@ -423,8 +404,8 @@ def _splitting_compatibility(cx: ComplexContext, m: int) -> CheckResult:
                 return out
             jmaps[i] = sol
         for i in K.degrees():
-            pres = cohomology_presentation(grade_prev.fp, i)
-            if pres.gens_basis.cols == 0:
+            gens = cohomology_presentation(grade_prev.fp, i).gens_basis
+            if gens.cols == 0:
                 continue
             hq = k_cohomology_quotient(grade.tau, i)
             u = solve_exact(grade.stage.basis(i),
@@ -432,12 +413,9 @@ def _splitting_compatibility(cx: ComplexContext, m: int) -> CheckResult:
             if u is None:
                 out.fail(degree=i, m=m, reason="xi*stage(m-1) escaped stage(m)")
                 continue
-            for j in range(pres.gens_basis.cols):
-                z = pres.gens_basis.take_columns([j])
-                lhs_term = grade.comparison[i] @ (u @ z).residue()
-                rhs_term = jmaps[i] @ (grade_prev.comparison[i] @ z.residue())
-                lhs = hq.coords(lhs_term.column(0))
-                rhs = hq.coords(rhs_term.column(0))
-                out.expect(lhs == rhs, degree=i, m=m, generator=j,
+            lhs = hq.coords_matrix(grade.comparison[i] @ (u @ gens).residue())
+            rhs = hq.coords_matrix(jmaps[i] @ (grade_prev.comparison[i] @ gens.residue()))
+            for j in range(gens.cols):
+                out.expect(lhs.column(j) == rhs.column(j), degree=i, m=m, generator=j,
                            reason="truncation-side compatibility square fails")
     return out

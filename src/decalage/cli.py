@@ -138,8 +138,6 @@ def cmd_validate(args) -> int:
         return EXIT_INPUT
     try:
         F.validate()
-        for x in F.site.elements:
-            F.stalk(x).validate()
     except Exception as exc:
         print(f"invalid: {type(exc).__name__}: {exc}")
         return EXIT_VIOLATION

@@ -78,7 +78,7 @@ def _shell_element(ring: BaseRing, rng: random.Random, torsion_free: bool):
 
 
 def random_unimodular(ring: BaseRing, n: int, rng: random.Random, steps=None) -> Matrix:
-    """Product of elementary row additions and swaps; determinant a unit."""
+    """Product of elementary row additions and swaps, so invertible over the ring."""
     if n == 0:
         return Matrix.identity(ring, 0)
     data = [list(r) for r in Matrix.identity(ring, n).data]

@@ -220,6 +220,8 @@ class QuotientSpace:
 
     def coords_matrix(self, M: Matrix) -> Matrix:
         """Columnwise coords, in one solve: each column of M must be in Z."""
+        if M.cols == 0:
+            return Matrix.zeros(self.field, self.dim, 0)
         sol = solve_field(self._solver, M)
         if sol is None:
             raise ValueError("vector not in the cocycle space")

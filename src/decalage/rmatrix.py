@@ -165,11 +165,6 @@ class Matrix:
         R = self.ring
         return self.map_entries(lambda x: R.xi_divide(x, e))
 
-    def min_xi_valuation(self):
-        R = self.ring
-        vals = [R.xi_valuation(x) for row in self.data for x in row]
-        return min(vals) if vals else R.xi_valuation(R.zero())
-
     def apply(self, vec):
         """Matrix times column vector (a sequence of ring elements)."""
         if len(vec) != self.cols:
@@ -412,23 +407,3 @@ def intersect_spans(A: Matrix, B: Matrix) -> Matrix:
     xpart = ker.submatrix(0, A.cols, 0, ker.cols)
     return image_basis(A @ xpart)
 
-
-def determinant(M: Matrix):
-    """Exact determinant by first-row cofactor expansion (desk-scale sizes)."""
-    R = M.ring
-    if M.rows != M.cols:
-        raise ShapeMismatch("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return R.one()
-    if n == 1:
-        return M.entry(0, 0)
-    total = R.zero()
-    for j in range(n):
-        a = M.entry(0, j)
-        if R.is_zero(a):
-            continue
-        rest = M.submatrix(1, n, 0, j).hstack(M.submatrix(1, n, j + 1, n))
-        term = R.mul(a, determinant(rest))
-        total = R.add(total, term) if j % 2 == 0 else R.sub(total, term)
-    return total

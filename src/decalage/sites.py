@@ -18,6 +18,7 @@ circle and pins the convention in the tests.
 from __future__ import annotations
 
 from .complexes import ChainMap, FreeComplex, truncate_leq, hodge_filtration
+from .kmatrix import solve_field
 from .rmatrix import Matrix, solve_exact
 from .bockstein import ComplexContext, Memo, bockstein_complex
 
@@ -406,7 +407,10 @@ def sheaf_reduce(F: SheafComplex) -> SheafComplex:
 
 
 def sheaf_truncate_leq(F: SheafComplex, m: int):
-    """Objectwise canonical truncation, with its inclusion sheaf map."""
+    """Objectwise canonical truncation, with its inclusion sheaf map.
+
+    F is a sheaf over the residue field (F/xi on every caller's path).
+    """
     parts = {x: truncate_leq(F.stalk(x), m) for x in F.site.elements}
     stalks = {x: parts[x][0] for x in F.site.elements}
     restrictions = {}
@@ -414,8 +418,7 @@ def sheaf_truncate_leq(F: SheafComplex, m: int):
         maps = {}
         for i in range(F.lo(), F.hi() + 1):
             moved = F.res(a, b).map(i) @ parts[a][1].map(i)
-            solver = parts[b][1].map(i)
-            sol = _solve_over(F.ring, solver, moved)
+            sol = solve_field(parts[b][1].map(i), moved)
             if sol is None:
                 raise InvalidSheaf(f"restriction {a}<={b} does not preserve the truncation", (a, b))
             maps[i] = sol
@@ -439,14 +442,6 @@ def sheaf_hodge(F: SheafComplex, m: int):
     return sub, incl
 
 
-def _solve_over(ring, A, B):
-    if ring.is_field:
-        from .kmatrix import solve_field
-
-        return solve_field(A, B)
-    return solve_exact(A, B)
-
-
 def sheaf_bockstein(F: SheafComplex):
     """Objectwise Bockstein complex with induced restrictions, over k."""
     bcs = {x: bockstein_complex(F.stalk(x)) for x in F.site.elements}
@@ -456,14 +451,13 @@ def sheaf_bockstein(F: SheafComplex):
     for a, b in F.site.strict_pairs():
         maps = {}
         for i in range(F.lo(), F.hi() + 1):
-            resbar = F.res(a, b).map(i).residue()
             qa = bcs[a].quotients.get(i)
             qb = bcs[b].quotients.get(i)
-            cols = []
-            for rep in (qa.reps if qa is not None else ()):
-                img = resbar.apply(rep)
-                cols.append(qb.coords(img) if qb is not None else ())
-            maps[i] = Matrix.from_columns(kfield, cols, rows=bcs[b].dim(i))
+            if qa is None or qb is None:
+                maps[i] = Matrix.zeros(kfield, bcs[b].dim(i), bcs[a].dim(i))
+                continue
+            resbar = F.res(a, b).map(i).residue()
+            maps[i] = qb.coords_matrix(resbar @ qa.rep_matrix())
         restrictions[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
     return SheafComplex(F.site, stalks, restrictions), bcs
 

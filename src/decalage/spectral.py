@@ -356,13 +356,9 @@ def cokernel_maps(ctx: InstanceContext, m: int):
         stalk = tau.stalk(x)
         zbasis = tau_incl.map(x).map(m)
         qx = bcs[x].quotients.get(m)
-        mat_cols = [
-            qx.coords(zbasis.column(j)) if qx is not None else ()
-            for j in range(zbasis.cols)
-        ]
-        mats = {m: Matrix.from_columns(
-            avatar.ring, mat_cols, rows=avatar.stalk(x).rank(m))}
-        maps[x] = ChainMap(stalk, avatar.stalk(x), mats)
+        mat = (qx.coords_matrix(zbasis) if qx is not None
+               else Matrix.zeros(avatar.ring, 0, zbasis.cols))
+        maps[x] = ChainMap(stalk, avatar.stalk(x), {m: mat})
     qmap = SheafMap(tau, avatar, maps)
     tau_total, tau_idx = ctx.truncation_sections(m)
     cm_f = global_sections_map(qmap, tau_idx, av_idx, tau_total, av_total)

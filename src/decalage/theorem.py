@@ -4,7 +4,8 @@ A lattice is xi^shift times the column span of a nonsingular matrix over R,
 sitting inside the xi-inverted ambient space.  Only xi-valuations carry
 meaning (primes away from xi act as units of the intended local model), so
 relative position is read off the xi-valuations of the invariant factors of
-the change-of-basis matrix after clearing the determinant.
+the change-of-basis matrix after clearing the largest invariant factor of the
+reference basis.
 
 The flag of a lattice pair is increasing in m: the image of L ∩ xi^m L0 in
 xi^m L0 / xi^{m+1} L0, zero for m small and full for m large, with jump
@@ -23,7 +24,7 @@ from .checks import CheckResult
 from .complexes import ChainMap, FreeComplex, cohomology_presentation
 from .eta import is_stationary_stage
 from .kmatrix import Subspace, field_rank
-from .rmatrix import Matrix, determinant, image_basis, intersect_spans, snf, solve_exact
+from .rmatrix import Matrix, image_basis, intersect_spans, snf, solve_exact
 from .sites import (
     InstanceContext,
     SheafComplex,
@@ -36,7 +37,7 @@ from .spectral import (
 
 
 class SingularBasis(ValueError):
-    """Lattice basis matrices must have nonzero determinant."""
+    """Lattice basis matrices must be nonsingular."""
 
 
 class TorsionObstruction(ValueError):
@@ -72,8 +73,8 @@ class Lattice:
 def relative_position(L: Lattice, L0: Lattice) -> list:
     """xi-valuations of the elementary divisors of the pair, descending.
 
-    Invariant under any basis change of either lattice whose determinant has
-    xi-valuation zero.
+    Invariant under any basis change of either lattice that is invertible
+    over the localization at xi.
     """
     if L.n != L0.n:
         raise SingularBasis("lattices of different rank")
@@ -81,12 +82,13 @@ def relative_position(L: Lattice, L0: Lattice) -> list:
     n = L.n
     if n == 0:
         return []
-    det0 = determinant(L0.basis)
-    cleared = solve_exact(L0.basis, L.basis.scale(det0))
+    # the largest invariant factor of L0 clears its inverse
+    clear = snf(L0.basis).factors[-1]
+    cleared = solve_exact(L0.basis, L.basis.scale(clear))
     if cleared is None:
         raise SingularBasis("could not clear the reference basis")
     res = snf(cleared)
-    v0 = ring.xi_valuation(det0)
+    v0 = ring.xi_valuation(clear)
     vals = [int(ring.xi_valuation(f)) - int(v0) + (L.shift - L0.shift)
             for f in res.factors]
     return sorted(vals, reverse=True)
@@ -308,18 +310,15 @@ def reduction_iso_matrices(ctx: InstanceContext) -> dict:
     H^{i+1} are torsion-free; callers check.
     """
     total, _ = ctx.sections()
-    red = total.reduce_mod_xi()
+    red, _ = ctx.reduced_sections()
     out = {}
     for i in total.degrees():
         pres = cohomology_presentation(total, i)
         if not pres.module.xi_torsion_free:
             out[i] = None
             continue
-        coords = FreeClassCoords(pres)
         hq = k_cohomology_quotient(red, i)
-        reduced = coords.basis_cocycles().residue()
-        cols = [hq.coords(reduced.column(j)) for j in range(reduced.cols)]
-        out[i] = Matrix.from_columns(red.ring, cols, rows=hq.dim)
+        out[i] = hq.coords_matrix(FreeClassCoords(pres).basis_cocycles().residue())
     return out
 
 
@@ -335,22 +334,18 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
     """
     bar_total, _ = ctx.reduced_sections()
     kfield = bar_total.ring
+    target = k_cohomology_quotient(bar_total, i) if i in bar_total.degrees() else None
+    dim_i = 0 if target is None else target.dim
     spaces = {}
-    hq = {j: k_cohomology_quotient(bar_total, j) for j in bar_total.degrees()}
     for m in range(0, m_max + 1):
-        cm = ctx.stage_reduction(m)
+        if dim_i == 0:
+            spaces[m] = Subspace(kfield, 0)
+            continue
         # generators of H^i of the stage sections over R, reduced mod xi
         stage_total, _ = ctx.stage_sections(m)
-        pres = cohomology_presentation(stage_total, i)
-        gens = pres.gens_basis.residue()
-        pushed = cm.map(i) @ gens
-        target = hq.get(i)
-        if target is None or target.dim == 0:
-            spaces[m] = Subspace(kfield, 0 if target is None else target.dim)
-            continue
-        cols = [target.coords(pushed.column(j)) for j in range(pushed.cols)]
-        spaces[m] = Subspace(kfield, target.dim, cols)
-    dim_i = hq[i].dim if i in hq else 0
+        gens = cohomology_presentation(stage_total, i).gens_basis.residue()
+        pushed = ctx.stage_reduction(m).map(i) @ gens
+        spaces[m] = Subspace.from_columns(target.coords_matrix(pushed))
     return Flag(kfield, dim_i, spaces)
 
 
@@ -426,7 +421,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
 
     total, _ = ctx.sections()
     rho = reduction_iso_matrices(ctx)
-    red = total.reduce_mod_xi()
+    red, _ = ctx.reduced_sections()
 
     flag_check = CheckResult("main.flag-equality")
     graded_check = CheckResult("main.graded-dims")

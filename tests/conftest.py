@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from pathlib import Path
@@ -5,6 +6,10 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the CLI tests run ``python -m decalage`` in subprocesses; give them the
+# checkout's sources, as ``pythonpath`` in pyproject.toml does in-process
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 

@@ -1,11 +1,13 @@
 """Independent oracles the tests check the library against.
 
 Each oracle recomputes a library quantity along a different route: invariant
-factors from gcds of minors, ranks from minors, cohomology of posets from a
-standalone order-complex cochain construction, the cycle spaces Z_r(p, n) of a
-filtered complex as an intersection with a preimage taken through a quotient
-map, and the lattice / image flags from Gaussian elimination over the
-truncated ring R/xi^N instead of exact Smith form machinery.
+factors from gcds of minors (determinants by cofactor expansion), ranks from
+minors, cohomology of posets from a standalone order-complex cochain
+construction, the cycle spaces Z_r(p, n) of a filtered complex as an
+intersection with a preimage taken through a quotient map, the Bockstein
+differential and the Hodge-stage comparison one class at a time, and the
+lattice / image flags from Gaussian elimination over the truncated ring
+R/xi^N instead of exact Smith form machinery.
 """
 
 from __future__ import annotations
@@ -13,13 +15,35 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from decalage.bockstein import k_cohomology_quotient
 from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
 from decalage.rings import IntegerRing, PolynomialRing
-from decalage.rmatrix import Matrix, determinant
+from decalage.rmatrix import Matrix, ShapeMismatch
 
 
 # ---------------------------------------------------------------------------
 # minors
+
+
+def determinant(M: Matrix):
+    """Exact determinant by first-row cofactor expansion (desk-scale sizes)."""
+    R = M.ring
+    if M.rows != M.cols:
+        raise ShapeMismatch("determinant of a non-square matrix")
+    n = M.rows
+    if n == 0:
+        return R.one()
+    if n == 1:
+        return M.entry(0, 0)
+    total = R.zero()
+    for j in range(n):
+        a = M.entry(0, j)
+        if R.is_zero(a):
+            continue
+        rest = M.submatrix(1, n, 0, j).hstack(M.submatrix(1, n, j + 1, n))
+        term = R.mul(a, determinant(rest))
+        total = R.add(total, term) if j % 2 == 0 else R.sub(total, term)
+    return total
 
 
 def _minor_dets(M: Matrix, k: int):
@@ -128,6 +152,55 @@ def z_space_oracle(fc, r: int, p: int, n: int) -> Subspace:
     return fc.subspace(p, n).intersect(
         preimage_subspace(fc.ambient.d(n), fc.subspace(p + r, n + 1))
     )
+
+
+# ---------------------------------------------------------------------------
+# the Bockstein complex, one class at a time
+
+
+def beta_oracle(K, rng=None) -> dict:
+    """beta_i of H^*(K/xi), one representative at a time.
+
+    Each representative of H^i(K/xi) is lifted entrywise (plus xi times a
+    random lift of a residue when ``rng`` is given), sent through d, divided
+    by xi, reduced and classified on its own.
+    """
+    ring = K.ring
+    field = ring.residue_field()
+    kbar = K.reduce_mod_xi()
+    beta = {}
+    for i in range(K.lo, K.hi):
+        src = k_cohomology_quotient(kbar, i)
+        tgt = k_cohomology_quotient(kbar, i + 1)
+        cols = []
+        for rep in src.reps:
+            lifted = [ring.lift(c) for c in rep]
+            if rng is not None:
+                lifted = [ring.add(x, ring.mul(ring.xi, ring.lift(rng.randrange(field.p))))
+                          for x in lifted]
+            dx = K.d(i).apply(lifted)
+            cols.append(tgt.coords([ring.residue(ring.xi_divide(x, 1)) for x in dx]))
+        beta[i] = Matrix.from_columns(field, cols, rows=tgt.dim)
+    return beta
+
+
+def hodge_stage_comparison_oracle(cx, m: int) -> dict:
+    """hodge_stage_comparison with the class of each generator taken on its own."""
+    ring = cx.K.ring
+    bc = cx.bockstein()
+    emb = cx.stage(m)
+    maps = {}
+    for i in cx.K.degrees():
+        if i < m:
+            maps[i] = Matrix.zeros(bc.field, 0, emb.complex.rank(i))
+            continue
+        basis = emb.basis(i)
+        cols = []
+        for j in range(basis.cols):
+            wbar = [ring.residue(ring.xi_divide(x, i)) for x in basis.column(j)]
+            cols.append(bc.quotients[i].coords(wbar))
+        maps[i] = Matrix.from_columns(bc.field, cols, rows=bc.dim(i))
+    return maps
 
 
 # ---------------------------------------------------------------------------

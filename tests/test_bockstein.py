@@ -5,6 +5,7 @@ from decalage.bockstein import (
     beta_squared_is_zero,
     bockstein_complex,
     connecting_factorization,
+    hodge_stage_comparison,
     split_mod_xi,
     verify_reduction_identification,
     verify_mod_xi_subquotient,
@@ -14,6 +15,7 @@ from decalage.instances import random_complex
 from decalage.rmatrix import Matrix
 
 from conftest import desk_rings
+from oracles import beta_oracle, hodge_stage_comparison_oracle
 
 
 def shell(ring, c):
@@ -41,6 +43,28 @@ def test_beta_lift_independence(rng):
                 noisy = bockstein_complex(K, random.Random(1000 * trial + rep))
                 for i in range(K.lo, K.hi):
                     assert noisy.beta_matrix(i) == base.beta_matrix(i)
+
+
+def test_beta_matches_one_class_at_a_time_oracle(rng):
+    # one solve per degree against one lift and one solve per representative
+    for ring in desk_rings():
+        for trial in range(6):
+            K = random_complex(ring, rng, max_degree=3, max_rank=3)
+            want = beta_oracle(K)
+            assert beta_oracle(K, random.Random(trial)) == want
+            for bc in (bockstein_complex(K),
+                       bockstein_complex(K, random.Random(500 + trial))):
+                assert {i: bc.beta_matrix(i) for i in range(K.lo, K.hi)} == want, ring
+
+
+def test_hodge_stage_comparison_matches_columnwise_oracle(rng):
+    for ring in desk_rings():
+        for _ in range(6):
+            K = random_complex(ring, rng, max_degree=3, max_rank=3)
+            cx = ComplexContext(K)
+            for m in range(0, K.hi + 2):
+                assert hodge_stage_comparison(cx, m) == \
+                    hodge_stage_comparison_oracle(cx, m), (ring, m)
 
 
 def test_beta_squared_zero(rng):

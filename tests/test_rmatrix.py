@@ -1,7 +1,6 @@
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import (
     Matrix,
-    determinant,
     image_basis,
     intersect_spans,
     kernel_basis,
@@ -9,7 +8,7 @@ from decalage.rmatrix import (
     solve_exact,
 )
 
-from oracles import fraction_kernel_rank, invariant_factors_by_minors, minors_rank
+from oracles import determinant, fraction_kernel_rank, invariant_factors_by_minors, minors_rank
 
 
 def rand_matrix(ring, rng, rows, cols, span=6):

@@ -5,6 +5,7 @@ import pytest
 
 from decalage.complexes import FreeComplex
 from decalage.instances import generate_instance, random_unimodular
+from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, snf
 from decalage.serialize import sheaf_from_json, sheaf_to_json
 from decalage.sites import InstanceContext, PosetSite, SheafComplex, global_sections_map
@@ -176,6 +177,29 @@ def test_main_theorem_poset_h1_instances(rng, z2):
         rep = verify_main_theorem(F)
         if rep.asserted:
             assert rep.passed, [c.to_json() for c in rep.checks if not c.passed]
+
+
+def reduced_sections_instance(case):
+    if case == "h3_failure_witness":
+        with open(os.path.join(FIXTURES, "h3_failure_witness.json")) as fh:
+            return sheaf_from_json(json.load(fh)["instance"])
+    site, ring = case.split(":")
+    rings = {"z2": IntegerRing(2), "z3": IntegerRing(3),
+             "f5t": PolynomialRing(PrimeField(5))}
+    return generate_instance("h1", 5, ring=rings[ring], site=PosetSite.builtin(site))
+
+
+@pytest.mark.parametrize("case", [
+    f"{site}:{ring}"
+    for site in ("point", "pseudo-circle", "chain3", "sphere")
+    for ring in ("z2", "z3", "f5t")
+] + ["h3_failure_witness"])
+def test_reduced_sections_are_the_reduced_total(case):
+    # the theorem path reads H^i(sections of F/xi) off the context's reduced
+    # sections, standing for the literal reduction of the sections of F
+    ctx = InstanceContext(reduced_sections_instance(case))
+    total, _ = ctx.sections()
+    assert total.reduce_mod_xi() == ctx.reduced_sections()[0]
 
 
 def test_image_flag_oracle_agrees(z2):
