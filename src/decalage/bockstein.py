@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .checks import CheckResult
-from .complexes import FGModule, FreeComplex, cohomology, cohomology_presentation, hodge_filtration, truncate_leq
+from .complexes import FGModule, FreeComplex, cohomology_presentation, hodge_filtration, truncate_leq
 from .eta import eta_m, graded_piece, mod_xi_subquotient, stage_inclusion
 from .kmatrix import QuotientSpace, field_rank, kernel_cols, solve_field
 from .rmatrix import Matrix, solve_exact
@@ -39,8 +39,7 @@ class BocksteinComplex:
     """H^*(K/xi) with the Bockstein differential, over k = R/(xi).
 
     ``quotients[i]`` fixes representatives of H^i(K/xi) inside (K/xi)^i;
-    ``beta[i]`` is the differential in those bases.  Degree i carries twist
-    tag i (the differential raises the tag by one; comparisons untwist).
+    ``beta[i]`` is the differential in those bases.
     """
 
     __slots__ = ("K", "kbar", "field", "quotients", "beta")
@@ -79,16 +78,17 @@ class BocksteinComplex:
         }
 
 
-def bockstein_complex(K: FreeComplex, rng: random.Random | None = None) -> BocksteinComplex:
+def bockstein_complex(ctx: Memo, K: FreeComplex,
+                      rng: random.Random | None = None) -> BocksteinComplex:
     """Build H^*(K/xi) with beta computed through explicit lifts.
 
-    The representatives of H^i(K/xi) are lifted together: apply d, divide by
-    xi, reduce and classify.  When ``rng`` is given, every lift is perturbed
-    by a random multiple of xi; the resulting matrices must not change (lift
-    independence).
+    The groups H^i(K/xi) come from the context ``ctx``.  Their representatives
+    are lifted together: apply d, divide by xi, reduce and classify.  When
+    ``rng`` is given, every lift is perturbed by a random multiple of xi; the
+    resulting matrices must not change (lift independence).
     """
     kbar = K.reduce_mod_xi()
-    quotients = {i: k_cohomology_quotient(kbar, i) for i in K.degrees()}
+    quotients = {i: ctx.quotient(kbar, i) for i in K.degrees()}
     beta = {}
     ring = K.ring
     for i in range(K.lo, K.hi):
@@ -129,7 +129,13 @@ def beta_squared_is_zero(bc: BocksteinComplex) -> bool:
 
 
 class Memo:
-    """Builds each keyed object once; a context lives for one top-level call."""
+    """Builds each keyed object once; a context lives for one top-level call.
+
+    A context is also the one place where cohomology is computed.  Groups are
+    keyed by the complex itself: equal free complexes built separately share
+    one entry, finitely presented ones (built once per context) are keyed by
+    identity.
+    """
 
     def __init__(self):
         self._built = {}
@@ -138,6 +144,14 @@ class Memo:
         if key not in self._built:
             self._built[key] = build(*args)
         return self._built[key]
+
+    def presentation(self, K, i: int):
+        """H^i(K) over R, as ``cohomology_presentation``."""
+        return self.once(("presentation", K, i), cohomology_presentation, K, i)
+
+    def quotient(self, K: FreeComplex, i: int) -> QuotientSpace:
+        """H^i(K) of a complex over k, as ``k_cohomology_quotient``."""
+        return self.once(("quotient", K, i), k_cohomology_quotient, K, i)
 
 
 class ComplexContext(Memo):
@@ -164,11 +178,11 @@ class ComplexContext(Memo):
         return self.once("kbar", self.K.reduce_mod_xi)
 
     def truncation(self, m: int):
-        """tau_{<=m}(K/xi) with its inclusion, untwisted."""
+        """tau_{<=m}(K/xi) with its inclusion."""
         return self.once(("truncation", m), truncate_leq, self.kbar(), m)
 
     def bockstein(self) -> BocksteinComplex:
-        return self.once("bockstein", bockstein_complex, self.K)
+        return self.once("bockstein", bockstein_complex, self, self.K)
 
     def hodge(self, p: int):
         """The Hodge part F_p of the Bockstein complex with its inclusion."""
@@ -217,8 +231,8 @@ def verify_reduction_identification(cx: ComplexContext) -> CheckResult:
         rhs = bcx.d(i) @ comp[i]
         out.expect(lhs == rhs, degree=i, reason="comparison is not a chain map")
     for i in K.degrees():
-        hq = k_cohomology_quotient(red, i)
-        hb = k_cohomology_quotient(bcx, i)
+        hq = cx.quotient(red, i)
+        hb = cx.quotient(bcx, i)
         out.expect(hq.dim == hb.dim, degree=i, reason="dimension mismatch",
                    reduced=hq.dim, bockstein=hb.dim)
         if hq.dim != hb.dim:
@@ -234,12 +248,12 @@ def verify_mod_xi_subquotient(cx: ComplexContext, m: int) -> CheckResult:
     out = CheckResult("eta-m.mod-xi-subquotient")
     K = cx.K
     sq = cx.subquotient(m)
-    out.expect(sq.degree_m_cohomology_vanishes(), degree=m, m=m,
+    out.expect(sq.degree_m_cohomology_vanishes(cx), degree=m, m=m,
                reason="degree-m cohomology of the subquotient must vanish")
     hodge, _ = cx.hodge(m + 1)
     for i in K.degrees():
-        got = cohomology(sq.fp, i)
-        want = FGModule.of_k_dimension(K.ring, cohomology(hodge, i).free_rank)
+        got = cx.presentation(sq.fp, i).module
+        want = FGModule.of_k_dimension(K.ring, cx.quotient(hodge, i).dim)
         out.expect(got == want, degree=i, m=m, got=repr(got), want=repr(want))
     return out
 
@@ -268,7 +282,7 @@ def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
     beta_m1 = bc.beta_matrix(m + 1)
     zm = kernel_cols(beta_m)
     zm1 = kernel_cols(beta_m1)
-    hm1 = k_cohomology_quotient(bcx, m + 1)
+    hm1 = cx.quotient(bcx, m + 1)
     out.expect((beta_m1 @ beta_m).is_zero(), m=m, reason="beta squared nonzero")
     # exactness at H^m(K/xi): kernel of beta_m is Z^m by construction; at
     # Z^{m+1}: image of beta_m + boundaries span, quotient is H^{m+1}
@@ -280,13 +294,13 @@ def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
     # three-case formula for stage(m) mod xi
     red = cx.stage(m).complex.reduce_mod_xi()
     for i in K.degrees():
-        got = k_cohomology_quotient(red, i).dim
+        got = cx.quotient(red, i).dim
         if i <= m - 1:
             want = bc.dim(i)
         elif i == m:
             want = zm.cols
         else:
-            want = k_cohomology_quotient(bcx, i).dim
+            want = cx.quotient(bcx, i).dim
         out.expect(got == want, degree=i, m=m, got=got, want=want,
                    reason="three-case reduction formula")
 
@@ -295,7 +309,7 @@ def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
         grade = cx.graded(m)
         stage, finer = grade.stage, grade.finer
         inc = cx.inclusion(m)
-        gens = cohomology_presentation(grade.fp, m).gens_basis
+        gens = cx.presentation(grade.fp, m).gens_basis
         # beta of the classes of the generators in H^m(K/xi)
         elts = (stage.basis(m) @ gens).xi_divide(m).residue()
         betas = beta_m @ bc.quotients[m].coords_matrix(elts)
@@ -341,7 +355,7 @@ def split_mod_xi(cx: ComplexContext, m: int) -> Splitting:
     K = cx.K
     hodge, _ = cx.hodge(m + 1)
     red = cx.stage(m + 1).complex.reduce_mod_xi()
-    tau = cx.truncation(m)[0].with_twist(m + 1)
+    tau, _ = cx.truncation(m)
 
     result = CheckResult("eta-m.mod-xi-splitting")
     dims = {}
@@ -351,9 +365,8 @@ def split_mod_xi(cx: ComplexContext, m: int) -> Splitting:
             "truncation_factor": tau.rank(i),
             "hodge_factor": hodge.rank(i),
         }
-        got = k_cohomology_quotient(red, i).dim
-        want = (k_cohomology_quotient(tau, i).dim
-                + k_cohomology_quotient(hodge, i).dim)
+        got = cx.quotient(red, i).dim
+        want = cx.quotient(tau, i).dim + cx.quotient(hodge, i).dim
         result.expect(got == want, degree=i, m=m, got=got, want=want,
                       reason="cohomology does not split")
 
@@ -381,8 +394,8 @@ def _splitting_compatibility(cx: ComplexContext, m: int) -> CheckResult:
     for i in K.degrees():
         if i < m + 1:
             continue
-        gens = cohomology_presentation(sq.fp, i).gens_basis
-        hq = k_cohomology_quotient(f_coarse, i)
+        gens = cx.presentation(sq.fp, i).gens_basis
+        hq = cx.quotient(f_coarse, i)
         lhs = hq.coords_matrix(comp_coarse[i] @ (inc.map(i) @ gens).residue())
         rhs = hq.coords_matrix(comp_fine[i] @ gens.residue())
         for j in range(gens.cols):
@@ -404,10 +417,10 @@ def _splitting_compatibility(cx: ComplexContext, m: int) -> CheckResult:
                 return out
             jmaps[i] = sol
         for i in K.degrees():
-            gens = cohomology_presentation(grade_prev.fp, i).gens_basis
+            gens = cx.presentation(grade_prev.fp, i).gens_basis
             if gens.cols == 0:
                 continue
-            hq = k_cohomology_quotient(grade.tau, i)
+            hq = cx.quotient(grade.tau, i)
             u = solve_exact(grade.stage.basis(i),
                             grade_prev.stage.basis(i).scale(K.ring.xi))
             if u is None:

@@ -45,7 +45,11 @@ def resolve_path(path: str) -> str:
     return path
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_generation(p: argparse.ArgumentParser) -> None:
+    """An instance file, or the options that generate instances."""
+    p.add_argument("path", nargs="?")
+    p.add_argument("--generate", default=None,
+                   choices=["free", "h1", "adversarial"])
     p.add_argument("--ring", choices=["z", "fp-poly", "q-poly"], default="z")
     p.add_argument("--xi", default=None, help="prime for z (default 2); t for polynomials")
     p.add_argument("--char", type=int, default=5, help="characteristic for fp-poly")
@@ -55,6 +59,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-rank", type=int, default=2)
     p.add_argument("--poset", default=None,
                    help="file or builtin:point|pseudo-circle|chain3|sphere")
+
+
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None)
 
@@ -69,25 +76,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="check a complex or sheaf JSON file")
     v.add_argument("path")
-    _add_common(v)
 
-    cl = sub.add_parser("check-lemmas", help="run the stage identity suite")
-    cl.add_argument("path", nargs="?")
-    cl.add_argument("--generate", default=None,
-                    choices=["free", "h1", "adversarial"])
-    _add_common(cl)
-
-    ct = sub.add_parser("check-theorem", help="run the flag comparison suite")
-    ct.add_argument("path", nargs="?")
-    ct.add_argument("--generate", default=None,
-                    choices=["free", "h1", "adversarial"])
-    _add_common(ct)
+    for name, text in (("check-lemmas", "run the stage identity suite"),
+                       ("check-theorem", "run the flag comparison suite")):
+        checks = sub.add_parser(name, help=text)
+        _add_generation(checks)
+        _add_output(checks)
 
     ss = sub.add_parser("ss", help="print spectral sequence pages")
     ss.add_argument("path")
     ss.add_argument("--filtration", choices=["tau", "hodge"], default="tau")
     ss.add_argument("--pages", type=int, default=4)
-    _add_common(ss)
+    _add_output(ss)
     return ap
 
 
@@ -107,7 +107,7 @@ def _emit(args, payload, text_lines) -> None:
 
 def _instances(args):
     """(id, sheaf) pairs from a path or a generation request."""
-    if getattr(args, "path", None):
+    if args.path:
         F = load_instance_file(resolve_path(args.path))
         return [(os.path.basename(args.path), F)]
     profile = args.generate or "h1"

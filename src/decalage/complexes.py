@@ -53,7 +53,11 @@ class FGModule:
         """Invariants of coker(rels: R^c -> R^gens)."""
         if rels.rows != gens:
             raise ShapeMismatch("relation matrix rows must equal generator count")
-        res = snf(rels)
+        return cls.from_snf(ring, gens, snf(rels))
+
+    @classmethod
+    def from_snf(cls, ring, gens: int, res) -> "FGModule":
+        """Invariants of coker(rels: R^c -> R^gens), given res = snf(rels)."""
         factors = [f for f in res.factors if not ring.is_unit(f)]
         return cls(ring, gens - res.rank, factors)
 
@@ -210,9 +214,6 @@ class FreeComplex:
             k, self.lo, self._ranks, [d.residue() for d in self._diffs], self.twist
         )
 
-    def with_twist(self, twist: int) -> "FreeComplex":
-        return FreeComplex(self.ring, self.lo, self._ranks, self._diffs, twist)
-
     def shift(self, s: int) -> "FreeComplex":
         """Degree shift K[s]: K[s]^i = K^{i+s}, differentials sign-flipped for odd s."""
         diffs = self._diffs
@@ -241,18 +242,20 @@ class FreeComplex:
             and other.twist == self.twist
         )
 
+    def __hash__(self):
+        return hash((self.ring, self.lo, self._ranks, self._diffs, self.twist))
+
     def __repr__(self):
         return f"<complex deg [{self.lo},{self.hi}] ranks {list(self._ranks)}>"
 
 
 class ChainMap:
-    __slots__ = ("source", "target", "_maps", "twist_shift")
+    __slots__ = ("source", "target", "_maps")
 
-    def __init__(self, source, target, maps: dict, twist_shift: int = 0):
+    def __init__(self, source, target, maps: dict):
         self.source = source
         self.target = target
         self._maps = dict(maps)
-        self.twist_shift = twist_shift
         for i, f in self._maps.items():
             if (f.rows, f.cols) != (target.rank(i), source.rank(i)):
                 raise ShapeMismatch(
@@ -296,8 +299,7 @@ class ChainMap:
         lo = min(other.source.lo, self.target.lo)
         hi = max(other.source.hi, self.target.hi)
         maps = {i: self.map(i) @ other.map(i) for i in range(lo, hi + 1)}
-        return ChainMap(other.source, self.target,
-                        maps, self.twist_shift + other.twist_shift)
+        return ChainMap(other.source, self.target, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +322,9 @@ class FPModule:
 class FPComplex:
     """Complex of finitely presented modules, differentials on generators."""
 
-    __slots__ = ("ring", "lo", "hi", "modules", "_diffs", "twist")
+    __slots__ = ("ring", "lo", "hi", "modules", "_diffs")
 
-    def __init__(self, ring, lo: int, modules, diffs, twist: int = 0):
+    def __init__(self, ring, lo: int, modules, diffs):
         modules = tuple(modules)
         diffs = tuple(diffs)
         if not modules:
@@ -334,7 +336,6 @@ class FPComplex:
         self.hi = lo + len(modules) - 1
         self.modules = modules
         self._diffs = diffs
-        self.twist = twist
         for i, d in enumerate(diffs):
             if (d.rows, d.cols) != (modules[i + 1].gens, modules[i].gens):
                 raise ShapeMismatch(f"FP differential shape mismatch at {lo + i}")
@@ -384,17 +385,21 @@ class CohomologyPresentation:
     ``gens_basis`` columns form an R-basis of the submodule
     N = { x : d(x) lies in the relation span one degree up } of the ambient
     generator module; ``relations`` collects boundaries and ambient relations
-    in those coordinates.
+    in those coordinates.  ``snf`` is the Smith form of the relations: it
+    gives the module invariants and coordinates on the free quotient (all
+    torsion killed, which loses nothing for xi-torsion-free groups, since
+    primes away from xi act as units in the lattice story).
     """
 
-    __slots__ = ("ring", "ambient_gens", "gens_basis", "relations", "module")
+    __slots__ = ("ring", "ambient_gens", "gens_basis", "relations", "snf", "module")
 
     def __init__(self, ring, ambient_gens, gens_basis, relations):
         self.ring = ring
         self.ambient_gens = ambient_gens
         self.gens_basis = gens_basis
         self.relations = relations
-        self.module = FGModule.from_cokernel(ring, gens_basis.cols, relations)
+        self.snf = snf(relations)
+        self.module = FGModule.from_snf(ring, gens_basis.cols, self.snf)
 
     def coords(self, M: Matrix) -> Matrix:
         """Presentation coordinates of columns of M (each must lie in N)."""
@@ -402,6 +407,16 @@ class CohomologyPresentation:
         if sol is None:
             raise ValueError("column is not a cocycle for this presentation")
         return sol
+
+    def free_coords(self, M: Matrix) -> Matrix:
+        """Coordinates of cocycle columns of M on the free quotient, free rank x cols."""
+        moved = self.snf.u @ self.coords(M)
+        return moved.submatrix(self.snf.rank, moved.rows, 0, moved.cols)
+
+    def basis_cocycles(self) -> Matrix:
+        """Cocycle representatives of the basis of the free quotient."""
+        uinv = self.snf.uinv
+        return self.gens_basis @ uinv.take_columns(range(self.snf.rank, uinv.cols))
 
 
 def _presentation(ring, gens_i, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation:

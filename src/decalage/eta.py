@@ -20,14 +20,7 @@ builds each stage of K once per call.
 from __future__ import annotations
 
 from .checks import CheckResult
-from .complexes import (
-    ChainMap,
-    FGModule,
-    FPComplex,
-    FPModule,
-    FreeComplex,
-    cohomology,
-)
+from .complexes import ChainMap, FGModule, FPComplex, FPModule, FreeComplex
 from .kmatrix import field_rank, solve_field
 from .rmatrix import Matrix, image_basis, kernel_basis, solve_exact
 
@@ -44,16 +37,15 @@ class SubcomplexEmbedding:
     """A stage of the filtration: abstract complex + embedding into K.
 
     ``iota`` has square injective matrices in each degree (the stages are
-    full-rank submodules); ``twists[i]`` records the xi-power baked into the
-    degree-i basis (i for the plain decalage part, m below degree m).
+    full-rank submodules); the degree-i basis carries the xi-power i for the
+    plain decalage part and m below degree m.
     """
 
-    __slots__ = ("complex", "iota", "twists", "m")
+    __slots__ = ("complex", "iota", "m")
 
-    def __init__(self, complex: FreeComplex, iota: ChainMap, twists: dict, m: int):
+    def __init__(self, complex: FreeComplex, iota: ChainMap, m: int):
         self.complex = complex
         self.iota = iota
-        self.twists = dict(twists)
         self.m = m
 
     @property
@@ -88,15 +80,11 @@ def eta_m(K: FreeComplex, m: int) -> SubcomplexEmbedding:
         raise NegativeM(f"m = {m}")
     ring = K.ring
     bases = {}
-    twists = {}
     for i in K.degrees():
         if i < m:
             bases[i] = Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
-            twists[i] = m
         else:
-            W = _congruence_kernel_basis(K, i)
-            bases[i] = W.xi_scale(i)
-            twists[i] = i
+            bases[i] = _congruence_kernel_basis(K, i).xi_scale(i)
     diffs = []
     for i in range(K.lo, K.hi):
         moved = K.d(i) @ bases[i]
@@ -104,9 +92,9 @@ def eta_m(K: FreeComplex, m: int) -> SubcomplexEmbedding:
         if inner is None:
             raise ArithmeticError(f"stage differential escaped the stage at degree {i}")
         diffs.append(inner)
-    E = FreeComplex(ring, K.lo, [bases[i].cols for i in K.degrees()], diffs, twist=m)
+    E = FreeComplex(ring, K.lo, [bases[i].cols for i in K.degrees()], diffs, K.twist)
     iota = ChainMap(E, K, bases)
-    return SubcomplexEmbedding(E, iota, twists, m)
+    return SubcomplexEmbedding(E, iota, m)
 
 
 def eta(K: FreeComplex) -> SubcomplexEmbedding:
@@ -167,9 +155,11 @@ class GradedPiece:
     """stage(m)/stage(m+1) with its comparison onto the truncation of K/xi.
 
     ``fp`` presents the quotient on the stage-m basis; ``tau`` is the
-    canonical truncation of the reduction at level m (twist tag m);
+    context's canonical truncation of the reduction at level m;
     ``comparison[i]`` is the k-matrix from stage-m generator coordinates to
-    the chosen basis of tau's degree-i term.
+    the chosen basis of tau's degree-i term.  The piece keeps no reference to
+    its context (that would be a cycle, keeping every context alive until the
+    cyclic collector runs); ``verify`` takes the context that built it.
     """
 
     __slots__ = ("K", "m", "fp", "tau", "tau_inclusion", "comparison", "stage", "finer")
@@ -184,10 +174,9 @@ class GradedPiece:
         self.stage = stage
         self.finer = finer
 
-    def verify(self) -> CheckResult:
+    def verify(self, cx) -> CheckResult:
         out = CheckResult("eta-m.graded-piece")
         K, m = self.K, self.m
-        kfield = K.ring.residue_field()
         for i in K.degrees():
             comp = self.comparison[i]
             rels = self.fp.rels(i).residue()
@@ -210,8 +199,8 @@ class GradedPiece:
                 out.expect(qdim == 0, degree=i, reason="graded piece should vanish above m")
         # cohomology agreement, degree by degree
         for i in K.degrees():
-            got = cohomology(self.fp, i)
-            want = FGModule.of_k_dimension(K.ring, cohomology(self.tau, i).free_rank)
+            got = cx.presentation(self.fp, i).module
+            want = FGModule.of_k_dimension(K.ring, cx.quotient(self.tau, i).dim)
             out.expect(got == want, degree=i, reason="graded cohomology mismatch",
                        got=repr(got), want=repr(want))
         return out
@@ -226,11 +215,10 @@ def graded_piece(cx, m: int) -> GradedPiece:
     ring = K.ring
     modules = [FPModule(stage.complex.rank(i), inc.map(i)) for i in K.degrees()]
     diffs = [stage.complex.d(i) for i in range(K.lo, K.hi)]
-    fp = FPComplex(ring, K.lo, modules, diffs, twist=m)
+    fp = FPComplex(ring, K.lo, modules, diffs)
 
     kbar = cx.kbar()
     tau, tau_inc = cx.truncation(m)
-    tau = tau.with_twist(m)
 
     comparison = {}
     for i in K.degrees():
@@ -270,8 +258,9 @@ class ModXiSubquotient:
         self.finer = finer
         self.stage = stage
 
-    def degree_m_cohomology_vanishes(self) -> bool:
-        return cohomology(self.fp, self.m).is_zero()
+    def degree_m_cohomology_vanishes(self, cx) -> bool:
+        """Whether H^m vanishes; ``cx`` is the context that built the subquotient."""
+        return cx.presentation(self.fp, self.m).module.is_zero()
 
 
 def mod_xi_subquotient(cx, m: int) -> ModXiSubquotient:
@@ -286,7 +275,7 @@ def mod_xi_subquotient(cx, m: int) -> ModXiSubquotient:
             raise ArithmeticError(f"xi*stage(m) escaped stage(m+1) at degree {i}")
         modules.append(FPModule(finer.complex.rank(i), rel))
     diffs = [finer.complex.d(i) for i in range(K.lo, K.hi)]
-    fp = FPComplex(ring, K.lo, modules, diffs, twist=m + 1)
+    fp = FPComplex(ring, K.lo, modules, diffs)
     return ModXiSubquotient(K, m, fp, finer, stage)
 
 
@@ -299,22 +288,23 @@ def verify_eta_m_cohomology(cx, m: int) -> CheckResult:
 
     Above m the stage has the cohomology of the plain decalage (whose own
     identity against H(K) with xi-torsion removed is checked alongside);
-    at and below m it matches H(K) up to the twist tag.
+    at and below m it matches H(K).
     """
     out = CheckResult("eta-m.cohomology")
     K = cx.K
     emb = cx.stage(m)
     plain = cx.stage(0)
+
+    def h(C, i):
+        return cx.presentation(C, i).module
+
     for i in K.degrees():
-        got = cohomology(emb.complex, i)
-        if i > m:
-            want = cohomology(plain.complex, i)
-        else:
-            want = cohomology(K, i)
+        got = h(emb.complex, i)
+        want = h(plain.complex, i) if i > m else h(K, i)
         out.expect(got == want, degree=i, m=m, got=repr(got), want=repr(want))
     for i in K.degrees():
-        got = cohomology(plain.complex, i)
-        want = cohomology(K, i).mod_xi_torsion()
+        got = h(plain.complex, i)
+        want = h(K, i).mod_xi_torsion()
         out.expect(got == want, degree=i, reason="decalage vs torsion quotient",
                    got=repr(got), want=repr(want))
     return out

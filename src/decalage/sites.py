@@ -442,9 +442,10 @@ def sheaf_hodge(F: SheafComplex, m: int):
     return sub, incl
 
 
-def sheaf_bockstein(F: SheafComplex):
+def sheaf_bockstein(ctx: "InstanceContext"):
     """Objectwise Bockstein complex with induced restrictions, over k."""
-    bcs = {x: bockstein_complex(F.stalk(x)) for x in F.site.elements}
+    F = ctx.F
+    bcs = {x: bockstein_complex(ctx, F.stalk(x)) for x in F.site.elements}
     stalks = {x: bcs[x].as_complex() for x in F.site.elements}
     kfield = next(iter(stalks.values())).ring
     restrictions = {}
@@ -540,7 +541,7 @@ class InstanceContext(Memo):
 
     def bockstein(self):
         """(Bockstein sheaf, stalkwise Bockstein complexes), as sheaf_bockstein."""
-        return self.once("bockstein", sheaf_bockstein, self.F)
+        return self.once("bockstein", sheaf_bockstein, self)
 
     def term(self, q: int, place_at: int) -> SheafComplex:
         return self.once(("term", q, place_at), bockstein_term_sheaf, self, q, place_at)

@@ -32,19 +32,10 @@ from .sites import (
 )
 
 
-class HypothesisH1Failed(ValueError):
-    """Some H^i of the global sections of K has xi-torsion."""
-
-    def __init__(self, witness_degree):
-        self.witness_degree = witness_degree
-        super().__init__(f"H^{witness_degree} of the global sections has xi-torsion")
-
-
-def k_induced_matrix(cm: ChainMap, i: int, src_q=None, tgt_q=None) -> Matrix:
+def k_induced_matrix(ctx: InstanceContext, cm: ChainMap, i: int) -> Matrix:
     """Induced map on degree-i cohomology of a chain map over a field."""
-    src_q = src_q or k_cohomology_quotient(cm.source, i)
-    tgt_q = tgt_q or k_cohomology_quotient(cm.target, i)
-    return tgt_q.coords_matrix(cm.map(i) @ src_q.rep_matrix())
+    src = ctx.quotient(cm.source, i).rep_matrix()
+    return ctx.quotient(cm.target, i).coords_matrix(cm.map(i) @ src)
 
 
 class FilteredComplex:
@@ -259,7 +250,7 @@ def ht_e2_crosscheck(ctx: InstanceContext, pages) -> list:
     for q in range(Fbar.lo(), Fbar.hi() + 1):
         av_total, _ = ctx.term_sections(q, place_at=0)
         for p in av_total.degrees():
-            want = k_cohomology_quotient(av_total, p).dim
+            want = ctx.quotient(av_total, p).dim
             got = first.dim(p, q)
             covered.add((p, q))
             if got != want:
@@ -307,11 +298,9 @@ def degeneration_check_HT(ctx: InstanceContext, r_max: int = 4):
         sub_total, _ = ctx.truncation_sections(m)
         cm = ctx.truncation_map(m)
         for i in total.degrees():
-            src_q = k_cohomology_quotient(sub_total, i)
-            if src_q.dim == 0:
+            if ctx.quotient(sub_total, i).dim == 0:
                 continue
-            mat = k_induced_matrix(cm, i, src_q=src_q)
-            if kernel_cols(mat).cols != 0:
+            if kernel_cols(k_induced_matrix(ctx, cm, i)).cols != 0:
                 verdict = False
                 if witness is None:
                     witness = (i, m)
@@ -377,8 +366,8 @@ def cokernel_maps(ctx: InstanceContext, m: int):
     return av_total, cm_f, cm_g
 
 
-def compare_degeneration(ctx: InstanceContext, i: int, m: int, h1_holds: bool,
-                         require_h1: bool = False) -> CokernelComparison:
+def compare_degeneration(ctx: InstanceContext, i: int, m: int,
+                         h1_holds: bool) -> CokernelComparison:
     """Both cokernel images inside H^i(RGamma(S, Omega^m[-m])), compared.
 
     The truncation side maps tau_{<=m}(K/xi) onto its top cohomology sheaf;
@@ -386,14 +375,8 @@ def compare_degeneration(ctx: InstanceContext, i: int, m: int, h1_holds: bool,
     its degree-m term.  Under the torsion-freeness hypothesis the two images
     agree; without it the record is returned for inspection.
     """
-    if require_h1 and not h1_holds:
-        raise HypothesisH1Failed(i)
     av_total, cm_f, cm_g = ctx.once(("cokernel-maps", m), cokernel_maps, ctx, m)
-    av_q = k_cohomology_quotient(av_total, i)
-    mat_f = k_induced_matrix(cm_f, i, tgt_q=av_q)
-    coker_f = Subspace.from_columns(mat_f)
-    mat_g = k_induced_matrix(cm_g, i, tgt_q=av_q)
-    coker_g = Subspace.from_columns(mat_g)
-    return CokernelComparison(
-        i, m, av_q.dim, coker_f, coker_g, coker_f == coker_g, h1_holds
-    )
+    coker_f = Subspace.from_columns(k_induced_matrix(ctx, cm_f, i))
+    coker_g = Subspace.from_columns(k_induced_matrix(ctx, cm_g, i))
+    return CokernelComparison(i, m, ctx.quotient(av_total, i).dim, coker_f, coker_g,
+                              coker_f == coker_g, h1_holds)

@@ -33,7 +33,7 @@ def lemma_battery(K: FreeComplex) -> list:
                               lambda m=m: verify_eta_m_cohomology(cx, m)))
     for m in range(0, K.hi + 2):
         results.append(_guard("eta-m.graded-piece",
-                              lambda m=m: cx.graded(m).verify()))
+                              lambda m=m: cx.graded(m).verify(cx)))
         results.append(_guard("eta-m.mod-xi-subquotient",
                               lambda m=m: verify_mod_xi_subquotient(cx, m)))
         results.append(_guard("eta-m.connecting-bockstein",

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bockstein import k_cohomology_quotient
+from .bockstein import k_cohomology_quotient  # noqa: F401 (perfbench/selftest.py checks this alias)
 from .checks import CheckResult
-from .complexes import ChainMap, FreeComplex, cohomology_presentation
 from .eta import is_stationary_stage
 from .kmatrix import Subspace, field_rank
 from .rmatrix import Matrix, image_basis, intersect_spans, snf, solve_exact
@@ -197,77 +196,37 @@ def bb_filtration(L: Lattice, L0: Lattice) -> Flag:
 # cohomology lattices of a sheaf complex
 
 
-class FreeClassCoords:
-    """Coordinates on the xi-local free quotient of H^i.
-
-    Kills all torsion (prime-to-xi torsion is invisible to the lattice
-    story, where those primes act as units); requires the xi-part to be
-    trivial so nothing relevant is lost.
-    """
-
-    __slots__ = ("pres", "rank", "f", "_u", "_uinv")
-
-    def __init__(self, pres):
-        if not pres.module.xi_torsion_free:
-            raise ValueError("cohomology has xi-torsion")
-        res = snf(pres.relations)
-        self.pres = pres
-        self.rank = res.rank
-        self.f = pres.gens_basis.cols - res.rank
-        self._u = res.u
-        self._uinv = res.uinv
-
-    def coords(self, cocycles: Matrix) -> Matrix:
-        """f x (cols) coordinates of cocycle columns."""
-        y = self.pres.coords(cocycles)
-        moved = self._u @ y
-        return moved.submatrix(self.rank, moved.rows, 0, moved.cols)
-
-    def basis_cocycles(self) -> Matrix:
-        """Ambient cocycle representatives of the chosen H^i basis."""
-        sel = self._uinv.take_columns(range(self.rank, self._uinv.cols))
-        return self.pres.gens_basis @ sel
-
-
 @dataclass
 class LatticePairData:
-    """The two lattices at degree i plus everything needed to map onward."""
+    """The two lattices at one degree."""
 
-    i: int
     L: Lattice
     L0: Lattice
-    coords: FreeClassCoords
-    total: FreeComplex
-    stage_total: FreeComplex
-    inclusion: ChainMap
 
 
 def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> LatticePairData:
     """L = image of H^i of the decalage stage, L0 = H^i of the sections of F.
 
     Both cohomologies must be xi-torsion-free (TorsionObstruction names the
-    offender); coordinates are fixed by the presentation of H^i(sections).
+    offender); coordinates are the free-quotient coordinates of the
+    presentation of H^i(sections).
     """
-    ring = ctx.F.ring
     total, _ = ctx.sections()
     stage_total, _ = ctx.stage_sections(0)
-    cm = ctx.stage_map(0)
 
-    pres0 = cohomology_presentation(total, i)
+    pres0 = ctx.presentation(total, i)
     if not pres0.module.xi_torsion_free:
         raise TorsionObstruction(i, "ambient")
-    pres1 = cohomology_presentation(stage_total, i)
+    pres1 = ctx.presentation(stage_total, i)
     if not pres1.module.xi_torsion_free:
         raise TorsionObstruction(i, "stage")
-    coords = FreeClassCoords(pres0)
-    stage_coords = FreeClassCoords(pres1)
-    mapped = coords.coords(cm.map(i) @ stage_coords.basis_cocycles())
+    f = pres0.module.free_rank
+    mapped = pres0.free_coords(ctx.stage_map(0).map(i) @ pres1.basis_cocycles())
     lbasis = image_basis(mapped)
-    if lbasis.cols != coords.f:
+    if lbasis.cols != f:
         raise SingularBasis(f"stage lattice is not full rank at degree {i}")
-    L = Lattice(lbasis, 0, ambient=f"H^{i}")
-    L0 = Lattice.standard(ring, coords.f, ambient=f"H^{i}")
-    return LatticePairData(i, L, L0, coords, total, stage_total, cm)
+    return LatticePairData(Lattice(lbasis, 0, ambient=f"H^{i}"),
+                           Lattice.standard(ctx.F.ring, f, ambient=f"H^{i}"))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +242,7 @@ def check_torsionfree_eta_m(ctx: InstanceContext, m_max=None) -> dict:
     for m in range(0, m_max + 1):
         total, _ = ctx.stage_sections(m)
         for i in total.degrees():
-            fg = cohomology_presentation(total, i).module
+            fg = ctx.presentation(total, i).module
             table[(i, m)] = {
                 "invariants": fg.describe(),
                 "xi_torsion_free": fg.xi_torsion_free,
@@ -295,8 +254,7 @@ def hypothesis_h1(ctx: InstanceContext) -> tuple:
     """All H^i of the sections xi-torsion-free; witness is the first failure."""
     total, _ = ctx.sections()
     for i in total.degrees():
-        fg = cohomology_presentation(total, i).module
-        if not fg.xi_torsion_free:
+        if not ctx.presentation(total, i).module.xi_torsion_free:
             return False, i
     return True, None
 
@@ -313,12 +271,11 @@ def reduction_iso_matrices(ctx: InstanceContext) -> dict:
     red, _ = ctx.reduced_sections()
     out = {}
     for i in total.degrees():
-        pres = cohomology_presentation(total, i)
+        pres = ctx.presentation(total, i)
         if not pres.module.xi_torsion_free:
             out[i] = None
             continue
-        hq = k_cohomology_quotient(red, i)
-        out[i] = hq.coords_matrix(FreeClassCoords(pres).basis_cocycles().residue())
+        out[i] = ctx.quotient(red, i).coords_matrix(pres.basis_cocycles().residue())
     return out
 
 
@@ -334,7 +291,7 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
     """
     bar_total, _ = ctx.reduced_sections()
     kfield = bar_total.ring
-    target = k_cohomology_quotient(bar_total, i) if i in bar_total.degrees() else None
+    target = ctx.quotient(bar_total, i) if i in bar_total.degrees() else None
     dim_i = 0 if target is None else target.dim
     spaces = {}
     for m in range(0, m_max + 1):
@@ -343,7 +300,7 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
             continue
         # generators of H^i of the stage sections over R, reduced mod xi
         stage_total, _ = ctx.stage_sections(m)
-        gens = cohomology_presentation(stage_total, i).gens_basis.residue()
+        gens = ctx.presentation(stage_total, i).gens_basis.residue()
         pushed = ctx.stage_reduction(m).map(i) @ gens
         spaces[m] = Subspace.from_columns(target.coords_matrix(pushed))
     return Flag(kfield, dim_i, spaces)
@@ -431,11 +388,11 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     omega_dims = {}
     for m in range(0, m_max + 1):
         av_total, _ = ctx.term_sections(m, place_at=0)
-        omega_dims[m] = {p: k_cohomology_quotient(av_total, p).dim
+        omega_dims[m] = {p: ctx.quotient(av_total, p).dim
                          for p in av_total.degrees()}
 
     for i in total.degrees():
-        red_q = k_cohomology_quotient(red, i)
+        red_q = ctx.quotient(red, i)
         entry = {"i": i}
         try:
             pair = lattice_pair_from_complex(ctx, i)

@@ -16,6 +16,7 @@ import pytest
 
 from decalage.bockstein import (
     ComplexContext,
+    Memo,
     beta_squared_is_zero,
     bockstein_complex,
     connecting_factorization,
@@ -110,7 +111,7 @@ def test_criterion_3_graded_subquotient_splitting(complex_corpus):
     for idx, K in enumerate(complex_corpus):
         cx = ComplexContext(K)
         for m in range(0, K.hi + 2):
-            if not graded_piece(cx, m).verify().passed:
+            if not graded_piece(cx, m).verify(cx).passed:
                 failures.append((idx, m, "graded"))
             if not verify_mod_xi_subquotient(cx, m).passed:
                 failures.append((idx, m, "subquotient"))
@@ -127,7 +128,7 @@ def test_criterion_4_bockstein(complex_corpus):
         cx = ComplexContext(K)
         base = cx.bockstein()
         for rep in range(5):
-            noisy = bockstein_complex(K, random.Random(9000 + 5 * idx + rep))
+            noisy = bockstein_complex(Memo(), K, random.Random(9000 + 5 * idx + rep))
             for i in range(K.lo, K.hi):
                 if noisy.beta_matrix(i) != base.beta_matrix(i):
                     failures.append((idx, i, "lift-dependence"))

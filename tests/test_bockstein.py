@@ -2,6 +2,7 @@ import random
 
 from decalage.bockstein import (
     ComplexContext,
+    Memo,
     beta_squared_is_zero,
     bockstein_complex,
     connecting_factorization,
@@ -23,24 +24,24 @@ def shell(ring, c):
 
 
 def test_beta_identity_example(z3):
-    bc = bockstein_complex(shell(z3, 3))
+    bc = bockstein_complex(Memo(), shell(z3, 3))
     assert bc.dim(0) == 1 and bc.dim(1) == 1
     assert bc.beta_matrix(0) == Matrix(z3.residue_field(), [[1]])
 
 
 def test_beta_zero_examples(z3, z2):
     assert bockstein_complex(
-        FreeComplex(z3, 0, [2, 1], [Matrix.zeros(z3, 1, 2)])).beta_matrix(0).is_zero()
-    assert bockstein_complex(shell(z2, 4)).beta_matrix(0).is_zero()
+        Memo(), FreeComplex(z3, 0, [2, 1], [Matrix.zeros(z3, 1, 2)])).beta_matrix(0).is_zero()
+    assert bockstein_complex(Memo(), shell(z2, 4)).beta_matrix(0).is_zero()
 
 
 def test_beta_lift_independence(rng):
     for ring in desk_rings():
         for trial in range(4):
             K = random_complex(ring, rng, max_degree=3, max_rank=3)
-            base = bockstein_complex(K)
+            base = bockstein_complex(Memo(), K)
             for rep in range(5):
-                noisy = bockstein_complex(K, random.Random(1000 * trial + rep))
+                noisy = bockstein_complex(Memo(), K, random.Random(1000 * trial + rep))
                 for i in range(K.lo, K.hi):
                     assert noisy.beta_matrix(i) == base.beta_matrix(i)
 
@@ -52,8 +53,8 @@ def test_beta_matches_one_class_at_a_time_oracle(rng):
             K = random_complex(ring, rng, max_degree=3, max_rank=3)
             want = beta_oracle(K)
             assert beta_oracle(K, random.Random(trial)) == want
-            for bc in (bockstein_complex(K),
-                       bockstein_complex(K, random.Random(500 + trial))):
+            for bc in (bockstein_complex(Memo(), K),
+                       bockstein_complex(Memo(), K, random.Random(500 + trial))):
                 assert {i: bc.beta_matrix(i) for i in range(K.lo, K.hi)} == want, ring
 
 
@@ -71,7 +72,7 @@ def test_beta_squared_zero(rng):
     for ring in desk_rings():
         for _ in range(6):
             K = random_complex(ring, rng, max_degree=4, max_rank=3)
-            assert beta_squared_is_zero(bockstein_complex(K))
+            assert beta_squared_is_zero(bockstein_complex(Memo(), K))
 
 
 def test_torsion_free_forces_beta_zero(rng, z5):
@@ -79,7 +80,7 @@ def test_torsion_free_forces_beta_zero(rng, z5):
     for _ in range(20):
         K = random_complex(z5, rng, max_degree=3, max_rank=3, torsion_free=True)
         assert all(cohomology(K, i).xi_torsion_free for i in K.degrees())
-        bc = bockstein_complex(K)
+        bc = bockstein_complex(Memo(), K)
         for i in range(K.lo, K.hi):
             assert bc.beta_matrix(i).is_zero()
 
@@ -104,7 +105,7 @@ def test_connecting_factorization_example(z3):
     K = shell(z3, 3)
     res = connecting_factorization(ComplexContext(K), 0)
     assert res.passed, res.failures
-    bc = bockstein_complex(K)
+    bc = bockstein_complex(Memo(), K)
     from decalage.kmatrix import kernel_cols
 
     assert kernel_cols(bc.beta_matrix(0)).cols == 0

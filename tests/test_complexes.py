@@ -211,3 +211,25 @@ def test_normalized_nonnegative(z3):
         assert cohomology(K2, i) == cohomology(K, i + s)
     same, s0 = K2.normalized_nonnegative()
     assert s0 == 0 and same is K2
+
+
+def test_equal_complexes_built_separately_hash_alike(rng, z3, f5t):
+    for ring in (z3, f5t):
+        for _ in range(5):
+            K = random_complex(ring, rng, max_degree=3, max_rank=3)
+            again = FreeComplex(ring, K.lo, list(K.ranks()),
+                                [K.d(i) for i in range(K.lo, K.hi)], K.twist)
+            assert again is not K and again == K and hash(again) == hash(K)
+            assert len({K, again}) == 1
+            assert hash(K.reduce_mod_xi()) == hash(K.reduce_mod_xi())
+
+
+def test_complexes_differing_in_twist_ring_or_one_entry_are_unequal(z3, z5):
+    K = FreeComplex(z3, 0, [1, 2], [Matrix(z3, [[1], [3]])])
+    variants = [
+        FreeComplex(z3, 0, [1, 2], [Matrix(z3, [[1], [3]])], twist=1),
+        FreeComplex(z5, 0, [1, 2], [Matrix(z5, [[1], [3]])]),
+        FreeComplex(z3, 0, [1, 2], [Matrix(z3, [[1], [6]])]),
+    ]
+    assert all(V != K and K != V for V in variants)
+    assert len({K, *variants}) == 4

@@ -1,12 +1,21 @@
-"""The caching contract: one context per top-level call, each stage built once."""
+"""The caching contract: one context per top-level call, each stage built once
+and each cohomology group computed once."""
 
+import importlib
+import json
+import os
+import pkgutil
 import random
 from collections import Counter
 
+import pytest
+
 import decalage
-from decalage import bockstein, sites, spectral
+from decalage import bockstein, complexes, sites, spectral
+from decalage.complexes import FreeComplex
 from decalage.eta import eta_m
 from decalage.instances import generate_instance, random_complex
+from decalage.serialize import sheaf_from_json
 from decalage.sites import InstanceContext, PosetSite
 from decalage.spectral import FilteredComplex, ht_spectral_sequence, ss_pages
 from decalage.suites import lemma_battery
@@ -56,6 +65,70 @@ def test_main_theorem_builds_each_stalk_stage_once_per_call(monkeypatch, z2):
     calls.clear()
     assert verify_main_theorem(F).to_json() == first
     assert sum(calls.values()) == built
+
+
+def count_group_builds(monkeypatch):
+    """Count cohomology computations per (function, complex, degree).
+
+    Free complexes are keyed by ring, degrees and entries (not by their own
+    hash or twist tag), so equal ones built separately count as one;
+    finitely presented ones by identity.  Every alias any decalage
+    module holds for the two builders is patched.
+    """
+    calls = Counter()
+
+    def key(K):
+        if not isinstance(K, FreeComplex):
+            return id(K)
+        return (K.ring, K.lo, K.ranks(), tuple(K.d(i).data for i in range(K.lo, K.hi)))
+
+    modules = [importlib.import_module(f"decalage.{info.name}")
+               for info in pkgutil.iter_modules(decalage.__path__)
+               if info.name != "__main__"]
+    for name, build in (("cohomology_presentation", complexes.cohomology_presentation),
+                        ("k_cohomology_quotient", bockstein.k_cohomology_quotient)):
+        def counted(K, i, name=name, build=build):
+            calls[(name, key(K), i)] += 1
+            return build(K, i)
+
+        aliased = [module for module in modules if getattr(module, name, None) is build]
+        assert bockstein in aliased
+        for module in aliased:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def assert_each_group_once_per_call(calls, run):
+    first = run()
+    assert {name for name, _, _ in calls} == {"cohomology_presentation",
+                                              "k_cohomology_quotient"}
+    assert max(calls.values()) == 1
+    computed = sum(calls.values())
+    calls.clear()
+    # nothing survives the first call: the second computes the same groups again
+    assert run() == first
+    assert sum(calls.values()) == computed and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
+def test_main_theorem_computes_each_group_once_per_call(monkeypatch, z2, case):
+    if case == "h1-sphere":
+        F = generate_instance("h1", 33, ring=z2, site=PosetSite.sphere())
+    else:
+        path = os.path.join(os.path.dirname(decalage.__file__), "fixtures",
+                            "h3_failure_witness.json")
+        with open(path) as fh:
+            F = sheaf_from_json(json.load(fh)["instance"])
+    calls = count_group_builds(monkeypatch)
+    assert_each_group_once_per_call(calls, lambda: verify_main_theorem(F).to_json())
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_lemma_battery_computes_each_group_once_per_call(monkeypatch, z2, f5t, seed):
+    ring = z2 if seed % 2 == 0 else f5t
+    K = random_complex(ring, random.Random(seed), max_degree=3, max_rank=3)
+    calls = count_group_builds(monkeypatch)
+    assert_each_group_once_per_call(calls, lambda: [r.to_json() for r in lemma_battery(K)])
 
 
 def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch, z2):

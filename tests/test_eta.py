@@ -117,19 +117,21 @@ def test_cohomology_lemma_examples(z2):
 
 def test_graded_piece_example(z3):
     K = shell(z3, 3)
-    g = graded_piece(ComplexContext(K), 0)
+    cx = ComplexContext(K)
+    g = graded_piece(cx, 0)
     assert g.fp.term_invariants(0).k_dimension() == 1
     assert g.fp.term_invariants(1).k_dimension() == 0
     assert g.tau.rank(0) == 1
-    res = g.verify()
+    res = g.verify(cx)
     assert res.passed, res.failures
 
 
 def test_graded_piece_zero_differential(z3):
     K = FreeComplex(z3, 0, [2, 1], [Matrix.zeros(z3, 1, 2)])
     for m in range(0, 4):
-        g = graded_piece(ComplexContext(K), m)
-        assert g.verify().passed
+        cx = ComplexContext(K)
+        g = graded_piece(cx, m)
+        assert g.verify(cx).passed
         for i in K.degrees():
             want = K.rank(i) if i <= m else 0
             assert g.fp.term_invariants(i).k_dimension() == want
@@ -137,9 +139,10 @@ def test_graded_piece_zero_differential(z3):
 
 def test_mod_xi_subquotient_example(z3):
     K = shell(z3, 3)
-    sq = mod_xi_subquotient(ComplexContext(K), 0)
+    cx = ComplexContext(K)
+    sq = mod_xi_subquotient(cx, 0)
     sq.fp.validate()
-    assert sq.degree_m_cohomology_vanishes()
+    assert sq.degree_m_cohomology_vanishes(cx)
     assert sq.fp.term_invariants(0).k_dimension() == 0
     assert sq.fp.term_invariants(1).k_dimension() == 1
 

@@ -177,3 +177,13 @@ def test_golden_instance_regenerates(z2):
 
     assert sheaf_lemma_report(F, "free-42") == frozen["lemma_report"]
     assert verify_main_theorem(F).to_json() == frozen["theorem_report"]
+
+
+def test_cli_options_belong_to_their_commands():
+    # validate takes no generation or output option, ss no generation option
+    r = run_cli("validate", "point_torsion_example.json", "--seed", "3")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --seed 3" in r.stderr
+    r = run_cli("ss", "point_torsion_example.json", "--ring", "z")
+    assert r.returncode == 2
+    assert run_cli("validate", "point_torsion_example.json").returncode == 0

@@ -205,7 +205,7 @@ def test_sheaf_reduce_truncate_hodge(z5, rng):
         sub, incl = sheaf_truncate_leq(Fbar, m)
         sub.validate()
         incl.validate()
-    omega, _ = sheaf_bockstein(F)
+    omega, _ = sheaf_bockstein(InstanceContext(F))
     omega.validate()
     for m in range(0, omega.hi() + 1):
         h, hincl = sheaf_hodge(omega, m)
