@@ -9,7 +9,6 @@ from .complexes import (
     FPComplex,
     FPModule,
     FreeComplex,
-    cohomology,
     cone,
     hodge_filtration,
     induced_map,

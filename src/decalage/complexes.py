@@ -17,8 +17,8 @@ from .rings import BaseRing
 from .rmatrix import (
     Matrix,
     ShapeMismatch,
-    image_basis,
     kernel_basis,
+    preimage_basis,
     snf,
     solve_exact,
 )
@@ -420,12 +420,8 @@ class CohomologyPresentation:
 
 
 def _presentation(ring, gens_i, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation:
-    paired = d_i.hstack(rels_next) if rels_next.cols else d_i
-    ker = kernel_basis(paired)
-    xpart = ker.submatrix(0, gens_i, 0, ker.cols)
-    basis = image_basis(xpart)
-    bound = d_prev.hstack(rels_i) if rels_i.cols else d_prev
-    coords = solve_exact(basis, bound)
+    basis = preimage_basis(d_i, rels_next)
+    coords = solve_exact(basis, d_prev.hstack(rels_i))
     if coords is None:
         raise ShapeMismatch("boundaries do not lie in the cocycle submodule")
     return CohomologyPresentation(ring, gens_i, basis, coords)
@@ -442,10 +438,6 @@ def cohomology_presentation(K, i: int) -> CohomologyPresentation:
     return _presentation(ring, K.rank(i), empty_i, empty_next, K.d(i), K.d(i - 1))
 
 
-def cohomology(K, i: int) -> FGModule:
-    return cohomology_presentation(K, i).module
-
-
 def cocycles(K: FreeComplex, i: int) -> Matrix:
     """Basis of Z^i as columns inside K^i."""
     return kernel_basis(K.d(i))
@@ -456,13 +448,10 @@ def boundaries(K: FreeComplex, i: int) -> Matrix:
     return K.d(i - 1)
 
 
-def induced_map(f: ChainMap, i: int, src_pres=None, tgt_pres=None) -> Matrix:
+def induced_map(f: ChainMap, i: int) -> Matrix:
     """Matrix of H^i(f) with respect to the computed presentations."""
-    if src_pres is None:
-        src_pres = cohomology_presentation(f.source, i)
-    if tgt_pres is None:
-        tgt_pres = cohomology_presentation(f.target, i)
-    return tgt_pres.coords(f.map(i) @ src_pres.gens_basis)
+    src_pres = cohomology_presentation(f.source, i)
+    return cohomology_presentation(f.target, i).coords(f.map(i) @ src_pres.gens_basis)
 
 
 # ---------------------------------------------------------------------------

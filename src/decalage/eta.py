@@ -22,7 +22,7 @@ from __future__ import annotations
 from .checks import CheckResult
 from .complexes import ChainMap, FGModule, FPComplex, FPModule, FreeComplex
 from .kmatrix import field_rank, solve_field
-from .rmatrix import Matrix, image_basis, kernel_basis, solve_exact
+from .rmatrix import Matrix, preimage_basis, solve_exact
 
 
 class DegreeBelowZero(ValueError):
@@ -63,13 +63,7 @@ class SubcomplexEmbedding:
 def _congruence_kernel_basis(K: FreeComplex, i: int) -> Matrix:
     """Basis of { x in K^i : d(x) in xi*K^{i+1} } inside K^i."""
     ring = K.ring
-    d = K.d(i)
-    n_next = K.rank(i + 1)
-    scaled = Matrix.scalar(ring, n_next, ring.xi)
-    paired = d.hstack(scaled)
-    ker = kernel_basis(paired)
-    xpart = ker.submatrix(0, K.rank(i), 0, ker.cols)
-    return image_basis(xpart)
+    return preimage_basis(K.d(i), Matrix.scalar(ring, K.rank(i + 1), ring.xi))
 
 
 def eta_m(K: FreeComplex, m: int) -> SubcomplexEmbedding:

@@ -372,6 +372,12 @@ def image_basis(M: Matrix) -> Matrix:
     return Matrix.from_columns(M.ring, cols, rows=M.rows)
 
 
+def preimage_basis(A: Matrix, S: Matrix) -> Matrix:
+    """Columns form an R-basis of { x : A x lies in the column span of S }."""
+    ker = kernel_basis(A.hstack(S))
+    return image_basis(ker.submatrix(0, A.cols, 0, ker.cols))
+
+
 def rank(M: Matrix) -> int:
     return snf(M).rank
 

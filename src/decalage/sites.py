@@ -91,6 +91,13 @@ class PosetSite:
     def __len__(self):
         return len(self.elements)
 
+    def __eq__(self, other):
+        return (isinstance(other, PosetSite) and other.elements == self.elements
+                and other._leq == self._leq)
+
+    def __hash__(self):
+        return hash((self.elements, self._leq))
+
     def describe(self) -> dict:
         return {"elements": list(self.elements), "leq": [list(p) for p in self.strict_pairs()]}
 
@@ -155,6 +162,18 @@ class SheafComplex:
         stalks = {e: K for e in site.elements}
         res = {pair: ChainMap.identity(K) for pair in site.strict_pairs()}
         return cls(site, stalks, res)
+
+    def _content(self):
+        # a restriction is zero outside the degrees of its source stalk
+        maps = tuple(self.restrictions[(a, b)].map(i)
+                     for a, b in self.site.strict_pairs() for i in self.stalks[a].degrees())
+        return self.site, tuple(self.stalks[x] for x in self.site.elements), maps
+
+    def __eq__(self, other):
+        return isinstance(other, SheafComplex) and other._content() == self._content()
+
+    def __hash__(self):
+        return hash(self._content())
 
     def stalk(self, x) -> FreeComplex:
         return self.stalks[x]
@@ -237,10 +256,9 @@ class SectionsIndex:
     every construction on top of global sections reproducible.
     """
 
-    __slots__ = ("sheaf", "lo", "hi", "blocks")
+    __slots__ = ("lo", "hi", "blocks")
 
     def __init__(self, sheaf: SheafComplex):
-        self.sheaf = sheaf
         chains = sheaf.site.chains()
         lo, hi = sheaf.lo(), sheaf.hi()
         self.lo = lo
@@ -268,14 +286,14 @@ class SectionsIndex:
         return {(c, i): (off, size) for c, i, off, size in self.blocks.get(N, [])}
 
 
-def global_sections_complex(F: SheafComplex, index: SectionsIndex | None = None):
+def global_sections_complex(F: SheafComplex):
     """Total complex of the ordered-chain cochain complex of F.
 
     Returns (complex, index); for a one-point site the complex is the stalk
     itself (same ranks and differentials).
     """
     F.validate()
-    idx = index or SectionsIndex(F)
+    idx = SectionsIndex(F)
     ring = F.ring
     ranks = [idx.rank(N) for N in range(idx.lo, idx.hi + 1)]
     diffs = []
@@ -389,10 +407,7 @@ def stage_reduction_map(ctx: "InstanceContext", m: int) -> ChainMap:
                      for j in range(F.stalk(x).lo, F.stalk(x).hi + 1)})
         for x in F.site.elements
     }
-    sub_total, sub_idx = global_sections_complex(subbar)
-    bar_total, bar_idx = ctx.reduced_sections()
-    return global_sections_map(SheafMap(subbar, Fbar, maps), sub_idx, bar_idx,
-                               sub_total, bar_total)
+    return ctx.sections_map(SheafMap(subbar, Fbar, maps))
 
 
 def sheaf_reduce(F: SheafComplex) -> SheafComplex:
@@ -490,7 +505,8 @@ class InstanceContext(Memo):
     """The objects of one sheaf complex F that the theorem path shares.
 
     ``stalks[x]`` is the ComplexContext of the stalk at x.  Sections come as
-    (complex, index) pairs; higher layers keep their own objects via ``once``.
+    (complex, index) pairs, one per sheaf content: equal sheaves built
+    separately share them.  Higher layers keep their own objects via ``once``.
     """
 
     def __init__(self, F: SheafComplex):
@@ -498,30 +514,26 @@ class InstanceContext(Memo):
         self.F = F
         self.stalks = {x: ComplexContext(F.stalk(x)) for x in F.site.elements}
 
-    def _sections_map(self, key, phi, src, tgt):
-        (src_total, src_idx), (tgt_total, tgt_idx) = src, tgt
-        return self.once(key, global_sections_map, phi, src_idx, tgt_idx, src_total, tgt_total)
+    def sections(self, G: SheafComplex):
+        """RGamma(G) as ``global_sections_complex``."""
+        return self.once(("sections", G), global_sections_complex, G)
 
-    def sections(self):
-        return self.once("sections", global_sections_complex, self.F)
+    def sections_map(self, phi: SheafMap) -> ChainMap:
+        """RGamma(phi) between the sections of its source and target.
+
+        Keyed by the map object, which the memo keeps alive.
+        """
+        (src_total, src_idx), (tgt_total, tgt_idx) = (self.sections(phi.source),
+                                                      self.sections(phi.target))
+        return self.once(("sections-map", phi), global_sections_map, phi,
+                         src_idx, tgt_idx, src_total, tgt_total)
 
     def reduced(self) -> SheafComplex:
         return self.once("reduced", sheaf_reduce, self.F)
 
-    def reduced_sections(self):
-        return self.once("reduced-sections", global_sections_complex, self.reduced())
-
     def stage(self, m: int):
         """(stage sheaf, its inclusion into F, stalk embeddings), as sheaf_eta_m."""
         return self.once(("stage", m), sheaf_eta_m, self, m)
-
-    def stage_sections(self, m: int):
-        return self.once(("stage-sections", m), global_sections_complex, self.stage(m)[0])
-
-    def stage_map(self, m: int) -> ChainMap:
-        """Sections of stage m -> sections of F."""
-        return self._sections_map(("stage-map", m), self.stage(m)[1],
-                                  self.stage_sections(m), self.sections())
 
     def stage_reduction(self, m: int) -> ChainMap:
         """Sections of stage m mod xi -> sections of F/xi, as stage_reduction_map."""
@@ -531,14 +543,6 @@ class InstanceContext(Memo):
         """tau_{<=q}(F/xi) with its inclusion."""
         return self.once(("truncation", q), sheaf_truncate_leq, self.reduced(), q)
 
-    def truncation_sections(self, q: int):
-        return self.once(("truncation-sections", q), global_sections_complex,
-                         self.truncation(q)[0])
-
-    def truncation_map(self, q: int) -> ChainMap:
-        return self._sections_map(("truncation-map", q), self.truncation(q)[1],
-                                  self.truncation_sections(q), self.reduced_sections())
-
     def bockstein(self):
         """(Bockstein sheaf, stalkwise Bockstein complexes), as sheaf_bockstein."""
         return self.once("bockstein", sheaf_bockstein, self)
@@ -546,13 +550,6 @@ class InstanceContext(Memo):
     def term(self, q: int, place_at: int) -> SheafComplex:
         return self.once(("term", q, place_at), bockstein_term_sheaf, self, q, place_at)
 
-    def term_sections(self, q: int, place_at: int):
-        return self.once(("term-sections", q, place_at), global_sections_complex,
-                         self.term(q, place_at))
-
     def hodge(self, p: int):
         """The degree >= p part of the Bockstein sheaf with its inclusion."""
         return self.once(("hodge", p), sheaf_hodge, self.bockstein()[0], p)
-
-    def hodge_sections(self, p: int):
-        return self.once(("hodge-sections", p), global_sections_complex, self.hodge(p)[0])

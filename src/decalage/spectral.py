@@ -24,12 +24,7 @@ from .bockstein import k_cohomology_quotient
 from .complexes import ChainMap, FreeComplex
 from .kmatrix import QuotientSpace, Subspace, kernel_cols
 from .rmatrix import Matrix
-from .sites import (
-    InstanceContext,
-    SheafMap,
-    global_sections_complex,
-    global_sections_map,
-)
+from .sites import InstanceContext, SheafMap
 
 
 def k_induced_matrix(ctx: InstanceContext, cm: ChainMap, i: int) -> Matrix:
@@ -226,10 +221,11 @@ def ht_spectral_sequence(ctx: InstanceContext, r_max: int = 4):
     Entries are reported as (p, q) with E_2^{p,q} = H^p(S, H^q(K/xi)-sheaf),
     abutting to H^{p+q} of the global sections of K/xi.
     """
-    total, _ = ctx.reduced_sections()
+    total, _ = ctx.sections(ctx.reduced())
     q_min, q_max = ctx.reduced().lo(), ctx.reduced().hi()
     # decreasing filtration on RGamma(K/xi) from the truncation levels: p = q_max - q
-    inclusions = {q_max - q: ctx.truncation_map(q) for q in range(q_min, q_max + 1)}
+    inclusions = {q_max - q: ctx.sections_map(ctx.truncation(q)[1])
+                  for q in range(q_min, q_max + 1)}
     fc = FilteredComplex.from_inclusions(total, inclusions)
 
     def relabel(p, q):
@@ -248,7 +244,7 @@ def ht_e2_crosscheck(ctx: InstanceContext, pages) -> list:
     covered = set()
     Fbar = ctx.reduced()
     for q in range(Fbar.lo(), Fbar.hi() + 1):
-        av_total, _ = ctx.term_sections(q, place_at=0)
+        av_total, _ = ctx.sections(ctx.term(q, place_at=0))
         for p in av_total.degrees():
             want = ctx.quotient(av_total, p).dim
             got = first.dim(p, q)
@@ -268,12 +264,9 @@ def hdr_spectral_sequence(ctx: InstanceContext, r_max: int = 4):
     global sections of the Bockstein sheaf complex.
     """
     omega, _ = ctx.bockstein()
-    total, idx = global_sections_complex(omega)
-    inclusions = {}
-    for p in range(omega.lo(), omega.hi() + 1):
-        _, incl = ctx.hodge(p)
-        sub_total, sub_idx = ctx.hodge_sections(p)
-        inclusions[p] = global_sections_map(incl, sub_idx, idx, sub_total, total)
+    total, _ = ctx.sections(omega)
+    inclusions = {p: ctx.sections_map(ctx.hodge(p)[1])
+                  for p in range(omega.lo(), omega.hi() + 1)}
     fc = FilteredComplex.from_inclusions(total, inclusions)
     pages = ss_pages(fc, r_max)
     return pages, fc, total
@@ -291,14 +284,13 @@ def degeneration_check_HT(ctx: InstanceContext, r_max: int = 4):
     differentials from page 2 on.
     """
     Fbar = ctx.reduced()
-    total, _ = ctx.reduced_sections()
+    total, _ = ctx.sections(Fbar)
     verdict = True
     witness = None
     for m in range(Fbar.lo(), Fbar.hi() + 1):
-        sub_total, _ = ctx.truncation_sections(m)
-        cm = ctx.truncation_map(m)
+        cm = ctx.sections_map(ctx.truncation(m)[1])
         for i in total.degrees():
-            if ctx.quotient(sub_total, i).dim == 0:
+            if ctx.quotient(cm.source, i).dim == 0:
                 continue
             if kernel_cols(k_induced_matrix(ctx, cm, i)).cols != 0:
                 verdict = False
@@ -333,11 +325,9 @@ class CokernelComparison:
 
 
 def cokernel_maps(ctx: InstanceContext, m: int):
-    """Sections of Omega^m[-m] with the truncation-side and Hodge-side maps into them."""
+    """The truncation-side and Hodge-side maps into the sections of Omega^m[-m]."""
     F = ctx.F
     avatar = ctx.term(m, place_at=m)
-    av_total, av_idx = ctx.term_sections(m, place_at=m)
-
     tau, tau_incl = ctx.truncation(m)
     _, bcs = ctx.bockstein()
     maps = {}
@@ -348,9 +338,7 @@ def cokernel_maps(ctx: InstanceContext, m: int):
         mat = (qx.coords_matrix(zbasis) if qx is not None
                else Matrix.zeros(avatar.ring, 0, zbasis.cols))
         maps[x] = ChainMap(stalk, avatar.stalk(x), {m: mat})
-    qmap = SheafMap(tau, avatar, maps)
-    tau_total, tau_idx = ctx.truncation_sections(m)
-    cm_f = global_sections_map(qmap, tau_idx, av_idx, tau_total, av_total)
+    cm_f = ctx.sections_map(SheafMap(tau, avatar, maps))
     cm_f.validate()
 
     hodge, _ = ctx.hodge(m)
@@ -359,11 +347,9 @@ def cokernel_maps(ctx: InstanceContext, m: int):
                     {m: Matrix.identity(avatar.ring, hodge.stalk(x).rank(m))})
         for x in F.site.elements
     }
-    gmap = SheafMap(hodge, avatar, maps_g)
-    hodge_total, hodge_idx = ctx.hodge_sections(m)
-    cm_g = global_sections_map(gmap, hodge_idx, av_idx, hodge_total, av_total)
+    cm_g = ctx.sections_map(SheafMap(hodge, avatar, maps_g))
     cm_g.validate()
-    return av_total, cm_f, cm_g
+    return cm_f, cm_g
 
 
 def compare_degeneration(ctx: InstanceContext, i: int, m: int,
@@ -375,8 +361,8 @@ def compare_degeneration(ctx: InstanceContext, i: int, m: int,
     its degree-m term.  Under the torsion-freeness hypothesis the two images
     agree; without it the record is returned for inspection.
     """
-    av_total, cm_f, cm_g = ctx.once(("cokernel-maps", m), cokernel_maps, ctx, m)
+    cm_f, cm_g = ctx.once(("cokernel-maps", m), cokernel_maps, ctx, m)
     coker_f = Subspace.from_columns(k_induced_matrix(ctx, cm_f, i))
     coker_g = Subspace.from_columns(k_induced_matrix(ctx, cm_g, i))
-    return CokernelComparison(i, m, ctx.quotient(av_total, i).dim, coker_f, coker_g,
+    return CokernelComparison(i, m, ctx.quotient(cm_f.target, i).dim, coker_f, coker_g,
                               coker_f == coker_g, h1_holds)

@@ -211,17 +211,15 @@ def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> LatticePairData:
     offender); coordinates are the free-quotient coordinates of the
     presentation of H^i(sections).
     """
-    total, _ = ctx.sections()
-    stage_total, _ = ctx.stage_sections(0)
-
-    pres0 = ctx.presentation(total, i)
+    incl = ctx.sections_map(ctx.stage(0)[1])
+    pres0 = ctx.presentation(incl.target, i)
     if not pres0.module.xi_torsion_free:
         raise TorsionObstruction(i, "ambient")
-    pres1 = ctx.presentation(stage_total, i)
+    pres1 = ctx.presentation(incl.source, i)
     if not pres1.module.xi_torsion_free:
         raise TorsionObstruction(i, "stage")
     f = pres0.module.free_rank
-    mapped = pres0.free_coords(ctx.stage_map(0).map(i) @ pres1.basis_cocycles())
+    mapped = pres0.free_coords(incl.map(i) @ pres1.basis_cocycles())
     lbasis = image_basis(mapped)
     if lbasis.cols != f:
         raise SingularBasis(f"stage lattice is not full rank at degree {i}")
@@ -240,7 +238,7 @@ def check_torsionfree_eta_m(ctx: InstanceContext, m_max=None) -> dict:
         m_max = hi + 1
     table = {}
     for m in range(0, m_max + 1):
-        total, _ = ctx.stage_sections(m)
+        total, _ = ctx.sections(ctx.stage(m)[0])
         for i in total.degrees():
             fg = ctx.presentation(total, i).module
             table[(i, m)] = {
@@ -252,7 +250,7 @@ def check_torsionfree_eta_m(ctx: InstanceContext, m_max=None) -> dict:
 
 def hypothesis_h1(ctx: InstanceContext) -> tuple:
     """All H^i of the sections xi-torsion-free; witness is the first failure."""
-    total, _ = ctx.sections()
+    total, _ = ctx.sections(ctx.F)
     for i in total.degrees():
         if not ctx.presentation(total, i).module.xi_torsion_free:
             return False, i
@@ -267,8 +265,8 @@ def reduction_iso_matrices(ctx: InstanceContext) -> dict:
     basis cocycles.  Only meaningful (and an isomorphism) when H^i and
     H^{i+1} are torsion-free; callers check.
     """
-    total, _ = ctx.sections()
-    red, _ = ctx.reduced_sections()
+    total, _ = ctx.sections(ctx.F)
+    red, _ = ctx.sections(ctx.reduced())
     out = {}
     for i in total.degrees():
         pres = ctx.presentation(total, i)
@@ -289,7 +287,7 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
     Stage m maps by dividing its embedding by xi^m and reducing; the images
     increase with m and stabilize at the image of the full reduction.
     """
-    bar_total, _ = ctx.reduced_sections()
+    bar_total, _ = ctx.sections(ctx.reduced())
     kfield = bar_total.ring
     target = ctx.quotient(bar_total, i) if i in bar_total.degrees() else None
     dim_i = 0 if target is None else target.dim
@@ -299,7 +297,7 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
             spaces[m] = Subspace(kfield, 0)
             continue
         # generators of H^i of the stage sections over R, reduced mod xi
-        stage_total, _ = ctx.stage_sections(m)
+        stage_total, _ = ctx.sections(ctx.stage(m)[0])
         gens = ctx.presentation(stage_total, i).gens_basis.residue()
         pushed = ctx.stage_reduction(m).map(i) @ gens
         spaces[m] = Subspace.from_columns(target.coords_matrix(pushed))
@@ -376,9 +374,9 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
         stationary.expect(is_stationary_stage(ctx.stalks[x], m_max), element=x, m=m_max)
     report.add_check(stationary)
 
-    total, _ = ctx.sections()
+    total, _ = ctx.sections(F)
     rho = reduction_iso_matrices(ctx)
-    red, _ = ctx.reduced_sections()
+    red, _ = ctx.sections(ctx.reduced())
 
     flag_check = CheckResult("main.flag-equality")
     graded_check = CheckResult("main.graded-dims")
@@ -387,7 +385,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     # graded target dimensions: H^{i-m}(S, Omega^m-avatar)
     omega_dims = {}
     for m in range(0, m_max + 1):
-        av_total, _ = ctx.term_sections(m, place_at=0)
+        av_total, _ = ctx.sections(ctx.term(m, place_at=0))
         omega_dims[m] = {p: ctx.quotient(av_total, p).dim
                          for p in av_total.degrees()}
 
@@ -403,8 +401,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
                 flag_check.fail(i=i, reason=str(exc))
             continue
         bb = bb_filtration(pair.L, pair.L0)
-        rel = relative_position(pair.L, pair.L0)
-        entry["relative_position"] = rel
+        entry["relative_position"] = bb.jumps()
         # move the lattice flag into H^i of the reduced sections
         if rho.get(i) is not None and red_q.dim == rho[i].rows:
             moved = {}

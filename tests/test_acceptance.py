@@ -30,7 +30,7 @@ from decalage.instances import generate_instance, random_complex
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, snf
 from decalage.serialize import sheaf_from_json
-from decalage.sites import InstanceContext, global_sections_map
+from decalage.sites import InstanceContext
 from decalage.spectral import compare_degeneration
 from decalage.theorem import (
     Lattice,
@@ -171,20 +171,20 @@ def test_criterion_6_flag_equality_with_oracles(h1_reports):
                               "main.reduction-identification"):
                 if not check.passed:
                     failures.append((idx, check.name, check.failures[:1]))
-        failures.extend(_oracle_flag_check(F, idx))
+        failures.extend(_oracle_flag_check(F, rep, idx))
         oracle_checked += 1
     elapsed = time.time() - t0
     verdict(6, not failures,
             f"{elapsed:.1f}s, {oracle_checked} oracle-checked, failures: {failures[:3]}")
 
 
-def _oracle_flag_check(F, idx):
+def _oracle_flag_check(F, rep, idx):
     from decalage.theorem import image_flag, lattice_pair_from_complex
 
     ring = F.ring
     failures = []
     ctx = InstanceContext(F)
-    bar_total, bar_idx = ctx.reduced_sections()
+    bar_total, _ = ctx.sections(ctx.reduced())
     m_max = F.hi() + 1
     quotients = {i: k_cohomology_quotient(bar_total, i)
                  for i in bar_total.degrees()}
@@ -194,6 +194,8 @@ def _oracle_flag_check(F, idx):
     for i in live:
         pair = lattice_pair_from_complex(ctx, i)
         mus = relative_position(pair.L, pair.L0)
+        if rep.flags[str(i)]["relative_position"] != mus:
+            failures.append((idx, i, "relative-position"))
         fl = bb_filtration(pair.L, pair.L0)
         if mus:
             N = 2 * max(abs(v) for v in mus) + 2
@@ -202,10 +204,8 @@ def _oracle_flag_check(F, idx):
                     failures.append((idx, i, m, "bb-oracle"))
     # image flag against the truncated-kernel oracle, one stage build per m
     for m in range(0, m_max + 1):
-        _, incl, _ = ctx.stage(m)
-        stage_total, stage_idx = ctx.stage_sections(m)
-        cm = global_sections_map(incl, stage_idx, bar_idx, stage_total,
-                                 bar_total)
+        cm = ctx.sections_map(ctx.stage(m)[1])
+        stage_total = cm.source
         for i in live:
             hq = quotients[i]
             d = stage_total.d(i)

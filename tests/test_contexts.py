@@ -1,5 +1,5 @@
-"""The caching contract: one context per top-level call, each stage built once
-and each cohomology group computed once."""
+"""The caching contract: one context per top-level call, each stage built once,
+each cohomology group computed once and each sheaf's sections built once."""
 
 import importlib
 import json
@@ -16,26 +16,38 @@ from decalage.complexes import FreeComplex
 from decalage.eta import eta_m
 from decalage.instances import generate_instance, random_complex
 from decalage.serialize import sheaf_from_json
-from decalage.sites import InstanceContext, PosetSite
+from decalage.sites import InstanceContext, PosetSite, global_sections_complex
 from decalage.spectral import FilteredComplex, ht_spectral_sequence, ss_pages
 from decalage.suites import lemma_battery
 from decalage.theorem import verify_main_theorem
 
 
+MODULES = [decalage] + [importlib.import_module(f"decalage.{info.name}")
+                        for info in pkgutil.iter_modules(decalage.__path__)
+                        if info.name != "__main__"]
+
+
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Rebind ``module.name`` under every alias any decalage module holds.
+
+    Returns the modules patched, the defining one included.
+    """
+    original = getattr(module, name)
+    aliased = [m for m in MODULES if getattr(m, name, None) is original]
+    for m in aliased:
+        monkeypatch.setattr(m, name, replacement)
+    return aliased
+
+
 def count_stage_builds(monkeypatch):
-    """Count eta_m calls per (complex, m) under every alias the package holds."""
+    """Count eta_m calls per (complex, m)."""
     calls = Counter()
 
     def counted(K, m):
         calls[(id(K), m)] += 1
         return eta_m(K, m)
 
-    aliased = [module for module in (decalage.eta, sites, bockstein)
-               if getattr(module, "eta_m", None) is eta_m]
-    # the package attribute ``eta`` is the submodule, not a function
-    assert decalage.eta in aliased
-    for module in aliased:
-        monkeypatch.setattr(module, "eta_m", counted)
+    assert bockstein in patch_everywhere(monkeypatch, decalage.eta, "eta_m", counted)
     return calls
 
 
@@ -67,34 +79,34 @@ def test_main_theorem_builds_each_stalk_stage_once_per_call(monkeypatch, z2):
     assert sum(calls.values()) == built
 
 
+def complex_key(K):
+    """Free complexes by ring, degrees and entries (not by their own hash or
+    twist tag), so equal ones built separately count as one; finitely
+    presented ones by identity."""
+    if not isinstance(K, FreeComplex):
+        return id(K)
+    return (K.ring, K.lo, K.ranks(), tuple(K.d(i).data for i in range(K.lo, K.hi)))
+
+
+def sheaf_key(F):
+    """Sheaves by site, stalks and restriction entries; stalks keep their
+    twist tags, as ``FreeComplex`` equality does."""
+    pairs = F.site.strict_pairs()
+    return (F.site.elements, tuple(pairs),
+            tuple((complex_key(F.stalk(x)), F.stalk(x).twist) for x in F.site.elements),
+            tuple(F.res(a, b).map(i).data for a, b in pairs for i in F.stalk(a).degrees()))
+
+
 def count_group_builds(monkeypatch):
-    """Count cohomology computations per (function, complex, degree).
-
-    Free complexes are keyed by ring, degrees and entries (not by their own
-    hash or twist tag), so equal ones built separately count as one;
-    finitely presented ones by identity.  Every alias any decalage
-    module holds for the two builders is patched.
-    """
+    """Count cohomology computations per (function, complex, degree)."""
     calls = Counter()
-
-    def key(K):
-        if not isinstance(K, FreeComplex):
-            return id(K)
-        return (K.ring, K.lo, K.ranks(), tuple(K.d(i).data for i in range(K.lo, K.hi)))
-
-    modules = [importlib.import_module(f"decalage.{info.name}")
-               for info in pkgutil.iter_modules(decalage.__path__)
-               if info.name != "__main__"]
-    for name, build in (("cohomology_presentation", complexes.cohomology_presentation),
-                        ("k_cohomology_quotient", bockstein.k_cohomology_quotient)):
-        def counted(K, i, name=name, build=build):
-            calls[(name, key(K), i)] += 1
+    for module, name in ((complexes, "cohomology_presentation"),
+                         (bockstein, "k_cohomology_quotient")):
+        def counted(K, i, name=name, build=getattr(module, name)):
+            calls[(name, complex_key(K), i)] += 1
             return build(K, i)
 
-        aliased = [module for module in modules if getattr(module, name, None) is build]
-        assert bockstein in aliased
-        for module in aliased:
-            monkeypatch.setattr(module, name, counted)
+        assert bockstein in patch_everywhere(monkeypatch, module, name, counted)
     return calls
 
 
@@ -110,17 +122,39 @@ def assert_each_group_once_per_call(calls, run):
     assert sum(calls.values()) == computed and max(calls.values()) == 1
 
 
+def theorem_instance(case, ring):
+    if case == "h1-sphere":
+        return generate_instance("h1", 33, ring=ring, site=PosetSite.sphere())
+    path = os.path.join(os.path.dirname(decalage.__file__), "fixtures",
+                        "h3_failure_witness.json")
+    with open(path) as fh:
+        return sheaf_from_json(json.load(fh)["instance"])
+
+
 @pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
 def test_main_theorem_computes_each_group_once_per_call(monkeypatch, z2, case):
-    if case == "h1-sphere":
-        F = generate_instance("h1", 33, ring=z2, site=PosetSite.sphere())
-    else:
-        path = os.path.join(os.path.dirname(decalage.__file__), "fixtures",
-                            "h3_failure_witness.json")
-        with open(path) as fh:
-            F = sheaf_from_json(json.load(fh)["instance"])
+    F = theorem_instance(case, z2)
     calls = count_group_builds(monkeypatch)
     assert_each_group_once_per_call(calls, lambda: verify_main_theorem(F).to_json())
+
+
+@pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
+def test_main_theorem_builds_each_sheafs_sections_once_per_call(monkeypatch, z2, case):
+    F = theorem_instance(case, z2)
+    calls = Counter()
+
+    def counted(G):
+        calls[sheaf_key(G)] += 1
+        return global_sections_complex(G)
+
+    patch_everywhere(monkeypatch, sites, "global_sections_complex", counted)
+    first = verify_main_theorem(F).to_json()
+    assert max(calls.values()) == 1
+    built = sum(calls.values())
+    calls.clear()
+    # nothing survives the first call: the second builds the same sections again
+    assert verify_main_theorem(F).to_json() == first
+    assert sum(calls.values()) == built and max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("seed", [8, 9])

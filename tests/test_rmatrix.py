@@ -4,6 +4,7 @@ from decalage.rmatrix import (
     image_basis,
     intersect_spans,
     kernel_basis,
+    preimage_basis,
     snf,
     solve_exact,
 )
@@ -110,6 +111,20 @@ def test_image_basis_spans(rng, z3):
         # mutual containment of spans
         assert solve_exact(B, M) is not None
         assert solve_exact(M, B) is not None
+
+
+def test_preimage_basis(rng, z5, f5t):
+    assert preimage_basis(Matrix(z5, [[2]]), Matrix(z5, [[5]])) == Matrix(z5, [[5]])
+    for ring in (z5, f5t):
+        for _ in range(40):
+            A = rand_matrix(ring, rng, rng.randint(1, 3), rng.randint(1, 3))
+            S = rand_matrix(ring, rng, A.rows, rng.randint(0, 2))
+            B = preimage_basis(A, S)
+            assert minors_rank(B) == B.cols  # full column rank
+            # A B lies in span(S), and every x with A x in span(S) lies in span(B)
+            assert solve_exact(S, A @ B) is not None
+            ker = kernel_basis(A.hstack(S))
+            assert solve_exact(B, ker.submatrix(0, A.cols, 0, ker.cols)) is not None
 
 
 def test_solve_exact(z5):

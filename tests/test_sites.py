@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from decalage.complexes import ChainMap, FGModule, FreeComplex, cohomology, direct_sum
+from decalage.complexes import ChainMap, FGModule, FreeComplex, cohomology_presentation, direct_sum
 from decalage.eta import eta_m
 from decalage.bockstein import k_cohomology_quotient
 from decalage.instances import (
@@ -44,27 +46,58 @@ def test_pseudo_circle_constant(z3):
     R1 = FreeComplex(z3, 0, [1], [])
     F = SheafComplex.constant(PosetSite.pseudo_circle(), R1)
     T, _ = global_sections_complex(F)
-    assert cohomology(T, 0) == FGModule(z3, 1)
-    assert cohomology(T, 1) == FGModule(z3, 1)
-    assert all(cohomology(T, i).is_zero() for i in T.degrees() if i >= 2)
+    assert cohomology_presentation(T, 0).module == FGModule(z3, 1)
+    assert cohomology_presentation(T, 1).module == FGModule(z3, 1)
+    assert all(cohomology_presentation(T, i).module.is_zero() for i in T.degrees() if i >= 2)
 
 
 def test_chain_constant_contractible(z3):
     R1 = FreeComplex(z3, 0, [1], [])
     F = SheafComplex.constant(PosetSite.chain(3), R1)
     T, _ = global_sections_complex(F)
-    assert cohomology(T, 0) == FGModule(z3, 1)
-    assert all(cohomology(T, i).is_zero() for i in T.degrees() if i >= 1)
+    assert cohomology_presentation(T, 0).module == FGModule(z3, 1)
+    assert all(cohomology_presentation(T, i).module.is_zero() for i in T.degrees() if i >= 1)
 
 
 def test_sphere_constant(z3):
     R1 = FreeComplex(z3, 0, [1], [])
     F = SheafComplex.constant(PosetSite.sphere(), R1)
     T, _ = global_sections_complex(F)
-    dims = [cohomology(T, i) for i in T.degrees()]
+    dims = [cohomology_presentation(T, i).module for i in T.degrees()]
     assert dims[0] == FGModule(z3, 1)
     assert dims[1].is_zero()
     assert dims[2] == FGModule(z3, 1)
+
+
+def test_equal_sheaves_built_separately_hash_alike(rng, z3, f5t):
+    for ring in (z3, f5t):
+        K = random_complex(ring, rng, max_degree=2, max_rank=2)
+        seed = rng.random()
+        F = conjugated_constant_sheaf(PosetSite.sphere(), K, random.Random(seed))
+        again = conjugated_constant_sheaf(PosetSite.sphere(), K, random.Random(seed))
+        assert again is not F and again == F and hash(again) == hash(F)
+        assert len({F, again}) == 1
+        assert hash(sheaf_reduce(F)) == hash(sheaf_reduce(again))
+
+
+def test_sheaves_differing_in_one_restriction_entry_stalk_or_ring_are_unequal(z3, z5):
+    def constant(ring):
+        K = FreeComplex(ring, 0, [1, 1], [Matrix(ring, [[3]])])
+        return SheafComplex.constant(PosetSite.chain(3), K)
+
+    F = constant(z3)
+    res = dict(F.restrictions)
+    res[("c0", "c1")] = ChainMap(F.stalk("c0"), F.stalk("c1"),
+                                 {0: Matrix(z3, [[2]]), 1: Matrix(z3, [[1]])})
+    stalks = dict(F.stalks)
+    stalks["c2"] = FreeComplex(z3, 0, [1, 1], [Matrix(z3, [[6]])])
+    variants = [
+        SheafComplex(F.site, F.stalks, res),
+        SheafComplex(F.site, stalks, F.restrictions),
+        constant(z5),
+    ]
+    assert all(V != F and F != V for V in variants)
+    assert len({F, *variants}) == 4
 
 
 def test_functoriality_failure_detected(z3):
@@ -152,9 +185,9 @@ def test_sections_exact_on_split_sums(rng, z3):
     TA, _ = global_sections_complex(FA)
     TB, _ = global_sections_complex(FB)
     for i in TS.degrees():
-        da = cohomology(TA, i)
-        db = cohomology(TB, i)
-        ds = cohomology(TS, i)
+        da = cohomology_presentation(TA, i).module
+        db = cohomology_presentation(TB, i).module
+        ds = cohomology_presentation(TS, i).module
         assert ds.free_rank == da.free_rank + db.free_rank
         assert sorted(map(str, ds.factors)) == sorted(map(str, da.factors + db.factors))
 
@@ -178,7 +211,7 @@ def test_sheaf_eta_constant_stalks(z5, rng):
     sub, incl, _ = sheaf_eta_m(ctx, 1)
     sub.validate()
     incl.validate()
-    cm = ctx.stage_map(1)
+    cm = ctx.sections_map(ctx.stage(1)[1])
     cm.validate()
     assert cm.is_degreewise_injective()
 

@@ -8,7 +8,7 @@ from decalage.instances import generate_instance, random_unimodular
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, snf
 from decalage.serialize import sheaf_from_json, sheaf_to_json
-from decalage.sites import InstanceContext, PosetSite, SheafComplex, global_sections_map
+from decalage.sites import InstanceContext, PosetSite, SheafComplex
 from decalage.theorem import (
     Lattice,
     SingularBasis,
@@ -198,8 +198,8 @@ def test_reduced_sections_are_the_reduced_total(case):
     # the theorem path reads H^i(sections of F/xi) off the context's reduced
     # sections, standing for the literal reduction of the sections of F
     ctx = InstanceContext(reduced_sections_instance(case))
-    total, _ = ctx.sections()
-    assert total.reduce_mod_xi() == ctx.reduced_sections()[0]
+    total, _ = ctx.sections(ctx.F)
+    assert total.reduce_mod_xi() == ctx.sections(ctx.reduced())[0]
 
 
 def test_image_flag_oracle_agrees(z2):
@@ -209,7 +209,7 @@ def test_image_flag_oracle_agrees(z2):
 
     F = generate_instance("h1", 33, ring=z2, site=PosetSite.pseudo_circle())
     ctx = InstanceContext(F)
-    bar_total, bar_idx = ctx.reduced_sections()
+    bar_total, _ = ctx.sections(ctx.reduced())
     m_max = F.hi() + 1
     for i in bar_total.degrees():
         hq = k_cohomology_quotient(bar_total, i)
@@ -217,10 +217,8 @@ def test_image_flag_oracle_agrees(z2):
             continue
         main = image_flag(ctx, i, m_max)
         for m in range(0, m_max + 1):
-            _, incl, _ = ctx.stage(m)
-            stage_total, stage_idx = ctx.stage_sections(m)
-            cm = global_sections_map(incl, stage_idx, bar_idx, stage_total,
-                                     bar_total)
+            cm = ctx.sections_map(ctx.stage(m)[1])
+            stage_total = cm.source
             vmax = 0
             d = stage_total.d(i)
             for row in d.data:
