@@ -421,11 +421,8 @@ def _splitting_compatibility(cx: ComplexContext, m: int) -> CheckResult:
             if gens.cols == 0:
                 continue
             hq = cx.quotient(grade.tau, i)
-            u = solve_exact(grade.stage.basis(i),
-                            grade_prev.stage.basis(i).scale(K.ring.xi))
-            if u is None:
-                out.fail(degree=i, m=m, reason="xi*stage(m-1) escaped stage(m)")
-                continue
+            # xi * stage(m-1) -> stage(m), as the subquotient's relations
+            u = cx.subquotient(m - 1).fp.rels(i)
             lhs = hq.coords_matrix(grade.comparison[i] @ (u @ gens).residue())
             rhs = hq.coords_matrix(jmaps[i] @ (grade_prev.comparison[i] @ gens.residue()))
             for j in range(gens.cols):

@@ -14,7 +14,10 @@ xi * stage(m) <= stage(m+1) <= stage(m).
 Quotients of consecutive stages are produced as finitely presented complexes
 together with the comparison maps onto truncations of K/xi.  Everything built
 from several stages takes a ``ComplexContext`` (bockstein module), which
-builds each stage of K once per call.
+builds each stage of K once per call: ``eta_filtration``,
+``xi_step_inclusion_holds``, ``graded_piece``, ``mod_xi_subquotient`` and
+``verify_eta_m_cohomology``.  ``is_stationary_stage`` takes the one stage it
+checks.
 """
 
 from __future__ import annotations
@@ -115,25 +118,25 @@ def eta_filtration(cx, m_max: int):
 
 
 def xi_step_inclusion_holds(cx, m: int) -> bool:
-    """Membership test for xi * stage(m) <= stage(m+1) <= stage(m)."""
-    K = cx.K
-    fine = cx.stage(m + 1)
-    coarse = cx.stage(m)
-    for i in K.degrees():
-        if solve_exact(coarse.basis(i), fine.basis(i)) is None:
-            return False
-        if solve_exact(fine.basis(i), coarse.basis(i).scale(K.ring.xi)) is None:
-            return False
+    """Membership test for xi * stage(m) <= stage(m+1) <= stage(m).
+
+    The context's inclusion and subquotient solve the two memberships; each
+    raises ArithmeticError when its membership fails.
+    """
+    try:
+        cx.inclusion(m)
+        cx.subquotient(m)
+    except ArithmeticError:
+        return False
     return True
 
 
-def is_stationary_stage(cx, m: int) -> bool:
-    """True when stage(m) equals xi^m * K on the nose (holds for m > hi)."""
-    K = cx.K
-    emb = cx.stage(m)
+def is_stationary_stage(emb: SubcomplexEmbedding) -> bool:
+    """True when the stage equals xi^m * K on the nose (holds for m > hi)."""
+    K = emb.ambient
     ring = K.ring
     for i in K.degrees():
-        scaled = Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
+        scaled = Matrix.scalar(ring, K.rank(i), ring.xi_power(emb.m))
         if solve_exact(emb.basis(i), scaled) is None:
             return False
         if solve_exact(scaled, emb.basis(i)) is None:

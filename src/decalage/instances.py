@@ -95,12 +95,31 @@ def random_unimodular(ring: BaseRing, n: int, rng: random.Random, steps=None) ->
     return Matrix(ring, data)
 
 
-def conjugate_complex(K: FreeComplex, mats: dict) -> FreeComplex:
-    """Base change in every degree: d -> P_{i+1} d P_i^{-1}."""
+def conjugate_complex(K: FreeComplex, rng: random.Random):
+    """A random base change P_i in every degree: d -> P_{i+1} d P_i^{-1}.
+
+    Returns the conjugated complex with the P_i and their inverses.
+    """
+    mats = {i: random_unimodular(K.ring, K.rank(i), rng) for i in K.degrees()}
     inv = {i: solve_exact(mats[i], Matrix.identity(K.ring, K.rank(i)))
            for i in K.degrees()}
     diffs = [mats[i + 1] @ K.d(i) @ inv[i] for i in range(K.lo, K.hi)]
-    return FreeComplex(K.ring, K.lo, [K.rank(i) for i in K.degrees()], diffs, K.twist)
+    conjugated = FreeComplex(K.ring, K.lo, [K.rank(i) for i in K.degrees()], diffs, K.twist)
+    return conjugated, mats, inv
+
+
+def conjugate_sheaf(F: SheafComplex, rng: random.Random) -> SheafComplex:
+    """A random stalkwise base change of F, drawn element by element."""
+    site = F.site
+    stalks, mats, inv = {}, {}, {}
+    for x in site.elements:
+        stalks[x], mats[x], inv[x] = conjugate_complex(F.stalk(x), rng)
+    restrictions = {}
+    for a, b in site.strict_pairs():
+        maps = {i: mats[b][i] @ F.res(a, b).map(i) @ inv[a][i]
+                for i in F.stalk(a).degrees()}
+        restrictions[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
+    return SheafComplex(site, stalks, restrictions)
 
 
 class _Piece:
@@ -149,9 +168,7 @@ def random_complex(ring: BaseRing, rng: random.Random, max_degree=2, max_rank=3,
     """Random valid complex: conjugated sum of shells and free lines."""
     hi = rng.randint(1, max(1, max_degree))
     pieces = _random_pieces(ring, rng, hi, max_rank, torsion_free)
-    K = _pieces_complex(ring, pieces, hi)
-    mats = {i: random_unimodular(ring, K.rank(i), rng) for i in K.degrees()}
-    return conjugate_complex(K, mats)
+    return conjugate_complex(_pieces_complex(ring, pieces, hi), rng)[0]
 
 
 def _piece_hom(ring, rng, src: _Piece, tgt: _Piece):
@@ -219,17 +236,7 @@ def _piece_offsets(pieces, hi):
 def conjugated_constant_sheaf(site: PosetSite, K: FreeComplex,
                               rng: random.Random) -> SheafComplex:
     """Constant sheaf of K, twisted by a random base change at every element."""
-    ring = K.ring
-    mats = {x: {i: random_unimodular(ring, K.rank(i), rng) for i in K.degrees()}
-            for x in site.elements}
-    inv = {x: {i: solve_exact(mats[x][i], Matrix.identity(ring, K.rank(i)))
-               for i in K.degrees()} for x in site.elements}
-    stalks = {x: conjugate_complex(K, mats[x]) for x in site.elements}
-    restrictions = {}
-    for a, b in site.strict_pairs():
-        maps = {i: mats[b][i] @ inv[a][i] for i in K.degrees()}
-        restrictions[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
-    return SheafComplex(site, stalks, restrictions)
+    return conjugate_sheaf(SheafComplex.constant(site, K), rng)
 
 
 def height_graded_sheaf(site: PosetSite, ring, rng: random.Random,
@@ -255,20 +262,9 @@ def height_graded_sheaf(site: PosetSite, ring, rng: random.Random,
             cm = ladder[j].after(cm)
         return cm
 
-    mats = {x: {i: random_unimodular(ring, levels[heights[x]].rank(i), rng)
-                for i in levels[heights[x]].degrees()} for x in site.elements}
-    inv = {x: {i: solve_exact(mats[x][i],
-                              Matrix.identity(ring, levels[heights[x]].rank(i)))
-               for i in levels[heights[x]].degrees()} for x in site.elements}
-    stalks = {x: conjugate_complex(levels[heights[x]], mats[x])
-              for x in site.elements}
-    restrictions = {}
-    for a, b in site.strict_pairs():
-        cm = composite(heights[a], heights[b])
-        maps = {i: mats[b][i] @ cm.map(i) @ inv[a][i]
-                for i in range(0, hi + 1)}
-        restrictions[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
-    return SheafComplex(site, stalks, restrictions)
+    stalks = {x: levels[heights[x]] for x in site.elements}
+    restrictions = {(a, b): composite(heights[a], heights[b]) for a, b in site.strict_pairs()}
+    return conjugate_sheaf(SheafComplex(site, stalks, restrictions), rng)
 
 
 def resolution_witness_sheaf(ring: BaseRing, rng: random.Random | None = None) -> SheafComplex:
@@ -321,17 +317,7 @@ def resolution_witness_sheaf(ring: BaseRing, rng: random.Random | None = None) -
     if rng is None:
         return F
     # a stalkwise base change preserves everything the witness is for
-    mats = {x: {i: random_unimodular(ring, F.stalk(x).rank(i), rng)
-                for i in F.stalk(x).degrees()} for x in site.elements}
-    inv = {x: {i: solve_exact(mats[x][i], Matrix.identity(ring, F.stalk(x).rank(i)))
-               for i in F.stalk(x).degrees()} for x in site.elements}
-    stalks2 = {x: conjugate_complex(F.stalk(x), mats[x]) for x in site.elements}
-    res2 = {}
-    for a, b in site.strict_pairs():
-        maps = {i: mats[b][i] @ F.res(a, b).map(i) @ inv[a][i]
-                for i in F.stalk(a).degrees()}
-        res2[(a, b)] = ChainMap(stalks2[a], stalks2[b], maps)
-    return SheafComplex(site, stalks2, res2)
+    return conjugate_sheaf(F, rng)
 
 
 _SITES = ("point", "pseudo-circle", "chain3", "sphere")

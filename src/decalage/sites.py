@@ -4,9 +4,12 @@ A sheaf complex assigns a termwise-free complex to every element and a
 restriction chain map to every comparable pair, covariantly (K(x) -> K(y)
 for x <= y).  Global sections are computed as the total complex of the
 ordered-chain cochain complex: degree-n cochains take one value per strictly
-increasing chain x_0 < ... < x_n, living in the stalk at the top element,
-with the alternating-face differential (restriction on the last face) and
-the internal differential signed by (-1)^n.
+increasing chain x_0 < ... < x_n, living in the stalk at the top element.
+The coboundary is assembled face by face on each target chain c: the
+component from the face that drops c[j] has sign (-1)^j and is the identity,
+except that dropping the top element applies the restriction from the new
+top to c[-1].  The internal differential of the top stalk carries the sign
+(-1)^n.
 
 With this variance convention H^0 is the inverse limit over the poset, and
 for a sheaf concentrated in one internal degree the answer is the simplicial
@@ -20,7 +23,8 @@ from __future__ import annotations
 from .complexes import ChainMap, FreeComplex, truncate_leq, hodge_filtration
 from .kmatrix import solve_field
 from .rmatrix import Matrix, solve_exact
-from .bockstein import ComplexContext, Memo, bockstein_complex
+from .bockstein import Memo, bockstein_complex
+from .eta import SubcomplexEmbedding, eta_m
 
 
 class InvalidSheaf(ValueError):
@@ -138,9 +142,13 @@ class PosetSite:
 
 
 class SheafComplex:
-    """Stalkwise free sheaf of complexes on a finite poset site."""
+    """Stalkwise free sheaf of complexes on a finite poset site.
 
-    __slots__ = ("site", "ring", "stalks", "restrictions")
+    Nothing mutates a sheaf after construction, so its content key is
+    computed once, on first use.
+    """
+
+    __slots__ = ("site", "ring", "stalks", "restrictions", "_key")
 
     def __init__(self, site: PosetSite, stalks: dict, restrictions: dict):
         self.site = site
@@ -150,6 +158,7 @@ class SheafComplex:
         if len(rings) != 1:
             raise InvalidSheaf("stalks over mixed rings")
         self.ring = next(iter(rings))
+        self._key = None
         for e in site.elements:
             if e not in self.stalks:
                 raise InvalidSheaf(f"missing stalk at {e}")
@@ -164,16 +173,20 @@ class SheafComplex:
         return cls(site, stalks, res)
 
     def _content(self):
-        # a restriction is zero outside the degrees of its source stalk
-        maps = tuple(self.restrictions[(a, b)].map(i)
-                     for a, b in self.site.strict_pairs() for i in self.stalks[a].degrees())
-        return self.site, tuple(self.stalks[x] for x in self.site.elements), maps
+        """(hash, content): the site, the stalks and the restriction matrices."""
+        if self._key is None:
+            # a restriction is zero outside the degrees of its source stalk
+            maps = tuple(self.restrictions[(a, b)].map(i)
+                         for a, b in self.site.strict_pairs() for i in self.stalks[a].degrees())
+            content = (self.site, tuple(self.stalks[x] for x in self.site.elements), maps)
+            self._key = (hash(content), content)
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, SheafComplex) and other._content() == self._content()
 
     def __hash__(self):
-        return hash(self._content())
+        return self._content()[0]
 
     def stalk(self, x) -> FreeComplex:
         return self.stalks[x]
@@ -286,6 +299,18 @@ class SectionsIndex:
         return {(c, i): (off, size) for c, i, off, size in self.blocks.get(N, [])}
 
 
+def _block_matrix(ring, rows: int, cols: int, blocks) -> Matrix:
+    """A rows x cols matrix holding each (row offset, column offset, block).
+
+    The blocks do not overlap; every other entry is zero.
+    """
+    data = [[ring.zero()] * cols for _ in range(rows)]
+    for roff, coff, block in blocks:
+        for a, row in enumerate(block.data):
+            data[roff + a][coff:coff + block.cols] = row
+    return Matrix(ring, data, cols=cols)
+
+
 def global_sections_complex(F: SheafComplex):
     """Total complex of the ordered-chain cochain complex of F.
 
@@ -298,51 +323,25 @@ def global_sections_complex(F: SheafComplex):
     ranks = [idx.rank(N) for N in range(idx.lo, idx.hi + 1)]
     diffs = []
     for N in range(idx.lo, idx.hi):
-        src = idx.blocks.get(N, [])
-        tgt_loc = idx.locate(N + 1)
-        rows, cols = idx.rank(N + 1), idx.rank(N)
-        data = [[ring.zero()] * cols for _ in range(rows)]
-
-        def add_block(roff, coff, mat, sign):
-            for a in range(mat.rows):
-                for b in range(mat.cols):
-                    v = mat.entry(a, b)
-                    if sign < 0:
-                        v = ring.neg(v)
-                    data[roff + a][coff + b] = ring.add(data[roff + a][coff + b], v)
-
-        for c, i, coff, size in src:
+        src_loc = idx.locate(N)
+        blocks = []
+        for c, i, roff, size in idx.blocks[N + 1]:
             n = len(c) - 1
-            stalk_top = F.stalk(c[-1])
-            # internal differential with sign (-1)^n
-            tgt = tgt_loc.get((c, i + 1))
-            if tgt is not None:
-                add_block(tgt[0], coff, stalk_top.d(i), 1 if n % 2 == 0 else -1)
-            # combinatorial faces: this chain is a face of longer chains
-            for e in F.site.elements:
-                top = c[-1]
-                # insert e strictly inside or at the end: chains c' with dropping
-                # position j recovering c
-                # j < n'+1 cases: c' = c with e inserted, top unchanged
-                for j in range(n + 1):
-                    prev_ok = j == 0 or F.site.leq(c[j - 1], e)
-                    next_ok = F.site.leq(e, c[j]) and e != c[j]
-                    if j > 0 and e == c[j - 1]:
-                        next_ok = False
-                    if prev_ok and next_ok and (j == 0 or e != c[j - 1]):
-                        cprime = c[:j] + (e,) + c[j:]
-                        tgt = tgt_loc.get((cprime, i))
-                        if tgt is not None:
-                            ident = Matrix.identity(ring, size)
-                            add_block(tgt[0], coff, ident, 1 if j % 2 == 0 else -1)
-                # j = n'+1: e appended on top, restriction applied
-                if e != top and F.site.leq(top, e):
-                    cprime = c + (e,)
-                    tgt = tgt_loc.get((cprime, i))
-                    if tgt is not None:
-                        rmat = F.res(top, e).map(i)
-                        add_block(tgt[0], coff, rmat, 1 if (n + 1) % 2 == 0 else -1)
-        diffs.append(Matrix(ring, data, cols=cols))
+            # internal differential of the top stalk, with sign (-1)^n
+            src = src_loc.get((c, i - 1))
+            if src is not None:
+                d = F.stalk(c[-1]).d(i - 1)
+                blocks.append((roff, src[0], d if n % 2 == 0 else -d))
+            # the faces of c: dropping c[j] has sign (-1)^j, and dropping the
+            # top element restricts from the new top
+            for j in range(n + 1):
+                face = c[:j] + c[j + 1:]
+                src = src_loc.get((face, i))  # never the empty chain
+                if src is None:
+                    continue
+                block = Matrix.identity(ring, size) if j < n else F.res(face[-1], c[-1]).map(i)
+                blocks.append((roff, src[0], block if j % 2 == 0 else -block))
+        diffs.append(_block_matrix(ring, idx.rank(N + 1), idx.rank(N), blocks))
     total = FreeComplex(ring, idx.lo, ranks, diffs)
     total.validate()
     return total, idx
@@ -351,21 +350,12 @@ def global_sections_complex(F: SheafComplex):
 def global_sections_map(phi: SheafMap, src_idx: SectionsIndex, tgt_idx: SectionsIndex,
                         src_total: FreeComplex, tgt_total: FreeComplex) -> ChainMap:
     """RGamma of a sheaf map, blockwise on matching chains."""
-    ring = phi.target.ring
     maps = {}
     for N in range(min(src_idx.lo, tgt_idx.lo), max(src_idx.hi, tgt_idx.hi) + 1):
-        rows, cols = tgt_idx.rank(N), src_idx.rank(N)
-        data = [[ring.zero()] * cols for _ in range(rows)]
         tgt_loc = tgt_idx.locate(N)
-        for c, i, coff, size in src_idx.blocks.get(N, []):
-            tgt = tgt_loc.get((c, i))
-            if tgt is None:
-                continue
-            block = phi.map(c[-1]).map(i)
-            for a in range(block.rows):
-                for b in range(block.cols):
-                    data[tgt[0] + a][coff + b] = block.entry(a, b)
-        maps[N] = Matrix(ring, data, cols=cols)
+        blocks = [(tgt_loc[(c, i)][0], coff, phi.map(c[-1]).map(i))
+                  for c, i, coff, _ in src_idx.blocks.get(N, []) if (c, i) in tgt_loc]
+        maps[N] = _block_matrix(phi.target.ring, tgt_idx.rank(N), src_idx.rank(N), blocks)
     return ChainMap(src_total, tgt_total, maps)
 
 
@@ -373,23 +363,44 @@ def global_sections_map(phi: SheafMap, src_idx: SectionsIndex, tgt_idx: Sections
 # objectwise operations
 
 
+def _sheaf(F: SheafComplex, stalks: dict, restriction) -> SheafComplex:
+    """The sheaf on F's site with these stalks.
+
+    ``restriction(a, b, i)`` is the degree-i matrix of the restriction along
+    a <= b, asked for in every degree of the stalk at a.
+    """
+    return SheafComplex(F.site, stalks, {
+        (a, b): ChainMap(stalks[a], stalks[b],
+                         {i: restriction(a, b, i) for i in stalks[a].degrees()})
+        for a, b in F.site.strict_pairs()
+    })
+
+
+def _subsheaf(F: SheafComplex, parts: dict):
+    """The subsheaf with stalks ``parts[x] = (complex, inclusion into F(x))``.
+
+    Every inclusion is injective, so each restriction of F lifts uniquely
+    along them; it is solved for over the ring of F.  Returns the subsheaf
+    with its inclusion sheaf map.
+    """
+    solve = solve_field if F.ring.is_field else solve_exact
+
+    def lift(a, b, i):
+        moved = F.res(a, b).map(i) @ parts[a][1].map(i)
+        sol = solve(parts[b][1].map(i), moved)
+        if sol is None:
+            raise InvalidSheaf(f"restriction {a}<={b} does not preserve the subsheaf", (a, b))
+        return sol
+
+    sub = _sheaf(F, {x: parts[x][0] for x in F.site.elements}, lift)
+    return sub, SheafMap(sub, F, {x: parts[x][1] for x in F.site.elements})
+
+
 def sheaf_eta_m(ctx: "InstanceContext", m: int):
     """Objectwise decalage stage with induced restrictions and inclusion into F."""
     F = ctx.F
-    embs = {x: ctx.stalks[x].stage(m) for x in F.site.elements}
-    stalks = {x: embs[x].complex for x in F.site.elements}
-    restrictions = {}
-    for a, b in F.site.strict_pairs():
-        maps = {}
-        for i in range(F.lo(), F.hi() + 1):
-            moved = F.res(a, b).map(i) @ embs[a].basis(i)
-            sol = solve_exact(embs[b].basis(i), moved)
-            if sol is None:
-                raise InvalidSheaf(f"restriction {a}<={b} does not preserve the stage", (a, b))
-            maps[i] = sol
-        restrictions[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
-    sub = SheafComplex(F.site, stalks, restrictions)
-    incl = SheafMap(sub, F, {x: embs[x].iota for x in F.site.elements})
+    embs = {x: ctx.stalk_stage(x, m) for x in F.site.elements}
+    sub, incl = _subsheaf(F, {x: (embs[x].complex, embs[x].iota) for x in F.site.elements})
     return sub, incl, embs
 
 
@@ -412,13 +423,8 @@ def stage_reduction_map(ctx: "InstanceContext", m: int) -> ChainMap:
 
 def sheaf_reduce(F: SheafComplex) -> SheafComplex:
     """Objectwise reduction mod xi."""
-    stalks = {x: F.stalk(x).reduce_mod_xi() for x in F.site.elements}
-    restrictions = {}
-    for a, b in F.site.strict_pairs():
-        maps = {i: F.res(a, b).map(i).residue()
-                for i in range(F.lo(), F.hi() + 1)}
-        restrictions[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
-    return SheafComplex(F.site, stalks, restrictions)
+    return _sheaf(F, {x: F.stalk(x).reduce_mod_xi() for x in F.site.elements},
+                  lambda a, b, i: F.res(a, b).map(i).residue())
 
 
 def sheaf_truncate_leq(F: SheafComplex, m: int):
@@ -426,56 +432,27 @@ def sheaf_truncate_leq(F: SheafComplex, m: int):
 
     F is a sheaf over the residue field (F/xi on every caller's path).
     """
-    parts = {x: truncate_leq(F.stalk(x), m) for x in F.site.elements}
-    stalks = {x: parts[x][0] for x in F.site.elements}
-    restrictions = {}
-    for a, b in F.site.strict_pairs():
-        maps = {}
-        for i in range(F.lo(), F.hi() + 1):
-            moved = F.res(a, b).map(i) @ parts[a][1].map(i)
-            sol = solve_field(parts[b][1].map(i), moved)
-            if sol is None:
-                raise InvalidSheaf(f"restriction {a}<={b} does not preserve the truncation", (a, b))
-            maps[i] = sol
-        restrictions[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
-    sub = SheafComplex(F.site, stalks, restrictions)
-    incl = SheafMap(sub, F, {x: parts[x][1] for x in F.site.elements})
-    return sub, incl
+    return _subsheaf(F, {x: truncate_leq(F.stalk(x), m) for x in F.site.elements})
 
 
 def sheaf_hodge(F: SheafComplex, m: int):
     """Objectwise brutal truncation at m, with its inclusion sheaf map."""
-    parts = {x: hodge_filtration(F.stalk(x), m) for x in F.site.elements}
-    stalks = {x: parts[x][0] for x in F.site.elements}
-    restrictions = {}
-    for a, b in F.site.strict_pairs():
-        maps = {i: F.res(a, b).map(i)
-                for i in range(max(m, F.lo()), F.hi() + 1)}
-        restrictions[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
-    sub = SheafComplex(F.site, stalks, restrictions)
-    incl = SheafMap(sub, F, {x: parts[x][1] for x in F.site.elements})
-    return sub, incl
+    return _subsheaf(F, {x: hodge_filtration(F.stalk(x), m) for x in F.site.elements})
 
 
 def sheaf_bockstein(ctx: "InstanceContext"):
     """Objectwise Bockstein complex with induced restrictions, over k."""
     F = ctx.F
     bcs = {x: bockstein_complex(ctx, F.stalk(x)) for x in F.site.elements}
-    stalks = {x: bcs[x].as_complex() for x in F.site.elements}
-    kfield = next(iter(stalks.values())).ring
-    restrictions = {}
-    for a, b in F.site.strict_pairs():
-        maps = {}
-        for i in range(F.lo(), F.hi() + 1):
-            qa = bcs[a].quotients.get(i)
-            qb = bcs[b].quotients.get(i)
-            if qa is None or qb is None:
-                maps[i] = Matrix.zeros(kfield, bcs[b].dim(i), bcs[a].dim(i))
-                continue
-            resbar = F.res(a, b).map(i).residue()
-            maps[i] = qb.coords_matrix(resbar @ qa.rep_matrix())
-        restrictions[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
-    return SheafComplex(F.site, stalks, restrictions), bcs
+
+    def restriction(a, b, i):
+        qa, qb = bcs[a].quotients[i], bcs[b].quotients.get(i)
+        if qb is None:
+            return Matrix.zeros(bcs[b].field, 0, qa.dim)
+        return qb.coords_matrix(F.res(a, b).map(i).residue() @ qa.rep_matrix())
+
+    omega = _sheaf(F, {x: bcs[x].as_complex() for x in F.site.elements}, restriction)
+    return omega, bcs
 
 
 def bockstein_term_sheaf(ctx: "InstanceContext", q: int, place_at: int = 0):
@@ -486,15 +463,9 @@ def bockstein_term_sheaf(ctx: "InstanceContext", q: int, place_at: int = 0):
     """
     F = ctx.F
     omega, _ = ctx.bockstein()
-    stalks = {}
-    for x in F.site.elements:
-        dim = omega.stalk(x).rank(q)
-        stalks[x] = FreeComplex.single(omega.ring, place_at, dim, twist=q)
-    restrictions = {}
-    for a, b in F.site.strict_pairs():
-        maps = {place_at: omega.res(a, b).map(q)}
-        restrictions[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
-    return SheafComplex(F.site, stalks, restrictions)
+    stalks = {x: FreeComplex.single(omega.ring, place_at, omega.stalk(x).rank(q), twist=q)
+              for x in F.site.elements}
+    return _sheaf(F, stalks, lambda a, b, i: omega.res(a, b).map(q))
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +475,19 @@ def bockstein_term_sheaf(ctx: "InstanceContext", q: int, place_at: int = 0):
 class InstanceContext(Memo):
     """The objects of one sheaf complex F that the theorem path shares.
 
-    ``stalks[x]`` is the ComplexContext of the stalk at x.  Sections come as
-    (complex, index) pairs, one per sheaf content: equal sheaves built
+    Stalk stages are kept one per stalk content, and sections as (complex,
+    index) pairs one per sheaf content: equal stalks or sheaves built
     separately share them.  Higher layers keep their own objects via ``once``.
     """
 
     def __init__(self, F: SheafComplex):
         super().__init__()
         self.F = F
-        self.stalks = {x: ComplexContext(F.stalk(x)) for x in F.site.elements}
+
+    def stalk_stage(self, x, m: int) -> SubcomplexEmbedding:
+        """Stage m of the stalk at x, as eta_m."""
+        K = self.F.stalk(x)
+        return self.once(("stalk-stage", K, m), eta_m, K, m)
 
     def sections(self, G: SheafComplex):
         """RGamma(G) as ``global_sections_complex``."""

@@ -371,7 +371,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
 
     stationary = CheckResult("torsion-free.stage-stationarity")
     for x in F.site.elements:
-        stationary.expect(is_stationary_stage(ctx.stalks[x], m_max), element=x, m=m_max)
+        stationary.expect(is_stationary_stage(ctx.stalk_stage(x, m_max)), element=x, m=m_max)
     report.add_check(stationary)
 
     total, _ = ctx.sections(F)
