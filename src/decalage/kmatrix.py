@@ -31,10 +31,15 @@ def rref(M: Matrix):
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = F.inv_unit(rows[r][c])
         rows[r] = [F.mul(inv, x) for x in rows[r]]
+        # subtracting f * (pivot row) changes a row only at the pivot row's
+        # nonzero columns
+        support = [(j, x) for j, x in enumerate(rows[r]) if not F.is_zero(x)]
         for i in range(nr):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(rows[i][j], F.mul(f, rows[r][j])) for j in range(nc)]
+            row = rows[i]
+            f = row[c]
+            if i != r and not F.is_zero(f):
+                for j, x in support:
+                    row[j] = F.sub(row[j], F.mul(f, x))
         pivots.append(c)
         r += 1
         if r == nr:

@@ -196,6 +196,9 @@ class PrimeField(BaseRing):
     def one(self):
         return 1
 
+    def is_zero(self, a):
+        return a == 0
+
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -255,6 +258,9 @@ class RationalField(BaseRing):
 
     def one(self):
         return Fraction(1)
+
+    def is_zero(self, a):
+        return a == 0
 
     def add(self, a, b):
         return a + b
@@ -324,6 +330,9 @@ class IntegerRing(BaseRing):
 
     def one(self):
         return 1
+
+    def is_zero(self, a):
+        return a == 0
 
     def add(self, a, b):
         return a + b

@@ -97,12 +97,18 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         R = self.ring
+        is_zero, add, mul = R.is_zero, R.add, R.mul
+        # row t of the right factor as its nonzero (j, b_tj) pairs; each output
+        # row accumulates a_it * (row t) over the nonzero a_it only
+        sparse = [[(j, x) for j, x in enumerate(row) if not is_zero(x)] for row in other.data]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(R.sum(R.mul(self.data[i][t], other.data[t][j]) for t in range(self.cols)))
-            out.append(row)
+        for arow in self.data:
+            acc = [R.zero()] * other.cols
+            for a, brow in zip(arow, sparse):
+                if brow and not is_zero(a):
+                    for j, b in brow:
+                        acc[j] = add(acc[j], mul(a, b))
+            out.append(acc)
         return Matrix(R, out, cols=other.cols)
 
     def __add__(self, other):
@@ -164,16 +170,6 @@ class Matrix:
     def xi_divide(self, e: int) -> "Matrix":
         R = self.ring
         return self.map_entries(lambda x: R.xi_divide(x, e))
-
-    def apply(self, vec):
-        """Matrix times column vector (a sequence of ring elements)."""
-        if len(vec) != self.cols:
-            raise ShapeMismatch("vector length mismatch")
-        R = self.ring
-        return tuple(
-            R.sum(R.mul(self.data[i][t], vec[t]) for t in range(self.cols))
-            for i in range(self.rows)
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from .complexes import ChainMap, FreeComplex, truncate_leq, hodge_filtration
 from .kmatrix import solve_field
 from .rmatrix import Matrix, solve_exact
-from .bockstein import Memo, bockstein_complex
+from .bockstein import BocksteinComplex, Memo, bockstein_complex
 from .eta import SubcomplexEmbedding, eta_m
 
 
@@ -443,7 +443,7 @@ def sheaf_hodge(F: SheafComplex, m: int):
 def sheaf_bockstein(ctx: "InstanceContext"):
     """Objectwise Bockstein complex with induced restrictions, over k."""
     F = ctx.F
-    bcs = {x: bockstein_complex(ctx, F.stalk(x)) for x in F.site.elements}
+    bcs = {x: ctx.stalk_bockstein(x) for x in F.site.elements}
 
     def restriction(a, b, i):
         qa, qb = bcs[a].quotients[i], bcs[b].quotients.get(i)
@@ -475,9 +475,10 @@ def bockstein_term_sheaf(ctx: "InstanceContext", q: int, place_at: int = 0):
 class InstanceContext(Memo):
     """The objects of one sheaf complex F that the theorem path shares.
 
-    Stalk stages are kept one per stalk content, and sections as (complex,
-    index) pairs one per sheaf content: equal stalks or sheaves built
-    separately share them.  Higher layers keep their own objects via ``once``.
+    Stalk stages and Bockstein complexes are kept one per stalk content, and
+    sections as (complex, index) pairs one per sheaf content: equal stalks or
+    sheaves built separately share them.  Higher layers keep their own
+    objects via ``once``.
     """
 
     def __init__(self, F: SheafComplex):
@@ -488,6 +489,11 @@ class InstanceContext(Memo):
         """Stage m of the stalk at x, as eta_m."""
         K = self.F.stalk(x)
         return self.once(("stalk-stage", K, m), eta_m, K, m)
+
+    def stalk_bockstein(self, x) -> BocksteinComplex:
+        """The Bockstein complex of the stalk at x, as bockstein_complex."""
+        K = self.F.stalk(x)
+        return self.once(("stalk-bockstein", K), bockstein_complex, self, K)
 
     def sections(self, G: SheafComplex):
         """RGamma(G) as ``global_sections_complex``."""

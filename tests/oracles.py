@@ -7,7 +7,9 @@ construction, the cycle spaces Z_r(p, n) of a filtered complex as an
 intersection with a preimage taken through a quotient map, the Bockstein
 differential and the Hodge-stage comparison one class at a time, and the
 lattice / image flags from Gaussian elimination over the truncated ring
-R/xi^N instead of exact Smith form machinery.
+R/xi^N instead of exact Smith form machinery.  The dense product, the dense
+matrix-vector product and the dense RREF row update are kept here as the
+references for the library's zero-skipping kernels.
 """
 
 from __future__ import annotations
@@ -19,6 +21,64 @@ from decalage.bockstein import k_cohomology_quotient
 from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
 from decalage.rings import IntegerRing, PolynomialRing
 from decalage.rmatrix import Matrix, ShapeMismatch
+
+
+# ---------------------------------------------------------------------------
+# dense kernels: every entry of every row, zeros included
+
+
+def dense_matmul(A: Matrix, B: Matrix) -> Matrix:
+    """A @ B with each entry summed over the full inner index."""
+    if A.cols != B.rows:
+        raise ShapeMismatch(f"{A.rows}x{A.cols} @ {B.rows}x{B.cols}")
+    R = A.ring
+    out = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            row.append(R.sum(R.mul(A.data[i][t], B.data[t][j]) for t in range(A.cols)))
+        out.append(row)
+    return Matrix(R, out, cols=B.cols)
+
+
+def apply(M: Matrix, vec):
+    """M times a column vector (a sequence of ring elements)."""
+    if len(vec) != M.cols:
+        raise ShapeMismatch("vector length mismatch")
+    R = M.ring
+    return tuple(
+        R.sum(R.mul(M.data[i][t], vec[t]) for t in range(M.cols))
+        for i in range(M.rows)
+    )
+
+
+def dense_rref(M: Matrix):
+    """Row-reduced echelon form, each row update across all columns."""
+    F = M.ring
+    rows = [list(r) for r in M.data]
+    nr, nc = M.rows, M.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = None
+        for i in range(r, nr):
+            if not F.is_zero(rows[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv_unit(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(nr):
+            if i != r and not F.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [F.sub(rows[i][j], F.mul(f, rows[r][j])) for j in range(nc)]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Matrix(F, rows, cols=nc), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +238,7 @@ def beta_oracle(K, rng=None) -> dict:
             if rng is not None:
                 lifted = [ring.add(x, ring.mul(ring.xi, ring.lift(rng.randrange(field.p))))
                           for x in lifted]
-            dx = K.d(i).apply(lifted)
+            dx = apply(K.d(i), lifted)
             cols.append(tgt.coords([ring.residue(ring.xi_divide(x, 1)) for x in dx]))
         beta[i] = Matrix.from_columns(field, cols, rows=tgt.dim)
     return beta
@@ -550,7 +610,7 @@ def image_flag_oracle(ring, stage_total, incl_matrix, i: int, m: int, hq, N: int
     gens = trunc_kernel_generators(tr, stage_total.d(i))
     vecs = []
     for g in gens:
-        moved = incl_matrix.apply([tr.cut(x) for x in g])
+        moved = apply(incl_matrix, [tr.cut(x) for x in g])
         divided = []
         for x in moved:
             if tr.val(x) < m:

@@ -1,5 +1,6 @@
 """The caching contract: one context per top-level call, each stage built once,
-each cohomology group computed once and each sheaf's sections built once."""
+each cohomology group computed once, each stalk's Bockstein complex built once
+and each sheaf's sections built once."""
 
 import importlib
 import json
@@ -78,6 +79,27 @@ def test_main_theorem_builds_each_stalk_stage_once_per_call(monkeypatch, z2):
     calls.clear()
     assert verify_main_theorem(F).to_json() == first
     assert sum(calls.values()) == built
+
+
+def test_main_theorem_builds_each_stalk_bockstein_once_per_call(monkeypatch, z2):
+    F = generate_instance("h1", 33, ring=z2, site=PosetSite.pseudo_circle())
+    stalks = {F.stalk(x) for x in F.site.elements}
+    assert len(stalks) < len(F.site.elements)  # equal stalks share one complex
+    calls = Counter()
+    build = bockstein.bockstein_complex
+
+    def counted(ctx, K, rng=None):
+        calls[K] += 1
+        return build(ctx, K, rng)
+
+    assert sites in patch_everywhere(monkeypatch, bockstein, "bockstein_complex", counted)
+    first = verify_main_theorem(F).to_json()
+    assert set(calls) == stalks and max(calls.values()) == 1
+    built = sum(calls.values())
+    calls.clear()
+    # nothing survives the first call: the second builds the same complexes again
+    assert verify_main_theorem(F).to_json() == first
+    assert sum(calls.values()) == built and max(calls.values()) == 1
 
 
 def complex_key(K):
