@@ -20,7 +20,7 @@ from .checks import CheckResult
 from .complexes import FGModule, FreeComplex, cohomology_presentation, hodge_filtration, truncate_leq
 from .eta import eta_m, graded_piece, mod_xi_subquotient, stage_inclusion
 from .kmatrix import QuotientSpace, field_rank, kernel_cols, solve_field
-from .rmatrix import Matrix, solve_exact
+from .rmatrix import Matrix, ShapeMismatch, SNFResult, snf
 
 
 def k_cohomology_quotient(cx: FreeComplex, i: int) -> QuotientSpace:
@@ -128,26 +128,59 @@ def beta_squared_is_zero(bc: BocksteinComplex) -> bool:
 # one complex's stages and Bockstein data, built once per call
 
 
+_MISSING = object()
+
+
 class Memo:
     """Builds each keyed object once; a context lives for one top-level call.
 
-    A context is also the one place where cohomology is computed.  Groups are
-    keyed by the complex itself: equal free complexes built separately share
-    one entry, finitely presented ones (built once per context) are keyed by
-    identity.
+    A context is also the one place where cohomology is computed and where
+    matrices are factored.  Groups are keyed by the complex itself: equal
+    free complexes built separately share one entry, finitely presented ones
+    (built once per context) are keyed by identity.  Factorizations are keyed
+    by matrix content, and kernels, images and solves are views of them.
     """
 
     def __init__(self):
         self._built = {}
 
     def once(self, key, build, *args):
-        if key not in self._built:
-            self._built[key] = build(*args)
-        return self._built[key]
+        built = self._built.get(key, _MISSING)
+        if built is _MISSING:
+            built = self._built[key] = build(*args)
+        return built
+
+    def factor(self, M: Matrix) -> SNFResult:
+        """The Smith normal form of M, as ``snf``."""
+        return self.once(("factor", M), snf, M)
+
+    def kernel(self, M: Matrix) -> Matrix:
+        """Basis of ker(M), as ``kernel_basis``."""
+        return self.factor(M).kernel()
+
+    def image(self, M: Matrix) -> Matrix:
+        """Basis of the column span of M, as ``image_basis``."""
+        return self.factor(M).image()
+
+    def solve(self, A: Matrix, B: Matrix):
+        """X with A @ X = B, or None, as ``solve_exact``."""
+        return self.factor(A).solve(B)
+
+    def preimage(self, A: Matrix, S: Matrix) -> Matrix:
+        """Basis of { x : A x in the column span of S }, as ``preimage_basis``."""
+        ker = self.kernel(A.hstack(S))
+        return self.image(ker.submatrix(0, A.cols, 0, ker.cols))
+
+    def intersect(self, A: Matrix, B: Matrix) -> Matrix:
+        """Basis of span(A) ∩ span(B), as ``intersect_spans``."""
+        if A.rows != B.rows:
+            raise ShapeMismatch("ambient mismatch")
+        ker = self.kernel(A.hstack(-B))
+        return self.image(A @ ker.submatrix(0, A.cols, 0, ker.cols))
 
     def presentation(self, K, i: int):
         """H^i(K) over R, as ``cohomology_presentation``."""
-        return self.once(("presentation", K, i), cohomology_presentation, K, i)
+        return self.once(("presentation", K, i), cohomology_presentation, self, K, i)
 
     def quotient(self, K: FreeComplex, i: int) -> QuotientSpace:
         """H^i(K) of a complex over k, as ``k_cohomology_quotient``."""
@@ -162,11 +195,12 @@ class ComplexContext(Memo):
         self.K = K
 
     def stage(self, m: int):
-        return self.once(("stage", m), eta_m, self.K, m)
+        return self.once(("stage", m), eta_m, self, self.K, m)
 
     def inclusion(self, m: int):
         """stage(m+1) -> stage(m)."""
-        return self.once(("inclusion", m), stage_inclusion, self.stage(m + 1), self.stage(m))
+        return self.once(("inclusion", m), stage_inclusion, self, self.stage(m + 1),
+                         self.stage(m))
 
     def graded(self, m: int):
         return self.once(("graded", m), graded_piece, self, m)
@@ -179,7 +213,7 @@ class ComplexContext(Memo):
 
     def truncation(self, m: int):
         """tau_{<=m}(K/xi) with its inclusion."""
-        return self.once(("truncation", m), truncate_leq, self.kbar(), m)
+        return self.once(("truncation", m), truncate_leq, self, self.kbar(), m)
 
     def bockstein(self) -> BocksteinComplex:
         return self.once("bockstein", bockstein_complex, self, self.K)
@@ -318,7 +352,7 @@ def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
             rhs = betas.column(j)
             # snake: lift z, apply d, pull back along the stage inclusion
             dz = stage.complex.d(m) @ z
-            y = solve_exact(inc.map(m + 1), dz)
+            y = cx.solve(inc.map(m + 1), dz)
             if y is None:
                 out.fail(m=m, generator=j, reason="snake image escaped the finer stage")
                 continue

@@ -14,14 +14,7 @@ each degree is generators-plus-relations, with differentials on generators.
 from __future__ import annotations
 
 from .rings import BaseRing
-from .rmatrix import (
-    Matrix,
-    ShapeMismatch,
-    kernel_basis,
-    preimage_basis,
-    snf,
-    solve_exact,
-)
+from .rmatrix import Matrix, ShapeMismatch, kernel_basis, solve_exact
 
 
 class DifferentialSquareNonzero(ValueError):
@@ -47,13 +40,6 @@ class FGModule:
         for f in self.factors:
             if ring.is_unit(f) or ring.is_zero(f):
                 raise ValueError("invariant factors must be nonzero non-units")
-
-    @classmethod
-    def from_cokernel(cls, ring, gens: int, rels: Matrix) -> "FGModule":
-        """Invariants of coker(rels: R^c -> R^gens)."""
-        if rels.rows != gens:
-            raise ShapeMismatch("relation matrix rows must equal generator count")
-        return cls.from_snf(ring, gens, snf(rels))
 
     @classmethod
     def from_snf(cls, ring, gens: int, res) -> "FGModule":
@@ -315,8 +301,9 @@ class FPModule:
         self.gens = gens
         self.rels = rels
 
-    def invariants(self, ring) -> FGModule:
-        return FGModule.from_cokernel(ring, self.gens, self.rels)
+    def invariants(self, ctx) -> FGModule:
+        """Invariants of coker(rels), factored by the context ``ctx``."""
+        return FGModule.from_snf(self.rels.ring, self.gens, ctx.factor(self.rels))
 
 
 class FPComplex:
@@ -371,8 +358,8 @@ class FPComplex:
                 if solve_exact(self.rels(i + 2), sq) is None:
                     raise DifferentialSquareNonzero(i)
 
-    def term_invariants(self, i: int) -> FGModule:
-        return self.module(i).invariants(self.ring)
+    def term_invariants(self, ctx, i: int) -> FGModule:
+        return self.module(i).invariants(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +375,27 @@ class CohomologyPresentation:
     in those coordinates.  ``snf`` is the Smith form of the relations: it
     gives the module invariants and coordinates on the free quotient (all
     torsion killed, which loses nothing for xi-torsion-free groups, since
-    primes away from xi act as units in the lattice story).
+    primes away from xi act as units in the lattice story).  ``basis_snf``
+    is the Smith form of ``gens_basis``, which coordinates are solved
+    against.  Both factorizations are given; their matrices are the basis and
+    the relations.
     """
 
-    __slots__ = ("ring", "ambient_gens", "gens_basis", "relations", "snf", "module")
+    __slots__ = ("ring", "ambient_gens", "gens_basis", "basis_snf", "relations", "snf",
+                 "module")
 
-    def __init__(self, ring, ambient_gens, gens_basis, relations):
+    def __init__(self, ring, ambient_gens, basis_snf, relations_snf):
         self.ring = ring
         self.ambient_gens = ambient_gens
-        self.gens_basis = gens_basis
-        self.relations = relations
-        self.snf = snf(relations)
-        self.module = FGModule.from_snf(ring, gens_basis.cols, self.snf)
+        self.gens_basis = basis_snf.matrix
+        self.basis_snf = basis_snf
+        self.relations = relations_snf.matrix
+        self.snf = relations_snf
+        self.module = FGModule.from_snf(ring, self.gens_basis.cols, relations_snf)
 
     def coords(self, M: Matrix) -> Matrix:
         """Presentation coordinates of columns of M (each must lie in N)."""
-        sol = solve_exact(self.gens_basis, M)
+        sol = self.basis_snf.solve(M)
         if sol is None:
             raise ValueError("column is not a cocycle for this presentation")
         return sol
@@ -419,23 +411,24 @@ class CohomologyPresentation:
         return self.gens_basis @ uinv.take_columns(range(self.snf.rank, uinv.cols))
 
 
-def _presentation(ring, gens_i, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation:
-    basis = preimage_basis(d_i, rels_next)
-    coords = solve_exact(basis, d_prev.hstack(rels_i))
+def _presentation(ctx, ring, gens_i, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation:
+    basis_snf = ctx.factor(ctx.preimage(d_i, rels_next))
+    coords = basis_snf.solve(d_prev.hstack(rels_i))
     if coords is None:
         raise ShapeMismatch("boundaries do not lie in the cocycle submodule")
-    return CohomologyPresentation(ring, gens_i, basis, coords)
+    return CohomologyPresentation(ring, gens_i, basis_snf, ctx.factor(coords))
 
 
-def cohomology_presentation(K, i: int) -> CohomologyPresentation:
+def cohomology_presentation(ctx, K, i: int) -> CohomologyPresentation:
+    """H^i(K), with every matrix factored by the context ``ctx``."""
     ring = K.ring
     if isinstance(K, FPComplex):
         return _presentation(
-            ring, K.gens(i), K.rels(i), K.rels(i + 1), K.d(i), K.d(i - 1)
+            ctx, ring, K.gens(i), K.rels(i), K.rels(i + 1), K.d(i), K.d(i - 1)
         )
     empty_i = Matrix.zeros(ring, K.rank(i), 0)
     empty_next = Matrix.zeros(ring, K.rank(i + 1), 0)
-    return _presentation(ring, K.rank(i), empty_i, empty_next, K.d(i), K.d(i - 1))
+    return _presentation(ctx, ring, K.rank(i), empty_i, empty_next, K.d(i), K.d(i - 1))
 
 
 def cocycles(K: FreeComplex, i: int) -> Matrix:
@@ -448,28 +441,31 @@ def boundaries(K: FreeComplex, i: int) -> Matrix:
     return K.d(i - 1)
 
 
-def induced_map(f: ChainMap, i: int) -> Matrix:
-    """Matrix of H^i(f) with respect to the computed presentations."""
-    src_pres = cohomology_presentation(f.source, i)
-    return cohomology_presentation(f.target, i).coords(f.map(i) @ src_pres.gens_basis)
+def induced_map(ctx, f: ChainMap, i: int) -> Matrix:
+    """Matrix of H^i(f) with respect to the context's presentations."""
+    src_pres = ctx.presentation(f.source, i)
+    return ctx.presentation(f.target, i).coords(f.map(i) @ src_pres.gens_basis)
 
 
 # ---------------------------------------------------------------------------
 # truncations, cones, sums
 
 
-def truncate_leq(K: FreeComplex, m: int):
-    """Canonical truncation: [... -> K^{m-1} -> Z^m -> 0] with its inclusion."""
+def truncate_leq(ctx, K: FreeComplex, m: int):
+    """Canonical truncation: [... -> K^{m-1} -> Z^m -> 0] with its inclusion.
+
+    Z^m is solved for through the context ``ctx``.
+    """
     if m >= K.hi:
         return K, ChainMap.identity(K)
     if m < K.lo:
         Z = FreeComplex.zero(K.ring, K.lo, K.hi, K.twist)
         return Z, ChainMap.zero(Z, K)
-    zbasis = kernel_basis(K.d(m))
+    zbasis = ctx.kernel(K.d(m))
     ranks = [K.rank(i) for i in range(K.lo, m)] + [zbasis.cols]
     diffs = [K.d(i) for i in range(K.lo, m - 1)]
     if m > K.lo:
-        last = solve_exact(zbasis, K.d(m - 1))
+        last = ctx.solve(zbasis, K.d(m - 1))
         if last is None:
             raise ShapeMismatch("image of d(m-1) escaped Z^m")
         diffs.append(last)

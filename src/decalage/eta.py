@@ -12,12 +12,13 @@ The family decreases in m and squeezes between xi-multiples:
 xi * stage(m) <= stage(m+1) <= stage(m).
 
 Quotients of consecutive stages are produced as finitely presented complexes
-together with the comparison maps onto truncations of K/xi.  Everything built
-from several stages takes a ``ComplexContext`` (bockstein module), which
-builds each stage of K once per call: ``eta_filtration``,
-``xi_step_inclusion_holds``, ``graded_piece``, ``mod_xi_subquotient`` and
-``verify_eta_m_cohomology``.  ``is_stationary_stage`` takes the one stage it
-checks.
+together with the comparison maps onto truncations of K/xi.  Every builder
+takes a context (a ``Memo``, bockstein module), which factors each matrix
+once per call.  Everything built from several stages takes a
+``ComplexContext``, which also builds each stage of K once per call:
+``eta_filtration``, ``xi_step_inclusion_holds``, ``graded_piece``,
+``mod_xi_subquotient`` and ``verify_eta_m_cohomology``.
+``is_stationary_stage`` takes the one stage it checks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from .checks import CheckResult
 from .complexes import ChainMap, FGModule, FPComplex, FPModule, FreeComplex
 from .kmatrix import field_rank, solve_field
-from .rmatrix import Matrix, preimage_basis, solve_exact
+from .rmatrix import Matrix
 
 
 class DegreeBelowZero(ValueError):
@@ -63,14 +64,17 @@ class SubcomplexEmbedding:
         return self.basis(i).xi_divide(self.m).residue()
 
 
-def _congruence_kernel_basis(K: FreeComplex, i: int) -> Matrix:
+def _congruence_kernel_basis(ctx, K: FreeComplex, i: int) -> Matrix:
     """Basis of { x in K^i : d(x) in xi*K^{i+1} } inside K^i."""
     ring = K.ring
-    return preimage_basis(K.d(i), Matrix.scalar(ring, K.rank(i + 1), ring.xi))
+    return ctx.preimage(K.d(i), Matrix.scalar(ring, K.rank(i + 1), ring.xi))
 
 
-def eta_m(K: FreeComplex, m: int) -> SubcomplexEmbedding:
-    """Stage m of the refined decalage filtration, as a scaled subcomplex of K."""
+def eta_m(ctx, K: FreeComplex, m: int) -> SubcomplexEmbedding:
+    """Stage m of the refined decalage filtration, as a scaled subcomplex of K.
+
+    Every matrix is factored by the context ``ctx``.
+    """
     if K.lo < 0:
         raise DegreeBelowZero(f"complex starts at degree {K.lo}")
     if m < 0:
@@ -81,11 +85,11 @@ def eta_m(K: FreeComplex, m: int) -> SubcomplexEmbedding:
         if i < m:
             bases[i] = Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
         else:
-            bases[i] = _congruence_kernel_basis(K, i).xi_scale(i)
+            bases[i] = _congruence_kernel_basis(ctx, K, i).xi_scale(i)
     diffs = []
     for i in range(K.lo, K.hi):
         moved = K.d(i) @ bases[i]
-        inner = solve_exact(bases[i + 1], moved)
+        inner = ctx.solve(bases[i + 1], moved)
         if inner is None:
             raise ArithmeticError(f"stage differential escaped the stage at degree {i}")
         diffs.append(inner)
@@ -94,16 +98,17 @@ def eta_m(K: FreeComplex, m: int) -> SubcomplexEmbedding:
     return SubcomplexEmbedding(E, iota, m)
 
 
-def eta(K: FreeComplex) -> SubcomplexEmbedding:
+def eta(ctx, K: FreeComplex) -> SubcomplexEmbedding:
     """The decalage subcomplex itself (stage m = 0)."""
-    return eta_m(K, 0)
+    return eta_m(ctx, K, 0)
 
 
-def stage_inclusion(finer: SubcomplexEmbedding, coarser: SubcomplexEmbedding) -> ChainMap:
+def stage_inclusion(ctx, finer: SubcomplexEmbedding,
+                    coarser: SubcomplexEmbedding) -> ChainMap:
     """The literal containment stage(m+1) <= stage(m) as a chain map."""
     maps = {}
     for i in coarser.ambient.degrees():
-        sol = solve_exact(coarser.basis(i), finer.basis(i))
+        sol = ctx.solve(coarser.basis(i), finer.basis(i))
         if sol is None:
             raise ArithmeticError(f"stages are not nested at degree {i}")
         maps[i] = sol
@@ -131,15 +136,15 @@ def xi_step_inclusion_holds(cx, m: int) -> bool:
     return True
 
 
-def is_stationary_stage(emb: SubcomplexEmbedding) -> bool:
+def is_stationary_stage(ctx, emb: SubcomplexEmbedding) -> bool:
     """True when the stage equals xi^m * K on the nose (holds for m > hi)."""
     K = emb.ambient
     ring = K.ring
     for i in K.degrees():
         scaled = Matrix.scalar(ring, K.rank(i), ring.xi_power(emb.m))
-        if solve_exact(emb.basis(i), scaled) is None:
+        if ctx.solve(emb.basis(i), scaled) is None:
             return False
-        if solve_exact(scaled, emb.basis(i)) is None:
+        if ctx.solve(scaled, emb.basis(i)) is None:
             return False
     return True
 
@@ -187,7 +192,7 @@ class GradedPiece:
                 right = self.tau.d(i) @ comp
                 out.expect(left == right, degree=i, reason="comparison does not commute with d")
             # termwise bijectivity
-            qdim = self.fp.term_invariants(i).k_dimension()
+            qdim = self.fp.term_invariants(cx, i).k_dimension()
             tdim = self.tau.rank(i)
             out.expect(qdim == tdim, degree=i, reason="term dimension mismatch",
                        quotient=qdim, truncation=tdim)
@@ -267,7 +272,7 @@ def mod_xi_subquotient(cx, m: int) -> ModXiSubquotient:
     ring = K.ring
     modules = []
     for i in K.degrees():
-        rel = solve_exact(finer.basis(i), stage.basis(i).scale(ring.xi))
+        rel = cx.solve(finer.basis(i), stage.basis(i).scale(ring.xi))
         if rel is None:
             raise ArithmeticError(f"xi*stage(m) escaped stage(m+1) at degree {i}")
         modules.append(FPModule(finer.complex.rank(i), rel))

@@ -41,8 +41,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        z, o = ring.zero(), ring.one()
-        return cls(ring, [[o if i == j else z for j in range(n)] for i in range(n)], cols=n)
+        return cls(ring, _identity_rows(ring, n), cols=n)
 
     @classmethod
     def from_columns(cls, ring, columns, rows=None):
@@ -181,7 +180,8 @@ class SNFResult:
 
     ``uinv`` and ``vinv`` are the exact inverses, accumulated alongside the
     elementary operations.  ``factors`` are the normalized nonzero diagonal
-    entries d_1 | d_2 | ...; ``rank`` is their count.
+    entries d_1 | d_2 | ...; ``rank`` is their count.  Kernel, image and
+    solve are views of the one factorization.
     """
 
     __slots__ = ("matrix", "d", "u", "uinv", "v", "vinv", "rank", "factors")
@@ -195,6 +195,53 @@ class SNFResult:
         self.vinv = vinv
         self.rank = rank
         self.factors = factors
+
+    def kernel(self) -> Matrix:
+        """Columns form an R-basis of ker(M) (free over a PID)."""
+        return self.v.take_columns(range(self.rank, self.matrix.cols))
+
+    def image(self) -> Matrix:
+        """Columns form an R-basis of the column span of M.
+
+        Each basis column is scaled so its first nonzero entry is in normal
+        form (positive / monic), keeping downstream bases reproducible to the
+        eye.
+        """
+        M = self.matrix
+        R = M.ring
+        cols = []
+        for i in range(self.rank):
+            d = self.d.entry(i, i)
+            col = [R.mul(d, self.uinv.entry(r, i)) for r in range(M.rows)]
+            lead = next((x for x in col if not R.is_zero(x)), None)
+            if lead is not None:
+                u, _ = R.unit_normalize(lead)
+                if not R.is_zero(R.sub(u, R.one())):
+                    inv = R.inv_unit(u)
+                    col = [R.mul(inv, x) for x in col]
+            cols.append(tuple(col))
+        return Matrix.from_columns(R, cols, rows=M.rows)
+
+    def solve(self, B: Matrix):
+        """Solve M @ X = B over the ring; None when no exact solution exists."""
+        M = self.matrix
+        if M.rows != B.rows:
+            raise ShapeMismatch("solve shape mismatch")
+        R = M.ring
+        C = self.u @ B
+        Y = [[R.zero()] * B.cols for _ in range(M.cols)]
+        for i in range(self.rank):
+            d = self.d.entry(i, i)
+            for j in range(B.cols):
+                q, r = R.divrem(C.entry(i, j), d)
+                if not R.is_zero(r):
+                    return None
+                Y[i][j] = q
+        for i in range(self.rank, M.rows):
+            for j in range(B.cols):
+                if not R.is_zero(C.entry(i, j)):
+                    return None
+        return self.v @ Matrix(R, Y, cols=B.cols)
 
 
 def _pivot(R, D, t, rows, cols):
@@ -210,19 +257,26 @@ def _pivot(R, D, t, rows, cols):
     return None if best is None else (best[1], best[2])
 
 
+def _identity_rows(R, n):
+    z, o = R.zero(), R.one()
+    return [[o if i == j else z for j in range(n)] for i in range(n)]
+
+
 def snf(M: Matrix) -> SNFResult:
     """Smith normal form by Euclidean elimination.
 
     Pivot choice: smallest Euclidean valuation, ties broken by lowest row
-    then column index, which makes the output deterministic.
+    then column index, which makes the output deterministic.  Row and column
+    updates touch only the nonzero entries of their source, in place.
     """
     R = M.ring
+    is_zero, add, mul = R.is_zero, R.add, R.mul
     rows, cols = M.rows, M.cols
     D = [list(r) for r in M.data]
-    U = [list(r) for r in Matrix.identity(R, rows).data]
-    Ui = [list(r) for r in Matrix.identity(R, rows).data]
-    V = [list(r) for r in Matrix.identity(R, cols).data]
-    Vi = [list(r) for r in Matrix.identity(R, cols).data]
+    U = _identity_rows(R, rows)
+    Ui = _identity_rows(R, rows)
+    V = _identity_rows(R, cols)
+    Vi = _identity_rows(R, cols)
 
     def row_swap(a, b):
         for X in (D, U):
@@ -233,10 +287,15 @@ def snf(M: Matrix) -> SNFResult:
     def row_addmul(dst, src, c):
         # row_dst += c * row_src; inverse op recorded in Ui columns
         for X in (D, U):
-            X[dst] = [R.add(X[dst][j], R.mul(c, X[src][j])) for j in range(len(X[dst]))]
+            out = X[dst]
+            for j, x in enumerate(X[src]):
+                if not is_zero(x):
+                    out[j] = add(out[j], mul(c, x))
         nc = R.neg(c)
-        for i in range(rows):
-            Ui[i][src] = R.add(Ui[i][src], R.mul(nc, Ui[i][dst]))
+        for row in Ui:
+            x = row[dst]
+            if not is_zero(x):
+                row[src] = add(row[src], mul(nc, x))
 
     def col_swap(a, b):
         for X in (D, Vi):
@@ -250,12 +309,16 @@ def snf(M: Matrix) -> SNFResult:
 
     def col_addmul(dst, src, c):
         # col_dst += c * col_src
-        for i in range(rows):
-            D[i][dst] = R.add(D[i][dst], R.mul(c, D[i][src]))
-        for i in range(cols):
-            V[i][dst] = R.add(V[i][dst], R.mul(c, V[i][src]))
+        for X in (D, V):
+            for row in X:
+                x = row[src]
+                if not is_zero(x):
+                    row[dst] = add(row[dst], mul(c, x))
         nc = R.neg(c)
-        Vi[src] = [R.add(Vi[src][j], R.mul(nc, Vi[dst][j])) for j in range(cols)]
+        out = Vi[src]
+        for j, x in enumerate(Vi[dst]):
+            if not is_zero(x):
+                out[j] = add(out[j], mul(nc, x))
 
     def row_scale(i, u):
         inv = R.inv_unit(u)
@@ -342,30 +405,12 @@ def snf(M: Matrix) -> SNFResult:
 
 def kernel_basis(M: Matrix) -> Matrix:
     """Columns form an R-basis of ker(M) (free over a PID)."""
-    res = snf(M)
-    return res.v.take_columns(range(res.rank, M.cols))
+    return snf(M).kernel()
 
 
 def image_basis(M: Matrix) -> Matrix:
-    """Columns form an R-basis of the column span of M.
-
-    Each basis column is scaled so its first nonzero entry is in normal form
-    (positive / monic), keeping downstream bases reproducible to the eye.
-    """
-    R = M.ring
-    res = snf(M)
-    cols = []
-    for i in range(res.rank):
-        d = res.d.entry(i, i)
-        col = [R.mul(d, res.uinv.entry(r, i)) for r in range(M.rows)]
-        lead = next((x for x in col if not R.is_zero(x)), None)
-        if lead is not None:
-            u, _ = R.unit_normalize(lead)
-            if not R.is_zero(R.sub(u, R.one())):
-                inv = R.inv_unit(u)
-                col = [R.mul(inv, x) for x in col]
-        cols.append(tuple(col))
-    return Matrix.from_columns(M.ring, cols, rows=M.rows)
+    """Columns form an R-basis of the column span of M, as ``SNFResult.image``."""
+    return snf(M).image()
 
 
 def preimage_basis(A: Matrix, S: Matrix) -> Matrix:
@@ -374,38 +419,14 @@ def preimage_basis(A: Matrix, S: Matrix) -> Matrix:
     return image_basis(ker.submatrix(0, A.cols, 0, ker.cols))
 
 
-def rank(M: Matrix) -> int:
-    return snf(M).rank
-
-
 def solve_exact(A: Matrix, B: Matrix):
     """Solve A @ X = B over the ring; None when no exact solution exists."""
-    if A.rows != B.rows:
-        raise ShapeMismatch("solve shape mismatch")
-    R = A.ring
-    res = snf(A)
-    C = res.u @ B
-    Y = [[R.zero()] * B.cols for _ in range(A.cols)]
-    for i in range(res.rank):
-        d = res.d.entry(i, i)
-        for j in range(B.cols):
-            q, r = R.divrem(C.entry(i, j), d)
-            if not R.is_zero(r):
-                return None
-            Y[i][j] = q
-    for i in range(res.rank, A.rows):
-        for j in range(B.cols):
-            if not R.is_zero(C.entry(i, j)):
-                return None
-    return res.v @ Matrix(R, Y, cols=B.cols)
+    return snf(A).solve(B)
 
 
 def intersect_spans(A: Matrix, B: Matrix) -> Matrix:
     """Basis of span(A) ∩ span(B) inside the common ambient R^rows."""
     if A.rows != B.rows:
         raise ShapeMismatch("ambient mismatch")
-    stacked = A.hstack(-B)
-    ker = kernel_basis(stacked)
-    xpart = ker.submatrix(0, A.cols, 0, ker.cols)
-    return image_basis(A @ xpart)
-
+    ker = kernel_basis(A.hstack(-B))
+    return image_basis(A @ ker.submatrix(0, A.cols, 0, ker.cols))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .complexes import ChainMap, FreeComplex, truncate_leq, hodge_filtration
 from .kmatrix import solve_field
-from .rmatrix import Matrix, solve_exact
+from .rmatrix import Matrix
 from .bockstein import BocksteinComplex, Memo, bockstein_complex
 from .eta import SubcomplexEmbedding, eta_m
 
@@ -376,14 +376,15 @@ def _sheaf(F: SheafComplex, stalks: dict, restriction) -> SheafComplex:
     })
 
 
-def _subsheaf(F: SheafComplex, parts: dict):
+def _subsheaf(ctx: "InstanceContext", F: SheafComplex, parts: dict):
     """The subsheaf with stalks ``parts[x] = (complex, inclusion into F(x))``.
 
     Every inclusion is injective, so each restriction of F lifts uniquely
-    along them; it is solved for over the ring of F.  Returns the subsheaf
-    with its inclusion sheaf map.
+    along them; it is solved for over the ring of F (through the context
+    ``ctx`` when that ring is not a field).  Returns the subsheaf with its
+    inclusion sheaf map.
     """
-    solve = solve_field if F.ring.is_field else solve_exact
+    solve = solve_field if F.ring.is_field else ctx.solve
 
     def lift(a, b, i):
         moved = F.res(a, b).map(i) @ parts[a][1].map(i)
@@ -400,7 +401,7 @@ def sheaf_eta_m(ctx: "InstanceContext", m: int):
     """Objectwise decalage stage with induced restrictions and inclusion into F."""
     F = ctx.F
     embs = {x: ctx.stalk_stage(x, m) for x in F.site.elements}
-    sub, incl = _subsheaf(F, {x: (embs[x].complex, embs[x].iota) for x in F.site.elements})
+    sub, incl = _subsheaf(ctx, F, {x: (embs[x].complex, embs[x].iota) for x in F.site.elements})
     return sub, incl, embs
 
 
@@ -427,17 +428,17 @@ def sheaf_reduce(F: SheafComplex) -> SheafComplex:
                   lambda a, b, i: F.res(a, b).map(i).residue())
 
 
-def sheaf_truncate_leq(F: SheafComplex, m: int):
+def sheaf_truncate_leq(ctx: "InstanceContext", F: SheafComplex, m: int):
     """Objectwise canonical truncation, with its inclusion sheaf map.
 
     F is a sheaf over the residue field (F/xi on every caller's path).
     """
-    return _subsheaf(F, {x: truncate_leq(F.stalk(x), m) for x in F.site.elements})
+    return _subsheaf(ctx, F, {x: truncate_leq(ctx, F.stalk(x), m) for x in F.site.elements})
 
 
-def sheaf_hodge(F: SheafComplex, m: int):
+def sheaf_hodge(ctx: "InstanceContext", F: SheafComplex, m: int):
     """Objectwise brutal truncation at m, with its inclusion sheaf map."""
-    return _subsheaf(F, {x: hodge_filtration(F.stalk(x), m) for x in F.site.elements})
+    return _subsheaf(ctx, F, {x: hodge_filtration(F.stalk(x), m) for x in F.site.elements})
 
 
 def sheaf_bockstein(ctx: "InstanceContext"):
@@ -488,7 +489,7 @@ class InstanceContext(Memo):
     def stalk_stage(self, x, m: int) -> SubcomplexEmbedding:
         """Stage m of the stalk at x, as eta_m."""
         K = self.F.stalk(x)
-        return self.once(("stalk-stage", K, m), eta_m, K, m)
+        return self.once(("stalk-stage", K, m), eta_m, self, K, m)
 
     def stalk_bockstein(self, x) -> BocksteinComplex:
         """The Bockstein complex of the stalk at x, as bockstein_complex."""
@@ -522,7 +523,7 @@ class InstanceContext(Memo):
 
     def truncation(self, q: int):
         """tau_{<=q}(F/xi) with its inclusion."""
-        return self.once(("truncation", q), sheaf_truncate_leq, self.reduced(), q)
+        return self.once(("truncation", q), sheaf_truncate_leq, self, self.reduced(), q)
 
     def bockstein(self):
         """(Bockstein sheaf, stalkwise Bockstein complexes), as sheaf_bockstein."""
@@ -533,4 +534,4 @@ class InstanceContext(Memo):
 
     def hodge(self, p: int):
         """The degree >= p part of the Bockstein sheaf with its inclusion."""
-        return self.once(("hodge", p), sheaf_hodge, self.bockstein()[0], p)
+        return self.once(("hodge", p), sheaf_hodge, self, self.bockstein()[0], p)

@@ -23,7 +23,7 @@ from .bockstein import k_cohomology_quotient  # noqa: F401 (perfbench/selftest.p
 from .checks import CheckResult
 from .eta import is_stationary_stage
 from .kmatrix import Subspace, field_rank
-from .rmatrix import Matrix, image_basis, intersect_spans, snf, solve_exact
+from .rmatrix import Matrix
 from .sites import (
     InstanceContext,
     SheafComplex,
@@ -47,33 +47,37 @@ class TorsionObstruction(ValueError):
 
 
 class Lattice:
-    """xi^shift * (column span of basis) inside the xi-inverted R^n."""
+    """xi^shift * (column span of basis) inside the xi-inverted R^n.
+
+    The context ``ctx`` factors the basis to check that it is nonsingular;
+    the lattice keeps no reference to it.
+    """
 
     __slots__ = ("n", "basis", "shift", "ambient")
 
-    def __init__(self, basis: Matrix, shift: int = 0, ambient: str = "ambient"):
+    def __init__(self, ctx, basis: Matrix, shift: int = 0, ambient: str = "ambient"):
         if basis.rows != basis.cols:
             raise SingularBasis("lattice basis must be square")
         self.n = basis.rows
         self.basis = basis
         self.shift = shift
         self.ambient = ambient
-        if self.n and snf(basis).rank != self.n:
+        if self.n and ctx.factor(basis).rank != self.n:
             raise SingularBasis("lattice basis is singular")
 
     @classmethod
-    def standard(cls, ring, n, ambient="ambient") -> "Lattice":
-        return cls(Matrix.identity(ring, n), 0, ambient)
+    def standard(cls, ctx, ring, n, ambient="ambient") -> "Lattice":
+        return cls(ctx, Matrix.identity(ring, n), 0, ambient)
 
-    def scaled(self, c: int) -> "Lattice":
-        return Lattice(self.basis, self.shift + c, self.ambient)
+    def scaled(self, ctx, c: int) -> "Lattice":
+        return Lattice(ctx, self.basis, self.shift + c, self.ambient)
 
 
-def relative_position(L: Lattice, L0: Lattice) -> list:
+def relative_position(ctx, L: Lattice, L0: Lattice) -> list:
     """xi-valuations of the elementary divisors of the pair, descending.
 
     Invariant under any basis change of either lattice that is invertible
-    over the localization at xi.
+    over the localization at xi.  The context ``ctx`` factors the matrices.
     """
     if L.n != L0.n:
         raise SingularBasis("lattices of different rank")
@@ -82,11 +86,12 @@ def relative_position(L: Lattice, L0: Lattice) -> list:
     if n == 0:
         return []
     # the largest invariant factor of L0 clears its inverse
-    clear = snf(L0.basis).factors[-1]
-    cleared = solve_exact(L0.basis, L.basis.scale(clear))
+    reference = ctx.factor(L0.basis)
+    clear = reference.factors[-1]
+    cleared = reference.solve(L.basis.scale(clear))
     if cleared is None:
         raise SingularBasis("could not clear the reference basis")
-    res = snf(cleared)
+    res = ctx.factor(cleared)
     v0 = ring.xi_valuation(clear)
     vals = [int(ring.xi_valuation(f)) - int(v0) + (L.shift - L0.shift)
             for f in res.factors]
@@ -156,14 +161,14 @@ class Flag:
         }
 
 
-def bb_filtration(L: Lattice, L0: Lattice) -> Flag:
+def bb_filtration(ctx, L: Lattice, L0: Lattice) -> Flag:
     """The two-lattice flag in L0/xi*L0, untwisted degree by degree.
 
     The first lattice is scaled by a xi-power c so it sits inside the
     second (simultaneous scaling shifts the flag index exactly); the choice
     c = max(0, -min relative position) keeps the scaled basis integral,
     since any negative leftover is bounded by the gcd valuation of the
-    entries.
+    entries.  The context ``ctx`` factors the matrices.
     """
     if L.n != L0.n:
         raise SingularBasis("lattices of different rank")
@@ -172,7 +177,7 @@ def bb_filtration(L: Lattice, L0: Lattice) -> Flag:
     kfield = ring.residue_field()
     if n == 0:
         return Flag(kfield, 0, {0: Subspace(kfield, 0)})
-    mus = relative_position(L, L0)
+    mus = relative_position(ctx, L, L0)
     c = max(0, -min(mus))
     eff = c + (L.shift - L0.shift)
     ml = L.basis.xi_scale(eff) if eff >= 0 else L.basis.xi_divide(-eff)
@@ -180,8 +185,8 @@ def bb_filtration(L: Lattice, L0: Lattice) -> Flag:
     spaces = {}
     top = max(mus) + c
     for m in range(0, top + 2):
-        inter = intersect_spans(ml, m0.xi_scale(m))
-        coords = solve_exact(m0, inter)
+        inter = ctx.intersect(ml, m0.xi_scale(m))
+        coords = ctx.solve(m0, inter)
         if coords is None:
             raise SingularBasis("intersection escaped the reference lattice")
         reduced = coords.xi_divide(m).residue()
@@ -220,11 +225,11 @@ def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> LatticePairData:
         raise TorsionObstruction(i, "stage")
     f = pres0.module.free_rank
     mapped = pres0.free_coords(incl.map(i) @ pres1.basis_cocycles())
-    lbasis = image_basis(mapped)
+    lbasis = ctx.image(mapped)
     if lbasis.cols != f:
         raise SingularBasis(f"stage lattice is not full rank at degree {i}")
-    return LatticePairData(Lattice(lbasis, 0, ambient=f"H^{i}"),
-                           Lattice.standard(ctx.F.ring, f, ambient=f"H^{i}"))
+    return LatticePairData(Lattice(ctx, lbasis, 0, ambient=f"H^{i}"),
+                           Lattice.standard(ctx, ctx.F.ring, f, ambient=f"H^{i}"))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +376,8 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
 
     stationary = CheckResult("torsion-free.stage-stationarity")
     for x in F.site.elements:
-        stationary.expect(is_stationary_stage(ctx.stalk_stage(x, m_max)), element=x, m=m_max)
+        stationary.expect(is_stationary_stage(ctx, ctx.stalk_stage(x, m_max)),
+                          element=x, m=m_max)
     report.add_check(stationary)
 
     total, _ = ctx.sections(F)
@@ -400,7 +406,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
             if report.asserted:
                 flag_check.fail(i=i, reason=str(exc))
             continue
-        bb = bb_filtration(pair.L, pair.L0)
+        bb = bb_filtration(ctx, pair.L, pair.L0)
         entry["relative_position"] = bb.jumps()
         # move the lattice flag into H^i of the reduced sections
         if rho.get(i) is not None and red_q.dim == rho[i].rows:

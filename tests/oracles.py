@@ -8,8 +8,9 @@ intersection with a preimage taken through a quotient map, the Bockstein
 differential and the Hodge-stage comparison one class at a time, and the
 lattice / image flags from Gaussian elimination over the truncated ring
 R/xi^N instead of exact Smith form machinery.  The dense product, the dense
-matrix-vector product and the dense RREF row update are kept here as the
-references for the library's zero-skipping kernels.
+matrix-vector product, the dense RREF row update and the dense Smith normal
+form are kept here as the references for the library's zero-skipping
+kernels.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations
 from decalage.bockstein import k_cohomology_quotient
 from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
 from decalage.rings import IntegerRing, PolynomialRing
-from decalage.rmatrix import Matrix, ShapeMismatch
+from decalage.rmatrix import Matrix, ShapeMismatch, SNFResult
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +81,148 @@ def dense_rref(M: Matrix):
             break
     return Matrix(F, rows, cols=nc), tuple(pivots)
 
+
+def _dense_pivot(R, D, t, rows, cols):
+    best = None
+    for i in range(t, rows):
+        for j in range(t, cols):
+            x = D[i][j]
+            if R.is_zero(x):
+                continue
+            key = (R.size(x), i, j)
+            if best is None or key < best[0]:
+                best = (key, i, j)
+    return None if best is None else (best[1], best[2])
+
+
+def dense_snf(M: Matrix) -> SNFResult:
+    """Smith normal form by Euclidean elimination, whole rows and columns.
+
+    The same pivot rules as ``snf``: smallest Euclidean valuation, ties
+    broken by lowest row then column index.
+    """
+    R = M.ring
+    rows, cols = M.rows, M.cols
+    D = [list(r) for r in M.data]
+    U = [list(r) for r in Matrix.identity(R, rows).data]
+    Ui = [list(r) for r in Matrix.identity(R, rows).data]
+    V = [list(r) for r in Matrix.identity(R, cols).data]
+    Vi = [list(r) for r in Matrix.identity(R, cols).data]
+
+    def row_swap(a, b):
+        for X in (D, U):
+            X[a], X[b] = X[b], X[a]
+        for i in range(rows):
+            Ui[i][a], Ui[i][b] = Ui[i][b], Ui[i][a]
+
+    def row_addmul(dst, src, c):
+        # row_dst += c * row_src; inverse op recorded in Ui columns
+        for X in (D, U):
+            X[dst] = [R.add(X[dst][j], R.mul(c, X[src][j])) for j in range(len(X[dst]))]
+        nc = R.neg(c)
+        for i in range(rows):
+            Ui[i][src] = R.add(Ui[i][src], R.mul(nc, Ui[i][dst]))
+
+    def col_swap(a, b):
+        for X in (D, Vi):
+            if X is D:
+                for i in range(rows):
+                    X[i][a], X[i][b] = X[i][b], X[i][a]
+            else:
+                X[a], X[b] = X[b], X[a]
+        for i in range(cols):
+            V[i][a], V[i][b] = V[i][b], V[i][a]
+
+    def col_addmul(dst, src, c):
+        # col_dst += c * col_src
+        for i in range(rows):
+            D[i][dst] = R.add(D[i][dst], R.mul(c, D[i][src]))
+        for i in range(cols):
+            V[i][dst] = R.add(V[i][dst], R.mul(c, V[i][src]))
+        nc = R.neg(c)
+        Vi[src] = [R.add(Vi[src][j], R.mul(nc, Vi[dst][j])) for j in range(cols)]
+
+    def row_scale(i, u):
+        inv = R.inv_unit(u)
+        D[i] = [R.mul(u, x) for x in D[i]]
+        U[i] = [R.mul(u, x) for x in U[i]]
+        for r in range(rows):
+            Ui[r][i] = R.mul(inv, Ui[r][i])
+
+    t = 0
+    n = min(rows, cols)
+    while t < n:
+        pv = _dense_pivot(R, D, t, rows, cols)
+        if pv is None:
+            break
+        i, j = pv
+        if i != t:
+            row_swap(i, t)
+        if j != t:
+            col_swap(j, t)
+        while True:
+            # clear the pivot column
+            restart = False
+            for i in range(t + 1, rows):
+                if R.is_zero(D[i][t]):
+                    continue
+                q, r = R.divrem(D[i][t], D[t][t])
+                row_addmul(i, t, R.neg(q))
+                if not R.is_zero(r):
+                    row_swap(i, t)
+                    restart = True
+                    break
+            if restart:
+                continue
+            # clear the pivot row
+            for j in range(t + 1, cols):
+                if R.is_zero(D[t][j]):
+                    continue
+                q, r = R.divrem(D[t][j], D[t][t])
+                col_addmul(j, t, R.neg(q))
+                if not R.is_zero(r):
+                    col_swap(j, t)
+                    restart = True
+                    break
+            if restart:
+                continue
+            if any(not R.is_zero(D[i][t]) for i in range(t + 1, rows)):
+                continue
+            # divisibility sweep: the pivot must divide the rest
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if not R.divides(D[t][t], D[i][j]):
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_addmul(t, offender, R.one())
+        t += 1
+
+    factors = []
+    for i in range(n):
+        x = D[i][i]
+        if R.is_zero(x):
+            break
+        u, nrm = R.unit_normalize(x)
+        if nrm != x:
+            row_scale(i, R.inv_unit(u))
+        factors.append(nrm)
+    rank = len(factors)
+
+    return SNFResult(
+        M,
+        Matrix(R, D, cols=cols),
+        Matrix(R, U, cols=rows),
+        Matrix(R, Ui, cols=rows),
+        Matrix(R, V, cols=cols),
+        Matrix(R, Vi, cols=cols),
+        rank,
+        tuple(factors),
+    )
 
 # ---------------------------------------------------------------------------
 # minors
@@ -491,12 +634,13 @@ def bb_flag_oracle(L, L0, N: int):
     truncated Gaussian elimination, and peels xi-divisible layers; returns
     {m: Subspace} over the residue field, in the unshifted indexing.
     """
+    from decalage.bockstein import Memo
     from decalage.theorem import relative_position
 
     ring = L.basis.ring
     n = L.n
     kfield = ring.residue_field()
-    mus = relative_position(L, L0)
+    mus = relative_position(Memo(), L, L0)
     c = max(0, -min(mus)) if mus else 0
     eff = c + (L.shift - L0.shift)
     ml = L.basis.xi_scale(eff) if eff >= 0 else L.basis.xi_divide(-eff)

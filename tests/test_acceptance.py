@@ -193,10 +193,10 @@ def _oracle_flag_check(F, rep, idx):
     # lattice flag against the truncated-ring oracle
     for i in live:
         pair = lattice_pair_from_complex(ctx, i)
-        mus = relative_position(pair.L, pair.L0)
+        mus = relative_position(ctx, pair.L, pair.L0)
         if rep.flags[str(i)]["relative_position"] != mus:
             failures.append((idx, i, "relative-position"))
-        fl = bb_filtration(pair.L, pair.L0)
+        fl = bb_filtration(ctx, pair.L, pair.L0)
         if mus:
             N = 2 * max(abs(v) for v in mus) + 2
             for m, s in bb_flag_oracle(pair.L, pair.L0, N).items():
@@ -247,6 +247,7 @@ def test_criterion_7_degeneration_equivalence(h1_reports):
 
 def test_criterion_8_lattice_layer():
     rng = random.Random(505)
+    ctx = Memo()
     t0 = time.time()
     failures = []
     rings = [IntegerRing(2), IntegerRing(3), IntegerRing(5),
@@ -267,10 +268,10 @@ def test_criterion_8_lattice_layer():
                                   for _ in range(n)], cols=n)
                 if snf(M).rank == n:
                     return M
-        L = Lattice(basis(), shift=rng.randint(-3, 3))
-        L0 = Lattice(basis())
-        mus = relative_position(L, L0)
-        fl = bb_filtration(L, L0)
+        L = Lattice(ctx, basis(), shift=rng.randint(-3, 3))
+        L0 = Lattice(ctx, basis())
+        mus = relative_position(ctx, L, L0)
+        fl = bb_filtration(ctx, L, L0)
         if fl.jumps() != mus:
             failures.append((trial, "jumps"))
             continue
@@ -279,7 +280,7 @@ def test_criterion_8_lattice_layer():
             if fl.subspace(m) != s:
                 failures.append((trial, m, "oracle"))
         c = rng.randint(-2, 2)
-        if bb_filtration(Lattice(L.basis, L.shift + c), L0) != fl.shifted(c):
+        if bb_filtration(ctx, Lattice(ctx, L.basis, L.shift + c), L0) != fl.shifted(c):
             failures.append((trial, "scaling"))
     elapsed = time.time() - t0
     verdict(8, not failures, f"500 pairs in {elapsed:.1f}s, failures: {failures[:3]}")

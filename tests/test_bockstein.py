@@ -79,7 +79,8 @@ def test_torsion_free_forces_beta_zero(rng, z5):
     # complexes with xi-torsion-free cohomology have vanishing Bockstein
     for _ in range(20):
         K = random_complex(z5, rng, max_degree=3, max_rank=3, torsion_free=True)
-        assert all(cohomology_presentation(K, i).module.xi_torsion_free for i in K.degrees())
+        assert all(cohomology_presentation(Memo(), K, i).module.xi_torsion_free
+                   for i in K.degrees())
         bc = bockstein_complex(Memo(), K)
         for i in range(K.lo, K.hi):
             assert bc.beta_matrix(i).is_zero()

@@ -1,6 +1,6 @@
 """The caching contract: one context per top-level call, each stage built once,
-each cohomology group computed once, each stalk's Bockstein complex built once
-and each sheaf's sections built once."""
+each cohomology group computed once, each stalk's Bockstein complex built once,
+each sheaf's sections built once and each matrix factored once."""
 
 import importlib
 import json
@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 import decalage
-from decalage import bockstein, complexes, sites, spectral
+from decalage import bockstein, complexes, rmatrix, sites, spectral
 from decalage.complexes import FreeComplex
 from decalage.eta import eta_m
 from decalage.instances import generate_instance, random_complex
@@ -44,9 +44,9 @@ def count_stage_builds(monkeypatch):
     """Count eta_m calls per (complex content, m)."""
     calls = Counter()
 
-    def counted(K, m):
+    def counted(ctx, K, m):
         calls[(K, m)] += 1
-        return eta_m(K, m)
+        return eta_m(ctx, K, m)
 
     assert bockstein in patch_everywhere(monkeypatch, decalage.eta, "eta_m", counted)
     return calls
@@ -125,9 +125,10 @@ def count_group_builds(monkeypatch):
     calls = Counter()
     for module, name in ((complexes, "cohomology_presentation"),
                          (bockstein, "k_cohomology_quotient")):
-        def counted(K, i, name=name, build=getattr(module, name)):
+        def counted(*args, name=name, build=getattr(module, name)):
+            *_, K, i = args
             calls[(name, complex_key(K), i)] += 1
-            return build(K, i)
+            return build(*args)
 
         assert bockstein in patch_everywhere(monkeypatch, module, name, counted)
     return calls
@@ -186,6 +187,45 @@ def test_lemma_battery_computes_each_group_once_per_call(monkeypatch, z2, f5t, s
     K = random_complex(ring, random.Random(seed), max_degree=3, max_rank=3)
     calls = count_group_builds(monkeypatch)
     assert_each_group_once_per_call(calls, lambda: [r.to_json() for r in lemma_battery(K)])
+
+
+def count_factorizations(monkeypatch):
+    """Count snf calls per matrix content (ring, shape and entries)."""
+    calls = Counter()
+    factor = rmatrix.snf
+
+    def counted(M):
+        calls[(M.ring, M.rows, M.cols, M.data)] += 1
+        return factor(M)
+
+    assert bockstein in patch_everywhere(monkeypatch, rmatrix, "snf", counted)
+    return calls
+
+
+def assert_each_matrix_factored_once_per_call(calls, run):
+    first = run()
+    assert calls and max(calls.values()) == 1
+    factored = sum(calls.values())
+    calls.clear()
+    # nothing survives the first call: the second factors the same matrices again
+    assert run() == first
+    assert sum(calls.values()) == factored and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_lemma_battery_factors_each_matrix_once_per_call(monkeypatch, z2, f5t, seed):
+    ring = z2 if seed % 2 == 0 else f5t
+    K = random_complex(ring, random.Random(seed), max_degree=3, max_rank=3)
+    calls = count_factorizations(monkeypatch)
+    assert_each_matrix_factored_once_per_call(
+        calls, lambda: [r.to_json() for r in lemma_battery(K)])
+
+
+@pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
+def test_main_theorem_factors_each_matrix_once_per_call(monkeypatch, z2, case):
+    F = theorem_instance(case, z2)
+    calls = count_factorizations(monkeypatch)
+    assert_each_matrix_factored_once_per_call(calls, lambda: verify_main_theorem(F).to_json())
 
 
 def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch, z2):

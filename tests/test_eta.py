@@ -1,6 +1,6 @@
 import pytest
 
-from decalage.bockstein import ComplexContext
+from decalage.bockstein import ComplexContext, Memo
 from decalage.complexes import FGModule, FreeComplex, cohomology_presentation
 from decalage.eta import (
     DegreeBelowZero,
@@ -25,57 +25,58 @@ def shell(ring, c):
 
 def test_eta_kills_torsion_example(z3):
     K = shell(z3, 3)
-    emb = eta(K)
+    emb = eta(Memo(), K)
     emb.iota.validate()
     assert emb.iota.is_degreewise_injective()
     # E is the acyclic unit shell in disguise
-    assert cohomology_presentation(emb.complex, 0).module.is_zero()
-    assert cohomology_presentation(emb.complex, 1).module.is_zero()
+    assert cohomology_presentation(Memo(), emb.complex, 0).module.is_zero()
+    assert cohomology_presentation(Memo(), emb.complex, 1).module.is_zero()
     # degree-1 basis is p*f
     assert emb.basis(1) == Matrix(z3, [[3]])
 
 
 def test_eta_zero_differential(z3):
     K = FreeComplex(z3, 0, [2, 1], [Matrix.zeros(z3, 1, 2)])
-    emb = eta(K)
+    emb = eta(Memo(), K)
     assert emb.basis(0) == Matrix.identity(z3, 2)
     assert emb.basis(1) == Matrix(z3, [[3]])
     assert emb.complex.d(0).is_zero()
-    assert cohomology_presentation(emb.complex, 0).module == cohomology_presentation(K, 0).module
-    assert cohomology_presentation(emb.complex, 1).module == cohomology_presentation(K, 1).module
+    for i in (0, 1):
+        got = cohomology_presentation(Memo(), emb.complex, i).module
+        assert got == cohomology_presentation(Memo(), K, i).module
 
 
 def test_eta_p_squared(z2):
     K = shell(z2, 4)
-    emb = eta(K)
-    assert cohomology_presentation(emb.complex, 1).module == FGModule(z2, 0, (2,))
+    emb = eta(Memo(), K)
+    assert cohomology_presentation(Memo(), emb.complex, 1).module == FGModule(z2, 0, (2,))
 
 
 def test_eta_requires_nonnegative_degrees(z3):
     K = FreeComplex(z3, -1, [1, 1], [Matrix.zeros(z3, 1, 1)])
     with pytest.raises(DegreeBelowZero):
-        eta(K)
+        eta(Memo(), K)
     shifted = K.shift(-1)
     assert shifted.lo == 0
-    eta(shifted)
+    eta(Memo(), shifted)
 
 
 def test_eta_m_examples(z5):
     K = shell(z5, 5)
-    emb = eta_m(K, 1)
+    emb = eta_m(Memo(), K, 1)
     assert emb.basis(0) == Matrix(z5, [[5]])
     assert emb.basis(1) == Matrix(z5, [[5]])
-    assert cohomology_presentation(emb.complex, 0).module.is_zero()
-    assert cohomology_presentation(emb.complex, 1).module == FGModule(z5, 0, (5,))
+    assert cohomology_presentation(Memo(), emb.complex, 0).module.is_zero()
+    assert cohomology_presentation(Memo(), emb.complex, 1).module == FGModule(z5, 0, (5,))
     with pytest.raises(NegativeM):
-        eta_m(K, -1)
+        eta_m(Memo(), K, -1)
 
 
 def test_eta_m_zero_is_eta(z5, rng):
     for _ in range(10):
         K = random_complex(z5, rng, max_degree=3, max_rank=3)
-        a = eta_m(K, 0)
-        b = eta(K)
+        a = eta_m(Memo(), K, 0)
+        b = eta(Memo(), K)
         assert a.complex == b.complex
         assert all(a.basis(i) == b.basis(i) for i in K.degrees())
 
@@ -84,11 +85,12 @@ def test_eta_m_beyond_top_degree(z5, rng):
     for _ in range(10):
         K = random_complex(z5, rng, max_degree=2, max_rank=3)
         m = K.hi + 1
-        emb = ComplexContext(K).stage(m)
-        assert is_stationary_stage(emb)
+        cx = ComplexContext(K)
+        emb = cx.stage(m)
+        assert is_stationary_stage(cx, emb)
         for i in K.degrees():
-            got = cohomology_presentation(emb.complex, i).module
-            assert got == cohomology_presentation(K, i).module
+            got = cohomology_presentation(Memo(), emb.complex, i).module
+            assert got == cohomology_presentation(Memo(), K, i).module
 
 
 def test_filtration_containments(z5, rng):
@@ -112,16 +114,18 @@ def test_cohomology_lemma_examples(z2):
         res = verify_eta_m_cohomology(ComplexContext(K), m)
         assert res.passed, (m, res.failures)
     # explicit values: H^1(stage 0) = Z/2, H^1(stage 2) carries Z/4
-    assert cohomology_presentation(eta_m(K, 0).complex, 1).module == FGModule(z2, 0, (2,))
-    assert cohomology_presentation(eta_m(K, 2).complex, 1).module == FGModule(z2, 0, (4,))
+    ctx = Memo()
+    stage0, stage2 = eta_m(ctx, K, 0), eta_m(ctx, K, 2)
+    assert cohomology_presentation(ctx, stage0.complex, 1).module == FGModule(z2, 0, (2,))
+    assert cohomology_presentation(ctx, stage2.complex, 1).module == FGModule(z2, 0, (4,))
 
 
 def test_graded_piece_example(z3):
     K = shell(z3, 3)
     cx = ComplexContext(K)
     g = graded_piece(cx, 0)
-    assert g.fp.term_invariants(0).k_dimension() == 1
-    assert g.fp.term_invariants(1).k_dimension() == 0
+    assert g.fp.term_invariants(cx, 0).k_dimension() == 1
+    assert g.fp.term_invariants(cx, 1).k_dimension() == 0
     assert g.tau.rank(0) == 1
     res = g.verify(cx)
     assert res.passed, res.failures
@@ -135,7 +139,7 @@ def test_graded_piece_zero_differential(z3):
         assert g.verify(cx).passed
         for i in K.degrees():
             want = K.rank(i) if i <= m else 0
-            assert g.fp.term_invariants(i).k_dimension() == want
+            assert g.fp.term_invariants(cx, i).k_dimension() == want
 
 
 def test_mod_xi_subquotient_example(z3):
@@ -144,24 +148,26 @@ def test_mod_xi_subquotient_example(z3):
     sq = mod_xi_subquotient(cx, 0)
     sq.fp.validate()
     assert sq.degree_m_cohomology_vanishes(cx)
-    assert sq.fp.term_invariants(0).k_dimension() == 0
-    assert sq.fp.term_invariants(1).k_dimension() == 1
+    assert sq.fp.term_invariants(cx, 0).k_dimension() == 0
+    assert sq.fp.term_invariants(cx, 1).k_dimension() == 1
 
 
 def test_mod_xi_subquotient_above_top(z3, rng):
     K = random_complex(z3, rng, max_degree=2, max_rank=2)
     m = K.hi + 1
-    sq = mod_xi_subquotient(ComplexContext(K), m)
+    cx = ComplexContext(K)
+    sq = mod_xi_subquotient(cx, m)
     for i in K.degrees():
-        assert sq.fp.term_invariants(i).k_dimension() == 0 or i >= m + 1
+        assert sq.fp.term_invariants(cx, i).k_dimension() == 0 or i >= m + 1
 
 
 def test_stage_inclusion_solves_exactly(z5, rng):
     for _ in range(8):
         K = random_complex(z5, rng, max_degree=2, max_rank=3)
-        fine = eta_m(K, 2)
-        coarse = eta_m(K, 1)
-        inc = stage_inclusion(fine, coarse)
+        ctx = Memo()
+        fine = eta_m(ctx, K, 2)
+        coarse = eta_m(ctx, K, 1)
+        inc = stage_inclusion(ctx, fine, coarse)
         inc.validate()
         for i in K.degrees():
             assert (coarse.basis(i) @ inc.map(i)) == fine.basis(i)

@@ -1,8 +1,9 @@
 """The zero-skipping exact kernels against their dense references.
 
-``Matrix.__matmul__`` skips zero entries of both factors and ``rref`` updates
-a row only at the pivot row's nonzero columns.  Both must return what the
-dense versions in ``oracles.py`` return, entry for entry and in the same
+``Matrix.__matmul__`` skips zero entries of both factors, ``rref`` updates a
+row only at the pivot row's nonzero columns, and ``snf`` updates rows and
+columns only at the nonzero entries of their source.  Each must return what
+the dense versions in ``oracles.py`` return, entry for entry and in the same
 normal form (same Python type, down to polynomial coefficients), because
 report digests see element representations.  Shapes include empty ones and
 the share of zero entries ranges over [0, 1].
@@ -14,8 +15,8 @@ import pytest
 
 from decalage.kmatrix import rref
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
-from decalage.rmatrix import Matrix
-from oracles import dense_matmul, dense_rref
+from decalage.rmatrix import Matrix, snf
+from oracles import dense_matmul, dense_rref, dense_snf
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -24,6 +25,8 @@ PROPERTY_SETTINGS = hypothesis.settings(max_examples=150, deadline=None)
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5), RationalField()]
 RINGS = [IntegerRing(2), IntegerRing(3), PolynomialRing(PrimeField(5)),
          PolynomialRing(RationalField())] + FIELDS
+SNF_RINGS = [IntegerRing(2), IntegerRing(3), PrimeField(5), RationalField(),
+             PolynomialRing(PrimeField(5)), PolynomialRing(RationalField())]
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 
@@ -82,6 +85,17 @@ def test_rref_matches_dense_rref(field, rows, cols, data):
     want, want_pivots = dense_rref(M)
     assert pivots == want_pivots
     assert_same_entries(got, want)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(SNF_RINGS), dims, dims, st.data())
+def test_snf_matches_dense_snf(ring, rows, cols, data):
+    M = data.draw(matrices(ring, rows, cols))
+    got, want = snf(M), dense_snf(M)
+    for name in ("d", "u", "uinv", "v", "vinv"):
+        assert_same_entries(getattr(got, name), getattr(want, name))
+    assert got.rank == want.rank
+    assert [typed(f) for f in got.factors] == [typed(f) for f in want.factors]
 
 
 @PROPERTY_SETTINGS

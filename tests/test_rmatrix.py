@@ -1,3 +1,5 @@
+import pytest
+
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import (
     Matrix,
@@ -73,6 +75,21 @@ def test_snf_matches_minors_oracle(rng):
             M = rand_matrix(ring, rng, rng.randint(1, 4), rng.randint(1, 4))
             assert snf(M).factors == invariant_factors_by_minors(M)
             assert_snf_contract(M)
+
+
+def test_snf_factors_match_sympy(rng, z5):
+    # up to 8 x 8, out of reach of the factorial minors oracle; sympy's Smith
+    # form over ZZ is an independent route to the invariant factors
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    for trial in range(60):
+        rows, cols = (8, 8) if trial % 2 else (rng.randint(1, 8), rng.randint(1, 8))
+        zero_share = rng.random()
+        M = Matrix(z5, [[0 if rng.random() < zero_share else rng.randint(-9, 9)
+                         for _ in range(cols)] for _ in range(rows)], cols=cols)
+        want = invariant_factors(sympy.Matrix(M.data), domain=sympy.ZZ)
+        assert snf(M).factors == tuple(int(f) for f in want if f != 0)
 
 
 def test_snf_contract_thousand(rng):

@@ -4,7 +4,7 @@ import pytest
 
 from decalage.complexes import ChainMap, FGModule, FreeComplex, cohomology_presentation, direct_sum
 from decalage.eta import eta_m
-from decalage.bockstein import k_cohomology_quotient
+from decalage.bockstein import Memo, k_cohomology_quotient
 from decalage.instances import (
     conjugated_constant_sheaf,
     generate_instance,
@@ -46,24 +46,26 @@ def test_pseudo_circle_constant(z3):
     R1 = FreeComplex(z3, 0, [1], [])
     F = SheafComplex.constant(PosetSite.pseudo_circle(), R1)
     T, _ = global_sections_complex(F)
-    assert cohomology_presentation(T, 0).module == FGModule(z3, 1)
-    assert cohomology_presentation(T, 1).module == FGModule(z3, 1)
-    assert all(cohomology_presentation(T, i).module.is_zero() for i in T.degrees() if i >= 2)
+    assert cohomology_presentation(Memo(), T, 0).module == FGModule(z3, 1)
+    assert cohomology_presentation(Memo(), T, 1).module == FGModule(z3, 1)
+    assert all(cohomology_presentation(Memo(), T, i).module.is_zero()
+               for i in T.degrees() if i >= 2)
 
 
 def test_chain_constant_contractible(z3):
     R1 = FreeComplex(z3, 0, [1], [])
     F = SheafComplex.constant(PosetSite.chain(3), R1)
     T, _ = global_sections_complex(F)
-    assert cohomology_presentation(T, 0).module == FGModule(z3, 1)
-    assert all(cohomology_presentation(T, i).module.is_zero() for i in T.degrees() if i >= 1)
+    assert cohomology_presentation(Memo(), T, 0).module == FGModule(z3, 1)
+    assert all(cohomology_presentation(Memo(), T, i).module.is_zero()
+               for i in T.degrees() if i >= 1)
 
 
 def test_sphere_constant(z3):
     R1 = FreeComplex(z3, 0, [1], [])
     F = SheafComplex.constant(PosetSite.sphere(), R1)
     T, _ = global_sections_complex(F)
-    dims = [cohomology_presentation(T, i).module for i in T.degrees()]
+    dims = [cohomology_presentation(Memo(), T, i).module for i in T.degrees()]
     assert dims[0] == FGModule(z3, 1)
     assert dims[1].is_zero()
     assert dims[2] == FGModule(z3, 1)
@@ -185,9 +187,9 @@ def test_sections_exact_on_split_sums(rng, z3):
     TA, _ = global_sections_complex(FA)
     TB, _ = global_sections_complex(FB)
     for i in TS.degrees():
-        da = cohomology_presentation(TA, i).module
-        db = cohomology_presentation(TB, i).module
-        ds = cohomology_presentation(TS, i).module
+        da = cohomology_presentation(Memo(), TA, i).module
+        db = cohomology_presentation(Memo(), TB, i).module
+        ds = cohomology_presentation(Memo(), TS, i).module
         assert ds.free_rank == da.free_rank + db.free_rank
         assert sorted(map(str, ds.factors)) == sorted(map(str, da.factors + db.factors))
 
@@ -198,7 +200,7 @@ def test_sheaf_eta_point_reduces_to_complex_level(z5):
     ctx = InstanceContext(F)
     for m in (0, 1, 2):
         sub, incl, embs = sheaf_eta_m(ctx, m)
-        direct = eta_m(K, m)
+        direct = eta_m(Memo(), K, m)
         assert sub.stalk("pt") == direct.complex
         assert all(incl.map("pt").map(i) == direct.basis(i) for i in K.degrees())
 
@@ -232,16 +234,17 @@ def test_sheaf_eta_inclusion_chain(z5, rng):
 
 def test_sheaf_reduce_truncate_hodge(z5, rng):
     F = generate_instance("free", 13, ring=z5)
+    ctx = InstanceContext(F)
     Fbar = sheaf_reduce(F)
     Fbar.validate()
     for m in range(0, Fbar.hi() + 1):
-        sub, incl = sheaf_truncate_leq(Fbar, m)
+        sub, incl = sheaf_truncate_leq(ctx, Fbar, m)
         sub.validate()
         incl.validate()
-    omega, _ = sheaf_bockstein(InstanceContext(F))
+    omega, _ = sheaf_bockstein(ctx)
     omega.validate()
     for m in range(0, omega.hi() + 1):
-        h, hincl = sheaf_hodge(omega, m)
+        h, hincl = sheaf_hodge(ctx, omega, m)
         h.validate()
         hincl.validate()
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from decalage.bockstein import Memo
 from decalage.complexes import FreeComplex
 from decalage.instances import generate_instance, random_unimodular
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
@@ -27,16 +28,18 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fix
 
 
 def test_relative_position_examples(z5, f5t):
-    L0 = Lattice.standard(z5, 3)
-    assert relative_position(L0, L0) == [0, 0, 0]
+    ctx = Memo()
+    L0 = Lattice.standard(ctx, z5, 3)
+    assert relative_position(ctx, L0, L0) == [0, 0, 0]
     assert relative_position(
-        Lattice(Matrix.identity(z5, 2).scale(5)), Lattice.standard(z5, 2)) == [1, 1]
+        ctx, Lattice(ctx, Matrix.identity(z5, 2).scale(5)), Lattice.standard(ctx, z5, 2)) == [1, 1]
     t, one, zero = f5t.xi, f5t.one(), f5t.zero()
-    L = Lattice(Matrix(f5t, [[t, zero], [zero, one]]), shift=-1)
-    assert relative_position(L, Lattice.standard(f5t, 2)) == [0, -1]
+    L = Lattice(ctx, Matrix(f5t, [[t, zero], [zero, one]]), shift=-1)
+    assert relative_position(ctx, L, Lattice.standard(ctx, f5t, 2)) == [0, -1]
 
 
 def test_relative_position_basis_invariance(rng, z3):
+    ctx = Memo()
     for _ in range(40):
         n = rng.randint(1, 3)
 
@@ -46,34 +49,36 @@ def test_relative_position_basis_invariance(rng, z3):
                                 for _ in range(n)], cols=n)
                 if snf(M).rank == n:
                     return M
-        L = Lattice(basis(), shift=rng.randint(-2, 2))
-        L0 = Lattice(basis())
-        mus = relative_position(L, L0)
+        L = Lattice(ctx, basis(), shift=rng.randint(-2, 2))
+        L0 = Lattice(ctx, basis())
+        mus = relative_position(ctx, L, L0)
         U = random_unimodular(z3, n, rng)
         V = random_unimodular(z3, n, rng)
-        assert relative_position(Lattice(L.basis @ U, L.shift),
-                                 Lattice(L0.basis @ V)) == mus
+        assert relative_position(ctx, Lattice(ctx, L.basis @ U, L.shift),
+                                 Lattice(ctx, L0.basis @ V)) == mus
 
 
 def test_singular_basis_rejected(z3):
+    ctx = Memo()
     with pytest.raises(SingularBasis):
-        Lattice(Matrix(z3, [[1, 1], [1, 1]]))
+        Lattice(ctx, Matrix(z3, [[1, 1], [1, 1]]))
 
 
 def test_bb_filtration_examples(z5, f5t):
-    L0 = Lattice.standard(z5, 2)
-    fl = bb_filtration(L0, L0)
+    ctx = Memo()
+    L0 = Lattice.standard(ctx, z5, 2)
+    fl = bb_filtration(ctx, L0, L0)
     assert fl.dim(-1) == 0 and fl.dim(0) == 2
     assert fl.jumps() == [0, 0]
 
-    one = Lattice(Matrix(z5, [[5]]))
-    fl1 = bb_filtration(one, Lattice.standard(z5, 1))
+    one = Lattice(ctx, Matrix(z5, [[5]]))
+    fl1 = bb_filtration(ctx, one, Lattice.standard(ctx, z5, 1))
     assert fl1.dim(0) == 0 and fl1.dim(1) == 1
     assert fl1.jumps() == [1]
 
     t, e1, zero = f5t.xi, f5t.one(), f5t.zero()
-    L = Lattice(Matrix(f5t, [[t, zero], [zero, e1]]), shift=-1)
-    fl2 = bb_filtration(L, Lattice.standard(f5t, 2))
+    L = Lattice(ctx, Matrix(f5t, [[t, zero], [zero, e1]]), shift=-1)
+    fl2 = bb_filtration(ctx, L, Lattice.standard(ctx, f5t, 2))
     assert fl2.dim(-2) == 0 and fl2.dim(-1) == 1 and fl2.dim(0) == 2
     assert fl2.subspace(-1).basis == ((f5t.residue_field().zero(),
                                        f5t.residue_field().one()),)
@@ -81,6 +86,7 @@ def test_bb_filtration_examples(z5, f5t):
 
 
 def test_bb_scaling_shift(rng, z2):
+    ctx = Memo()
     for _ in range(25):
         n = rng.randint(1, 3)
 
@@ -90,13 +96,14 @@ def test_bb_scaling_shift(rng, z2):
                                 for _ in range(n)], cols=n)
                 if snf(M).rank == n:
                     return M
-        L = Lattice(basis(), shift=rng.randint(-2, 2))
-        L0 = Lattice(basis())
+        L = Lattice(ctx, basis(), shift=rng.randint(-2, 2))
+        L0 = Lattice(ctx, basis())
         c = rng.randint(-3, 3)
-        assert bb_filtration(L.scaled(c), L0) == bb_filtration(L, L0).shifted(c)
+        assert bb_filtration(ctx, L.scaled(ctx, c), L0) == bb_filtration(ctx, L, L0).shifted(c)
 
 
 def test_bb_jump_multiset_and_oracle(rng, z5):
+    ctx = Memo()
     for _ in range(60):
         n = rng.randint(1, 4)
 
@@ -106,10 +113,10 @@ def test_bb_jump_multiset_and_oracle(rng, z5):
                                 for _ in range(n)], cols=n)
                 if snf(M).rank == n:
                     return M
-        L = Lattice(basis(), shift=rng.randint(-2, 2))
-        L0 = Lattice(basis())
-        mus = relative_position(L, L0)
-        fl = bb_filtration(L, L0)
+        L = Lattice(ctx, basis(), shift=rng.randint(-2, 2))
+        L0 = Lattice(ctx, basis())
+        mus = relative_position(ctx, L, L0)
+        fl = bb_filtration(ctx, L, L0)
         assert fl.jumps() == mus
         N = 2 * max(abs(v) for v in mus) + 2
         for m, s in bb_flag_oracle(L, L0, N).items():
@@ -120,14 +127,16 @@ def test_lattice_pair_examples(z3):
     pt = PosetSite.point()
     K = FreeComplex(z3, 0, [1, 1], [Matrix.zeros(z3, 1, 1)])
     F = SheafComplex.constant(pt, K)
-    pair = lattice_pair_from_complex(InstanceContext(F), 1)
-    fl = bb_filtration(pair.L, pair.L0)
+    ctx = InstanceContext(F)
+    pair = lattice_pair_from_complex(ctx, 1)
+    fl = bb_filtration(ctx, pair.L, pair.L0)
     assert fl.dim(0) == 0 and fl.dim(1) == 1
 
     K0 = FreeComplex(z3, 0, [2], [])
     F0 = SheafComplex.constant(pt, K0)
-    pair0 = lattice_pair_from_complex(InstanceContext(F0), 0)
-    assert relative_position(pair0.L, pair0.L0) == [0, 0]
+    ctx0 = InstanceContext(F0)
+    pair0 = lattice_pair_from_complex(ctx0, 0)
+    assert relative_position(ctx0, pair0.L, pair0.L0) == [0, 0]
 
     Kp = FreeComplex(z3, 0, [1, 1], [Matrix(z3, [[3]])])
     Fp = SheafComplex.constant(pt, Kp)
