@@ -129,7 +129,11 @@ class Subspace:
 
     @classmethod
     def full(cls, field, n) -> "Subspace":
-        return cls(field, n, Matrix.identity(field, n).data)
+        # the identity rows are already in RREF
+        space = cls(field, n)
+        space.basis = Matrix.identity(field, n).data
+        space.pivots = tuple(range(n))
+        return space
 
     @property
     def dim(self) -> int:

@@ -8,6 +8,8 @@ kernel coordinates, image bases and linear solves one-liners downstream.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .rings import BaseRing
 
 
@@ -16,21 +18,22 @@ class ShapeMismatch(ValueError):
 
 
 class Matrix:
-    __slots__ = ("ring", "rows", "cols", "data")
+    __slots__ = ("ring", "rows", "cols", "data", "_hash")
 
     def __init__(self, ring: BaseRing, data, cols: int | None = None):
-        rows = tuple(tuple(r) for r in data)
+        rows = tuple(map(tuple, data))
         self.ring = ring
         self.rows = len(rows)
         if rows:
-            self.cols = len(rows[0])
+            n = self.cols = len(rows[0])
+            for r in rows:
+                if len(r) != n:
+                    raise ShapeMismatch("ragged rows")
         else:
             # zero-row matrices still need a well-defined column count
             self.cols = 0 if cols is None else cols
-        for r in rows:
-            if len(r) != self.cols:
-                raise ShapeMismatch("ragged rows")
         self.data = rows
+        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -69,7 +72,10 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        # matrices are immutable, and the factor memo hashes every one it sees
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, self.data))
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(
@@ -175,6 +181,18 @@ class Matrix:
 # Smith normal form
 
 
+def _dense(R, rows, ncols) -> Matrix:
+    """The matrix whose sparse rows ({column: nonzero entry}) are ``rows``."""
+    z = R.zero()
+    return Matrix(R, [[row.get(j, z) for j in range(ncols)] for row in rows], cols=ncols)
+
+
+def _dense_transpose(R, cols, nrows) -> Matrix:
+    """The matrix whose sparse columns ({row: nonzero entry}) are ``cols``."""
+    z = R.zero()
+    return Matrix(R, [[col.get(i, z) for col in cols] for i in range(nrows)], cols=len(cols))
+
+
 class SNFResult:
     """U @ M @ V = D with U, V unimodular and D in Smith form.
 
@@ -182,23 +200,46 @@ class SNFResult:
     elementary operations.  ``factors`` are the normalized nonzero diagonal
     entries d_1 | d_2 | ...; ``rank`` is their count.  Kernel, image and
     solve are views of the one factorization.
+
+    The factorization is kept as sparse rows, ``{column: nonzero entry}``:
+    D, U and V^-1 by rows, U^-1 and V by columns.  ``d``, ``u``, ``uinv``,
+    ``v`` and ``vinv`` are the dense matrices, built on first read.
     """
 
-    __slots__ = ("matrix", "d", "u", "uinv", "v", "vinv", "rank", "factors")
-
-    def __init__(self, matrix, d, u, uinv, v, vinv, rank, factors):
+    def __init__(self, matrix, d_rows, u_rows, uinv_cols, v_cols, vinv_rows, rank, factors):
         self.matrix = matrix
-        self.d = d
-        self.u = u
-        self.uinv = uinv
-        self.v = v
-        self.vinv = vinv
+        self._d_rows = d_rows
+        self._u_rows = u_rows
+        self._uinv_cols = uinv_cols
+        self._v_cols = v_cols
+        self._vinv_rows = vinv_rows
         self.rank = rank
         self.factors = factors
 
+    @cached_property
+    def d(self) -> Matrix:
+        return _dense(self.matrix.ring, self._d_rows, self.matrix.cols)
+
+    @cached_property
+    def u(self) -> Matrix:
+        return _dense(self.matrix.ring, self._u_rows, self.matrix.rows)
+
+    @cached_property
+    def uinv(self) -> Matrix:
+        return _dense_transpose(self.matrix.ring, self._uinv_cols, self.matrix.rows)
+
+    @cached_property
+    def v(self) -> Matrix:
+        return _dense_transpose(self.matrix.ring, self._v_cols, self.matrix.cols)
+
+    @cached_property
+    def vinv(self) -> Matrix:
+        return _dense(self.matrix.ring, self._vinv_rows, self.matrix.cols)
+
     def kernel(self) -> Matrix:
         """Columns form an R-basis of ker(M) (free over a PID)."""
-        return self.v.take_columns(range(self.rank, self.matrix.cols))
+        M = self.matrix
+        return _dense_transpose(M.ring, self._v_cols[self.rank:], M.cols)
 
     def image(self) -> Matrix:
         """Columns form an R-basis of the column span of M.
@@ -209,10 +250,12 @@ class SNFResult:
         """
         M = self.matrix
         R = M.ring
+        z = R.zero()
         cols = []
         for i in range(self.rank):
-            d = self.d.entry(i, i)
-            col = [R.mul(d, self.uinv.entry(r, i)) for r in range(M.rows)]
+            d = self._d_rows[i][i]
+            src = self._uinv_cols[i]
+            col = [R.mul(d, src[r]) if r in src else z for r in range(M.rows)]
             lead = next((x for x in col if not R.is_zero(x)), None)
             if lead is not None:
                 u, _ = R.unit_normalize(lead)
@@ -228,33 +271,37 @@ class SNFResult:
         if M.rows != B.rows:
             raise ShapeMismatch("solve shape mismatch")
         R = M.ring
-        C = self.u @ B
-        Y = [[R.zero()] * B.cols for _ in range(M.cols)]
-        for i in range(self.rank):
-            d = self.d.entry(i, i)
-            for j in range(B.cols):
-                q, r = R.divrem(C.entry(i, j), d)
-                if not R.is_zero(r):
+        is_zero, add, mul = R.is_zero, R.add, R.mul
+        # Y = D^+ U B, row by row: the rows past the rank must vanish and the
+        # others must divide exactly by their invariant factor
+        brows = [[(j, b) for j, b in enumerate(row) if not is_zero(b)] for row in B.data]
+        Y = []
+        for i, urow in enumerate(self._u_rows):
+            acc = [R.zero()] * B.cols
+            for k, a in urow.items():
+                for j, b in brows[k]:
+                    acc[j] = add(acc[j], mul(a, b))
+            if i >= self.rank:
+                if any(not is_zero(x) for x in acc):
                     return None
-                Y[i][j] = q
-        for i in range(self.rank, M.rows):
-            for j in range(B.cols):
-                if not R.is_zero(C.entry(i, j)):
-                    return None
-        return self.v @ Matrix(R, Y, cols=B.cols)
-
-
-def _pivot(R, D, t, rows, cols):
-    best = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            x = D[i][j]
-            if R.is_zero(x):
                 continue
-            key = (R.size(x), i, j)
-            if best is None or key < best[0]:
-                best = (key, i, j)
-    return None if best is None else (best[1], best[2])
+            d = self._d_rows[i][i]
+            yrow = []
+            for j, c in enumerate(acc):
+                if not is_zero(c):
+                    q, r = R.divrem(c, d)
+                    if not is_zero(r):
+                        return None
+                    yrow.append((j, q))
+            Y.append(yrow)
+        # X = V Y, accumulated as the outer products of V's columns with Y's rows
+        out = [[R.zero()] * B.cols for _ in range(M.cols)]
+        for vcol, yrow in zip(self._v_cols, Y):
+            for r, v in vcol.items():
+                row = out[r]
+                for j, y in yrow:
+                    row[j] = add(row[j], mul(v, y))
+        return Matrix(R, out, cols=B.cols)
 
 
 def _identity_rows(R, n):
@@ -263,144 +310,154 @@ def _identity_rows(R, n):
 
 
 def snf(M: Matrix) -> SNFResult:
-    """Smith normal form by Euclidean elimination.
+    """Smith normal form by Euclidean elimination on sparse rows.
 
     Pivot choice: smallest Euclidean valuation, ties broken by lowest row
-    then column index, which makes the output deterministic.  Row and column
-    updates touch only the nonzero entries of their source, in place.
+    then column index, which makes the output deterministic.  D, U and V^-1
+    are kept as rows and U^-1 and V as columns, each a ``{index: nonzero
+    entry}`` dict, so every row and column operation is a sparse row update
+    over the nonzero entries of its source.
     """
     R = M.ring
-    is_zero, add, mul = R.is_zero, R.add, R.mul
+    is_zero, add, mul, neg = R.is_zero, R.add, R.mul, R.neg
+    zero, one = R.zero(), R.one()
     rows, cols = M.rows, M.cols
-    D = [list(r) for r in M.data]
-    U = _identity_rows(R, rows)
-    Ui = _identity_rows(R, rows)
-    V = _identity_rows(R, cols)
-    Vi = _identity_rows(R, cols)
+    D = [{j: x for j, x in enumerate(row) if not is_zero(x)} for row in M.data]
+    U = [{i: one} for i in range(rows)]
+    Uit = [{i: one} for i in range(rows)]  # columns of U^-1
+    Vt = [{j: one} for j in range(cols)]   # columns of V
+    Vi = [{j: one} for j in range(cols)]
+
+    def addmul(out, src, c):
+        # out += c * src, over the nonzero entries of src
+        for j, x in src.items():
+            y = add(out.get(j, zero), mul(c, x))
+            if is_zero(y):
+                out.pop(j, None)
+            else:
+                out[j] = y
+
+    def swap_entries(row, a, b):
+        x, y = row.pop(a, None), row.pop(b, None)
+        if x is not None:
+            row[b] = x
+        if y is not None:
+            row[a] = y
+
+    # Rows of D above t are zero off the diagonal, and rows from t on are
+    # zero before column t, so column operations on columns >= t only ever
+    # touch the rows from t on.
 
     def row_swap(a, b):
-        for X in (D, U):
+        for X in (D, U, Uit):
             X[a], X[b] = X[b], X[a]
-        for i in range(rows):
-            Ui[i][a], Ui[i][b] = Ui[i][b], Ui[i][a]
 
     def row_addmul(dst, src, c):
-        # row_dst += c * row_src; inverse op recorded in Ui columns
-        for X in (D, U):
-            out = X[dst]
-            for j, x in enumerate(X[src]):
-                if not is_zero(x):
-                    out[j] = add(out[j], mul(c, x))
-        nc = R.neg(c)
-        for row in Ui:
-            x = row[dst]
-            if not is_zero(x):
-                row[src] = add(row[src], mul(nc, x))
+        # row_dst += c * row_src; inverse op: col_src of U^-1 -= c * col_dst
+        addmul(D[dst], D[src], c)
+        addmul(U[dst], U[src], c)
+        addmul(Uit[src], Uit[dst], neg(c))
 
     def col_swap(a, b):
-        for X in (D, Vi):
-            if X is D:
-                for i in range(rows):
-                    X[i][a], X[i][b] = X[i][b], X[i][a]
-            else:
-                X[a], X[b] = X[b], X[a]
-        for i in range(cols):
-            V[i][a], V[i][b] = V[i][b], V[i][a]
+        for i in range(t, rows):
+            swap_entries(D[i], a, b)
+        for X in (Vt, Vi):
+            X[a], X[b] = X[b], X[a]
 
     def col_addmul(dst, src, c):
-        # col_dst += c * col_src
-        for X in (D, V):
-            for row in X:
-                x = row[src]
-                if not is_zero(x):
-                    row[dst] = add(row[dst], mul(c, x))
-        nc = R.neg(c)
-        out = Vi[src]
-        for j, x in enumerate(Vi[dst]):
-            if not is_zero(x):
-                out[j] = add(out[j], mul(nc, x))
+        # col_dst += c * col_src; inverse op: row_src of V^-1 -= c * row_dst
+        for i in range(t, rows):
+            row = D[i]
+            if src in row:
+                y = add(row.get(dst, zero), mul(c, row[src]))
+                if is_zero(y):
+                    row.pop(dst, None)
+                else:
+                    row[dst] = y
+        addmul(Vt[dst], Vt[src], c)
+        addmul(Vi[src], Vi[dst], neg(c))
 
-    def row_scale(i, u):
-        inv = R.inv_unit(u)
-        D[i] = [R.mul(u, x) for x in D[i]]
-        U[i] = [R.mul(u, x) for x in U[i]]
-        for r in range(rows):
-            Ui[r][i] = R.mul(inv, Ui[r][i])
+    def pivot():
+        # smallest (size, i, j) over the nonzero entries of the trailing
+        # block; no nonzero entry is smaller than 1, so a row holding one
+        # ends the search
+        best = None
+        for i in range(t, rows):
+            for j, x in D[i].items():
+                key = (R.size(x), i, j)
+                if best is None or key < best:
+                    best = key
+            if best is not None and best[0] <= 1:
+                break
+        return best
 
     t = 0
     n = min(rows, cols)
     while t < n:
-        pv = _pivot(R, D, t, rows, cols)
+        pv = pivot()
         if pv is None:
             break
-        i, j = pv
+        _, i, j = pv
         if i != t:
             row_swap(i, t)
         if j != t:
             col_swap(j, t)
         while True:
+            p = D[t][t]
             # clear the pivot column
             restart = False
             for i in range(t + 1, rows):
-                if R.is_zero(D[i][t]):
+                x = D[i].get(t)
+                if x is None:
                     continue
-                q, r = R.divrem(D[i][t], D[t][t])
-                row_addmul(i, t, R.neg(q))
-                if not R.is_zero(r):
+                q, r = R.divrem(x, p)
+                row_addmul(i, t, neg(q))
+                if not is_zero(r):
                     row_swap(i, t)
                     restart = True
                     break
             if restart:
                 continue
-            # clear the pivot row
-            for j in range(t + 1, cols):
-                if R.is_zero(D[t][j]):
-                    continue
-                q, r = R.divrem(D[t][j], D[t][t])
-                col_addmul(j, t, R.neg(q))
-                if not R.is_zero(r):
+            # clear the pivot row; a column update changes only its own
+            # column of row t, since the pivot column is clear below t
+            for j in sorted(k for k in D[t] if k > t):
+                q, r = R.divrem(D[t][j], p)
+                col_addmul(j, t, neg(q))
+                if not is_zero(r):
                     col_swap(j, t)
                     restart = True
                     break
             if restart:
                 continue
-            if any(not R.is_zero(D[i][t]) for i in range(t + 1, rows)):
+            if any(t in D[i] for i in range(t + 1, rows)):
                 continue
-            # divisibility sweep: the pivot must divide the rest
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if not R.divides(D[t][t], D[i][j]):
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # divisibility sweep: the pivot must divide the rest; a unit
+            # divides everything, and anything divides zero
+            if R.is_unit(p):
+                break
+            offender = next((i for i in range(t + 1, rows)
+                             if any(not R.divides(p, x) for x in D[i].values())), None)
             if offender is None:
                 break
-            row_addmul(t, offender, R.one())
+            row_addmul(t, offender, one)
         t += 1
 
     factors = []
     for i in range(n):
-        x = D[i][i]
-        if R.is_zero(x):
+        x = D[i].get(i)
+        if x is None:
             break
         u, nrm = R.unit_normalize(x)
         if nrm != x:
-            row_scale(i, R.inv_unit(u))
+            # row_i *= s with s = u^-1, and col_i of U^-1 *= s^-1
+            s = R.inv_unit(u)
+            inv = R.inv_unit(s)
+            D[i] = {j: mul(s, y) for j, y in D[i].items()}
+            U[i] = {j: mul(s, y) for j, y in U[i].items()}
+            Uit[i] = {j: mul(inv, y) for j, y in Uit[i].items()}
         factors.append(nrm)
-    rank = len(factors)
 
-    return SNFResult(
-        M,
-        Matrix(R, D, cols=cols),
-        Matrix(R, U, cols=rows),
-        Matrix(R, Ui, cols=rows),
-        Matrix(R, V, cols=cols),
-        Matrix(R, Vi, cols=cols),
-        rank,
-        tuple(factors),
-    )
+    return SNFResult(M, D, U, Uit, Vt, Vi, len(factors), tuple(factors))
 
 
 def kernel_basis(M: Matrix) -> Matrix:

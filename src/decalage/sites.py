@@ -381,14 +381,18 @@ def _subsheaf(ctx: "InstanceContext", F: SheafComplex, parts: dict):
 
     Every inclusion is injective, so each restriction of F lifts uniquely
     along them; it is solved for over the ring of F (through the context
-    ``ctx`` when that ring is not a field).  Returns the subsheaf with its
+    ``ctx`` when that ring is not a field), except along an identity, where
+    the lift is the restriction itself.  Returns the subsheaf with its
     inclusion sheaf map.
     """
     solve = solve_field if F.ring.is_field else ctx.solve
 
     def lift(a, b, i):
         moved = F.res(a, b).map(i) @ parts[a][1].map(i)
-        sol = solve(parts[b][1].map(i), moved)
+        incl = parts[b][1].map(i)
+        if incl.rows == incl.cols and incl == Matrix.identity(F.ring, incl.rows):
+            return moved
+        sol = solve(incl, moved)
         if sol is None:
             raise InvalidSheaf(f"restriction {a}<={b} does not preserve the subsheaf", (a, b))
         return sol

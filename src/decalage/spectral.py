@@ -6,14 +6,14 @@ Pages are computed from the closed-form cycle/boundary subquotients
     E_r(p, q) = Z_r(p, n) / ( Z_{r-1}(p+1, n) + d Z_{r-1}(p-r+1, n-1) ),
 
 with n = p + q, entirely in exact linear algebra over k.  A filtered complex
-builds each Z_r(p, n) once, with one kernel computation, and every entry and
-page after that reuses it; the store lives on the filtered complex, which
-each spectral-sequence call builds and drops.  Two spectral sequences are
-packaged: the truncation-filtration one on the global sections of K/xi
-(reported with its customary page numbering, starting at 2) and the
-Hodge-filtration one on the global sections of the objectwise Bockstein
-complex (starting at 1).  Degeneration detectors and the cokernel-comparison
-record live here as well.
+builds each Z_r(p, n) once, with one kernel computation, and each distinct
+cell E_r(p, q) once, as one quotient; every entry and page after that reuses
+them.  The stores live on the filtered complex, which each spectral-sequence
+call builds and drops.  Two spectral sequences are packaged: the
+truncation-filtration one on the global sections of K/xi (reported with its
+customary page numbering, starting at 2) and the Hodge-filtration one on the
+global sections of the objectwise Bockstein complex (starting at 1).
+Degeneration detectors and the cokernel-comparison record live here as well.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ class FilteredComplex:
 
     ``pieces[p][n]`` is the subspace F_p C^n; p runs over [p_min, p_max] with
     F_{p_min} the whole complex and F_{p_max+1} = 0.  Validated: each F_p is
-    d-stable and F_{p+1} <= F_p degreewise.  The images d(F_p C^n) and the
-    spaces Z_r(p, n) are kept on the object as they are first built.
+    d-stable and F_{p+1} <= F_p degreewise.  The images d(F_p C^n), the
+    spaces Z_r(p, n) and the cells E_r(p, q) are kept on the object as they
+    are first built.
     """
 
     __slots__ = ("ambient", "field", "p_min", "p_max", "pieces", "_d_images",
-                 "_z_spaces")
+                 "_z_spaces", "_cells")
 
     def __init__(self, ambient: FreeComplex, pieces: dict):
         self.ambient = ambient
@@ -55,6 +56,7 @@ class FilteredComplex:
         self.pieces = pieces
         self._d_images = {}
         self._z_spaces = {}
+        self._cells = {}
 
     @classmethod
     def from_inclusions(cls, ambient: FreeComplex, inclusions: dict) -> "FilteredComplex":
@@ -123,14 +125,24 @@ class FilteredComplex:
         return self._z_spaces[key]
 
     def entry(self, r: int, p: int, q: int) -> QuotientSpace:
+        """E_r(p, q), one quotient per distinct cell.
+
+        The cell depends only on n = p + q and the three cycle spaces below,
+        so once the pages settle a later page reuses the earlier quotients.
+        """
         n = p + q
         num = self.z_space(r, p, n)
         prev = self.z_space(r - 1, p - r + 1, n - 1)
-        boundaries = self.ambient.d(n - 1) @ prev.matrix().transpose()
-        den = list(self.z_space(r - 1, p + 1, n).basis) + boundaries.columns()
-        return QuotientSpace(
-            self.field, max(self.ambient.rank(n), 0), list(num.basis), den
-        )
+        finer = self.z_space(r - 1, p + 1, n)
+        key = (n, num, prev, finer)
+        cell = self._cells.get(key)
+        if cell is None:
+            boundaries = self.ambient.d(n - 1) @ prev.matrix().transpose()
+            den = list(finer.basis) + boundaries.columns()
+            cell = self._cells[key] = QuotientSpace(
+                self.field, max(self.ambient.rank(n), 0), list(num.basis), den
+            )
+        return cell
 
     def abutment_graded_dims(self, n: int) -> dict:
         """dim gr_p of the induced filtration on H^n(ambient).

@@ -15,13 +15,14 @@ kernels.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
 from decalage.bockstein import k_cohomology_quotient
 from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
 from decalage.rings import IntegerRing, PolynomialRing
-from decalage.rmatrix import Matrix, ShapeMismatch, SNFResult
+from decalage.rmatrix import Matrix, ShapeMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,10 @@ def _dense_pivot(R, D, t, rows, cols):
     return None if best is None else (best[1], best[2])
 
 
-def dense_snf(M: Matrix) -> SNFResult:
+DenseSNF = namedtuple("DenseSNF", "d u uinv v vinv rank factors")
+
+
+def dense_snf(M: Matrix) -> DenseSNF:
     """Smith normal form by Euclidean elimination, whole rows and columns.
 
     The same pivot rules as ``snf``: smallest Euclidean valuation, ties
@@ -213,8 +217,7 @@ def dense_snf(M: Matrix) -> SNFResult:
         factors.append(nrm)
     rank = len(factors)
 
-    return SNFResult(
-        M,
+    return DenseSNF(
         Matrix(R, D, cols=cols),
         Matrix(R, U, cols=rows),
         Matrix(R, Ui, cols=rows),

@@ -12,10 +12,11 @@ from collections import Counter
 import pytest
 
 import decalage
-from decalage import bockstein, complexes, rmatrix, sites, spectral
+from decalage import bockstein, complexes, kmatrix, rmatrix, sites, spectral
 from decalage.complexes import FreeComplex
 from decalage.eta import eta_m
 from decalage.instances import generate_instance, random_complex
+from decalage.rmatrix import Matrix, solve_exact
 from decalage.serialize import sheaf_from_json
 from decalage.sites import InstanceContext, PosetSite, global_sections_complex
 from decalage.spectral import FilteredComplex, ht_spectral_sequence, ss_pages
@@ -257,3 +258,71 @@ def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch,
     second = ss_pages(FilteredComplex(built.ambient, built.pieces), 4)
     assert len(kernels) == taken
     assert [page.to_json() for page in first] == [page.to_json() for page in second]
+
+
+@pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
+def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(monkeypatch, z2, case):
+    F = theorem_instance(case, z2)
+    solved = []
+    solve_field = kmatrix.solve_field
+
+    def counted(A, B):
+        solved.append(A)
+        return solve_field(A, B)
+
+    monkeypatch.setattr(sites, "solve_field", counted)
+    ctx = InstanceContext(F)
+    omega, _ = ctx.bockstein()
+    Fbar = ctx.reduced()
+    subsheaves = ([ctx.hodge(p) for p in range(omega.lo(), omega.hi() + 2)]
+                  + [ctx.truncation(q) for q in range(Fbar.lo() - 1, Fbar.hi() + 1)]
+                  + [ctx.stage(m)[:2] for m in range(F.hi() + 2)])
+
+    def is_identity(A):
+        return A.rows == A.cols and A == Matrix.identity(A.ring, A.rows)
+
+    identities = 0
+    for sub, incl in subsheaves:
+        G = incl.target
+        solve = solve_field if G.ring.is_field else solve_exact
+        for a, b in G.site.strict_pairs():
+            for i in sub.stalk(a).degrees():
+                A = incl.map(b).map(i)
+                identities += is_identity(A)
+                # the lift the solved route gives, identity inclusions included
+                assert sub.res(a, b).map(i) == solve(A, G.res(a, b).map(i) @ incl.map(a).map(i))
+    assert identities
+    assert solved and not any(is_identity(A) for A in solved)
+
+
+def test_ss_pages_builds_each_cell_once_per_filtered_complex(monkeypatch, z2):
+    F = generate_instance("free", 1, ring=z2, site=PosetSite.sphere())
+    _, built, _ = ht_spectral_sequence(InstanceContext(F))
+    probe = FilteredComplex(built.ambient, built.pieces)
+    d = probe.ambient.d
+    positions = [(r, p, n) for r in range(1, 5) for p in range(probe.p_min, probe.p_max + 1)
+                 for n in probe.ambient.degrees()]
+    # E_r(p, q) depends on n = p + q and three cycle spaces, which compare by content
+    cells = [(n, probe.z_space(r, p, n), probe.z_space(r - 1, p - r + 1, n - 1),
+              probe.z_space(r - 1, p + 1, n)) for r, p, n in positions]
+    assert len(set(cells)) < len(cells)  # settled pages repeat earlier cells
+    quotients = []
+    build = spectral.QuotientSpace
+
+    def counted(*args):
+        quotients.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(spectral, "QuotientSpace", counted)
+    first = ss_pages(FilteredComplex(built.ambient, built.pieces), 4)
+    assert len(quotients) == len(set(cells))
+    quotients.clear()
+    # a fresh filtered complex on the same input keeps nothing from the first
+    second = ss_pages(FilteredComplex(built.ambient, built.pieces), 4)
+    assert len(quotients) == len(set(cells))
+    assert [page.to_json() for page in first] == [page.to_json() for page in second]
+    # every reused cell has the dimension of the quotient its own (r, p, q) defines
+    for (r, p, n), (_, num, prev, finer) in zip(positions, cells):
+        den = list(finer.basis) + (d(n - 1) @ prev.matrix().transpose()).columns()
+        own = build(probe.field, probe.ambient.rank(n), list(num.basis), den)
+        assert first[r - 1].dim(p, n - p) == own.dim

@@ -1,22 +1,25 @@
 """The zero-skipping exact kernels against their dense references.
 
 ``Matrix.__matmul__`` skips zero entries of both factors, ``rref`` updates a
-row only at the pivot row's nonzero columns, and ``snf`` updates rows and
-columns only at the nonzero entries of their source.  Each must return what
-the dense versions in ``oracles.py`` return, entry for entry and in the same
-normal form (same Python type, down to polynomial coefficients), because
-report digests see element representations.  Shapes include empty ones and
-the share of zero entries ranges over [0, 1].
+row only at the pivot row's nonzero columns, and ``snf`` keeps its matrices
+as sparse rows and updates them only at the nonzero entries of their source.
+Each must return what the dense versions in ``oracles.py`` return, entry for
+entry and in the same normal form (same Python type, down to polynomial
+coefficients), because report digests see element representations.  Shapes
+include empty ones and the share of zero entries ranges over [0, 1].
 """
 
 from fractions import Fraction
 
 import pytest
 
+from decalage import rmatrix
 from decalage.kmatrix import rref
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix, snf
+from decalage.theorem import verify_main_theorem
 from oracles import dense_matmul, dense_rref, dense_snf
+from test_contexts import patch_everywhere, theorem_instance
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -87,15 +90,68 @@ def test_rref_matches_dense_rref(field, rows, cols, data):
     assert_same_entries(got, want)
 
 
-@PROPERTY_SETTINGS
-@hypothesis.given(st.sampled_from(SNF_RINGS), dims, dims, st.data())
-def test_snf_matches_dense_snf(ring, rows, cols, data):
-    M = data.draw(matrices(ring, rows, cols))
+def assert_snf_matches_dense_snf(M: Matrix):
     got, want = snf(M), dense_snf(M)
     for name in ("d", "u", "uinv", "v", "vinv"):
         assert_same_entries(getattr(got, name), getattr(want, name))
     assert got.rank == want.rank
     assert [typed(f) for f in got.factors] == [typed(f) for f in want.factors]
+    assert_same_entries(got.kernel(), want.v.take_columns(range(want.rank, M.cols)))
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(SNF_RINGS), dims, dims, st.data())
+def test_snf_matches_dense_snf(ring, rows, cols, data):
+    assert_snf_matches_dense_snf(data.draw(matrices(ring, rows, cols)))
+
+
+@st.composite
+def sparse_matrices(draw, ring, rows, cols):
+    """A rows x cols matrix at least 60% of whose entries are zero on average."""
+    zero_share = draw(st.floats(0.6, 1))
+    elem = elements(ring)
+    return Matrix(ring, [[ring.zero() if draw(st.floats(0, 1)) < zero_share else draw(elem)
+                          for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.sampled_from(SNF_RINGS), st.integers(0, 12), st.integers(0, 12),
+                  st.data())
+def test_sparse_snf_matches_dense_snf(ring, rows, cols, data):
+    # shapes and zero shares of the sections-complex differentials: the
+    # restarts and the divisibility sweep run on sparse rows
+    assert_snf_matches_dense_snf(data.draw(sparse_matrices(ring, rows, cols)))
+
+
+@pytest.mark.parametrize("data", [
+    [[2, 0], [0, 0], [3, 0]],        # the pivot column's clear restarts on a remainder
+    [[0, 0, 2, 3]],                  # the pivot row's clear restarts on a remainder
+    [[2, 0, 0], [0, 4, 3]],          # the sweep's offender sits past a row's first entry
+    [[0, 0, 0], [0, 6, 0], [0, 0, 4]],
+])
+def test_sparse_snf_branches_match_dense_snf(data):
+    assert_snf_matches_dense_snf(Matrix(IntegerRing(5), data))
+
+
+@pytest.mark.parametrize("case, ring", [("h1-sphere", IntegerRing(2)),
+                                        ("h1-sphere", PolynomialRing(PrimeField(5))),
+                                        ("h3_failure_witness", IntegerRing(2))])
+def test_snf_matches_dense_snf_on_theorem_traffic(monkeypatch, case, ring):
+    # every matrix verify_main_theorem factors, sections-complex differentials
+    # of up to 32 rows or columns included
+    factored = []
+    factor = rmatrix.snf
+
+    def recorded(M):
+        factored.append(M)
+        return factor(M)
+
+    patch_everywhere(monkeypatch, rmatrix, "snf", recorded)
+    verify_main_theorem(theorem_instance(case, ring))
+    assert max(max(M.rows, M.cols) for M in factored) >= 22
+    monkeypatch.undo()
+    for M in factored:
+        assert_snf_matches_dense_snf(M)
 
 
 @PROPERTY_SETTINGS

@@ -3,6 +3,7 @@ import pytest
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import (
     Matrix,
+    ShapeMismatch,
     image_basis,
     intersect_spans,
     kernel_basis,
@@ -100,6 +101,24 @@ def test_snf_contract_thousand(rng):
         ring = rings[j % len(rings)]
         M = rand_matrix(ring, rng, rng.randint(1, 5), rng.randint(1, 5), span=5)
         assert_snf_contract(M)
+
+
+def test_matrix_rejects_ragged_rows(z2):
+    with pytest.raises(ShapeMismatch):
+        Matrix(z2, [[1, 0], [1]])
+    with pytest.raises(ShapeMismatch):
+        Matrix(z2, [[1], [1, 0], [0, 1]])
+    assert Matrix(z2, [[]] * 3).cols == 0
+    assert Matrix(z2, [], cols=4).cols == 4
+
+
+def test_matrix_hash_follows_content(z2, rng):
+    M = rand_matrix(z2, rng, 3, 4)
+    again = Matrix(z2, [list(row) for row in M.data])
+    assert hash(M) == hash(M)  # the cached hash is the same on every read
+    assert again == M and hash(again) == hash(M)
+    assert hash(M @ Matrix.identity(z2, 4)) == hash(M)
+    assert {M: 1}[again] == 1
 
 
 def test_kernel_examples(z3, z2):
