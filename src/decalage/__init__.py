@@ -2,19 +2,17 @@
 two-lattice flag comparison, verified on finite models."""
 
 from .rings import IntegerRing, PolynomialRing, PrimeField, RationalField, make_ring
-from .rmatrix import Matrix, snf, kernel_basis, image_basis, solve_exact
+from .rmatrix import Matrix, snf, solve_exact
 from .complexes import (
     ChainMap,
     FGModule,
     FPComplex,
     FPModule,
     FreeComplex,
-    cone,
     hodge_filtration,
-    induced_map,
     truncate_leq,
 )
-from .eta import eta_m, eta_filtration, graded_piece, mod_xi_subquotient
+from .eta import eta_m, graded_piece, mod_xi_subquotient
 from .bockstein import ComplexContext, bockstein_complex, connecting_factorization, split_mod_xi
 from .sites import InstanceContext, PosetSite, SheafComplex, global_sections_complex
 from .spectral import (

@@ -42,12 +42,11 @@ class BocksteinComplex:
     ``beta[i]`` is the differential in those bases.
     """
 
-    __slots__ = ("K", "kbar", "field", "quotients", "beta")
+    __slots__ = ("K", "field", "quotients", "beta")
 
-    def __init__(self, K, kbar, quotients, beta):
+    def __init__(self, K, field, quotients, beta):
         self.K = K
-        self.kbar = kbar
-        self.field = kbar.ring
+        self.field = field
         self.quotients = quotients
         self.beta = beta
 
@@ -104,7 +103,7 @@ def bockstein_complex(ctx: Memo, K: FreeComplex,
             lifted = lifted + noise.scale(ring.xi)
         image = (K.d(i) @ lifted).xi_divide(1).residue()
         beta[i] = quotients[i + 1].coords_matrix(image)
-    return BocksteinComplex(K, kbar, quotients, beta)
+    return BocksteinComplex(K, kbar.ring, quotients, beta)
 
 
 def _random_field_element(field, rng):
@@ -115,13 +114,6 @@ def _random_field_element(field, rng):
     from fractions import Fraction
 
     return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
-
-
-def beta_squared_is_zero(bc: BocksteinComplex) -> bool:
-    for i in range(bc.K.lo, bc.K.hi - 1):
-        if not (bc.beta_matrix(i + 1) @ bc.beta_matrix(i)).is_zero():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +130,9 @@ class Memo:
     matrices are factored.  Groups are keyed by the complex itself: equal
     free complexes built separately share one entry, finitely presented ones
     (built once per context) are keyed by identity.  Factorizations are keyed
-    by matrix content, and kernels, images and solves are views of them.
+    by matrix content, and kernels, images, solves, preimages and
+    intersections over R are views of them; ``rmatrix.solve_exact`` is the
+    one solve outside a context.
     """
 
     def __init__(self):
@@ -155,24 +149,24 @@ class Memo:
         return self.once(("factor", M), snf, M)
 
     def kernel(self, M: Matrix) -> Matrix:
-        """Basis of ker(M), as ``kernel_basis``."""
+        """Columns form an R-basis of ker(M) (free over a PID)."""
         return self.factor(M).kernel()
 
     def image(self, M: Matrix) -> Matrix:
-        """Basis of the column span of M, as ``image_basis``."""
+        """Columns form an R-basis of the column span of M, as ``SNFResult.image``."""
         return self.factor(M).image()
 
     def solve(self, A: Matrix, B: Matrix):
-        """X with A @ X = B, or None, as ``solve_exact``."""
+        """X with A @ X = B, or None when no exact solution exists."""
         return self.factor(A).solve(B)
 
     def preimage(self, A: Matrix, S: Matrix) -> Matrix:
-        """Basis of { x : A x in the column span of S }, as ``preimage_basis``."""
+        """Basis of { x : A x lies in the column span of S }."""
         ker = self.kernel(A.hstack(S))
         return self.image(ker.submatrix(0, A.cols, 0, ker.cols))
 
     def intersect(self, A: Matrix, B: Matrix) -> Matrix:
-        """Basis of span(A) ∩ span(B), as ``intersect_spans``."""
+        """Basis of span(A) ∩ span(B) inside the common ambient R^rows."""
         if A.rows != B.rows:
             raise ShapeMismatch("ambient mismatch")
         ker = self.kernel(A.hstack(-B))

@@ -17,6 +17,8 @@ from .serialize import (
     SerializeError,
     dump_json,
     load_instance_file,
+    read_json,
+    site_from_json,
 )
 from .sites import InstanceContext, PosetSite
 from .spectral import hdr_spectral_sequence, ht_spectral_sequence, ht_e2_crosscheck
@@ -111,17 +113,15 @@ def _instances(args):
         F = load_instance_file(resolve_path(args.path))
         return [(os.path.basename(args.path), F)]
     profile = args.generate or "h1"
-    ring = make_ring(args.ring, args.xi, args.char)
-    site = None
-    if args.poset:
-        if args.poset.startswith("builtin:"):
-            site = PosetSite.builtin(args.poset.split(":", 1)[1])
-        else:
-            from .serialize import site_from_json
-            import json as _json
-
-            with open(resolve_path(args.poset), "r", encoding="utf-8") as fh:
-                site = site_from_json(_json.load(fh))
+    poset = args.poset or ""
+    builtin = poset.startswith("builtin:")
+    try:
+        ring = make_ring(args.ring, args.xi, args.char)
+        site = PosetSite.builtin(poset.removeprefix("builtin:")) if builtin else None
+    except ValueError as exc:
+        raise SerializeError(f"bad generation option: {exc}") from exc
+    if poset and not builtin:
+        site = site_from_json(read_json(resolve_path(poset)))
     out = []
     for j in range(args.count):
         F = generate_instance(profile, args.seed + j, ring=ring, site=site,
@@ -131,11 +131,7 @@ def _instances(args):
 
 
 def cmd_validate(args) -> int:
-    try:
-        F = load_instance_file(resolve_path(args.path))
-    except SerializeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    F = load_instance_file(resolve_path(args.path))
     try:
         F.validate()
     except Exception as exc:
@@ -147,15 +143,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check_lemmas(args) -> int:
-    try:
-        instances = _instances(args)
-    except SerializeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GenerationBudgetExceeded as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    reports = [sheaf_lemma_report(F, iid) for iid, F in instances]
+    reports = [sheaf_lemma_report(F, iid) for iid, F in _instances(args)]
     all_passed = all(r["passed"] for r in reports)
     lines = []
     for r in reports:
@@ -171,14 +159,7 @@ def cmd_check_lemmas(args) -> int:
 
 
 def cmd_check_theorem(args) -> int:
-    try:
-        instances = _instances(args)
-    except SerializeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GenerationBudgetExceeded as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    instances = _instances(args)
     payload = {"instances": []}
     lines = []
     any_violation = False
@@ -238,11 +219,7 @@ def _render_pages(pages) -> list:
 
 
 def cmd_ss(args) -> int:
-    try:
-        F = load_instance_file(resolve_path(args.path))
-    except SerializeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    F = load_instance_file(resolve_path(args.path))
     ctx = InstanceContext(F)
     if args.filtration == "tau":
         pages, _, _ = ht_spectral_sequence(ctx, r_max=args.pages)
@@ -264,7 +241,14 @@ def main(argv=None) -> int:
         "check-theorem": cmd_check_theorem,
         "ss": cmd_ss,
     }
-    return table[args.command](args)
+    # every command reads or generates its input before it verifies anything
+    try:
+        return table[args.command](args)
+    except SerializeError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+    except GenerationBudgetExceeded as exc:
+        print(f"generation failed: {exc}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ each degree is generators-plus-relations, with differentials on generators.
 from __future__ import annotations
 
 from .rings import BaseRing
-from .rmatrix import Matrix, ShapeMismatch, kernel_basis, solve_exact
+from .rmatrix import Matrix, ShapeMismatch, solve_exact
 
 
 class DifferentialSquareNonzero(ValueError):
@@ -46,10 +46,6 @@ class FGModule:
         """Invariants of coker(rels: R^c -> R^gens), given res = snf(rels)."""
         factors = [f for f in res.factors if not ring.is_unit(f)]
         return cls(ring, gens - res.rank, factors)
-
-    @classmethod
-    def zero(cls, ring) -> "FGModule":
-        return cls(ring, 0)
 
     @classmethod
     def of_k_dimension(cls, ring, d: int) -> "FGModule":
@@ -175,12 +171,6 @@ class FreeComplex:
     def total_rank(self) -> int:
         return sum(self._ranks)
 
-    def is_zero_complex(self) -> bool:
-        return self.total_rank() == 0
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * self.rank(i) for i in self.degrees())
-
     def validate(self) -> None:
         R = self.ring
         for i in self.degrees():
@@ -206,17 +196,6 @@ class FreeComplex:
         if s % 2:
             diffs = [-d for d in diffs]
         return FreeComplex(self.ring, self.lo - s, self._ranks, diffs, self.twist)
-
-    def normalized_nonnegative(self):
-        """(K', s) with K' = K[-s] starting at degree 0; s = 0 when lo >= 0.
-
-        The decalage operations require nonnegative degrees; callers shift
-        first and record s to reinterpret the answer.
-        """
-        if self.lo >= 0:
-            return self, 0
-        s = self.lo
-        return self.shift(s), s
 
     def __eq__(self, other):
         return (
@@ -270,13 +249,6 @@ class ChainMap:
             rhs = self.map(i + 1) @ self.source.d(i)
             if lhs != rhs:
                 raise ShapeMismatch(f"chain map does not commute at degree {i}")
-
-    def is_degreewise_injective(self) -> bool:
-        return all(
-            kernel_basis(self.map(i)).cols == 0
-            for i in self.source.degrees()
-            if self.source.rank(i) > 0
-        )
 
     def after(self, other: "ChainMap") -> "ChainMap":
         """self ∘ other (other feeds into self)."""
@@ -371,25 +343,20 @@ class CohomologyPresentation:
 
     ``gens_basis`` columns form an R-basis of the submodule
     N = { x : d(x) lies in the relation span one degree up } of the ambient
-    generator module; ``relations`` collects boundaries and ambient relations
-    in those coordinates.  ``snf`` is the Smith form of the relations: it
-    gives the module invariants and coordinates on the free quotient (all
-    torsion killed, which loses nothing for xi-torsion-free groups, since
-    primes away from xi act as units in the lattice story).  ``basis_snf``
-    is the Smith form of ``gens_basis``, which coordinates are solved
-    against.  Both factorizations are given; their matrices are the basis and
-    the relations.
+    generator module.  ``snf`` is the Smith form of the relations, the
+    boundaries and ambient relations in those coordinates: it gives the
+    module invariants and coordinates on the free quotient (all torsion
+    killed, which loses nothing for xi-torsion-free groups, since primes away
+    from xi act as units in the lattice story).  ``basis_snf`` is the Smith
+    form of ``gens_basis``, which coordinates are solved against.
     """
 
-    __slots__ = ("ring", "ambient_gens", "gens_basis", "basis_snf", "relations", "snf",
-                 "module")
+    __slots__ = ("ring", "gens_basis", "basis_snf", "snf", "module")
 
-    def __init__(self, ring, ambient_gens, basis_snf, relations_snf):
+    def __init__(self, ring, basis_snf, relations_snf):
         self.ring = ring
-        self.ambient_gens = ambient_gens
         self.gens_basis = basis_snf.matrix
         self.basis_snf = basis_snf
-        self.relations = relations_snf.matrix
         self.snf = relations_snf
         self.module = FGModule.from_snf(ring, self.gens_basis.cols, relations_snf)
 
@@ -411,44 +378,26 @@ class CohomologyPresentation:
         return self.gens_basis @ uinv.take_columns(range(self.snf.rank, uinv.cols))
 
 
-def _presentation(ctx, ring, gens_i, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation:
+def _presentation(ctx, ring, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation:
     basis_snf = ctx.factor(ctx.preimage(d_i, rels_next))
     coords = basis_snf.solve(d_prev.hstack(rels_i))
     if coords is None:
         raise ShapeMismatch("boundaries do not lie in the cocycle submodule")
-    return CohomologyPresentation(ring, gens_i, basis_snf, ctx.factor(coords))
+    return CohomologyPresentation(ring, basis_snf, ctx.factor(coords))
 
 
 def cohomology_presentation(ctx, K, i: int) -> CohomologyPresentation:
     """H^i(K), with every matrix factored by the context ``ctx``."""
     ring = K.ring
     if isinstance(K, FPComplex):
-        return _presentation(
-            ctx, ring, K.gens(i), K.rels(i), K.rels(i + 1), K.d(i), K.d(i - 1)
-        )
+        return _presentation(ctx, ring, K.rels(i), K.rels(i + 1), K.d(i), K.d(i - 1))
     empty_i = Matrix.zeros(ring, K.rank(i), 0)
     empty_next = Matrix.zeros(ring, K.rank(i + 1), 0)
-    return _presentation(ctx, ring, K.rank(i), empty_i, empty_next, K.d(i), K.d(i - 1))
-
-
-def cocycles(K: FreeComplex, i: int) -> Matrix:
-    """Basis of Z^i as columns inside K^i."""
-    return kernel_basis(K.d(i))
-
-
-def boundaries(K: FreeComplex, i: int) -> Matrix:
-    """Generating set of B^i: the columns of d(i-1)."""
-    return K.d(i - 1)
-
-
-def induced_map(ctx, f: ChainMap, i: int) -> Matrix:
-    """Matrix of H^i(f) with respect to the context's presentations."""
-    src_pres = ctx.presentation(f.source, i)
-    return ctx.presentation(f.target, i).coords(f.map(i) @ src_pres.gens_basis)
+    return _presentation(ctx, ring, empty_i, empty_next, K.d(i), K.d(i - 1))
 
 
 # ---------------------------------------------------------------------------
-# truncations, cones, sums
+# truncations and sums
 
 
 def truncate_leq(ctx, K: FreeComplex, m: int):
@@ -487,21 +436,6 @@ def hodge_filtration(K: FreeComplex, m: int):
     F = FreeComplex(K.ring, m, ranks, diffs, K.twist)
     maps = {i: Matrix.identity(K.ring, K.rank(i)) for i in range(m, K.hi + 1)}
     return F, ChainMap(F, K, maps)
-
-
-def cone(f: ChainMap) -> FreeComplex:
-    """Mapping cone: cone(f)^i = src^{i+1} (+) tgt^i, d = [[-d_src, 0], [f, d_tgt]]."""
-    S, T = f.source, f.target
-    ring = S.ring
-    lo = min(S.lo - 1, T.lo)
-    hi = max(S.hi - 1, T.hi)
-    ranks = [S.rank(i + 1) + T.rank(i) for i in range(lo, hi + 1)]
-    diffs = []
-    for i in range(lo, hi):
-        top = (-S.d(i + 1)).hstack(Matrix.zeros(ring, S.rank(i + 2), T.rank(i)))
-        bottom = f.map(i + 1).hstack(T.d(i))
-        diffs.append(top.vstack(bottom))
-    return FreeComplex(ring, lo, ranks, diffs, T.twist)
 
 
 def direct_sum(A: FreeComplex, B: FreeComplex) -> FreeComplex:

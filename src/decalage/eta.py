@@ -15,8 +15,9 @@ Quotients of consecutive stages are produced as finitely presented complexes
 together with the comparison maps onto truncations of K/xi.  Every builder
 takes a context (a ``Memo``, bockstein module), which factors each matrix
 once per call.  Everything built from several stages takes a
-``ComplexContext``, which also builds each stage of K once per call:
-``eta_filtration``, ``xi_step_inclusion_holds``, ``graded_piece``,
+``ComplexContext``, which also builds each stage of K once per call, and
+reads the stages and their inclusions from it (``cx.stage(m)``,
+``cx.inclusion(m)``): ``xi_step_inclusion_holds``, ``graded_piece``,
 ``mod_xi_subquotient`` and ``verify_eta_m_cohomology``.
 ``is_stationary_stage`` takes the one stage it checks.
 """
@@ -64,7 +65,7 @@ class SubcomplexEmbedding:
         return self.basis(i).xi_divide(self.m).residue()
 
 
-def _congruence_kernel_basis(ctx, K: FreeComplex, i: int) -> Matrix:
+def _congruence_kernel(ctx, K: FreeComplex, i: int) -> Matrix:
     """Basis of { x in K^i : d(x) in xi*K^{i+1} } inside K^i."""
     ring = K.ring
     return ctx.preimage(K.d(i), Matrix.scalar(ring, K.rank(i + 1), ring.xi))
@@ -85,7 +86,7 @@ def eta_m(ctx, K: FreeComplex, m: int) -> SubcomplexEmbedding:
         if i < m:
             bases[i] = Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
         else:
-            bases[i] = _congruence_kernel_basis(ctx, K, i).xi_scale(i)
+            bases[i] = _congruence_kernel(ctx, K, i).xi_scale(i)
     diffs = []
     for i in range(K.lo, K.hi):
         moved = K.d(i) @ bases[i]
@@ -98,11 +99,6 @@ def eta_m(ctx, K: FreeComplex, m: int) -> SubcomplexEmbedding:
     return SubcomplexEmbedding(E, iota, m)
 
 
-def eta(ctx, K: FreeComplex) -> SubcomplexEmbedding:
-    """The decalage subcomplex itself (stage m = 0)."""
-    return eta_m(ctx, K, 0)
-
-
 def stage_inclusion(ctx, finer: SubcomplexEmbedding,
                     coarser: SubcomplexEmbedding) -> ChainMap:
     """The literal containment stage(m+1) <= stage(m) as a chain map."""
@@ -113,13 +109,6 @@ def stage_inclusion(ctx, finer: SubcomplexEmbedding,
             raise ArithmeticError(f"stages are not nested at degree {i}")
         maps[i] = sol
     return ChainMap(finer.complex, coarser.complex, maps)
-
-
-def eta_filtration(cx, m_max: int):
-    """Stages 0..m_max with inclusion maps stage(m+1) -> stage(m)."""
-    stages = [cx.stage(m) for m in range(m_max + 1)]
-    inclusions = [cx.inclusion(m) for m in range(m_max)]
-    return stages, inclusions
 
 
 def xi_step_inclusion_holds(cx, m: int) -> bool:
@@ -164,14 +153,13 @@ class GradedPiece:
     cyclic collector runs); ``verify`` takes the context that built it.
     """
 
-    __slots__ = ("K", "m", "fp", "tau", "tau_inclusion", "comparison", "stage", "finer")
+    __slots__ = ("K", "m", "fp", "tau", "comparison", "stage", "finer")
 
-    def __init__(self, K, m, fp, tau, tau_inclusion, comparison, stage, finer):
+    def __init__(self, K, m, fp, tau, comparison, stage, finer):
         self.K = K
         self.m = m
         self.fp = fp
         self.tau = tau
-        self.tau_inclusion = tau_inclusion
         self.comparison = comparison
         self.stage = stage
         self.finer = finer
@@ -235,7 +223,7 @@ def graded_piece(cx, m: int) -> GradedPiece:
             comparison[i] = sol
         else:
             comparison[i] = Matrix.zeros(kbar.ring, tau.rank(i), stage.complex.rank(i))
-    return GradedPiece(K, m, fp, tau, tau_inc, comparison, stage, finer)
+    return GradedPiece(K, m, fp, tau, comparison, stage, finer)
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,6 @@ class BaseRing:
         _, r = self.divrem(b, a)
         return self.is_zero(r)
 
-    def sum(self, items):
-        acc = self.zero()
-        for x in items:
-            acc = self.add(acc, x)
-        return acc
-
     def pow(self, a, e: int):
         acc = self.one()
         for _ in range(e):

@@ -1,9 +1,10 @@
-"""Exact matrices over the coefficient rings, Smith normal form, kernels.
+"""Exact matrices over the coefficient rings and their Smith normal form.
 
 Matrices are immutable, stored as tuple-of-row-tuples, and act on column
 vectors: an r x c matrix maps R^c -> R^r.  The Smith normal form carries all
 four transforms (U, U^-1, V, V^-1 with U*M*V = D), which is what makes exact
-kernel coordinates, image bases and linear solves one-liners downstream.
+kernel coordinates, image bases and linear solves one-liners: they are
+views of one ``SNFResult``.
 """
 
 from __future__ import annotations
@@ -460,30 +461,11 @@ def snf(M: Matrix) -> SNFResult:
     return SNFResult(M, D, U, Uit, Vt, Vi, len(factors), tuple(factors))
 
 
-def kernel_basis(M: Matrix) -> Matrix:
-    """Columns form an R-basis of ker(M) (free over a PID)."""
-    return snf(M).kernel()
-
-
-def image_basis(M: Matrix) -> Matrix:
-    """Columns form an R-basis of the column span of M, as ``SNFResult.image``."""
-    return snf(M).image()
-
-
-def preimage_basis(A: Matrix, S: Matrix) -> Matrix:
-    """Columns form an R-basis of { x : A x lies in the column span of S }."""
-    ker = kernel_basis(A.hstack(S))
-    return image_basis(ker.submatrix(0, A.cols, 0, ker.cols))
-
-
 def solve_exact(A: Matrix, B: Matrix):
-    """Solve A @ X = B over the ring; None when no exact solution exists."""
+    """Solve A @ X = B over the ring; None when no exact solution exists.
+
+    The one solve for callers without a context; a context (``Memo``,
+    bockstein module) factors each matrix once and serves kernels, images,
+    solves, preimages and intersections from that factorization.
+    """
     return snf(A).solve(B)
-
-
-def intersect_spans(A: Matrix, B: Matrix) -> Matrix:
-    """Basis of span(A) ∩ span(B) inside the common ambient R^rows."""
-    if A.rows != B.rows:
-        raise ShapeMismatch("ambient mismatch")
-    ker = kernel_basis(A.hstack(-B))
-    return image_basis(A @ ker.submatrix(0, A.cols, 0, ker.cols))

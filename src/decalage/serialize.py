@@ -132,13 +132,17 @@ def load_instance(data):
     return SheafComplex.constant(PosetSite.point(), K)
 
 
-def load_instance_file(path: str):
+def read_json(path: str):
+    """The JSON value in the file at ``path``; SerializeError if it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SerializeError(f"cannot read {path}: {exc}") from exc
-    return load_instance(data)
+
+
+def load_instance_file(path: str):
+    return load_instance(read_json(path))
 
 
 def dump_json(obj, path: str | None = None) -> str:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bockstein import k_cohomology_quotient
 from .complexes import ChainMap, FreeComplex
 from .kmatrix import QuotientSpace, Subspace, kernel_cols
 from .rmatrix import Matrix
@@ -143,20 +142,6 @@ class FilteredComplex:
                 self.field, max(self.ambient.rank(n), 0), list(num.basis), den
             )
         return cell
-
-    def abutment_graded_dims(self, n: int) -> dict:
-        """dim gr_p of the induced filtration on H^n(ambient).
-
-        F_p H^n is the image of H^n of the p-th subcomplex, computed as
-        (F_p ∩ ker d + boundaries) / boundaries.
-        """
-        hq = k_cohomology_quotient(self.ambient, n)
-        ker = Subspace.from_columns(kernel_cols(self.ambient.d(n)))
-        fdims = {}
-        for p in range(self.p_min, self.p_max + 2):
-            zn = self.subspace(p, n).intersect(ker)
-            fdims[p] = zn.add(hq.bspace).dim - hq.bspace.dim
-        return {p: fdims[p] - fdims[p + 1] for p in range(self.p_min, self.p_max + 1)}
 
 
 @dataclass

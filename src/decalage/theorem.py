@@ -414,8 +414,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
             for m in range(bb.m_lo, bb.m_hi + 1):
                 mat = rho[i] @ bb.subspace(m).matrix().transpose()
                 moved[m] = Subspace.from_columns(mat)
-            bb_moved = Flag(red.ring, red_q.dim, moved) if moved else Flag(
-                red.ring, red_q.dim, {0: Subspace(red.ring, red_q.dim)})
+            bb_moved = Flag(red.ring, red_q.dim, moved)
             if h1:
                 iso_check.expect(rho[i].rows == rho[i].cols
                                  and bb.n == red_q.dim

@@ -10,7 +10,9 @@ lattice / image flags from Gaussian elimination over the truncated ring
 R/xi^N instead of exact Smith form machinery.  The dense product, the dense
 matrix-vector product, the dense RREF row update and the dense Smith normal
 form are kept here as the references for the library's zero-skipping
-kernels.
+kernels.  The last section holds the helpers that only the tests call:
+complex invariants, induced maps, the mapping cone, the graded pieces of an
+abutment and the square of the Bockstein differential.
 """
 
 from __future__ import annotations
@@ -20,13 +22,22 @@ from fractions import Fraction
 from itertools import combinations
 
 from decalage.bockstein import k_cohomology_quotient
+from decalage.complexes import FreeComplex
 from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
 from decalage.rings import IntegerRing, PolynomialRing
-from decalage.rmatrix import Matrix, ShapeMismatch
+from decalage.rmatrix import Matrix, ShapeMismatch, snf
 
 
 # ---------------------------------------------------------------------------
 # dense kernels: every entry of every row, zeros included
+
+
+def ring_sum(R, items):
+    """The sum of ``items`` in the ring R, added one at a time."""
+    acc = R.zero()
+    for x in items:
+        acc = R.add(acc, x)
+    return acc
 
 
 def dense_matmul(A: Matrix, B: Matrix) -> Matrix:
@@ -38,7 +49,7 @@ def dense_matmul(A: Matrix, B: Matrix) -> Matrix:
     for i in range(A.rows):
         row = []
         for j in range(B.cols):
-            row.append(R.sum(R.mul(A.data[i][t], B.data[t][j]) for t in range(A.cols)))
+            row.append(ring_sum(R, (R.mul(A.data[i][t], B.data[t][j]) for t in range(A.cols))))
         out.append(row)
     return Matrix(R, out, cols=B.cols)
 
@@ -49,7 +60,7 @@ def apply(M: Matrix, vec):
         raise ShapeMismatch("vector length mismatch")
     R = M.ring
     return tuple(
-        R.sum(R.mul(M.data[i][t], vec[t]) for t in range(M.cols))
+        ring_sum(R, (R.mul(M.data[i][t], vec[t]) for t in range(M.cols)))
         for i in range(M.rows)
     )
 
@@ -765,3 +776,72 @@ def image_flag_oracle(ring, stage_total, incl_matrix, i: int, m: int, hq, N: int
             divided.append(ring.residue(ring.xi_divide(tr.cut(x), m)))
         vecs.append(hq.coords(divided))
     return Subspace(kfield, hq.dim, vecs)
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests call
+
+
+def is_zero_complex(K: FreeComplex) -> bool:
+    return K.total_rank() == 0
+
+
+def euler_characteristic(K: FreeComplex) -> int:
+    return sum((-1) ** i * K.rank(i) for i in K.degrees())
+
+
+def normalized_nonnegative(K: FreeComplex):
+    """(K', s) with K' = K[-s] starting at degree 0; s = 0 when lo >= 0."""
+    if K.lo >= 0:
+        return K, 0
+    return K.shift(K.lo), K.lo
+
+
+def is_degreewise_injective(f) -> bool:
+    """Whether every degree of the chain map f has zero kernel."""
+    return all(
+        snf(f.map(i)).kernel().cols == 0
+        for i in f.source.degrees()
+        if f.source.rank(i) > 0
+    )
+
+
+def induced_map(ctx, f, i: int) -> Matrix:
+    """Matrix of H^i(f) with respect to the context's presentations."""
+    src_pres = ctx.presentation(f.source, i)
+    return ctx.presentation(f.target, i).coords(f.map(i) @ src_pres.gens_basis)
+
+
+def cone(f) -> FreeComplex:
+    """Mapping cone: cone(f)^i = src^{i+1} (+) tgt^i, d = [[-d_src, 0], [f, d_tgt]]."""
+    S, T = f.source, f.target
+    ring = S.ring
+    lo = min(S.lo - 1, T.lo)
+    hi = max(S.hi - 1, T.hi)
+    ranks = [S.rank(i + 1) + T.rank(i) for i in range(lo, hi + 1)]
+    diffs = []
+    for i in range(lo, hi):
+        top = (-S.d(i + 1)).hstack(Matrix.zeros(ring, S.rank(i + 2), T.rank(i)))
+        bottom = f.map(i + 1).hstack(T.d(i))
+        diffs.append(top.vstack(bottom))
+    return FreeComplex(ring, lo, ranks, diffs, T.twist)
+
+
+def abutment_graded_dims(fc, n: int) -> dict:
+    """dim gr_p of the filtration that fc induces on H^n of its ambient complex.
+
+    F_p H^n is the image of H^n of the p-th subcomplex, computed as
+    (F_p ∩ ker d + boundaries) / boundaries.
+    """
+    hq = k_cohomology_quotient(fc.ambient, n)
+    ker = Subspace.from_columns(kernel_cols(fc.ambient.d(n)))
+    fdims = {}
+    for p in range(fc.p_min, fc.p_max + 2):
+        zn = fc.subspace(p, n).intersect(ker)
+        fdims[p] = zn.add(hq.bspace).dim - hq.bspace.dim
+    return {p: fdims[p] - fdims[p + 1] for p in range(fc.p_min, fc.p_max + 1)}
+
+
+def beta_squared_is_zero(bc) -> bool:
+    return all((bc.beta_matrix(i + 1) @ bc.beta_matrix(i)).is_zero()
+               for i in range(bc.K.lo, bc.K.hi - 1))

@@ -17,7 +17,6 @@ import pytest
 from decalage.bockstein import (
     ComplexContext,
     Memo,
-    beta_squared_is_zero,
     bockstein_complex,
     connecting_factorization,
     k_cohomology_quotient,
@@ -39,7 +38,12 @@ from decalage.theorem import (
     verify_main_theorem,
 )
 
-from oracles import bb_flag_oracle, image_flag_oracle, invariant_factors_by_minors
+from oracles import (
+    bb_flag_oracle,
+    beta_squared_is_zero,
+    image_flag_oracle,
+    invariant_factors_by_minors,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
 

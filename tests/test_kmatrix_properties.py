@@ -7,6 +7,7 @@ import pytest
 from decalage.kmatrix import QuotientSpace, Subspace, field_rank
 from decalage.rings import PrimeField
 from decalage.rmatrix import Matrix
+from oracles import ring_sum
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -28,7 +29,7 @@ def combinations_of(F, vectors, n, draw, count):
     for _ in range(count):
         coeffs = draw(st.lists(st.integers(0, F.p - 1), min_size=len(vectors),
                                max_size=len(vectors)))
-        out.append(tuple(F.sum(F.mul(c, v[i]) for c, v in zip(coeffs, vectors))
+        out.append(tuple(ring_sum(F, (F.mul(c, v[i]) for c, v in zip(coeffs, vectors)))
                          for i in range(n)))
     return out
 

@@ -1,16 +1,8 @@
 import pytest
 
+from decalage.bockstein import Memo
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
-from decalage.rmatrix import (
-    Matrix,
-    ShapeMismatch,
-    image_basis,
-    intersect_spans,
-    kernel_basis,
-    preimage_basis,
-    snf,
-    solve_exact,
-)
+from decalage.rmatrix import Matrix, ShapeMismatch, snf, solve_exact
 
 from oracles import determinant, fraction_kernel_rank, invariant_factors_by_minors, minors_rank
 
@@ -122,17 +114,17 @@ def test_matrix_hash_follows_content(z2, rng):
 
 
 def test_kernel_examples(z3, z2):
-    assert kernel_basis(Matrix(z3, [[3]])).cols == 0
-    assert kernel_basis(Matrix(z3, [[0]])) == Matrix(z3, [[1]])
+    assert snf(Matrix(z3, [[3]])).kernel().cols == 0
+    assert snf(Matrix(z3, [[0]])).kernel() == Matrix(z3, [[1]])
     M = Matrix(z2, [[1, 0], [0, 2]])
-    assert kernel_basis(M).cols == 0
+    assert snf(M).kernel().cols == 0
     assert fraction_kernel_rank(M) == 0
 
 
 def test_kernel_contract(rng, z5):
     for _ in range(80):
         M = rand_matrix(z5, rng, rng.randint(1, 4), rng.randint(1, 4))
-        B = kernel_basis(M)
+        B = snf(M).kernel()
         assert (M @ B).is_zero()
         assert minors_rank(B) == B.cols  # full column rank
         assert B.cols == M.cols - minors_rank(M)
@@ -142,7 +134,7 @@ def test_kernel_contract(rng, z5):
 def test_image_basis_spans(rng, z3):
     for _ in range(60):
         M = rand_matrix(z3, rng, rng.randint(1, 4), rng.randint(1, 4))
-        B = image_basis(M)
+        B = snf(M).image()
         assert B.cols == minors_rank(M)
         # mutual containment of spans
         assert solve_exact(B, M) is not None
@@ -150,16 +142,16 @@ def test_image_basis_spans(rng, z3):
 
 
 def test_preimage_basis(rng, z5, f5t):
-    assert preimage_basis(Matrix(z5, [[2]]), Matrix(z5, [[5]])) == Matrix(z5, [[5]])
+    assert Memo().preimage(Matrix(z5, [[2]]), Matrix(z5, [[5]])) == Matrix(z5, [[5]])
     for ring in (z5, f5t):
         for _ in range(40):
             A = rand_matrix(ring, rng, rng.randint(1, 3), rng.randint(1, 3))
             S = rand_matrix(ring, rng, A.rows, rng.randint(0, 2))
-            B = preimage_basis(A, S)
+            B = Memo().preimage(A, S)
             assert minors_rank(B) == B.cols  # full column rank
             # A B lies in span(S), and every x with A x in span(S) lies in span(B)
             assert solve_exact(S, A @ B) is not None
-            ker = kernel_basis(A.hstack(S))
+            ker = snf(A.hstack(S)).kernel()
             assert solve_exact(B, ker.submatrix(0, A.cols, 0, ker.cols)) is not None
 
 
@@ -181,7 +173,7 @@ def test_solve_random(rng, f5t):
 
 
 def test_intersect_spans(z5):
-    W = intersect_spans(Matrix(z5, [[2, 0], [0, 3]]), Matrix(z5, [[1], [1]]))
+    W = Memo().intersect(Matrix(z5, [[2, 0], [0, 3]]), Matrix(z5, [[1], [1]]))
     assert W.cols == 1
     col = W.column(0)
     assert col[0] == col[1] and col[0] % 6 == 0 and col[0] != 0
@@ -189,9 +181,9 @@ def test_intersect_spans(z5):
 
 def test_zero_shape_handling(z3):
     empty = Matrix.zeros(z3, 0, 3)
-    assert kernel_basis(empty) == Matrix.identity(z3, 3)
+    assert snf(empty).kernel() == Matrix.identity(z3, 3)
     tall = Matrix.zeros(z3, 3, 0)
-    assert kernel_basis(tall).cols == 0
+    assert snf(tall).kernel().cols == 0
     prod = Matrix.zeros(z3, 2, 0) @ Matrix.zeros(z3, 0, 4)
     assert prod.rows == 2 and prod.cols == 4 and prod.is_zero()
 

@@ -128,6 +128,28 @@ def test_cli_check_theorem_reports_injected_bug(tmp_path, z3):
     assert "FAIL" in r.stdout
 
 
+@pytest.mark.parametrize("command", ["check-lemmas", "check-theorem"])
+@pytest.mark.parametrize("options", [
+    ["--xi", "4"],
+    ["--xi", "abc"],
+    ["--ring", "fp-poly", "--char", "4"],
+    ["--ring", "fp-poly", "--xi", "2"],
+    ["--poset", "builtin:torus"],
+    ["--poset", "{missing}"],
+    ["--poset", "{not_json}"],
+], ids=["xi-not-prime", "xi-not-integer", "char-not-prime", "poly-xi-not-t",
+        "unknown-builtin", "poset-missing", "poset-not-json"])
+def test_cli_bad_generation_options_are_parse_errors(tmp_path, command, options):
+    not_json = tmp_path / "poset.txt"
+    not_json.write_text("elements: a, b\n")
+    paths = {"missing": tmp_path / "absent.json", "not_json": not_json}
+    r = run_cli(command, "--generate", "h1",
+                *(option.format_map(paths) for option in options))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "parse error" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_ss_renders_pages(tmp_path, z3):
     path = tmp_path / "shell.json"
     path.write_text(json.dumps(complex_to_json(
