@@ -13,7 +13,7 @@ from .complexes import (
     truncate_leq,
 )
 from .eta import eta_m, graded_piece, mod_xi_subquotient
-from .bockstein import ComplexContext, bockstein_complex, connecting_factorization, split_mod_xi
+from .bockstein import Memo, bockstein_complex, connecting_factorization, split_mod_xi
 from .sites import InstanceContext, PosetSite, SheafComplex, global_sections_complex
 from .spectral import (
     FilteredComplex,

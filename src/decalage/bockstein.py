@@ -8,12 +8,13 @@ subquotients of the decalage stages: the reduction of the plain decalage is
 quasi-isomorphic to the whole complex, the stage-(m+1)/xi*stage(m)
 subquotient matches its degree >= m+1 (Hodge) part, the connecting map of the
 graded triangle factors through beta, and the mod-xi reduction of a stage
-splits into a truncation part and a Hodge part.
+splits into a truncation part and a Hodge part.  Each check takes a
+context (``Memo``) and the complex K, and reads every object it needs from
+the context, which builds each object made from one complex once per call.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .checks import CheckResult
@@ -39,85 +40,45 @@ class BocksteinComplex:
     """H^*(K/xi) with the Bockstein differential, over k = R/(xi).
 
     ``quotients[i]`` fixes representatives of H^i(K/xi) inside (K/xi)^i;
-    ``beta[i]`` is the differential in those bases.
+    ``complex`` is the Bockstein complex over k, whose degree-i differential
+    is beta_i in those bases.
     """
 
-    __slots__ = ("K", "field", "quotients", "beta")
+    __slots__ = ("K", "field", "quotients", "complex")
 
-    def __init__(self, K, field, quotients, beta):
+    def __init__(self, K, quotients, complex):
         self.K = K
-        self.field = field
+        self.field = complex.ring
         self.quotients = quotients
-        self.beta = beta
+        self.complex = complex
 
     def dim(self, i: int) -> int:
-        q = self.quotients.get(i)
-        return 0 if q is None else q.dim
+        return self.complex.rank(i)
 
     def beta_matrix(self, i: int) -> Matrix:
-        b = self.beta.get(i)
-        if b is None:
-            return Matrix.zeros(self.field, self.dim(i + 1), self.dim(i))
-        return b
-
-    def as_complex(self) -> FreeComplex:
-        """The Bockstein complex as a plain complex over k."""
-        lo, hi = self.K.lo, self.K.hi
-        ranks = [self.dim(i) for i in range(lo, hi + 1)]
-        diffs = [self.beta_matrix(i) for i in range(lo, hi)]
-        return FreeComplex(self.field, lo, ranks, diffs)
-
-    def describe(self) -> dict:
-        return {
-            "dims": [self.dim(i) for i in range(self.K.lo, self.K.hi + 1)],
-            "beta": [
-                [[self.field.format(x) for x in row] for row in self.beta_matrix(i).data]
-                for i in range(self.K.lo, self.K.hi)
-            ],
-        }
+        return self.complex.d(i)
 
 
-def bockstein_complex(ctx: Memo, K: FreeComplex,
-                      rng: random.Random | None = None) -> BocksteinComplex:
+def bockstein_complex(ctx: Memo, K: FreeComplex) -> BocksteinComplex:
     """Build H^*(K/xi) with beta computed through explicit lifts.
 
-    The groups H^i(K/xi) come from the context ``ctx``.  Their representatives
-    are lifted together: apply d, divide by xi, reduce and classify.  When
-    ``rng`` is given, every lift is perturbed by a random multiple of xi; the
-    resulting matrices must not change (lift independence).
+    The reduction K/xi and its groups H^i(K/xi) come from the context
+    ``ctx``.  Their representatives are lifted together: apply d, divide by
+    xi, reduce and classify.
     """
-    kbar = K.reduce_mod_xi()
+    kbar = ctx.kbar(K)
     quotients = {i: ctx.quotient(kbar, i) for i in K.degrees()}
-    beta = {}
-    ring = K.ring
+    beta = []
     for i in range(K.lo, K.hi):
-        reps = quotients[i].rep_matrix()
-        lifted = reps.map_entries(ring.lift, ring)
-        if rng is not None:
-            noise = Matrix.from_columns(ring, [
-                [ring.parse(str(rng.randint(-3, 3))) if ring.kind == "z"
-                 else ring.constant(_random_field_element(ring.base, rng))
-                 for _ in range(reps.rows)]
-                for _ in range(reps.cols)
-            ], rows=reps.rows)
-            lifted = lifted + noise.scale(ring.xi)
+        lifted = quotients[i].rep_matrix().map_entries(K.ring.lift, K.ring)
         image = (K.d(i) @ lifted).xi_divide(1).residue()
-        beta[i] = quotients[i + 1].coords_matrix(image)
-    return BocksteinComplex(K, kbar.ring, quotients, beta)
-
-
-def _random_field_element(field, rng):
-    from .rings import PrimeField
-
-    if isinstance(field, PrimeField):
-        return rng.randrange(field.p)
-    from fractions import Fraction
-
-    return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+        beta.append(quotients[i + 1].coords_matrix(image))
+    ranks = [quotients[i].dim for i in K.degrees()]
+    return BocksteinComplex(K, quotients, FreeComplex(kbar.ring, K.lo, ranks, beta))
 
 
 # ---------------------------------------------------------------------------
-# one complex's stages and Bockstein data, built once per call
+# every object built from one complex, built once per call
 
 
 _MISSING = object()
@@ -126,13 +87,16 @@ _MISSING = object()
 class Memo:
     """Builds each keyed object once; a context lives for one top-level call.
 
-    A context is also the one place where cohomology is computed and where
-    matrices are factored.  Groups are keyed by the complex itself: equal
-    free complexes built separately share one entry, finitely presented ones
-    (built once per context) are keyed by identity.  Factorizations are keyed
-    by matrix content, and kernels, images, solves, preimages and
-    intersections over R are views of them; ``rmatrix.solve_exact`` is the
-    one solve outside a context.
+    A context is the one builder of the objects made from a complex K: its
+    cohomology groups, its stages with their inclusions, graded pieces,
+    mod-xi subquotients and Hodge comparisons, its reduction K/xi with the
+    truncations, and its Bockstein complex with the Hodge parts.  Each is
+    keyed by the complex it is built from: equal free complexes built
+    separately share one entry, finitely presented ones (built once per
+    context) are keyed by identity.  A context is also the one place where
+    matrices are factored, keyed by content; kernels, images, solves,
+    preimages and intersections over R are views of the factorizations, and
+    ``rmatrix.solve_exact`` is the one solve outside a context.
     """
 
     def __init__(self):
@@ -180,59 +144,57 @@ class Memo:
         """H^i(K) of a complex over k, as ``k_cohomology_quotient``."""
         return self.once(("quotient", K, i), k_cohomology_quotient, K, i)
 
+    def stage(self, K: FreeComplex, m: int):
+        """Stage m of K, as ``eta_m``."""
+        return self.once(("stage", K, m), eta_m, self, K, m)
 
-class ComplexContext(Memo):
-    """The stages of K and its Bockstein data, for the stage checks to share."""
+    def inclusion(self, K: FreeComplex, m: int):
+        """stage(m+1) -> stage(m) of K, as ``stage_inclusion``."""
+        return self.once(("inclusion", K, m), stage_inclusion, self, self.stage(K, m + 1),
+                         self.stage(K, m))
 
-    def __init__(self, K: FreeComplex):
-        super().__init__()
-        self.K = K
+    def graded(self, K: FreeComplex, m: int):
+        """stage(m)/stage(m+1) of K, as ``graded_piece``."""
+        return self.once(("graded", K, m), graded_piece, self, K, m)
 
-    def stage(self, m: int):
-        return self.once(("stage", m), eta_m, self, self.K, m)
+    def subquotient(self, K: FreeComplex, m: int):
+        """stage(m+1)/xi*stage(m) of K, as ``mod_xi_subquotient``."""
+        return self.once(("subquotient", K, m), mod_xi_subquotient, self, K, m)
 
-    def inclusion(self, m: int):
-        """stage(m+1) -> stage(m)."""
-        return self.once(("inclusion", m), stage_inclusion, self, self.stage(m + 1),
-                         self.stage(m))
+    def kbar(self, K: FreeComplex) -> FreeComplex:
+        """K/xi."""
+        return self.once(("kbar", K), K.reduce_mod_xi)
 
-    def graded(self, m: int):
-        return self.once(("graded", m), graded_piece, self, m)
+    def truncation(self, K: FreeComplex, m: int):
+        """tau_{<=m}(K) with its inclusion, as ``truncate_leq``."""
+        return self.once(("truncation", K, m), truncate_leq, self, K, m)
 
-    def subquotient(self, m: int):
-        return self.once(("subquotient", m), mod_xi_subquotient, self, m)
+    def bockstein(self, K: FreeComplex) -> BocksteinComplex:
+        """H^*(K/xi) with beta, as ``bockstein_complex``."""
+        return self.once(("bockstein", K), bockstein_complex, self, K)
 
-    def kbar(self) -> FreeComplex:
-        return self.once("kbar", self.K.reduce_mod_xi)
+    def hodge(self, K: FreeComplex, p: int):
+        """The degree >= p part of K with its inclusion, as ``hodge_filtration``."""
+        return self.once(("hodge", K, p), hodge_filtration, K, p)
 
-    def truncation(self, m: int):
-        """tau_{<=m}(K/xi) with its inclusion."""
-        return self.once(("truncation", m), truncate_leq, self, self.kbar(), m)
-
-    def bockstein(self) -> BocksteinComplex:
-        return self.once("bockstein", bockstein_complex, self, self.K)
-
-    def hodge(self, p: int):
-        """The Hodge part F_p of the Bockstein complex with its inclusion."""
-        return self.once(("hodge", p), hodge_filtration, self.bockstein().as_complex(), p)
-
-    def comparison(self, m: int) -> dict:
-        return self.once(("comparison", m), hodge_stage_comparison, self, m)
+    def comparison(self, K: FreeComplex, m: int) -> dict:
+        """stage(m)/xi*stage(m-1) of K onto F_m, as ``hodge_stage_comparison``."""
+        return self.once(("comparison", K, m), hodge_stage_comparison, self, K, m)
 
 
 # ---------------------------------------------------------------------------
 # comparison maps into the Bockstein complex
 
 
-def hodge_stage_comparison(cx: ComplexContext, m: int) -> dict:
+def hodge_stage_comparison(ctx: Memo, K: FreeComplex, m: int) -> dict:
     """Comparison from stage(m)/xi*stage(m-1) onto the Hodge part F_m of H^*(K/xi).
 
     For m = 0 this is the comparison of the full reduced decalage.  Degrees
     below m are zero on both sides; at degree i >= m generator j is
     xi^i * w_j and maps to the class of w_j.
     """
-    K, bc = cx.K, cx.bockstein()
-    emb = cx.stage(m)
+    bc = ctx.bockstein(K)
+    emb = ctx.stage(K, m)
     maps = {}
     for i in K.degrees():
         if i < m:
@@ -243,24 +205,23 @@ def hodge_stage_comparison(cx: ComplexContext, m: int) -> dict:
     return maps
 
 
-def verify_reduction_identification(cx: ComplexContext) -> CheckResult:
+def verify_reduction_identification(ctx: Memo, K: FreeComplex) -> CheckResult:
     """(decalage of K) mod xi is the Bockstein complex, via explicit maps.
 
     Checks the comparison is a chain map over k and induces an isomorphism on
     cohomology in every degree (dimension match plus full rank).
     """
     out = CheckResult("eta.mod-xi-bockstein-model")
-    K, bc = cx.K, cx.bockstein()
-    red = cx.stage(0).complex.reduce_mod_xi()
-    comp = cx.comparison(0)
-    bcx = bc.as_complex()
+    red = ctx.kbar(ctx.stage(K, 0).complex)
+    comp = ctx.comparison(K, 0)
+    bcx = ctx.bockstein(K).complex
     for i in range(K.lo, K.hi):
         lhs = comp[i + 1] @ red.d(i)
         rhs = bcx.d(i) @ comp[i]
         out.expect(lhs == rhs, degree=i, reason="comparison is not a chain map")
     for i in K.degrees():
-        hq = cx.quotient(red, i)
-        hb = cx.quotient(bcx, i)
+        hq = ctx.quotient(red, i)
+        hb = ctx.quotient(bcx, i)
         out.expect(hq.dim == hb.dim, degree=i, reason="dimension mismatch",
                    reduced=hq.dim, bockstein=hb.dim)
         if hq.dim != hb.dim:
@@ -271,17 +232,16 @@ def verify_reduction_identification(cx: ComplexContext) -> CheckResult:
     return out
 
 
-def verify_mod_xi_subquotient(cx: ComplexContext, m: int) -> CheckResult:
+def verify_mod_xi_subquotient(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
     """stage(m+1)/xi*stage(m) has the cohomology of the Hodge part F_{m+1}."""
     out = CheckResult("eta-m.mod-xi-subquotient")
-    K = cx.K
-    sq = cx.subquotient(m)
-    out.expect(sq.degree_m_cohomology_vanishes(cx), degree=m, m=m,
+    sq = ctx.subquotient(K, m)
+    out.expect(sq.degree_m_cohomology_vanishes(ctx), degree=m, m=m,
                reason="degree-m cohomology of the subquotient must vanish")
-    hodge, _ = cx.hodge(m + 1)
+    hodge, _ = ctx.hodge(ctx.bockstein(K).complex, m + 1)
     for i in K.degrees():
-        got = cx.presentation(sq.fp, i).module
-        want = FGModule.of_k_dimension(K.ring, cx.quotient(hodge, i).dim)
+        got = ctx.presentation(sq.fp, i).module
+        want = FGModule.of_k_dimension(K.ring, ctx.quotient(hodge, i).dim)
         out.expect(got == want, degree=i, m=m, got=repr(got), want=repr(want))
     return out
 
@@ -290,7 +250,7 @@ def verify_mod_xi_subquotient(cx: ComplexContext, m: int) -> CheckResult:
 # the connecting map of the graded triangle
 
 
-def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
+def connecting_factorization(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
     """Connecting map of stage(m+1) -> stage(m) -> graded piece, versus beta.
 
     Verifies, in order: the four-term sequence
@@ -301,8 +261,8 @@ def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
     under the comparison identifications.
     """
     out = CheckResult("eta-m.connecting-bockstein")
-    K, bc = cx.K, cx.bockstein()
-    bcx = bc.as_complex()
+    bc = ctx.bockstein(K)
+    bcx = bc.complex
     field = bc.field
 
     # four-term exactness with middle map beta
@@ -310,7 +270,7 @@ def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
     beta_m1 = bc.beta_matrix(m + 1)
     zm = kernel_cols(beta_m)
     zm1 = kernel_cols(beta_m1)
-    hm1 = cx.quotient(bcx, m + 1)
+    hm1 = ctx.quotient(bcx, m + 1)
     out.expect((beta_m1 @ beta_m).is_zero(), m=m, reason="beta squared nonzero")
     # exactness at H^m(K/xi): kernel of beta_m is Z^m by construction; at
     # Z^{m+1}: image of beta_m + boundaries span, quotient is H^{m+1}
@@ -320,24 +280,24 @@ def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
                reason="cokernel of beta_m inside Z^{m+1} is not H^{m+1}")
 
     # three-case formula for stage(m) mod xi
-    red = cx.stage(m).complex.reduce_mod_xi()
+    red = ctx.kbar(ctx.stage(K, m).complex)
     for i in K.degrees():
-        got = cx.quotient(red, i).dim
+        got = ctx.quotient(red, i).dim
         if i <= m - 1:
             want = bc.dim(i)
         elif i == m:
             want = zm.cols
         else:
-            want = cx.quotient(bcx, i).dim
+            want = ctx.quotient(bcx, i).dim
         out.expect(got == want, degree=i, m=m, got=got, want=want,
                    reason="three-case reduction formula")
 
     # snake of the graded triangle equals beta
     if m + 1 <= K.hi:
-        grade = cx.graded(m)
+        grade = ctx.graded(K, m)
         stage, finer = grade.stage, grade.finer
-        inc = cx.inclusion(m)
-        gens = cx.presentation(grade.fp, m).gens_basis
+        inc = ctx.inclusion(K, m)
+        gens = ctx.presentation(grade.fp, m).gens_basis
         # beta of the classes of the generators in H^m(K/xi)
         elts = (stage.basis(m) @ gens).xi_divide(m).residue()
         betas = beta_m @ bc.quotients[m].coords_matrix(elts)
@@ -346,7 +306,7 @@ def connecting_factorization(cx: ComplexContext, m: int) -> CheckResult:
             rhs = betas.column(j)
             # snake: lift z, apply d, pull back along the stage inclusion
             dz = stage.complex.d(m) @ z
-            y = cx.solve(inc.map(m + 1), dz)
+            y = ctx.solve(inc.map(m + 1), dz)
             if y is None:
                 out.fail(m=m, generator=j, reason="snake image escaped the finer stage")
                 continue
@@ -374,16 +334,15 @@ class Splitting:
     check: CheckResult
 
 
-def split_mod_xi(cx: ComplexContext, m: int) -> Splitting:
+def split_mod_xi(ctx: Memo, K: FreeComplex, m: int) -> Splitting:
     """Decomposition record for stage(m+1)/xi: truncation part + Hodge part.
 
     ``dims`` holds the per-degree bookkeeping; the check asserts cohomology
     additivity in every degree and the two compatibility squares.
     """
-    K = cx.K
-    hodge, _ = cx.hodge(m + 1)
-    red = cx.stage(m + 1).complex.reduce_mod_xi()
-    tau, _ = cx.truncation(m)
+    hodge, _ = ctx.hodge(ctx.bockstein(K).complex, m + 1)
+    red = ctx.kbar(ctx.stage(K, m + 1).complex)
+    tau, _ = ctx.truncation(ctx.kbar(K), m)
 
     result = CheckResult("eta-m.mod-xi-splitting")
     dims = {}
@@ -393,16 +352,16 @@ def split_mod_xi(cx: ComplexContext, m: int) -> Splitting:
             "truncation_factor": tau.rank(i),
             "hodge_factor": hodge.rank(i),
         }
-        got = cx.quotient(red, i).dim
-        want = cx.quotient(tau, i).dim + cx.quotient(hodge, i).dim
+        got = ctx.quotient(red, i).dim
+        want = ctx.quotient(tau, i).dim + ctx.quotient(hodge, i).dim
         result.expect(got == want, degree=i, m=m, got=got, want=want,
                       reason="cohomology does not split")
 
-    result.merge(_splitting_compatibility(cx, m))
+    result.merge(_splitting_compatibility(ctx, K, m))
     return Splitting(dims, red, tau, hodge, result)
 
 
-def _splitting_compatibility(cx: ComplexContext, m: int) -> CheckResult:
+def _splitting_compatibility(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
     """The two compatibility squares of the splitting, on cohomology.
 
     (a) Hodge side: stage(m+1)/xi*stage(m) -> stage(m)/xi*stage(m-1)
@@ -411,19 +370,18 @@ def _splitting_compatibility(cx: ComplexContext, m: int) -> CheckResult:
         agrees with the truncation inclusion tau_{<=m-1} -> tau_{<=m}.
     """
     out = CheckResult("eta-m.mod-xi-splitting-compat")
-    K = cx.K
 
     # (a): compare through the Hodge comparisons at levels m+1 and m
-    sq = cx.subquotient(m)
-    inc = cx.inclusion(m)
-    comp_fine = cx.comparison(m + 1)
-    comp_coarse = cx.comparison(m)
-    f_coarse, _ = cx.hodge(m)
+    sq = ctx.subquotient(K, m)
+    inc = ctx.inclusion(K, m)
+    comp_fine = ctx.comparison(K, m + 1)
+    comp_coarse = ctx.comparison(K, m)
+    f_coarse, _ = ctx.hodge(ctx.bockstein(K).complex, m)
     for i in K.degrees():
         if i < m + 1:
             continue
-        gens = cx.presentation(sq.fp, i).gens_basis
-        hq = cx.quotient(f_coarse, i)
+        gens = ctx.presentation(sq.fp, i).gens_basis
+        hq = ctx.quotient(f_coarse, i)
         lhs = hq.coords_matrix(comp_coarse[i] @ (inc.map(i) @ gens).residue())
         rhs = hq.coords_matrix(comp_fine[i] @ gens.residue())
         for j in range(gens.cols):
@@ -432,10 +390,11 @@ def _splitting_compatibility(cx: ComplexContext, m: int) -> CheckResult:
 
     # (b): truncation side, only meaningful for m >= 1
     if m >= 1:
-        grade_prev = cx.graded(m - 1)
-        grade = cx.graded(m)
-        _, tau_prev_inc = cx.truncation(m - 1)
-        _, tau_inc = cx.truncation(m)
+        grade_prev = ctx.graded(K, m - 1)
+        grade = ctx.graded(K, m)
+        kbar = ctx.kbar(K)
+        _, tau_prev_inc = ctx.truncation(kbar, m - 1)
+        _, tau_inc = ctx.truncation(kbar, m)
         # inclusion tau_{<=m-1} -> tau_{<=m} over k
         jmaps = {}
         for i in K.degrees():
@@ -445,12 +404,12 @@ def _splitting_compatibility(cx: ComplexContext, m: int) -> CheckResult:
                 return out
             jmaps[i] = sol
         for i in K.degrees():
-            gens = cx.presentation(grade_prev.fp, i).gens_basis
+            gens = ctx.presentation(grade_prev.fp, i).gens_basis
             if gens.cols == 0:
                 continue
-            hq = cx.quotient(grade.tau, i)
+            hq = ctx.quotient(grade.tau, i)
             # xi * stage(m-1) -> stage(m), as the subquotient's relations
-            u = cx.subquotient(m - 1).fp.rels(i)
+            u = ctx.subquotient(K, m - 1).fp.rels(i)
             lhs = hq.coords_matrix(grade.comparison[i] @ (u @ gens).residue())
             rhs = hq.coords_matrix(jmaps[i] @ (grade_prev.comparison[i] @ gens.residue()))
             for j in range(gens.cols):

@@ -14,7 +14,7 @@ each degree is generators-plus-relations, with differentials on generators.
 from __future__ import annotations
 
 from .rings import BaseRing
-from .rmatrix import Matrix, ShapeMismatch, solve_exact
+from .rmatrix import Matrix, ShapeMismatch
 
 
 class DifferentialSquareNonzero(ValueError):
@@ -119,7 +119,7 @@ class FGModule:
 
 
 class FreeComplex:
-    __slots__ = ("ring", "lo", "hi", "_ranks", "_diffs", "twist")
+    __slots__ = ("ring", "lo", "hi", "_ranks", "_diffs", "twist", "_hash")
 
     def __init__(self, ring, lo: int, ranks, diffs, twist: int = 0):
         ranks = tuple(int(r) for r in ranks)
@@ -134,6 +134,7 @@ class FreeComplex:
         self._ranks = ranks
         self._diffs = diffs
         self.twist = twist
+        self._hash = None
         for i, d in enumerate(diffs):
             if (d.rows, d.cols) != (ranks[i + 1], ranks[i]):
                 raise ShapeMismatch(
@@ -190,13 +191,6 @@ class FreeComplex:
             k, self.lo, self._ranks, [d.residue() for d in self._diffs], self.twist
         )
 
-    def shift(self, s: int) -> "FreeComplex":
-        """Degree shift K[s]: K[s]^i = K^{i+s}, differentials sign-flipped for odd s."""
-        diffs = self._diffs
-        if s % 2:
-            diffs = [-d for d in diffs]
-        return FreeComplex(self.ring, self.lo - s, self._ranks, diffs, self.twist)
-
     def __eq__(self, other):
         return (
             isinstance(other, FreeComplex)
@@ -208,7 +202,10 @@ class FreeComplex:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.lo, self._ranks, self._diffs, self.twist))
+        # complexes are immutable, and the context memos key builds by them
+        if self._hash is None:
+            self._hash = hash((self.ring, self.lo, self._ranks, self._diffs, self.twist))
+        return self._hash
 
     def __repr__(self):
         return f"<complex deg [{self.lo},{self.hi}] ranks {list(self._ranks)}>"
@@ -314,21 +311,6 @@ class FPComplex:
         if self.lo <= i < self.hi:
             return self._diffs[i - self.lo]
         return Matrix.zeros(self.ring, self.gens(i + 1), self.gens(i))
-
-    def degrees(self):
-        return range(self.lo, self.hi + 1)
-
-    def validate(self) -> None:
-        for i in self.degrees():
-            # differentials send relations into relations
-            img = self.d(i) @ self.rels(i)
-            if img.cols and solve_exact(self.rels(i + 1), img) is None:
-                raise ShapeMismatch(f"d({i}) does not preserve relations")
-            # d squared lands in relations
-            sq = self.d(i + 1) @ self.d(i)
-            if sq.cols and not sq.is_zero():
-                if solve_exact(self.rels(i + 2), sq) is None:
-                    raise DifferentialSquareNonzero(i)
 
     def term_invariants(self, ctx, i: int) -> FGModule:
         return self.module(i).invariants(ctx)

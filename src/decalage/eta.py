@@ -14,10 +14,10 @@ xi * stage(m) <= stage(m+1) <= stage(m).
 Quotients of consecutive stages are produced as finitely presented complexes
 together with the comparison maps onto truncations of K/xi.  Every builder
 takes a context (a ``Memo``, bockstein module), which factors each matrix
-once per call.  Everything built from several stages takes a
-``ComplexContext``, which also builds each stage of K once per call, and
-reads the stages and their inclusions from it (``cx.stage(m)``,
-``cx.inclusion(m)``): ``xi_step_inclusion_holds``, ``graded_piece``,
+once per call.  Everything built from several stages takes the context and
+K, and reads the stages and their inclusions from the context
+(``ctx.stage(K, m)``, ``ctx.inclusion(K, m)``), which builds each of them
+once per call: ``xi_step_inclusion_holds``, ``graded_piece``,
 ``mod_xi_subquotient`` and ``verify_eta_m_cohomology``.
 ``is_stationary_stage`` takes the one stage it checks.
 """
@@ -111,15 +111,15 @@ def stage_inclusion(ctx, finer: SubcomplexEmbedding,
     return ChainMap(finer.complex, coarser.complex, maps)
 
 
-def xi_step_inclusion_holds(cx, m: int) -> bool:
+def xi_step_inclusion_holds(ctx, K: FreeComplex, m: int) -> bool:
     """Membership test for xi * stage(m) <= stage(m+1) <= stage(m).
 
     The context's inclusion and subquotient solve the two memberships; each
     raises ArithmeticError when its membership fails.
     """
     try:
-        cx.inclusion(m)
-        cx.subquotient(m)
+        ctx.inclusion(K, m)
+        ctx.subquotient(K, m)
     except ArithmeticError:
         return False
     return True
@@ -146,7 +146,7 @@ class GradedPiece:
     """stage(m)/stage(m+1) with its comparison onto the truncation of K/xi.
 
     ``fp`` presents the quotient on the stage-m basis; ``tau`` is the
-    context's canonical truncation of the reduction at level m;
+    context's canonical truncation of K/xi at level m;
     ``comparison[i]`` is the k-matrix from stage-m generator coordinates to
     the chosen basis of tau's degree-i term.  The piece keeps no reference to
     its context (that would be a cycle, keeping every context alive until the
@@ -164,7 +164,7 @@ class GradedPiece:
         self.stage = stage
         self.finer = finer
 
-    def verify(self, cx) -> CheckResult:
+    def verify(self, ctx) -> CheckResult:
         out = CheckResult("eta-m.graded-piece")
         K, m = self.K, self.m
         for i in K.degrees():
@@ -180,7 +180,7 @@ class GradedPiece:
                 right = self.tau.d(i) @ comp
                 out.expect(left == right, degree=i, reason="comparison does not commute with d")
             # termwise bijectivity
-            qdim = self.fp.term_invariants(cx, i).k_dimension()
+            qdim = self.fp.term_invariants(ctx, i).k_dimension()
             tdim = self.tau.rank(i)
             out.expect(qdim == tdim, degree=i, reason="term dimension mismatch",
                        quotient=qdim, truncation=tdim)
@@ -189,26 +189,25 @@ class GradedPiece:
                 out.expect(qdim == 0, degree=i, reason="graded piece should vanish above m")
         # cohomology agreement, degree by degree
         for i in K.degrees():
-            got = cx.presentation(self.fp, i).module
-            want = FGModule.of_k_dimension(K.ring, cx.quotient(self.tau, i).dim)
+            got = ctx.presentation(self.fp, i).module
+            want = FGModule.of_k_dimension(K.ring, ctx.quotient(self.tau, i).dim)
             out.expect(got == want, degree=i, reason="graded cohomology mismatch",
                        got=repr(got), want=repr(want))
         return out
 
 
-def graded_piece(cx, m: int) -> GradedPiece:
+def graded_piece(ctx, K: FreeComplex, m: int) -> GradedPiece:
     """stage(m)/stage(m+1) with comparison to the truncation of K/xi at m."""
-    K = cx.K
-    stage = cx.stage(m)
-    finer = cx.stage(m + 1)
-    inc = cx.inclusion(m)
+    stage = ctx.stage(K, m)
+    finer = ctx.stage(K, m + 1)
+    inc = ctx.inclusion(K, m)
     ring = K.ring
     modules = [FPModule(stage.complex.rank(i), inc.map(i)) for i in K.degrees()]
     diffs = [stage.complex.d(i) for i in range(K.lo, K.hi)]
     fp = FPComplex(ring, K.lo, modules, diffs)
 
-    kbar = cx.kbar()
-    tau, tau_inc = cx.truncation(m)
+    kbar = ctx.kbar(K)
+    tau, tau_inc = ctx.truncation(kbar, m)
 
     comparison = {}
     for i in K.degrees():
@@ -248,19 +247,18 @@ class ModXiSubquotient:
         self.finer = finer
         self.stage = stage
 
-    def degree_m_cohomology_vanishes(self, cx) -> bool:
-        """Whether H^m vanishes; ``cx`` is the context that built the subquotient."""
-        return cx.presentation(self.fp, self.m).module.is_zero()
+    def degree_m_cohomology_vanishes(self, ctx) -> bool:
+        """Whether H^m vanishes; ``ctx`` is the context that built the subquotient."""
+        return ctx.presentation(self.fp, self.m).module.is_zero()
 
 
-def mod_xi_subquotient(cx, m: int) -> ModXiSubquotient:
-    K = cx.K
-    stage = cx.stage(m)
-    finer = cx.stage(m + 1)
+def mod_xi_subquotient(ctx, K: FreeComplex, m: int) -> ModXiSubquotient:
+    stage = ctx.stage(K, m)
+    finer = ctx.stage(K, m + 1)
     ring = K.ring
     modules = []
     for i in K.degrees():
-        rel = cx.solve(finer.basis(i), stage.basis(i).scale(ring.xi))
+        rel = ctx.solve(finer.basis(i), stage.basis(i).scale(ring.xi))
         if rel is None:
             raise ArithmeticError(f"xi*stage(m) escaped stage(m+1) at degree {i}")
         modules.append(FPModule(finer.complex.rank(i), rel))
@@ -273,7 +271,7 @@ def mod_xi_subquotient(cx, m: int) -> ModXiSubquotient:
 # cohomology of the stages
 
 
-def verify_eta_m_cohomology(cx, m: int) -> CheckResult:
+def verify_eta_m_cohomology(ctx, K: FreeComplex, m: int) -> CheckResult:
     """Three-case cohomology formula for stage(m), as exact FGModule equality.
 
     Above m the stage has the cohomology of the plain decalage (whose own
@@ -281,12 +279,11 @@ def verify_eta_m_cohomology(cx, m: int) -> CheckResult:
     at and below m it matches H(K).
     """
     out = CheckResult("eta-m.cohomology")
-    K = cx.K
-    emb = cx.stage(m)
-    plain = cx.stage(0)
+    emb = ctx.stage(K, m)
+    plain = ctx.stage(K, 0)
 
     def h(C, i):
-        return cx.presentation(C, i).module
+        return ctx.presentation(C, i).module
 
     for i in K.degrees():
         got = h(emb.complex, i)

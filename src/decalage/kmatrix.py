@@ -168,19 +168,6 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
-    def add(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.field, self.ambient, list(self.basis) + list(other.basis))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.field, self.ambient)
-        A = self.matrix().transpose()
-        B = other.matrix().transpose()
-        ker = kernel_cols(A.hstack(B))
-        xpart = ker.submatrix(0, A.cols, 0, ker.cols)
-        vecs = A @ xpart
-        return Subspace.from_columns(vecs)
-
     def to_json(self):
         fmt = self.field.format
         return [[fmt(x) for x in row] for row in self.basis]

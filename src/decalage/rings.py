@@ -440,9 +440,6 @@ class PolynomialRing(BaseRing):
     def one(self):
         return (self.base.one(),)
 
-    def constant(self, c):
-        return self._trim([c])
-
     def add(self, a, b):
         n = max(len(a), len(b))
         z = self.base.zero()

@@ -20,11 +20,10 @@ circle and pins the convention in the tests.
 
 from __future__ import annotations
 
-from .complexes import ChainMap, FreeComplex, truncate_leq, hodge_filtration
+from .complexes import ChainMap, FreeComplex
 from .kmatrix import solve_field
 from .rmatrix import Matrix
-from .bockstein import BocksteinComplex, Memo, bockstein_complex
-from .eta import SubcomplexEmbedding, eta_m
+from .bockstein import Memo
 
 
 class InvalidSheaf(ValueError):
@@ -244,18 +243,6 @@ class SheafMap:
     def map(self, x) -> ChainMap:
         return self.maps[x]
 
-    def validate(self) -> None:
-        for x in self.source.site.elements:
-            self.maps[x].validate()
-        for a, b in self.source.site.strict_pairs():
-            lo = min(self.source.stalk(a).lo, self.target.stalk(a).lo)
-            hi = max(self.source.stalk(a).hi, self.target.stalk(a).hi)
-            left = self.target.res(a, b).after(self.maps[a])
-            right = self.maps[b].after(self.source.res(a, b))
-            for i in range(lo, hi + 1):
-                if left.map(i) != right.map(i):
-                    raise InvalidSheaf(f"sheaf map not natural on {a}<={b} at degree {i}")
-
 
 # ---------------------------------------------------------------------------
 # derived global sections
@@ -404,7 +391,7 @@ def _subsheaf(ctx: "InstanceContext", F: SheafComplex, parts: dict):
 def sheaf_eta_m(ctx: "InstanceContext", m: int):
     """Objectwise decalage stage with induced restrictions and inclusion into F."""
     F = ctx.F
-    embs = {x: ctx.stalk_stage(x, m) for x in F.site.elements}
+    embs = {x: ctx.stage(F.stalk(x), m) for x in F.site.elements}
     sub, incl = _subsheaf(ctx, F, {x: (embs[x].complex, embs[x].iota) for x in F.site.elements})
     return sub, incl, embs
 
@@ -415,8 +402,8 @@ def stage_reduction_map(ctx: "InstanceContext", m: int) -> ChainMap:
     Stage m maps by dividing its embedding by xi^m and reducing.
     """
     F = ctx.F
-    sub, _, embs = ctx.stage(m)
-    subbar, Fbar = sheaf_reduce(sub), ctx.reduced()
+    sub, _, embs = ctx.stage_sheaf(m)
+    subbar, Fbar = sheaf_reduce(ctx, sub), ctx.reduced()
     maps = {
         x: ChainMap(subbar.stalk(x), Fbar.stalk(x),
                     {j: embs[x].reduction_map(j)
@@ -426,9 +413,9 @@ def stage_reduction_map(ctx: "InstanceContext", m: int) -> ChainMap:
     return ctx.sections_map(SheafMap(subbar, Fbar, maps))
 
 
-def sheaf_reduce(F: SheafComplex) -> SheafComplex:
-    """Objectwise reduction mod xi."""
-    return _sheaf(F, {x: F.stalk(x).reduce_mod_xi() for x in F.site.elements},
+def sheaf_reduce(ctx: Memo, F: SheafComplex) -> SheafComplex:
+    """Objectwise reduction mod xi, each stalk's reduction from ``ctx``."""
+    return _sheaf(F, {x: ctx.kbar(F.stalk(x)) for x in F.site.elements},
                   lambda a, b, i: F.res(a, b).map(i).residue())
 
 
@@ -437,18 +424,18 @@ def sheaf_truncate_leq(ctx: "InstanceContext", F: SheafComplex, m: int):
 
     F is a sheaf over the residue field (F/xi on every caller's path).
     """
-    return _subsheaf(ctx, F, {x: truncate_leq(ctx, F.stalk(x), m) for x in F.site.elements})
+    return _subsheaf(ctx, F, {x: ctx.truncation(F.stalk(x), m) for x in F.site.elements})
 
 
 def sheaf_hodge(ctx: "InstanceContext", F: SheafComplex, m: int):
     """Objectwise brutal truncation at m, with its inclusion sheaf map."""
-    return _subsheaf(ctx, F, {x: hodge_filtration(F.stalk(x), m) for x in F.site.elements})
+    return _subsheaf(ctx, F, {x: ctx.hodge(F.stalk(x), m) for x in F.site.elements})
 
 
 def sheaf_bockstein(ctx: "InstanceContext"):
     """Objectwise Bockstein complex with induced restrictions, over k."""
     F = ctx.F
-    bcs = {x: ctx.stalk_bockstein(x) for x in F.site.elements}
+    bcs = {x: ctx.bockstein(F.stalk(x)) for x in F.site.elements}
 
     def restriction(a, b, i):
         qa, qb = bcs[a].quotients[i], bcs[b].quotients.get(i)
@@ -456,19 +443,19 @@ def sheaf_bockstein(ctx: "InstanceContext"):
             return Matrix.zeros(bcs[b].field, 0, qa.dim)
         return qb.coords_matrix(F.res(a, b).map(i).residue() @ qa.rep_matrix())
 
-    omega = _sheaf(F, {x: bcs[x].as_complex() for x in F.site.elements}, restriction)
+    omega = _sheaf(F, {x: bcs[x].complex for x in F.site.elements}, restriction)
     return omega, bcs
 
 
-def bockstein_term_sheaf(ctx: "InstanceContext", q: int, place_at: int = 0):
-    """The degree-q term of the objectwise Bockstein complex as a one-degree sheaf.
+def bockstein_term_sheaf(ctx: "InstanceContext", q: int):
+    """The degree-q term of the objectwise Bockstein complex, as a sheaf in degree q.
 
-    Placing it at internal degree ``place_at`` realizes the shift by -q when
-    place_at = q.
+    Its sections are those of the term in degree 0 shifted by q: H^{p+q} of
+    them is H^p(S, degree-q term).
     """
     F = ctx.F
-    omega, _ = ctx.bockstein()
-    stalks = {x: FreeComplex.single(omega.ring, place_at, omega.stalk(x).rank(q), twist=q)
+    omega, _ = ctx.bockstein_sheaf()
+    stalks = {x: FreeComplex.single(omega.ring, q, omega.stalk(x).rank(q), twist=q)
               for x in F.site.elements}
     return _sheaf(F, stalks, lambda a, b, i: omega.res(a, b).map(q))
 
@@ -480,25 +467,18 @@ def bockstein_term_sheaf(ctx: "InstanceContext", q: int, place_at: int = 0):
 class InstanceContext(Memo):
     """The objects of one sheaf complex F that the theorem path shares.
 
-    Stalk stages and Bockstein complexes are kept one per stalk content, and
-    sections as (complex, index) pairs one per sheaf content: equal stalks or
-    sheaves built separately share them.  Higher layers keep their own
-    objects via ``once``.
+    The complex-keyed builders of ``Memo`` give every stalk's pieces (its
+    stages, reduction, truncations, Bockstein complex and Hodge parts), one
+    per stalk content, so equal stalks share them.  This context adds the
+    sheaf-keyed ones: the sheaves assembled from those pieces, and sections
+    as (complex, index) pairs one per sheaf content, so equal sheaves built
+    separately share them.  Higher layers keep their own objects via
+    ``once``.
     """
 
     def __init__(self, F: SheafComplex):
         super().__init__()
         self.F = F
-
-    def stalk_stage(self, x, m: int) -> SubcomplexEmbedding:
-        """Stage m of the stalk at x, as eta_m."""
-        K = self.F.stalk(x)
-        return self.once(("stalk-stage", K, m), eta_m, self, K, m)
-
-    def stalk_bockstein(self, x) -> BocksteinComplex:
-        """The Bockstein complex of the stalk at x, as bockstein_complex."""
-        K = self.F.stalk(x)
-        return self.once(("stalk-bockstein", K), bockstein_complex, self, K)
 
     def sections(self, G: SheafComplex):
         """RGamma(G) as ``global_sections_complex``."""
@@ -515,27 +495,29 @@ class InstanceContext(Memo):
                          src_idx, tgt_idx, src_total, tgt_total)
 
     def reduced(self) -> SheafComplex:
-        return self.once("reduced", sheaf_reduce, self.F)
+        """F/xi, as ``sheaf_reduce``."""
+        return self.once("reduced", sheaf_reduce, self, self.F)
 
-    def stage(self, m: int):
+    def stage_sheaf(self, m: int):
         """(stage sheaf, its inclusion into F, stalk embeddings), as sheaf_eta_m."""
-        return self.once(("stage", m), sheaf_eta_m, self, m)
+        return self.once(("stage-sheaf", m), sheaf_eta_m, self, m)
 
     def stage_reduction(self, m: int) -> ChainMap:
         """Sections of stage m mod xi -> sections of F/xi, as stage_reduction_map."""
         return self.once(("stage-reduction", m), stage_reduction_map, self, m)
 
-    def truncation(self, q: int):
+    def truncation_sheaf(self, q: int):
         """tau_{<=q}(F/xi) with its inclusion."""
-        return self.once(("truncation", q), sheaf_truncate_leq, self, self.reduced(), q)
+        return self.once(("truncation-sheaf", q), sheaf_truncate_leq, self, self.reduced(), q)
 
-    def bockstein(self):
+    def bockstein_sheaf(self):
         """(Bockstein sheaf, stalkwise Bockstein complexes), as sheaf_bockstein."""
-        return self.once("bockstein", sheaf_bockstein, self)
+        return self.once("bockstein-sheaf", sheaf_bockstein, self)
 
-    def term(self, q: int, place_at: int) -> SheafComplex:
-        return self.once(("term", q, place_at), bockstein_term_sheaf, self, q, place_at)
+    def term(self, q: int) -> SheafComplex:
+        """The degree-q term of the Bockstein sheaf in degree q, as bockstein_term_sheaf."""
+        return self.once(("term", q), bockstein_term_sheaf, self, q)
 
-    def hodge(self, p: int):
+    def hodge_sheaf(self, p: int):
         """The degree >= p part of the Bockstein sheaf with its inclusion."""
-        return self.once(("hodge", p), sheaf_hodge, self, self.bockstein()[0], p)
+        return self.once(("hodge-sheaf", p), sheaf_hodge, self, self.bockstein_sheaf()[0], p)

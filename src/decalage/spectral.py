@@ -36,10 +36,10 @@ class FilteredComplex:
     """A decreasing, exhaustive, bounded filtration by subspaces per degree.
 
     ``pieces[p][n]`` is the subspace F_p C^n; p runs over [p_min, p_max] with
-    F_{p_min} the whole complex and F_{p_max+1} = 0.  Validated: each F_p is
-    d-stable and F_{p+1} <= F_p degreewise.  The images d(F_p C^n), the
-    spaces Z_r(p, n) and the cells E_r(p, q) are kept on the object as they
-    are first built.
+    F_{p_min} the whole complex and F_{p_max+1} = 0.  Each F_p must be
+    d-stable with F_{p+1} <= F_p degreewise, as the images of nested
+    subcomplexes are.  The images d(F_p C^n), the spaces Z_r(p, n) and the
+    cells E_r(p, q) are kept on the object as they are first built.
     """
 
     __slots__ = ("ambient", "field", "p_min", "p_max", "pieces", "_d_images",
@@ -76,17 +76,6 @@ class FilteredComplex:
         if p > self.p_max:
             return Subspace(self.field, self.ambient.rank(n))
         return self.pieces[p][n]
-
-    def validate(self) -> None:
-        for p in range(self.p_min, self.p_max + 1):
-            for n in self.ambient.degrees():
-                here = self.subspace(p, n)
-                finer = self.subspace(p + 1, n)
-                if not here.contains_space(finer):
-                    raise ValueError(f"filtration not nested at (p, n) = {(p, n)}")
-                image = Subspace.from_columns(self.d_image(p, n))
-                if not self.subspace(p, n + 1).contains_space(image):
-                    raise ValueError(f"filtration not d-stable at (p, n) = {(p, n)}")
 
     # -- page machinery -----------------------------------------------------
 
@@ -221,7 +210,7 @@ def ht_spectral_sequence(ctx: InstanceContext, r_max: int = 4):
     total, _ = ctx.sections(ctx.reduced())
     q_min, q_max = ctx.reduced().lo(), ctx.reduced().hi()
     # decreasing filtration on RGamma(K/xi) from the truncation levels: p = q_max - q
-    inclusions = {q_max - q: ctx.sections_map(ctx.truncation(q)[1])
+    inclusions = {q_max - q: ctx.sections_map(ctx.truncation_sheaf(q)[1])
                   for q in range(q_min, q_max + 1)}
     fc = FilteredComplex.from_inclusions(total, inclusions)
 
@@ -241,9 +230,11 @@ def ht_e2_crosscheck(ctx: InstanceContext, pages) -> list:
     covered = set()
     Fbar = ctx.reduced()
     for q in range(Fbar.lo(), Fbar.hi() + 1):
-        av_total, _ = ctx.sections(ctx.term(q, place_at=0))
-        for p in av_total.degrees():
-            want = ctx.quotient(av_total, p).dim
+        # the term sheaf sits in degree q, so H^{p+q} of its sections is E_2^{p,q}
+        av_total, _ = ctx.sections(ctx.term(q))
+        for n in av_total.degrees():
+            p = n - q
+            want = ctx.quotient(av_total, n).dim
             got = first.dim(p, q)
             covered.add((p, q))
             if got != want:
@@ -260,9 +251,9 @@ def hdr_spectral_sequence(ctx: InstanceContext, r_max: int = 4):
     E_1^{p,q} = H^q(S, degree-p term), abutting to the cohomology of the
     global sections of the Bockstein sheaf complex.
     """
-    omega, _ = ctx.bockstein()
+    omega, _ = ctx.bockstein_sheaf()
     total, _ = ctx.sections(omega)
-    inclusions = {p: ctx.sections_map(ctx.hodge(p)[1])
+    inclusions = {p: ctx.sections_map(ctx.hodge_sheaf(p)[1])
                   for p in range(omega.lo(), omega.hi() + 1)}
     fc = FilteredComplex.from_inclusions(total, inclusions)
     pages = ss_pages(fc, r_max)
@@ -285,7 +276,7 @@ def degeneration_check_HT(ctx: InstanceContext, r_max: int = 4):
     verdict = True
     witness = None
     for m in range(Fbar.lo(), Fbar.hi() + 1):
-        cm = ctx.sections_map(ctx.truncation(m)[1])
+        cm = ctx.sections_map(ctx.truncation_sheaf(m)[1])
         for i in total.degrees():
             if ctx.quotient(cm.source, i).dim == 0:
                 continue
@@ -312,21 +303,17 @@ def degeneration_check_HdR(ctx: InstanceContext, r_max: int = 4):
 class CokernelComparison:
     """Images of the truncation-side and Hodge-side maps into H^{i-m}(S, Omega^m)."""
 
-    i: int
-    m: int
-    ambient_dim: int
     coker_f: Subspace
     coker_g: Subspace
     equal: bool
-    h1_holds: bool
 
 
 def cokernel_maps(ctx: InstanceContext, m: int):
     """The truncation-side and Hodge-side maps into the sections of Omega^m[-m]."""
     F = ctx.F
-    avatar = ctx.term(m, place_at=m)
-    tau, tau_incl = ctx.truncation(m)
-    _, bcs = ctx.bockstein()
+    avatar = ctx.term(m)
+    tau, tau_incl = ctx.truncation_sheaf(m)
+    _, bcs = ctx.bockstein_sheaf()
     maps = {}
     for x in F.site.elements:
         stalk = tau.stalk(x)
@@ -338,7 +325,7 @@ def cokernel_maps(ctx: InstanceContext, m: int):
     cm_f = ctx.sections_map(SheafMap(tau, avatar, maps))
     cm_f.validate()
 
-    hodge, _ = ctx.hodge(m)
+    hodge, _ = ctx.hodge_sheaf(m)
     maps_g = {
         x: ChainMap(hodge.stalk(x), avatar.stalk(x),
                     {m: Matrix.identity(avatar.ring, hodge.stalk(x).rank(m))})
@@ -349,8 +336,7 @@ def cokernel_maps(ctx: InstanceContext, m: int):
     return cm_f, cm_g
 
 
-def compare_degeneration(ctx: InstanceContext, i: int, m: int,
-                         h1_holds: bool) -> CokernelComparison:
+def compare_degeneration(ctx: InstanceContext, i: int, m: int) -> CokernelComparison:
     """Both cokernel images inside H^i(RGamma(S, Omega^m[-m])), compared.
 
     The truncation side maps tau_{<=m}(K/xi) onto its top cohomology sheaf;
@@ -361,5 +347,4 @@ def compare_degeneration(ctx: InstanceContext, i: int, m: int,
     cm_f, cm_g = ctx.once(("cokernel-maps", m), cokernel_maps, ctx, m)
     coker_f = Subspace.from_columns(k_induced_matrix(ctx, cm_f, i))
     coker_g = Subspace.from_columns(k_induced_matrix(ctx, cm_g, i))
-    return CokernelComparison(i, m, ctx.quotient(cm_f.target, i).dim, coker_f, coker_g,
-                              coker_f == coker_g, h1_holds)
+    return CokernelComparison(coker_f, coker_g, coker_f == coker_g)

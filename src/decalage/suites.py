@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .bockstein import (
-    ComplexContext,
+    Memo,
     connecting_factorization,
     split_mod_xi,
     verify_reduction_identification,
@@ -26,26 +26,26 @@ def _guard(name: str, fn) -> CheckResult:
 
 def lemma_battery(K: FreeComplex) -> list:
     """Every stage-level identity for one complex, across all useful m."""
-    cx = ComplexContext(K)
+    ctx = Memo()
     results = []
     for m in range(0, K.hi + 3):
         results.append(_guard("eta-m.cohomology",
-                              lambda m=m: verify_eta_m_cohomology(cx, m)))
+                              lambda m=m: verify_eta_m_cohomology(ctx, K, m)))
     for m in range(0, K.hi + 2):
         results.append(_guard("eta-m.graded-piece",
-                              lambda m=m: cx.graded(m).verify(cx)))
+                              lambda m=m: ctx.graded(K, m).verify(ctx)))
         results.append(_guard("eta-m.mod-xi-subquotient",
-                              lambda m=m: verify_mod_xi_subquotient(cx, m)))
+                              lambda m=m: verify_mod_xi_subquotient(ctx, K, m)))
         results.append(_guard("eta-m.connecting-bockstein",
-                              lambda m=m: connecting_factorization(cx, m)))
+                              lambda m=m: connecting_factorization(ctx, K, m)))
         results.append(_guard("eta-m.mod-xi-splitting",
-                              lambda m=m: split_mod_xi(cx, m).check))
+                              lambda m=m: split_mod_xi(ctx, K, m).check))
     results.append(_guard("eta.mod-xi-bockstein-model",
-                          lambda: verify_reduction_identification(cx)))
+                          lambda: verify_reduction_identification(ctx, K)))
     filt = CheckResult("eta-m.filtration-steps")
     for m in range(0, K.hi + 2):
         try:
-            filt.expect(xi_step_inclusion_holds(cx, m), m=m)
+            filt.expect(xi_step_inclusion_holds(ctx, K, m), m=m)
         except Exception as exc:
             filt.fail(m=m, error=str(exc))
     results.append(filt)

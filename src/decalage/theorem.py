@@ -53,24 +53,20 @@ class Lattice:
     the lattice keeps no reference to it.
     """
 
-    __slots__ = ("n", "basis", "shift", "ambient")
+    __slots__ = ("n", "basis", "shift")
 
-    def __init__(self, ctx, basis: Matrix, shift: int = 0, ambient: str = "ambient"):
+    def __init__(self, ctx, basis: Matrix, shift: int = 0):
         if basis.rows != basis.cols:
             raise SingularBasis("lattice basis must be square")
         self.n = basis.rows
         self.basis = basis
         self.shift = shift
-        self.ambient = ambient
         if self.n and ctx.factor(basis).rank != self.n:
             raise SingularBasis("lattice basis is singular")
 
     @classmethod
-    def standard(cls, ctx, ring, n, ambient="ambient") -> "Lattice":
-        return cls(ctx, Matrix.identity(ring, n), 0, ambient)
-
-    def scaled(self, ctx, c: int) -> "Lattice":
-        return Lattice(ctx, self.basis, self.shift + c, self.ambient)
+    def standard(cls, ctx, ring, n) -> "Lattice":
+        return cls(ctx, Matrix.identity(ring, n))
 
 
 def relative_position(ctx, L: Lattice, L0: Lattice) -> list:
@@ -201,22 +197,14 @@ def bb_filtration(ctx, L: Lattice, L0: Lattice) -> Flag:
 # cohomology lattices of a sheaf complex
 
 
-@dataclass
-class LatticePairData:
-    """The two lattices at one degree."""
-
-    L: Lattice
-    L0: Lattice
-
-
-def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> LatticePairData:
-    """L = image of H^i of the decalage stage, L0 = H^i of the sections of F.
+def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> tuple:
+    """(L, L0): L = image of H^i of the decalage stage, L0 = H^i of the sections of F.
 
     Both cohomologies must be xi-torsion-free (TorsionObstruction names the
     offender); coordinates are the free-quotient coordinates of the
     presentation of H^i(sections).
     """
-    incl = ctx.sections_map(ctx.stage(0)[1])
+    incl = ctx.sections_map(ctx.stage_sheaf(0)[1])
     pres0 = ctx.presentation(incl.target, i)
     if not pres0.module.xi_torsion_free:
         raise TorsionObstruction(i, "ambient")
@@ -228,8 +216,7 @@ def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> LatticePairData:
     lbasis = ctx.image(mapped)
     if lbasis.cols != f:
         raise SingularBasis(f"stage lattice is not full rank at degree {i}")
-    return LatticePairData(Lattice(ctx, lbasis, 0, ambient=f"H^{i}"),
-                           Lattice.standard(ctx, ctx.F.ring, f, ambient=f"H^{i}"))
+    return Lattice(ctx, lbasis), Lattice.standard(ctx, ctx.F.ring, f)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +230,7 @@ def check_torsionfree_eta_m(ctx: InstanceContext, m_max=None) -> dict:
         m_max = hi + 1
     table = {}
     for m in range(0, m_max + 1):
-        total, _ = ctx.sections(ctx.stage(m)[0])
+        total, _ = ctx.sections(ctx.stage_sheaf(m)[0])
         for i in total.degrees():
             fg = ctx.presentation(total, i).module
             table[(i, m)] = {
@@ -302,7 +289,7 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
             spaces[m] = Subspace(kfield, 0)
             continue
         # generators of H^i of the stage sections over R, reduced mod xi
-        stage_total, _ = ctx.sections(ctx.stage(m)[0])
+        stage_total, _ = ctx.sections(ctx.stage_sheaf(m)[0])
         gens = ctx.presentation(stage_total, i).gens_basis.residue()
         pushed = ctx.stage_reduction(m).map(i) @ gens
         spaces[m] = Subspace.from_columns(target.coords_matrix(pushed))
@@ -376,7 +363,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
 
     stationary = CheckResult("torsion-free.stage-stationarity")
     for x in F.site.elements:
-        stationary.expect(is_stationary_stage(ctx, ctx.stalk_stage(x, m_max)),
+        stationary.expect(is_stationary_stage(ctx, ctx.stage(F.stalk(x), m_max)),
                           element=x, m=m_max)
     report.add_check(stationary)
 
@@ -388,25 +375,26 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     graded_check = CheckResult("main.graded-dims")
     iso_check = CheckResult("main.reduction-identification")
 
-    # graded target dimensions: H^{i-m}(S, Omega^m-avatar)
+    # graded target dimensions: H^{i-m}(S, Omega^m-avatar), read at degree i
+    # of the sections of the term sheaf, which sits in degree m
     omega_dims = {}
     for m in range(0, m_max + 1):
-        av_total, _ = ctx.sections(ctx.term(m, place_at=0))
-        omega_dims[m] = {p: ctx.quotient(av_total, p).dim
-                         for p in av_total.degrees()}
+        av_total, _ = ctx.sections(ctx.term(m))
+        omega_dims[m] = {i: ctx.quotient(av_total, i).dim
+                         for i in av_total.degrees()}
 
     for i in total.degrees():
         red_q = ctx.quotient(red, i)
         entry = {"i": i}
         try:
-            pair = lattice_pair_from_complex(ctx, i)
+            L, L0 = lattice_pair_from_complex(ctx, i)
         except TorsionObstruction as exc:
             entry["torsion_obstruction"] = str(exc)
             report.flags[str(i)] = entry
             if report.asserted:
                 flag_check.fail(i=i, reason=str(exc))
             continue
-        bb = bb_filtration(ctx, pair.L, pair.L0)
+        bb = bb_filtration(ctx, L, L0)
         entry["relative_position"] = bb.jumps()
         # move the lattice flag into H^i of the reduced sections
         if rho.get(i) is not None and red_q.dim == rho[i].rows:
@@ -437,7 +425,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
             grades = {}
             for m in window:
                 got = img.graded_dim(m)
-                want = omega_dims.get(m, {}).get(i - m, 0)
+                want = omega_dims.get(m, {}).get(i, 0)
                 grades[str(m)] = {"flag": got, "omega": want}
                 graded_check.expect(got == want, i=i, m=m, flag=got, omega=want)
             report.graded[str(i)] = grades
@@ -450,7 +438,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     comp_check = CheckResult("degeneration.coker-comparison")
     for i in total.degrees():
         for m in range(0, m_max + 1):
-            rec = compare_degeneration(ctx, i, m, h1_holds=h1)
+            rec = compare_degeneration(ctx, i, m)
             if h1:
                 comp_check.expect(rec.equal, i=i, m=m,
                                   coker_f=rec.coker_f.to_json(),

@@ -11,8 +11,10 @@ R/xi^N instead of exact Smith form machinery.  The dense product, the dense
 matrix-vector product, the dense RREF row update and the dense Smith normal
 form are kept here as the references for the library's zero-skipping
 kernels.  The last section holds the helpers that only the tests call:
-complex invariants, induced maps, the mapping cone, the graded pieces of an
-abutment and the square of the Bockstein differential.
+complex invariants and shifts, induced maps, the mapping cone, the graded
+pieces of an abutment, the square of the Bockstein differential, sums and
+intersections of subspaces, scaled lattices, and the validity checks of
+filtered complexes, sheaf maps and finitely presented complexes.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from decalage.bockstein import k_cohomology_quotient
-from decalage.complexes import FreeComplex
+from decalage.complexes import DifferentialSquareNonzero, FreeComplex
 from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
-from decalage.rings import IntegerRing, PolynomialRing
-from decalage.rmatrix import Matrix, ShapeMismatch, snf
+from decalage.rings import IntegerRing, PolynomialRing, PrimeField
+from decalage.rmatrix import Matrix, ShapeMismatch, snf, solve_exact
+from decalage.sites import InvalidSheaf
+from decalage.theorem import Lattice
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +370,8 @@ def z_space_oracle(fc, r: int, p: int, n: int) -> Subspace:
     followed by the projection onto C^{n+1} / F_{p+r}."""
     if r <= 0:
         return fc.subspace(p, n)
-    return fc.subspace(p, n).intersect(
-        preimage_subspace(fc.ambient.d(n), fc.subspace(p + r, n + 1))
+    return subspace_intersect(
+        fc.subspace(p, n), preimage_subspace(fc.ambient.d(n), fc.subspace(p + r, n + 1))
     )
 
 
@@ -401,13 +405,45 @@ def beta_oracle(K, rng=None) -> dict:
     return beta
 
 
-def hodge_stage_comparison_oracle(cx, m: int) -> dict:
+def perturbed_beta(K, rng) -> dict:
+    """beta_i of H^*(K/xi) through lifts perturbed by random multiples of xi.
+
+    The library's route, all representatives of H^i(K/xi) at once, except
+    that xi times a small random ring element is added to every entry of
+    their lift.  beta does not depend on the lift, so the matrices must be
+    the library's.
+    """
+    ring = K.ring
+    kbar = K.reduce_mod_xi()
+    beta = {}
+    for i in range(K.lo, K.hi):
+        reps = k_cohomology_quotient(kbar, i).rep_matrix()
+        noise = Matrix.from_columns(ring, [
+            [_random_ring_element(ring, rng) for _ in range(reps.rows)]
+            for _ in range(reps.cols)
+        ], rows=reps.rows)
+        lifted = reps.map_entries(ring.lift, ring) + noise.scale(ring.xi)
+        image = (K.d(i) @ lifted).xi_divide(1).residue()
+        beta[i] = k_cohomology_quotient(kbar, i + 1).coords_matrix(image)
+    return beta
+
+
+def _random_ring_element(ring, rng):
+    """A small integer over Z, a random constant over F_p[t] or Q[t]."""
+    if ring.kind == "z":
+        return ring.parse(str(rng.randint(-3, 3)))
+    if isinstance(ring.base, PrimeField):
+        return ring.from_coeffs([rng.randrange(ring.base.p)])
+    return ring.from_coeffs([Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))])
+
+
+def hodge_stage_comparison_oracle(ctx, K, m: int) -> dict:
     """hodge_stage_comparison with the class of each generator taken on its own."""
-    ring = cx.K.ring
-    bc = cx.bockstein()
-    emb = cx.stage(m)
+    ring = K.ring
+    bc = ctx.bockstein(K)
+    emb = ctx.stage(K, m)
     maps = {}
-    for i in cx.K.degrees():
+    for i in K.degrees():
         if i < m:
             maps[i] = Matrix.zeros(bc.field, 0, emb.complex.rank(i))
             continue
@@ -790,11 +826,19 @@ def euler_characteristic(K: FreeComplex) -> int:
     return sum((-1) ** i * K.rank(i) for i in K.degrees())
 
 
+def shift(K: FreeComplex, s: int) -> FreeComplex:
+    """Degree shift K[s]: K[s]^i = K^{i+s}, differentials sign-flipped for odd s."""
+    diffs = [K.d(i) for i in range(K.lo, K.hi)]
+    if s % 2:
+        diffs = [-d for d in diffs]
+    return FreeComplex(K.ring, K.lo - s, K.ranks(), diffs, K.twist)
+
+
 def normalized_nonnegative(K: FreeComplex):
     """(K', s) with K' = K[-s] starting at degree 0; s = 0 when lo >= 0."""
     if K.lo >= 0:
         return K, 0
-    return K.shift(K.lo), K.lo
+    return shift(K, K.lo), K.lo
 
 
 def is_degreewise_injective(f) -> bool:
@@ -837,11 +881,66 @@ def abutment_graded_dims(fc, n: int) -> dict:
     ker = Subspace.from_columns(kernel_cols(fc.ambient.d(n)))
     fdims = {}
     for p in range(fc.p_min, fc.p_max + 2):
-        zn = fc.subspace(p, n).intersect(ker)
-        fdims[p] = zn.add(hq.bspace).dim - hq.bspace.dim
+        zn = subspace_intersect(fc.subspace(p, n), ker)
+        fdims[p] = subspace_add(zn, hq.bspace).dim - hq.bspace.dim
     return {p: fdims[p] - fdims[p + 1] for p in range(fc.p_min, fc.p_max + 1)}
 
 
 def beta_squared_is_zero(bc) -> bool:
     return all((bc.beta_matrix(i + 1) @ bc.beta_matrix(i)).is_zero()
                for i in range(bc.K.lo, bc.K.hi - 1))
+
+
+def subspace_add(A: Subspace, B: Subspace) -> Subspace:
+    """A + B inside their common ambient space."""
+    return Subspace(A.field, A.ambient, list(A.basis) + list(B.basis))
+
+
+def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
+    """A ∩ B, from the kernel of [A | B] mapped back through A."""
+    if A.dim == 0 or B.dim == 0:
+        return Subspace(A.field, A.ambient)
+    a, b = A.matrix().transpose(), B.matrix().transpose()
+    ker = kernel_cols(a.hstack(b))
+    return Subspace.from_columns(a @ ker.submatrix(0, a.cols, 0, ker.cols))
+
+
+def scaled(ctx, L: Lattice, c: int) -> Lattice:
+    """xi^c * L."""
+    return Lattice(ctx, L.basis, L.shift + c)
+
+
+def validate_filtered(fc) -> None:
+    """Raise ValueError unless each F_p of fc is d-stable and F_{p+1} <= F_p."""
+    for p in range(fc.p_min, fc.p_max + 1):
+        for n in fc.ambient.degrees():
+            if not fc.subspace(p, n).contains_space(fc.subspace(p + 1, n)):
+                raise ValueError(f"filtration not nested at (p, n) = {(p, n)}")
+            image = Subspace.from_columns(fc.d_image(p, n))
+            if not fc.subspace(p, n + 1).contains_space(image):
+                raise ValueError(f"filtration not d-stable at (p, n) = {(p, n)}")
+
+
+def validate_sheaf_map(phi) -> None:
+    """Raise unless every stalk map of phi is a chain map natural in the restrictions."""
+    for x in phi.source.site.elements:
+        phi.map(x).validate()
+    for a, b in phi.source.site.strict_pairs():
+        lo = min(phi.source.stalk(a).lo, phi.target.stalk(a).lo)
+        hi = max(phi.source.stalk(a).hi, phi.target.stalk(a).hi)
+        left = phi.target.res(a, b).after(phi.map(a))
+        right = phi.map(b).after(phi.source.res(a, b))
+        for i in range(lo, hi + 1):
+            if left.map(i) != right.map(i):
+                raise InvalidSheaf(f"sheaf map not natural on {a}<={b} at degree {i}")
+
+
+def validate_fp_complex(C) -> None:
+    """Raise unless the differentials of C keep relations and square into them."""
+    for i in range(C.lo, C.hi + 1):
+        img = C.d(i) @ C.rels(i)
+        if img.cols and solve_exact(C.rels(i + 1), img) is None:
+            raise ShapeMismatch(f"d({i}) does not preserve relations")
+        sq = C.d(i + 1) @ C.d(i)
+        if sq.cols and not sq.is_zero() and solve_exact(C.rels(i + 2), sq) is None:
+            raise DifferentialSquareNonzero(i)

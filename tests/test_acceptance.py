@@ -15,9 +15,7 @@ import time
 import pytest
 
 from decalage.bockstein import (
-    ComplexContext,
     Memo,
-    bockstein_complex,
     connecting_factorization,
     k_cohomology_quotient,
     split_mod_xi,
@@ -43,6 +41,7 @@ from oracles import (
     beta_squared_is_zero,
     image_flag_oracle,
     invariant_factors_by_minors,
+    perturbed_beta,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
@@ -99,9 +98,9 @@ def test_criterion_2_cohomology_lemma(complex_corpus):
     t0 = time.time()
     failures = 0
     for K in complex_corpus:
-        cx = ComplexContext(K)
+        ctx = Memo()
         for m in range(0, K.hi + 3):
-            res = verify_eta_m_cohomology(cx, m)
+            res = verify_eta_m_cohomology(ctx, K, m)
             if not res.passed:
                 failures += 1
     elapsed = time.time() - t0
@@ -113,13 +112,13 @@ def test_criterion_3_graded_subquotient_splitting(complex_corpus):
     t0 = time.time()
     failures = []
     for idx, K in enumerate(complex_corpus):
-        cx = ComplexContext(K)
+        ctx = Memo()
         for m in range(0, K.hi + 2):
-            if not graded_piece(cx, m).verify(cx).passed:
+            if not graded_piece(ctx, K, m).verify(ctx).passed:
                 failures.append((idx, m, "graded"))
-            if not verify_mod_xi_subquotient(cx, m).passed:
+            if not verify_mod_xi_subquotient(ctx, K, m).passed:
                 failures.append((idx, m, "subquotient"))
-            if not split_mod_xi(cx, m).check.passed:
+            if not split_mod_xi(ctx, K, m).check.passed:
                 failures.append((idx, m, "splitting"))
     elapsed = time.time() - t0
     verdict(3, not failures, f"{elapsed:.1f}s, failures: {failures[:3]}")
@@ -129,19 +128,19 @@ def test_criterion_4_bockstein(complex_corpus):
     t0 = time.time()
     failures = []
     for idx, K in enumerate(complex_corpus):
-        cx = ComplexContext(K)
-        base = cx.bockstein()
+        ctx = Memo()
+        base = ctx.bockstein(K)
         for rep in range(5):
-            noisy = bockstein_complex(Memo(), K, random.Random(9000 + 5 * idx + rep))
+            noisy = perturbed_beta(K, random.Random(9000 + 5 * idx + rep))
             for i in range(K.lo, K.hi):
-                if noisy.beta_matrix(i) != base.beta_matrix(i):
+                if noisy[i] != base.beta_matrix(i):
                     failures.append((idx, i, "lift-dependence"))
         if not beta_squared_is_zero(base):
             failures.append((idx, "beta-squared"))
-        if not verify_reduction_identification(cx).passed:
+        if not verify_reduction_identification(ctx, K).passed:
             failures.append((idx, "reduction-identification"))
         for m in range(0, K.hi + 2):
-            if not connecting_factorization(cx, m).passed:
+            if not connecting_factorization(ctx, K, m).passed:
                 failures.append((idx, m, "connecting"))
     elapsed = time.time() - t0
     verdict(4, not failures, f"{elapsed:.1f}s, failures: {failures[:3]}")
@@ -196,19 +195,19 @@ def _oracle_flag_check(F, rep, idx):
     main_flags = {i: image_flag(ctx, i, m_max) for i in live}
     # lattice flag against the truncated-ring oracle
     for i in live:
-        pair = lattice_pair_from_complex(ctx, i)
-        mus = relative_position(ctx, pair.L, pair.L0)
+        L, L0 = lattice_pair_from_complex(ctx, i)
+        mus = relative_position(ctx, L, L0)
         if rep.flags[str(i)]["relative_position"] != mus:
             failures.append((idx, i, "relative-position"))
-        fl = bb_filtration(ctx, pair.L, pair.L0)
+        fl = bb_filtration(ctx, L, L0)
         if mus:
             N = 2 * max(abs(v) for v in mus) + 2
-            for m, s in bb_flag_oracle(pair.L, pair.L0, N).items():
+            for m, s in bb_flag_oracle(L, L0, N).items():
                 if fl.subspace(m) != s:
                     failures.append((idx, i, m, "bb-oracle"))
     # image flag against the truncated-kernel oracle, one stage build per m
     for m in range(0, m_max + 1):
-        cm = ctx.sections_map(ctx.stage(m)[1])
+        cm = ctx.sections_map(ctx.stage_sheaf(m)[1])
         stage_total = cm.source
         for i in live:
             hq = quotients[i]
@@ -242,7 +241,7 @@ def test_criterion_7_degeneration_equivalence(h1_reports):
     # the stored non-torsion-free fixture must separate the two cokernels
     with open(os.path.join(FIXTURES, "point_torsion_example.json")) as fh:
         P = sheaf_from_json(json.load(fh))
-    rec = compare_degeneration(InstanceContext(P), 0, 0, h1_holds=False)
+    rec = compare_degeneration(InstanceContext(P), 0, 0)
     if rec.equal or rec.coker_f.dim != 1 or rec.coker_g.dim != 0:
         failures.append(("fixture", rec.coker_f.dim, rec.coker_g.dim))
     elapsed = time.time() - t0

@@ -1,6 +1,7 @@
 """The caching contract: one context per top-level call, each stage built once,
-each cohomology group computed once, each stalk's Bockstein complex built once,
-each sheaf's sections built once and each matrix factored once."""
+each cohomology group computed once, each stalk's Bockstein complex, truncation
+and Hodge part built once, each sheaf's sections built once and each matrix
+factored once."""
 
 import importlib
 import json
@@ -89,11 +90,11 @@ def test_main_theorem_builds_each_stalk_bockstein_once_per_call(monkeypatch, z2)
     calls = Counter()
     build = bockstein.bockstein_complex
 
-    def counted(ctx, K, rng=None):
+    def counted(ctx, K):
         calls[K] += 1
-        return build(ctx, K, rng)
+        return build(ctx, K)
 
-    assert sites in patch_everywhere(monkeypatch, bockstein, "bockstein_complex", counted)
+    assert bockstein in patch_everywhere(monkeypatch, bockstein, "bockstein_complex", counted)
     first = verify_main_theorem(F).to_json()
     assert set(calls) == stalks and max(calls.values()) == 1
     built = sum(calls.values())
@@ -150,6 +151,8 @@ def assert_each_group_once_per_call(calls, run):
 def theorem_instance(case, ring):
     if case == "h1-sphere":
         return generate_instance("h1", 33, ring=ring, site=PosetSite.sphere())
+    if case == "h1-pseudo-circle":
+        return generate_instance("h1", 33, ring=ring, site=PosetSite.pseudo_circle())
     path = os.path.join(os.path.dirname(decalage.__file__), "fixtures",
                         "h3_failure_witness.json")
     with open(path) as fh:
@@ -161,6 +164,28 @@ def test_main_theorem_computes_each_group_once_per_call(monkeypatch, z2, case):
     F = theorem_instance(case, z2)
     calls = count_group_builds(monkeypatch)
     assert_each_group_once_per_call(calls, lambda: verify_main_theorem(F).to_json())
+
+
+@pytest.mark.parametrize("case", ["h1-pseudo-circle", "h3_failure_witness"])
+def test_main_theorem_builds_each_stalk_truncation_and_hodge_part_once_per_call(
+        monkeypatch, z2, case):
+    F = theorem_instance(case, z2)
+    calls = Counter()
+    for name in ("truncate_leq", "hodge_filtration"):
+        def counted(*args, name=name, build=getattr(complexes, name)):
+            *_, K, m = args
+            calls[(name, complex_key(K), K.twist, m)] += 1
+            return build(*args)
+
+        assert bockstein in patch_everywhere(monkeypatch, complexes, name, counted)
+    first = verify_main_theorem(F).to_json()
+    assert {name for name, *_ in calls} == {"truncate_leq", "hodge_filtration"}
+    assert max(calls.values()) == 1
+    built = sum(calls.values())
+    calls.clear()
+    # nothing survives the first call: the second builds the same pieces again
+    assert verify_main_theorem(F).to_json() == first
+    assert sum(calls.values()) == built and max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
@@ -272,11 +297,11 @@ def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(monkeypatch, z2
 
     monkeypatch.setattr(sites, "solve_field", counted)
     ctx = InstanceContext(F)
-    omega, _ = ctx.bockstein()
+    omega, _ = ctx.bockstein_sheaf()
     Fbar = ctx.reduced()
-    subsheaves = ([ctx.hodge(p) for p in range(omega.lo(), omega.hi() + 2)]
-                  + [ctx.truncation(q) for q in range(Fbar.lo() - 1, Fbar.hi() + 1)]
-                  + [ctx.stage(m)[:2] for m in range(F.hi() + 2)])
+    subsheaves = ([ctx.hodge_sheaf(p) for p in range(omega.lo(), omega.hi() + 2)]
+                  + [ctx.truncation_sheaf(q) for q in range(Fbar.lo() - 1, Fbar.hi() + 1)]
+                  + [ctx.stage_sheaf(m)[:2] for m in range(F.hi() + 2)])
 
     def is_identity(A):
         return A.rows == A.cols and A == Matrix.identity(A.ring, A.rows)

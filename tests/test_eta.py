@@ -1,6 +1,6 @@
 import pytest
 
-from decalage.bockstein import ComplexContext, Memo
+from decalage.bockstein import Memo
 from decalage.complexes import FGModule, FreeComplex, cohomology_presentation
 from decalage.eta import (
     DegreeBelowZero,
@@ -15,7 +15,7 @@ from decalage.eta import (
 )
 from decalage.instances import random_complex
 from decalage.rmatrix import Matrix, solve_exact
-from oracles import is_degreewise_injective
+from oracles import is_degreewise_injective, shift, validate_fp_complex
 
 
 def shell(ring, c):
@@ -55,7 +55,7 @@ def test_eta_requires_nonnegative_degrees(z3):
     K = FreeComplex(z3, -1, [1, 1], [Matrix.zeros(z3, 1, 1)])
     with pytest.raises(DegreeBelowZero):
         eta_m(Memo(), K, 0)
-    shifted = K.shift(-1)
+    shifted = shift(K, -1)
     assert shifted.lo == 0
     eta_m(Memo(), shifted, 0)
 
@@ -84,9 +84,9 @@ def test_eta_m_beyond_top_degree(z5, rng):
     for _ in range(10):
         K = random_complex(z5, rng, max_degree=2, max_rank=3)
         m = K.hi + 1
-        cx = ComplexContext(K)
-        emb = cx.stage(m)
-        assert is_stationary_stage(cx, emb)
+        ctx = Memo()
+        emb = ctx.stage(K, m)
+        assert is_stationary_stage(ctx, emb)
         for i in K.degrees():
             got = cohomology_presentation(Memo(), emb.complex, i).module
             assert got == cohomology_presentation(Memo(), K, i).module
@@ -94,9 +94,9 @@ def test_eta_m_beyond_top_degree(z5, rng):
 
 def test_filtration_containments(z5, rng):
     K = shell(z5, 5)
-    cx = ComplexContext(K)
-    stages = [cx.stage(m) for m in range(4)]
-    incs = [cx.inclusion(m) for m in range(3)]
+    ctx = Memo()
+    stages = [ctx.stage(K, m) for m in range(4)]
+    incs = [ctx.inclusion(K, m) for m in range(3)]
     for inc in incs:
         inc.validate()
         assert is_degreewise_injective(inc)
@@ -106,13 +106,13 @@ def test_filtration_containments(z5, rng):
     for _ in range(10):
         K = random_complex(z5, rng, max_degree=2, max_rank=3)
         for m in range(0, K.hi + 2):
-            assert xi_step_inclusion_holds(ComplexContext(K), m)
+            assert xi_step_inclusion_holds(Memo(), K, m)
 
 
 def test_cohomology_lemma_examples(z2):
     K = shell(z2, 4)
     for m in (0, 1, 2, 3):
-        res = verify_eta_m_cohomology(ComplexContext(K), m)
+        res = verify_eta_m_cohomology(Memo(), K, m)
         assert res.passed, (m, res.failures)
     # explicit values: H^1(stage 0) = Z/2, H^1(stage 2) carries Z/4
     ctx = Memo()
@@ -123,43 +123,43 @@ def test_cohomology_lemma_examples(z2):
 
 def test_graded_piece_example(z3):
     K = shell(z3, 3)
-    cx = ComplexContext(K)
-    g = graded_piece(cx, 0)
-    assert g.fp.term_invariants(cx, 0).k_dimension() == 1
-    assert g.fp.term_invariants(cx, 1).k_dimension() == 0
+    ctx = Memo()
+    g = graded_piece(ctx, K, 0)
+    assert g.fp.term_invariants(ctx, 0).k_dimension() == 1
+    assert g.fp.term_invariants(ctx, 1).k_dimension() == 0
     assert g.tau.rank(0) == 1
-    res = g.verify(cx)
+    res = g.verify(ctx)
     assert res.passed, res.failures
 
 
 def test_graded_piece_zero_differential(z3):
     K = FreeComplex(z3, 0, [2, 1], [Matrix.zeros(z3, 1, 2)])
     for m in range(0, 4):
-        cx = ComplexContext(K)
-        g = graded_piece(cx, m)
-        assert g.verify(cx).passed
+        ctx = Memo()
+        g = graded_piece(ctx, K, m)
+        assert g.verify(ctx).passed
         for i in K.degrees():
             want = K.rank(i) if i <= m else 0
-            assert g.fp.term_invariants(cx, i).k_dimension() == want
+            assert g.fp.term_invariants(ctx, i).k_dimension() == want
 
 
 def test_mod_xi_subquotient_example(z3):
     K = shell(z3, 3)
-    cx = ComplexContext(K)
-    sq = mod_xi_subquotient(cx, 0)
-    sq.fp.validate()
-    assert sq.degree_m_cohomology_vanishes(cx)
-    assert sq.fp.term_invariants(cx, 0).k_dimension() == 0
-    assert sq.fp.term_invariants(cx, 1).k_dimension() == 1
+    ctx = Memo()
+    sq = mod_xi_subquotient(ctx, K, 0)
+    validate_fp_complex(sq.fp)
+    assert sq.degree_m_cohomology_vanishes(ctx)
+    assert sq.fp.term_invariants(ctx, 0).k_dimension() == 0
+    assert sq.fp.term_invariants(ctx, 1).k_dimension() == 1
 
 
 def test_mod_xi_subquotient_above_top(z3, rng):
     K = random_complex(z3, rng, max_degree=2, max_rank=2)
     m = K.hi + 1
-    cx = ComplexContext(K)
-    sq = mod_xi_subquotient(cx, m)
+    ctx = Memo()
+    sq = mod_xi_subquotient(ctx, K, m)
     for i in K.degrees():
-        assert sq.fp.term_invariants(cx, i).k_dimension() == 0 or i >= m + 1
+        assert sq.fp.term_invariants(ctx, i).k_dimension() == 0 or i >= m + 1
 
 
 def test_stage_inclusion_solves_exactly(z5, rng):
@@ -183,5 +183,5 @@ def test_lemma_suite_random(rng):
         for _ in range(6):
             K = random_complex(ring, rng, max_degree=3, max_rank=3)
             for m in range(0, K.hi + 3):
-                res = verify_eta_m_cohomology(ComplexContext(K), m)
+                res = verify_eta_m_cohomology(Memo(), K, m)
                 assert res.passed, (ring, m, res.failures)

@@ -7,7 +7,7 @@ import pytest
 from decalage.kmatrix import QuotientSpace, Subspace, field_rank
 from decalage.rings import PrimeField
 from decalage.rmatrix import Matrix
-from oracles import ring_sum
+from oracles import ring_sum, subspace_add
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -54,7 +54,7 @@ def old_greedy_reps(F, n, zspace, bspace):
     for v in zspace.basis:
         if Subspace(F, n, list(current.basis) + [v]).dim != current.dim:
             reps.append(v)
-            current = current.add(Subspace(F, n, [v]))
+            current = subspace_add(current, Subspace(F, n, [v]))
     return tuple(reps)
 
 

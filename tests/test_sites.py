@@ -26,7 +26,7 @@ from decalage.sites import (
     sheaf_truncate_leq,
 )
 
-from oracles import is_degreewise_injective, order_complex_cohomology
+from oracles import is_degreewise_injective, order_complex_cohomology, validate_sheaf_map
 
 
 def test_poset_antisymmetry_checked():
@@ -79,7 +79,7 @@ def test_equal_sheaves_built_separately_hash_alike(rng, z3, f5t):
         again = conjugated_constant_sheaf(PosetSite.sphere(), K, random.Random(seed))
         assert again is not F and again == F and hash(again) == hash(F)
         assert len({F, again}) == 1
-        assert hash(sheaf_reduce(F)) == hash(sheaf_reduce(again))
+        assert hash(sheaf_reduce(Memo(), F)) == hash(sheaf_reduce(Memo(), again))
 
 
 def test_sheaves_differing_in_one_restriction_entry_stalk_or_ring_are_unequal(z3, z5):
@@ -212,8 +212,8 @@ def test_sheaf_eta_constant_stalks(z5, rng):
     ctx = InstanceContext(F)
     sub, incl, _ = sheaf_eta_m(ctx, 1)
     sub.validate()
-    incl.validate()
-    cm = ctx.sections_map(ctx.stage(1)[1])
+    validate_sheaf_map(incl)
+    cm = ctx.sections_map(ctx.stage_sheaf(1)[1])
     cm.validate()
     assert is_degreewise_injective(cm)
 
@@ -235,18 +235,18 @@ def test_sheaf_eta_inclusion_chain(z5, rng):
 def test_sheaf_reduce_truncate_hodge(z5, rng):
     F = generate_instance("free", 13, ring=z5)
     ctx = InstanceContext(F)
-    Fbar = sheaf_reduce(F)
+    Fbar = sheaf_reduce(ctx, F)
     Fbar.validate()
     for m in range(0, Fbar.hi() + 1):
         sub, incl = sheaf_truncate_leq(ctx, Fbar, m)
         sub.validate()
-        incl.validate()
+        validate_sheaf_map(incl)
     omega, _ = sheaf_bockstein(ctx)
     omega.validate()
     for m in range(0, omega.hi() + 1):
         h, hincl = sheaf_hodge(ctx, omega, m)
         h.validate()
-        hincl.validate()
+        validate_sheaf_map(hincl)
 
 
 def test_bockstein_term_sheaf_dims(z3):
@@ -254,12 +254,14 @@ def test_bockstein_term_sheaf_dims(z3):
     F = SheafComplex.constant(PosetSite.pseudo_circle(), K)
     ctx = InstanceContext(F)
     for q in (0, 1):
-        avatar = bockstein_term_sheaf(ctx, q, place_at=0)
+        avatar = bockstein_term_sheaf(ctx, q)
         avatar.validate()
         T, _ = global_sections_complex(avatar)
-        # H^q(K/xi) is one-dimensional at every stalk; circle cohomology
-        assert k_cohomology_quotient(T, 0).dim == 1
-        assert k_cohomology_quotient(T, 1).dim == 1
+        # H^q(K/xi) is one-dimensional at every stalk; circle cohomology,
+        # shifted to start at the term's degree q
+        assert T.lo == q
+        assert k_cohomology_quotient(T, q).dim == 1
+        assert k_cohomology_quotient(T, q + 1).dim == 1
 
 
 def test_height_graded_sheaf_is_functorial(rng, z2):

@@ -20,7 +20,7 @@ from decalage.spectral import (
     ht_spectral_sequence,
     ss_pages,
 )
-from oracles import abutment_graded_dims, z_space_oracle
+from oracles import abutment_graded_dims, validate_filtered, z_space_oracle
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
 
@@ -38,7 +38,7 @@ def test_single_jump_filtration_degenerates(z3, rng):
     full = {i: Matrix.identity(total.ring, total.rank(i)) for i in total.degrees()}
     fc = FilteredComplex.from_inclusions(
         total, {0: ChainMap(total, total, full)})
-    fc.validate()
+    validate_filtered(fc)
     pages = ss_pages(fc, 3)
     for page in pages:
         assert page.all_differentials_vanish()
@@ -145,7 +145,7 @@ def test_compare_degeneration_point_zero_differential(z3):
     ctx = InstanceContext(F)
     for i in range(0, 2):
         for m in range(0, 2):
-            rec = compare_degeneration(ctx, i, m, h1_holds=True)
+            rec = compare_degeneration(ctx, i, m)
             assert rec.equal
             want = 1 if i == m else 0
             assert rec.coker_f.dim == want == rec.coker_g.dim
@@ -154,7 +154,7 @@ def test_compare_degeneration_point_zero_differential(z3):
 def test_compare_degeneration_non_torsion_free_fixture(z2):
     F = shell_sheaf(z2, 2)
     ctx = InstanceContext(F)
-    rec = compare_degeneration(ctx, 0, 0, h1_holds=False)
+    rec = compare_degeneration(ctx, 0, 0)
     assert not rec.equal
     assert rec.coker_f.dim == 1 and rec.coker_g.dim == 0
 
@@ -169,7 +169,7 @@ def test_h1_instances_equal_cokernels(rng, z2):
         total, _ = ctx.sections(F)
         for i in total.degrees():
             for m in range(0, F.hi() + 2):
-                rec = compare_degeneration(ctx, i, m, h1_holds=True)
+                rec = compare_degeneration(ctx, i, m)
                 assert rec.equal, (seed, i, m)
 
 

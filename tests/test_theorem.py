@@ -22,7 +22,7 @@ from decalage.theorem import (
     verify_main_theorem,
 )
 
-from oracles import bb_flag_oracle, image_flag_oracle
+from oracles import bb_flag_oracle, image_flag_oracle, scaled
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
 
@@ -99,7 +99,7 @@ def test_bb_scaling_shift(rng, z2):
         L = Lattice(ctx, basis(), shift=rng.randint(-2, 2))
         L0 = Lattice(ctx, basis())
         c = rng.randint(-3, 3)
-        assert bb_filtration(ctx, L.scaled(ctx, c), L0) == bb_filtration(ctx, L, L0).shifted(c)
+        assert bb_filtration(ctx, scaled(ctx, L, c), L0) == bb_filtration(ctx, L, L0).shifted(c)
 
 
 def test_bb_jump_multiset_and_oracle(rng, z5):
@@ -128,15 +128,15 @@ def test_lattice_pair_examples(z3):
     K = FreeComplex(z3, 0, [1, 1], [Matrix.zeros(z3, 1, 1)])
     F = SheafComplex.constant(pt, K)
     ctx = InstanceContext(F)
-    pair = lattice_pair_from_complex(ctx, 1)
-    fl = bb_filtration(ctx, pair.L, pair.L0)
+    L, L0 = lattice_pair_from_complex(ctx, 1)
+    fl = bb_filtration(ctx, L, L0)
     assert fl.dim(0) == 0 and fl.dim(1) == 1
 
     K0 = FreeComplex(z3, 0, [2], [])
     F0 = SheafComplex.constant(pt, K0)
     ctx0 = InstanceContext(F0)
-    pair0 = lattice_pair_from_complex(ctx0, 0)
-    assert relative_position(ctx0, pair0.L, pair0.L0) == [0, 0]
+    L, L0 = lattice_pair_from_complex(ctx0, 0)
+    assert relative_position(ctx0, L, L0) == [0, 0]
 
     Kp = FreeComplex(z3, 0, [1, 1], [Matrix(z3, [[3]])])
     Fp = SheafComplex.constant(pt, Kp)
@@ -226,7 +226,7 @@ def test_image_flag_oracle_agrees(z2):
             continue
         main = image_flag(ctx, i, m_max)
         for m in range(0, m_max + 1):
-            cm = ctx.sections_map(ctx.stage(m)[1])
+            cm = ctx.sections_map(ctx.stage_sheaf(m)[1])
             stage_total = cm.source
             vmax = 0
             d = stage_total.d(i)
