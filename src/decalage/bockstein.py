@@ -2,7 +2,10 @@
 
 Stringing the mod-xi cohomology groups H^i(K/xi) together by the connecting
 map of 0 -> xi*R/xi^2 -> R/xi^2 -> R/xi -> 0 yields a complex over k; it is
-this package's stand-in for a de Rham complex.  The module also houses the
+this package's stand-in for a de Rham complex.  ``ctx.bockstein(K)`` is that
+complex over k as a ``FreeComplex``: its degree-i basis is the representatives
+``ctx.quotient(ctx.kbar(K), i).reps`` of H^i(K/xi), and its degree-i
+differential is beta_i in those bases.  The module also houses the
 identifications between that complex and the mod-xi reductions and
 subquotients of the decalage stages: the reduction of the plain decalage is
 quasi-isomorphic to the whole complex, the stage-(m+1)/xi*stage(m)
@@ -15,10 +18,16 @@ the context, which builds each object made from one complex once per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .checks import CheckResult
-from .complexes import FGModule, FreeComplex, cohomology_presentation, hodge_filtration, truncate_leq
+from .complexes import (
+    ChainMap,
+    FGModule,
+    FPComplex,
+    FreeComplex,
+    cohomology_presentation,
+    hodge_filtration,
+    truncate_leq,
+)
 from .eta import eta_m, graded_piece, mod_xi_subquotient, stage_inclusion
 from .kmatrix import QuotientSpace, field_rank, kernel_cols, solve_field
 from .rmatrix import Matrix, ShapeMismatch, SNFResult, snf
@@ -36,31 +45,8 @@ def k_cohomology_quotient(cx: FreeComplex, i: int) -> QuotientSpace:
     )
 
 
-class BocksteinComplex:
-    """H^*(K/xi) with the Bockstein differential, over k = R/(xi).
-
-    ``quotients[i]`` fixes representatives of H^i(K/xi) inside (K/xi)^i;
-    ``complex`` is the Bockstein complex over k, whose degree-i differential
-    is beta_i in those bases.
-    """
-
-    __slots__ = ("K", "field", "quotients", "complex")
-
-    def __init__(self, K, quotients, complex):
-        self.K = K
-        self.field = complex.ring
-        self.quotients = quotients
-        self.complex = complex
-
-    def dim(self, i: int) -> int:
-        return self.complex.rank(i)
-
-    def beta_matrix(self, i: int) -> Matrix:
-        return self.complex.d(i)
-
-
-def bockstein_complex(ctx: Memo, K: FreeComplex) -> BocksteinComplex:
-    """Build H^*(K/xi) with beta computed through explicit lifts.
+def bockstein_complex(ctx: Memo, K: FreeComplex) -> FreeComplex:
+    """Build H^*(K/xi) with beta computed through explicit lifts, over k.
 
     The reduction K/xi and its groups H^i(K/xi) come from the context
     ``ctx``.  Their representatives are lifted together: apply d, divide by
@@ -74,7 +60,7 @@ def bockstein_complex(ctx: Memo, K: FreeComplex) -> BocksteinComplex:
         image = (K.d(i) @ lifted).xi_divide(1).residue()
         beta.append(quotients[i + 1].coords_matrix(image))
     ranks = [quotients[i].dim for i in K.degrees()]
-    return BocksteinComplex(K, quotients, FreeComplex(kbar.ring, K.lo, ranks, beta))
+    return FreeComplex(kbar.ring, K.lo, ranks, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +74,10 @@ class Memo:
     """Builds each keyed object once; a context lives for one top-level call.
 
     A context is the one builder of the objects made from a complex K: its
-    cohomology groups, its stages with their inclusions, graded pieces,
-    mod-xi subquotients and Hodge comparisons, its reduction K/xi with the
-    truncations, and its Bockstein complex with the Hodge parts.  Each is
+    cohomology groups, its stages, graded pieces, mod-xi subquotients and
+    Hodge comparisons, its reduction K/xi with the truncations, and its
+    Bockstein complex with the Hodge parts.  A stage, truncation or Hodge
+    part is its inclusion chain map, whose ``source`` is the piece.  Each is
     keyed by the complex it is built from: equal free complexes built
     separately share one entry, finitely presented ones (built once per
     context) are keyed by identity.  A context is also the one place where
@@ -144,11 +131,11 @@ class Memo:
         """H^i(K) of a complex over k, as ``k_cohomology_quotient``."""
         return self.once(("quotient", K, i), k_cohomology_quotient, K, i)
 
-    def stage(self, K: FreeComplex, m: int):
-        """Stage m of K, as ``eta_m``."""
+    def stage(self, K: FreeComplex, m: int) -> ChainMap:
+        """Stage m of K as its inclusion into K, as ``eta_m``."""
         return self.once(("stage", K, m), eta_m, self, K, m)
 
-    def inclusion(self, K: FreeComplex, m: int):
+    def inclusion(self, K: FreeComplex, m: int) -> ChainMap:
         """stage(m+1) -> stage(m) of K, as ``stage_inclusion``."""
         return self.once(("inclusion", K, m), stage_inclusion, self, self.stage(K, m + 1),
                          self.stage(K, m))
@@ -157,7 +144,7 @@ class Memo:
         """stage(m)/stage(m+1) of K, as ``graded_piece``."""
         return self.once(("graded", K, m), graded_piece, self, K, m)
 
-    def subquotient(self, K: FreeComplex, m: int):
+    def subquotient(self, K: FreeComplex, m: int) -> FPComplex:
         """stage(m+1)/xi*stage(m) of K, as ``mod_xi_subquotient``."""
         return self.once(("subquotient", K, m), mod_xi_subquotient, self, K, m)
 
@@ -165,16 +152,16 @@ class Memo:
         """K/xi."""
         return self.once(("kbar", K), K.reduce_mod_xi)
 
-    def truncation(self, K: FreeComplex, m: int):
-        """tau_{<=m}(K) with its inclusion, as ``truncate_leq``."""
+    def truncation(self, K: FreeComplex, m: int) -> ChainMap:
+        """tau_{<=m}(K) as its inclusion into K, as ``truncate_leq``."""
         return self.once(("truncation", K, m), truncate_leq, self, K, m)
 
-    def bockstein(self, K: FreeComplex) -> BocksteinComplex:
-        """H^*(K/xi) with beta, as ``bockstein_complex``."""
+    def bockstein(self, K: FreeComplex) -> FreeComplex:
+        """H^*(K/xi) with beta over k, as ``bockstein_complex``."""
         return self.once(("bockstein", K), bockstein_complex, self, K)
 
-    def hodge(self, K: FreeComplex, p: int):
-        """The degree >= p part of K with its inclusion, as ``hodge_filtration``."""
+    def hodge(self, K: FreeComplex, p: int) -> ChainMap:
+        """The degree >= p part of K as its inclusion into K, as ``hodge_filtration``."""
         return self.once(("hodge", K, p), hodge_filtration, K, p)
 
     def comparison(self, K: FreeComplex, m: int) -> dict:
@@ -193,15 +180,15 @@ def hodge_stage_comparison(ctx: Memo, K: FreeComplex, m: int) -> dict:
     below m are zero on both sides; at degree i >= m generator j is
     xi^i * w_j and maps to the class of w_j.
     """
-    bc = ctx.bockstein(K)
-    emb = ctx.stage(K, m)
+    kbar = ctx.kbar(K)
+    stage = ctx.stage(K, m)
     maps = {}
     for i in K.degrees():
         if i < m:
-            maps[i] = Matrix.zeros(bc.field, 0, emb.complex.rank(i))
+            maps[i] = Matrix.zeros(kbar.ring, 0, stage.source.rank(i))
             continue
-        wbar = emb.basis(i).xi_divide(i).residue()
-        maps[i] = bc.quotients[i].coords_matrix(wbar)
+        wbar = stage.map(i).xi_divide(i).residue()
+        maps[i] = ctx.quotient(kbar, i).coords_matrix(wbar)
     return maps
 
 
@@ -212,9 +199,9 @@ def verify_reduction_identification(ctx: Memo, K: FreeComplex) -> CheckResult:
     cohomology in every degree (dimension match plus full rank).
     """
     out = CheckResult("eta.mod-xi-bockstein-model")
-    red = ctx.kbar(ctx.stage(K, 0).complex)
+    red = ctx.kbar(ctx.stage(K, 0).source)
     comp = ctx.comparison(K, 0)
-    bcx = ctx.bockstein(K).complex
+    bcx = ctx.bockstein(K)
     for i in range(K.lo, K.hi):
         lhs = comp[i + 1] @ red.d(i)
         rhs = bcx.d(i) @ comp[i]
@@ -236,11 +223,11 @@ def verify_mod_xi_subquotient(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
     """stage(m+1)/xi*stage(m) has the cohomology of the Hodge part F_{m+1}."""
     out = CheckResult("eta-m.mod-xi-subquotient")
     sq = ctx.subquotient(K, m)
-    out.expect(sq.degree_m_cohomology_vanishes(ctx), degree=m, m=m,
+    out.expect(ctx.presentation(sq, m).module.is_zero(), degree=m, m=m,
                reason="degree-m cohomology of the subquotient must vanish")
-    hodge, _ = ctx.hodge(ctx.bockstein(K).complex, m + 1)
+    hodge = ctx.hodge(ctx.bockstein(K), m + 1).source
     for i in K.degrees():
-        got = ctx.presentation(sq.fp, i).module
+        got = ctx.presentation(sq, i).module
         want = FGModule.of_k_dimension(K.ring, ctx.quotient(hodge, i).dim)
         out.expect(got == want, degree=i, m=m, got=repr(got), want=repr(want))
     return out
@@ -261,13 +248,12 @@ def connecting_factorization(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
     under the comparison identifications.
     """
     out = CheckResult("eta-m.connecting-bockstein")
-    bc = ctx.bockstein(K)
-    bcx = bc.complex
-    field = bc.field
+    bcx = ctx.bockstein(K)
+    kbar = ctx.kbar(K)
 
     # four-term exactness with middle map beta
-    beta_m = bc.beta_matrix(m)
-    beta_m1 = bc.beta_matrix(m + 1)
+    beta_m = bcx.d(m)
+    beta_m1 = bcx.d(m + 1)
     zm = kernel_cols(beta_m)
     zm1 = kernel_cols(beta_m1)
     hm1 = ctx.quotient(bcx, m + 1)
@@ -275,16 +261,16 @@ def connecting_factorization(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
     # exactness at H^m(K/xi): kernel of beta_m is Z^m by construction; at
     # Z^{m+1}: image of beta_m + boundaries span, quotient is H^{m+1}
     rank_beta = field_rank(beta_m)
-    out.expect(zm.cols + rank_beta == bc.dim(m), m=m, reason="rank-nullity failure")
+    out.expect(zm.cols + rank_beta == bcx.rank(m), m=m, reason="rank-nullity failure")
     out.expect(zm1.cols - rank_beta == hm1.dim, m=m,
                reason="cokernel of beta_m inside Z^{m+1} is not H^{m+1}")
 
     # three-case formula for stage(m) mod xi
-    red = ctx.kbar(ctx.stage(K, m).complex)
+    red = ctx.kbar(ctx.stage(K, m).source)
     for i in K.degrees():
         got = ctx.quotient(red, i).dim
         if i <= m - 1:
-            want = bc.dim(i)
+            want = bcx.rank(i)
         elif i == m:
             want = zm.cols
         else:
@@ -294,28 +280,27 @@ def connecting_factorization(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
 
     # snake of the graded triangle equals beta
     if m + 1 <= K.hi:
-        grade = ctx.graded(K, m)
-        stage, finer = grade.stage, grade.finer
+        stage, finer = ctx.stage(K, m), ctx.stage(K, m + 1)
         inc = ctx.inclusion(K, m)
-        gens = ctx.presentation(grade.fp, m).gens_basis
+        gens = ctx.presentation(ctx.graded(K, m).fp, m).gens_basis
         # beta of the classes of the generators in H^m(K/xi)
-        elts = (stage.basis(m) @ gens).xi_divide(m).residue()
-        betas = beta_m @ bc.quotients[m].coords_matrix(elts)
+        elts = (stage.map(m) @ gens).xi_divide(m).residue()
+        betas = beta_m @ ctx.quotient(kbar, m).coords_matrix(elts)
         for j in range(gens.cols):
             z = gens.take_columns([j])
             rhs = betas.column(j)
             # snake: lift z, apply d, pull back along the stage inclusion
-            dz = stage.complex.d(m) @ z
+            dz = stage.source.d(m) @ z
             y = ctx.solve(inc.map(m + 1), dz)
             if y is None:
                 out.fail(m=m, generator=j, reason="snake image escaped the finer stage")
                 continue
-            velt = (finer.basis(m + 1) @ y).xi_divide(m + 1).residue()
-            lhs = bc.quotients[m + 1].coords(velt.column(0))
+            velt = (finer.map(m + 1) @ y).xi_divide(m + 1).residue()
+            lhs = ctx.quotient(kbar, m + 1).coords(velt.column(0))
             out.expect(lhs == rhs, m=m, generator=j,
                        reason="connecting map does not factor through beta",
-                       snake=[field.format(x) for x in lhs],
-                       beta=[field.format(x) for x in rhs])
+                       snake=[kbar.ring.format(x) for x in lhs],
+                       beta=[kbar.ring.format(x) for x in rhs])
     return out
 
 
@@ -323,42 +308,25 @@ def connecting_factorization(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
 # the splitting of stage(m+1) mod xi
 
 
-@dataclass
-class Splitting:
-    """stage(m+1)/xi against its two factors, with the verification record."""
+def split_mod_xi(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
+    """stage(m+1)/xi splits into a truncation part and a Hodge part.
 
-    dims: dict
-    reduced: FreeComplex
-    truncation_factor: FreeComplex
-    hodge_factor: FreeComplex
-    check: CheckResult
-
-
-def split_mod_xi(ctx: Memo, K: FreeComplex, m: int) -> Splitting:
-    """Decomposition record for stage(m+1)/xi: truncation part + Hodge part.
-
-    ``dims`` holds the per-degree bookkeeping; the check asserts cohomology
-    additivity in every degree and the two compatibility squares.
+    The check asserts cohomology additivity in every degree and the two
+    compatibility squares.
     """
-    hodge, _ = ctx.hodge(ctx.bockstein(K).complex, m + 1)
-    red = ctx.kbar(ctx.stage(K, m + 1).complex)
-    tau, _ = ctx.truncation(ctx.kbar(K), m)
+    hodge = ctx.hodge(ctx.bockstein(K), m + 1).source
+    red = ctx.kbar(ctx.stage(K, m + 1).source)
+    tau = ctx.truncation(ctx.kbar(K), m).source
 
     result = CheckResult("eta-m.mod-xi-splitting")
-    dims = {}
     for i in K.degrees():
-        dims[i] = {
-            "reduced": red.rank(i),
-            "truncation_factor": tau.rank(i),
-            "hodge_factor": hodge.rank(i),
-        }
         got = ctx.quotient(red, i).dim
         want = ctx.quotient(tau, i).dim + ctx.quotient(hodge, i).dim
         result.expect(got == want, degree=i, m=m, got=got, want=want,
                       reason="cohomology does not split")
 
     result.merge(_splitting_compatibility(ctx, K, m))
-    return Splitting(dims, red, tau, hodge, result)
+    return result
 
 
 def _splitting_compatibility(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
@@ -376,11 +344,11 @@ def _splitting_compatibility(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
     inc = ctx.inclusion(K, m)
     comp_fine = ctx.comparison(K, m + 1)
     comp_coarse = ctx.comparison(K, m)
-    f_coarse, _ = ctx.hodge(ctx.bockstein(K).complex, m)
+    f_coarse = ctx.hodge(ctx.bockstein(K), m).source
     for i in K.degrees():
         if i < m + 1:
             continue
-        gens = ctx.presentation(sq.fp, i).gens_basis
+        gens = ctx.presentation(sq, i).gens_basis
         hq = ctx.quotient(f_coarse, i)
         lhs = hq.coords_matrix(comp_coarse[i] @ (inc.map(i) @ gens).residue())
         rhs = hq.coords_matrix(comp_fine[i] @ gens.residue())
@@ -393,8 +361,8 @@ def _splitting_compatibility(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
         grade_prev = ctx.graded(K, m - 1)
         grade = ctx.graded(K, m)
         kbar = ctx.kbar(K)
-        _, tau_prev_inc = ctx.truncation(kbar, m - 1)
-        _, tau_inc = ctx.truncation(kbar, m)
+        tau_prev_inc = ctx.truncation(kbar, m - 1)
+        tau_inc = ctx.truncation(kbar, m)
         # inclusion tau_{<=m-1} -> tau_{<=m} over k
         jmaps = {}
         for i in K.degrees():
@@ -407,9 +375,9 @@ def _splitting_compatibility(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
             gens = ctx.presentation(grade_prev.fp, i).gens_basis
             if gens.cols == 0:
                 continue
-            hq = ctx.quotient(grade.tau, i)
+            hq = ctx.quotient(tau_inc.source, i)
             # xi * stage(m-1) -> stage(m), as the subquotient's relations
-            u = ctx.subquotient(K, m - 1).fp.rels(i)
+            u = ctx.subquotient(K, m - 1).rels(i)
             lhs = hq.coords_matrix(grade.comparison[i] @ (u @ gens).residue())
             rhs = hq.coords_matrix(jmaps[i] @ (grade_prev.comparison[i] @ gens.residue()))
             for j in range(gens.cols):

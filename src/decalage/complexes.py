@@ -382,16 +382,15 @@ def cohomology_presentation(ctx, K, i: int) -> CohomologyPresentation:
 # truncations and sums
 
 
-def truncate_leq(ctx, K: FreeComplex, m: int):
-    """Canonical truncation: [... -> K^{m-1} -> Z^m -> 0] with its inclusion.
+def truncate_leq(ctx, K: FreeComplex, m: int) -> ChainMap:
+    """Canonical truncation [... -> K^{m-1} -> Z^m -> 0], as its inclusion into K.
 
     Z^m is solved for through the context ``ctx``.
     """
     if m >= K.hi:
-        return K, ChainMap.identity(K)
+        return ChainMap.identity(K)
     if m < K.lo:
-        Z = FreeComplex.zero(K.ring, K.lo, K.hi, K.twist)
-        return Z, ChainMap.zero(Z, K)
+        return ChainMap.zero(FreeComplex.zero(K.ring, K.lo, K.hi, K.twist), K)
     zbasis = ctx.kernel(K.d(m))
     ranks = [K.rank(i) for i in range(K.lo, m)] + [zbasis.cols]
     diffs = [K.d(i) for i in range(K.lo, m - 1)]
@@ -403,21 +402,20 @@ def truncate_leq(ctx, K: FreeComplex, m: int):
     T = FreeComplex(K.ring, K.lo, ranks, diffs, K.twist)
     maps = {i: Matrix.identity(K.ring, K.rank(i)) for i in range(K.lo, m)}
     maps[m] = zbasis
-    return T, ChainMap(T, K, maps)
+    return ChainMap(T, K, maps)
 
 
-def hodge_filtration(K: FreeComplex, m: int):
-    """Brutal truncation: K^i for i >= m, zero below, with its inclusion."""
+def hodge_filtration(K: FreeComplex, m: int) -> ChainMap:
+    """Brutal truncation: K^i for i >= m, zero below, as its inclusion into K."""
     if m <= K.lo:
-        return K, ChainMap.identity(K)
+        return ChainMap.identity(K)
     if m > K.hi:
-        Z = FreeComplex.zero(K.ring, K.lo, K.hi, K.twist)
-        return Z, ChainMap.zero(Z, K)
+        return ChainMap.zero(FreeComplex.zero(K.ring, K.lo, K.hi, K.twist), K)
     ranks = [K.rank(i) for i in range(m, K.hi + 1)]
     diffs = [K.d(i) for i in range(m, K.hi)]
     F = FreeComplex(K.ring, m, ranks, diffs, K.twist)
     maps = {i: Matrix.identity(K.ring, K.rank(i)) for i in range(m, K.hi + 1)}
-    return F, ChainMap(F, K, maps)
+    return ChainMap(F, K, maps)
 
 
 def direct_sum(A: FreeComplex, B: FreeComplex) -> FreeComplex:

@@ -8,6 +8,8 @@ subcomplex has degree-i term
 
 realized as an honest submodule of K^i with a recorded basis, so inclusions
 between the stages (and the later lattice comparisons) are literal matrices.
+A stage is its inclusion chain map into K: the stage complex is its
+``source``, its degree-i basis is ``map(i)`` and K is its ``target``.
 The family decreases in m and squeezes between xi-multiples:
 xi * stage(m) <= stage(m+1) <= stage(m).
 
@@ -17,9 +19,9 @@ takes a context (a ``Memo``, bockstein module), which factors each matrix
 once per call.  Everything built from several stages takes the context and
 K, and reads the stages and their inclusions from the context
 (``ctx.stage(K, m)``, ``ctx.inclusion(K, m)``), which builds each of them
-once per call: ``xi_step_inclusion_holds``, ``graded_piece``,
-``mod_xi_subquotient`` and ``verify_eta_m_cohomology``.
-``is_stationary_stage`` takes the one stage it checks.
+once per call: ``xi_step_inclusion_holds``, ``is_stationary_stage``,
+``graded_piece``, ``verify_graded_piece``, ``mod_xi_subquotient`` and
+``verify_eta_m_cohomology``.
 """
 
 from __future__ import annotations
@@ -38,43 +40,19 @@ class NegativeM(ValueError):
     """The refinement index m must be nonnegative."""
 
 
-class SubcomplexEmbedding:
-    """A stage of the filtration: abstract complex + embedding into K.
-
-    ``iota`` has square injective matrices in each degree (the stages are
-    full-rank submodules); the degree-i basis carries the xi-power i for the
-    plain decalage part and m below degree m.
-    """
-
-    __slots__ = ("complex", "iota", "m")
-
-    def __init__(self, complex: FreeComplex, iota: ChainMap, m: int):
-        self.complex = complex
-        self.iota = iota
-        self.m = m
-
-    @property
-    def ambient(self) -> FreeComplex:
-        return self.iota.target
-
-    def basis(self, i: int) -> Matrix:
-        return self.iota.map(i)
-
-    def reduction_map(self, i: int) -> Matrix:
-        """Matrix over k of stage^i -> (K^i / xi^{m+1}) / xi^m, i.e. iota/xi^m mod xi."""
-        return self.basis(i).xi_divide(self.m).residue()
-
-
 def _congruence_kernel(ctx, K: FreeComplex, i: int) -> Matrix:
     """Basis of { x in K^i : d(x) in xi*K^{i+1} } inside K^i."""
     ring = K.ring
     return ctx.preimage(K.d(i), Matrix.scalar(ring, K.rank(i + 1), ring.xi))
 
 
-def eta_m(ctx, K: FreeComplex, m: int) -> SubcomplexEmbedding:
-    """Stage m of the refined decalage filtration, as a scaled subcomplex of K.
+def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
+    """Stage m of the refined decalage filtration, as its inclusion into K.
 
-    Every matrix is factored by the context ``ctx``.
+    The inclusion has square injective matrices in each degree (the stages
+    are full-rank submodules); the degree-i basis carries the xi-power i for
+    the plain decalage part and m below degree m.  Every matrix is factored
+    by the context ``ctx``.
     """
     if K.lo < 0:
         raise DegreeBelowZero(f"complex starts at degree {K.lo}")
@@ -95,20 +73,18 @@ def eta_m(ctx, K: FreeComplex, m: int) -> SubcomplexEmbedding:
             raise ArithmeticError(f"stage differential escaped the stage at degree {i}")
         diffs.append(inner)
     E = FreeComplex(ring, K.lo, [bases[i].cols for i in K.degrees()], diffs, K.twist)
-    iota = ChainMap(E, K, bases)
-    return SubcomplexEmbedding(E, iota, m)
+    return ChainMap(E, K, bases)
 
 
-def stage_inclusion(ctx, finer: SubcomplexEmbedding,
-                    coarser: SubcomplexEmbedding) -> ChainMap:
-    """The literal containment stage(m+1) <= stage(m) as a chain map."""
+def stage_inclusion(ctx, finer: ChainMap, coarser: ChainMap) -> ChainMap:
+    """The literal containment of one stage in another, from their inclusions."""
     maps = {}
-    for i in coarser.ambient.degrees():
-        sol = ctx.solve(coarser.basis(i), finer.basis(i))
+    for i in coarser.target.degrees():
+        sol = ctx.solve(coarser.map(i), finer.map(i))
         if sol is None:
             raise ArithmeticError(f"stages are not nested at degree {i}")
         maps[i] = sol
-    return ChainMap(finer.complex, coarser.complex, maps)
+    return ChainMap(finer.source, coarser.source, maps)
 
 
 def xi_step_inclusion_holds(ctx, K: FreeComplex, m: int) -> bool:
@@ -125,15 +101,15 @@ def xi_step_inclusion_holds(ctx, K: FreeComplex, m: int) -> bool:
     return True
 
 
-def is_stationary_stage(ctx, emb: SubcomplexEmbedding) -> bool:
-    """True when the stage equals xi^m * K on the nose (holds for m > hi)."""
-    K = emb.ambient
+def is_stationary_stage(ctx, K: FreeComplex, m: int) -> bool:
+    """True when stage m equals xi^m * K on the nose (holds for m > hi)."""
+    stage = ctx.stage(K, m)
     ring = K.ring
     for i in K.degrees():
-        scaled = Matrix.scalar(ring, K.rank(i), ring.xi_power(emb.m))
-        if ctx.solve(emb.basis(i), scaled) is None:
+        scaled = Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
+        if ctx.solve(stage.map(i), scaled) is None:
             return False
-        if ctx.solve(scaled, emb.basis(i)) is None:
+        if ctx.solve(scaled, stage.map(i)) is None:
             return False
     return True
 
@@ -145,91 +121,85 @@ def is_stationary_stage(ctx, emb: SubcomplexEmbedding) -> bool:
 class GradedPiece:
     """stage(m)/stage(m+1) with its comparison onto the truncation of K/xi.
 
-    ``fp`` presents the quotient on the stage-m basis; ``tau`` is the
-    context's canonical truncation of K/xi at level m;
-    ``comparison[i]`` is the k-matrix from stage-m generator coordinates to
-    the chosen basis of tau's degree-i term.  The piece keeps no reference to
-    its context (that would be a cycle, keeping every context alive until the
-    cyclic collector runs); ``verify`` takes the context that built it.
+    ``fp`` presents the quotient on the stage-m basis; ``comparison[i]`` is
+    the k-matrix from stage-m generator coordinates to the chosen basis of
+    the degree-i term of the context's truncation ``ctx.truncation(ctx.kbar(K), m)``.
     """
 
-    __slots__ = ("K", "m", "fp", "tau", "comparison", "stage", "finer")
+    __slots__ = ("fp", "comparison")
 
-    def __init__(self, K, m, fp, tau, comparison, stage, finer):
-        self.K = K
-        self.m = m
+    def __init__(self, fp, comparison):
         self.fp = fp
-        self.tau = tau
         self.comparison = comparison
-        self.stage = stage
-        self.finer = finer
-
-    def verify(self, ctx) -> CheckResult:
-        out = CheckResult("eta-m.graded-piece")
-        K, m = self.K, self.m
-        for i in K.degrees():
-            comp = self.comparison[i]
-            rels = self.fp.rels(i).residue()
-            # well-defined on the quotient
-            if rels.cols:
-                out.expect((comp @ rels).is_zero(), degree=i, reason="comparison not defined on quotient")
-            # chain map over k
-            lhs = self.comparison.get(i + 1)
-            if lhs is not None:
-                left = lhs @ self.fp.d(i).residue()
-                right = self.tau.d(i) @ comp
-                out.expect(left == right, degree=i, reason="comparison does not commute with d")
-            # termwise bijectivity
-            qdim = self.fp.term_invariants(ctx, i).k_dimension()
-            tdim = self.tau.rank(i)
-            out.expect(qdim == tdim, degree=i, reason="term dimension mismatch",
-                       quotient=qdim, truncation=tdim)
-            out.expect(field_rank(comp) == tdim, degree=i, reason="comparison not surjective")
-            if i > m:
-                out.expect(qdim == 0, degree=i, reason="graded piece should vanish above m")
-        # cohomology agreement, degree by degree
-        for i in K.degrees():
-            got = ctx.presentation(self.fp, i).module
-            want = FGModule.of_k_dimension(K.ring, ctx.quotient(self.tau, i).dim)
-            out.expect(got == want, degree=i, reason="graded cohomology mismatch",
-                       got=repr(got), want=repr(want))
-        return out
 
 
 def graded_piece(ctx, K: FreeComplex, m: int) -> GradedPiece:
     """stage(m)/stage(m+1) with comparison to the truncation of K/xi at m."""
     stage = ctx.stage(K, m)
-    finer = ctx.stage(K, m + 1)
     inc = ctx.inclusion(K, m)
     ring = K.ring
-    modules = [FPModule(stage.complex.rank(i), inc.map(i)) for i in K.degrees()]
-    diffs = [stage.complex.d(i) for i in range(K.lo, K.hi)]
+    modules = [FPModule(stage.source.rank(i), inc.map(i)) for i in K.degrees()]
+    diffs = [stage.source.d(i) for i in range(K.lo, K.hi)]
     fp = FPComplex(ring, K.lo, modules, diffs)
 
     kbar = ctx.kbar(K)
-    tau, tau_inc = ctx.truncation(kbar, m)
+    tau = ctx.truncation(kbar, m)
 
     comparison = {}
     for i in K.degrees():
         if i < m:
             comparison[i] = Matrix.identity(kbar.ring, K.rank(i))
         elif i == m:
-            zbasis = tau_inc.map(m)
-            wbar = stage.basis(m).xi_divide(m).residue()
-            sol = solve_field(zbasis, wbar)
+            wbar = stage.map(m).xi_divide(m).residue()
+            sol = solve_field(tau.map(m), wbar)
             if sol is None:
                 raise ArithmeticError("stage basis did not reduce into the cocycles")
             comparison[i] = sol
         else:
-            comparison[i] = Matrix.zeros(kbar.ring, tau.rank(i), stage.complex.rank(i))
-    return GradedPiece(K, m, fp, tau, comparison, stage, finer)
+            comparison[i] = Matrix.zeros(kbar.ring, tau.source.rank(i), stage.source.rank(i))
+    return GradedPiece(fp, comparison)
+
+
+def verify_graded_piece(ctx, K: FreeComplex, m: int) -> CheckResult:
+    """The comparison of ``ctx.graded(K, m)`` is an isomorphism onto the truncation."""
+    out = CheckResult("eta-m.graded-piece")
+    grade = ctx.graded(K, m)
+    fp, comparison = grade.fp, grade.comparison
+    tau = ctx.truncation(ctx.kbar(K), m).source
+    for i in K.degrees():
+        comp = comparison[i]
+        rels = fp.rels(i).residue()
+        # well-defined on the quotient
+        if rels.cols:
+            out.expect((comp @ rels).is_zero(), degree=i, reason="comparison not defined on quotient")
+        # chain map over k
+        lhs = comparison.get(i + 1)
+        if lhs is not None:
+            left = lhs @ fp.d(i).residue()
+            right = tau.d(i) @ comp
+            out.expect(left == right, degree=i, reason="comparison does not commute with d")
+        # termwise bijectivity
+        qdim = fp.term_invariants(ctx, i).k_dimension()
+        tdim = tau.rank(i)
+        out.expect(qdim == tdim, degree=i, reason="term dimension mismatch",
+                   quotient=qdim, truncation=tdim)
+        out.expect(field_rank(comp) == tdim, degree=i, reason="comparison not surjective")
+        if i > m:
+            out.expect(qdim == 0, degree=i, reason="graded piece should vanish above m")
+    # cohomology agreement, degree by degree
+    for i in K.degrees():
+        got = ctx.presentation(fp, i).module
+        want = FGModule.of_k_dimension(K.ring, ctx.quotient(tau, i).dim)
+        out.expect(got == want, degree=i, reason="graded cohomology mismatch",
+                   got=repr(got), want=repr(want))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # mod-xi subquotient stage(m+1) / xi*stage(m)
 
 
-class ModXiSubquotient:
+def mod_xi_subquotient(ctx, K: FreeComplex, m: int) -> FPComplex:
     """stage(m+1) / (xi * stage(m)) presented on the stage-(m+1) basis.
 
     Degreewise this is 0 below m, K^m/{x : dx in xi K^{m+1}} at m, and the
@@ -237,34 +207,17 @@ class ModXiSubquotient:
     against the Hodge part of the cohomology complex of K/xi lives in the
     bockstein module.
     """
-
-    __slots__ = ("K", "m", "fp", "finer", "stage")
-
-    def __init__(self, K, m, fp, finer, stage):
-        self.K = K
-        self.m = m
-        self.fp = fp
-        self.finer = finer
-        self.stage = stage
-
-    def degree_m_cohomology_vanishes(self, ctx) -> bool:
-        """Whether H^m vanishes; ``ctx`` is the context that built the subquotient."""
-        return ctx.presentation(self.fp, self.m).module.is_zero()
-
-
-def mod_xi_subquotient(ctx, K: FreeComplex, m: int) -> ModXiSubquotient:
     stage = ctx.stage(K, m)
     finer = ctx.stage(K, m + 1)
     ring = K.ring
     modules = []
     for i in K.degrees():
-        rel = ctx.solve(finer.basis(i), stage.basis(i).scale(ring.xi))
+        rel = ctx.solve(finer.map(i), stage.map(i).scale(ring.xi))
         if rel is None:
             raise ArithmeticError(f"xi*stage(m) escaped stage(m+1) at degree {i}")
-        modules.append(FPModule(finer.complex.rank(i), rel))
-    diffs = [finer.complex.d(i) for i in range(K.lo, K.hi)]
-    fp = FPComplex(ring, K.lo, modules, diffs)
-    return ModXiSubquotient(K, m, fp, finer, stage)
+        modules.append(FPModule(finer.source.rank(i), rel))
+    diffs = [finer.source.d(i) for i in range(K.lo, K.hi)]
+    return FPComplex(ring, K.lo, modules, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +232,18 @@ def verify_eta_m_cohomology(ctx, K: FreeComplex, m: int) -> CheckResult:
     at and below m it matches H(K).
     """
     out = CheckResult("eta-m.cohomology")
-    emb = ctx.stage(K, m)
-    plain = ctx.stage(K, 0)
+    stage = ctx.stage(K, m).source
+    plain = ctx.stage(K, 0).source
 
     def h(C, i):
         return ctx.presentation(C, i).module
 
     for i in K.degrees():
-        got = h(emb.complex, i)
-        want = h(plain.complex, i) if i > m else h(K, i)
+        got = h(stage, i)
+        want = h(plain, i) if i > m else h(K, i)
         out.expect(got == want, degree=i, m=m, got=repr(got), want=repr(want))
     for i in K.degrees():
-        got = h(plain.complex, i)
+        got = h(plain, i)
         want = h(K, i).mod_xi_torsion()
         out.expect(got == want, degree=i, reason="decalage vs torsion quotient",
                    got=repr(got), want=repr(want))

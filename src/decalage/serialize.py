@@ -59,6 +59,8 @@ def complex_from_json(data: dict, ring: BaseRing | None = None) -> FreeComplex:
         raw = data.get("differentials", [])
     except (KeyError, TypeError, ValueError, RingElementError) as exc:
         raise SerializeError(f"bad complex JSON: {exc}") from exc
+    if any(r < 0 for r in ranks):
+        raise SerializeError(f"ranks must be nonnegative, got {ranks}")
     if "hi" in data and int(data["hi"]) != lo + len(ranks) - 1:
         raise SerializeError("hi does not match lo + len(ranks) - 1")
     if len(raw) != max(len(ranks) - 1, 0):

@@ -334,9 +334,13 @@ def global_sections_complex(F: SheafComplex):
     return total, idx
 
 
-def global_sections_map(phi: SheafMap, src_idx: SectionsIndex, tgt_idx: SectionsIndex,
-                        src_total: FreeComplex, tgt_total: FreeComplex) -> ChainMap:
-    """RGamma of a sheaf map, blockwise on matching chains."""
+def global_sections_map(phi: SheafMap, src: tuple, tgt: tuple) -> ChainMap:
+    """RGamma of a sheaf map, blockwise on matching chains.
+
+    ``src`` and ``tgt`` are the sections of its source and target, as
+    ``global_sections_complex`` returns them.
+    """
+    (src_total, src_idx), (tgt_total, tgt_idx) = src, tgt
     maps = {}
     for N in range(min(src_idx.lo, tgt_idx.lo), max(src_idx.hi, tgt_idx.hi) + 1):
         tgt_loc = tgt_idx.locate(N)
@@ -363,20 +367,20 @@ def _sheaf(F: SheafComplex, stalks: dict, restriction) -> SheafComplex:
     })
 
 
-def _subsheaf(ctx: "InstanceContext", F: SheafComplex, parts: dict):
-    """The subsheaf with stalks ``parts[x] = (complex, inclusion into F(x))``.
+def _subsheaf(ctx: "InstanceContext", F: SheafComplex, parts: dict) -> SheafMap:
+    """The subsheaf with stalks ``parts[x].source``, as its inclusion into F.
 
-    Every inclusion is injective, so each restriction of F lifts uniquely
-    along them; it is solved for over the ring of F (through the context
-    ``ctx`` when that ring is not a field), except along an identity, where
-    the lift is the restriction itself.  Returns the subsheaf with its
-    inclusion sheaf map.
+    ``parts[x]`` is the inclusion of a subcomplex into F(x).  Every inclusion
+    is injective, so each restriction of F lifts uniquely along them; it is
+    solved for over the ring of F (through the context ``ctx`` when that
+    ring is not a field), except along an identity, where the lift is the
+    restriction itself.
     """
     solve = solve_field if F.ring.is_field else ctx.solve
 
     def lift(a, b, i):
-        moved = F.res(a, b).map(i) @ parts[a][1].map(i)
-        incl = parts[b][1].map(i)
+        moved = F.res(a, b).map(i) @ parts[a].map(i)
+        incl = parts[b].map(i)
         if incl.rows == incl.cols and incl == Matrix.identity(F.ring, incl.rows):
             return moved
         sol = solve(incl, moved)
@@ -384,31 +388,28 @@ def _subsheaf(ctx: "InstanceContext", F: SheafComplex, parts: dict):
             raise InvalidSheaf(f"restriction {a}<={b} does not preserve the subsheaf", (a, b))
         return sol
 
-    sub = _sheaf(F, {x: parts[x][0] for x in F.site.elements}, lift)
-    return sub, SheafMap(sub, F, {x: parts[x][1] for x in F.site.elements})
+    sub = _sheaf(F, {x: parts[x].source for x in F.site.elements}, lift)
+    return SheafMap(sub, F, parts)
 
 
-def sheaf_eta_m(ctx: "InstanceContext", m: int):
-    """Objectwise decalage stage with induced restrictions and inclusion into F."""
+def sheaf_eta_m(ctx: "InstanceContext", m: int) -> SheafMap:
+    """Objectwise decalage stage with induced restrictions, as its inclusion into F."""
     F = ctx.F
-    embs = {x: ctx.stage(F.stalk(x), m) for x in F.site.elements}
-    sub, incl = _subsheaf(ctx, F, {x: (embs[x].complex, embs[x].iota) for x in F.site.elements})
-    return sub, incl, embs
+    return _subsheaf(ctx, F, {x: ctx.stage(F.stalk(x), m) for x in F.site.elements})
 
 
 def stage_reduction_map(ctx: "InstanceContext", m: int) -> ChainMap:
     """Sections of stage m mod xi -> sections of F/xi.
 
-    Stage m maps by dividing its embedding by xi^m and reducing.
+    Stage m maps by dividing its inclusion by xi^m and reducing.
     """
-    F = ctx.F
-    sub, _, embs = ctx.stage_sheaf(m)
-    subbar, Fbar = sheaf_reduce(ctx, sub), ctx.reduced()
+    incl = ctx.stage_sheaf(m)
+    subbar, Fbar = sheaf_reduce(ctx, incl.source), ctx.reduced()
     maps = {
         x: ChainMap(subbar.stalk(x), Fbar.stalk(x),
-                    {j: embs[x].reduction_map(j)
-                     for j in range(F.stalk(x).lo, F.stalk(x).hi + 1)})
-        for x in F.site.elements
+                    {j: incl.map(x).map(j).xi_divide(m).residue()
+                     for j in Fbar.stalk(x).degrees()})
+        for x in Fbar.site.elements
     }
     return ctx.sections_map(SheafMap(subbar, Fbar, maps))
 
@@ -419,32 +420,32 @@ def sheaf_reduce(ctx: Memo, F: SheafComplex) -> SheafComplex:
                   lambda a, b, i: F.res(a, b).map(i).residue())
 
 
-def sheaf_truncate_leq(ctx: "InstanceContext", F: SheafComplex, m: int):
-    """Objectwise canonical truncation, with its inclusion sheaf map.
+def sheaf_truncate_leq(ctx: "InstanceContext", F: SheafComplex, m: int) -> SheafMap:
+    """Objectwise canonical truncation, as its inclusion into F.
 
     F is a sheaf over the residue field (F/xi on every caller's path).
     """
     return _subsheaf(ctx, F, {x: ctx.truncation(F.stalk(x), m) for x in F.site.elements})
 
 
-def sheaf_hodge(ctx: "InstanceContext", F: SheafComplex, m: int):
-    """Objectwise brutal truncation at m, with its inclusion sheaf map."""
+def sheaf_hodge(ctx: "InstanceContext", F: SheafComplex, m: int) -> SheafMap:
+    """Objectwise brutal truncation at m, as its inclusion into F."""
     return _subsheaf(ctx, F, {x: ctx.hodge(F.stalk(x), m) for x in F.site.elements})
 
 
-def sheaf_bockstein(ctx: "InstanceContext"):
+def sheaf_bockstein(ctx: "InstanceContext") -> SheafComplex:
     """Objectwise Bockstein complex with induced restrictions, over k."""
     F = ctx.F
     bcs = {x: ctx.bockstein(F.stalk(x)) for x in F.site.elements}
 
     def restriction(a, b, i):
-        qa, qb = bcs[a].quotients[i], bcs[b].quotients.get(i)
-        if qb is None:
-            return Matrix.zeros(bcs[b].field, 0, qa.dim)
+        qa = ctx.quotient(ctx.kbar(F.stalk(a)), i)
+        if i not in F.stalk(b).degrees():
+            return Matrix.zeros(bcs[b].ring, 0, qa.dim)
+        qb = ctx.quotient(ctx.kbar(F.stalk(b)), i)
         return qb.coords_matrix(F.res(a, b).map(i).residue() @ qa.rep_matrix())
 
-    omega = _sheaf(F, {x: bcs[x].complex for x in F.site.elements}, restriction)
-    return omega, bcs
+    return _sheaf(F, bcs, restriction)
 
 
 def bockstein_term_sheaf(ctx: "InstanceContext", q: int):
@@ -454,7 +455,7 @@ def bockstein_term_sheaf(ctx: "InstanceContext", q: int):
     them is H^p(S, degree-q term).
     """
     F = ctx.F
-    omega, _ = ctx.bockstein_sheaf()
+    omega = ctx.bockstein_sheaf()
     stalks = {x: FreeComplex.single(omega.ring, q, omega.stalk(x).rank(q), twist=q)
               for x in F.site.elements}
     return _sheaf(F, stalks, lambda a, b, i: omega.res(a, b).map(q))
@@ -470,54 +471,53 @@ class InstanceContext(Memo):
     The complex-keyed builders of ``Memo`` give every stalk's pieces (its
     stages, reduction, truncations, Bockstein complex and Hodge parts), one
     per stalk content, so equal stalks share them.  This context adds the
-    sheaf-keyed ones: the sheaves assembled from those pieces, and sections
-    as (complex, index) pairs one per sheaf content, so equal sheaves built
-    separately share them.  Higher layers keep their own objects via
-    ``once``.
+    sheaf-keyed ones: the sheaves assembled from those pieces (a subsheaf as
+    its inclusion sheaf map), and sections one per sheaf content, so equal
+    sheaves built separately share them.  Higher layers keep their own
+    objects via ``once``.
     """
 
     def __init__(self, F: SheafComplex):
         super().__init__()
         self.F = F
 
-    def sections(self, G: SheafComplex):
-        """RGamma(G) as ``global_sections_complex``."""
-        return self.once(("sections", G), global_sections_complex, G)
+    def sections(self, G: SheafComplex) -> FreeComplex:
+        """RGamma(G), the complex of ``global_sections_complex``."""
+        return self.once(("sections", G), global_sections_complex, G)[0]
 
     def sections_map(self, phi: SheafMap) -> ChainMap:
         """RGamma(phi) between the sections of its source and target.
 
         Keyed by the map object, which the memo keeps alive.
         """
-        (src_total, src_idx), (tgt_total, tgt_idx) = (self.sections(phi.source),
-                                                      self.sections(phi.target))
-        return self.once(("sections-map", phi), global_sections_map, phi,
-                         src_idx, tgt_idx, src_total, tgt_total)
+        src, tgt = (self.once(("sections", G), global_sections_complex, G)
+                    for G in (phi.source, phi.target))
+        return self.once(("sections-map", phi), global_sections_map, phi, src, tgt)
 
     def reduced(self) -> SheafComplex:
         """F/xi, as ``sheaf_reduce``."""
         return self.once("reduced", sheaf_reduce, self, self.F)
 
-    def stage_sheaf(self, m: int):
-        """(stage sheaf, its inclusion into F, stalk embeddings), as sheaf_eta_m."""
+    def stage_sheaf(self, m: int) -> SheafMap:
+        """The stage-m sheaf as its inclusion into F, as ``sheaf_eta_m``."""
         return self.once(("stage-sheaf", m), sheaf_eta_m, self, m)
 
     def stage_reduction(self, m: int) -> ChainMap:
         """Sections of stage m mod xi -> sections of F/xi, as stage_reduction_map."""
         return self.once(("stage-reduction", m), stage_reduction_map, self, m)
 
-    def truncation_sheaf(self, q: int):
-        """tau_{<=q}(F/xi) with its inclusion."""
+    def truncation_sheaf(self, q: int) -> SheafMap:
+        """tau_{<=q}(F/xi) as its inclusion, as ``sheaf_truncate_leq``."""
         return self.once(("truncation-sheaf", q), sheaf_truncate_leq, self, self.reduced(), q)
 
-    def bockstein_sheaf(self):
-        """(Bockstein sheaf, stalkwise Bockstein complexes), as sheaf_bockstein."""
+    def bockstein_sheaf(self) -> SheafComplex:
+        """The Bockstein sheaf, as ``sheaf_bockstein``."""
         return self.once("bockstein-sheaf", sheaf_bockstein, self)
 
     def term(self, q: int) -> SheafComplex:
         """The degree-q term of the Bockstein sheaf in degree q, as bockstein_term_sheaf."""
         return self.once(("term", q), bockstein_term_sheaf, self, q)
 
-    def hodge_sheaf(self, p: int):
-        """The degree >= p part of the Bockstein sheaf with its inclusion."""
-        return self.once(("hodge-sheaf", p), sheaf_hodge, self, self.bockstein_sheaf()[0], p)
+    def hodge_sheaf(self, p: int) -> SheafMap:
+        """The degree >= p part of the Bockstein sheaf as its inclusion, as ``sheaf_hodge``."""
+        return self.once(("hodge-sheaf", p), sheaf_hodge, self, self.bockstein_sheaf(), p)

@@ -207,10 +207,10 @@ def ht_spectral_sequence(ctx: InstanceContext, r_max: int = 4):
     Entries are reported as (p, q) with E_2^{p,q} = H^p(S, H^q(K/xi)-sheaf),
     abutting to H^{p+q} of the global sections of K/xi.
     """
-    total, _ = ctx.sections(ctx.reduced())
+    total = ctx.sections(ctx.reduced())
     q_min, q_max = ctx.reduced().lo(), ctx.reduced().hi()
     # decreasing filtration on RGamma(K/xi) from the truncation levels: p = q_max - q
-    inclusions = {q_max - q: ctx.sections_map(ctx.truncation_sheaf(q)[1])
+    inclusions = {q_max - q: ctx.sections_map(ctx.truncation_sheaf(q))
                   for q in range(q_min, q_max + 1)}
     fc = FilteredComplex.from_inclusions(total, inclusions)
 
@@ -231,7 +231,7 @@ def ht_e2_crosscheck(ctx: InstanceContext, pages) -> list:
     Fbar = ctx.reduced()
     for q in range(Fbar.lo(), Fbar.hi() + 1):
         # the term sheaf sits in degree q, so H^{p+q} of its sections is E_2^{p,q}
-        av_total, _ = ctx.sections(ctx.term(q))
+        av_total = ctx.sections(ctx.term(q))
         for n in av_total.degrees():
             p = n - q
             want = ctx.quotient(av_total, n).dim
@@ -251,9 +251,9 @@ def hdr_spectral_sequence(ctx: InstanceContext, r_max: int = 4):
     E_1^{p,q} = H^q(S, degree-p term), abutting to the cohomology of the
     global sections of the Bockstein sheaf complex.
     """
-    omega, _ = ctx.bockstein_sheaf()
-    total, _ = ctx.sections(omega)
-    inclusions = {p: ctx.sections_map(ctx.hodge_sheaf(p)[1])
+    omega = ctx.bockstein_sheaf()
+    total = ctx.sections(omega)
+    inclusions = {p: ctx.sections_map(ctx.hodge_sheaf(p))
                   for p in range(omega.lo(), omega.hi() + 1)}
     fc = FilteredComplex.from_inclusions(total, inclusions)
     pages = ss_pages(fc, r_max)
@@ -264,19 +264,19 @@ def hdr_spectral_sequence(ctx: InstanceContext, r_max: int = 4):
 # degeneration checks
 
 
-def degeneration_check_HT(ctx: InstanceContext, r_max: int = 4):
+def degeneration_check_HT(ctx: InstanceContext):
     """Injectivity of every truncation-level map on cohomology.
 
     Returns (verdict, witness, crosscheck_agrees): witness is the first
     failing (i, m); crosscheck compares with vanishing of all reported HT
-    differentials from page 2 on.
+    differentials on pages 2 to 5.
     """
     Fbar = ctx.reduced()
-    total, _ = ctx.sections(Fbar)
+    total = ctx.sections(Fbar)
     verdict = True
     witness = None
     for m in range(Fbar.lo(), Fbar.hi() + 1):
-        cm = ctx.sections_map(ctx.truncation_sheaf(m)[1])
+        cm = ctx.sections_map(ctx.truncation_sheaf(m))
         for i in total.degrees():
             if ctx.quotient(cm.source, i).dim == 0:
                 continue
@@ -284,14 +284,14 @@ def degeneration_check_HT(ctx: InstanceContext, r_max: int = 4):
                 verdict = False
                 if witness is None:
                     witness = (i, m)
-    pages, _, _ = ht_spectral_sequence(ctx, r_max=r_max)
+    pages, _, _ = ht_spectral_sequence(ctx)
     pages_vanish = all(p.all_differentials_vanish() for p in pages)
     return verdict, witness, pages_vanish == verdict
 
 
-def degeneration_check_HdR(ctx: InstanceContext, r_max: int = 4):
-    """All differentials vanish on every Hodge-filtration page from 1 on."""
-    pages, fc, total = hdr_spectral_sequence(ctx, r_max=r_max)
+def degeneration_check_HdR(ctx: InstanceContext):
+    """All differentials vanish on Hodge-filtration pages 1 to 4."""
+    pages, _, _ = hdr_spectral_sequence(ctx)
     for page in pages:
         for (p, q), mat in sorted(page.differentials.items()):
             if not mat.is_zero():
@@ -312,20 +312,18 @@ def cokernel_maps(ctx: InstanceContext, m: int):
     """The truncation-side and Hodge-side maps into the sections of Omega^m[-m]."""
     F = ctx.F
     avatar = ctx.term(m)
-    tau, tau_incl = ctx.truncation_sheaf(m)
-    _, bcs = ctx.bockstein_sheaf()
+    tau_incl = ctx.truncation_sheaf(m)
+    tau = tau_incl.source
     maps = {}
     for x in F.site.elements:
-        stalk = tau.stalk(x)
         zbasis = tau_incl.map(x).map(m)
-        qx = bcs[x].quotients.get(m)
-        mat = (qx.coords_matrix(zbasis) if qx is not None
-               else Matrix.zeros(avatar.ring, 0, zbasis.cols))
-        maps[x] = ChainMap(stalk, avatar.stalk(x), {m: mat})
+        mat = (ctx.quotient(ctx.kbar(F.stalk(x)), m).coords_matrix(zbasis)
+               if m in F.stalk(x).degrees() else Matrix.zeros(avatar.ring, 0, zbasis.cols))
+        maps[x] = ChainMap(tau.stalk(x), avatar.stalk(x), {m: mat})
     cm_f = ctx.sections_map(SheafMap(tau, avatar, maps))
     cm_f.validate()
 
-    hodge, _ = ctx.hodge_sheaf(m)
+    hodge = ctx.hodge_sheaf(m).source
     maps_g = {
         x: ChainMap(hodge.stalk(x), avatar.stalk(x),
                     {m: Matrix.identity(avatar.ring, hodge.stalk(x).rank(m))})

@@ -11,7 +11,7 @@ from .bockstein import (
 )
 from .checks import CheckResult
 from .complexes import FreeComplex
-from .eta import verify_eta_m_cohomology, xi_step_inclusion_holds
+from .eta import verify_eta_m_cohomology, verify_graded_piece, xi_step_inclusion_holds
 from .sites import SheafComplex
 
 
@@ -33,13 +33,13 @@ def lemma_battery(K: FreeComplex) -> list:
                               lambda m=m: verify_eta_m_cohomology(ctx, K, m)))
     for m in range(0, K.hi + 2):
         results.append(_guard("eta-m.graded-piece",
-                              lambda m=m: ctx.graded(K, m).verify(ctx)))
+                              lambda m=m: verify_graded_piece(ctx, K, m)))
         results.append(_guard("eta-m.mod-xi-subquotient",
                               lambda m=m: verify_mod_xi_subquotient(ctx, K, m)))
         results.append(_guard("eta-m.connecting-bockstein",
                               lambda m=m: connecting_factorization(ctx, K, m)))
         results.append(_guard("eta-m.mod-xi-splitting",
-                              lambda m=m: split_mod_xi(ctx, K, m).check))
+                              lambda m=m: split_mod_xi(ctx, K, m)))
     results.append(_guard("eta.mod-xi-bockstein-model",
                           lambda: verify_reduction_identification(ctx, K)))
     filt = CheckResult("eta-m.filtration-steps")

@@ -204,7 +204,7 @@ def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> tuple:
     offender); coordinates are the free-quotient coordinates of the
     presentation of H^i(sections).
     """
-    incl = ctx.sections_map(ctx.stage_sheaf(0)[1])
+    incl = ctx.sections_map(ctx.stage_sheaf(0))
     pres0 = ctx.presentation(incl.target, i)
     if not pres0.module.xi_torsion_free:
         raise TorsionObstruction(i, "ambient")
@@ -223,14 +223,11 @@ def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> tuple:
 # torsion-freeness table and hypothesis checks
 
 
-def check_torsionfree_eta_m(ctx: InstanceContext, m_max=None) -> dict:
-    """FG invariants of H^i of the sections of every stage, with verdicts."""
-    hi = ctx.F.hi()
-    if m_max is None:
-        m_max = hi + 1
+def check_torsionfree_eta_m(ctx: InstanceContext) -> dict:
+    """FG invariants of H^i of the sections of stages 0 .. hi + 1, with verdicts."""
     table = {}
-    for m in range(0, m_max + 1):
-        total, _ = ctx.sections(ctx.stage_sheaf(m)[0])
+    for m in range(0, ctx.F.hi() + 2):
+        total = ctx.sections(ctx.stage_sheaf(m).source)
         for i in total.degrees():
             fg = ctx.presentation(total, i).module
             table[(i, m)] = {
@@ -242,7 +239,7 @@ def check_torsionfree_eta_m(ctx: InstanceContext, m_max=None) -> dict:
 
 def hypothesis_h1(ctx: InstanceContext) -> tuple:
     """All H^i of the sections xi-torsion-free; witness is the first failure."""
-    total, _ = ctx.sections(ctx.F)
+    total = ctx.sections(ctx.F)
     for i in total.degrees():
         if not ctx.presentation(total, i).module.xi_torsion_free:
             return False, i
@@ -257,8 +254,8 @@ def reduction_iso_matrices(ctx: InstanceContext) -> dict:
     basis cocycles.  Only meaningful (and an isomorphism) when H^i and
     H^{i+1} are torsion-free; callers check.
     """
-    total, _ = ctx.sections(ctx.F)
-    red, _ = ctx.sections(ctx.reduced())
+    total = ctx.sections(ctx.F)
+    red = ctx.sections(ctx.reduced())
     out = {}
     for i in total.degrees():
         pres = ctx.presentation(total, i)
@@ -276,10 +273,10 @@ def reduction_iso_matrices(ctx: InstanceContext) -> dict:
 def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
     """Flag of images of H^i of the stage sections in H^i of sections of F/xi.
 
-    Stage m maps by dividing its embedding by xi^m and reducing; the images
+    Stage m maps by dividing its inclusion by xi^m and reducing; the images
     increase with m and stabilize at the image of the full reduction.
     """
-    bar_total, _ = ctx.sections(ctx.reduced())
+    bar_total = ctx.sections(ctx.reduced())
     kfield = bar_total.ring
     target = ctx.quotient(bar_total, i) if i in bar_total.degrees() else None
     dim_i = 0 if target is None else target.dim
@@ -289,7 +286,7 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
             spaces[m] = Subspace(kfield, 0)
             continue
         # generators of H^i of the stage sections over R, reduced mod xi
-        stage_total, _ = ctx.sections(ctx.stage_sheaf(m)[0])
+        stage_total = ctx.sections(ctx.stage_sheaf(m).source)
         gens = ctx.presentation(stage_total, i).gens_basis.residue()
         pushed = ctx.stage_reduction(m).map(i) @ gens
         spaces[m] = Subspace.from_columns(target.coords_matrix(pushed))
@@ -353,7 +350,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
 
     hi = F.hi()
     m_max = hi + 1
-    report.torsion_table = check_torsionfree_eta_m(ctx, m_max)
+    report.torsion_table = check_torsionfree_eta_m(ctx)
     torsion_check = CheckResult("torsion-free.eta-m-global")
     for (i, m), row in sorted(report.torsion_table.items()):
         if h1:
@@ -363,13 +360,12 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
 
     stationary = CheckResult("torsion-free.stage-stationarity")
     for x in F.site.elements:
-        stationary.expect(is_stationary_stage(ctx, ctx.stage(F.stalk(x), m_max)),
-                          element=x, m=m_max)
+        stationary.expect(is_stationary_stage(ctx, F.stalk(x), m_max), element=x, m=m_max)
     report.add_check(stationary)
 
-    total, _ = ctx.sections(F)
+    total = ctx.sections(F)
     rho = reduction_iso_matrices(ctx)
-    red, _ = ctx.sections(ctx.reduced())
+    red = ctx.sections(ctx.reduced())
 
     flag_check = CheckResult("main.flag-equality")
     graded_check = CheckResult("main.graded-dims")
@@ -379,7 +375,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     # of the sections of the term sheaf, which sits in degree m
     omega_dims = {}
     for m in range(0, m_max + 1):
-        av_total, _ = ctx.sections(ctx.term(m))
+        av_total = ctx.sections(ctx.term(m))
         omega_dims[m] = {i: ctx.quotient(av_total, i).dim
                          for i in av_total.degrees()}
 

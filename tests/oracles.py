@@ -445,14 +445,14 @@ def hodge_stage_comparison_oracle(ctx, K, m: int) -> dict:
     maps = {}
     for i in K.degrees():
         if i < m:
-            maps[i] = Matrix.zeros(bc.field, 0, emb.complex.rank(i))
+            maps[i] = Matrix.zeros(bc.ring, 0, emb.source.rank(i))
             continue
-        basis = emb.basis(i)
+        basis = emb.map(i)
         cols = []
         for j in range(basis.cols):
             wbar = [ring.residue(ring.xi_divide(x, i)) for x in basis.column(j)]
-            cols.append(bc.quotients[i].coords(wbar))
-        maps[i] = Matrix.from_columns(bc.field, cols, rows=bc.dim(i))
+            cols.append(ctx.quotient(ctx.kbar(K), i).coords(wbar))
+        maps[i] = Matrix.from_columns(bc.ring, cols, rows=bc.rank(i))
     return maps
 
 
@@ -887,8 +887,7 @@ def abutment_graded_dims(fc, n: int) -> dict:
 
 
 def beta_squared_is_zero(bc) -> bool:
-    return all((bc.beta_matrix(i + 1) @ bc.beta_matrix(i)).is_zero()
-               for i in range(bc.K.lo, bc.K.hi - 1))
+    return all((bc.d(i + 1) @ bc.d(i)).is_zero() for i in range(bc.lo, bc.hi - 1))
 
 
 def subspace_add(A: Subspace, B: Subspace) -> Subspace:

@@ -22,7 +22,7 @@ from decalage.bockstein import (
     verify_reduction_identification,
     verify_mod_xi_subquotient,
 )
-from decalage.eta import graded_piece, verify_eta_m_cohomology
+from decalage.eta import verify_eta_m_cohomology, verify_graded_piece
 from decalage.instances import generate_instance, random_complex
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, snf
@@ -114,11 +114,11 @@ def test_criterion_3_graded_subquotient_splitting(complex_corpus):
     for idx, K in enumerate(complex_corpus):
         ctx = Memo()
         for m in range(0, K.hi + 2):
-            if not graded_piece(ctx, K, m).verify(ctx).passed:
+            if not verify_graded_piece(ctx, K, m).passed:
                 failures.append((idx, m, "graded"))
             if not verify_mod_xi_subquotient(ctx, K, m).passed:
                 failures.append((idx, m, "subquotient"))
-            if not split_mod_xi(ctx, K, m).check.passed:
+            if not split_mod_xi(ctx, K, m).passed:
                 failures.append((idx, m, "splitting"))
     elapsed = time.time() - t0
     verdict(3, not failures, f"{elapsed:.1f}s, failures: {failures[:3]}")
@@ -133,7 +133,7 @@ def test_criterion_4_bockstein(complex_corpus):
         for rep in range(5):
             noisy = perturbed_beta(K, random.Random(9000 + 5 * idx + rep))
             for i in range(K.lo, K.hi):
-                if noisy[i] != base.beta_matrix(i):
+                if noisy[i] != base.d(i):
                     failures.append((idx, i, "lift-dependence"))
         if not beta_squared_is_zero(base):
             failures.append((idx, "beta-squared"))
@@ -187,7 +187,7 @@ def _oracle_flag_check(F, rep, idx):
     ring = F.ring
     failures = []
     ctx = InstanceContext(F)
-    bar_total, _ = ctx.sections(ctx.reduced())
+    bar_total = ctx.sections(ctx.reduced())
     m_max = F.hi() + 1
     quotients = {i: k_cohomology_quotient(bar_total, i)
                  for i in bar_total.degrees()}
@@ -207,7 +207,7 @@ def _oracle_flag_check(F, rep, idx):
                     failures.append((idx, i, m, "bb-oracle"))
     # image flag against the truncated-kernel oracle, one stage build per m
     for m in range(0, m_max + 1):
-        cm = ctx.sections_map(ctx.stage_sheaf(m)[1])
+        cm = ctx.sections_map(ctx.stage_sheaf(m))
         stage_total = cm.source
         for i in live:
             hq = quotients[i]

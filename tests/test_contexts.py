@@ -297,18 +297,18 @@ def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(monkeypatch, z2
 
     monkeypatch.setattr(sites, "solve_field", counted)
     ctx = InstanceContext(F)
-    omega, _ = ctx.bockstein_sheaf()
+    omega = ctx.bockstein_sheaf()
     Fbar = ctx.reduced()
     subsheaves = ([ctx.hodge_sheaf(p) for p in range(omega.lo(), omega.hi() + 2)]
                   + [ctx.truncation_sheaf(q) for q in range(Fbar.lo() - 1, Fbar.hi() + 1)]
-                  + [ctx.stage_sheaf(m)[:2] for m in range(F.hi() + 2)])
+                  + [ctx.stage_sheaf(m) for m in range(F.hi() + 2)])
 
     def is_identity(A):
         return A.rows == A.cols and A == Matrix.identity(A.ring, A.rows)
 
     identities = 0
-    for sub, incl in subsheaves:
-        G = incl.target
+    for incl in subsheaves:
+        sub, G = incl.source, incl.target
         solve = solve_field if G.ring.is_field else solve_exact
         for a, b in G.site.strict_pairs():
             for i in sub.stalk(a).degrees():

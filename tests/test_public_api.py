@@ -8,12 +8,18 @@ by attribute (``x.method``), so a local variable of the same name does not
 count.  The scan matches by bare name, so an attribute of the same name on
 another object (``ctx.intersect`` for ``Subspace.intersect``, say) still
 hides an unused method; such methods are found by reading the callers.
+
+The same holds for data: every field a library class assigns is read by
+attribute somewhere in the library, and every module of the library and its
+tests uses each name it imports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "decalage"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "decalage"
 
 # read from outside the library: sheaf_to_json pairs with sheaf_from_json, and
 # the benchmark's tracer probes read the other three
@@ -61,3 +67,64 @@ def test_every_public_function_has_a_caller_in_the_library():
         and name not in (attributes if is_method else names | attributes)
     )
     assert unused == sorted(EXEMPT)
+
+
+def assigned_fields(path: Path):
+    """("Class.field", field) per field a non-exception class of the module assigns.
+
+    A field is a ``self.x = ...`` target in any method or an annotated name
+    in a dataclass body.  Exception classes are skipped: their fields are
+    witness payloads for the callers that catch them.
+    """
+    module = importlib.import_module(f"decalage.{path.stem}")
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.ClassDef) or issubclass(getattr(module, node.name),
+                                                            BaseException):
+            continue
+        fields = set()
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields |= {item.target.id for item in node.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) \
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                fields.add(sub.attr)
+        for name in fields:
+            yield f"{node.name}.{name}", name
+
+
+def test_every_field_is_read_in_the_library():
+    modules = [path for path in sorted(SRC.glob("*.py")) if not path.name.startswith("__")]
+    read = {node.attr
+            for path in modules
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(qualified for path in modules
+                    for qualified, name in assigned_fields(path) if name not in read)
+    assert unread == []
+
+
+# perfbench/selftest.py checks that theorem re-exports this function from bockstein
+UNUSED_IMPORT_EXEMPT = {"theorem.k_cohomology_quotient"}
+
+
+def unused_imports(path: Path):
+    """"module.name" per name the module imports and never refers to."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    yield f"{path.stem}.{bound}"
+
+
+def test_every_import_is_used():
+    # the package's __init__ imports its public names to re-export them
+    paths = [path for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+             if path.name != "__init__.py"]
+    unused = sorted(name for path in paths for name in unused_imports(path))
+    assert unused == sorted(UNUSED_IMPORT_EXEMPT)

@@ -7,7 +7,6 @@ import pytest
 
 from decalage.complexes import FreeComplex
 from decalage.instances import generate_instance
-from decalage.rings import IntegerRing
 from decalage.rmatrix import Matrix
 from decalage.serialize import (
     SerializeError,
@@ -17,7 +16,6 @@ from decalage.serialize import (
     sheaf_from_json,
     sheaf_to_json,
 )
-from decalage.sites import PosetSite, SheafComplex
 
 
 def run_cli(*args, env=None):
@@ -76,6 +74,17 @@ def test_cli_validate_exit_codes(tmp_path, z3):
     r = run_cli("validate", str(invalid))
     assert r.returncode == 1
     assert "DifferentialSquareNonzero" in r.stdout
+
+
+@pytest.mark.parametrize("command", ["validate", "check-lemmas", "check-theorem", "ss"])
+def test_cli_negative_rank_is_a_parse_error(tmp_path, command):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"ring": {"kind": "z", "xi": "2"}, "lo": 0,
+                                "ranks": [-1], "differentials": []}))
+    r = run_cli(command, str(path))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "parse error" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_check_lemmas(tmp_path, z3):

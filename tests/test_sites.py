@@ -199,10 +199,10 @@ def test_sheaf_eta_point_reduces_to_complex_level(z5):
     F = SheafComplex.constant(PosetSite.point(), K)
     ctx = InstanceContext(F)
     for m in (0, 1, 2):
-        sub, incl, embs = sheaf_eta_m(ctx, m)
+        incl = sheaf_eta_m(ctx, m)
         direct = eta_m(Memo(), K, m)
-        assert sub.stalk("pt") == direct.complex
-        assert all(incl.map("pt").map(i) == direct.basis(i) for i in K.degrees())
+        assert incl.source.stalk("pt") == direct.source
+        assert all(incl.map("pt").map(i) == direct.map(i) for i in K.degrees())
 
 
 def test_sheaf_eta_constant_stalks(z5, rng):
@@ -210,10 +210,10 @@ def test_sheaf_eta_constant_stalks(z5, rng):
     K = FreeComplex(z5, 0, [1, 1], [Matrix(z5, [[5]])])
     F = SheafComplex.constant(site, K)
     ctx = InstanceContext(F)
-    sub, incl, _ = sheaf_eta_m(ctx, 1)
-    sub.validate()
+    incl = sheaf_eta_m(ctx, 1)
+    incl.source.validate()
     validate_sheaf_map(incl)
-    cm = ctx.sections_map(ctx.stage_sheaf(1)[1])
+    cm = ctx.sections_map(ctx.stage_sheaf(1))
     cm.validate()
     assert is_degreewise_injective(cm)
 
@@ -221,8 +221,8 @@ def test_sheaf_eta_constant_stalks(z5, rng):
 def test_sheaf_eta_inclusion_chain(z5, rng):
     F = generate_instance("free", 11, ring=z5)
     ctx = InstanceContext(F)
-    sub1, incl1, _ = sheaf_eta_m(ctx, 1)
-    sub0, incl0, _ = sheaf_eta_m(ctx, 0)
+    incl1 = sheaf_eta_m(ctx, 1)
+    incl0 = sheaf_eta_m(ctx, 0)
     for x in F.site.elements:
         for i in F.stalk(x).degrees():
             inner = incl1.map(x).map(i)
@@ -238,14 +238,14 @@ def test_sheaf_reduce_truncate_hodge(z5, rng):
     Fbar = sheaf_reduce(ctx, F)
     Fbar.validate()
     for m in range(0, Fbar.hi() + 1):
-        sub, incl = sheaf_truncate_leq(ctx, Fbar, m)
-        sub.validate()
+        incl = sheaf_truncate_leq(ctx, Fbar, m)
+        incl.source.validate()
         validate_sheaf_map(incl)
-    omega, _ = sheaf_bockstein(ctx)
+    omega = sheaf_bockstein(ctx)
     omega.validate()
     for m in range(0, omega.hi() + 1):
-        h, hincl = sheaf_hodge(ctx, omega, m)
-        h.validate()
+        hincl = sheaf_hodge(ctx, omega, m)
+        hincl.source.validate()
         validate_sheaf_map(hincl)
 
 

@@ -166,7 +166,7 @@ def test_h1_instances_equal_cokernels(rng, z2):
         ht_ok, _, _ = degeneration_check_HT(ctx)
         hdr_ok, _ = degeneration_check_HdR(ctx)
         assert ht_ok == hdr_ok
-        total, _ = ctx.sections(F)
+        total = ctx.sections(F)
         for i in total.degrees():
             for m in range(0, F.hi() + 2):
                 rec = compare_degeneration(ctx, i, m)
