@@ -30,7 +30,7 @@ from .complexes import (
 )
 from .eta import eta_m, graded_piece, mod_xi_subquotient, stage_inclusion
 from .kmatrix import QuotientSpace, field_rank, kernel_cols, solve_field
-from .rmatrix import Matrix, ShapeMismatch, SNFResult, snf
+from .rmatrix import Matrix, SNFResult, snf
 
 
 def k_cohomology_quotient(cx: FreeComplex, i: int) -> QuotientSpace:
@@ -80,10 +80,12 @@ class Memo:
     part is its inclusion chain map, whose ``source`` is the piece.  Each is
     keyed by the complex it is built from: equal free complexes built
     separately share one entry, finitely presented ones (built once per
-    context) are keyed by identity.  A context is also the one place where
-    matrices are factored, keyed by content; kernels, images, solves,
-    preimages and intersections over R are views of the factorizations, and
-    ``rmatrix.solve_exact`` is the one solve outside a context.
+    context) are keyed by identity.  A context also holds the linear algebra
+    on both rings.  Over R it is the one place where matrices are factored,
+    keyed by content, and kernels, images, solves and preimages are views of
+    the Smith forms; ``rmatrix.solve_exact`` is the one solve over R outside
+    a context.  Over k, kernels and solves are read off the rref, so no Smith
+    form is taken over a field.
     """
 
     def __init__(self):
@@ -100,7 +102,9 @@ class Memo:
         return self.once(("factor", M), snf, M)
 
     def kernel(self, M: Matrix) -> Matrix:
-        """Columns form an R-basis of ker(M) (free over a PID)."""
+        """Columns form a basis of ker(M) (free over a PID), by rref over a field."""
+        if M.ring.is_field:
+            return kernel_cols(M)
         return self.factor(M).kernel()
 
     def image(self, M: Matrix) -> Matrix:
@@ -108,20 +112,15 @@ class Memo:
         return self.factor(M).image()
 
     def solve(self, A: Matrix, B: Matrix):
-        """X with A @ X = B, or None when no exact solution exists."""
+        """X with A @ X = B, or None when no exact solution exists; by rref over a field."""
+        if A.ring.is_field:
+            return solve_field(A, B)
         return self.factor(A).solve(B)
 
     def preimage(self, A: Matrix, S: Matrix) -> Matrix:
         """Basis of { x : A x lies in the column span of S }."""
         ker = self.kernel(A.hstack(S))
         return self.image(ker.submatrix(0, A.cols, 0, ker.cols))
-
-    def intersect(self, A: Matrix, B: Matrix) -> Matrix:
-        """Basis of span(A) ∩ span(B) inside the common ambient R^rows."""
-        if A.rows != B.rows:
-            raise ShapeMismatch("ambient mismatch")
-        ker = self.kernel(A.hstack(-B))
-        return self.image(A @ ker.submatrix(0, A.cols, 0, ker.cols))
 
     def presentation(self, K, i: int):
         """H^i(K) over R, as ``cohomology_presentation``."""

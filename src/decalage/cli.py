@@ -219,14 +219,16 @@ def _render_pages(pages) -> list:
 
 
 def cmd_ss(args) -> int:
+    if args.pages < 1:
+        raise SerializeError(f"--pages must be at least 1, got {args.pages}")
     F = load_instance_file(resolve_path(args.path))
     ctx = InstanceContext(F)
     if args.filtration == "tau":
-        pages, _, _ = ht_spectral_sequence(ctx, r_max=args.pages)
+        pages = ht_spectral_sequence(ctx, r_max=args.pages)
         mism = ht_e2_crosscheck(ctx, pages)
         extra = [] if not mism else [f"E_2 crosscheck mismatches: {mism}"]
     else:
-        pages, _, _ = hdr_spectral_sequence(ctx, r_max=args.pages)
+        pages = hdr_spectral_sequence(ctx, r_max=args.pages)
         extra = []
     lines = _render_pages(pages) + extra
     _emit(args, {"pages": [p.to_json() for p in pages]}, lines)

@@ -465,7 +465,7 @@ def solve_exact(A: Matrix, B: Matrix):
     """Solve A @ X = B over the ring; None when no exact solution exists.
 
     The one solve for callers without a context; a context (``Memo``,
-    bockstein module) factors each matrix once and serves kernels, images,
-    solves, preimages and intersections from that factorization.
+    bockstein module) factors each matrix over R once and serves kernels,
+    images, solves and preimages from that factorization.
     """
     return snf(A).solve(B)

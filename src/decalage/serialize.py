@@ -1,9 +1,10 @@
-"""JSON encoding of rings, matrices, complexes, sheaves and embeddings.
+"""JSON encoding of rings, matrices, complexes, sites and sheaf complexes.
 
 Ring elements travel as strings (decimal integers, polynomials in canonical
 descending form such as "2*t^3+1"); matrices as row-major nested arrays of
-such strings.  Complexes carry {ring, lo, hi, ranks, differentials}; sheaf
-complexes carry {site, stalks, restrictions} with restriction keys "a<=b".
+such strings.  Complexes carry {ring, lo, hi, ranks, differentials}, with
+lo >= 0 since the engine works in nonnegative degrees; sheaf complexes carry
+{site, stalks, restrictions} with restriction keys "a<=b".
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ def complex_from_json(data: dict, ring: BaseRing | None = None) -> FreeComplex:
         raw = data.get("differentials", [])
     except (KeyError, TypeError, ValueError, RingElementError) as exc:
         raise SerializeError(f"bad complex JSON: {exc}") from exc
+    if lo < 0:
+        raise SerializeError(f"degrees must be nonnegative, got lo = {lo}")
     if any(r < 0 for r in ranks):
         raise SerializeError(f"ranks must be nonnegative, got {ranks}")
     if "hi" in data and int(data["hi"]) != lo + len(ranks) - 1:

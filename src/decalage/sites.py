@@ -21,7 +21,6 @@ circle and pins the convention in the tests.
 from __future__ import annotations
 
 from .complexes import ChainMap, FreeComplex
-from .kmatrix import solve_field
 from .rmatrix import Matrix
 from .bockstein import Memo
 
@@ -372,18 +371,16 @@ def _subsheaf(ctx: "InstanceContext", F: SheafComplex, parts: dict) -> SheafMap:
 
     ``parts[x]`` is the inclusion of a subcomplex into F(x).  Every inclusion
     is injective, so each restriction of F lifts uniquely along them; it is
-    solved for over the ring of F (through the context ``ctx`` when that
-    ring is not a field), except along an identity, where the lift is the
-    restriction itself.
+    solved for through the context ``ctx``, except along an identity, where
+    the lift is the restriction itself.
     """
-    solve = solve_field if F.ring.is_field else ctx.solve
 
     def lift(a, b, i):
         moved = F.res(a, b).map(i) @ parts[a].map(i)
         incl = parts[b].map(i)
         if incl.rows == incl.cols and incl == Matrix.identity(F.ring, incl.rows):
             return moved
-        sol = solve(incl, moved)
+        sol = ctx.solve(incl, moved)
         if sol is None:
             raise InvalidSheaf(f"restriction {a}<={b} does not preserve the subsheaf", (a, b))
         return sol

@@ -201,26 +201,32 @@ def ss_pages(fc: FilteredComplex, r_max: int, label_shift: int = 0,
 # the two spectral sequences of the engine
 
 
-def ht_spectral_sequence(ctx: InstanceContext, r_max: int = 4):
+def ht_filtration(ctx: InstanceContext) -> FilteredComplex:
+    """The truncation filtration on the global sections of K/xi, its ``ambient``.
+
+    Truncation level q gives the piece at p = q_max - q, decreasing in p.
+    """
+    Fbar = ctx.reduced()
+    q_max = Fbar.hi()
+    inclusions = {q_max - q: ctx.sections_map(ctx.truncation_sheaf(q))
+                  for q in range(Fbar.lo(), q_max + 1)}
+    return FilteredComplex.from_inclusions(ctx.sections(Fbar), inclusions)
+
+
+def ht_spectral_sequence(ctx: InstanceContext, r_max: int = 4) -> list:
     """Pages of the truncation-filtration spectral sequence, labeled from 2.
 
     Entries are reported as (p, q) with E_2^{p,q} = H^p(S, H^q(K/xi)-sheaf),
     abutting to H^{p+q} of the global sections of K/xi.
     """
-    total = ctx.sections(ctx.reduced())
-    q_min, q_max = ctx.reduced().lo(), ctx.reduced().hi()
-    # decreasing filtration on RGamma(K/xi) from the truncation levels: p = q_max - q
-    inclusions = {q_max - q: ctx.sections_map(ctx.truncation_sheaf(q))
-                  for q in range(q_min, q_max + 1)}
-    fc = FilteredComplex.from_inclusions(total, inclusions)
+    q_max = ctx.reduced().hi()
 
     def relabel(p, q):
         s = q_max - p          # truncation level = sheaf degree
         n = p + q              # total degree
         return (n - s, s)
 
-    pages = ss_pages(fc, r_max, label_shift=1, relabel=relabel)
-    return pages, fc, total
+    return ss_pages(ht_filtration(ctx), r_max, label_shift=1, relabel=relabel)
 
 
 def ht_e2_crosscheck(ctx: InstanceContext, pages) -> list:
@@ -245,19 +251,21 @@ def ht_e2_crosscheck(ctx: InstanceContext, pages) -> list:
     return mismatches
 
 
-def hdr_spectral_sequence(ctx: InstanceContext, r_max: int = 4):
+def hdr_filtration(ctx: InstanceContext) -> FilteredComplex:
+    """The Hodge filtration on the global sections of the Bockstein sheaf, its ``ambient``."""
+    omega = ctx.bockstein_sheaf()
+    inclusions = {p: ctx.sections_map(ctx.hodge_sheaf(p))
+                  for p in range(omega.lo(), omega.hi() + 1)}
+    return FilteredComplex.from_inclusions(ctx.sections(omega), inclusions)
+
+
+def hdr_spectral_sequence(ctx: InstanceContext, r_max: int = 4) -> list:
     """Hodge-filtration spectral sequence of the Bockstein sheaf, labeled from 1.
 
     E_1^{p,q} = H^q(S, degree-p term), abutting to the cohomology of the
     global sections of the Bockstein sheaf complex.
     """
-    omega = ctx.bockstein_sheaf()
-    total = ctx.sections(omega)
-    inclusions = {p: ctx.sections_map(ctx.hodge_sheaf(p))
-                  for p in range(omega.lo(), omega.hi() + 1)}
-    fc = FilteredComplex.from_inclusions(total, inclusions)
-    pages = ss_pages(fc, r_max)
-    return pages, fc, total
+    return ss_pages(hdr_filtration(ctx), r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +292,14 @@ def degeneration_check_HT(ctx: InstanceContext):
                 verdict = False
                 if witness is None:
                     witness = (i, m)
-    pages, _, _ = ht_spectral_sequence(ctx)
+    pages = ht_spectral_sequence(ctx)
     pages_vanish = all(p.all_differentials_vanish() for p in pages)
     return verdict, witness, pages_vanish == verdict
 
 
 def degeneration_check_HdR(ctx: InstanceContext):
     """All differentials vanish on Hodge-filtration pages 1 to 4."""
-    pages, _, _ = hdr_spectral_sequence(ctx)
+    pages = hdr_spectral_sequence(ctx)
     for page in pages:
         for (p, q), mat in sorted(page.differentials.items()):
             if not mat.is_zero():

@@ -1,7 +1,9 @@
 """Lattices, the two-lattice flag, torsion-freeness tables, main comparison.
 
-A lattice is xi^shift times the column span of a nonsingular matrix over R,
-sitting inside the xi-inverted ambient space.  Only xi-valuations carry
+A lattice is the column span of a nonsingular matrix over R, sitting inside
+the xi-inverted ambient space; xi^c times a lattice is the span of its basis
+scaled by xi^c, and scaling the reference lattice by xi^c instead lowers the
+relative position and the flag index by c.  Only xi-valuations carry
 meaning (primes away from xi act as units of the intended local model), so
 relative position is read off the xi-valuations of the invariant factors of
 the change-of-basis matrix after clearing the largest invariant factor of the
@@ -9,7 +11,10 @@ reference basis.
 
 The flag of a lattice pair is increasing in m: the image of L ∩ xi^m L0 in
 xi^m L0 / xi^{m+1} L0, zero for m small and full for m large, with jump
-multiset equal to the relative position.  The main comparison identifies it,
+multiset equal to the relative position.  The one Smith form that gives the
+relative position also gives the flag: its adapted basis of L0 spans L up to
+xi-powers, so the space at m is spanned by the residues of the adapted basis
+vectors whose valuation is at most m.  The main comparison identifies it,
 for the pair coming from the decalage of a sheaf complex, with the image
 filtration of the stages on the mod-xi cohomology, and matches graded
 dimensions against the cohomology of the term sheaves.
@@ -47,20 +52,19 @@ class TorsionObstruction(ValueError):
 
 
 class Lattice:
-    """xi^shift * (column span of basis) inside the xi-inverted R^n.
+    """The column span of a nonsingular basis inside the xi-inverted R^n.
 
     The context ``ctx`` factors the basis to check that it is nonsingular;
     the lattice keeps no reference to it.
     """
 
-    __slots__ = ("n", "basis", "shift")
+    __slots__ = ("n", "basis")
 
-    def __init__(self, ctx, basis: Matrix, shift: int = 0):
+    def __init__(self, ctx, basis: Matrix):
         if basis.rows != basis.cols:
             raise SingularBasis("lattice basis must be square")
         self.n = basis.rows
         self.basis = basis
-        self.shift = shift
         if self.n and ctx.factor(basis).rank != self.n:
             raise SingularBasis("lattice basis is singular")
 
@@ -69,18 +73,19 @@ class Lattice:
         return cls(ctx, Matrix.identity(ring, n))
 
 
-def relative_position(ctx, L: Lattice, L0: Lattice) -> list:
-    """xi-valuations of the elementary divisors of the pair, descending.
+def _adapted_basis(ctx, L: Lattice, L0: Lattice) -> tuple:
+    """(valuations, U^-1): a basis of L0 adapted to L, in L0's coordinates.
 
-    Invariant under any basis change of either lattice that is invertible
-    over the localization at xi.  The context ``ctx`` factors the matrices.
+    With C the basis of L in L0's coordinates, cleared by the largest
+    invariant factor of L0, the context ``ctx`` factors U C V = D.  The
+    columns of U^-1 are a basis of L0, and column j times xi^valuations[j]
+    spans L's part along it up to a unit at xi.
     """
     if L.n != L0.n:
         raise SingularBasis("lattices of different rank")
     ring = L.basis.ring
-    n = L.n
-    if n == 0:
-        return []
+    if L.n == 0:
+        return [], Matrix.identity(ring, 0)
     # the largest invariant factor of L0 clears its inverse
     reference = ctx.factor(L0.basis)
     clear = reference.factors[-1]
@@ -88,10 +93,17 @@ def relative_position(ctx, L: Lattice, L0: Lattice) -> list:
     if cleared is None:
         raise SingularBasis("could not clear the reference basis")
     res = ctx.factor(cleared)
-    v0 = ring.xi_valuation(clear)
-    vals = [int(ring.xi_valuation(f)) - int(v0) + (L.shift - L0.shift)
-            for f in res.factors]
-    return sorted(vals, reverse=True)
+    v0 = int(ring.xi_valuation(clear))
+    return [int(ring.xi_valuation(f)) - v0 for f in res.factors], res.uinv
+
+
+def relative_position(ctx, L: Lattice, L0: Lattice) -> list:
+    """xi-valuations of the elementary divisors of the pair, descending.
+
+    Invariant under any basis change of either lattice that is invertible
+    over the localization at xi.  The context ``ctx`` factors the matrices.
+    """
+    return sorted(_adapted_basis(ctx, L, L0)[0], reverse=True)
 
 
 class Flag:
@@ -131,13 +143,6 @@ class Flag:
     def graded_dim(self, m: int) -> int:
         return self.dim(m) - self.dim(m - 1)
 
-    def jumps(self) -> list:
-        """Jump positions with multiplicity; their number equals n (if full)."""
-        out = []
-        for m in range(self.m_lo, self.m_hi + 1):
-            out.extend([m] * self.graded_dim(m))
-        return sorted(out, reverse=True)
-
     def shifted(self, c: int) -> "Flag":
         return Flag(self.field, self.n, {m + c: s for m, s in self.spaces.items()})
 
@@ -158,39 +163,22 @@ class Flag:
 
 
 def bb_filtration(ctx, L: Lattice, L0: Lattice) -> Flag:
-    """The two-lattice flag in L0/xi*L0, untwisted degree by degree.
+    """The two-lattice flag in L0/xi*L0, from the adapted basis of the pair.
 
-    The first lattice is scaled by a xi-power c so it sits inside the
-    second (simultaneous scaling shifts the flag index exactly); the choice
-    c = max(0, -min relative position) keeps the scaled basis integral,
-    since any negative leftover is bounded by the gcd valuation of the
-    entries.  The context ``ctx`` factors the matrices.
+    The space at m is spanned by the residues of the adapted basis vectors of
+    valuation at most m, for m from min(0, least valuation) to one past the
+    largest valuation, where it is full.  The context ``ctx`` factors the
+    matrices.
     """
-    if L.n != L0.n:
-        raise SingularBasis("lattices of different rank")
-    ring = L.basis.ring
-    n = L.n
-    kfield = ring.residue_field()
-    if n == 0:
+    kfield = L.basis.ring.residue_field()
+    mus, uinv = _adapted_basis(ctx, L, L0)
+    if not mus:
         return Flag(kfield, 0, {0: Subspace(kfield, 0)})
-    mus = relative_position(ctx, L, L0)
-    c = max(0, -min(mus))
-    eff = c + (L.shift - L0.shift)
-    ml = L.basis.xi_scale(eff) if eff >= 0 else L.basis.xi_divide(-eff)
-    m0 = L0.basis
-    spaces = {}
-    top = max(mus) + c
-    for m in range(0, top + 2):
-        inter = ctx.intersect(ml, m0.xi_scale(m))
-        coords = ctx.solve(m0, inter)
-        if coords is None:
-            raise SingularBasis("intersection escaped the reference lattice")
-        reduced = coords.xi_divide(m).residue()
-        spaces[m] = Subspace.from_columns(reduced)
-    flag = Flag(kfield, n, spaces)
-    if not flag.subspace(top + 1).is_full():
-        raise ArithmeticError("flag failed to stabilize at full")
-    return flag.shifted(-c)
+    adapted = uinv.residue()
+    spaces = {m: Subspace.from_columns(
+                  adapted.take_columns([j for j, mu in enumerate(mus) if mu <= m]))
+              for m in range(min(0, min(mus)), max(mus) + 2)}
+    return Flag(kfield, L.n, spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +379,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
                 flag_check.fail(i=i, reason=str(exc))
             continue
         bb = bb_filtration(ctx, L, L0)
-        entry["relative_position"] = bb.jumps()
+        entry["relative_position"] = relative_position(ctx, L, L0)
         # move the lattice flag into H^i of the reduced sections
         if rho.get(i) is not None and red_q.dim == rho[i].rows:
             moved = {}

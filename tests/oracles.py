@@ -5,16 +5,18 @@ factors from gcds of minors (determinants by cofactor expansion), ranks from
 minors, cohomology of posets from a standalone order-complex cochain
 construction, the cycle spaces Z_r(p, n) of a filtered complex as an
 intersection with a preimage taken through a quotient map, the Bockstein
-differential and the Hodge-stage comparison one class at a time, and the
+differential and the Hodge-stage comparison one class at a time, the
 lattice / image flags from Gaussian elimination over the truncated ring
-R/xi^N instead of exact Smith form machinery.  The dense product, the dense
-matrix-vector product, the dense RREF row update and the dense Smith normal
-form are kept here as the references for the library's zero-skipping
-kernels.  The last section holds the helpers that only the tests call:
-complex invariants and shifts, induced maps, the mapping cone, the graded
-pieces of an abutment, the square of the Bockstein differential, sums and
-intersections of subspaces, scaled lattices, and the validity checks of
-filtered complexes, sheaf maps and finitely presented complexes.
+R/xi^N instead of exact Smith form machinery, and the lattice flag again from
+one lattice intersection per level instead of one adapted basis.  The dense
+product, the dense matrix-vector product, the dense RREF row update and the
+dense Smith normal form are kept here as the references for the library's
+zero-skipping kernels.  The last section holds the helpers that only the
+tests call: complex invariants and shifts, induced maps, the mapping cone,
+the graded pieces of an abutment, the square of the Bockstein differential,
+sums and intersections of subspaces, random nonsingular matrices, scaled
+lattice pairs, the jumps of a flag, and the validity checks of filtered
+complexes, sheaf maps and finitely presented complexes.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from decalage.bockstein import k_cohomology_quotient
+from decalage.bockstein import Memo, k_cohomology_quotient
 from decalage.complexes import DifferentialSquareNonzero, FreeComplex
 from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, ShapeMismatch, snf, solve_exact
 from decalage.sites import InvalidSheaf
-from decalage.theorem import Lattice
+from decalage.theorem import Flag, Lattice, relative_position
 
 
 # ---------------------------------------------------------------------------
@@ -684,16 +686,12 @@ def bb_flag_oracle(L, L0, N: int):
     truncated Gaussian elimination, and peels xi-divisible layers; returns
     {m: Subspace} over the residue field, in the unshifted indexing.
     """
-    from decalage.bockstein import Memo
-    from decalage.theorem import relative_position
-
     ring = L.basis.ring
     n = L.n
     kfield = ring.residue_field()
     mus = relative_position(Memo(), L, L0)
     c = max(0, -min(mus)) if mus else 0
-    eff = c + (L.shift - L0.shift)
-    ml = L.basis.xi_scale(eff) if eff >= 0 else L.basis.xi_divide(-eff)
+    ml = L.basis.xi_scale(c)
     top = (max(mus) if mus else 0) + c
 
     tr = Trunc(ring, N + top + 2)
@@ -904,9 +902,69 @@ def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
     return Subspace.from_columns(a @ ker.submatrix(0, a.cols, 0, ker.cols))
 
 
-def scaled(ctx, L: Lattice, c: int) -> Lattice:
-    """xi^c * L."""
-    return Lattice(ctx, L.basis, L.shift + c)
+def scaled(ctx, L: Lattice, L0: Lattice, c: int) -> tuple:
+    """The pair (xi^c L, L0), as (L, xi^-c L0) when c < 0.
+
+    Scaling L0 by xi^t shifts the flag by -t, as scaling L by xi^-t does, so
+    the two pairs have the same relative position and flag.
+    """
+    if c >= 0:
+        return Lattice(ctx, L.basis.xi_scale(c)), L0
+    return L, Lattice(ctx, L0.basis.xi_scale(-c))
+
+
+def random_nonsingular(ring, n: int, rng) -> Matrix:
+    """A random nonsingular n x n matrix: small integers, or small polynomials over F_5."""
+    def entry():
+        if isinstance(ring, PolynomialRing):
+            return ring.from_coeffs([rng.randrange(5) for _ in range(rng.randint(1, 3))])
+        return rng.randint(-4, 4)
+
+    while True:
+        M = Matrix(ring, [[entry() for _ in range(n)] for _ in range(n)], cols=n)
+        if snf(M).rank == n:
+            return M
+
+
+def flag_jumps(flag: Flag) -> list:
+    """Jump positions with multiplicity, descending; n of them when the flag ends full."""
+    out = []
+    for m in range(flag.m_lo, flag.m_hi + 1):
+        out.extend([m] * flag.graded_dim(m))
+    return sorted(out, reverse=True)
+
+
+def lattice_intersect(ctx, A: Matrix, B: Matrix) -> Matrix:
+    """Basis of span(A) ∩ span(B) inside the common ambient R^rows."""
+    if A.rows != B.rows:
+        raise ShapeMismatch("ambient mismatch")
+    ker = ctx.kernel(A.hstack(-B))
+    return ctx.image(A @ ker.submatrix(0, A.cols, 0, ker.cols))
+
+
+def bb_flag_by_intersection(ctx, L: Lattice, L0: Lattice) -> Flag:
+    """The two-lattice flag from L ∩ xi^m L0, one intersection per level m.
+
+    L is scaled by c = max(0, -min relative position) so that it sits inside
+    L0 with an integral basis; the space at m is the residue of the
+    coordinates of xi^c L ∩ xi^m L0 in L0, divided by xi^m, and the flag is
+    shifted back by c.  The top level must be full.
+    """
+    kfield = L.basis.ring.residue_field()
+    mus = relative_position(ctx, L, L0)
+    if not mus:
+        return Flag(kfield, 0, {0: Subspace(kfield, 0)})
+    c = max(0, -min(mus))
+    ml, m0 = L.basis.xi_scale(c), L0.basis
+    top = max(mus) + c
+    spaces = {}
+    for m in range(0, top + 2):
+        coords = ctx.solve(m0, lattice_intersect(ctx, ml, m0.xi_scale(m)))
+        spaces[m] = Subspace.from_columns(coords.xi_divide(m).residue())
+    flag = Flag(kfield, L.n, spaces)
+    if not flag.subspace(top + 1).is_full():
+        raise ArithmeticError("flag failed to stabilize at full")
+    return flag.shifted(-c)
 
 
 def validate_filtered(fc) -> None:

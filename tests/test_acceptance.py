@@ -39,9 +39,11 @@ from decalage.theorem import (
 from oracles import (
     bb_flag_oracle,
     beta_squared_is_zero,
+    flag_jumps,
     image_flag_oracle,
     invariant_factors_by_minors,
     perturbed_beta,
+    scaled,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
@@ -271,11 +273,11 @@ def test_criterion_8_lattice_layer():
                                   for _ in range(n)], cols=n)
                 if snf(M).rank == n:
                     return M
-        L = Lattice(ctx, basis(), shift=rng.randint(-3, 3))
-        L0 = Lattice(ctx, basis())
+        B, shift = basis(), rng.randint(-3, 3)
+        L, L0 = scaled(ctx, Lattice(ctx, B), Lattice(ctx, basis()), shift)
         mus = relative_position(ctx, L, L0)
         fl = bb_filtration(ctx, L, L0)
-        if fl.jumps() != mus:
+        if flag_jumps(fl) != mus:
             failures.append((trial, "jumps"))
             continue
         N = 2 * max(abs(v) for v in mus) + 2
@@ -283,7 +285,7 @@ def test_criterion_8_lattice_layer():
             if fl.subspace(m) != s:
                 failures.append((trial, m, "oracle"))
         c = rng.randint(-2, 2)
-        if bb_filtration(ctx, Lattice(ctx, L.basis, L.shift + c), L0) != fl.shifted(c):
+        if bb_filtration(ctx, *scaled(ctx, L, L0, c)) != fl.shifted(c):
             failures.append((trial, "scaling"))
     elapsed = time.time() - t0
     verdict(8, not failures, f"500 pairs in {elapsed:.1f}s, failures: {failures[:3]}")

@@ -14,15 +14,19 @@ import pytest
 
 import decalage
 from decalage import bockstein, complexes, kmatrix, rmatrix, sites, spectral
+from decalage.bockstein import Memo
 from decalage.complexes import FreeComplex
 from decalage.eta import eta_m
 from decalage.instances import generate_instance, random_complex
+from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, solve_exact
 from decalage.serialize import sheaf_from_json
 from decalage.sites import InstanceContext, PosetSite, global_sections_complex
-from decalage.spectral import FilteredComplex, ht_spectral_sequence, ss_pages
+from decalage.spectral import FilteredComplex, ht_filtration, ss_pages
 from decalage.suites import lemma_battery
-from decalage.theorem import verify_main_theorem
+from decalage.theorem import Lattice, bb_filtration, verify_main_theorem
+
+from oracles import random_nonsingular, scaled
 
 
 MODULES = [decalage] + [importlib.import_module(f"decalage.{info.name}")
@@ -231,6 +235,8 @@ def count_factorizations(monkeypatch):
 def assert_each_matrix_factored_once_per_call(calls, run):
     first = run()
     assert calls and max(calls.values()) == 1
+    # over k, the context's kernels and solves come from the rref
+    assert not [ring for ring, *_ in calls if ring.is_field]
     factored = sum(calls.values())
     calls.clear()
     # nothing survives the first call: the second factors the same matrices again
@@ -254,9 +260,24 @@ def test_main_theorem_factors_each_matrix_once_per_call(monkeypatch, z2, case):
     assert_each_matrix_factored_once_per_call(calls, lambda: verify_main_theorem(F).to_json())
 
 
+def test_bb_filtration_factors_at_most_two_matrices(monkeypatch):
+    # the flag is read off the Smith form that gives the relative position
+    rng = random.Random(14)
+    calls = count_factorizations(monkeypatch)
+    for trial in range(60):
+        ring = (IntegerRing(2), IntegerRing(3), PolynomialRing(PrimeField(5)))[trial % 3]
+        n = rng.randint(1, 4)
+        ctx = Memo()
+        L, L0 = scaled(ctx, Lattice(ctx, random_nonsingular(ring, n, rng)),
+                       Lattice(ctx, random_nonsingular(ring, n, rng)), rng.randint(-2, 2))
+        calls.clear()
+        bb_filtration(Memo(), L, L0)
+        assert 1 <= sum(calls.values()) <= 2, trial
+
+
 def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch, z2):
     F = generate_instance("free", 1, ring=z2, site=PosetSite.sphere())
-    _, built, _ = ht_spectral_sequence(InstanceContext(F))
+    built = ht_filtration(InstanceContext(F))
     # every kernel is taken inside z_space; record the (r, p, n) it was taken for
     requests, kernels = [], []
     z_space, kernel_cols = FilteredComplex.z_space, spectral.kernel_cols
@@ -286,19 +307,28 @@ def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch,
 
 
 @pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
-def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(monkeypatch, z2, case):
+def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(z2, case):
     F = theorem_instance(case, z2)
-    solved = []
-    solve_field = kmatrix.solve_field
-
-    def counted(A, B):
-        solved.append(A)
-        return solve_field(A, B)
-
-    monkeypatch.setattr(sites, "solve_field", counted)
     ctx = InstanceContext(F)
     omega = ctx.bockstein_sheaf()
     Fbar = ctx.reduced()
+    # the stalk pieces first: a truncation may solve against an identity kernel basis
+    for x in F.site.elements:
+        for p in range(omega.lo(), omega.hi() + 2):
+            ctx.hodge(omega.stalk(x), p)
+        for q in range(Fbar.lo() - 1, Fbar.hi() + 1):
+            ctx.truncation(Fbar.stalk(x), q)
+        for m in range(F.hi() + 2):
+            ctx.stage(F.stalk(x), m)
+    solved = []
+    solve_field, solve_in_context = kmatrix.solve_field, ctx.solve
+
+    def counted(A, B):
+        solved.append(A)
+        return solve_in_context(A, B)
+
+    # the lifts solve through the context on both rings
+    ctx.solve = counted
     subsheaves = ([ctx.hodge_sheaf(p) for p in range(omega.lo(), omega.hi() + 2)]
                   + [ctx.truncation_sheaf(q) for q in range(Fbar.lo() - 1, Fbar.hi() + 1)]
                   + [ctx.stage_sheaf(m) for m in range(F.hi() + 2)])
@@ -322,7 +352,7 @@ def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(monkeypatch, z2
 
 def test_ss_pages_builds_each_cell_once_per_filtered_complex(monkeypatch, z2):
     F = generate_instance("free", 1, ring=z2, site=PosetSite.sphere())
-    _, built, _ = ht_spectral_sequence(InstanceContext(F))
+    built = ht_filtration(InstanceContext(F))
     probe = FilteredComplex(built.ambient, built.pieces)
     d = probe.ambient.d
     positions = [(r, p, n) for r in range(1, 5) for p in range(probe.p_min, probe.p_max + 1)

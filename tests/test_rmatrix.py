@@ -4,7 +4,13 @@ from decalage.bockstein import Memo
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, ShapeMismatch, snf, solve_exact
 
-from oracles import determinant, fraction_kernel_rank, invariant_factors_by_minors, minors_rank
+from oracles import (
+    determinant,
+    fraction_kernel_rank,
+    invariant_factors_by_minors,
+    lattice_intersect,
+    minors_rank,
+)
 
 
 def rand_matrix(ring, rng, rows, cols, span=6):
@@ -173,7 +179,7 @@ def test_solve_random(rng, f5t):
 
 
 def test_intersect_spans(z5):
-    W = Memo().intersect(Matrix(z5, [[2, 0], [0, 3]]), Matrix(z5, [[1], [1]]))
+    W = lattice_intersect(Memo(), Matrix(z5, [[2, 0], [0, 3]]), Matrix(z5, [[1], [1]]))
     assert W.cols == 1
     col = W.column(0)
     assert col[0] == col[1] and col[0] % 6 == 0 and col[0] != 0

@@ -87,6 +87,29 @@ def test_cli_negative_rank_is_a_parse_error(tmp_path, command):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "check-lemmas", "check-theorem", "ss"])
+def test_cli_negative_degree_is_a_parse_error(tmp_path, command):
+    path = tmp_path / "negative_degree.json"
+    path.write_text(json.dumps({"ring": {"kind": "z", "xi": "2"}, "lo": -1,
+                                "ranks": [1, 1], "differentials": [[["2"]]]}))
+    r = run_cli(command, str(path))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "parse error" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("filtration", ["tau", "hodge"])
+@pytest.mark.parametrize("pages", ["0", "-1"])
+def test_cli_ss_needs_at_least_one_page(tmp_path, z3, filtration, pages):
+    path = tmp_path / "shell.json"
+    path.write_text(json.dumps(complex_to_json(
+        FreeComplex(z3, 0, [1, 1], [Matrix(z3, [[3]])]))))
+    r = run_cli("ss", str(path), "--filtration", filtration, f"--pages={pages}")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "--pages" in r.stderr and r.stdout == ""
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_check_lemmas(tmp_path, z3):
     path = tmp_path / "shell.json"
     path.write_text(json.dumps(complex_to_json(

@@ -15,8 +15,10 @@ from decalage.spectral import (
     compare_degeneration,
     degeneration_check_HT,
     degeneration_check_HdR,
+    hdr_filtration,
     hdr_spectral_sequence,
     ht_e2_crosscheck,
+    ht_filtration,
     ht_spectral_sequence,
     ss_pages,
 )
@@ -54,7 +56,9 @@ def test_page_consistency_and_abutment(rng, z2):
     for seed in (3, 4, 5):
         F = generate_instance("free", seed, ring=z2)
         ctx = InstanceContext(F)
-        pages, fc, total = ht_spectral_sequence(ctx, r_max=5)
+        pages = ht_spectral_sequence(ctx, r_max=5)
+        fc = ht_filtration(ctx)
+        total = fc.ambient
         for a, b in zip(pages, pages[1:]):
             for key, dim in b.entries.items():
                 da_out = a.differentials.get(key)
@@ -77,7 +81,7 @@ def test_page_consistency_and_abutment(rng, z2):
 def test_ht_point_site(z3):
     F = shell_sheaf(z3, 3)
     ctx = InstanceContext(F)
-    pages, fc, total = ht_spectral_sequence(ctx)
+    pages = ht_spectral_sequence(ctx)
     assert pages[0].entries == {(0, 0): 1, (0, 1): 1}
     assert not ht_e2_crosscheck(ctx, pages)
     ok, wit, agree = degeneration_check_HT(ctx)
@@ -88,7 +92,7 @@ def test_ht_pseudo_circle_product_table(z3):
     K = FreeComplex(z3, 0, [1, 1], [Matrix.zeros(z3, 1, 1)])
     F = SheafComplex.constant(PosetSite.pseudo_circle(), K)
     ctx = InstanceContext(F)
-    pages, _, _ = ht_spectral_sequence(ctx)
+    pages = ht_spectral_sequence(ctx)
     assert pages[0].entries == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     assert not ht_e2_crosscheck(ctx, pages)
 
@@ -97,7 +101,7 @@ def test_ht_e2_crosscheck_random(rng, z2):
     for seed in range(6):
         F = generate_instance("free", 100 + seed, ring=z2)
         ctx = InstanceContext(F)
-        pages, _, _ = ht_spectral_sequence(ctx)
+        pages = ht_spectral_sequence(ctx)
         assert not ht_e2_crosscheck(ctx, pages), seed
 
 
@@ -106,7 +110,7 @@ def test_hdr_detects_nonzero_beta(z3):
     ctx = InstanceContext(F)
     ok, wit = degeneration_check_HdR(ctx)
     assert not ok
-    pages, _, _ = hdr_spectral_sequence(ctx)
+    pages = hdr_spectral_sequence(ctx)
     nonzero = [k for k, m in pages[0].differentials.items() if not m.is_zero()]
     assert nonzero == [(0, 0)]
 
@@ -126,7 +130,7 @@ def test_golden_d2_witness():
     F.validate()
     ctx = InstanceContext(F)
     facts = data["facts"]
-    pages, _, _ = ht_spectral_sequence(ctx)
+    pages = ht_spectral_sequence(ctx)
     nonzero = [[p, q] for (p, q), m in sorted(pages[0].differentials.items())
                if not m.is_zero()]
     assert nonzero == facts["nonzero_d2_at"] == [[0, 1]]
@@ -191,10 +195,10 @@ def z_space_instance(case):
 ] + ["h3_failure_witness"])
 def test_z_space_matches_intersection_oracle(case):
     ctx = InstanceContext(z_space_instance(case))
-    for spectral_sequence in (ht_spectral_sequence, hdr_spectral_sequence):
-        _, fc, total = spectral_sequence(ctx)
+    for filtration in (ht_filtration, hdr_filtration):
+        fc = filtration(ctx)
         for r in range(0, 6):
             for p in range(fc.p_min - 1, fc.p_max + 2):
-                for n in total.degrees():
+                for n in fc.ambient.degrees():
                     assert fc.z_space(r, p, n) == z_space_oracle(fc, r, p, n), \
-                        (spectral_sequence.__name__, r, p, n)
+                        (filtration.__name__, r, p, n)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from conftest import desk_rings
 from decalage.bockstein import Memo
 from decalage.complexes import FreeComplex
 from decalage.instances import generate_instance, random_unimodular
@@ -22,7 +23,14 @@ from decalage.theorem import (
     verify_main_theorem,
 )
 
-from oracles import bb_flag_oracle, image_flag_oracle, scaled
+from oracles import (
+    bb_flag_by_intersection,
+    bb_flag_oracle,
+    flag_jumps,
+    image_flag_oracle,
+    random_nonsingular,
+    scaled,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
 
@@ -34,8 +42,9 @@ def test_relative_position_examples(z5, f5t):
     assert relative_position(
         ctx, Lattice(ctx, Matrix.identity(z5, 2).scale(5)), Lattice.standard(ctx, z5, 2)) == [1, 1]
     t, one, zero = f5t.xi, f5t.one(), f5t.zero()
-    L = Lattice(ctx, Matrix(f5t, [[t, zero], [zero, one]]), shift=-1)
-    assert relative_position(ctx, L, Lattice.standard(ctx, f5t, 2)) == [0, -1]
+    L, L0 = scaled(ctx, Lattice(ctx, Matrix(f5t, [[t, zero], [zero, one]])),
+                   Lattice.standard(ctx, f5t, 2), -1)
+    assert relative_position(ctx, L, L0) == [0, -1]
 
 
 def test_relative_position_basis_invariance(rng, z3):
@@ -49,12 +58,12 @@ def test_relative_position_basis_invariance(rng, z3):
                                 for _ in range(n)], cols=n)
                 if snf(M).rank == n:
                     return M
-        L = Lattice(ctx, basis(), shift=rng.randint(-2, 2))
-        L0 = Lattice(ctx, basis())
+        B, shift = basis(), rng.randint(-2, 2)
+        L, L0 = scaled(ctx, Lattice(ctx, B), Lattice(ctx, basis()), shift)
         mus = relative_position(ctx, L, L0)
         U = random_unimodular(z3, n, rng)
         V = random_unimodular(z3, n, rng)
-        assert relative_position(ctx, Lattice(ctx, L.basis @ U, L.shift),
+        assert relative_position(ctx, Lattice(ctx, L.basis @ U),
                                  Lattice(ctx, L0.basis @ V)) == mus
 
 
@@ -69,20 +78,20 @@ def test_bb_filtration_examples(z5, f5t):
     L0 = Lattice.standard(ctx, z5, 2)
     fl = bb_filtration(ctx, L0, L0)
     assert fl.dim(-1) == 0 and fl.dim(0) == 2
-    assert fl.jumps() == [0, 0]
+    assert flag_jumps(fl) == [0, 0]
 
     one = Lattice(ctx, Matrix(z5, [[5]]))
     fl1 = bb_filtration(ctx, one, Lattice.standard(ctx, z5, 1))
     assert fl1.dim(0) == 0 and fl1.dim(1) == 1
-    assert fl1.jumps() == [1]
+    assert flag_jumps(fl1) == [1]
 
     t, e1, zero = f5t.xi, f5t.one(), f5t.zero()
-    L = Lattice(ctx, Matrix(f5t, [[t, zero], [zero, e1]]), shift=-1)
-    fl2 = bb_filtration(ctx, L, Lattice.standard(ctx, f5t, 2))
+    fl2 = bb_filtration(ctx, *scaled(ctx, Lattice(ctx, Matrix(f5t, [[t, zero], [zero, e1]])),
+                                     Lattice.standard(ctx, f5t, 2), -1))
     assert fl2.dim(-2) == 0 and fl2.dim(-1) == 1 and fl2.dim(0) == 2
     assert fl2.subspace(-1).basis == ((f5t.residue_field().zero(),
                                        f5t.residue_field().one()),)
-    assert fl2.jumps() == [0, -1]
+    assert flag_jumps(fl2) == [0, -1]
 
 
 def test_bb_scaling_shift(rng, z2):
@@ -96,10 +105,11 @@ def test_bb_scaling_shift(rng, z2):
                                 for _ in range(n)], cols=n)
                 if snf(M).rank == n:
                     return M
-        L = Lattice(ctx, basis(), shift=rng.randint(-2, 2))
-        L0 = Lattice(ctx, basis())
+        B, shift = basis(), rng.randint(-2, 2)
+        L, L0 = scaled(ctx, Lattice(ctx, B), Lattice(ctx, basis()), shift)
         c = rng.randint(-3, 3)
-        assert bb_filtration(ctx, scaled(ctx, L, c), L0) == bb_filtration(ctx, L, L0).shifted(c)
+        assert (bb_filtration(ctx, *scaled(ctx, L, L0, c))
+                == bb_filtration(ctx, L, L0).shifted(c))
 
 
 def test_bb_jump_multiset_and_oracle(rng, z5):
@@ -113,14 +123,28 @@ def test_bb_jump_multiset_and_oracle(rng, z5):
                                 for _ in range(n)], cols=n)
                 if snf(M).rank == n:
                     return M
-        L = Lattice(ctx, basis(), shift=rng.randint(-2, 2))
-        L0 = Lattice(ctx, basis())
+        B, shift = basis(), rng.randint(-2, 2)
+        L, L0 = scaled(ctx, Lattice(ctx, B), Lattice(ctx, basis()), shift)
         mus = relative_position(ctx, L, L0)
         fl = bb_filtration(ctx, L, L0)
-        assert fl.jumps() == mus
+        assert flag_jumps(fl) == mus
         N = 2 * max(abs(v) for v in mus) + 2
         for m, s in bb_flag_oracle(L, L0, N).items():
             assert fl.subspace(m) == s
+
+
+def test_bb_filtration_matches_intersection_route(rng):
+    # the adapted basis and one intersection per level give the same flag and window
+    rings = desk_rings()
+    for trial in range(80):
+        ring = rings[trial % len(rings)]
+        n = rng.randint(0, 4)
+        ctx = Memo()
+        L, L0 = scaled(ctx, Lattice(ctx, random_nonsingular(ring, n, rng)),
+                       Lattice(ctx, random_nonsingular(ring, n, rng)), rng.randint(-3, 3))
+        fl = bb_filtration(Memo(), L, L0)
+        assert fl.to_json() == bb_flag_by_intersection(Memo(), L, L0).to_json(), trial
+        assert flag_jumps(fl) == relative_position(ctx, L, L0)
 
 
 def test_lattice_pair_examples(z3):
