@@ -6,8 +6,6 @@ from .rmatrix import Matrix, snf, solve_exact
 from .complexes import (
     ChainMap,
     FGModule,
-    FPComplex,
-    FPModule,
     FreeComplex,
     hodge_filtration,
     truncate_leq,

@@ -22,7 +22,6 @@ from .checks import CheckResult
 from .complexes import (
     ChainMap,
     FGModule,
-    FPComplex,
     FreeComplex,
     cohomology_presentation,
     hodge_filtration,
@@ -77,10 +76,12 @@ class Memo:
     cohomology groups, its stages, graded pieces, mod-xi subquotients and
     Hodge comparisons, its reduction K/xi with the truncations, and its
     Bockstein complex with the Hodge parts.  A stage, truncation or Hodge
-    part is its inclusion chain map, whose ``source`` is the piece.  Each is
-    keyed by the complex it is built from: equal free complexes built
-    separately share one entry, finitely presented ones (built once per
-    context) are keyed by identity.  A context also holds the linear algebra
+    part is its inclusion chain map, whose ``source`` is the piece; a
+    quotient is the injective chain map whose cokernel it is, and a
+    comparison is a chain map.  Each is keyed by the complex it is built
+    from: equal free complexes built separately share one entry, and the
+    chain maps presented as quotients (built once per context) are keyed by
+    identity.  A context also holds the linear algebra
     on both rings.  Over R it is the one place where matrices are factored,
     keyed by content, and kernels, images, solves and preimages are views of
     the Smith forms; ``rmatrix.solve_exact`` is the one solve over R outside
@@ -123,7 +124,7 @@ class Memo:
         return self.image(ker.submatrix(0, A.cols, 0, ker.cols))
 
     def presentation(self, K, i: int):
-        """H^i(K) over R, as ``cohomology_presentation``."""
+        """H^i of K (of its cokernel for a chain map K) over R, as ``cohomology_presentation``."""
         return self.once(("presentation", K, i), cohomology_presentation, self, K, i)
 
     def quotient(self, K: FreeComplex, i: int) -> QuotientSpace:
@@ -139,12 +140,12 @@ class Memo:
         return self.once(("inclusion", K, m), stage_inclusion, self, self.stage(K, m + 1),
                          self.stage(K, m))
 
-    def graded(self, K: FreeComplex, m: int):
-        """stage(m)/stage(m+1) of K, as ``graded_piece``."""
+    def graded(self, K: FreeComplex, m: int) -> ChainMap:
+        """stage(m) mod xi onto the truncation of K/xi at m, as ``graded_piece``."""
         return self.once(("graded", K, m), graded_piece, self, K, m)
 
-    def subquotient(self, K: FreeComplex, m: int) -> FPComplex:
-        """stage(m+1)/xi*stage(m) of K, as ``mod_xi_subquotient``."""
+    def subquotient(self, K: FreeComplex, m: int) -> ChainMap:
+        """xi: stage(m) -> stage(m+1) of K, as ``mod_xi_subquotient``."""
         return self.once(("subquotient", K, m), mod_xi_subquotient, self, K, m)
 
     def kbar(self, K: FreeComplex) -> FreeComplex:
@@ -163,8 +164,8 @@ class Memo:
         """The degree >= p part of K as its inclusion into K, as ``hodge_filtration``."""
         return self.once(("hodge", K, p), hodge_filtration, K, p)
 
-    def comparison(self, K: FreeComplex, m: int) -> dict:
-        """stage(m)/xi*stage(m-1) of K onto F_m, as ``hodge_stage_comparison``."""
+    def comparison(self, K: FreeComplex, m: int) -> ChainMap:
+        """stage(m) mod xi onto F_m, as ``hodge_stage_comparison``."""
         return self.once(("comparison", K, m), hodge_stage_comparison, self, K, m)
 
 
@@ -172,23 +173,20 @@ class Memo:
 # comparison maps into the Bockstein complex
 
 
-def hodge_stage_comparison(ctx: Memo, K: FreeComplex, m: int) -> dict:
-    """Comparison from stage(m)/xi*stage(m-1) onto the Hodge part F_m of H^*(K/xi).
+def hodge_stage_comparison(ctx: Memo, K: FreeComplex, m: int) -> ChainMap:
+    """Chain map from stage(m) mod xi onto the Hodge part F_m of H^*(K/xi).
 
-    For m = 0 this is the comparison of the full reduced decalage.  Degrees
-    below m are zero on both sides; at degree i >= m generator j is
-    xi^i * w_j and maps to the class of w_j.
+    It factors through stage(m)/xi*stage(m-1).  For m = 0 this is the
+    comparison of the full reduced decalage.  F_m is zero below m; at degree
+    i >= m generator j is xi^i * w_j and maps to the class of w_j.
     """
     kbar = ctx.kbar(K)
     stage = ctx.stage(K, m)
     maps = {}
-    for i in K.degrees():
-        if i < m:
-            maps[i] = Matrix.zeros(kbar.ring, 0, stage.source.rank(i))
-            continue
+    for i in range(max(m, K.lo), K.hi + 1):
         wbar = stage.map(i).xi_divide(i).residue()
         maps[i] = ctx.quotient(kbar, i).coords_matrix(wbar)
-    return maps
+    return ChainMap(ctx.kbar(stage.source), ctx.hodge(ctx.bockstein(K), m).source, maps)
 
 
 def verify_reduction_identification(ctx: Memo, K: FreeComplex) -> CheckResult:
@@ -198,12 +196,11 @@ def verify_reduction_identification(ctx: Memo, K: FreeComplex) -> CheckResult:
     cohomology in every degree (dimension match plus full rank).
     """
     out = CheckResult("eta.mod-xi-bockstein-model")
-    red = ctx.kbar(ctx.stage(K, 0).source)
     comp = ctx.comparison(K, 0)
-    bcx = ctx.bockstein(K)
+    red, bcx = comp.source, comp.target
     for i in range(K.lo, K.hi):
-        lhs = comp[i + 1] @ red.d(i)
-        rhs = bcx.d(i) @ comp[i]
+        lhs = comp.map(i + 1) @ red.d(i)
+        rhs = bcx.d(i) @ comp.map(i)
         out.expect(lhs == rhs, degree=i, reason="comparison is not a chain map")
     for i in K.degrees():
         hq = ctx.quotient(red, i)
@@ -212,7 +209,7 @@ def verify_reduction_identification(ctx: Memo, K: FreeComplex) -> CheckResult:
                    reduced=hq.dim, bockstein=hb.dim)
         if hq.dim != hb.dim:
             continue
-        induced = hb.coords_matrix(comp[i] @ hq.rep_matrix())
+        induced = hb.coords_matrix(comp.map(i) @ hq.rep_matrix())
         out.expect(field_rank(induced) == hq.dim, degree=i,
                    reason="induced map on cohomology is not invertible")
     return out
@@ -281,7 +278,7 @@ def connecting_factorization(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
     if m + 1 <= K.hi:
         stage, finer = ctx.stage(K, m), ctx.stage(K, m + 1)
         inc = ctx.inclusion(K, m)
-        gens = ctx.presentation(ctx.graded(K, m).fp, m).gens_basis
+        gens = ctx.presentation(inc, m).gens_basis
         # beta of the classes of the generators in H^m(K/xi)
         elts = (stage.map(m) @ gens).xi_divide(m).residue()
         betas = beta_m @ ctx.quotient(kbar, m).coords_matrix(elts)
@@ -349,8 +346,8 @@ def _splitting_compatibility(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
             continue
         gens = ctx.presentation(sq, i).gens_basis
         hq = ctx.quotient(f_coarse, i)
-        lhs = hq.coords_matrix(comp_coarse[i] @ (inc.map(i) @ gens).residue())
-        rhs = hq.coords_matrix(comp_fine[i] @ gens.residue())
+        lhs = hq.coords_matrix(comp_coarse.map(i) @ (inc.map(i) @ gens).residue())
+        rhs = hq.coords_matrix(comp_fine.map(i) @ gens.residue())
         for j in range(gens.cols):
             out.expect(lhs.column(j) == rhs.column(j), degree=i, m=m, generator=j,
                        reason="Hodge-side compatibility square fails")
@@ -360,25 +357,21 @@ def _splitting_compatibility(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
         grade_prev = ctx.graded(K, m - 1)
         grade = ctx.graded(K, m)
         kbar = ctx.kbar(K)
-        tau_prev_inc = ctx.truncation(kbar, m - 1)
-        tau_inc = ctx.truncation(kbar, m)
         # inclusion tau_{<=m-1} -> tau_{<=m} over k
-        jmaps = {}
+        try:
+            jmap = stage_inclusion(ctx, ctx.truncation(kbar, m - 1), ctx.truncation(kbar, m))
+        except ArithmeticError as exc:
+            out.fail(reason=f"truncations are not nested: {exc}")
+            return out
+        inc_prev, u = ctx.inclusion(K, m - 1), ctx.subquotient(K, m - 1)
         for i in K.degrees():
-            sol = solve_field(tau_inc.map(i), tau_prev_inc.map(i))
-            if sol is None:
-                out.fail(degree=i, reason="truncations are not nested")
-                return out
-            jmaps[i] = sol
-        for i in K.degrees():
-            gens = ctx.presentation(grade_prev.fp, i).gens_basis
+            gens = ctx.presentation(inc_prev, i).gens_basis
             if gens.cols == 0:
                 continue
-            hq = ctx.quotient(tau_inc.source, i)
-            # xi * stage(m-1) -> stage(m), as the subquotient's relations
-            u = ctx.subquotient(K, m - 1).rels(i)
-            lhs = hq.coords_matrix(grade.comparison[i] @ (u @ gens).residue())
-            rhs = hq.coords_matrix(jmaps[i] @ (grade_prev.comparison[i] @ gens.residue()))
+            hq = ctx.quotient(grade.target, i)
+            # xi * stage(m-1) -> stage(m)
+            lhs = hq.coords_matrix(grade.map(i) @ (u.map(i) @ gens).residue())
+            rhs = hq.coords_matrix(jmap.map(i) @ (grade_prev.map(i) @ gens.residue()))
             for j in range(gens.cols):
                 out.expect(lhs.column(j) == rhs.column(j), degree=i, m=m, generator=j,
                            reason="truncation-side compatibility square fails")

@@ -94,17 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload, text_lines) -> None:
-    if args.format == "json":
-        text = dump_json(payload, args.out)
-        if not args.out:
-            print(text)
-    else:
-        body = "\n".join(text_lines)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(body + "\n")
-        else:
-            print(body)
+    text = dump_json(payload) if args.format == "json" else "\n".join(text_lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so the
+        # interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _instances(args):
@@ -112,6 +112,10 @@ def _instances(args):
     if args.path:
         F = load_instance_file(resolve_path(args.path))
         return [(os.path.basename(args.path), F)]
+    for option in ("count", "max_degree", "max_rank"):
+        if getattr(args, option) < 1:
+            raise SerializeError(f"--{option.replace('_', '-')} must be at least 1, "
+                                 f"got {getattr(args, option)}")
     profile = args.generate or "h1"
     poset = args.poset or ""
     builtin = poset.startswith("builtin:")

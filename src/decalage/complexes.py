@@ -1,4 +1,4 @@
-"""Bounded cochain complexes of finite free and finitely presented modules.
+"""Bounded cochain complexes of finite free modules and the chain maps between them.
 
 A FreeComplex stores ranks and differentials on a window [lo, hi]; matrices
 act on column vectors, so d(i) has shape rank(i+1) x rank(i).  Cohomology is
@@ -7,8 +7,9 @@ degree also exposes a presentation: a basis of the cocycle submodule together
 with the relation matrix, which is what induced maps, snake maps and image
 filtrations are computed through.
 
-FPComplex covers quotient complexes (graded pieces, mod-xi subquotients):
-each degree is generators-plus-relations, with differentials on generators.
+A quotient complex (a graded piece, a mod-xi subquotient) is the injective
+chain map whose cokernel it is: the target carries the generators and the
+differentials, the degree-i map the relations.
 """
 
 from __future__ import annotations
@@ -258,65 +259,6 @@ class ChainMap:
 
 
 # ---------------------------------------------------------------------------
-# finitely presented complexes
-
-
-class FPModule:
-    __slots__ = ("gens", "rels")
-
-    def __init__(self, gens: int, rels: Matrix):
-        if rels.rows != gens:
-            raise ShapeMismatch("rels rows must equal generator count")
-        self.gens = gens
-        self.rels = rels
-
-    def invariants(self, ctx) -> FGModule:
-        """Invariants of coker(rels), factored by the context ``ctx``."""
-        return FGModule.from_snf(self.rels.ring, self.gens, ctx.factor(self.rels))
-
-
-class FPComplex:
-    """Complex of finitely presented modules, differentials on generators."""
-
-    __slots__ = ("ring", "lo", "hi", "modules", "_diffs")
-
-    def __init__(self, ring, lo: int, modules, diffs):
-        modules = tuple(modules)
-        diffs = tuple(diffs)
-        if not modules:
-            modules = (FPModule(0, Matrix.zeros(ring, 0, 0)),)
-        if len(diffs) != len(modules) - 1:
-            raise ShapeMismatch("need one differential per adjacent pair")
-        self.ring = ring
-        self.lo = lo
-        self.hi = lo + len(modules) - 1
-        self.modules = modules
-        self._diffs = diffs
-        for i, d in enumerate(diffs):
-            if (d.rows, d.cols) != (modules[i + 1].gens, modules[i].gens):
-                raise ShapeMismatch(f"FP differential shape mismatch at {lo + i}")
-
-    def module(self, i: int) -> FPModule:
-        if self.lo <= i <= self.hi:
-            return self.modules[i - self.lo]
-        return FPModule(0, Matrix.zeros(self.ring, 0, 0))
-
-    def gens(self, i: int) -> int:
-        return self.module(i).gens
-
-    def rels(self, i: int) -> Matrix:
-        return self.module(i).rels
-
-    def d(self, i: int) -> Matrix:
-        if self.lo <= i < self.hi:
-            return self._diffs[i - self.lo]
-        return Matrix.zeros(self.ring, self.gens(i + 1), self.gens(i))
-
-    def term_invariants(self, ctx, i: int) -> FGModule:
-        return self.module(i).invariants(ctx)
-
-
-# ---------------------------------------------------------------------------
 # cohomology through presentations
 
 
@@ -369,10 +311,16 @@ def _presentation(ctx, ring, rels_i, rels_next, d_i, d_prev) -> CohomologyPresen
 
 
 def cohomology_presentation(ctx, K, i: int) -> CohomologyPresentation:
-    """H^i(K), with every matrix factored by the context ``ctx``."""
+    """H^i(K), with every matrix factored by the context ``ctx``.
+
+    K is a free complex, or an injective chain map whose cokernel is the
+    quotient complex to present: generators and d from its target, relations
+    from its degree-i and degree-(i+1) maps.
+    """
+    if isinstance(K, ChainMap):
+        T = K.target
+        return _presentation(ctx, T.ring, K.map(i), K.map(i + 1), T.d(i), T.d(i - 1))
     ring = K.ring
-    if isinstance(K, FPComplex):
-        return _presentation(ctx, ring, K.rels(i), K.rels(i + 1), K.d(i), K.d(i - 1))
     empty_i = Matrix.zeros(ring, K.rank(i), 0)
     empty_next = Matrix.zeros(ring, K.rank(i + 1), 0)
     return _presentation(ctx, ring, empty_i, empty_next, K.d(i), K.d(i - 1))

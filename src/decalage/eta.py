@@ -13,8 +13,11 @@ A stage is its inclusion chain map into K: the stage complex is its
 The family decreases in m and squeezes between xi-multiples:
 xi * stage(m) <= stage(m+1) <= stage(m).
 
-Quotients of consecutive stages are produced as finitely presented complexes
-together with the comparison maps onto truncations of K/xi.  Every builder
+A quotient of stages is the injective chain map whose cokernel it is: the
+graded piece stage(m)/stage(m+1) is the cokernel of ``ctx.inclusion(K, m)``
+and the subquotient stage(m+1)/xi*stage(m) that of ``ctx.subquotient(K, m)``.
+The comparison of the graded piece with the truncation of K/xi is a chain
+map from the stage mod xi, ``ctx.graded(K, m)``.  Every builder
 takes a context (a ``Memo``, bockstein module), which factors each matrix
 once per call.  Everything built from several stages takes the context and
 K, and reads the stages and their inclusions from the context
@@ -27,7 +30,7 @@ once per call: ``xi_step_inclusion_holds``, ``is_stationary_stage``,
 from __future__ import annotations
 
 from .checks import CheckResult
-from .complexes import ChainMap, FGModule, FPComplex, FPModule, FreeComplex
+from .complexes import ChainMap, FGModule, FreeComplex
 from .kmatrix import field_rank, solve_field
 from .rmatrix import Matrix
 
@@ -77,12 +80,16 @@ def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
 
 
 def stage_inclusion(ctx, finer: ChainMap, coarser: ChainMap) -> ChainMap:
-    """The literal containment of one stage in another, from their inclusions."""
+    """finer's source -> coarser's source: ``finer`` factored through the inclusion ``coarser``.
+
+    Both map into one complex; raises ArithmeticError when finer's image
+    is not contained in coarser's.
+    """
     maps = {}
     for i in coarser.target.degrees():
         sol = ctx.solve(coarser.map(i), finer.map(i))
         if sol is None:
-            raise ArithmeticError(f"stages are not nested at degree {i}")
+            raise ArithmeticError(f"images are not nested at degree {i}")
         maps[i] = sol
     return ChainMap(finer.source, coarser.source, maps)
 
@@ -118,68 +125,48 @@ def is_stationary_stage(ctx, K: FreeComplex, m: int) -> bool:
 # graded pieces
 
 
-class GradedPiece:
-    """stage(m)/stage(m+1) with its comparison onto the truncation of K/xi.
+def graded_piece(ctx, K: FreeComplex, m: int) -> ChainMap:
+    """The comparison of stage(m)/stage(m+1) onto the truncation of K/xi at m.
 
-    ``fp`` presents the quotient on the stage-m basis; ``comparison[i]`` is
-    the k-matrix from stage-m generator coordinates to the chosen basis of
-    the degree-i term of the context's truncation ``ctx.truncation(ctx.kbar(K), m)``.
+    The graded piece is the cokernel of ``ctx.inclusion(K, m)``; the
+    comparison is a chain map from the stage mod xi to the context's
+    truncation ``ctx.truncation(ctx.kbar(K), m)``, zero above m.
     """
-
-    __slots__ = ("fp", "comparison")
-
-    def __init__(self, fp, comparison):
-        self.fp = fp
-        self.comparison = comparison
-
-
-def graded_piece(ctx, K: FreeComplex, m: int) -> GradedPiece:
-    """stage(m)/stage(m+1) with comparison to the truncation of K/xi at m."""
     stage = ctx.stage(K, m)
-    inc = ctx.inclusion(K, m)
-    ring = K.ring
-    modules = [FPModule(stage.source.rank(i), inc.map(i)) for i in K.degrees()]
-    diffs = [stage.source.d(i) for i in range(K.lo, K.hi)]
-    fp = FPComplex(ring, K.lo, modules, diffs)
-
     kbar = ctx.kbar(K)
     tau = ctx.truncation(kbar, m)
-
-    comparison = {}
-    for i in K.degrees():
-        if i < m:
-            comparison[i] = Matrix.identity(kbar.ring, K.rank(i))
-        elif i == m:
-            wbar = stage.map(m).xi_divide(m).residue()
-            sol = solve_field(tau.map(m), wbar)
-            if sol is None:
-                raise ArithmeticError("stage basis did not reduce into the cocycles")
-            comparison[i] = sol
-        else:
-            comparison[i] = Matrix.zeros(kbar.ring, tau.source.rank(i), stage.source.rank(i))
-    return GradedPiece(fp, comparison)
+    maps = {}
+    for i in range(K.lo, min(m, K.hi + 1)):
+        maps[i] = Matrix.identity(kbar.ring, K.rank(i))
+    if K.lo <= m <= K.hi:
+        wbar = stage.map(m).xi_divide(m).residue()
+        sol = solve_field(tau.map(m), wbar)
+        if sol is None:
+            raise ArithmeticError("stage basis did not reduce into the cocycles")
+        maps[m] = sol
+    return ChainMap(ctx.kbar(stage.source), tau.source, maps)
 
 
 def verify_graded_piece(ctx, K: FreeComplex, m: int) -> CheckResult:
     """The comparison of ``ctx.graded(K, m)`` is an isomorphism onto the truncation."""
     out = CheckResult("eta-m.graded-piece")
-    grade = ctx.graded(K, m)
-    fp, comparison = grade.fp, grade.comparison
-    tau = ctx.truncation(ctx.kbar(K), m).source
+    inc = ctx.inclusion(K, m)
+    comparison = ctx.graded(K, m)
+    tau = comparison.target
     for i in K.degrees():
-        comp = comparison[i]
-        rels = fp.rels(i).residue()
+        comp = comparison.map(i)
+        rels = inc.map(i).residue()
         # well-defined on the quotient
         if rels.cols:
             out.expect((comp @ rels).is_zero(), degree=i, reason="comparison not defined on quotient")
         # chain map over k
-        lhs = comparison.get(i + 1)
-        if lhs is not None:
-            left = lhs @ fp.d(i).residue()
+        if i < K.hi:
+            left = comparison.map(i + 1) @ comparison.source.d(i)
             right = tau.d(i) @ comp
             out.expect(left == right, degree=i, reason="comparison does not commute with d")
         # termwise bijectivity
-        qdim = fp.term_invariants(ctx, i).k_dimension()
+        term = FGModule.from_snf(K.ring, inc.target.rank(i), ctx.factor(inc.map(i)))
+        qdim = term.k_dimension()
         tdim = tau.rank(i)
         out.expect(qdim == tdim, degree=i, reason="term dimension mismatch",
                    quotient=qdim, truncation=tdim)
@@ -188,7 +175,7 @@ def verify_graded_piece(ctx, K: FreeComplex, m: int) -> CheckResult:
             out.expect(qdim == 0, degree=i, reason="graded piece should vanish above m")
     # cohomology agreement, degree by degree
     for i in K.degrees():
-        got = ctx.presentation(fp, i).module
+        got = ctx.presentation(inc, i).module
         want = FGModule.of_k_dimension(K.ring, ctx.quotient(tau, i).dim)
         out.expect(got == want, degree=i, reason="graded cohomology mismatch",
                    got=repr(got), want=repr(want))
@@ -199,25 +186,18 @@ def verify_graded_piece(ctx, K: FreeComplex, m: int) -> CheckResult:
 # mod-xi subquotient stage(m+1) / xi*stage(m)
 
 
-def mod_xi_subquotient(ctx, K: FreeComplex, m: int) -> FPComplex:
-    """stage(m+1) / (xi * stage(m)) presented on the stage-(m+1) basis.
+def mod_xi_subquotient(ctx, K: FreeComplex, m: int) -> ChainMap:
+    """xi: stage(m) -> stage(m+1), whose cokernel is stage(m+1)/(xi * stage(m)).
 
-    Degreewise this is 0 below m, K^m/{x : dx in xi K^{m+1}} at m, and the
-    mod-xi reduction of the plain decalage terms above m.  The cross-check
-    against the Hodge part of the cohomology complex of K/xi lives in the
-    bockstein module.
+    Degreewise the cokernel is 0 below m, K^m/{x : dx in xi K^{m+1}} at m,
+    and the mod-xi reduction of the plain decalage terms above m.  The
+    cross-check against the Hodge part of the cohomology complex of K/xi
+    lives in the bockstein module.
     """
     stage = ctx.stage(K, m)
-    finer = ctx.stage(K, m + 1)
-    ring = K.ring
-    modules = []
-    for i in K.degrees():
-        rel = ctx.solve(finer.map(i), stage.map(i).scale(ring.xi))
-        if rel is None:
-            raise ArithmeticError(f"xi*stage(m) escaped stage(m+1) at degree {i}")
-        modules.append(FPModule(finer.source.rank(i), rel))
-    diffs = [finer.source.d(i) for i in range(K.lo, K.hi)]
-    return FPComplex(ring, K.lo, modules, diffs)
+    scaled = ChainMap(stage.source, K,
+                      {i: stage.map(i).scale(K.ring.xi) for i in K.degrees()})
+    return stage_inclusion(ctx, scaled, ctx.stage(K, m + 1))
 
 
 # ---------------------------------------------------------------------------

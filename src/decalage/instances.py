@@ -153,7 +153,7 @@ def _pieces_complex(ring, pieces, hi) -> FreeComplex:
 
 def _random_pieces(ring, rng, hi, max_rank, torsion_free):
     pieces = []
-    budget = rng.randint(1, max(1, max_rank))
+    budget = rng.randint(1, max_rank)
     for _ in range(budget):
         deg = rng.randint(0, hi)
         if deg < hi and rng.random() < 0.7:
@@ -166,7 +166,7 @@ def _random_pieces(ring, rng, hi, max_rank, torsion_free):
 def random_complex(ring: BaseRing, rng: random.Random, max_degree=2, max_rank=3,
                    torsion_free=False) -> FreeComplex:
     """Random valid complex: conjugated sum of shells and free lines."""
-    hi = rng.randint(1, max(1, max_degree))
+    hi = rng.randint(1, max_degree)
     pieces = _random_pieces(ring, rng, hi, max_rank, torsion_free)
     return conjugate_complex(_pieces_complex(ring, pieces, hi), rng)[0]
 
@@ -246,7 +246,7 @@ def height_graded_sheaf(site: PosetSite, ring, rng: random.Random,
     Functoriality is automatic: the restriction along x <= y is the composite
     of the ladder maps between the two heights, conjugated stalkwise.
     """
-    hi = rng.randint(1, max(1, max_degree))
+    hi = rng.randint(1, max_degree)
     heights = {x: site.height(x) for x in site.elements}
     top = max(heights.values())
     pieces = [_random_pieces(ring, rng, hi, max_rank, torsion_free)
@@ -332,14 +332,17 @@ def generate_instance(profile: str, seed: int, ring: BaseRing | None = None,
     global sections is xi-torsion-free.  "adversarial": retries until the
     truncation-injectivity check fails, else GenerationBudgetExceeded; the
     random families cannot break it (they are pullback-shaped), so witness
-    draws based on the coinduced-resolution construction are mixed in.
+    draws based on the coinduced-resolution construction are mixed in when
+    the site is the sphere, where the witness lives, or is left to the draw.
+    On any other site the budget runs out.
     """
     rng = random.Random(seed)
     ring = ring or IntegerRing(2)
+    witnesses = profile == "adversarial" and site in (None, PosetSite.sphere())
     for attempt in range(budget):
         chosen_site = site or PosetSite.builtin(rng.choice(_SITES))
         torsion_free = profile == "h1"
-        if profile == "adversarial" and attempt % 3 == 2 and site is None:
+        if witnesses and attempt % 3 == 2:
             F = resolution_witness_sheaf(ring, rng)
         elif rng.random() < 0.5 or len(chosen_site) == 1:
             core = random_complex(ring, rng, max_degree, max_rank, torsion_free)

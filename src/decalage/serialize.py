@@ -150,9 +150,5 @@ def load_instance_file(path: str):
     return load_instance(read_json(path))
 
 
-def dump_json(obj, path: str | None = None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+def dump_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)

@@ -79,7 +79,8 @@ def _adapted_basis(ctx, L: Lattice, L0: Lattice) -> tuple:
     With C the basis of L in L0's coordinates, cleared by the largest
     invariant factor of L0, the context ``ctx`` factors U C V = D.  The
     columns of U^-1 are a basis of L0, and column j times xi^valuations[j]
-    spans L's part along it up to a unit at xi.
+    spans L's part along it up to a unit at xi.  ``relative_position`` and
+    ``bb_filtration`` ask it of the context, which builds it once per pair.
     """
     if L.n != L0.n:
         raise SingularBasis("lattices of different rank")
@@ -103,7 +104,8 @@ def relative_position(ctx, L: Lattice, L0: Lattice) -> list:
     Invariant under any basis change of either lattice that is invertible
     over the localization at xi.  The context ``ctx`` factors the matrices.
     """
-    return sorted(_adapted_basis(ctx, L, L0)[0], reverse=True)
+    return sorted(ctx.once(("adapted-basis", L, L0), _adapted_basis, ctx, L, L0)[0],
+                  reverse=True)
 
 
 class Flag:
@@ -171,7 +173,7 @@ def bb_filtration(ctx, L: Lattice, L0: Lattice) -> Flag:
     matrices.
     """
     kfield = L.basis.ring.residue_field()
-    mus, uinv = _adapted_basis(ctx, L, L0)
+    mus, uinv = ctx.once(("adapted-basis", L, L0), _adapted_basis, ctx, L, L0)
     if not mus:
         return Flag(kfield, 0, {0: Subspace(kfield, 0)})
     adapted = uinv.residue()

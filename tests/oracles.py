@@ -15,8 +15,8 @@ zero-skipping kernels.  The last section holds the helpers that only the
 tests call: complex invariants and shifts, induced maps, the mapping cone,
 the graded pieces of an abutment, the square of the Bockstein differential,
 sums and intersections of subspaces, random nonsingular matrices, scaled
-lattice pairs, the jumps of a flag, and the validity checks of filtered
-complexes, sheaf maps and finitely presented complexes.
+lattice pairs, the jumps of a flag, the validity checks of filtered
+complexes and sheaf maps, and the terms of the cokernel of a chain map.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from decalage.bockstein import Memo, k_cohomology_quotient
-from decalage.complexes import DifferentialSquareNonzero, FreeComplex
+from decalage.complexes import FGModule, FreeComplex
 from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
-from decalage.rmatrix import Matrix, ShapeMismatch, snf, solve_exact
+from decalage.rmatrix import Matrix, ShapeMismatch, snf
 from decalage.sites import InvalidSheaf
 from decalage.theorem import Flag, Lattice, relative_position
 
@@ -992,12 +992,6 @@ def validate_sheaf_map(phi) -> None:
                 raise InvalidSheaf(f"sheaf map not natural on {a}<={b} at degree {i}")
 
 
-def validate_fp_complex(C) -> None:
-    """Raise unless the differentials of C keep relations and square into them."""
-    for i in range(C.lo, C.hi + 1):
-        img = C.d(i) @ C.rels(i)
-        if img.cols and solve_exact(C.rels(i + 1), img) is None:
-            raise ShapeMismatch(f"d({i}) does not preserve relations")
-        sq = C.d(i + 1) @ C.d(i)
-        if sq.cols and not sq.is_zero() and solve_exact(C.rels(i + 2), sq) is None:
-            raise DifferentialSquareNonzero(i)
+def cokernel_term(ctx, phi, i: int) -> FGModule:
+    """Invariants of the degree-i term of coker(phi), factored by the context ``ctx``."""
+    return FGModule.from_snf(phi.target.ring, phi.target.rank(i), ctx.factor(phi.map(i)))

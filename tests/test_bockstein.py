@@ -62,7 +62,8 @@ def test_hodge_stage_comparison_matches_columnwise_oracle(rng):
             K = random_complex(ring, rng, max_degree=3, max_rank=3)
             ctx = Memo()
             for m in range(0, K.hi + 2):
-                assert hodge_stage_comparison(ctx, K, m) == \
+                comp = hodge_stage_comparison(ctx, K, m)
+                assert {i: comp.map(i) for i in K.degrees()} == \
                     hodge_stage_comparison_oracle(ctx, K, m), (ring, m)
 
 
@@ -131,6 +132,17 @@ def test_mod_xi_subquotient_vs_hodge(rng):
             for m in range(0, K.hi + 2):
                 res = verify_mod_xi_subquotient(Memo(), K, m)
                 assert res.passed, (ring, m, res.failures)
+
+
+def test_every_map_the_context_builds_is_a_chain_map(rng):
+    for ring in desk_rings():
+        for _ in range(4):
+            K = random_complex(ring, rng, max_degree=3, max_rank=3)
+            ctx = Memo()
+            for m in range(0, K.hi + 3):
+                for phi in (ctx.inclusion(K, m), ctx.subquotient(K, m),
+                            ctx.graded(K, m), ctx.comparison(K, m)):
+                    phi.validate()
 
 
 def test_split_example(z3):

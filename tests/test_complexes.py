@@ -5,7 +5,6 @@ from decalage.complexes import (
     ChainMap,
     DifferentialSquareNonzero,
     FGModule,
-    FPModule,
     FreeComplex,
     cohomology_presentation,
     direct_sum,
@@ -182,7 +181,8 @@ def test_euler_characteristic(rng, z5):
 def test_fg_module_invariants(z2):
     with pytest.raises(ValueError):
         FGModule(z2, 0, (1,))
-    m = FPModule(2, Matrix(z2, [[2, 0], [0, 6]])).invariants(Memo())
+    M = Matrix(z2, [[2, 0], [0, 6]])
+    m = FGModule.from_snf(z2, 2, Memo().factor(M))
     assert m == FGModule(z2, 0, (2, 6))
     assert not m.xi_torsion_free
     assert m.mod_xi_torsion() == FGModule(z2, 0, (3,))

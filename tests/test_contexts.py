@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 import decalage
-from decalage import bockstein, complexes, kmatrix, rmatrix, sites, spectral
+from decalage import bockstein, complexes, kmatrix, rmatrix, sites, spectral, theorem
 from decalage.bockstein import Memo
 from decalage.complexes import FreeComplex
 from decalage.eta import eta_m
@@ -110,8 +110,8 @@ def test_main_theorem_builds_each_stalk_bockstein_once_per_call(monkeypatch, z2)
 
 def complex_key(K):
     """Free complexes by ring, degrees and entries (not by their own hash or
-    twist tag), so equal ones built separately count as one; finitely
-    presented ones by identity."""
+    twist tag), so equal ones built separately count as one; the chain maps
+    presented as quotients by identity."""
     if not isinstance(K, FreeComplex):
         return id(K)
     return (K.ring, K.lo, K.ranks(), tuple(K.d(i).data for i in range(K.lo, K.hi)))
@@ -273,6 +273,22 @@ def test_bb_filtration_factors_at_most_two_matrices(monkeypatch):
         calls.clear()
         bb_filtration(Memo(), L, L0)
         assert 1 <= sum(calls.values()) <= 2, trial
+
+
+@pytest.mark.parametrize("case", ["h1-pseudo-circle", "h3_failure_witness"])
+def test_main_theorem_builds_each_adapted_basis_once_per_lattice_pair(monkeypatch, z2, case):
+    # relative_position and bb_filtration read the pair's one adapted basis
+    F = theorem_instance(case, z2)
+    calls = Counter()
+    build = theorem._adapted_basis
+
+    def counted(ctx, L, L0):
+        calls[(L, L0)] += 1  # lattices compare by identity
+        return build(ctx, L, L0)
+
+    monkeypatch.setattr(theorem, "_adapted_basis", counted)
+    verify_main_theorem(F)
+    assert calls and max(calls.values()) == 1
 
 
 def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch, z2):

@@ -169,8 +169,13 @@ def test_cli_check_theorem_reports_injected_bug(tmp_path, z3):
     ["--poset", "builtin:torus"],
     ["--poset", "{missing}"],
     ["--poset", "{not_json}"],
+    ["--count", "0"],
+    ["--count", "-2"],
+    ["--max-degree", "0"],
+    ["--max-rank", "0"],
 ], ids=["xi-not-prime", "xi-not-integer", "char-not-prime", "poly-xi-not-t",
-        "unknown-builtin", "poset-missing", "poset-not-json"])
+        "unknown-builtin", "poset-missing", "poset-not-json", "count-0",
+        "count-negative", "max-degree-0", "max-rank-0"])
 def test_cli_bad_generation_options_are_parse_errors(tmp_path, command, options):
     not_json = tmp_path / "poset.txt"
     not_json.write_text("elements: a, b\n")
@@ -180,6 +185,19 @@ def test_cli_bad_generation_options_are_parse_errors(tmp_path, command, options)
     assert r.returncode == 2, r.stdout + r.stderr
     assert "parse error" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_cli_closed_stdout_is_quiet():
+    # the JSON report is larger than a pipe buffer, so the reader leaves mid-write
+    args = ("check-theorem", "--count", "20", "--format", "json")
+    want = run_cli(*args).returncode
+    proc = subprocess.Popen([sys.executable, "-m", "decalage", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == want
+    assert "Traceback" not in err and "Exception" not in err, err
 
 
 def test_cli_ss_renders_pages(tmp_path, z3):

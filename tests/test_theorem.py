@@ -280,6 +280,15 @@ def test_adversarial_profile_finds_witness(z2):
     assert not ok and wit is not None
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_adversarial_profile_finds_witness_on_the_sphere(z2, seed):
+    from decalage.spectral import degeneration_check_HT
+
+    F = generate_instance("adversarial", seed, ring=z2, site=PosetSite.sphere())
+    ok, wit, _ = degeneration_check_HT(InstanceContext(F))
+    assert not ok and wit is not None
+
+
 def test_golden_witness_settles_h1_vs_h3():
     with open(os.path.join(FIXTURES, "h3_failure_witness.json")) as fh:
         data = json.load(fh)
