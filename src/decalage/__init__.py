@@ -21,6 +21,7 @@ from .spectral import (
     degeneration_check_HdR,
     hdr_spectral_sequence,
     ht_spectral_sequence,
+    persistence_pairs,
     ss_pages,
 )
 from .theorem import (

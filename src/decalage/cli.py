@@ -47,20 +47,23 @@ def resolve_path(path: str) -> str:
     return path
 
 
+# the options that generate instances, with the values they take when not given
+GENERATION_DEFAULTS = {"generate": "h1", "ring": "z", "xi": None, "char": 5, "seed": 0,
+                       "count": 1, "max_degree": 2, "max_rank": 2, "poset": None}
+
+
 def _add_generation(p: argparse.ArgumentParser) -> None:
-    """An instance file, or the options that generate instances."""
+    """An instance file, or the options that generate instances (None unless given)."""
     p.add_argument("path", nargs="?")
-    p.add_argument("--generate", default=None,
-                   choices=["free", "h1", "adversarial"])
-    p.add_argument("--ring", choices=["z", "fp-poly", "q-poly"], default="z")
-    p.add_argument("--xi", default=None, help="prime for z (default 2); t for polynomials")
-    p.add_argument("--char", type=int, default=5, help="characteristic for fp-poly")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--max-rank", type=int, default=2)
-    p.add_argument("--poset", default=None,
-                   help="file or builtin:point|pseudo-circle|chain3|sphere")
+    p.add_argument("--generate", choices=["free", "h1", "adversarial"])
+    p.add_argument("--ring", choices=["z", "fp-poly", "q-poly"])
+    p.add_argument("--xi", help="prime for z (default 2); t for polynomials")
+    p.add_argument("--char", type=int, help="characteristic for fp-poly (default 5)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=int)
+    p.add_argument("--max-degree", type=int)
+    p.add_argument("--max-rank", type=int)
+    p.add_argument("--poset", help="file or builtin:point|pseudo-circle|chain3|sphere")
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -109,14 +112,19 @@ def _emit(args, payload, text_lines) -> None:
 
 def _instances(args):
     """(id, sheaf) pairs from a path or a generation request."""
+    given = [name for name in GENERATION_DEFAULTS if getattr(args, name) is not None]
     if args.path:
+        if given:
+            raise SerializeError(f"--{given[0].replace('_', '-')} is a generation option, "
+                                 "not for a path")
         F = load_instance_file(resolve_path(args.path))
         return [(os.path.basename(args.path), F)]
+    vars(args).update({name: v for name, v in GENERATION_DEFAULTS.items() if name not in given})
     for option in ("count", "max_degree", "max_rank"):
         if getattr(args, option) < 1:
             raise SerializeError(f"--{option.replace('_', '-')} must be at least 1, "
                                  f"got {getattr(args, option)}")
-    profile = args.generate or "h1"
+    profile = args.generate
     poset = args.poset or ""
     builtin = poset.startswith("builtin:")
     try:

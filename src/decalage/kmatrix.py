@@ -103,6 +103,21 @@ def reduce_vector(F, echelon, vec) -> list:
     return v
 
 
+def extend_echelon(F, echelon: list, vec) -> bool:
+    """Add vec to ``echelon`` unless it lies in its span; True if it was added.
+
+    ``echelon`` is a list of (pivot, row) pairs as :func:`reduce_vector` takes
+    them, kept in increasing pivot order.
+    """
+    rest = reduce_vector(F, echelon, vec)
+    c = next((j for j, x in enumerate(rest) if not F.is_zero(x)), None)
+    if c is None:
+        return False
+    inv = F.inv_unit(rest[c])
+    insort(echelon, (c, tuple(F.mul(inv, x) for x in rest)))
+    return True
+
+
 class Subspace:
     """A subspace of k^n in row-space normal form (RREF rows, no zero rows)."""
 
@@ -192,17 +207,8 @@ class QuotientSpace:
         # greedy: keep each Z basis vector outside the span of B and the
         # representatives kept so far, tracked as one growing echelon
         echelon = list(zip(self.bspace.pivots, self.bspace.basis))
-        reps = []
-        for v in self.zspace.basis:
-            rest = reduce_vector(field, echelon, v)
-            c = next((j for j, x in enumerate(rest) if not field.is_zero(x)), None)
-            if c is None:
-                continue
-            reps.append(v)
-            inv = field.inv_unit(rest[c])
-            insort(echelon, (c, tuple(field.mul(inv, x) for x in rest)))
-        self.reps = tuple(reps)
-        cols = [tuple(b) for b in self.bspace.basis] + [tuple(r) for r in reps]
+        self.reps = tuple(v for v in self.zspace.basis if extend_echelon(field, echelon, v))
+        cols = [tuple(b) for b in self.bspace.basis] + [tuple(r) for r in self.reps]
         self._solver = Matrix.from_columns(field, cols, rows=ambient)
 
     @property

@@ -147,7 +147,11 @@ def read_json(path: str):
 
 
 def load_instance_file(path: str):
-    return load_instance(read_json(path))
+    """The instance in a JSON file, bare or under the ``instance`` key of a fixture record."""
+    data = read_json(path)
+    if isinstance(data, dict) and "instance" in data:
+        data = data["instance"]
+    return load_instance(data)
 
 
 def dump_json(obj) -> str:

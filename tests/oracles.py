@@ -11,12 +11,15 @@ R/xi^N instead of exact Smith form machinery, and the lattice flag again from
 one lattice intersection per level instead of one adapted basis.  The dense
 product, the dense matrix-vector product, the dense RREF row update and the
 dense Smith normal form are kept here as the references for the library's
-zero-skipping kernels.  The last section holds the helpers that only the
-tests call: complex invariants and shifts, induced maps, the mapping cone,
-the graded pieces of an abutment, the square of the Bockstein differential,
-sums and intersections of subspaces, random nonsingular matrices, scaled
-lattice pairs, the jumps of a flag, the validity checks of filtered
-complexes and sheaf maps, and the terms of the cokernel of a chain map.
+zero-skipping kernels.  The pullback of a sheaf to the barycentric
+subdivision of its site, with the basis-free part of a theorem report, is
+the metamorphic oracle for the whole theorem path.  The last section holds
+the helpers that only the tests call: complex invariants and shifts, induced
+maps, the mapping cone, the graded pieces of an abutment, the vanishing of a
+page's differentials, the square of the Bockstein differential, sums and
+intersections of subspaces, random nonsingular matrices, scaled lattice
+pairs, the jumps of a flag, the validity checks of filtered complexes and
+sheaf maps, and the terms of the cokernel of a chain map.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from decalage.complexes import FGModule, FreeComplex
 from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, ShapeMismatch, snf
-from decalage.sites import InvalidSheaf
+from decalage.sites import InvalidSheaf, PosetSite, SheafComplex
 from decalage.theorem import Flag, Lattice, relative_position
 
 
@@ -882,6 +885,46 @@ def abutment_graded_dims(fc, n: int) -> dict:
         zn = subspace_intersect(fc.subspace(p, n), ker)
         fdims[p] = subspace_add(zn, hq.bspace).dim - hq.bspace.dim
     return {p: fdims[p] - fdims[p + 1] for p in range(fc.p_min, fc.p_max + 1)}
+
+
+def sd_pullback(F: SheafComplex) -> SheafComplex:
+    """F pulled back along the last-vertex map sd(P) -> P, c |-> max c.
+
+    sd(P) is the poset of the chains of P ordered by inclusion.  The chain c
+    carries the stalk F(max c), and a <= b restricts by F.res(max a, max b).
+    The map is homotopy initial (each {c : max c <= x} is sd(P_{<=x}), a cone),
+    so by Quillen's Theorem A both sheaves have the same cohomology, and every
+    basis-free field of the theorem report agrees on them.
+    """
+    chains = [c for level in F.site.chains() for c in level]
+    pairs = [(a, b) for a in chains for b in chains if a != b and set(a) <= set(b)]
+    name = "<".join
+    site = PosetSite([name(c) for c in chains], [(name(a), name(b)) for a, b in pairs])
+    return SheafComplex(site, {name(c): F.stalk(c[-1]) for c in chains},
+                        {(name(a), name(b)): F.res(a[-1], b[-1]) for a, b in pairs})
+
+
+def basis_free_report(report: dict) -> dict:
+    """The fields of a theorem report's JSON that no choice of basis moves.
+
+    Flags keep their window and the dimension of each subspace, checks keep
+    their verdicts; failure payloads that print subspaces or name elements
+    are dropped.
+    """
+    def dims(flag):
+        return {**flag, "subspaces": {m: len(rows) for m, rows in flag["subspaces"].items()}}
+
+    flags = {i: {key: dims(value) if key in ("bb_flag", "image_flag") else value
+                 for key, value in entry.items()}
+             for i, entry in report["flags"].items()}
+    return {**{key: report[key] for key in ("hypotheses", "asserted", "passed",
+                                             "torsion_table", "graded")},
+            "flags": flags, "checks": {c["check"]: c["passed"] for c in report["checks"]}}
+
+
+def all_differentials_vanish(page) -> bool:
+    """Whether every differential of one spectral-sequence page is zero."""
+    return all(m.is_zero() for m in page.differentials.values())
 
 
 def beta_squared_is_zero(bc) -> bool:

@@ -22,7 +22,7 @@ from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, solve_exact
 from decalage.serialize import sheaf_from_json
 from decalage.sites import InstanceContext, PosetSite, global_sections_complex
-from decalage.spectral import FilteredComplex, ht_filtration, ss_pages
+from decalage.spectral import FilteredComplex, ht_inclusions, ss_pages
 from decalage.suites import lemma_battery
 from decalage.theorem import Lattice, bb_filtration, verify_main_theorem
 
@@ -293,7 +293,7 @@ def test_main_theorem_builds_each_adapted_basis_once_per_lattice_pair(monkeypatc
 
 def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch, z2):
     F = generate_instance("free", 1, ring=z2, site=PosetSite.sphere())
-    built = ht_filtration(InstanceContext(F))
+    built = FilteredComplex.from_inclusions(*ht_inclusions(InstanceContext(F)))
     # every kernel is taken inside z_space; record the (r, p, n) it was taken for
     requests, kernels = [], []
     z_space, kernel_cols = FilteredComplex.z_space, spectral.kernel_cols
@@ -320,6 +320,27 @@ def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch,
     second = ss_pages(FilteredComplex(built.ambient, built.pieces), 4)
     assert len(kernels) == taken
     assert [page.to_json() for page in first] == [page.to_json() for page in second]
+
+
+@pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
+def test_main_theorem_builds_no_spectral_page(monkeypatch, z2, case):
+    # both degeneration verdicts come from the persistence pairs
+    F = theorem_instance(case, z2)
+    calls = Counter()
+
+    def counted_ss_pages(*args, **kwargs):
+        calls["ss_pages"] += 1
+        return ss_pages(*args, **kwargs)
+
+    def counted_entry(fc, r, p, q, entry=FilteredComplex.entry):
+        calls["entry"] += 1
+        return entry(fc, r, p, q)
+
+    assert spectral in patch_everywhere(monkeypatch, spectral, "ss_pages", counted_ss_pages)
+    monkeypatch.setattr(FilteredComplex, "entry", counted_entry)
+    report = verify_main_theorem(F)
+    assert report.hypotheses["H3"]["page_crosscheck_agrees"]
+    assert calls["ss_pages"] == 0 and calls["entry"] == 0
 
 
 @pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
@@ -368,7 +389,7 @@ def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(z2, case):
 
 def test_ss_pages_builds_each_cell_once_per_filtered_complex(monkeypatch, z2):
     F = generate_instance("free", 1, ring=z2, site=PosetSite.sphere())
-    built = ht_filtration(InstanceContext(F))
+    built = FilteredComplex.from_inclusions(*ht_inclusions(InstanceContext(F)))
     probe = FilteredComplex(built.ambient, built.pieces)
     d = probe.ambient.d
     positions = [(r, p, n) for r in range(1, 5) for p in range(probe.p_min, probe.p_max + 1)

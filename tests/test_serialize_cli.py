@@ -187,6 +187,40 @@ def test_cli_bad_generation_options_are_parse_errors(tmp_path, command, options)
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command", ["check-lemmas", "check-theorem"])
+@pytest.mark.parametrize("options", [
+    ["--generate", "adversarial", "--count", "0", "--max-rank", "-5", "--seed", "3"],
+    ["--seed", "0"],
+    ["--ring", "z"],
+    ["--poset", "builtin:point"],
+], ids=["several", "seed-at-default", "ring-at-default", "poset"])
+def test_cli_generation_options_with_a_path_are_parse_errors(command, options):
+    r = run_cli(command, "point_torsion_example.json", *options)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "parse error" in r.stderr and "generation option" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_runs_the_bundled_fixtures_by_bare_name():
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
+    with open(os.path.join(fixtures, "h3_failure_witness.json")) as fh:
+        F = sheaf_from_json(json.load(fh)["instance"])
+    r = run_cli("check-theorem", "h3_failure_witness.json", "--format", "json")
+    assert r.returncode == 3, r.stderr
+    (report,) = json.loads(r.stdout)["instances"]
+    assert report.pop("instance") == "h3_failure_witness.json"
+    from decalage.theorem import verify_main_theorem
+
+    assert report == json.loads(json.dumps(verify_main_theorem(F).to_json()))
+
+    with open(os.path.join(fixtures, "golden_free_z2_seed42.json")) as fh:
+        frozen = json.load(fh)["lemma_report"]
+    r = run_cli("check-lemmas", "golden_free_z2_seed42.json", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    (report,) = json.loads(r.stdout)["instances"]
+    assert report["checks"] == frozen["checks"] and report["passed"] == frozen["passed"]
+
+
 def test_cli_closed_stdout_is_quiet():
     # the JSON report is larger than a pipe buffer, so the reader leaves mid-write
     args = ("check-theorem", "--count", "20", "--format", "json")

@@ -1,12 +1,15 @@
 import json
 import os
+import random
+from collections import Counter
 
 import pytest
 
 from decalage.bockstein import k_cohomology_quotient
 from decalage.complexes import ChainMap, FreeComplex
 from decalage.instances import generate_instance
-from decalage.rings import IntegerRing, PolynomialRing, PrimeField
+from decalage.kmatrix import field_rank, solve_field
+from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix
 from decalage.serialize import sheaf_from_json
 from decalage.sites import InstanceContext, PosetSite, SheafComplex
@@ -15,14 +18,20 @@ from decalage.spectral import (
     compare_degeneration,
     degeneration_check_HT,
     degeneration_check_HdR,
-    hdr_filtration,
+    hdr_inclusions,
     hdr_spectral_sequence,
     ht_e2_crosscheck,
-    ht_filtration,
+    ht_inclusions,
     ht_spectral_sequence,
+    persistence_pairs,
     ss_pages,
 )
-from oracles import abutment_graded_dims, validate_filtered, z_space_oracle
+from oracles import (
+    abutment_graded_dims,
+    all_differentials_vanish,
+    validate_filtered,
+    z_space_oracle,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
 
@@ -43,7 +52,7 @@ def test_single_jump_filtration_degenerates(z3, rng):
     validate_filtered(fc)
     pages = ss_pages(fc, 3)
     for page in pages:
-        assert page.all_differentials_vanish()
+        assert all_differentials_vanish(page)
     for n in total.degrees():
         gr = abutment_graded_dims(fc, n)
         assert sum(gr.values()) == k_cohomology_quotient(total, n).dim
@@ -51,13 +60,13 @@ def test_single_jump_filtration_degenerates(z3, rng):
 
 def test_page_consistency_and_abutment(rng, z2):
     # E_{r+1} dims equal homology dims of (E_r, d_r); E_infty matches abutment
-    from decalage.kmatrix import field_rank
+    from decalage.kmatrix import field_rank, solve_field
 
     for seed in (3, 4, 5):
         F = generate_instance("free", seed, ring=z2)
         ctx = InstanceContext(F)
         pages = ht_spectral_sequence(ctx, r_max=5)
-        fc = ht_filtration(ctx)
+        fc = FilteredComplex.from_inclusions(*ht_inclusions(ctx))
         total = fc.ambient
         for a, b in zip(pages, pages[1:]):
             for key, dim in b.entries.items():
@@ -195,10 +204,125 @@ def z_space_instance(case):
 ] + ["h3_failure_witness"])
 def test_z_space_matches_intersection_oracle(case):
     ctx = InstanceContext(z_space_instance(case))
-    for filtration in (ht_filtration, hdr_filtration):
-        fc = filtration(ctx)
+    for inclusions in (ht_inclusions, hdr_inclusions):
+        fc = FilteredComplex.from_inclusions(*inclusions(ctx))
         for r in range(0, 6):
             for p in range(fc.p_min - 1, fc.p_max + 2):
                 for n in fc.ambient.degrees():
                     assert fc.z_space(r, p, n) == z_space_oracle(fc, r, p, n), \
-                        (filtration.__name__, r, p, n)
+                        (inclusions.__name__, r, p, n)
+
+
+def pairing_case(case):
+    if case == "h3_failure_witness":
+        return z_space_instance(case)
+    site, ring, seed = case.split(":")
+    if site == "adversarial":
+        return generate_instance("adversarial", int(seed), ring=IntegerRing(2),
+                                 site=PosetSite.sphere())
+    rings = {"z2": IntegerRing(2), "z3": IntegerRing(3), "f5t": PolynomialRing(PrimeField(5)),
+             "qt": PolynomialRing(RationalField())}
+    return generate_instance("free", int(seed), ring=rings[ring], site=PosetSite.builtin(site))
+
+
+def assert_pairs_match_pages(ambient, inclusions) -> list:
+    """Check the pairs against pages 1 to 5 of the closed form; returns the pairs.
+
+    The rank of d_r out of (p, n) is the number of pairs with gap r from
+    there, and E_r(p, n - p) counts the level-p, degree-n generators that are
+    unpaired or paired with gap at least r.
+    """
+    fc = FilteredComplex.from_inclusions(ambient, inclusions)
+    pairs = persistence_pairs(ambient, inclusions)
+    gaps = Counter((s, n, t - s) for s, n, t in pairs)
+    for r, page in enumerate(ss_pages(fc, 5), start=1):
+        for p in range(fc.p_min, fc.p_max + 1):
+            for n in ambient.degrees():
+                mat = page.differentials.get((p, n - p))
+                rank = field_rank(mat) if mat is not None else 0
+                assert rank == gaps[(p, n, r)], (r, p, n)
+                generators = fc.subspace(p, n).dim - fc.subspace(p + 1, n).dim
+                gone = sum(1 for s, m, t in pairs if t - s < r
+                           and ((s, m) == (p, n) or (t, m + 1) == (p, n)))
+                assert page.dim(p, n - p) == generators - gone, (r, p, n)
+    return pairs
+
+
+@pytest.mark.parametrize("case", [
+    f"{site}:{ring}:{seed}"
+    for site in ("point", "pseudo-circle", "chain3", "sphere")
+    for ring, seed in (("z2", 4), ("z3", 5), ("f5t", 6), ("qt", 7))
+] + ["h3_failure_witness"] + [f"adversarial:z2:{seed}" for seed in (1, 2, 3)])
+def test_persistence_pairs_match_the_closed_form_pages(case):
+    ctx = InstanceContext(pairing_case(case))
+    for inclusions in (ht_inclusions, hdr_inclusions):
+        assert_pairs_match_pages(*inclusions(ctx))
+    if case == "h3_failure_witness":
+        q_max = ctx.reduced().hi()
+        d2 = sorted([n - (q_max - s), q_max - s]
+                    for s, n, t in persistence_pairs(*ht_inclusions(ctx)) if t - s == 1)
+        assert d2 == [[0, 1]]
+
+
+def random_invertible(F, n, rng):
+    while True:
+        M = Matrix(F, [[F.parse(str(rng.randrange(-3, 4))) for _ in range(n)]
+                       for _ in range(n)], cols=n)
+        if field_rank(M) == n:
+            return M
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), RationalField()],
+                         ids=["f2", "f3", "q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_persistence_pairs_recover_a_planted_barcode(field, seed):
+    # a direct sum of intervals x -> y, x at level s in degree n and y at level
+    # t in degree n + 1, plus unpaired generators, filtered by level and seen
+    # through random coordinates in each degree and each filtration piece
+    rng = random.Random(seed)
+    planted = []
+    for n in (0, 1):
+        for _ in range(rng.randrange(1, 5)):
+            s = rng.randrange(6)
+            planted.append((s, n, rng.randint(s, 5)))
+    gens = {n: [(rng.randrange(6), None) for _ in range(rng.randrange(3))] for n in range(3)}
+    for k, (s, n, t) in enumerate(planted):
+        gens[n].append((s, ("src", k)))
+        gens[n + 1].append((t, ("tgt", k)))
+    for n in gens:
+        gens[n].sort(key=lambda g: g[0], reverse=True)
+    ranks = [len(gens[n]) for n in range(3)]
+    one = field.one()
+
+    def d(n):
+        tags = [tag for _, tag in gens[n + 1]]
+        rows = [[field.zero()] * ranks[n] for _ in range(ranks[n + 1])]
+        for j, (_, tag) in enumerate(gens[n]):
+            if tag is not None and tag[0] == "src":
+                rows[tags.index(("tgt", tag[1]))][j] = one
+        return Matrix(field, rows, cols=ranks[n])
+
+    G = {n: random_invertible(field, ranks[n], rng) for n in range(3)}
+    ambient = FreeComplex(field, 0, ranks, [
+        G[n + 1] @ d(n) @ solve_field(G[n], Matrix.identity(field, ranks[n])) for n in (0, 1)])
+    inclusions = {}
+    for p in range(6):
+        keep = {n: [j for j, (level, _) in enumerate(gens[n]) if level >= p] for n in range(3)}
+        R = {n: random_invertible(field, len(keep[n]), rng) for n in range(3)}
+        sub = FreeComplex(field, 0, [len(keep[n]) for n in range(3)], [
+            solve_field(R[n + 1], Matrix(field, [d(n).data[i] for i in keep[n + 1]],
+                                         cols=ranks[n]).take_columns(keep[n]) @ R[n])
+            for n in (0, 1)])
+        inclusions[p] = ChainMap(sub, ambient,
+                                 {n: G[n].take_columns(keep[n]) @ R[n] for n in range(3)})
+        inclusions[p].validate()
+    pairs = assert_pairs_match_pages(ambient, inclusions)
+    assert Counter(pairs) == Counter(planted)
+
+
+def test_persistence_pairs_need_the_whole_complex_at_the_lowest_level():
+    k = PrimeField(2)
+    ambient = FreeComplex(k, 0, [2], [])
+    line = FreeComplex(k, 0, [1], [])
+    with pytest.raises(ValueError, match="whole complex"):
+        persistence_pairs(ambient, {0: ChainMap(line, ambient, {0: Matrix(k, [[1], [0]])})})
