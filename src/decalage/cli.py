@@ -142,12 +142,19 @@ def _instances(args):
     return out
 
 
-def cmd_validate(args) -> int:
-    F = load_instance_file(resolve_path(args.path))
+def _invalid(F, out=None) -> bool:
+    """Print the ``invalid:`` line to ``out`` (stdout by default) if F fails validation."""
     try:
         F.validate()
     except Exception as exc:
-        print(f"invalid: {type(exc).__name__}: {exc}")
+        print(f"invalid: {type(exc).__name__}: {exc}", file=out)
+        return True
+    return False
+
+
+def cmd_validate(args) -> int:
+    F = load_instance_file(resolve_path(args.path))
+    if _invalid(F):
         return EXIT_VIOLATION
     print(f"valid: {len(F.site.elements)} stalk(s), "
           f"degrees [{F.lo()}, {F.hi()}]")
@@ -172,6 +179,9 @@ def cmd_check_lemmas(args) -> int:
 
 def cmd_check_theorem(args) -> int:
     instances = _instances(args)
+    # an instance that fails validation gets its one line, not a traceback
+    if any(_invalid(F, sys.stderr) for _, F in instances):
+        return EXIT_VIOLATION
     payload = {"instances": []}
     lines = []
     any_violation = False
@@ -234,6 +244,8 @@ def cmd_ss(args) -> int:
     if args.pages < 1:
         raise SerializeError(f"--pages must be at least 1, got {args.pages}")
     F = load_instance_file(resolve_path(args.path))
+    if _invalid(F, sys.stderr):
+        return EXIT_VIOLATION
     ctx = InstanceContext(F)
     if args.filtration == "tau":
         pages = ht_spectral_sequence(ctx, r_max=args.pages)

@@ -340,7 +340,7 @@ def generate_instance(profile: str, seed: int, ring: BaseRing | None = None,
     ring = ring or IntegerRing(2)
     witnesses = profile == "adversarial" and site in (None, PosetSite.sphere())
     for attempt in range(budget):
-        chosen_site = site or PosetSite.builtin(rng.choice(_SITES))
+        chosen_site = site if site is not None else PosetSite.builtin(rng.choice(_SITES))
         torsion_free = profile == "h1"
         if witnesses and attempt % 3 == 2:
             F = resolution_witness_sheaf(ring, rng)

@@ -14,7 +14,7 @@ import json
 from .complexes import ChainMap, FreeComplex
 from .rings import BaseRing, RingElementError, ring_from_description
 from .rmatrix import Matrix
-from .sites import PosetSite, SheafComplex
+from .sites import InvalidSheaf, PosetSite, SheafComplex
 
 
 class SerializeError(ValueError):
@@ -50,16 +50,19 @@ def complex_to_json(K: FreeComplex) -> dict:
     }
 
 
-def complex_from_json(data: dict, ring: BaseRing | None = None) -> FreeComplex:
+def complex_from_json(data: dict) -> FreeComplex:
     if not isinstance(data, dict):
         raise SerializeError("complex JSON must be an object")
     try:
-        ring = ring or ring_from_description(data["ring"])
+        ring = ring_from_description(data["ring"])
         lo = int(data["lo"])
         ranks = [int(r) for r in data["ranks"]]
         raw = data.get("differentials", [])
     except (KeyError, TypeError, ValueError, RingElementError) as exc:
         raise SerializeError(f"bad complex JSON: {exc}") from exc
+    if ring.is_field:
+        raise SerializeError(f"a complex needs a ring with a uniformizer xi; "
+                             f"{ring.kind!r} is a field")
     if lo < 0:
         raise SerializeError(f"degrees must be nonnegative, got lo = {lo}")
     if any(r < 0 for r in ranks):
@@ -105,19 +108,21 @@ def sheaf_from_json(data: dict) -> SheafComplex:
     if not isinstance(data, dict) or "site" not in data:
         raise SerializeError("sheaf JSON must carry a site")
     site = site_from_json(data["site"])
+    raw_stalks, raw = data.get("stalks"), data.get("restrictions", {})
+    if not isinstance(raw_stalks, dict) or not isinstance(raw, dict):
+        raise SerializeError("stalks and restrictions must be objects")
     try:
-        stalks = {x: complex_from_json(data["stalks"][x]) for x in site.elements}
+        stalks = {x: complex_from_json(raw_stalks[x]) for x in site.elements}
     except KeyError as exc:
         raise SerializeError(f"missing stalk: {exc}") from exc
     restrictions = {}
-    raw = data.get("restrictions", {})
     for a, b in site.strict_pairs():
         key = f"{a}<={b}"
         if key not in raw:
             raise SerializeError(f"missing restriction {key}")
         src, tgt = stalks[a], stalks[b]
         mats = raw[key]
-        if len(mats) != src.hi - src.lo + 1:
+        if not isinstance(mats, list) or len(mats) != src.hi - src.lo + 1:
             raise SerializeError(f"restriction {key} needs one matrix per degree")
         maps = {
             src.lo + j: matrix_from_json(
@@ -126,7 +131,10 @@ def sheaf_from_json(data: dict) -> SheafComplex:
             for j in range(len(mats))
         }
         restrictions[(a, b)] = ChainMap(src, tgt, maps)
-    return SheafComplex(site, stalks, restrictions)
+    try:
+        return SheafComplex(site, stalks, restrictions)
+    except InvalidSheaf as exc:
+        raise SerializeError(f"bad sheaf JSON: {exc}") from exc
 
 
 def load_instance(data):

@@ -38,6 +38,8 @@ class PosetSite:
 
     def __init__(self, elements, relations):
         elems = tuple(sorted(dict.fromkeys(str(e) for e in elements)))
+        if not elems:
+            raise ValueError("a site needs at least one element")
         rel = {(str(a), str(b)) for a, b in relations}
         for a, b in rel:
             if a not in elems or b not in elems:

@@ -1,21 +1,22 @@
 """Filtered complexes over the residue field and their spectral sequences.
 
-The degeneration checks read their verdicts off the persistence pairs of the
-filtered differential and build no page.  The pages that ``ss`` prints come
-from the closed-form cycle/boundary subquotients
+A filtered complex is held as its adapted form: per degree, a basis listed
+highest filtration level first, and d in those bases.  The degeneration
+checks read their verdicts off the persistence pairs of that form and build
+no page.  The pages that ``ss`` prints come from the closed-form subquotients
 
     Z_r(p, n) = F_p C^n  ∩  d^{-1}(F_{p+r} C^{n+1})
     E_r(p, q) = Z_r(p, n) / ( Z_{r-1}(p+1, n) + d Z_{r-1}(p-r+1, n-1) ),
 
-with n = p + q, entirely in exact linear algebra over k.  A filtered complex
-builds each Z_r(p, n) once, with one kernel computation, and each distinct
-cell E_r(p, q) once, as one quotient; every entry and page after that reuses
-them.  The stores live on the filtered complex, which each spectral-sequence
-call builds and drops.  Two spectral sequences are packaged: the
-truncation-filtration one on the global sections of K/xi (reported with its
-customary page numbering, starting at 2) and the Hodge-filtration one on the
-global sections of the objectwise Bockstein complex (starting at 1).
-Degeneration detectors and the cokernel-comparison record live here as well.
+with n = p + q, in exact linear algebra over k; each Z_r(p, n) is one
+corner-block kernel of the adapted d.  A filtered complex builds each
+Z_r(p, n) and each distinct cell E_r(p, q) once; the stores live on the
+filtered complex, which each spectral-sequence call builds and drops.  Two
+spectral sequences are packaged: the truncation-filtration one on the global
+sections of K/xi (reported with its customary page numbering, starting at 2)
+and the Hodge-filtration one on the global sections of the objectwise
+Bockstein complex (starting at 1).  Degeneration detectors and the
+cokernel-comparison record live here as well.
 """
 
 from __future__ import annotations
@@ -35,82 +36,56 @@ def k_induced_matrix(ctx: InstanceContext, cm: ChainMap, i: int) -> Matrix:
 
 
 class FilteredComplex:
-    """A decreasing, exhaustive, bounded filtration by subspaces per degree.
+    """A decreasing, exhaustive, bounded filtration, held as its adapted form.
 
-    ``pieces[p][n]`` is the subspace F_p C^n; p runs over [p_min, p_max] with
-    F_{p_min} the whole complex and F_{p_max+1} = 0.  Each F_p must be
-    d-stable with F_{p+1} <= F_p degreewise, as the images of nested
-    subcomplexes are.  The images d(F_p C^n), the spaces Z_r(p, n) and the
-    cells E_r(p, q) are kept on the object as they are first built.
+    ``inclusions`` maps p to the inclusion of F_p, decreasing in p, with
+    F_{p_min} the whole complex and F_{p_max+1} = 0; each F_p must be a
+    subcomplex.  In the adapted basis F_p C^n is a leading run of columns, so
+    every Z_r(p, n) is one corner-block kernel of d.  The spaces Z_r(p, n) and
+    the cells E_r(p, q) are kept on the object as they are first built.
     """
 
-    __slots__ = ("ambient", "field", "p_min", "p_max", "pieces", "_d_images",
-                 "_z_spaces", "_cells")
+    __slots__ = ("ambient", "field", "p_min", "p_max", "form", "_z_spaces", "_cells")
 
-    def __init__(self, ambient: FreeComplex, pieces: dict):
+    def __init__(self, ambient: FreeComplex, inclusions: dict):
         self.ambient = ambient
         self.field = ambient.ring
         if not self.field.is_field:
             raise ValueError("filtered complexes live over the residue field")
-        self.p_min = min(pieces)
-        self.p_max = max(pieces)
-        self.pieces = pieces
-        self._d_images = {}
+        self.p_min = min(inclusions)
+        self.p_max = max(inclusions)
+        self.form = adapted_form(ambient, inclusions)
         self._z_spaces = {}
         self._cells = {}
 
-    @classmethod
-    def from_inclusions(cls, ambient: FreeComplex, inclusions: dict) -> "FilteredComplex":
-        """inclusions: p -> ChainMap into ambient (decreasing in p)."""
-        pieces = {}
-        for p, cm in inclusions.items():
-            level = {}
-            for n in ambient.degrees():
-                level[n] = Subspace.from_columns(cm.map(n))
-            pieces[p] = level
-        return cls(ambient, pieces)
-
-    def subspace(self, p: int, n: int) -> Subspace:
-        if n < self.ambient.lo or n > self.ambient.hi:
-            return Subspace(self.field, max(self.ambient.rank(n), 0))
-        if p < self.p_min:
-            return Subspace.full(self.field, self.ambient.rank(n))
-        if p > self.p_max:
-            return Subspace(self.field, self.ambient.rank(n))
-        return self.pieces[p][n]
+    def _count(self, n: int, p: int) -> int:
+        """The number of degree-n adapted basis vectors of level >= p."""
+        levels = self.form[n][0] if n in self.form else ()
+        return sum(1 for level in levels if level >= p)
 
     # -- page machinery -----------------------------------------------------
-
-    def d_image(self, p: int, n: int) -> Matrix:
-        """d applied to the basis of F_p C^n, one column per basis vector."""
-        key = (p, n)
-        if key not in self._d_images:
-            basis = self.subspace(p, n).matrix().transpose()
-            self._d_images[key] = self.ambient.d(n) @ basis
-        return self._d_images[key]
 
     def z_space(self, r: int, p: int, n: int) -> Subspace:
         """Z_r(p, n) = F_p C^n ∩ d^{-1}(F_{p+r} C^{n+1}).
 
-        With B_p the matrix whose columns are the basis of F_p, one kernel of
-        [d B_p | B_{p+r}] has an x-part that, mapped back through B_p, spans
-        the intersection.
+        F_p C^n is spanned by the first c basis vectors B_n[:, :c] and
+        F_{p+r} C^{n+1} by the first ρ in degree n + 1, so Z_r(p, n) is
+        B_n[:, :c] · ker(D_n[ρ:, :c]).  For r <= 0 it is F_p C^n itself, which
+        is d-stable.
         """
-        # F_p is the whole complex below p_min and zero above p_max
-        src = min(max(p, self.p_min - 1), self.p_max + 1)
-        tgt = min(max(p + r, self.p_min - 1), self.p_max + 1)
-        fp = self.subspace(src, n)
-        if tgt <= src:
-            return fp  # F_{p+r} contains F_p, which is d-stable
-        key = (src, tgt, n)
+        c = self._count(n, p)
+        rows = self.ambient.rank(n + 1)
+        rho = rows if r <= 0 else self._count(n + 1, p + r)
+        key = (n, c, rho)
         if key not in self._z_spaces:
-            bound = self.subspace(tgt, n + 1)
-            if fp.dim == 0 or bound.is_full():
-                z = fp
+            if c == 0:
+                z = Subspace(self.field, self.ambient.rank(n))
             else:
-                ker = kernel_cols(self.d_image(src, n).hstack(bound.matrix().transpose()))
-                xpart = ker.submatrix(0, fp.dim, 0, ker.cols)
-                z = Subspace.from_columns(fp.matrix().transpose() @ xpart)
+                _, basis, d = self.form[n]
+                span = basis.submatrix(0, basis.rows, 0, c)
+                if rho < rows:
+                    span = span @ kernel_cols(d.submatrix(rho, rows, 0, c))
+                z = Subspace.from_columns(span)
             self._z_spaces[key] = z
         return self._z_spaces[key]
 
@@ -196,19 +171,17 @@ def ss_pages(fc: FilteredComplex, r_max: int, label_shift: int = 0,
     return pages
 
 
-def persistence_pairs(ambient: FreeComplex, inclusions: dict) -> list:
-    """The persistence pairs (p_src, n, p_tgt) of a filtered complex.
+def adapted_form(ambient: FreeComplex, inclusions: dict) -> dict:
+    """n -> (levels, basis, d): a filtered complex in a basis adapted to its filtration.
 
     ``inclusions`` maps p to the inclusion of F_p, decreasing in p, with
-    F_{p_min} the whole complex.  In bases adapted to the filtration, rows and
-    columns ordered highest level first, the columns of d are reduced left to
-    right; each pivot pairs its column (level p, degree n) with its last
-    nonzero row (level p + r).  So d_r out of E_r(p, n - p) has rank the
-    number of pairs with gap r from (p, n), and E_r(p, n - p) counts the
-    level-p, degree-n basis vectors unpaired or paired with gap at least r.
+    F_{p_min} the whole complex.  The degree-n basis lists its vectors highest
+    level first, ``levels`` giving each one's level, so F_p C^n is spanned by
+    a leading run of columns; ``d`` is d(n) in the degree-n and degree-(n+1)
+    bases.
     """
     F = ambient.ring
-    levels, bases = {}, {}
+    adapted = {}
     for n in ambient.degrees():
         echelon, kept = [], []
         for p in sorted(inclusions, reverse=True):
@@ -216,12 +189,29 @@ def persistence_pairs(ambient: FreeComplex, inclusions: dict) -> list:
                      if extend_echelon(F, echelon, v)]
         if len(kept) != ambient.rank(n):
             raise ValueError("the lowest filtration piece is not the whole complex")
-        levels[n] = [p for p, _ in kept]
-        bases[n] = Matrix.from_columns(F, [v for _, v in kept], rows=ambient.rank(n))
+        adapted[n] = ([p for p, _ in kept],
+                      Matrix.from_columns(F, [v for _, v in kept], rows=ambient.rank(n)))
+    # d out of the top degree is the empty matrix in any basis
+    return {n: (levels, basis, solve_field(adapted[n + 1][1], ambient.d(n) @ basis)
+                if n < ambient.hi else ambient.d(n))
+            for n, (levels, basis) in adapted.items()}
+
+
+def persistence_pairs(ambient: FreeComplex, inclusions: dict) -> list:
+    """The persistence pairs (p_src, n, p_tgt) of a filtered complex.
+
+    In the adapted form, rows and columns ordered highest level first, the
+    columns of d are reduced left to right; each pivot pairs its column
+    (level p, degree n) with its last nonzero row (level p + r).  So d_r out
+    of E_r(p, n - p) has rank the number of pairs with gap r from (p, n), and
+    E_r(p, n - p) counts the level-p, degree-n basis vectors unpaired or
+    paired with gap at least r.
+    """
+    F = ambient.ring
+    form = adapted_form(ambient, inclusions)
     pairs = []
-    for n in range(ambient.lo, ambient.hi):
+    for n, (levels, _, d) in form.items():
         reduced = {}  # last nonzero row -> the reduced column that owns it
-        d = solve_field(bases[n + 1], ambient.d(n) @ bases[n])
         for j, col in enumerate(d.columns()):
             while True:
                 low = next((i for i in reversed(range(len(col))) if not F.is_zero(col[i])), None)
@@ -229,7 +219,7 @@ def persistence_pairs(ambient: FreeComplex, inclusions: dict) -> list:
                     break
                 if low not in reduced:
                     reduced[low] = col
-                    pairs.append((levels[n][j], n, levels[n + 1][low]))
+                    pairs.append((levels[j], n, form[n + 1][0][low]))
                     break
                 other = reduced[low]
                 f = F.mul(col[low], F.inv_unit(other[low]))
@@ -265,7 +255,7 @@ def ht_spectral_sequence(ctx: InstanceContext, r_max: int = 4) -> list:
         n = p + q              # total degree
         return (n - s, s)
 
-    fc = FilteredComplex.from_inclusions(*ht_inclusions(ctx))
+    fc = FilteredComplex(*ht_inclusions(ctx))
     return ss_pages(fc, r_max, label_shift=1, relabel=relabel)
 
 
@@ -304,7 +294,7 @@ def hdr_spectral_sequence(ctx: InstanceContext, r_max: int = 4) -> list:
     E_1^{p,q} = H^q(S, degree-p term), abutting to the cohomology of the
     global sections of the Bockstein sheaf complex.
     """
-    return ss_pages(FilteredComplex.from_inclusions(*hdr_inclusions(ctx)), r_max)
+    return ss_pages(FilteredComplex(*hdr_inclusions(ctx)), r_max)
 
 
 # ---------------------------------------------------------------------------

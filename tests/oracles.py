@@ -370,14 +370,24 @@ def preimage_subspace(d: Matrix, W: Subspace) -> Subspace:
     return Subspace.from_columns(ker)
 
 
-def z_space_oracle(fc, r: int, p: int, n: int) -> Subspace:
-    """Z_r(p, n) = F_p ∩ d^{-1}(F_{p+r}), with the preimage as the kernel of d
-    followed by the projection onto C^{n+1} / F_{p+r}."""
+def filtration_piece(ambient, inclusions: dict, p: int, n: int) -> Subspace:
+    """F_p C^n spanned by the inclusion's columns: whole below the lowest p, zero above the top."""
+    if p < min(inclusions):
+        return Subspace.full(ambient.ring, ambient.rank(n))
+    if p > max(inclusions):
+        return Subspace(ambient.ring, ambient.rank(n))
+    return Subspace.from_columns(inclusions[p].map(n))
+
+
+def z_space_oracle(ambient, inclusions: dict, r: int, p: int, n: int) -> Subspace:
+    """Z_r(p, n) = F_p ∩ d^{-1}(F_{p+r}), with each F_p read off its inclusion
+    and the preimage as the kernel of d followed by the projection onto
+    C^{n+1} / F_{p+r}."""
+    piece = filtration_piece(ambient, inclusions, p, n)
     if r <= 0:
-        return fc.subspace(p, n)
-    return subspace_intersect(
-        fc.subspace(p, n), preimage_subspace(fc.ambient.d(n), fc.subspace(p + r, n + 1))
-    )
+        return piece
+    bound = filtration_piece(ambient, inclusions, p + r, n + 1)
+    return subspace_intersect(piece, preimage_subspace(ambient.d(n), bound))
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +892,7 @@ def abutment_graded_dims(fc, n: int) -> dict:
     ker = Subspace.from_columns(kernel_cols(fc.ambient.d(n)))
     fdims = {}
     for p in range(fc.p_min, fc.p_max + 2):
-        zn = subspace_intersect(fc.subspace(p, n), ker)
+        zn = subspace_intersect(fc.z_space(0, p, n), ker)
         fdims[p] = subspace_add(zn, hq.bspace).dim - hq.bspace.dim
     return {p: fdims[p] - fdims[p + 1] for p in range(fc.p_min, fc.p_max + 1)}
 
@@ -1014,10 +1024,11 @@ def validate_filtered(fc) -> None:
     """Raise ValueError unless each F_p of fc is d-stable and F_{p+1} <= F_p."""
     for p in range(fc.p_min, fc.p_max + 1):
         for n in fc.ambient.degrees():
-            if not fc.subspace(p, n).contains_space(fc.subspace(p + 1, n)):
+            piece = fc.z_space(0, p, n)  # Z_0(p, n) is F_p C^n
+            if not piece.contains_space(fc.z_space(0, p + 1, n)):
                 raise ValueError(f"filtration not nested at (p, n) = {(p, n)}")
-            image = Subspace.from_columns(fc.d_image(p, n))
-            if not fc.subspace(p, n + 1).contains_space(image):
+            image = Subspace.from_columns(fc.ambient.d(n) @ piece.matrix().transpose())
+            if not fc.z_space(0, p, n + 1).contains_space(image):
                 raise ValueError(f"filtration not d-stable at (p, n) = {(p, n)}")
 
 

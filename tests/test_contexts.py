@@ -293,7 +293,7 @@ def test_main_theorem_builds_each_adapted_basis_once_per_lattice_pair(monkeypatc
 
 def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch, z2):
     F = generate_instance("free", 1, ring=z2, site=PosetSite.sphere())
-    built = FilteredComplex.from_inclusions(*ht_inclusions(InstanceContext(F)))
+    built = ht_inclusions(InstanceContext(F))
     # every kernel is taken inside z_space; record the (r, p, n) it was taken for
     requests, kernels = [], []
     z_space, kernel_cols = FilteredComplex.z_space, spectral.kernel_cols
@@ -311,13 +311,13 @@ def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch,
 
     monkeypatch.setattr(FilteredComplex, "z_space", traced_z_space)
     monkeypatch.setattr(spectral, "kernel_cols", counted_kernel_cols)
-    first = ss_pages(FilteredComplex(built.ambient, built.pieces), 4)
+    first = ss_pages(FilteredComplex(*built), 4)
     assert kernels and all(key is not None and 1 <= key[0] <= 4 for key in kernels)
     assert max(Counter(kernels).values()) == 1
     taken = len(kernels)
     kernels.clear()
     # a fresh filtered complex on the same input keeps nothing from the first
-    second = ss_pages(FilteredComplex(built.ambient, built.pieces), 4)
+    second = ss_pages(FilteredComplex(*built), 4)
     assert len(kernels) == taken
     assert [page.to_json() for page in first] == [page.to_json() for page in second]
 
@@ -389,8 +389,8 @@ def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(z2, case):
 
 def test_ss_pages_builds_each_cell_once_per_filtered_complex(monkeypatch, z2):
     F = generate_instance("free", 1, ring=z2, site=PosetSite.sphere())
-    built = FilteredComplex.from_inclusions(*ht_inclusions(InstanceContext(F)))
-    probe = FilteredComplex(built.ambient, built.pieces)
+    built = ht_inclusions(InstanceContext(F))
+    probe = FilteredComplex(*built)
     d = probe.ambient.d
     positions = [(r, p, n) for r in range(1, 5) for p in range(probe.p_min, probe.p_max + 1)
                  for n in probe.ambient.degrees()]
@@ -406,11 +406,11 @@ def test_ss_pages_builds_each_cell_once_per_filtered_complex(monkeypatch, z2):
         return build(*args)
 
     monkeypatch.setattr(spectral, "QuotientSpace", counted)
-    first = ss_pages(FilteredComplex(built.ambient, built.pieces), 4)
+    first = ss_pages(FilteredComplex(*built), 4)
     assert len(quotients) == len(set(cells))
     quotients.clear()
     # a fresh filtered complex on the same input keeps nothing from the first
-    second = ss_pages(FilteredComplex(built.ambient, built.pieces), 4)
+    second = ss_pages(FilteredComplex(*built), 4)
     assert len(quotients) == len(set(cells))
     assert [page.to_json() for page in first] == [page.to_json() for page in second]
     # every reused cell has the dimension of the quotient its own (r, p, q) defines

@@ -98,6 +98,80 @@ def test_cli_negative_degree_is_a_parse_error(tmp_path, command):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "check-lemmas", "check-theorem", "ss"])
+@pytest.mark.parametrize("ring", [{"kind": "prime-field", "p": 5}, {"kind": "rationals"}],
+                         ids=["f5", "q"])
+def test_cli_complex_over_a_field_is_a_parse_error(tmp_path, command, ring):
+    # a field has no uniformizer xi, so no stage or Bockstein is defined
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"ring": ring, "lo": 0, "ranks": [1, 1],
+                                "differentials": [["1"]]}))
+    r = run_cli(command, str(path))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "parse error" in r.stderr and "field" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+EMPTY_SITE = {"elements": [], "leq": []}
+
+
+@pytest.mark.parametrize("where", ["poset", "sheaf"])
+def test_cli_empty_site_is_a_parse_error(tmp_path, where):
+    path = tmp_path / "empty.json"
+    if where == "poset":
+        path.write_text(json.dumps(EMPTY_SITE))
+        args = ("--poset", str(path))
+    else:
+        path.write_text(json.dumps({"site": EMPTY_SITE, "stalks": {}, "restrictions": {}}))
+        args = (str(path),)
+    r = run_cli("check-theorem", *args)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "parse error" in r.stderr and "at least one element" in r.stderr
+    assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+def two_point_sheaf(xi_b="2", restriction=None) -> dict:
+    """Sheaf JSON on a <= b with rank-one stalks in degree 0."""
+    def stalk(xi):
+        return {"ring": {"kind": "z", "xi": xi}, "lo": 0, "ranks": [1], "differentials": []}
+
+    return {"site": {"elements": ["a", "b"], "leq": [["a", "b"]]},
+            "stalks": {"a": stalk("2"), "b": stalk(xi_b)},
+            "restrictions": {"a<=b": [[["1"]]] if restriction is None else restriction}}
+
+
+@pytest.mark.parametrize("command", ["validate", "check-lemmas", "check-theorem", "ss"])
+@pytest.mark.parametrize("case", ["mixed-rings", "restriction-not-a-list"])
+def test_cli_malformed_sheaf_is_a_parse_error(tmp_path, command, case):
+    data = two_point_sheaf(xi_b="3") if case == "mixed-rings" else two_point_sheaf(restriction=7)
+    path = tmp_path / "sheaf.json"
+    path.write_text(json.dumps(data))
+    r = run_cli(command, str(path))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "parse error" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["check-theorem", "ss"])
+@pytest.mark.parametrize("case", ["square-nonzero", "restriction-not-a-chain-map"])
+def test_cli_invalid_instance_prints_the_validate_line(tmp_path, z3, command, case):
+    path = tmp_path / "invalid.json"
+    if case == "square-nonzero":
+        path.write_text(json.dumps(complex_to_json(
+            FreeComplex(z3, 0, [1, 1, 1], [Matrix(z3, [[1]]), Matrix(z3, [[1]])]))))
+    else:
+        # d = 3 on both stalks, and a restriction that is 1 in degree 0 and 0 in degree 1
+        data = two_point_sheaf(restriction=[[["1"]], [["0"]]])
+        for stalk in data["stalks"].values():
+            stalk.update(ranks=[1, 1], differentials=[[["3"]]])
+        path.write_text(json.dumps(data))
+    line = run_cli("validate", str(path))
+    assert line.returncode == 1 and line.stdout.startswith("invalid: ")
+    r = run_cli(command, str(path))
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stdout == "" and r.stderr == line.stdout
+
+
 @pytest.mark.parametrize("filtration", ["tau", "hodge"])
 @pytest.mark.parametrize("pages", ["0", "-1"])
 def test_cli_ss_needs_at_least_one_page(tmp_path, z3, filtration, pages):

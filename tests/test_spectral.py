@@ -47,8 +47,7 @@ def test_single_jump_filtration_degenerates(z3, rng):
     K = random_complex(z3, rng, 2, 3).reduce_mod_xi()
     total = K
     full = {i: Matrix.identity(total.ring, total.rank(i)) for i in total.degrees()}
-    fc = FilteredComplex.from_inclusions(
-        total, {0: ChainMap(total, total, full)})
+    fc = FilteredComplex(total, {0: ChainMap(total, total, full)})
     validate_filtered(fc)
     pages = ss_pages(fc, 3)
     for page in pages:
@@ -66,7 +65,7 @@ def test_page_consistency_and_abutment(rng, z2):
         F = generate_instance("free", seed, ring=z2)
         ctx = InstanceContext(F)
         pages = ht_spectral_sequence(ctx, r_max=5)
-        fc = FilteredComplex.from_inclusions(*ht_inclusions(ctx))
+        fc = FilteredComplex(*ht_inclusions(ctx))
         total = fc.ambient
         for a, b in zip(pages, pages[1:]):
             for key, dim in b.entries.items():
@@ -197,73 +196,6 @@ def z_space_instance(case):
                              site=PosetSite.builtin(site))
 
 
-@pytest.mark.parametrize("case", [
-    f"{site}:{ring}:{seed}"
-    for site in ("point", "pseudo-circle", "chain3", "sphere")
-    for ring, seed in (("z2", 1), ("z5", 3), ("f5t", 2))
-] + ["h3_failure_witness"])
-def test_z_space_matches_intersection_oracle(case):
-    ctx = InstanceContext(z_space_instance(case))
-    for inclusions in (ht_inclusions, hdr_inclusions):
-        fc = FilteredComplex.from_inclusions(*inclusions(ctx))
-        for r in range(0, 6):
-            for p in range(fc.p_min - 1, fc.p_max + 2):
-                for n in fc.ambient.degrees():
-                    assert fc.z_space(r, p, n) == z_space_oracle(fc, r, p, n), \
-                        (inclusions.__name__, r, p, n)
-
-
-def pairing_case(case):
-    if case == "h3_failure_witness":
-        return z_space_instance(case)
-    site, ring, seed = case.split(":")
-    if site == "adversarial":
-        return generate_instance("adversarial", int(seed), ring=IntegerRing(2),
-                                 site=PosetSite.sphere())
-    rings = {"z2": IntegerRing(2), "z3": IntegerRing(3), "f5t": PolynomialRing(PrimeField(5)),
-             "qt": PolynomialRing(RationalField())}
-    return generate_instance("free", int(seed), ring=rings[ring], site=PosetSite.builtin(site))
-
-
-def assert_pairs_match_pages(ambient, inclusions) -> list:
-    """Check the pairs against pages 1 to 5 of the closed form; returns the pairs.
-
-    The rank of d_r out of (p, n) is the number of pairs with gap r from
-    there, and E_r(p, n - p) counts the level-p, degree-n generators that are
-    unpaired or paired with gap at least r.
-    """
-    fc = FilteredComplex.from_inclusions(ambient, inclusions)
-    pairs = persistence_pairs(ambient, inclusions)
-    gaps = Counter((s, n, t - s) for s, n, t in pairs)
-    for r, page in enumerate(ss_pages(fc, 5), start=1):
-        for p in range(fc.p_min, fc.p_max + 1):
-            for n in ambient.degrees():
-                mat = page.differentials.get((p, n - p))
-                rank = field_rank(mat) if mat is not None else 0
-                assert rank == gaps[(p, n, r)], (r, p, n)
-                generators = fc.subspace(p, n).dim - fc.subspace(p + 1, n).dim
-                gone = sum(1 for s, m, t in pairs if t - s < r
-                           and ((s, m) == (p, n) or (t, m + 1) == (p, n)))
-                assert page.dim(p, n - p) == generators - gone, (r, p, n)
-    return pairs
-
-
-@pytest.mark.parametrize("case", [
-    f"{site}:{ring}:{seed}"
-    for site in ("point", "pseudo-circle", "chain3", "sphere")
-    for ring, seed in (("z2", 4), ("z3", 5), ("f5t", 6), ("qt", 7))
-] + ["h3_failure_witness"] + [f"adversarial:z2:{seed}" for seed in (1, 2, 3)])
-def test_persistence_pairs_match_the_closed_form_pages(case):
-    ctx = InstanceContext(pairing_case(case))
-    for inclusions in (ht_inclusions, hdr_inclusions):
-        assert_pairs_match_pages(*inclusions(ctx))
-    if case == "h3_failure_witness":
-        q_max = ctx.reduced().hi()
-        d2 = sorted([n - (q_max - s), q_max - s]
-                    for s, n, t in persistence_pairs(*ht_inclusions(ctx)) if t - s == 1)
-        assert d2 == [[0, 1]]
-
-
 def random_invertible(F, n, rng):
     while True:
         M = Matrix(F, [[F.parse(str(rng.randrange(-3, 4))) for _ in range(n)]
@@ -272,13 +204,13 @@ def random_invertible(F, n, rng):
             return M
 
 
-@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), RationalField()],
-                         ids=["f2", "f3", "q"])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_persistence_pairs_recover_a_planted_barcode(field, seed):
-    # a direct sum of intervals x -> y, x at level s in degree n and y at level
-    # t in degree n + 1, plus unpaired generators, filtered by level and seen
-    # through random coordinates in each degree and each filtration piece
+def planted_barcode(field, seed) -> tuple:
+    """(ambient, inclusions, planted) for a random barcode over ``field``.
+
+    A direct sum of intervals x -> y, x at level s in degree n and y at level
+    t in degree n + 1, plus unpaired generators, filtered by level and seen
+    through random coordinates in each degree and each filtration piece.
+    """
     rng = random.Random(seed)
     planted = []
     for n in (0, 1):
@@ -316,6 +248,96 @@ def test_persistence_pairs_recover_a_planted_barcode(field, seed):
         inclusions[p] = ChainMap(sub, ambient,
                                  {n: G[n].take_columns(keep[n]) @ R[n] for n in range(3)})
         inclusions[p].validate()
+    return ambient, inclusions, planted
+
+
+PLANTED_FIELDS = {"f2": PrimeField(2), "f3": PrimeField(3), "q": RationalField()}
+
+
+def z_space_filtrations(case) -> list:
+    """The (ambient, inclusions) pairs of the filtered complexes a case names."""
+    if case.startswith("planted:"):
+        _, field, seed = case.split(":")
+        ambient, inclusions, _ = planted_barcode(PLANTED_FIELDS[field], int(seed))
+        return [(ambient, inclusions)]
+    ctx = InstanceContext(z_space_instance(case))
+    return [ht_inclusions(ctx), hdr_inclusions(ctx)]
+
+
+@pytest.mark.parametrize("case", [
+    f"{site}:{ring}:{seed}"
+    for site in ("point", "pseudo-circle", "chain3", "sphere")
+    for ring, seed in (("z2", 1), ("z5", 3), ("f5t", 2))
+] + ["h3_failure_witness"] + [
+    f"planted:{field}:{seed}" for field in PLANTED_FIELDS for seed in (1, 2, 3)])
+def test_z_space_matches_intersection_oracle(case):
+    # p runs two steps past each end, so empty pieces, whole pieces and both
+    # ends of every run of levels in the adapted basis are covered
+    for k, (ambient, inclusions) in enumerate(z_space_filtrations(case)):
+        fc = FilteredComplex(ambient, inclusions)
+        for r in range(0, 6):
+            for p in range(fc.p_min - 2, fc.p_max + 3):
+                for n in range(ambient.lo - 1, ambient.hi + 2):
+                    want = z_space_oracle(ambient, inclusions, r, p, n)
+                    assert fc.z_space(r, p, n) == want, (k, r, p, n)
+
+
+def pairing_case(case):
+    if case == "h3_failure_witness":
+        return z_space_instance(case)
+    site, ring, seed = case.split(":")
+    if site == "adversarial":
+        return generate_instance("adversarial", int(seed), ring=IntegerRing(2),
+                                 site=PosetSite.sphere())
+    rings = {"z2": IntegerRing(2), "z3": IntegerRing(3), "f5t": PolynomialRing(PrimeField(5)),
+             "qt": PolynomialRing(RationalField())}
+    return generate_instance("free", int(seed), ring=rings[ring], site=PosetSite.builtin(site))
+
+
+def assert_pairs_match_pages(ambient, inclusions) -> list:
+    """Check the pairs against pages 1 to 5 of the closed form; returns the pairs.
+
+    The rank of d_r out of (p, n) is the number of pairs with gap r from
+    there, and E_r(p, n - p) counts the level-p, degree-n generators that are
+    unpaired or paired with gap at least r.
+    """
+    fc = FilteredComplex(ambient, inclusions)
+    pairs = persistence_pairs(ambient, inclusions)
+    gaps = Counter((s, n, t - s) for s, n, t in pairs)
+    for r, page in enumerate(ss_pages(fc, 5), start=1):
+        for p in range(fc.p_min, fc.p_max + 1):
+            for n in ambient.degrees():
+                mat = page.differentials.get((p, n - p))
+                rank = field_rank(mat) if mat is not None else 0
+                assert rank == gaps[(p, n, r)], (r, p, n)
+                generators = fc.z_space(0, p, n).dim - fc.z_space(0, p + 1, n).dim
+                gone = sum(1 for s, m, t in pairs if t - s < r
+                           and ((s, m) == (p, n) or (t, m + 1) == (p, n)))
+                assert page.dim(p, n - p) == generators - gone, (r, p, n)
+    return pairs
+
+
+@pytest.mark.parametrize("case", [
+    f"{site}:{ring}:{seed}"
+    for site in ("point", "pseudo-circle", "chain3", "sphere")
+    for ring, seed in (("z2", 4), ("z3", 5), ("f5t", 6), ("qt", 7))
+] + ["h3_failure_witness"] + [f"adversarial:z2:{seed}" for seed in (1, 2, 3)])
+def test_persistence_pairs_match_the_closed_form_pages(case):
+    ctx = InstanceContext(pairing_case(case))
+    for inclusions in (ht_inclusions, hdr_inclusions):
+        assert_pairs_match_pages(*inclusions(ctx))
+    if case == "h3_failure_witness":
+        q_max = ctx.reduced().hi()
+        d2 = sorted([n - (q_max - s), q_max - s]
+                    for s, n, t in persistence_pairs(*ht_inclusions(ctx)) if t - s == 1)
+        assert d2 == [[0, 1]]
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), RationalField()],
+                         ids=["f2", "f3", "q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_persistence_pairs_recover_a_planted_barcode(field, seed):
+    ambient, inclusions, planted = planted_barcode(field, seed)
     pairs = assert_pairs_match_pages(ambient, inclusions)
     assert Counter(pairs) == Counter(planted)
 
