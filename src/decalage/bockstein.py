@@ -44,6 +44,17 @@ def k_cohomology_quotient(cx: FreeComplex, i: int) -> QuotientSpace:
     )
 
 
+def k_induced_matrix(ctx: Memo, cm: ChainMap, i: int) -> Matrix:
+    """The map on degree-i cohomology induced by a chain map over a field.
+
+    Its columns are the classes of the images of the source's
+    representatives, in the target's representatives; both quotients come
+    from the context ``ctx``.
+    """
+    src = ctx.quotient(cm.source, i).rep_matrix()
+    return ctx.quotient(cm.target, i).coords_matrix(cm.map(i) @ src)
+
+
 def bockstein_complex(ctx: Memo, K: FreeComplex) -> FreeComplex:
     """Build H^*(K/xi) with beta computed through explicit lifts, over k.
 
@@ -209,8 +220,7 @@ def verify_reduction_identification(ctx: Memo, K: FreeComplex) -> CheckResult:
                    reduced=hq.dim, bockstein=hb.dim)
         if hq.dim != hb.dim:
             continue
-        induced = hb.coords_matrix(comp.map(i) @ hq.rep_matrix())
-        out.expect(field_rank(induced) == hq.dim, degree=i,
+        out.expect(field_rank(k_induced_matrix(ctx, comp, i)) == hq.dim, degree=i,
                    reason="induced map on cohomology is not invertible")
     return out
 
@@ -245,7 +255,6 @@ def connecting_factorization(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
     """
     out = CheckResult("eta-m.connecting-bockstein")
     bcx = ctx.bockstein(K)
-    kbar = ctx.kbar(K)
 
     # four-term exactness with middle map beta
     beta_m = bcx.d(m)
@@ -276,27 +285,24 @@ def connecting_factorization(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
 
     # snake of the graded triangle equals beta
     if m + 1 <= K.hi:
-        stage, finer = ctx.stage(K, m), ctx.stage(K, m + 1)
+        stage = ctx.stage(K, m).source
         inc = ctx.inclusion(K, m)
         gens = ctx.presentation(inc, m).gens_basis
         # beta of the classes of the generators in H^m(K/xi)
-        elts = (stage.map(m) @ gens).xi_divide(m).residue()
-        betas = beta_m @ ctx.quotient(kbar, m).coords_matrix(elts)
+        betas = beta_m @ (ctx.comparison(K, m).map(m) @ gens.residue())
         for j in range(gens.cols):
             z = gens.take_columns([j])
             rhs = betas.column(j)
             # snake: lift z, apply d, pull back along the stage inclusion
-            dz = stage.source.d(m) @ z
-            y = ctx.solve(inc.map(m + 1), dz)
+            y = ctx.solve(inc.map(m + 1), stage.d(m) @ z)
             if y is None:
                 out.fail(m=m, generator=j, reason="snake image escaped the finer stage")
                 continue
-            velt = (finer.map(m + 1) @ y).xi_divide(m + 1).residue()
-            lhs = ctx.quotient(kbar, m + 1).coords(velt.column(0))
+            lhs = (ctx.comparison(K, m + 1).map(m + 1) @ y.residue()).column(0)
             out.expect(lhs == rhs, m=m, generator=j,
                        reason="connecting map does not factor through beta",
-                       snake=[kbar.ring.format(x) for x in lhs],
-                       beta=[kbar.ring.format(x) for x in rhs])
+                       snake=[bcx.ring.format(x) for x in lhs],
+                       beta=[bcx.ring.format(x) for x in rhs])
     return out
 
 

@@ -77,12 +77,12 @@ def _shell_element(ring: BaseRing, rng: random.Random, torsion_free: bool):
     return ring.mul(base, ring.xi_power(e))
 
 
-def random_unimodular(ring: BaseRing, n: int, rng: random.Random, steps=None) -> Matrix:
+def random_unimodular(ring: BaseRing, n: int, rng: random.Random) -> Matrix:
     """Product of elementary row additions and swaps, so invertible over the ring."""
     if n == 0:
         return Matrix.identity(ring, 0)
     data = [list(r) for r in Matrix.identity(ring, n).data]
-    for _ in range(steps if steps is not None else n + 1):
+    for _ in range(n + 1):
         op = rng.randrange(3)
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:

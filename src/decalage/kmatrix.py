@@ -103,19 +103,20 @@ def reduce_vector(F, echelon, vec) -> list:
     return v
 
 
-def extend_echelon(F, echelon: list, vec) -> bool:
-    """Add vec to ``echelon`` unless it lies in its span; True if it was added.
+def extend_echelon(F, echelon: list, vec):
+    """Add vec to ``echelon`` unless it lies in its span; the new pivot, or None.
 
     ``echelon`` is a list of (pivot, row) pairs as :func:`reduce_vector` takes
-    them, kept in increasing pivot order.
+    them, kept in increasing pivot order.  The new pivot is the first nonzero
+    entry of vec reduced along the echelon, which is the greatest first
+    nonzero entry over vec plus the span of the rows.
     """
     rest = reduce_vector(F, echelon, vec)
     c = next((j for j, x in enumerate(rest) if not F.is_zero(x)), None)
-    if c is None:
-        return False
-    inv = F.inv_unit(rest[c])
-    insort(echelon, (c, tuple(F.mul(inv, x) for x in rest)))
-    return True
+    if c is not None:
+        inv = F.inv_unit(rest[c])
+        insort(echelon, (c, tuple(F.mul(inv, x) for x in rest)))
+    return c
 
 
 class Subspace:
@@ -142,20 +143,9 @@ class Subspace:
     def from_columns(cls, M: Matrix) -> "Subspace":
         return cls(M.ring, M.rows, [M.column(j) for j in range(M.cols)])
 
-    @classmethod
-    def full(cls, field, n) -> "Subspace":
-        # the identity rows are already in RREF
-        space = cls(field, n)
-        space.basis = Matrix.identity(field, n).data
-        space.pivots = tuple(range(n))
-        return space
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def is_full(self) -> bool:
-        return self.dim == self.ambient
 
     def __eq__(self, other):
         return (
@@ -207,7 +197,8 @@ class QuotientSpace:
         # greedy: keep each Z basis vector outside the span of B and the
         # representatives kept so far, tracked as one growing echelon
         echelon = list(zip(self.bspace.pivots, self.bspace.basis))
-        self.reps = tuple(v for v in self.zspace.basis if extend_echelon(field, echelon, v))
+        self.reps = tuple(v for v in self.zspace.basis
+                          if extend_echelon(field, echelon, v) is not None)
         cols = [tuple(b) for b in self.bspace.basis] + [tuple(r) for r in self.reps]
         self._solver = Matrix.from_columns(field, cols, rows=ambient)
 

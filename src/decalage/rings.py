@@ -623,6 +623,8 @@ class PolynomialRing(BaseRing):
 
 
 def ring_from_description(desc: dict) -> BaseRing:
+    if not isinstance(desc, dict):
+        raise RingElementError(f"a ring description must be an object, got {desc!r}")
     kind = desc.get("kind")
     if kind == "z":
         return IntegerRing(int(desc["xi"]))

@@ -57,6 +57,8 @@ def complex_from_json(data: dict) -> FreeComplex:
         ring = ring_from_description(data["ring"])
         lo = int(data["lo"])
         ranks = [int(r) for r in data["ranks"]]
+        hi = int(data.get("hi", lo + len(ranks) - 1))
+        twist = int(data.get("twist", 0))
         raw = data.get("differentials", [])
     except (KeyError, TypeError, ValueError, RingElementError) as exc:
         raise SerializeError(f"bad complex JSON: {exc}") from exc
@@ -67,7 +69,7 @@ def complex_from_json(data: dict) -> FreeComplex:
         raise SerializeError(f"degrees must be nonnegative, got lo = {lo}")
     if any(r < 0 for r in ranks):
         raise SerializeError(f"ranks must be nonnegative, got {ranks}")
-    if "hi" in data and int(data["hi"]) != lo + len(ranks) - 1:
+    if hi != lo + len(ranks) - 1:
         raise SerializeError("hi does not match lo + len(ranks) - 1")
     if len(raw) != max(len(ranks) - 1, 0):
         raise SerializeError("need one differential per adjacent degree pair")
@@ -75,17 +77,31 @@ def complex_from_json(data: dict) -> FreeComplex:
         matrix_from_json(ring, raw[i], ranks[i + 1], ranks[i])
         for i in range(len(raw))
     ]
-    return FreeComplex(ring, lo, ranks, diffs, int(data.get("twist", 0)))
+    return FreeComplex(ring, lo, ranks, diffs, twist)
 
 
 def site_to_json(site: PosetSite) -> dict:
     return site.describe()
 
 
+def _strings(value, length=None) -> bool:
+    """True if value is a list of strings, of the given length if one is given."""
+    return (isinstance(value, list) and all(isinstance(x, str) for x in value)
+            and length in (None, len(value)))
+
+
 def site_from_json(data: dict) -> PosetSite:
     try:
-        return PosetSite(data["elements"], [tuple(p) for p in data.get("leq", [])])
-    except (KeyError, TypeError, ValueError) as exc:
+        elements, leq = data["elements"], data.get("leq", [])
+    except (KeyError, TypeError) as exc:
+        raise SerializeError(f"bad site JSON: {exc}") from exc
+    if not _strings(elements):
+        raise SerializeError(f"site elements must be a list of strings, got {elements!r}")
+    if not isinstance(leq, list) or not all(_strings(p, 2) for p in leq):
+        raise SerializeError(f"site leq must be a list of [a, b] string pairs, got {leq!r}")
+    try:
+        return PosetSite(elements, [tuple(p) for p in leq])
+    except ValueError as exc:
         raise SerializeError(f"bad site JSON: {exc}") from exc
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .complexes import ChainMap, FreeComplex
 from .rmatrix import Matrix
-from .bockstein import Memo
+from .bockstein import Memo, k_induced_matrix
 
 
 class InvalidSheaf(ValueError):
@@ -397,22 +397,6 @@ def sheaf_eta_m(ctx: "InstanceContext", m: int) -> SheafMap:
     return _subsheaf(ctx, F, {x: ctx.stage(F.stalk(x), m) for x in F.site.elements})
 
 
-def stage_reduction_map(ctx: "InstanceContext", m: int) -> ChainMap:
-    """Sections of stage m mod xi -> sections of F/xi.
-
-    Stage m maps by dividing its inclusion by xi^m and reducing.
-    """
-    incl = ctx.stage_sheaf(m)
-    subbar, Fbar = sheaf_reduce(ctx, incl.source), ctx.reduced()
-    maps = {
-        x: ChainMap(subbar.stalk(x), Fbar.stalk(x),
-                    {j: incl.map(x).map(j).xi_divide(m).residue()
-                     for j in Fbar.stalk(x).degrees()})
-        for x in Fbar.site.elements
-    }
-    return ctx.sections_map(SheafMap(subbar, Fbar, maps))
-
-
 def sheaf_reduce(ctx: Memo, F: SheafComplex) -> SheafComplex:
     """Objectwise reduction mod xi, each stalk's reduction from ``ctx``."""
     return _sheaf(F, {x: ctx.kbar(F.stalk(x)) for x in F.site.elements},
@@ -434,17 +418,9 @@ def sheaf_hodge(ctx: "InstanceContext", F: SheafComplex, m: int) -> SheafMap:
 
 def sheaf_bockstein(ctx: "InstanceContext") -> SheafComplex:
     """Objectwise Bockstein complex with induced restrictions, over k."""
-    F = ctx.F
-    bcs = {x: ctx.bockstein(F.stalk(x)) for x in F.site.elements}
-
-    def restriction(a, b, i):
-        qa = ctx.quotient(ctx.kbar(F.stalk(a)), i)
-        if i not in F.stalk(b).degrees():
-            return Matrix.zeros(bcs[b].ring, 0, qa.dim)
-        qb = ctx.quotient(ctx.kbar(F.stalk(b)), i)
-        return qb.coords_matrix(F.res(a, b).map(i).residue() @ qa.rep_matrix())
-
-    return _sheaf(F, bcs, restriction)
+    F, Fbar = ctx.F, ctx.reduced()
+    return _sheaf(F, {x: ctx.bockstein(F.stalk(x)) for x in F.site.elements},
+                  lambda a, b, i: k_induced_matrix(ctx, Fbar.res(a, b), i))
 
 
 def bockstein_term_sheaf(ctx: "InstanceContext", q: int):
@@ -500,10 +476,6 @@ class InstanceContext(Memo):
     def stage_sheaf(self, m: int) -> SheafMap:
         """The stage-m sheaf as its inclusion into F, as ``sheaf_eta_m``."""
         return self.once(("stage-sheaf", m), sheaf_eta_m, self, m)
-
-    def stage_reduction(self, m: int) -> ChainMap:
-        """Sections of stage m mod xi -> sections of F/xi, as stage_reduction_map."""
-        return self.once(("stage-reduction", m), stage_reduction_map, self, m)
 
     def truncation_sheaf(self, q: int) -> SheafMap:
         """tau_{<=q}(F/xi) as its inclusion, as ``sheaf_truncate_leq``."""

@@ -23,16 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .bockstein import k_induced_matrix
 from .complexes import ChainMap, FreeComplex
 from .kmatrix import QuotientSpace, Subspace, extend_echelon, kernel_cols, solve_field
 from .rmatrix import Matrix
 from .sites import InstanceContext, SheafMap
-
-
-def k_induced_matrix(ctx: InstanceContext, cm: ChainMap, i: int) -> Matrix:
-    """Induced map on degree-i cohomology of a chain map over a field."""
-    src = ctx.quotient(cm.source, i).rep_matrix()
-    return ctx.quotient(cm.target, i).coords_matrix(cm.map(i) @ src)
 
 
 class FilteredComplex:
@@ -186,7 +181,7 @@ def adapted_form(ambient: FreeComplex, inclusions: dict) -> dict:
         echelon, kept = [], []
         for p in sorted(inclusions, reverse=True):
             kept += [(p, v) for v in inclusions[p].map(n).columns()
-                     if extend_echelon(F, echelon, v)]
+                     if extend_echelon(F, echelon, v) is not None]
         if len(kept) != ambient.rank(n):
             raise ValueError("the lowest filtration piece is not the whole complex")
         adapted[n] = ([p for p, _ in kept],
@@ -201,29 +196,22 @@ def persistence_pairs(ambient: FreeComplex, inclusions: dict) -> list:
     """The persistence pairs (p_src, n, p_tgt) of a filtered complex.
 
     In the adapted form, rows and columns ordered highest level first, the
-    columns of d are reduced left to right; each pivot pairs its column
-    (level p, degree n) with its last nonzero row (level p + r).  So d_r out
-    of E_r(p, n - p) has rank the number of pairs with gap r from (p, n), and
-    E_r(p, n - p) counts the level-p, degree-n basis vectors unpaired or
-    paired with gap at least r.
+    columns of d go left to right, rows reversed, into one echelon per degree.
+    A column (level p, degree n) outside the span of those before it pairs
+    with its pivot, the least last nonzero row (level p + r) over the column
+    plus that span.  So d_r out of E_r(p, n - p) has rank the number of pairs
+    with gap r from (p, n), and E_r(p, n - p) counts the level-p, degree-n
+    basis vectors unpaired or paired with gap at least r.
     """
     F = ambient.ring
     form = adapted_form(ambient, inclusions)
     pairs = []
     for n, (levels, _, d) in form.items():
-        reduced = {}  # last nonzero row -> the reduced column that owns it
+        echelon = []
         for j, col in enumerate(d.columns()):
-            while True:
-                low = next((i for i in reversed(range(len(col))) if not F.is_zero(col[i])), None)
-                if low is None:
-                    break
-                if low not in reduced:
-                    reduced[low] = col
-                    pairs.append((levels[j], n, form[n + 1][0][low]))
-                    break
-                other = reduced[low]
-                f = F.mul(col[low], F.inv_unit(other[low]))
-                col = [F.sub(x, F.mul(f, y)) for x, y in zip(col, other)]
+            pivot = extend_echelon(F, echelon, col[::-1])
+            if pivot is not None:
+                pairs.append((levels[j], n, form[n + 1][0][d.rows - 1 - pivot]))
     return pairs
 
 
@@ -354,9 +342,7 @@ def cokernel_maps(ctx: InstanceContext, m: int):
     tau = tau_incl.source
     maps = {}
     for x in F.site.elements:
-        zbasis = tau_incl.map(x).map(m)
-        mat = (ctx.quotient(ctx.kbar(F.stalk(x)), m).coords_matrix(zbasis)
-               if m in F.stalk(x).degrees() else Matrix.zeros(avatar.ring, 0, zbasis.cols))
+        mat = ctx.quotient(ctx.kbar(F.stalk(x)), m).coords_matrix(tau_incl.map(x).map(m))
         maps[x] = ChainMap(tau.stalk(x), avatar.stalk(x), {m: mat})
     cm_f = ctx.sections_map(SheafMap(tau, avatar, maps))
     cm_f.validate()

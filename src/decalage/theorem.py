@@ -134,10 +134,7 @@ class Flag:
             return self.spaces[m]
         if m < self.m_lo:
             return Subspace(self.field, self.n)
-        return Subspace.full(self.field, self.n) if self._stable_full() else self.spaces[self.m_hi]
-
-    def _stable_full(self) -> bool:
-        return self.spaces and self.spaces[self.m_hi].is_full()
+        return self.spaces[self.m_hi]
 
     def dim(self, m: int) -> int:
         return self.subspace(m).dim
@@ -263,8 +260,9 @@ def reduction_iso_matrices(ctx: InstanceContext) -> dict:
 def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
     """Flag of images of H^i of the stage sections in H^i of sections of F/xi.
 
-    Stage m maps by dividing its inclusion by xi^m and reducing; the images
-    increase with m and stabilize at the image of the full reduction.
+    Stage m maps by dividing the sections of its inclusion by xi^m and
+    reducing; the images increase with m and stabilize at the image of the
+    full reduction.
     """
     bar_total = ctx.sections(ctx.reduced())
     kfield = bar_total.ring
@@ -276,9 +274,9 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
             spaces[m] = Subspace(kfield, 0)
             continue
         # generators of H^i of the stage sections over R, reduced mod xi
-        stage_total = ctx.sections(ctx.stage_sheaf(m).source)
-        gens = ctx.presentation(stage_total, i).gens_basis.residue()
-        pushed = ctx.stage_reduction(m).map(i) @ gens
+        incl = ctx.sections_map(ctx.stage_sheaf(m))
+        gens = ctx.presentation(incl.source, i).gens_basis.residue()
+        pushed = incl.map(i).xi_divide(m).residue() @ gens
         spaces[m] = Subspace.from_columns(target.coords_matrix(pushed))
     return Flag(kfield, dim_i, spaces)
 
@@ -382,26 +380,22 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
             continue
         bb = bb_filtration(ctx, L, L0)
         entry["relative_position"] = relative_position(ctx, L, L0)
-        # move the lattice flag into H^i of the reduced sections
-        if rho.get(i) is not None and red_q.dim == rho[i].rows:
-            moved = {}
-            for m in range(bb.m_lo, bb.m_hi + 1):
-                mat = rho[i] @ bb.subspace(m).matrix().transpose()
-                moved[m] = Subspace.from_columns(mat)
-            bb_moved = Flag(red.ring, red_q.dim, moved)
-            if h1:
-                iso_check.expect(rho[i].rows == rho[i].cols
-                                 and bb.n == red_q.dim
-                                 and field_rank(rho[i]) == red_q.dim, i=i,
-                                 reason="reduction identification is not invertible",
-                                 free_rank=bb.n, reduced_dim=red_q.dim)
-        else:
-            bb_moved = None
+        # move the lattice flag into H^i of the reduced sections; H^i is
+        # torsion-free here, so rho[i] is defined and has red_q.dim rows
+        moved = {m: Subspace.from_columns(rho[i] @ bb.subspace(m).matrix().transpose())
+                 for m in range(bb.m_lo, bb.m_hi + 1)}
+        bb_moved = Flag(red.ring, red_q.dim, moved)
+        if h1:
+            iso_check.expect(rho[i].rows == rho[i].cols
+                             and bb.n == red_q.dim
+                             and field_rank(rho[i]) == red_q.dim, i=i,
+                             reason="reduction identification is not invertible",
+                             free_rank=bb.n, reduced_dim=red_q.dim)
         img = image_flag(ctx, i, m_max)
         entry["bb_flag"] = bb.to_json()
         entry["image_flag"] = img.to_json()
         report.flags[str(i)] = entry
-        if report.asserted and bb_moved is not None:
+        if report.asserted:
             window = range(0, m_max + 1)
             for m in window:
                 flag_check.expect(

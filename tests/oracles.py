@@ -373,7 +373,8 @@ def preimage_subspace(d: Matrix, W: Subspace) -> Subspace:
 def filtration_piece(ambient, inclusions: dict, p: int, n: int) -> Subspace:
     """F_p C^n spanned by the inclusion's columns: whole below the lowest p, zero above the top."""
     if p < min(inclusions):
-        return Subspace.full(ambient.ring, ambient.rank(n))
+        whole = Matrix.identity(ambient.ring, ambient.rank(n))
+        return Subspace(ambient.ring, whole.rows, whole.data)
     if p > max(inclusions):
         return Subspace(ambient.ring, ambient.rank(n))
     return Subspace.from_columns(inclusions[p].map(n))
@@ -1015,7 +1016,7 @@ def bb_flag_by_intersection(ctx, L: Lattice, L0: Lattice) -> Flag:
         coords = ctx.solve(m0, lattice_intersect(ctx, ml, m0.xi_scale(m)))
         spaces[m] = Subspace.from_columns(coords.xi_divide(m).residue())
     flag = Flag(kfield, L.n, spaces)
-    if not flag.subspace(top + 1).is_full():
+    if flag.subspace(top + 1).dim != L.n:
         raise ArithmeticError("flag failed to stabilize at full")
     return flag.shifted(-c)
 

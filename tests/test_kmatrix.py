@@ -1,5 +1,3 @@
-import pytest
-
 from decalage.kmatrix import QuotientSpace, Subspace, field_rank, kernel_cols, rref, solve_field
 from decalage.rings import PrimeField, RationalField
 from decalage.rmatrix import Matrix
@@ -68,16 +66,3 @@ def test_quotient_space_coords():
     assert c2 == tuple(F.neg(x) for x in c1) or c2 == c1
     # class of a boundary is zero
     assert q.coords((2, 2, 0)) == (0,)
-
-
-@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(5), RationalField()])
-def test_full_subspace_is_the_reduced_identity(field):
-    for n in range(7):
-        rows = Matrix.identity(field, n).data
-        want = Subspace(field, n, rows)
-        got = Subspace.full(field, n)
-        assert got == want and hash(got) == hash(want)
-        assert got.pivots == want.pivots == tuple(range(n))
-        assert [[type(x) for x in row] for row in got.basis] == \
-            [[type(x) for x in row] for row in want.basis]
-        assert got.is_full() and got.contains_space(want)

@@ -7,6 +7,7 @@ import pytest
 
 from decalage.complexes import FreeComplex
 from decalage.instances import generate_instance
+from decalage.rings import RingElementError, ring_from_description
 from decalage.rmatrix import Matrix
 from decalage.serialize import (
     SerializeError,
@@ -149,6 +150,44 @@ def test_cli_malformed_sheaf_is_a_parse_error(tmp_path, command, case):
     r = run_cli(command, str(path))
     assert r.returncode == 2, r.stdout + r.stderr
     assert "parse error" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "check-theorem"])
+@pytest.mark.parametrize("key,value", [("hi", "x"), ("twist", "x"), ("ring", "z")])
+def test_cli_malformed_complex_is_a_parse_error(tmp_path, command, key, value):
+    data = {"ring": {"kind": "z", "xi": "2"}, "lo": 0, "ranks": [1], "differentials": []}
+    data[key] = value
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    r = run_cli(command, str(path))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "parse error" in r.stderr and r.stdout == ""
+    assert "Traceback" not in r.stderr
+
+
+def test_ring_description_must_be_an_object():
+    with pytest.raises(RingElementError):
+        ring_from_description("z")
+
+
+@pytest.mark.parametrize("where", ["poset", "sheaf"])
+@pytest.mark.parametrize("site", [
+    {"elements": "ab", "leq": []},
+    {"elements": ["a", "b"], "leq": ["ab"]},
+], ids=["elements-string", "leq-string"])
+def test_cli_malformed_site_is_a_parse_error(tmp_path, where, site):
+    path = tmp_path / "site.json"
+    if where == "poset":
+        path.write_text(json.dumps(site))
+        r = run_cli("check-theorem", "--poset", str(path))
+    else:
+        data = two_point_sheaf()
+        data["site"] = site
+        path.write_text(json.dumps(data))
+        r = run_cli("validate", str(path))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "parse error" in r.stderr and r.stdout == ""
     assert "Traceback" not in r.stderr
 
 
