@@ -178,7 +178,7 @@ def verify_graded_piece(ctx, K: FreeComplex, m: int) -> CheckResult:
         got = ctx.presentation(inc, i).module
         want = FGModule.of_k_dimension(K.ring, ctx.quotient(tau, i).dim)
         out.expect(got == want, degree=i, reason="graded cohomology mismatch",
-                   got=repr(got), want=repr(want))
+                   got=got, want=want)
     return out
 
 
@@ -221,10 +221,10 @@ def verify_eta_m_cohomology(ctx, K: FreeComplex, m: int) -> CheckResult:
     for i in K.degrees():
         got = h(stage, i)
         want = h(plain, i) if i > m else h(K, i)
-        out.expect(got == want, degree=i, m=m, got=repr(got), want=repr(want))
+        out.expect(got == want, degree=i, m=m, got=got, want=want)
     for i in K.degrees():
         got = h(plain, i)
         want = h(K, i).mod_xi_torsion()
         out.expect(got == want, degree=i, reason="decalage vs torsion quotient",
-                   got=repr(got), want=repr(want))
+                   got=got, want=want)
     return out

@@ -16,35 +16,28 @@ from .rmatrix import Matrix
 def rref(M: Matrix):
     """Row-reduced echelon form; returns (R, pivot_columns)."""
     F = M.ring
-    rows = [list(r) for r in M.data]
+    rows = list(M.data)
     nr, nc = M.rows, M.cols
+    scale, sub = F.row_scale, F.row_sub_multiple
     pivots = []
     r = 0
     for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if not F.is_zero(rows[i][c]):
-                pr = i
+        for pr in range(r, nr):
+            if rows[pr][c]:
                 break
-        if pr is None:
+        else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv_unit(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        # subtracting f * (pivot row) changes a row only at the pivot row's
-        # nonzero columns
-        support = [(j, x) for j, x in enumerate(rows[r]) if not F.is_zero(x)]
+        prow = rows[r] = scale(F.inv_unit(rows[r][c]), rows[r])
         for i in range(nr):
-            row = rows[i]
-            f = row[c]
-            if i != r and not F.is_zero(f):
-                for j, x in support:
-                    row[j] = F.sub(row[j], F.mul(f, x))
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = sub(rows[i], f, prow)
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return Matrix(F, rows, cols=nc), tuple(pivots)
+    return Matrix._of(F, tuple(map(tuple, rows)), nc), tuple(pivots)
 
 
 def field_rank(M: Matrix) -> int:
@@ -57,35 +50,29 @@ def kernel_cols(M: Matrix) -> Matrix:
     R, pivots = rref(M)
     pivot_set = set(pivots)
     free = [c for c in range(M.cols) if c not in pivot_set]
-    cols = []
-    for fc in free:
-        v = [F.zero()] * M.cols
-        v[fc] = F.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(R.entry(r, fc))
-        cols.append(tuple(v))
-    return Matrix.from_columns(F, cols, rows=M.cols)
+    # row pc of the basis is minus row r of R on the free columns; row fc is
+    # the unit vector of its free column
+    z, minus_one = F.zero(), F.neg(F.one())
+    out = [None] * M.cols
+    for k, fc in enumerate(free):
+        out[fc] = (z,) * k + (F.one(),) + (z,) * (len(free) - k - 1)
+    for row, pc in zip(R.data, pivots):
+        out[pc] = tuple(F.row_scale(minus_one, [row[fc] for fc in free]))
+    return Matrix._of(F, tuple(out), len(free))
 
 
 def solve_field(A: Matrix, B: Matrix):
     """One solution X of A @ X = B, or None if inconsistent."""
     F = A.ring
-    aug, _ = rref(A.hstack(B))
-    X = [[F.zero()] * B.cols for _ in range(A.cols)]
-    for i in range(aug.rows):
-        lead = None
-        for j in range(A.cols):
-            if not F.is_zero(aug.entry(i, j)):
-                lead = j
-                break
-        if lead is None:
-            for j in range(B.cols):
-                if not F.is_zero(aug.entry(i, A.cols + j)):
-                    return None
-            continue
-        for j in range(B.cols):
-            X[lead][j] = aug.entry(i, A.cols + j)
-    return Matrix(F, X, cols=B.cols)
+    n = A.cols
+    aug, pivots = rref(A.hstack(B))
+    zero_row = (F.zero(),) * B.cols
+    X = [zero_row] * n
+    for row, c in zip(aug.data, pivots):
+        if c >= n:
+            return None  # a row reading 0 = nonzero
+        X[c] = row[n:]
+    return Matrix._of(F, tuple(X), B.cols)
 
 
 def reduce_vector(F, echelon, vec) -> list:
@@ -95,12 +82,13 @@ def reduce_vector(F, echelon, vec) -> list:
     each row zero before its pivot and one at it.  The result is zero at every
     pivot, so it is zero exactly when vec lies in the span of the rows.
     """
-    v = list(vec)
+    sub = F.row_sub_multiple
+    v = vec
     for c, row in echelon:
         f = v[c]
-        if not F.is_zero(f):
-            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
-    return v
+        if f:
+            v = sub(v, f, row)
+    return list(v)
 
 
 def extend_echelon(F, echelon: list, vec):
@@ -112,10 +100,9 @@ def extend_echelon(F, echelon: list, vec):
     nonzero entry over vec plus the span of the rows.
     """
     rest = reduce_vector(F, echelon, vec)
-    c = next((j for j, x in enumerate(rest) if not F.is_zero(x)), None)
+    c = next((j for j, x in enumerate(rest) if x), None)
     if c is not None:
-        inv = F.inv_unit(rest[c])
-        insort(echelon, (c, tuple(F.mul(inv, x) for x in rest)))
+        insort(echelon, (c, tuple(F.row_scale(F.inv_unit(rest[c]), rest))))
     return c
 
 
@@ -132,7 +119,7 @@ class Subspace:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
         if rows:
-            R, pivots = rref(Matrix(field, rows, cols=ambient))
+            R, pivots = rref(Matrix._of(field, tuple(rows), ambient))
             self.basis = tuple(R.data[i] for i in range(len(pivots)))
             self.pivots = pivots
         else:
@@ -162,13 +149,13 @@ class Subspace:
         return f"<subspace dim {self.dim} of k^{self.ambient}>"
 
     def matrix(self) -> Matrix:
-        return Matrix(self.field, self.basis, cols=self.ambient)
+        return Matrix._of(self.field, self.basis, self.ambient)
 
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
         rest = reduce_vector(self.field, zip(self.pivots, self.basis), vec)
-        return all(self.field.is_zero(x) for x in rest)
+        return not any(rest)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)

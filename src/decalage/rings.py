@@ -12,8 +12,22 @@ protocol (a field is the degenerate case where every nonzero element is a
 unit), so matrix and complex code runs unchanged over either.
 
 Element encodings are plain immutable Python values: ``int`` for integers and
-prime fields, ``Fraction`` for rationals, and ascending coefficient tuples
-(no trailing zeros, ``()`` is zero) for polynomials.
+prime fields (in ``[0, p)`` for F_p), ``Fraction`` for rationals, and
+ascending coefficient tuples (no trailing zeros, ``()`` is zero) for
+polynomials.  Every encoding is falsy exactly at zero, so ``bool(x) ==
+(not ring.is_zero(x))`` in every ring, and the matrix code tests entries for
+zero by truthiness.
+
+Besides the element arithmetic, a ring serves four row kernels, which the
+matrix layer calls once per row instead of two or three element methods per
+entry: ``row_sub_multiple`` (the dense update ``row - f*src``),
+``sparse_axpy`` (``out += c*src`` on ``{column: entry}`` rows, dropping
+zeros), ``row_scale`` and ``row_residue``.  ``BaseRing`` builds them from
+``add``/``mul``/``neg``/``residue``; ``IntegerRing`` and ``PrimeField``
+override them with native ``int`` arithmetic, and ``PolynomialRing`` runs its
+coefficient loops on the base field's kernels and native coefficients, so
+over F_p they run in native ints too.  Every kernel returns the same
+canonical elements as the element methods it replaces.
 """
 
 from __future__ import annotations
@@ -70,14 +84,40 @@ class BaseRing:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def is_zero(self, a) -> bool:
         return a == self.zero()
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
+
+    # -- row kernels --------------------------------------------------------
+    # A dense row is a sequence of elements; a sparse row is a dict
+    # {column: nonzero entry}.  The defaults below are the reference built
+    # from the element methods; subclasses override them for speed only.
+
+    def row_sub_multiple(self, row, f, src) -> list:
+        """The dense row ``row - f*src`` (rows of one length), as a list."""
+        add, neg, mul = self.add, self.neg, self.mul
+        return [add(x, neg(mul(f, y))) for x, y in zip(row, src)]
+
+    def sparse_axpy(self, out: dict, c, src: dict) -> None:
+        """``out += c*src`` in place over the entries of src, dropping zeros."""
+        add, mul, zero = self.add, self.mul, self.zero()
+        for j, x in src.items():
+            y = add(out.get(j, zero), mul(c, x))
+            if y:
+                out[j] = y
+            else:
+                out.pop(j, None)
+
+    def row_scale(self, c, row) -> list:
+        """The dense row ``c*row``, as a list."""
+        mul = self.mul
+        return [mul(c, x) for x in row]
+
+    def row_residue(self, row) -> list:
+        """The dense row reduced entrywise to the residue field, as a list."""
+        return list(map(self.residue, row))
 
     def divrem(self, a, b):
         """Euclidean division: a = q*b + r with size(r) < size(b)."""
@@ -201,6 +241,23 @@ class PrimeField(BaseRing):
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def row_sub_multiple(self, row, f, src):
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(row, src)]
+
+    def sparse_axpy(self, out, c, src):
+        p = self.p
+        for j, x in src.items():
+            y = (out.get(j, 0) + c * x) % p
+            if y:
+                out[j] = y
+            else:
+                out.pop(j, None)
+
+    def row_scale(self, c, row):
+        p = self.p
+        return [(c * x) % p for x in row]
 
     def is_unit(self, a):
         return a % self.p != 0
@@ -337,6 +394,24 @@ class IntegerRing(BaseRing):
     def mul(self, a, b):
         return a * b
 
+    def row_sub_multiple(self, row, f, src):
+        return [x - f * y for x, y in zip(row, src)]
+
+    def sparse_axpy(self, out, c, src):
+        for j, x in src.items():
+            y = out.get(j, 0) + c * x
+            if y:
+                out[j] = y
+            else:
+                out.pop(j, None)
+
+    def row_scale(self, c, row):
+        return [c * x for x in row]
+
+    def row_residue(self, row):
+        xi = self._xi
+        return [x % xi for x in row]
+
     def is_unit(self, a):
         return a in (1, -1)
 
@@ -377,6 +452,12 @@ class IntegerRing(BaseRing):
             e += 1
         return e
 
+    def xi_divide(self, a, e: int):
+        q, r = divmod(a, self._xi ** e)
+        if r:
+            raise ArithmeticError(f"{self._xi}**{e} does not divide {a}")
+        return q
+
     def residue_field(self):
         return self._k
 
@@ -410,14 +491,20 @@ class PolynomialRing(BaseRing):
     """F[t] for F a prime field or Q, with xi = t.
 
     Elements are tuples of base-field coefficients in ascending powers with
-    no trailing zeros; () is zero.
+    no trailing zeros; () is zero.  The coefficient loops of ``add``,
+    ``neg`` and ``divrem`` are row kernels of the base field, so over F_p
+    they run in native ints.  ``mul`` accumulates coefficient products with
+    the coefficients' own ``+`` and ``*`` (``int`` for F_p, ``Fraction`` for
+    Q, both exact) and brings the result to normal form with one
+    ``row_scale`` by one.
     """
 
     def __init__(self, base: BaseRing):
         if not base.is_field:
             raise ValueError("polynomial coefficients must come from a field")
         self.base = base
-        self.kind = "fp-poly" if isinstance(base, PrimeField) else "q-poly"
+        self.kind = "fp-poly" if base.kind == "prime-field" else "q-poly"
+        self._minus_one = base.neg(base.one())
 
     def __eq__(self, other):
         return isinstance(other, PolynomialRing) and other.base == self.base
@@ -427,7 +514,7 @@ class PolynomialRing(BaseRing):
 
     def _trim(self, coeffs):
         n = len(coeffs)
-        while n > 0 and self.base.is_zero(coeffs[n - 1]):
+        while n > 0 and not coeffs[n - 1]:
             n -= 1
         return tuple(coeffs[:n])
 
@@ -441,28 +528,33 @@ class PolynomialRing(BaseRing):
         return (self.base.one(),)
 
     def add(self, a, b):
-        n = max(len(a), len(b))
-        z = self.base.zero()
-        out = [
-            self.base.add(a[i] if i < len(a) else z, b[i] if i < len(b) else z)
-            for i in range(n)
-        ]
-        return self._trim(out)
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return a
+        n = len(b)
+        low = self.base.row_sub_multiple(a[:n], self._minus_one, b)
+        if len(a) > n:
+            return tuple(low) + a[n:]
+        return self._trim(low)
 
     def neg(self, a):
-        return tuple(self.base.neg(c) for c in a)
+        return tuple(self.base.row_scale(self._minus_one, a))
 
     def mul(self, a, b):
-        if not a or not b:
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
             return ()
-        z = self.base.zero()
-        out = [z] * (len(a) + len(b) - 1)
+        if len(a) == 1:
+            return tuple(self.base.row_scale(a[0], b))
+        base = self.base
+        out = [base.zero()] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if self.base.is_zero(ca):
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = self.base.add(out[i + j], self.base.mul(ca, cb))
-        return self._trim(out)
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return self._trim(base.row_scale(base.one(), out))
 
     def is_zero(self, a):
         return len(a) == 0
@@ -478,18 +570,17 @@ class PolynomialRing(BaseRing):
     def divrem(self, a, b):
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
+        base = self.base
         r = list(a)
-        q = [self.base.zero()] * max(len(a) - len(b) + 1, 1)
-        inv_lead = self.base.inv_unit(b[-1])
-        while len(r) >= len(b):
-            if self.base.is_zero(r[-1]):
-                r.pop()
-                continue
-            c = self.base.mul(r[-1], inv_lead)
-            d = len(r) - len(b)
-            q[d] = c
-            for i, cb in enumerate(b):
-                r[d + i] = self.base.sub(r[d + i], self.base.mul(c, cb))
+        nb = len(b)
+        q = [base.zero()] * max(len(a) - nb + 1, 1)
+        inv_lead = base.inv_unit(b[-1])
+        while len(r) >= nb:
+            if r[-1]:
+                c = base.mul(r[-1], inv_lead)
+                d = len(r) - nb
+                q[d] = c
+                r[d:] = base.row_sub_multiple(r[d:], c, b)
             r.pop()
         return self._trim(q), self._trim(r)
 
@@ -501,7 +592,7 @@ class PolynomialRing(BaseRing):
             return self.one(), ()
         lead = a[-1]
         inv = self.base.inv_unit(lead)
-        return (lead,), tuple(self.base.mul(inv, c) for c in a)
+        return (lead,), tuple(self.base.row_scale(inv, a))
 
     @property
     def xi(self):
@@ -511,7 +602,7 @@ class PolynomialRing(BaseRing):
         if not a:
             return INF
         for i, c in enumerate(a):
-            if not self.base.is_zero(c):
+            if c:
                 return i
         return INF
 
@@ -527,6 +618,10 @@ class PolynomialRing(BaseRing):
 
     def residue(self, a):
         return a[0] if a else self.base.zero()
+
+    def row_residue(self, row):
+        z = self.base.zero()
+        return [x[0] if x else z for x in row]
 
     def lift(self, c):
         return self._trim([c])

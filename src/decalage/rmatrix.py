@@ -19,48 +19,73 @@ class ShapeMismatch(ValueError):
 
 
 class Matrix:
+    """An immutable matrix: ``data`` is a tuple of row tuples.
+
+    ``Matrix(ring, data)`` copies ``data`` into tuples and checks that the
+    rows have one length.  ``Matrix._of(ring, rows, cols)`` is the trusted
+    constructor for rows the library has just built: ``rows`` must already be
+    a tuple of tuples, which it keeps without copying; it still checks that
+    every row has ``cols`` entries.
+    """
+
     __slots__ = ("ring", "rows", "cols", "data", "_hash")
 
     def __init__(self, ring: BaseRing, data, cols: int | None = None):
         rows = tuple(map(tuple, data))
+        if rows:
+            cols = len(rows[0])
+            for r in rows:
+                if len(r) != cols:
+                    raise ShapeMismatch("ragged rows")
+        elif cols is None:
+            # zero-row matrices still need a well-defined column count
+            cols = 0
         self.ring = ring
         self.rows = len(rows)
-        if rows:
-            n = self.cols = len(rows[0])
-            for r in rows:
-                if len(r) != n:
-                    raise ShapeMismatch("ragged rows")
-        else:
-            # zero-row matrices still need a well-defined column count
-            self.cols = 0 if cols is None else cols
+        self.cols = cols
         self.data = rows
         self._hash = None
+
+    @classmethod
+    def _of(cls, ring: BaseRing, rows: tuple, cols: int) -> "Matrix":
+        for r in rows:
+            if len(r) != cols:
+                raise ShapeMismatch("ragged rows")
+        self = object.__new__(cls)
+        self.ring = ring
+        self.rows = len(rows)
+        self.cols = cols
+        self.data = rows
+        self._hash = None
+        return self
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zeros(cls, ring, rows, cols):
-        z = ring.zero()
-        return cls(ring, [[z] * cols for _ in range(rows)], cols=cols)
+        return cls._of(ring, ((ring.zero(),) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, ring, n):
-        return cls(ring, _identity_rows(ring, n), cols=n)
+        return cls.scalar(ring, n, ring.one())
 
     @classmethod
     def from_columns(cls, ring, columns, rows=None):
-        cols = list(columns)
+        cols = [tuple(col) for col in columns]
         if not cols:
             if rows is None:
                 raise ShapeMismatch("empty column list needs an explicit row count")
             return cls.zeros(ring, rows, 0)
         n = len(cols[0])
-        return cls(ring, [[col[i] for col in cols] for i in range(n)], cols=len(cols))
+        if any(len(col) != n for col in cols):
+            raise ShapeMismatch("ragged columns")
+        return cls._of(ring, tuple(zip(*cols)), len(cols))
 
     @classmethod
     def scalar(cls, ring, n, value):
         z = ring.zero()
-        return cls(ring, [[value if i == j else z for j in range(n)] for i in range(n)], cols=n)
+        return cls._of(ring, tuple(
+            (z,) * i + (value,) + (z,) * (n - i - 1) for i in range(n)), n)
 
     # -- basics --------------------------------------------------------------
 
@@ -85,7 +110,8 @@ class Matrix:
         return f"<{self.rows}x{self.cols} [{body}]>"
 
     def is_zero(self) -> bool:
-        return all(self.ring.is_zero(x) for row in self.data for x in row)
+        # every element encoding is falsy exactly at zero
+        return not any(map(any, self.data))
 
     def entry(self, i, j):
         return self.data[i][j]
@@ -97,78 +123,77 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, [self.column(j) for j in range(self.cols)], cols=self.rows)
+        if not self.data:
+            return Matrix._of(self.ring, ((),) * self.cols, 0)
+        return Matrix._of(self.ring, tuple(zip(*self.data)), self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        R = self.ring
-        is_zero, add, mul = R.is_zero, R.add, R.mul
-        # row t of the right factor as its nonzero (j, b_tj) pairs; each output
-        # row accumulates a_it * (row t) over the nonzero a_it only
-        sparse = [[(j, x) for j, x in enumerate(row) if not is_zero(x)] for row in other.data]
+        if not (self.rows and self.cols and other.cols):
+            # an empty product or an empty inner dimension: the zero matrix
+            return Matrix.zeros(self.ring, self.rows, other.cols)
+        axpy = self.ring.sparse_axpy
+        # row t of the right factor as {j: b_tj} over its nonzero entries; each
+        # output row accumulates a_it * (row t) over the nonzero a_it only
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in other.data]
         out = []
         for arow in self.data:
-            acc = [R.zero()] * other.cols
+            acc = {}
             for a, brow in zip(arow, sparse):
-                if brow and not is_zero(a):
-                    for j, b in brow:
-                        acc[j] = add(acc[j], mul(a, b))
+                if a and brow:
+                    axpy(acc, a, brow)
             out.append(acc)
-        return Matrix(R, out, cols=other.cols)
+        return _dense(self.ring, out, other.cols)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition shape mismatch")
-        R = self.ring
-        return Matrix(R, [
-            [R.add(self.data[i][j], other.data[i][j]) for j in range(self.cols)]
-            for i in range(self.rows)
-        ], cols=self.cols)
+        # a + b as a - (-1)*b
+        sub, minus_one = self.ring.row_sub_multiple, self.ring.neg(self.ring.one())
+        return Matrix._of(self.ring, tuple(
+            tuple(sub(a, minus_one, b)) for a, b in zip(self.data, other.data)), self.cols)
 
     def __neg__(self):
-        R = self.ring
-        return Matrix(R, [[R.neg(x) for x in row] for row in self.data], cols=self.cols)
+        return self.scale(self.ring.neg(self.ring.one()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "Matrix":
-        R = self.ring
-        return Matrix(R, [[R.mul(c, x) for x in row] for row in self.data], cols=self.cols)
+        scale = self.ring.row_scale
+        return Matrix._of(self.ring, tuple(tuple(scale(c, row)) for row in self.data),
+                          self.cols)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
-        return Matrix(
-            self.ring,
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-            cols=self.cols + other.cols,
-        )
+        return Matrix._of(self.ring, tuple(a + b for a, b in zip(self.data, other.data)),
+                          self.cols + other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ShapeMismatch("vstack column mismatch")
-        return Matrix(self.ring, self.data + other.data, cols=self.cols)
+        return Matrix._of(self.ring, self.data + other.data, self.cols)
 
     def submatrix(self, r0, r1, c0, c1) -> "Matrix":
-        return Matrix(self.ring, [row[c0:c1] for row in self.data[r0:r1]], cols=c1 - c0)
+        return Matrix._of(self.ring, tuple(row[c0:c1] for row in self.data[r0:r1]),
+                          len(range(self.cols)[c0:c1]))
 
     def take_columns(self, idx) -> "Matrix":
         idx = list(idx)
-        return Matrix(self.ring, [[row[j] for j in idx] for row in self.data], cols=len(idx))
+        return Matrix._of(self.ring, tuple(tuple([row[j] for j in idx]) for row in self.data),
+                          len(idx))
 
     def map_entries(self, fn, ring=None) -> "Matrix":
-        return Matrix(
-            ring or self.ring,
-            [[fn(x) for x in row] for row in self.data],
-            cols=self.cols,
-        )
+        return Matrix._of(ring or self.ring, tuple(tuple(map(fn, row)) for row in self.data),
+                          self.cols)
 
     def residue(self) -> "Matrix":
         """Entrywise reduction to the residue field k = R/(xi)."""
         R = self.ring
-        return self.map_entries(R.residue, R.residue_field())
+        return Matrix._of(R.residue_field(),
+                          tuple(tuple(R.row_residue(row)) for row in self.data), self.cols)
 
     def xi_scale(self, e: int) -> "Matrix":
         return self.scale(self.ring.xi_power(e))
@@ -184,14 +209,21 @@ class Matrix:
 
 def _dense(R, rows, ncols) -> Matrix:
     """The matrix whose sparse rows ({column: nonzero entry}) are ``rows``."""
-    z = R.zero()
-    return Matrix(R, [[row.get(j, z) for j in range(ncols)] for row in rows], cols=ncols)
+    zeros = [R.zero()] * ncols
+    out = []
+    for row in rows:
+        dense = zeros[:]
+        for j, x in row.items():
+            dense[j] = x
+        out.append(tuple(dense))
+    return Matrix._of(R, tuple(out), ncols)
 
 
 def _dense_transpose(R, cols, nrows) -> Matrix:
     """The matrix whose sparse columns ({row: nonzero entry}) are ``cols``."""
     z = R.zero()
-    return Matrix(R, [[col.get(i, z) for col in cols] for i in range(nrows)], cols=len(cols))
+    return Matrix._of(R, tuple(tuple([col.get(i, z) for col in cols]) for i in range(nrows)),
+                      len(cols))
 
 
 class SNFResult:
@@ -251,19 +283,17 @@ class SNFResult:
         """
         M = self.matrix
         R = M.ring
-        z = R.zero()
+        z, one = R.zero(), R.one()
         cols = []
         for i in range(self.rank):
-            d = self._d_rows[i][i]
             src = self._uinv_cols[i]
-            col = [R.mul(d, src[r]) if r in src else z for r in range(M.rows)]
-            lead = next((x for x in col if not R.is_zero(x)), None)
+            col = R.row_scale(self._d_rows[i][i], [src.get(r, z) for r in range(M.rows)])
+            lead = next((x for x in col if x), None)
             if lead is not None:
                 u, _ = R.unit_normalize(lead)
-                if not R.is_zero(R.sub(u, R.one())):
-                    inv = R.inv_unit(u)
-                    col = [R.mul(inv, x) for x in col]
-            cols.append(tuple(col))
+                if u != one:
+                    col = R.row_scale(R.inv_unit(u), col)
+            cols.append(col)
         return Matrix.from_columns(R, cols, rows=M.rows)
 
     def solve(self, B: Matrix):
@@ -272,42 +302,34 @@ class SNFResult:
         if M.rows != B.rows:
             raise ShapeMismatch("solve shape mismatch")
         R = M.ring
-        is_zero, add, mul = R.is_zero, R.add, R.mul
+        axpy, divrem = R.sparse_axpy, R.divrem
         # Y = D^+ U B, row by row: the rows past the rank must vanish and the
         # others must divide exactly by their invariant factor
-        brows = [[(j, b) for j, b in enumerate(row) if not is_zero(b)] for row in B.data]
+        brows = [{j: b for j, b in enumerate(row) if b} for row in B.data]
         Y = []
         for i, urow in enumerate(self._u_rows):
-            acc = [R.zero()] * B.cols
+            acc = {}
             for k, a in urow.items():
-                for j, b in brows[k]:
-                    acc[j] = add(acc[j], mul(a, b))
+                axpy(acc, a, brows[k])
             if i >= self.rank:
-                if any(not is_zero(x) for x in acc):
+                if acc:
                     return None
                 continue
             d = self._d_rows[i][i]
-            yrow = []
-            for j, c in enumerate(acc):
-                if not is_zero(c):
-                    q, r = R.divrem(c, d)
-                    if not is_zero(r):
-                        return None
-                    yrow.append((j, q))
+            yrow = {}
+            for j, c in acc.items():
+                q, r = divrem(c, d)
+                if r:
+                    return None
+                yrow[j] = q
             Y.append(yrow)
         # X = V Y, accumulated as the outer products of V's columns with Y's rows
-        out = [[R.zero()] * B.cols for _ in range(M.cols)]
+        out = [{} for _ in range(M.cols)]
         for vcol, yrow in zip(self._v_cols, Y):
-            for r, v in vcol.items():
-                row = out[r]
-                for j, y in yrow:
-                    row[j] = add(row[j], mul(v, y))
-        return Matrix(R, out, cols=B.cols)
-
-
-def _identity_rows(R, n):
-    z, o = R.zero(), R.one()
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
+            if yrow:
+                for r, v in vcol.items():
+                    axpy(out[r], v, yrow)
+        return _dense(R, out, B.cols)
 
 
 def snf(M: Matrix) -> SNFResult:
@@ -320,23 +342,15 @@ def snf(M: Matrix) -> SNFResult:
     over the nonzero entries of its source.
     """
     R = M.ring
-    is_zero, add, mul, neg = R.is_zero, R.add, R.mul, R.neg
+    add, mul, neg, size, divrem = R.add, R.mul, R.neg, R.size, R.divrem
+    addmul = R.sparse_axpy  # addmul(out, c, src): out += c * src
     zero, one = R.zero(), R.one()
     rows, cols = M.rows, M.cols
-    D = [{j: x for j, x in enumerate(row) if not is_zero(x)} for row in M.data]
+    D = [{j: x for j, x in enumerate(row) if x} for row in M.data]
     U = [{i: one} for i in range(rows)]
     Uit = [{i: one} for i in range(rows)]  # columns of U^-1
     Vt = [{j: one} for j in range(cols)]   # columns of V
     Vi = [{j: one} for j in range(cols)]
-
-    def addmul(out, src, c):
-        # out += c * src, over the nonzero entries of src
-        for j, x in src.items():
-            y = add(out.get(j, zero), mul(c, x))
-            if is_zero(y):
-                out.pop(j, None)
-            else:
-                out[j] = y
 
     def swap_entries(row, a, b):
         x, y = row.pop(a, None), row.pop(b, None)
@@ -355,9 +369,9 @@ def snf(M: Matrix) -> SNFResult:
 
     def row_addmul(dst, src, c):
         # row_dst += c * row_src; inverse op: col_src of U^-1 -= c * col_dst
-        addmul(D[dst], D[src], c)
-        addmul(U[dst], U[src], c)
-        addmul(Uit[src], Uit[dst], neg(c))
+        addmul(D[dst], c, D[src])
+        addmul(U[dst], c, U[src])
+        addmul(Uit[src], neg(c), Uit[dst])
 
     def col_swap(a, b):
         for i in range(t, rows):
@@ -371,12 +385,12 @@ def snf(M: Matrix) -> SNFResult:
             row = D[i]
             if src in row:
                 y = add(row.get(dst, zero), mul(c, row[src]))
-                if is_zero(y):
-                    row.pop(dst, None)
-                else:
+                if y:
                     row[dst] = y
-        addmul(Vt[dst], Vt[src], c)
-        addmul(Vi[src], Vi[dst], neg(c))
+                else:
+                    row.pop(dst, None)
+        addmul(Vt[dst], c, Vt[src])
+        addmul(Vi[src], neg(c), Vi[dst])
 
     def pivot():
         # smallest (size, i, j) over the nonzero entries of the trailing
@@ -385,7 +399,7 @@ def snf(M: Matrix) -> SNFResult:
         best = None
         for i in range(t, rows):
             for j, x in D[i].items():
-                key = (R.size(x), i, j)
+                key = (size(x), i, j)
                 if best is None or key < best:
                     best = key
             if best is not None and best[0] <= 1:
@@ -411,9 +425,9 @@ def snf(M: Matrix) -> SNFResult:
                 x = D[i].get(t)
                 if x is None:
                     continue
-                q, r = R.divrem(x, p)
+                q, r = divrem(x, p)
                 row_addmul(i, t, neg(q))
-                if not is_zero(r):
+                if r:
                     row_swap(i, t)
                     restart = True
                     break
@@ -422,9 +436,9 @@ def snf(M: Matrix) -> SNFResult:
             # clear the pivot row; a column update changes only its own
             # column of row t, since the pivot column is clear below t
             for j in sorted(k for k in D[t] if k > t):
-                q, r = R.divrem(D[t][j], p)
+                q, r = divrem(D[t][j], p)
                 col_addmul(j, t, neg(q))
-                if not is_zero(r):
+                if r:
                     col_swap(j, t)
                     restart = True
                     break

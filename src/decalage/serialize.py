@@ -50,18 +50,29 @@ def complex_to_json(K: FreeComplex) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; JSON's true and false are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def complex_from_json(data: dict) -> FreeComplex:
     if not isinstance(data, dict):
         raise SerializeError("complex JSON must be an object")
     try:
         ring = ring_from_description(data["ring"])
-        lo = int(data["lo"])
-        ranks = [int(r) for r in data["ranks"]]
-        hi = int(data.get("hi", lo + len(ranks) - 1))
-        twist = int(data.get("twist", 0))
-        raw = data.get("differentials", [])
+        lo, ranks = data["lo"], data["ranks"]
     except (KeyError, TypeError, ValueError, RingElementError) as exc:
         raise SerializeError(f"bad complex JSON: {exc}") from exc
+    if not isinstance(ranks, list) or not all(map(_is_int, ranks)):
+        raise SerializeError(f"ranks must be a list of integers, got {ranks!r}")
+    for name in ("lo", "hi", "twist"):
+        if name in data and not _is_int(data[name]):
+            raise SerializeError(f"{name} must be an integer, got {data[name]!r}")
+    hi = data.get("hi", lo + len(ranks) - 1)
+    twist = data.get("twist", 0)
+    raw = data.get("differentials", [])
+    if not isinstance(raw, list):
+        raise SerializeError(f"differentials must be a list, got {raw!r}")
     if ring.is_field:
         raise SerializeError(f"a complex needs a ring with a uniformizer xi; "
                              f"{ring.kind!r} is a field")

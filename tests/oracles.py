@@ -11,7 +11,9 @@ R/xi^N instead of exact Smith form machinery, and the lattice flag again from
 one lattice intersection per level instead of one adapted basis.  The dense
 product, the dense matrix-vector product, the dense RREF row update and the
 dense Smith normal form are kept here as the references for the library's
-zero-skipping kernels.  The pullback of a sheaf to the barycentric
+zero-skipping kernels, and ``GenericKernels`` is a ring whose row kernels
+are ``BaseRing``'s generic defaults, the reference for the native-int ones.
+The pullback of a sheaf to the barycentric
 subdivision of its site, with the basis-free part of a theorem report, is
 the metamorphic oracle for the whole theorem path.  The last section holds
 the helpers that only the tests call: complex invariants and shifts, induced
@@ -31,10 +33,62 @@ from itertools import combinations
 from decalage.bockstein import Memo, k_cohomology_quotient
 from decalage.complexes import FGModule, FreeComplex
 from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
-from decalage.rings import IntegerRing, PolynomialRing, PrimeField
+from decalage.rings import BaseRing, IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, ShapeMismatch, snf
 from decalage.sites import InvalidSheaf, PosetSite, SheafComplex
 from decalage.theorem import Flag, Lattice, relative_position
+
+
+# ---------------------------------------------------------------------------
+# generic row kernels: BaseRing's defaults, built from the element methods
+
+
+class GenericKernels(BaseRing):
+    """``ring``'s element arithmetic with only ``BaseRing``'s row kernels.
+
+    The element methods are the wrapped ring's own; ``row_sub_multiple``,
+    ``sparse_axpy``, ``row_scale`` and ``row_residue`` are the generic
+    defaults, so a matrix over this ring runs the library's matrix code with
+    none of the native-int overrides.  A polynomial ring is rebuilt over the
+    wrapped base field, so its coefficient loops are generic too, and the
+    residue field is wrapped as well.
+    """
+
+    ELEMENT_METHODS = ("zero", "one", "add", "neg", "mul", "is_zero", "is_unit",
+                       "divrem", "size", "unit_normalize", "exact_div", "divides", "pow",
+                       "inv_unit", "xi_valuation", "xi_power", "xi_divide", "residue",
+                       "lift", "format", "parse", "describe")
+
+    def __init__(self, ring: BaseRing):
+        if isinstance(ring, GenericKernels):
+            ring = ring.inner
+        if isinstance(ring, PolynomialRing):
+            ring = PolynomialRing(GenericKernels(ring.base))
+        self.inner = ring
+        self.kind, self.is_field = ring.kind, ring.is_field
+        for name in self.ELEMENT_METHODS:
+            setattr(self, name, getattr(ring, name))
+
+    @property
+    def xi(self):
+        return self.inner.xi
+
+    def residue_field(self):
+        return GenericKernels(self.inner.residue_field())
+
+    def __eq__(self, other):
+        return isinstance(other, GenericKernels) and other.inner == self.inner
+
+    def __hash__(self):
+        return hash(("generic", self.inner))
+
+    def __repr__(self):
+        return f"<generic kernels over {self.inner!r}>"
+
+
+def with_generic_kernels(M: Matrix) -> Matrix:
+    """M over ``GenericKernels(M.ring)``, entry for entry."""
+    return Matrix(GenericKernels(M.ring), M.data, cols=M.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +149,7 @@ def dense_rref(M: Matrix):
         for i in range(nr):
             if i != r and not F.is_zero(rows[i][c]):
                 f = rows[i][c]
-                rows[i] = [F.sub(rows[i][j], F.mul(f, rows[r][j])) for j in range(nc)]
+                rows[i] = [F.add(rows[i][j], F.neg(F.mul(f, rows[r][j]))) for j in range(nc)]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -268,7 +322,7 @@ def determinant(M: Matrix):
             continue
         rest = M.submatrix(1, n, 0, j).hstack(M.submatrix(1, n, j + 1, n))
         term = R.mul(a, determinant(rest))
-        total = R.add(total, term) if j % 2 == 0 else R.sub(total, term)
+        total = R.add(total, term if j % 2 == 0 else R.neg(term))
     return total
 
 
@@ -577,7 +631,7 @@ class Trunc:
         return self.cut(self.ring.add(a, b))
 
     def sub(self, a, b):
-        return self.cut(self.ring.sub(a, b))
+        return self.cut(self.ring.add(a, self.ring.neg(b)))
 
     def mul(self, a, b):
         return self.cut(self.ring.mul(a, b))

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from decalage.bockstein import Memo
+from decalage.bockstein import Memo, verify_mod_xi_subquotient
 from decalage.complexes import FGModule, FreeComplex, cohomology_presentation
 from decalage.eta import (
     DegreeBelowZero,
@@ -15,6 +17,7 @@ from decalage.eta import (
     xi_step_inclusion_holds,
 )
 from decalage.instances import random_complex
+from decalage.rings import IntegerRing
 from decalage.rmatrix import Matrix, solve_exact
 from oracles import cokernel_term, is_degreewise_injective, shift
 
@@ -187,3 +190,55 @@ def test_lemma_suite_random(rng):
             for m in range(0, K.hi + 3):
                 res = verify_eta_m_cohomology(Memo(), K, m)
                 assert res.passed, (ring, m, res.failures)
+
+
+# The records of the three checks below when every FGModule comparison fails,
+# as the checks wrote them when they formatted their witnesses with repr()
+# eagerly; the test compares their JSON text.
+FAILING_WITNESS_RECORDS = [{'check': 'eta-m.graded-piece',
+  'failures': [{'degree': 0,
+                'got': '<FG R/(2)>',
+                'reason': 'graded cohomology mismatch',
+                'want': '<FG R/(2)>'},
+               {'degree': 1,
+                'got': '<FG R/(2) + R/(2)>',
+                'reason': 'graded cohomology mismatch',
+                'want': '<FG R/(2) + R/(2)>'},
+               {'degree': 2,
+                'got': '<FG 0>',
+                'reason': 'graded cohomology mismatch',
+                'want': '<FG 0>'}],
+  'passed': False},
+ {'check': 'eta-m.cohomology',
+  'failures': [{'degree': 0, 'got': '<FG 0>', 'm': 1, 'want': '<FG 0>'},
+               {'degree': 1, 'got': '<FG R/(2)>', 'm': 1, 'want': '<FG R/(2)>'},
+               {'degree': 2, 'got': '<FG R/(2)>', 'm': 1, 'want': '<FG R/(2)>'},
+               {'degree': 0,
+                'got': '<FG 0>',
+                'reason': 'decalage vs torsion quotient',
+                'want': '<FG 0>'},
+               {'degree': 1,
+                'got': '<FG 0>',
+                'reason': 'decalage vs torsion quotient',
+                'want': '<FG 0>'},
+               {'degree': 2,
+                'got': '<FG R/(2)>',
+                'reason': 'decalage vs torsion quotient',
+                'want': '<FG R/(2)>'}],
+  'passed': False},
+ {'check': 'eta-m.mod-xi-subquotient',
+  'failures': [{'degree': 0, 'got': '<FG 0>', 'm': 1, 'want': '<FG 0>'},
+               {'degree': 1, 'got': '<FG 0>', 'm': 1, 'want': '<FG 0>'},
+               {'degree': 2, 'got': '<FG R/(2)>', 'm': 1, 'want': '<FG R/(2)>'}],
+  'passed': False}]
+
+
+def test_failing_module_witnesses_print_as_before(monkeypatch):
+    # the checks hand their FGModule witnesses over unformatted; a failing
+    # check's JSON must still read repr() of each, byte for byte
+    R = IntegerRing(2)
+    K = FreeComplex(R, 0, [1, 2, 1], [Matrix(R, [[2], [0]]), Matrix(R, [[0, 4]])])
+    monkeypatch.setattr(FGModule, "__eq__", lambda self, other: False)
+    got = [check(Memo(), K, 1).to_json()
+           for check in (verify_graded_piece, verify_eta_m_cohomology, verify_mod_xi_subquotient)]
+    assert json.dumps(got, sort_keys=True) == json.dumps(FAILING_WITNESS_RECORDS, sort_keys=True)

@@ -1,12 +1,17 @@
 """The zero-skipping exact kernels against their dense references.
 
-``Matrix.__matmul__`` skips zero entries of both factors, ``rref`` updates a
-row only at the pivot row's nonzero columns, and ``snf`` keeps its matrices
+``Matrix.__matmul__`` skips zero entries of both factors, ``rref`` updates
+only the rows with a nonzero entry in the pivot column, and ``snf`` keeps its matrices
 as sparse rows and updates them only at the nonzero entries of their source.
 Each must return what the dense versions in ``oracles.py`` return, entry for
 entry and in the same normal form (same Python type, down to polynomial
 coefficients), because report digests see element representations.  Shapes
 include empty ones and the share of zero entries ranges over [0, 1].
+
+The rings' native row kernels are checked the same way against
+``oracles.GenericKernels``, which runs the same matrix code on ``BaseRing``'s
+generic kernels, and the falsy-zero contract the matrix code relies on is
+checked for every ring.
 """
 
 from fractions import Fraction
@@ -14,11 +19,11 @@ from fractions import Fraction
 import pytest
 
 from decalage import rmatrix
-from decalage.kmatrix import rref
+from decalage.kmatrix import kernel_cols, rref, solve_field
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix, snf
 from decalage.theorem import verify_main_theorem
-from oracles import dense_matmul, dense_rref, dense_snf
+from oracles import GenericKernels, dense_matmul, dense_rref, dense_snf, with_generic_kernels
 from test_contexts import patch_everywhere, theorem_instance
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -159,3 +164,105 @@ def test_snf_matches_dense_snf_on_theorem_traffic(monkeypatch, case, ring):
 def test_is_zero_is_equality_with_zero(ring, data):
     x = data.draw(st.one_of(st.just(ring.zero()), elements(ring)))
     assert ring.is_zero(x) == (x == ring.zero())
+
+
+# ---------------------------------------------------------------------------
+# native row kernels against BaseRing's generic ones
+
+KERNEL_RINGS = [IntegerRing(2), IntegerRing(3), PrimeField(5), PolynomialRing(PrimeField(5)),
+                PolynomialRing(RationalField())]
+
+
+def field_of(ring):
+    """The field the k-linear algebra of ``ring`` runs over."""
+    return ring if ring.is_field else ring.residue_field()
+
+
+def assert_same_data(got: Matrix, want: Matrix):
+    """Equal shapes and entries of equal types; the rings differ in kernels only."""
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert [[typed(x) for x in row] for row in got.data] == \
+        [[typed(x) for x in row] for row in want.data]
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(KERNEL_RINGS + [RationalField()]), dims, st.data())
+def test_row_kernels_match_generic_kernels(ring, n, data):
+    generic = GenericKernels(ring)
+    elem = elements(ring)
+    row, src = (data.draw(st.lists(elem, min_size=n, max_size=n)) for _ in range(2))
+    f = data.draw(elem)
+    assert typed(ring.row_sub_multiple(row, f, src)) == \
+        typed(generic.row_sub_multiple(row, f, src))
+    assert typed(ring.row_scale(f, row)) == typed(generic.row_scale(f, row))
+    out = {j: x for j, x in enumerate(row) if x}
+    want = dict(out)
+    sparse_src = {j: x for j, x in enumerate(src) if x}
+    ring.sparse_axpy(out, f, sparse_src)
+    generic.sparse_axpy(want, f, sparse_src)
+    assert {j: typed(x) for j, x in out.items()} == {j: typed(x) for j, x in want.items()}
+    assert all(out.values())
+    if not ring.is_field:
+        assert typed(ring.row_residue(row)) == typed(generic.row_residue(row))
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(KERNEL_RINGS), dims, st.integers(0, 7), dims, st.data())
+def test_field_elimination_matches_generic_kernels(ring, rows, cols, rhs, data):
+    F = field_of(ring)
+    A = data.draw(matrices(F, rows, cols))
+    GA = with_generic_kernels(A)
+    got, pivots = rref(A)
+    want, want_pivots = rref(GA)
+    assert pivots == want_pivots
+    assert_same_data(got, want)
+    assert_same_data(kernel_cols(A), kernel_cols(GA))
+    solvable = A @ data.draw(matrices(F, cols, rhs))
+    for B in (solvable, data.draw(matrices(F, rows, rhs))):
+        got, want = solve_field(A, B), solve_field(GA, with_generic_kernels(B))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert_same_data(got, want)
+    assert solve_field(A, solvable) is not None
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(KERNEL_RINGS), dims, dims, dims, st.data())
+def test_snf_and_solve_match_generic_kernels(ring, rows, cols, rhs, data):
+    M = data.draw(matrices(ring, rows, cols))
+    got, want = snf(M), snf(with_generic_kernels(M))
+    assert got.rank == want.rank
+    assert [typed(f) for f in got.factors] == [typed(f) for f in want.factors]
+    for name in ("d", "u", "uinv", "v", "vinv"):
+        assert_same_data(getattr(got, name), getattr(want, name))
+    assert_same_data(got.image(), want.image())
+    solvable = M @ data.draw(matrices(ring, cols, rhs))
+    for B in (solvable, data.draw(matrices(ring, rows, rhs))):
+        x, y = got.solve(B), want.solve(with_generic_kernels(B))
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert_same_data(x, y)
+    assert got.solve(solvable) is not None
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(KERNEL_RINGS), dims, dims, dims, st.data())
+def test_product_and_reductions_match_generic_kernels(ring, rows, inner, cols, data):
+    A = data.draw(matrices(ring, rows, inner))
+    B = data.draw(matrices(ring, inner, cols))
+    GA, GB = with_generic_kernels(A), with_generic_kernels(B)
+    assert_same_data(A @ B, GA @ GB)
+    c = data.draw(elements(ring))
+    assert_same_data(A.scale(c), GA.scale(c))
+    assert_same_data(A + A.scale(c), GA + GA.scale(c))
+    if not ring.is_field:
+        assert_same_data(A.residue(), GA.residue())
+        assert_same_data(A.xi_scale(2).xi_divide(2), A)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(RINGS + [r.residue_field() for r in RINGS if not r.is_field]),
+                  st.data())
+def test_every_element_is_falsy_exactly_at_zero(ring, data):
+    x = data.draw(st.one_of(st.just(ring.zero()), elements(ring)))
+    assert bool(x) == (not ring.is_zero(x))

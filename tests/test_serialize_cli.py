@@ -166,6 +166,24 @@ def test_cli_malformed_complex_is_a_parse_error(tmp_path, command, key, value):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("key,value", [
+    ("ranks", "12"), ("twist", 1.7), ("twist", True), ("differentials", 3),
+    ("differentials", None), ("lo", False), ("ranks", [1, 2.0]),
+])
+def test_cli_complex_fields_of_the_wrong_type_are_parse_errors(tmp_path, key, value):
+    # with the right types this is a valid complex; a reader that coerces
+    # (int("12") digit by digit, int(1.7), int(True)) would accept each case
+    data = {"ring": {"kind": "z", "xi": "2"}, "lo": 0, "ranks": [1, 2],
+            "differentials": [[["0"], ["2"]]]}
+    data[key] = value
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    r = run_cli("validate", str(path))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "parse error" in r.stderr and r.stdout == ""
+    assert "Traceback" not in r.stderr
+
+
 def test_ring_description_must_be_an_object():
     with pytest.raises(RingElementError):
         ring_from_description("z")
