@@ -123,7 +123,7 @@ class FreeComplex:
     __slots__ = ("ring", "lo", "hi", "_ranks", "_diffs", "twist", "_hash")
 
     def __init__(self, ring, lo: int, ranks, diffs, twist: int = 0):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = tuple(ranks)
         diffs = tuple(diffs)
         if not ranks:
             ranks = (0,)

@@ -3,7 +3,7 @@
 Three principal ideal domains are supported, each with a chosen prime ``xi``
 and exact arithmetic throughout:
 
-* the integers with ``xi`` a prime number,
+* the integers with ``xi`` a prime number, ``xi <= 2**16``,
 * ``F_p[t]`` with ``xi = t`` (p prime, p <= 2**16),
 * ``Q[t]`` with ``xi = t`` (Fraction coefficients).
 
@@ -214,7 +214,7 @@ class PrimeField(BaseRing):
     is_field = True
 
     def __init__(self, p: int):
-        if not _is_prime(p) or p > 2 ** 16:
+        if p > 2 ** 16 or not _is_prime(p):
             raise ValueError(f"field characteristic must be a prime <= 2**16, got {p}")
         self.p = p
 
@@ -365,8 +365,8 @@ class IntegerRing(BaseRing):
     kind = "z"
 
     def __init__(self, xi: int):
-        if not _is_prime(xi):
-            raise ValueError(f"xi must be a prime integer, got {xi}")
+        if xi > 2 ** 16 or not _is_prime(xi):
+            raise ValueError(f"xi must be a prime <= 2**16, got {xi}")
         self._xi = xi
         self._k = PrimeField(xi)
 
@@ -718,35 +718,29 @@ class PolynomialRing(BaseRing):
 
 
 def ring_from_description(desc: dict) -> BaseRing:
-    if not isinstance(desc, dict):
-        raise RingElementError(f"a ring description must be an object, got {desc!r}")
-    kind = desc.get("kind")
-    if kind == "z":
-        return IntegerRing(int(desc["xi"]))
-    if kind == "fp-poly":
-        return PolynomialRing(PrimeField(int(desc["p"])))
-    if kind == "q-poly":
-        return PolynomialRing(RationalField())
-    if kind == "prime-field":
-        return PrimeField(int(desc["p"]))
-    if kind == "rationals":
-        return RationalField()
-    raise RingElementError(f"unknown ring kind: {kind!r}")
+    """The ring a description names; ``serialize`` checks its JSON types and keys first."""
+    match desc:
+        case {"kind": "z", "xi": xi}:
+            if not (xi.isascii() and xi.isdigit()):
+                raise RingElementError(f"xi must be a decimal prime, got {xi!r}")
+            return IntegerRing(int(xi))
+        case {"kind": "fp-poly" | "q-poly", "xi": xi} if xi != "t":
+            raise RingElementError(f"xi must be t for polynomial rings, got {xi!r}")
+        case {"kind": "fp-poly", "p": p}:
+            return PolynomialRing(PrimeField(p))
+        case {"kind": "q-poly"}:
+            return PolynomialRing(RationalField())
+        case {"kind": "prime-field", "p": p}:
+            return PrimeField(p)
+        case {"kind": "rationals"}:
+            return RationalField()
+    raise RingElementError(f"not a ring description: {desc!r}")
 
 
 def make_ring(name: str, xi: str | None = None, char: int = 5) -> BaseRing:
-    """CLI-facing constructor: name in {z, fp-poly, q-poly}.
-
-    For the polynomial rings xi is always t; ``char`` picks the prime field.
-    """
-    if name == "z":
-        return IntegerRing(int(xi if xi is not None else 2))
+    """CLI-facing constructor: ``xi`` defaults to 2 for z and to t for the polynomial
+    rings, and ``char`` is the characteristic of fp-poly."""
+    desc = {"kind": name, "xi": ("2" if name == "z" else "t") if xi is None else xi}
     if name == "fp-poly":
-        if xi not in (None, "t"):
-            raise RingElementError("xi must be t for polynomial rings")
-        return PolynomialRing(PrimeField(char))
-    if name == "q-poly":
-        if xi not in (None, "t"):
-            raise RingElementError("xi must be t for polynomial rings")
-        return PolynomialRing(RationalField())
-    raise RingElementError(f"unknown ring name: {name!r}")
+        desc["p"] = char
+    return ring_from_description(desc)

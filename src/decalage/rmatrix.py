@@ -113,9 +113,6 @@ class Matrix:
         # every element encoding is falsy exactly at zero
         return not any(map(any, self.data))
 
-    def entry(self, i, j):
-        return self.data[i][j]
-
     def column(self, j):
         return tuple(row[j] for row in self.data)
 
@@ -146,19 +143,8 @@ class Matrix:
             out.append(acc)
         return _dense(self.ring, out, other.cols)
 
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("addition shape mismatch")
-        # a + b as a - (-1)*b
-        sub, minus_one = self.ring.row_sub_multiple, self.ring.neg(self.ring.one())
-        return Matrix._of(self.ring, tuple(
-            tuple(sub(a, minus_one, b)) for a, b in zip(self.data, other.data)), self.cols)
-
     def __neg__(self):
         return self.scale(self.ring.neg(self.ring.one()))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c) -> "Matrix":
         scale = self.ring.row_scale

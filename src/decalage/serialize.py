@@ -10,6 +10,7 @@ lo >= 0 since the engine works in nonnegative degrees; sheaf complexes carry
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 
 from .complexes import ChainMap, FreeComplex
 from .rings import BaseRing, RingElementError, ring_from_description
@@ -21,22 +22,69 @@ class SerializeError(ValueError):
     """Input does not parse as the expected object."""
 
 
+# The input records, each walked by _check before it is read: a record maps
+# its fields to specs and has no other field, and a spec is a JSON type (object
+# for any value), NAT, [spec], a tuple of specs (a list of that length), a
+# record, or RING (the record of RINGS that "kind" names).  A field with a
+# reader of its own is walked by that reader, so a complex's ring is read, and
+# refused if it is a field, before its matrices are walked.
+NAT, RING, KIND = "nat", "ring", "kind"
+Maybe = namedtuple("Maybe", "spec")  # the spec of a field that may be absent
+RINGS = {
+    "z": {"kind": str, "xi": str},
+    "fp-poly": {"kind": str, "p": int, "xi": Maybe(str)},
+    "q-poly": {"kind": str, "xi": Maybe(str)},
+    "prime-field": {"kind": str, "p": int},
+    "rationals": {"kind": str},
+}
+TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object",
+              NAT: "a nonnegative integer", KIND: f"one of {', '.join(RINGS)}"}
+COMPLEX = {"ring": RING, "lo": NAT, "hi": Maybe(int), "ranks": [NAT], "twist": Maybe(int),
+           "differentials": Maybe(list)}
+SITE = {"elements": [str], "leq": Maybe([(str, str)])}
+SHEAF = {"site": dict, "stalks": dict, "restrictions": Maybe(dict)}
+FIXTURE = {"instance": dict, "facts": Maybe(object), "lemma_report": Maybe(object),
+           "theorem_report": Maybe(object)}
+
+
+def _check(value, spec, path: str = "$") -> None:
+    """Raise SerializeError at the JSON path of the first part of value that spec refuses."""
+    if spec is RING:
+        kind = value.get("kind") if type(value) is dict else None
+        spec = RINGS[kind] if type(kind) is str and kind in RINGS else {"kind": KIND}
+    if type(spec) is dict:
+        _check(value, dict, path)
+        for name, sub in spec.items():
+            if name in value:
+                _check(value[name], sub.spec if type(sub) is Maybe else sub, f"{path}.{name}")
+            elif type(sub) is not Maybe:
+                raise SerializeError(f"{path}.{name}: missing")
+        for name in value:
+            if name not in spec:
+                raise SerializeError(f"{path}.{name}: unknown key")
+    elif type(spec) in (list, tuple):
+        _check(value, list, path)
+        specs = spec * len(value) if type(spec) is list else spec
+        if len(value) != len(specs):
+            raise SerializeError(f"{path}: expected a list of {len(spec)}, got {len(value)}")
+        for i, (x, sub) in enumerate(zip(value, specs)):
+            _check(x, sub, f"{path}[{i}]")
+    elif not (spec is object or type(value) is spec
+              or spec is NAT and type(value) is int and value >= 0):
+        shown = TYPE_NAMES[type(value)] if type(value) in (list, dict) else json.dumps(value)
+        raise SerializeError(f"{path}: expected {TYPE_NAMES[spec]}, got {shown}")
+
+
 def matrix_to_json(M: Matrix):
     return [[M.ring.format(x) for x in row] for row in M.data]
 
 
-def matrix_from_json(ring: BaseRing, data, rows: int, cols: int) -> Matrix:
-    if not isinstance(data, list) or len(data) != rows:
-        raise SerializeError(f"matrix needs {rows} rows, got {data!r}")
-    out = []
-    for row in data:
-        if not isinstance(row, list) or len(row) != cols:
-            raise SerializeError(f"matrix row needs {cols} entries")
-        try:
-            out.append([ring.parse(str(x)) for x in row])
-        except RingElementError as exc:
-            raise SerializeError(str(exc)) from exc
-    return Matrix(ring, out, cols=cols)
+def matrix_from_json(ring: BaseRing, data, rows: int, cols: int, path: str = "$") -> Matrix:
+    _check(data, ((str,) * cols,) * rows, path)
+    try:
+        return Matrix(ring, [[ring.parse(x) for x in row] for row in data], cols=cols)
+    except RingElementError as exc:
+        raise SerializeError(f"{path}: {exc}") from exc
 
 
 def complex_to_json(K: FreeComplex) -> dict:
@@ -50,70 +98,34 @@ def complex_to_json(K: FreeComplex) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    """True for a JSON integer; JSON's true and false are not integers."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def complex_from_json(data: dict) -> FreeComplex:
-    if not isinstance(data, dict):
-        raise SerializeError("complex JSON must be an object")
+def complex_from_json(data: dict, path: str = "$") -> FreeComplex:
+    _check(data, COMPLEX, path)
     try:
         ring = ring_from_description(data["ring"])
-        lo, ranks = data["lo"], data["ranks"]
-    except (KeyError, TypeError, ValueError, RingElementError) as exc:
-        raise SerializeError(f"bad complex JSON: {exc}") from exc
-    if not isinstance(ranks, list) or not all(map(_is_int, ranks)):
-        raise SerializeError(f"ranks must be a list of integers, got {ranks!r}")
-    for name in ("lo", "hi", "twist"):
-        if name in data and not _is_int(data[name]):
-            raise SerializeError(f"{name} must be an integer, got {data[name]!r}")
-    hi = data.get("hi", lo + len(ranks) - 1)
-    twist = data.get("twist", 0)
-    raw = data.get("differentials", [])
-    if not isinstance(raw, list):
-        raise SerializeError(f"differentials must be a list, got {raw!r}")
+    except ValueError as exc:
+        raise SerializeError(f"{path}.ring: {exc}") from exc
     if ring.is_field:
-        raise SerializeError(f"a complex needs a ring with a uniformizer xi; "
+        raise SerializeError(f"{path}.ring: a complex needs a ring with a uniformizer xi; "
                              f"{ring.kind!r} is a field")
-    if lo < 0:
-        raise SerializeError(f"degrees must be nonnegative, got lo = {lo}")
-    if any(r < 0 for r in ranks):
-        raise SerializeError(f"ranks must be nonnegative, got {ranks}")
-    if hi != lo + len(ranks) - 1:
-        raise SerializeError("hi does not match lo + len(ranks) - 1")
-    if len(raw) != max(len(ranks) - 1, 0):
-        raise SerializeError("need one differential per adjacent degree pair")
-    diffs = [
-        matrix_from_json(ring, raw[i], ranks[i + 1], ranks[i])
-        for i in range(len(raw))
-    ]
-    return FreeComplex(ring, lo, ranks, diffs, twist)
+    lo, ranks, raw = data["lo"], data["ranks"], data.get("differentials", [])
+    if data.get("hi", lo + len(ranks) - 1) != lo + len(ranks) - 1:
+        raise SerializeError(f"{path}.hi: does not match lo + len(ranks) - 1")
+    _check(raw, (list,) * max(len(ranks) - 1, 0), f"{path}.differentials")
+    diffs = [matrix_from_json(ring, m, ranks[i + 1], ranks[i], f"{path}.differentials[{i}]")
+             for i, m in enumerate(raw)]
+    return FreeComplex(ring, lo, ranks, diffs, data.get("twist", 0))
 
 
 def site_to_json(site: PosetSite) -> dict:
     return site.describe()
 
 
-def _strings(value, length=None) -> bool:
-    """True if value is a list of strings, of the given length if one is given."""
-    return (isinstance(value, list) and all(isinstance(x, str) for x in value)
-            and length in (None, len(value)))
-
-
-def site_from_json(data: dict) -> PosetSite:
+def site_from_json(data: dict, path: str = "$") -> PosetSite:
+    _check(data, SITE, path)
     try:
-        elements, leq = data["elements"], data.get("leq", [])
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"bad site JSON: {exc}") from exc
-    if not _strings(elements):
-        raise SerializeError(f"site elements must be a list of strings, got {elements!r}")
-    if not isinstance(leq, list) or not all(_strings(p, 2) for p in leq):
-        raise SerializeError(f"site leq must be a list of [a, b] string pairs, got {leq!r}")
-    try:
-        return PosetSite(elements, [tuple(p) for p in leq])
+        return PosetSite(data["elements"], [tuple(p) for p in data.get("leq", [])])
     except ValueError as exc:
-        raise SerializeError(f"bad site JSON: {exc}") from exc
+        raise SerializeError(f"{path}: {exc}") from exc
 
 
 def sheaf_to_json(F: SheafComplex) -> dict:
@@ -131,44 +143,35 @@ def sheaf_to_json(F: SheafComplex) -> dict:
     return out
 
 
-def sheaf_from_json(data: dict) -> SheafComplex:
-    if not isinstance(data, dict) or "site" not in data:
-        raise SerializeError("sheaf JSON must carry a site")
-    site = site_from_json(data["site"])
-    raw_stalks, raw = data.get("stalks"), data.get("restrictions", {})
-    if not isinstance(raw_stalks, dict) or not isinstance(raw, dict):
-        raise SerializeError("stalks and restrictions must be objects")
-    try:
-        stalks = {x: complex_from_json(raw_stalks[x]) for x in site.elements}
-    except KeyError as exc:
-        raise SerializeError(f"missing stalk: {exc}") from exc
+def sheaf_from_json(data: dict, path: str = "$") -> SheafComplex:
+    _check(data, SHEAF, path)
+    site = site_from_json(data["site"], f"{path}.site")
+    # the site names the fields of the stalks and the restrictions
+    _check(data["stalks"], dict.fromkeys(site.elements, dict), f"{path}.stalks")
+    stalks = {x: complex_from_json(K, f"{path}.stalks.{x}") for x, K in data["stalks"].items()}
+    pairs = {f"{a}<={b}": (a, b) for a, b in site.strict_pairs()}
+    raw = data.get("restrictions", {})
+    _check(raw, {key: (list,) * len(stalks[a].degrees()) for key, (a, _) in pairs.items()},
+           f"{path}.restrictions")
     restrictions = {}
-    for a, b in site.strict_pairs():
-        key = f"{a}<={b}"
-        if key not in raw:
-            raise SerializeError(f"missing restriction {key}")
+    for key, mats in raw.items():
+        (a, b), where = pairs[key], f"{path}.restrictions.{key}"
         src, tgt = stalks[a], stalks[b]
-        mats = raw[key]
-        if not isinstance(mats, list) or len(mats) != src.hi - src.lo + 1:
-            raise SerializeError(f"restriction {key} needs one matrix per degree")
-        maps = {
-            src.lo + j: matrix_from_json(
-                src.ring, mats[j], tgt.rank(src.lo + j), src.rank(src.lo + j)
-            )
-            for j in range(len(mats))
-        }
-        restrictions[(a, b)] = ChainMap(src, tgt, maps)
+        restrictions[(a, b)] = ChainMap(src, tgt, {
+            i: matrix_from_json(src.ring, m, tgt.rank(i), src.rank(i), f"{where}[{j}]")
+            for j, (i, m) in enumerate(zip(src.degrees(), mats))
+        })
     try:
         return SheafComplex(site, stalks, restrictions)
     except InvalidSheaf as exc:
-        raise SerializeError(f"bad sheaf JSON: {exc}") from exc
+        raise SerializeError(f"{path}.stalks: {exc}") from exc
 
 
-def load_instance(data):
+def load_instance(data, path: str = "$"):
     """A sheaf complex from JSON: bare complexes become point-site sheaves."""
     if isinstance(data, dict) and "site" in data:
-        return sheaf_from_json(data)
-    K = complex_from_json(data)
+        return sheaf_from_json(data, path)
+    K = complex_from_json(data, path)
     return SheafComplex.constant(PosetSite.point(), K)
 
 
@@ -185,7 +188,8 @@ def load_instance_file(path: str):
     """The instance in a JSON file, bare or under the ``instance`` key of a fixture record."""
     data = read_json(path)
     if isinstance(data, dict) and "instance" in data:
-        data = data["instance"]
+        _check(data, FIXTURE)
+        return load_instance(data["instance"], "$.instance")
     return load_instance(data)
 
 

@@ -37,10 +37,10 @@ class PosetSite:
     __slots__ = ("elements", "_leq", "_chains")
 
     def __init__(self, elements, relations):
-        elems = tuple(sorted(dict.fromkeys(str(e) for e in elements)))
-        if not elems:
-            raise ValueError("a site needs at least one element")
-        rel = {(str(a), str(b)) for a, b in relations}
+        elems = tuple(sorted(elements))
+        if not elems or len(set(elems)) < len(elems):
+            raise ValueError(f"a site needs at least one element, each listed once: {elems}")
+        rel = set(relations)
         for a, b in rel:
             if a not in elems or b not in elems:
                 raise ValueError(f"relation uses unknown element: {(a, b)}")
@@ -152,8 +152,8 @@ class SheafComplex:
 
     def __init__(self, site: PosetSite, stalks: dict, restrictions: dict):
         self.site = site
-        self.stalks = {str(k): v for k, v in stalks.items()}
-        self.restrictions = {(str(a), str(b)): f for (a, b), f in restrictions.items()}
+        self.stalks = dict(stalks)
+        self.restrictions = dict(restrictions)
         rings = {K.ring for K in self.stalks.values()}
         if len(rings) != 1:
             raise InvalidSheaf("stalks over mixed rings")
@@ -239,7 +239,7 @@ class SheafMap:
     def __init__(self, source: SheafComplex, target: SheafComplex, maps: dict):
         self.source = source
         self.target = target
-        self.maps = {str(k): v for k, v in maps.items()}
+        self.maps = dict(maps)
 
     def map(self, x) -> ChainMap:
         return self.maps[x]

@@ -117,6 +117,15 @@ def dense_matmul(A: Matrix, B: Matrix) -> Matrix:
     return Matrix(R, out, cols=B.cols)
 
 
+def matrix_sum(A: Matrix, B: Matrix) -> Matrix:
+    """A + B, entry by entry with the ring's add."""
+    if (A.rows, A.cols) != (B.rows, B.cols):
+        raise ShapeMismatch(f"{A.rows}x{A.cols} + {B.rows}x{B.cols}")
+    R = A.ring
+    return Matrix(R, [[R.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A.data, B.data)],
+                  cols=A.cols)
+
+
 def apply(M: Matrix, vec):
     """M times a column vector (a sequence of ring elements)."""
     if len(vec) != M.cols:
@@ -314,10 +323,10 @@ def determinant(M: Matrix):
     if n == 0:
         return R.one()
     if n == 1:
-        return M.entry(0, 0)
+        return M.data[0][0]
     total = R.zero()
     for j in range(n):
-        a = M.entry(0, j)
+        a = M.data[0][j]
         if R.is_zero(a):
             continue
         rest = M.submatrix(1, n, 0, j).hstack(M.submatrix(1, n, j + 1, n))
@@ -330,7 +339,7 @@ def _minor_dets(M: Matrix, k: int):
     R = M.ring
     for rows in combinations(range(M.rows), k):
         for cols in combinations(range(M.cols), k):
-            sub = Matrix(R, [[M.entry(i, j) for j in cols] for i in rows], cols=k)
+            sub = Matrix(R, [[M.data[i][j] for j in cols] for i in rows], cols=k)
             yield determinant(sub)
 
 
@@ -492,7 +501,7 @@ def perturbed_beta(K, rng) -> dict:
             [_random_ring_element(ring, rng) for _ in range(reps.rows)]
             for _ in range(reps.cols)
         ], rows=reps.rows)
-        lifted = reps.map_entries(ring.lift, ring) + noise.scale(ring.xi)
+        lifted = matrix_sum(reps.map_entries(ring.lift, ring), noise.scale(ring.xi))
         image = (K.d(i) @ lifted).xi_divide(1).residue()
         beta[i] = k_cohomology_quotient(kbar, i + 1).coords_matrix(image)
     return beta
@@ -589,7 +598,7 @@ def order_complex_cohomology(site, stalk_dims, res_mats, field):
                 sign = 1 if j % 2 == 0 else -1
                 for a in range(block.rows):
                     for b in range(block.cols):
-                        v = block.entry(a, b)
+                        v = block.data[a][b]
                         if sign < 0:
                             v = field.neg(v)
                         rows[offs1[s1] + a][offs[face] + b] = field.add(
@@ -788,7 +797,7 @@ def bb_flag_oracle(L, L0, N: int):
             for j in range(ker.cols):
                 combo = [ring.zero()] * n
                 for gi, g in enumerate(usable):
-                    lift = ring.lift(ker.entry(gi, j))
+                    lift = ring.lift(ker.data[gi][j])
                     for r in range(n):
                         combo[r] = tr.add(combo[r], tr.mul(lift, g[r]))
                 survivors.append(combo)

@@ -7,7 +7,7 @@ import pytest
 from decalage.kmatrix import QuotientSpace, Subspace, field_rank
 from decalage.rings import PrimeField
 from decalage.rmatrix import Matrix
-from oracles import ring_sum, subspace_add
+from oracles import matrix_sum, ring_sum, subspace_add
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -79,5 +79,5 @@ def test_coords_matrix_is_columnwise_coords(space, data):
     C = q.coords_matrix(M)
     assert C == Matrix.from_columns(F, [q.coords(c) for c in cols], rows=q.dim)
     # each column minus its representative part is a boundary
-    rest = M + -(q.rep_matrix() @ C)
+    rest = matrix_sum(M, -(q.rep_matrix() @ C))
     assert all(q.bspace.contains(rest.column(j)) for j in range(rest.cols))

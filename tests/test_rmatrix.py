@@ -37,7 +37,7 @@ def assert_snf_contract(M):
     for i in range(res.d.rows):
         for j in range(res.d.cols):
             if i != j:
-                assert R.is_zero(res.d.entry(i, j))
+                assert R.is_zero(res.d.data[i][j])
     for a, b in zip(res.factors, res.factors[1:]):
         assert R.divides(a, b)
     for f in res.factors:

@@ -153,6 +153,58 @@ def test_cli_malformed_sheaf_is_a_parse_error(tmp_path, command, case):
     assert "Traceback" not in r.stderr
 
 
+def both_rings(ring: dict):
+    """An edit of two_point_sheaf() that puts both stalks over ``ring``."""
+    def edit(data):
+        for stalk in data["stalks"].values():
+            stalk["ring"] = ring
+    return edit
+
+
+@pytest.mark.parametrize("sheaf,edit,path", [
+    ({}, lambda data: data["site"]["elements"].append("a"), "$.site"),
+    ({}, lambda data: data["restrictions"].update({"b<=a": [[["1"]]]}), "$.restrictions.b<=a"),
+    ({}, lambda data: data["stalks"].update(c=data["stalks"]["a"]), "$.stalks.c"),
+    ({"xi_b": 2}, None, "$.stalks.b.ring.xi"),
+    ({"xi_b": " 2 "}, None, "$.stalks.b.ring"),
+    ({"restriction": [[[1]]]}, None, "$.restrictions.a<=b[0][0][0]"),
+    ({"restriction": [[[0.5]]]}, both_rings({"kind": "q-poly"}), "$.restrictions.a<=b[0][0][0]"),
+    ({}, lambda data: data["stalks"]["a"].update(twsit=0), "$.stalks.a.twsit"),
+    ({}, both_rings({"kind": "fp-poly", "p": 5, "xi": "5"}), "$.stalks.a.ring"),
+    ({}, both_rings({"kind": "fp-poly", "p": 5.0}), "$.stalks.a.ring.p"),
+    ({}, both_rings({"kind": "fp-poly", "p": "5"}), "$.stalks.a.ring.p"),
+], ids=["duplicate-element", "restriction-against-the-order", "stalk-off-the-site",
+        "xi-number", "xi-padded", "entry-number", "q-poly-entry-float", "unknown-key",
+        "fp-poly-xi-5", "p-float", "p-string"])
+def test_cli_sheaf_records_are_read_strictly(tmp_path, sheaf, edit, path):
+    # each of these was once read as a valid sheaf
+    data = two_point_sheaf(**sheaf)
+    if edit:
+        edit(data)
+    file = tmp_path / "sheaf.json"
+    file.write_text(json.dumps(data))
+    r = run_cli("validate", str(file))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith(f"parse error: {path}: ") and r.stdout == "", r.stderr
+
+
+BIG_PRIME = "100000000000000000000000000319"  # the least prime above 10**29
+
+
+@pytest.mark.parametrize("where", ["json-xi", "--xi", "--char"])
+def test_cli_large_prime_is_refused_before_trial_division(tmp_path, where):
+    # trial division up to the square root of a 30-digit prime would not return
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"ring": {"kind": "z", "xi": BIG_PRIME}, "lo": 0, "ranks": [1]}))
+    args = {"json-xi": ["validate", str(path)],
+            "--xi": ["check-theorem", "--xi", BIG_PRIME],
+            "--char": ["check-theorem", "--ring", "fp-poly", "--char", BIG_PRIME]}[where]
+    r = subprocess.run([sys.executable, "-m", "decalage", *args],
+                       capture_output=True, text=True, timeout=5)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "parse error" in r.stderr and "2**16" in r.stderr
+
+
 @pytest.mark.parametrize("command", ["validate", "check-theorem"])
 @pytest.mark.parametrize("key,value", [("hi", "x"), ("twist", "x"), ("ring", "z")])
 def test_cli_malformed_complex_is_a_parse_error(tmp_path, command, key, value):
