@@ -24,10 +24,11 @@ from .complexes import (
     FGModule,
     FreeComplex,
     cohomology_presentation,
+    factor_through,
     hodge_filtration,
     truncate_leq,
 )
-from .eta import eta_m, graded_piece, mod_xi_subquotient, stage_inclusion
+from .eta import eta_m, graded_piece, mod_xi_subquotient
 from .kmatrix import QuotientSpace, field_rank, kernel_cols, solve_field
 from .rmatrix import Matrix, SNFResult, snf
 
@@ -89,8 +90,9 @@ class Memo:
     cohomology groups, its stages, graded pieces, mod-xi subquotients and
     Hodge comparisons, its reduction K/xi with the truncations, and its
     Bockstein complex with the Hodge parts.  A stage, truncation or Hodge
-    part is its inclusion chain map, whose ``source`` is the piece; a
-    quotient is the injective chain map whose cokernel it is, and a
+    part is its inclusion chain map (``subcomplex``), whose ``source`` is the
+    piece, and a map into a piece is factored through it (``factor_through``);
+    a quotient is the injective chain map whose cokernel it is, and a
     comparison is a chain map.  Each is keyed by the complex it is built
     from: equal free complexes built separately share one entry, and the
     chain maps presented as quotients (built once per context) are keyed by
@@ -126,7 +128,12 @@ class Memo:
         return self.factor(M).image()
 
     def solve(self, A: Matrix, B: Matrix):
-        """X with A @ X = B, or None when no exact solution exists; by rref over a field."""
+        """X with A @ X = B, or None when no exact solution exists; by rref over a field.
+
+        Against an identity X is B itself, and nothing is eliminated.
+        """
+        if A.is_identity():
+            return B
         if A.ring.is_field:
             return solve_field(A, B)
         return self.factor(A).solve(B)
@@ -149,8 +156,8 @@ class Memo:
         return self.once(("stage", K, m), eta_m, self, K, m)
 
     def inclusion(self, K: FreeComplex, m: int) -> ChainMap:
-        """stage(m+1) -> stage(m) of K, as ``stage_inclusion``."""
-        return self.once(("inclusion", K, m), stage_inclusion, self, self.stage(K, m + 1),
+        """stage(m+1) -> stage(m) of K, as ``factor_through``."""
+        return self.once(("inclusion", K, m), factor_through, self, self.stage(K, m + 1),
                          self.stage(K, m))
 
     def graded(self, K: FreeComplex, m: int) -> ChainMap:
@@ -175,7 +182,7 @@ class Memo:
 
     def hodge(self, K: FreeComplex, p: int) -> ChainMap:
         """The degree >= p part of K as its inclusion into K, as ``hodge_filtration``."""
-        return self.once(("hodge", K, p), hodge_filtration, K, p)
+        return self.once(("hodge", K, p), hodge_filtration, self, K, p)
 
     def comparison(self, K: FreeComplex, m: int) -> ChainMap:
         """stage(m) mod xi onto F_m, as ``hodge_stage_comparison``."""
@@ -367,7 +374,7 @@ def _splitting_compatibility(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
         kbar = ctx.kbar(K)
         # inclusion tau_{<=m-1} -> tau_{<=m} over k
         try:
-            jmap = stage_inclusion(ctx, ctx.truncation(kbar, m - 1), ctx.truncation(kbar, m))
+            jmap = factor_through(ctx, ctx.truncation(kbar, m - 1), ctx.truncation(kbar, m))
         except ArithmeticError as exc:
             out.fail(reason=f"truncations are not nested: {exc}")
             return out

@@ -58,7 +58,7 @@ def _add_generation(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generate", choices=["free", "h1", "adversarial"])
     p.add_argument("--ring", choices=["z", "fp-poly", "q-poly"])
     p.add_argument("--xi", help="prime for z (default 2); t for polynomials")
-    p.add_argument("--char", type=int, help="characteristic for fp-poly (default 5)")
+    p.add_argument("--char", type=int, help="characteristic for fp-poly only (default 5)")
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int)
     p.add_argument("--max-degree", type=int)
@@ -120,6 +120,8 @@ def _instances(args):
         F = load_instance_file(resolve_path(args.path))
         return [(os.path.basename(args.path), F)]
     vars(args).update({name: v for name, v in GENERATION_DEFAULTS.items() if name not in given})
+    if "char" in given and args.ring != "fp-poly":
+        raise SerializeError(f"--char is the characteristic of fp-poly, not for --ring {args.ring}")
     for option in ("count", "max_degree", "max_rank"):
         if getattr(args, option) < 1:
             raise SerializeError(f"--{option.replace('_', '-')} must be at least 1, "

@@ -7,9 +7,12 @@ degree also exposes a presentation: a basis of the cocycle submodule together
 with the relation matrix, which is what induced maps, snake maps and image
 filtrations are computed through.
 
-A quotient complex (a graded piece, a mod-xi subquotient) is the injective
-chain map whose cokernel it is: the target carries the generators and the
-differentials, the degree-i map the relations.
+A subcomplex (a stage, a truncation, a Hodge part) is its inclusion chain
+map, built by ``subcomplex`` from a basis per degree; a map into it is
+factored through that inclusion by ``factor_through``.  A quotient complex (a
+graded piece, a mod-xi subquotient) is the injective chain map whose cokernel
+it is: the target carries the generators and the differentials, the degree-i
+map the relations.
 """
 
 from __future__ import annotations
@@ -249,13 +252,45 @@ class ChainMap:
                 raise ShapeMismatch(f"chain map does not commute at degree {i}")
 
     def after(self, other: "ChainMap") -> "ChainMap":
-        """self ∘ other (other feeds into self)."""
+        """self ∘ other (other feeds into self); zero outside other's source's window."""
         if other.target is not self.source and other.target != self.source:
             raise ShapeMismatch("composition mismatch")
-        lo = min(other.source.lo, self.target.lo)
-        hi = max(other.source.hi, self.target.hi)
-        maps = {i: self.map(i) @ other.map(i) for i in range(lo, hi + 1)}
+        maps = {i: self.map(i) @ other.map(i) for i in other.source.degrees()}
         return ChainMap(other.source, self.target, maps)
+
+
+def factor_through(ctx, f: ChainMap, incl: ChainMap) -> ChainMap:
+    """f's source -> incl's source: ``f`` factored through the inclusion ``incl``.
+
+    Both map into one complex; one solve through ``ctx`` per degree of f's
+    source, outside which f is zero.  Raises ArithmeticError when f's image
+    does not lie in incl's.
+    """
+    maps = {}
+    for i in f.source.degrees():
+        sol = ctx.solve(incl.map(i), f.map(i))
+        if sol is None:
+            raise ArithmeticError(f"images are not nested at degree {i}")
+        maps[i] = sol
+    return ChainMap(f.source, incl.source, maps)
+
+
+def subcomplex(ctx, K: FreeComplex, bases: dict) -> ChainMap:
+    """The subcomplex of K spanned by ``bases``, as its inclusion into K.
+
+    ``bases`` maps each degree of a run lo..hi to a full-column-rank basis in
+    K^i; d is restricted by one solve through ``ctx`` per degree.  Raises
+    ArithmeticError when d leaves the span.
+    """
+    lo, hi = min(bases), max(bases)
+    diffs = []
+    for i in range(lo, hi):
+        inner = ctx.solve(bases[i + 1], K.d(i) @ bases[i])
+        if inner is None:
+            raise ArithmeticError(f"d leaves the subcomplex at degree {i}")
+        diffs.append(inner)
+    S = FreeComplex(K.ring, lo, [bases[i].cols for i in range(lo, hi + 1)], diffs, K.twist)
+    return ChainMap(S, K, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +310,9 @@ class CohomologyPresentation:
     form of ``gens_basis``, which coordinates are solved against.
     """
 
-    __slots__ = ("ring", "gens_basis", "basis_snf", "snf", "module")
+    __slots__ = ("gens_basis", "basis_snf", "snf", "module")
 
     def __init__(self, ring, basis_snf, relations_snf):
-        self.ring = ring
         self.gens_basis = basis_snf.matrix
         self.basis_snf = basis_snf
         self.snf = relations_snf
@@ -331,39 +365,24 @@ def cohomology_presentation(ctx, K, i: int) -> CohomologyPresentation:
 
 
 def truncate_leq(ctx, K: FreeComplex, m: int) -> ChainMap:
-    """Canonical truncation [... -> K^{m-1} -> Z^m -> 0], as its inclusion into K.
-
-    Z^m is solved for through the context ``ctx``.
-    """
+    """Canonical truncation [... -> K^{m-1} -> Z^m -> 0], as its inclusion into K."""
     if m >= K.hi:
         return ChainMap.identity(K)
     if m < K.lo:
         return ChainMap.zero(FreeComplex.zero(K.ring, K.lo, K.hi, K.twist), K)
-    zbasis = ctx.kernel(K.d(m))
-    ranks = [K.rank(i) for i in range(K.lo, m)] + [zbasis.cols]
-    diffs = [K.d(i) for i in range(K.lo, m - 1)]
-    if m > K.lo:
-        last = ctx.solve(zbasis, K.d(m - 1))
-        if last is None:
-            raise ShapeMismatch("image of d(m-1) escaped Z^m")
-        diffs.append(last)
-    T = FreeComplex(K.ring, K.lo, ranks, diffs, K.twist)
-    maps = {i: Matrix.identity(K.ring, K.rank(i)) for i in range(K.lo, m)}
-    maps[m] = zbasis
-    return ChainMap(T, K, maps)
+    bases = {i: Matrix.identity(K.ring, K.rank(i)) for i in range(K.lo, m)}
+    bases[m] = ctx.kernel(K.d(m))
+    return subcomplex(ctx, K, bases)
 
 
-def hodge_filtration(K: FreeComplex, m: int) -> ChainMap:
+def hodge_filtration(ctx, K: FreeComplex, m: int) -> ChainMap:
     """Brutal truncation: K^i for i >= m, zero below, as its inclusion into K."""
     if m <= K.lo:
         return ChainMap.identity(K)
     if m > K.hi:
         return ChainMap.zero(FreeComplex.zero(K.ring, K.lo, K.hi, K.twist), K)
-    ranks = [K.rank(i) for i in range(m, K.hi + 1)]
-    diffs = [K.d(i) for i in range(m, K.hi)]
-    F = FreeComplex(K.ring, m, ranks, diffs, K.twist)
-    maps = {i: Matrix.identity(K.ring, K.rank(i)) for i in range(m, K.hi + 1)}
-    return ChainMap(F, K, maps)
+    return subcomplex(ctx, K, {i: Matrix.identity(K.ring, K.rank(i))
+                               for i in range(m, K.hi + 1)})
 
 
 def direct_sum(A: FreeComplex, B: FreeComplex) -> FreeComplex:

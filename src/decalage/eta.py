@@ -30,8 +30,8 @@ once per call: ``xi_step_inclusion_holds``, ``is_stationary_stage``,
 from __future__ import annotations
 
 from .checks import CheckResult
-from .complexes import ChainMap, FGModule, FreeComplex
-from .kmatrix import field_rank, solve_field
+from .complexes import ChainMap, FGModule, FreeComplex, factor_through, subcomplex
+from .kmatrix import field_rank
 from .rmatrix import Matrix
 
 
@@ -68,30 +68,7 @@ def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
             bases[i] = Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
         else:
             bases[i] = _congruence_kernel(ctx, K, i).xi_scale(i)
-    diffs = []
-    for i in range(K.lo, K.hi):
-        moved = K.d(i) @ bases[i]
-        inner = ctx.solve(bases[i + 1], moved)
-        if inner is None:
-            raise ArithmeticError(f"stage differential escaped the stage at degree {i}")
-        diffs.append(inner)
-    E = FreeComplex(ring, K.lo, [bases[i].cols for i in K.degrees()], diffs, K.twist)
-    return ChainMap(E, K, bases)
-
-
-def stage_inclusion(ctx, finer: ChainMap, coarser: ChainMap) -> ChainMap:
-    """finer's source -> coarser's source: ``finer`` factored through the inclusion ``coarser``.
-
-    Both map into one complex; raises ArithmeticError when finer's image
-    is not contained in coarser's.
-    """
-    maps = {}
-    for i in coarser.target.degrees():
-        sol = ctx.solve(coarser.map(i), finer.map(i))
-        if sol is None:
-            raise ArithmeticError(f"images are not nested at degree {i}")
-        maps[i] = sol
-    return ChainMap(finer.source, coarser.source, maps)
+    return subcomplex(ctx, K, bases)
 
 
 def xi_step_inclusion_holds(ctx, K: FreeComplex, m: int) -> bool:
@@ -112,12 +89,13 @@ def is_stationary_stage(ctx, K: FreeComplex, m: int) -> bool:
     """True when stage m equals xi^m * K on the nose (holds for m > hi)."""
     stage = ctx.stage(K, m)
     ring = K.ring
-    for i in K.degrees():
-        scaled = Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
-        if ctx.solve(stage.map(i), scaled) is None:
-            return False
-        if ctx.solve(scaled, stage.map(i)) is None:
-            return False
+    scaled = ChainMap(K, K, {i: Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
+                             for i in K.degrees()})
+    try:
+        factor_through(ctx, scaled, stage)
+        factor_through(ctx, stage, scaled)
+    except ArithmeticError:
+        return False
     return True
 
 
@@ -129,22 +107,16 @@ def graded_piece(ctx, K: FreeComplex, m: int) -> ChainMap:
     """The comparison of stage(m)/stage(m+1) onto the truncation of K/xi at m.
 
     The graded piece is the cokernel of ``ctx.inclusion(K, m)``; the
-    comparison is a chain map from the stage mod xi to the context's
-    truncation ``ctx.truncation(ctx.kbar(K), m)``, zero above m.
+    comparison is the reduced stage, the stage's degree-i basis divided by
+    xi^m and reduced for i <= m and zero above m, factored through the
+    context's truncation ``ctx.truncation(ctx.kbar(K), m)``.
     """
     stage = ctx.stage(K, m)
     kbar = ctx.kbar(K)
-    tau = ctx.truncation(kbar, m)
-    maps = {}
-    for i in range(K.lo, min(m, K.hi + 1)):
-        maps[i] = Matrix.identity(kbar.ring, K.rank(i))
-    if K.lo <= m <= K.hi:
-        wbar = stage.map(m).xi_divide(m).residue()
-        sol = solve_field(tau.map(m), wbar)
-        if sol is None:
-            raise ArithmeticError("stage basis did not reduce into the cocycles")
-        maps[m] = sol
-    return ChainMap(ctx.kbar(stage.source), tau.source, maps)
+    reduced = ChainMap(ctx.kbar(stage.source), kbar,
+                       {i: stage.map(i).xi_divide(m).residue()
+                        for i in range(K.lo, min(m, K.hi) + 1)})
+    return factor_through(ctx, reduced, ctx.truncation(kbar, m))
 
 
 def verify_graded_piece(ctx, K: FreeComplex, m: int) -> CheckResult:
@@ -197,7 +169,7 @@ def mod_xi_subquotient(ctx, K: FreeComplex, m: int) -> ChainMap:
     stage = ctx.stage(K, m)
     scaled = ChainMap(stage.source, K,
                       {i: stage.map(i).scale(K.ring.xi) for i in K.degrees()})
-    return stage_inclusion(ctx, scaled, ctx.stage(K, m + 1))
+    return factor_through(ctx, scaled, ctx.stage(K, m + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,9 @@ class Subspace:
 class QuotientSpace:
     """A quotient Z/B of subspaces of k^n with chosen representatives.
 
-    ``reps`` are columns extending a basis of B to one of Z; ``coords(v)``
-    expresses the class of v (which must lie in Z) in those representatives.
+    ``reps`` are columns extending a basis of B to one of Z; ``coords_matrix(M)``
+    expresses the class of each column of M (which must lie in Z) in those
+    representatives.
     """
 
     __slots__ = ("field", "ambient", "zspace", "bspace", "reps", "_solver")
@@ -192,11 +193,6 @@ class QuotientSpace:
     @property
     def dim(self) -> int:
         return len(self.reps)
-
-    def coords(self, vec):
-        """Coordinates of [vec] in the representative basis; vec must be in Z."""
-        target = Matrix.from_columns(self.field, [tuple(vec)], rows=self.ambient)
-        return self.coords_matrix(target).column(0)
 
     def coords_matrix(self, M: Matrix) -> Matrix:
         """Columnwise coords, in one solve: each column of M must be in Z."""

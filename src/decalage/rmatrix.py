@@ -113,6 +113,16 @@ class Matrix:
         # every element encoding is falsy exactly at zero
         return not any(map(any, self.data))
 
+    def is_identity(self) -> bool:
+        """Square with ones on the diagonal and zeros elsewhere; stops at the first row off it."""
+        if self.rows != self.cols:
+            return False
+        one = self.ring.one()
+        for i, row in enumerate(self.data):
+            if row[i] != one or any(row[:i]) or any(row[i + 1:]):
+                return False
+        return True
+
     def column(self, j):
         return tuple(row[j] for row in self.data)
 

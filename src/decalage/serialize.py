@@ -79,12 +79,17 @@ def matrix_to_json(M: Matrix):
     return [[M.ring.format(x) for x in row] for row in M.data]
 
 
-def matrix_from_json(ring: BaseRing, data, rows: int, cols: int, path: str = "$") -> Matrix:
-    _check(data, ((str,) * cols,) * rows, path)
+def _element(ring: BaseRing, text: str, path: str):
     try:
-        return Matrix(ring, [[ring.parse(x) for x in row] for row in data], cols=cols)
+        return ring.parse(text)
     except RingElementError as exc:
         raise SerializeError(f"{path}: {exc}") from exc
+
+
+def matrix_from_json(ring: BaseRing, data, rows: int, cols: int, path: str = "$") -> Matrix:
+    _check(data, ((str,) * cols,) * rows, path)
+    return Matrix(ring, [[_element(ring, x, f"{path}[{r}][{c}]") for c, x in enumerate(row)]
+                         for r, row in enumerate(data)], cols=cols)
 
 
 def complex_to_json(K: FreeComplex) -> dict:

@@ -20,7 +20,7 @@ circle and pins the convention in the tests.
 
 from __future__ import annotations
 
-from .complexes import ChainMap, FreeComplex
+from .complexes import ChainMap, FreeComplex, factor_through
 from .rmatrix import Matrix
 from .bockstein import Memo, k_induced_matrix
 
@@ -368,52 +368,30 @@ def _sheaf(F: SheafComplex, stalks: dict, restriction) -> SheafComplex:
     })
 
 
-def _subsheaf(ctx: "InstanceContext", F: SheafComplex, parts: dict) -> SheafMap:
-    """The subsheaf with stalks ``parts[x].source``, as its inclusion into F.
+def _subsheaf(ctx: Memo, F: SheafComplex, piece, m: int) -> SheafMap:
+    """The subsheaf of F with stalks ``piece(F(x), m).source``, as its inclusion into F.
 
-    ``parts[x]`` is the inclusion of a subcomplex into F(x).  Every inclusion
-    is injective, so each restriction of F lifts uniquely along them; it is
-    solved for through the context ``ctx``, except along an identity, where
-    the lift is the restriction itself.
+    ``piece`` is the context's builder of a stalk piece as its inclusion
+    (``ctx.stage``, ``ctx.truncation`` or ``ctx.hodge``).  Every inclusion
+    is injective, so each restriction of F factors uniquely through them,
+    by ``factor_through``.
     """
-
-    def lift(a, b, i):
-        moved = F.res(a, b).map(i) @ parts[a].map(i)
-        incl = parts[b].map(i)
-        if incl.rows == incl.cols and incl == Matrix.identity(F.ring, incl.rows):
-            return moved
-        sol = ctx.solve(incl, moved)
-        if sol is None:
-            raise InvalidSheaf(f"restriction {a}<={b} does not preserve the subsheaf", (a, b))
-        return sol
-
-    sub = _sheaf(F, {x: parts[x].source for x in F.site.elements}, lift)
+    parts = {x: piece(F.stalk(x), m) for x in F.site.elements}
+    restrictions = {}
+    for a, b in F.site.strict_pairs():
+        try:
+            restrictions[(a, b)] = factor_through(ctx, F.res(a, b).after(parts[a]), parts[b])
+        except ArithmeticError:
+            raise InvalidSheaf(f"restriction {a}<={b} does not preserve the subsheaf",
+                               (a, b)) from None
+    sub = SheafComplex(F.site, {x: parts[x].source for x in F.site.elements}, restrictions)
     return SheafMap(sub, F, parts)
-
-
-def sheaf_eta_m(ctx: "InstanceContext", m: int) -> SheafMap:
-    """Objectwise decalage stage with induced restrictions, as its inclusion into F."""
-    F = ctx.F
-    return _subsheaf(ctx, F, {x: ctx.stage(F.stalk(x), m) for x in F.site.elements})
 
 
 def sheaf_reduce(ctx: Memo, F: SheafComplex) -> SheafComplex:
     """Objectwise reduction mod xi, each stalk's reduction from ``ctx``."""
     return _sheaf(F, {x: ctx.kbar(F.stalk(x)) for x in F.site.elements},
                   lambda a, b, i: F.res(a, b).map(i).residue())
-
-
-def sheaf_truncate_leq(ctx: "InstanceContext", F: SheafComplex, m: int) -> SheafMap:
-    """Objectwise canonical truncation, as its inclusion into F.
-
-    F is a sheaf over the residue field (F/xi on every caller's path).
-    """
-    return _subsheaf(ctx, F, {x: ctx.truncation(F.stalk(x), m) for x in F.site.elements})
-
-
-def sheaf_hodge(ctx: "InstanceContext", F: SheafComplex, m: int) -> SheafMap:
-    """Objectwise brutal truncation at m, as its inclusion into F."""
-    return _subsheaf(ctx, F, {x: ctx.hodge(F.stalk(x), m) for x in F.site.elements})
 
 
 def sheaf_bockstein(ctx: "InstanceContext") -> SheafComplex:
@@ -474,12 +452,13 @@ class InstanceContext(Memo):
         return self.once("reduced", sheaf_reduce, self, self.F)
 
     def stage_sheaf(self, m: int) -> SheafMap:
-        """The stage-m sheaf as its inclusion into F, as ``sheaf_eta_m``."""
-        return self.once(("stage-sheaf", m), sheaf_eta_m, self, m)
+        """The stage-m sheaf as its inclusion into F, as ``_subsheaf`` of the stages."""
+        return self.once(("stage-sheaf", m), _subsheaf, self, self.F, self.stage, m)
 
     def truncation_sheaf(self, q: int) -> SheafMap:
-        """tau_{<=q}(F/xi) as its inclusion, as ``sheaf_truncate_leq``."""
-        return self.once(("truncation-sheaf", q), sheaf_truncate_leq, self, self.reduced(), q)
+        """tau_{<=q}(F/xi) as its inclusion, as ``_subsheaf`` of the truncations."""
+        return self.once(("truncation-sheaf", q), _subsheaf, self, self.reduced(),
+                         self.truncation, q)
 
     def bockstein_sheaf(self) -> SheafComplex:
         """The Bockstein sheaf, as ``sheaf_bockstein``."""
@@ -490,5 +469,6 @@ class InstanceContext(Memo):
         return self.once(("term", q), bockstein_term_sheaf, self, q)
 
     def hodge_sheaf(self, p: int) -> SheafMap:
-        """The degree >= p part of the Bockstein sheaf as its inclusion, as ``sheaf_hodge``."""
-        return self.once(("hodge-sheaf", p), sheaf_hodge, self, self.bockstein_sheaf(), p)
+        """The degree >= p part of the Bockstein sheaf as its inclusion, as ``_subsheaf``."""
+        return self.once(("hodge-sheaf", p), _subsheaf, self, self.bockstein_sheaf(),
+                         self.hodge, p)

@@ -416,13 +416,19 @@ def fraction_kernel_rank(M: Matrix) -> int:
 # cycle spaces of a filtered complex, through the quotient map
 
 
+def quotient_coords(q: QuotientSpace, vec) -> tuple:
+    """Coordinates of the class of vec (which must lie in q's Z) in q's representatives."""
+    target = Matrix.from_columns(q.field, [tuple(vec)], rows=q.ambient)
+    return q.coords_matrix(target).column(0)
+
+
 def quotient_map_matrix(W: Subspace) -> Matrix:
     """Matrix of the projection k^n -> k^n / W in complement coordinates."""
     field = W.field
     n = W.ambient
     ident = Matrix.identity(field, n)
     q = QuotientSpace(field, n, [ident.column(j) for j in range(n)], list(W.basis))
-    cols = [q.coords(ident.column(j)) for j in range(n)]
+    cols = [quotient_coords(q, ident.column(j)) for j in range(n)]
     return Matrix.from_columns(field, cols, rows=q.dim)
 
 
@@ -479,7 +485,7 @@ def beta_oracle(K, rng=None) -> dict:
                 lifted = [ring.add(x, ring.mul(ring.xi, ring.lift(rng.randrange(field.p))))
                           for x in lifted]
             dx = apply(K.d(i), lifted)
-            cols.append(tgt.coords([ring.residue(ring.xi_divide(x, 1)) for x in dx]))
+            cols.append(quotient_coords(tgt, [ring.residue(ring.xi_divide(x, 1)) for x in dx]))
         beta[i] = Matrix.from_columns(field, cols, rows=tgt.dim)
     return beta
 
@@ -530,7 +536,7 @@ def hodge_stage_comparison_oracle(ctx, K, m: int) -> dict:
         cols = []
         for j in range(basis.cols):
             wbar = [ring.residue(ring.xi_divide(x, i)) for x in basis.column(j)]
-            cols.append(ctx.quotient(ctx.kbar(K), i).coords(wbar))
+            cols.append(quotient_coords(ctx.quotient(ctx.kbar(K), i), wbar))
         maps[i] = Matrix.from_columns(bc.ring, cols, rows=bc.rank(i))
     return maps
 
@@ -885,7 +891,7 @@ def image_flag_oracle(ring, stage_total, incl_matrix, i: int, m: int, hq, N: int
             if tr.val(x) < m:
                 raise ArithmeticError("image not divisible by xi^m at this precision")
             divided.append(ring.residue(ring.xi_divide(tr.cut(x), m)))
-        vecs.append(hq.coords(divided))
+        vecs.append(quotient_coords(hq, divided))
     return Subspace(kfield, hq.dim, vecs)
 
 

@@ -78,9 +78,9 @@ def test_truncate_cohomology_property(rng, z3, z5):
 
 def test_hodge_examples(z5):
     K = shell(z5, 5)
-    assert hodge_filtration(K, 0).source == K
-    assert is_zero_complex(hodge_filtration(K, 2).source)
-    inc = hodge_filtration(K, 1)
+    assert hodge_filtration(Memo(), K, 0).source == K
+    assert is_zero_complex(hodge_filtration(Memo(), K, 2).source)
+    inc = hodge_filtration(Memo(), K, 1)
     assert inc.source.lo == 1 and inc.source.rank(1) == 1
     inc.validate()
 

@@ -19,7 +19,7 @@ from decalage.complexes import FreeComplex
 from decalage.eta import eta_m
 from decalage.instances import generate_instance, random_complex
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
-from decalage.rmatrix import Matrix, solve_exact
+from decalage.rmatrix import solve_exact
 from decalage.serialize import sheaf_from_json
 from decalage.sites import InstanceContext, PosetSite, global_sections_complex
 from decalage.spectral import FilteredComplex, ht_inclusions, ss_pages
@@ -344,7 +344,7 @@ def test_main_theorem_builds_no_spectral_page(monkeypatch, z2, case):
 
 
 @pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
-def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(z2, case):
+def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(monkeypatch, z2, case):
     F = theorem_instance(case, z2)
     ctx = InstanceContext(F)
     omega = ctx.bockstein_sheaf()
@@ -357,34 +357,39 @@ def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(z2, case):
             ctx.truncation(Fbar.stalk(x), q)
         for m in range(F.hi() + 2):
             ctx.stage(F.stalk(x), m)
-    solved = []
-    solve_field, solve_in_context = kmatrix.solve_field, ctx.solve
+    # every elimination a solve can run: rref over k, a Smith form over R
+    eliminated, requested = [], []
+    solve, solve_field, factor = ctx.solve, kmatrix.solve_field, Memo.factor
 
-    def counted(A, B):
-        solved.append(A)
-        return solve_in_context(A, B)
+    def requested_solve(A, B):
+        requested.append(A)
+        return solve(A, B)
 
-    # the lifts solve through the context on both rings
-    ctx.solve = counted
+    def counted_solve_field(A, B):
+        eliminated.append(A)
+        return solve_field(A, B)
+
+    def counted_factor(self, M):
+        eliminated.append(M)
+        return factor(self, M)
+
+    ctx.solve = requested_solve
+    assert bockstein in patch_everywhere(monkeypatch, kmatrix, "solve_field", counted_solve_field)
+    monkeypatch.setattr(Memo, "factor", counted_factor)
     subsheaves = ([ctx.hodge_sheaf(p) for p in range(omega.lo(), omega.hi() + 2)]
                   + [ctx.truncation_sheaf(q) for q in range(Fbar.lo() - 1, Fbar.hi() + 1)]
                   + [ctx.stage_sheaf(m) for m in range(F.hi() + 2)])
-
-    def is_identity(A):
-        return A.rows == A.cols and A == Matrix.identity(A.ring, A.rows)
-
-    identities = 0
+    monkeypatch.undo()
+    assert any(A.is_identity() for A in requested)
+    assert eliminated and not any(A.is_identity() for A in eliminated)
     for incl in subsheaves:
         sub, G = incl.source, incl.target
-        solve = solve_field if G.ring.is_field else solve_exact
+        exact = solve_field if G.ring.is_field else solve_exact
         for a, b in G.site.strict_pairs():
             for i in sub.stalk(a).degrees():
-                A = incl.map(b).map(i)
-                identities += is_identity(A)
                 # the lift the solved route gives, identity inclusions included
-                assert sub.res(a, b).map(i) == solve(A, G.res(a, b).map(i) @ incl.map(a).map(i))
-    assert identities
-    assert solved and not any(is_identity(A) for A in solved)
+                moved = G.res(a, b).map(i) @ incl.map(a).map(i)
+                assert sub.res(a, b).map(i) == exact(incl.map(b).map(i), moved)
 
 
 def test_ss_pages_builds_each_cell_once_per_filtered_complex(monkeypatch, z2):

@@ -3,7 +3,13 @@ import json
 import pytest
 
 from decalage.bockstein import Memo, verify_mod_xi_subquotient
-from decalage.complexes import FGModule, FreeComplex, cohomology_presentation
+from decalage.complexes import (
+    ChainMap,
+    FGModule,
+    FreeComplex,
+    cohomology_presentation,
+    factor_through,
+)
 from decalage.eta import (
     DegreeBelowZero,
     NegativeM,
@@ -11,14 +17,14 @@ from decalage.eta import (
     graded_piece,
     is_stationary_stage,
     mod_xi_subquotient,
-    stage_inclusion,
     verify_eta_m_cohomology,
     verify_graded_piece,
     xi_step_inclusion_holds,
 )
-from decalage.instances import random_complex
+from decalage.instances import generate_instance, random_complex
 from decalage.rings import IntegerRing
 from decalage.rmatrix import Matrix, solve_exact
+from decalage.sites import InstanceContext
 from oracles import cokernel_term, is_degreewise_injective, shift
 
 
@@ -167,18 +173,70 @@ def test_mod_xi_subquotient_above_top(z3, rng):
         assert cokernel_term(ctx, sq, i).k_dimension() == 0 or i >= m + 1
 
 
+def assert_factors(g, f, incl):
+    """incl @ g == f in every degree of f's source, and g runs between the right complexes."""
+    assert g.source is f.source and g.target is incl.source
+    for i in f.source.degrees():
+        assert incl.map(i) @ g.map(i) == f.map(i), i
+
+
 def test_stage_inclusion_solves_exactly(z5, rng):
     for _ in range(8):
         K = random_complex(z5, rng, max_degree=2, max_rank=3)
         ctx = Memo()
         fine = eta_m(ctx, K, 2)
         coarse = eta_m(ctx, K, 1)
-        inc = stage_inclusion(ctx, fine, coarse)
+        inc = factor_through(ctx, fine, coarse)
         inc.validate()
+        assert_factors(inc, fine, coarse)
         for i in K.degrees():
-            assert (coarse.map(i) @ inc.map(i)) == fine.map(i)
             # xi * coarse lands in fine
             assert solve_exact(fine.map(i), coarse.map(i).scale(z5.xi)) is not None
+        # the graded comparison factors the reduced stage through the truncation
+        kbar = ctx.kbar(K)
+        for m in range(K.hi + 2):
+            stage, tau = ctx.stage(K, m), ctx.truncation(kbar, m)
+            reduced = ChainMap(ctx.kbar(stage.source), kbar,
+                               {i: stage.map(i).xi_divide(m).residue()
+                                for i in K.degrees() if i <= m})
+            comparison = ctx.graded(K, m)
+            assert comparison.target is tau.source
+            for i in K.degrees():
+                assert tau.map(i) @ comparison.map(i) == reduced.map(i), (m, i)
+    # each restriction of a subsheaf is the restriction of F factored through it
+    F = generate_instance("free", 11, ring=z5)
+    ctx = InstanceContext(F)
+    for incl in ([ctx.stage_sheaf(m) for m in range(F.hi() + 2)]
+                 + [ctx.truncation_sheaf(q) for q in range(F.hi() + 1)]
+                 + [ctx.hodge_sheaf(p) for p in range(F.hi() + 2)]):
+        sub, G = incl.source, incl.target
+        for a, b in G.site.strict_pairs():
+            assert_factors(sub.res(a, b), G.res(a, b).after(incl.map(a)), incl.map(b))
+
+
+def test_factor_through_refuses_images_that_are_not_nested(z5, rng):
+    K = shell(z5, 5)
+    ctx = Memo()
+    fine, coarse = eta_m(ctx, K, 2), eta_m(ctx, K, 1)
+    # stage 2 is xi * stage 1 here, so stage 1 does not lie in stage 2
+    with pytest.raises(ArithmeticError):
+        factor_through(ctx, coarse, fine)
+    ident = ChainMap.identity(K)
+    with pytest.raises(ArithmeticError):
+        factor_through(ctx, ident, fine)
+    assert_factors(factor_through(ctx, fine, ident), fine, ident)
+    for _ in range(6):
+        K = random_complex(z5, rng, max_degree=2, max_rank=3)
+        ctx = Memo()
+        top = K.hi + 1
+        scaled = ChainMap(K, K, {i: Matrix.scalar(z5, K.rank(i), z5.xi_power(top))
+                                 for i in K.degrees()})
+        # past the top degree the stage is xi^m * K, and xi^m * K is not K
+        stage = eta_m(ctx, K, top)
+        assert_factors(factor_through(ctx, stage, scaled), stage, scaled)
+        if K.total_rank():
+            with pytest.raises(ArithmeticError):
+                factor_through(ctx, ChainMap.identity(K), scaled)
 
 
 def test_lemma_suite_random(rng):

@@ -173,6 +173,22 @@ def test_is_zero_is_equality_with_zero(ring, data):
     assert ring.is_zero(x) == (x == ring.zero())
 
 
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(RINGS), dims, dims, st.data())
+def test_is_identity_is_equality_with_the_identity(ring, rows, cols, data):
+    # the identity with a few entries redrawn (one, zero or any), or any matrix
+    if data.draw(st.booleans()):
+        entries = [list(row) for row in Matrix.identity(ring, rows).data]
+        for _ in range(data.draw(st.integers(0, 2)) if rows else 0):
+            i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, rows - 1))
+            entries[i][j] = data.draw(st.sampled_from([ring.one(), ring.zero()])
+                                      | elements(ring))
+        M = Matrix(ring, entries, cols=rows)
+    else:
+        M = data.draw(matrices(ring, rows, cols))
+    assert M.is_identity() == (M.rows == M.cols and M == Matrix.identity(ring, M.rows))
+
+
 # ---------------------------------------------------------------------------
 # native row kernels against BaseRing's generic ones
 

@@ -7,7 +7,7 @@ import pytest
 from decalage.kmatrix import QuotientSpace, Subspace, field_rank
 from decalage.rings import PrimeField
 from decalage.rmatrix import Matrix
-from oracles import matrix_sum, ring_sum, subspace_add
+from oracles import matrix_sum, quotient_coords, ring_sum, subspace_add
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -77,7 +77,7 @@ def test_coords_matrix_is_columnwise_coords(space, data):
     cols = combinations_of(F, z, n, data.draw, data.draw(st.integers(0, 4)))
     M = Matrix.from_columns(F, cols, rows=n)
     C = q.coords_matrix(M)
-    assert C == Matrix.from_columns(F, [q.coords(c) for c in cols], rows=q.dim)
+    assert C == Matrix.from_columns(F, [quotient_coords(q, c) for c in cols], rows=q.dim)
     # each column minus its representative part is a boundary
     rest = matrix_sum(M, -(q.rep_matrix() @ C))
     assert all(q.bspace.contains(rest.column(j)) for j in range(rest.cols))

@@ -188,6 +188,31 @@ def test_cli_sheaf_records_are_read_strictly(tmp_path, sheaf, edit, path):
     assert r.stderr.startswith(f"parse error: {path}: ") and r.stdout == "", r.stderr
 
 
+@pytest.mark.parametrize("where", ["differential", "restriction"])
+@pytest.mark.parametrize("ring,bad", [
+    ({"kind": "z", "xi": "2"}, "1.5"),
+    ({"kind": "fp-poly", "p": 5}, "t^"),
+    ({"kind": "q-poly"}, "1/0"),
+], ids=["z", "fp-poly", "q-poly"])
+def test_cli_bad_element_names_its_entry(tmp_path, ring, bad, where):
+    # the entry is a string, so only the ring's parser can refuse it
+    stalk = {"ring": ring, "lo": 0, "ranks": [1, 2], "differentials": [[["0"], ["0"]]]}
+    data = {"site": {"elements": ["a", "b"], "leq": [["a", "b"]]},
+            "stalks": {"a": stalk, "b": json.loads(json.dumps(stalk))},
+            "restrictions": {"a<=b": [[["1"]], [["1", "0"], ["0", "1"]]]}}
+    if where == "differential":
+        data["stalks"]["a"]["differentials"][0][1][0] = bad
+        path = "$.stalks.a.differentials[0][1][0]"
+    else:
+        data["restrictions"]["a<=b"][1][1][0] = bad
+        path = "$.restrictions.a<=b[1][1][0]"
+    file = tmp_path / "sheaf.json"
+    file.write_text(json.dumps(data))
+    r = run_cli("validate", str(file))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith(f"parse error: {path}: ") and r.stdout == "", r.stderr
+
+
 BIG_PRIME = "100000000000000000000000000319"  # the least prime above 10**29
 
 
@@ -356,9 +381,11 @@ def test_cli_check_theorem_reports_injected_bug(tmp_path, z3):
     ["--count", "-2"],
     ["--max-degree", "0"],
     ["--max-rank", "0"],
+    ["--ring", "z", "--char", "4", "--count", "1"],
+    ["--ring", "q-poly", "--char", "1", "--count", "1"],
 ], ids=["xi-not-prime", "xi-not-integer", "char-not-prime", "poly-xi-not-t",
         "unknown-builtin", "poset-missing", "poset-not-json", "count-0",
-        "count-negative", "max-degree-0", "max-rank-0"])
+        "count-negative", "max-degree-0", "max-rank-0", "char-with-z", "char-with-q-poly"])
 def test_cli_bad_generation_options_are_parse_errors(tmp_path, command, options):
     not_json = tmp_path / "poset.txt"
     not_json.write_text("elements: a, b\n")

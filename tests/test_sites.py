@@ -20,10 +20,7 @@ from decalage.sites import (
     bockstein_term_sheaf,
     global_sections_complex,
     sheaf_bockstein,
-    sheaf_eta_m,
-    sheaf_hodge,
     sheaf_reduce,
-    sheaf_truncate_leq,
 )
 
 from oracles import is_degreewise_injective, order_complex_cohomology, validate_sheaf_map
@@ -199,7 +196,7 @@ def test_sheaf_eta_point_reduces_to_complex_level(z5):
     F = SheafComplex.constant(PosetSite.point(), K)
     ctx = InstanceContext(F)
     for m in (0, 1, 2):
-        incl = sheaf_eta_m(ctx, m)
+        incl = ctx.stage_sheaf(m)
         direct = eta_m(Memo(), K, m)
         assert incl.source.stalk("pt") == direct.source
         assert all(incl.map("pt").map(i) == direct.map(i) for i in K.degrees())
@@ -210,7 +207,7 @@ def test_sheaf_eta_constant_stalks(z5, rng):
     K = FreeComplex(z5, 0, [1, 1], [Matrix(z5, [[5]])])
     F = SheafComplex.constant(site, K)
     ctx = InstanceContext(F)
-    incl = sheaf_eta_m(ctx, 1)
+    incl = ctx.stage_sheaf(1)
     incl.source.validate()
     validate_sheaf_map(incl)
     cm = ctx.sections_map(ctx.stage_sheaf(1))
@@ -221,8 +218,8 @@ def test_sheaf_eta_constant_stalks(z5, rng):
 def test_sheaf_eta_inclusion_chain(z5, rng):
     F = generate_instance("free", 11, ring=z5)
     ctx = InstanceContext(F)
-    incl1 = sheaf_eta_m(ctx, 1)
-    incl0 = sheaf_eta_m(ctx, 0)
+    incl1 = ctx.stage_sheaf(1)
+    incl0 = ctx.stage_sheaf(0)
     for x in F.site.elements:
         for i in F.stalk(x).degrees():
             inner = incl1.map(x).map(i)
@@ -238,13 +235,13 @@ def test_sheaf_reduce_truncate_hodge(z5, rng):
     Fbar = sheaf_reduce(ctx, F)
     Fbar.validate()
     for m in range(0, Fbar.hi() + 1):
-        incl = sheaf_truncate_leq(ctx, Fbar, m)
+        incl = ctx.truncation_sheaf(m)
         incl.source.validate()
         validate_sheaf_map(incl)
     omega = sheaf_bockstein(ctx)
     omega.validate()
     for m in range(0, omega.hi() + 1):
-        hincl = sheaf_hodge(ctx, omega, m)
+        hincl = ctx.hodge_sheaf(m)
         hincl.source.validate()
         validate_sheaf_map(hincl)
 
