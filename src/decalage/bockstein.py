@@ -29,22 +29,15 @@ from .complexes import (
     truncate_leq,
 )
 from .eta import eta_m, graded_piece, mod_xi_subquotient
-from .kmatrix import QuotientSpace, field_rank, kernel_cols, solve_field
+from .kmatrix import QuotientSpace, Subspace, field_rank, kernel, solve_field
 from .rmatrix import Matrix, SNFResult, snf
 
 
 def k_cohomology_quotient(cx: FreeComplex, i: int) -> QuotientSpace:
     """H^i of a complex over a field, with deterministic representatives."""
     if not cx.rank(i):
-        return QuotientSpace(cx.ring, 0, (), ())
-    Z = kernel_cols(cx.d(i))
-    B = cx.d(i - 1)
-    return QuotientSpace(
-        cx.ring,
-        cx.rank(i),
-        [Z.column(j) for j in range(Z.cols)],
-        [B.column(j) for j in range(B.cols)],
-    )
+        return QuotientSpace(Subspace(cx.ring, 0), ())
+    return QuotientSpace(kernel(cx.d(i)), cx.d(i - 1).columns())
 
 
 def k_induced_matrix(ctx: Memo, cm: ChainMap, i: int) -> Matrix:
@@ -100,8 +93,8 @@ class Memo:
     on both rings.  Over R it is the one place where matrices are factored,
     keyed by content, and kernels, images, solves and preimages are views of
     the Smith forms; ``rmatrix.solve_exact`` is the one solve over R outside
-    a context.  Over k, kernels and solves are read off the rref, so no Smith
-    form is taken over a field.
+    a context.  Over k, kernels and solves are ``kmatrix``'s, so no Smith form
+    is taken over a field; over R a solve against an identity returns B here.
     """
 
     def __init__(self):
@@ -118,9 +111,9 @@ class Memo:
         return self.once(("factor", M), snf, M)
 
     def kernel(self, M: Matrix) -> Matrix:
-        """Columns form a basis of ker(M) (free over a PID), by rref over a field."""
+        """Columns form a basis of ker(M) (free over a PID); over a field, its RREF rows."""
         if M.ring.is_field:
-            return kernel_cols(M)
+            return kernel(M).matrix().transpose()
         return self.factor(M).kernel()
 
     def image(self, M: Matrix) -> Matrix:
@@ -132,10 +125,10 @@ class Memo:
 
         Against an identity X is B itself, and nothing is eliminated.
         """
-        if A.is_identity():
-            return B
         if A.ring.is_field:
             return solve_field(A, B)
+        if A.rows == B.rows and A.is_identity():
+            return B
         return self.factor(A).solve(B)
 
     def preimage(self, A: Matrix, S: Matrix) -> Matrix:
@@ -268,15 +261,15 @@ def connecting_factorization(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
     # four-term exactness with middle map beta
     beta_m = bcx.d(m)
     beta_m1 = bcx.d(m + 1)
-    zm = kernel_cols(beta_m)
-    zm1 = kernel_cols(beta_m1)
+    zm = kernel(beta_m).dim
+    zm1 = kernel(beta_m1).dim
     hm1 = ctx.quotient(bcx, m + 1)
     out.expect((beta_m1 @ beta_m).is_zero(), m=m, reason="beta squared nonzero")
     # exactness at H^m(K/xi): kernel of beta_m is Z^m by construction; at
     # Z^{m+1}: image of beta_m + boundaries span, quotient is H^{m+1}
     rank_beta = field_rank(beta_m)
-    out.expect(zm.cols + rank_beta == bcx.rank(m), m=m, reason="rank-nullity failure")
-    out.expect(zm1.cols - rank_beta == hm1.dim, m=m,
+    out.expect(zm + rank_beta == bcx.rank(m), m=m, reason="rank-nullity failure")
+    out.expect(zm1 - rank_beta == hm1.dim, m=m,
                reason="cokernel of beta_m inside Z^{m+1} is not H^{m+1}")
 
     # three-case formula for stage(m) mod xi
@@ -286,7 +279,7 @@ def connecting_factorization(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
         if i <= m - 1:
             want = bcx.rank(i)
         elif i == m:
-            want = zm.cols
+            want = zm
         else:
             want = ctx.quotient(bcx, i).dim
         out.expect(got == want, degree=i, m=m, got=got, want=want,

@@ -1,9 +1,10 @@
-"""Linear algebra over the residue field: RREF, subspaces, quotients.
+"""Linear algebra over the residue field: RREF, kernel, solve, subspaces, quotients.
 
 Everything here works on :class:`decalage.rmatrix.Matrix` instances whose ring
-is a field (PrimeField or RationalField).  Subspaces are kept in row-reduced
-echelon normal form so that equality of subspaces is equality of data, which
-is the comparison contract for flags and cokernel images.
+is a field (PrimeField or RationalField); it is the one place that eliminates
+over k.  Subspaces are kept in row-reduced echelon normal form so that
+equality of subspaces is equality of data, which is the comparison contract
+for flags and cokernel images.
 """
 
 from __future__ import annotations
@@ -44,25 +45,32 @@ def field_rank(M: Matrix) -> int:
     return len(rref(M)[1])
 
 
-def kernel_cols(M: Matrix) -> Matrix:
-    """Deterministic kernel basis from the RREF (one column per free column)."""
-    F = M.ring
-    R, pivots = rref(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivot_set]
-    # row pc of the basis is minus row r of R on the free columns; row fc is
-    # the unit vector of its free column
-    z, minus_one = F.zero(), F.neg(F.one())
-    out = [None] * M.cols
-    for k, fc in enumerate(free):
-        out[fc] = (z,) * k + (F.one(),) + (z,) * (len(free) - k - 1)
-    for row, pc in zip(R.data, pivots):
-        out[pc] = tuple(F.row_scale(minus_one, [row[fc] for fc in free]))
-    return Matrix._of(F, tuple(out), len(free))
+def kernel(M: Matrix) -> "Subspace":
+    """ker(M) in normal form, from one elimination of M with its columns reversed.
+
+    The kernel vector of a free column f is 1 at f, 0 at every other free
+    column and nonzero otherwise only at pivot columns after f, so in
+    increasing f they are the kernel's RREF rows, pivoted at the free columns.
+    """
+    F, n = M.ring, M.cols
+    R, reversed_pivots = rref(Matrix._of(F, tuple(row[::-1] for row in M.data), n))
+    pivots = [n - 1 - c for c in reversed_pivots]
+    free = tuple(sorted(set(range(n)).difference(pivots)))
+    z, one, neg = F.zero(), F.one(), F.neg
+    basis = []
+    for f in free:
+        v = [z] * n
+        v[f] = one
+        for row, pc in zip(R.data, pivots):
+            v[pc] = neg(row[n - 1 - f])
+        basis.append(tuple(v))
+    return Subspace._of(F, n, tuple(basis), free)
 
 
 def solve_field(A: Matrix, B: Matrix):
-    """One solution X of A @ X = B, or None if inconsistent."""
+    """One solution X of A @ X = B, or None if inconsistent; B itself against an identity."""
+    if A.rows == B.rows and A.is_identity():
+        return B
     F = A.ring
     n = A.cols
     aug, pivots = rref(A.hstack(B))
@@ -112,19 +120,21 @@ class Subspace:
     __slots__ = ("field", "ambient", "basis", "pivots")
 
     def __init__(self, field, ambient: int, vectors=()):
-        self.field = field
-        self.ambient = ambient
-        rows = [tuple(v) for v in vectors]
-        for v in rows:
-            if len(v) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
+        self.field, self.ambient = field, ambient
+        rows = tuple(map(tuple, vectors))
+        if any(len(v) != ambient for v in rows):
+            raise ValueError("vector length does not match ambient dimension")
+        self.basis, self.pivots = (), ()
         if rows:
-            R, pivots = rref(Matrix._of(field, tuple(rows), ambient))
-            self.basis = tuple(R.data[i] for i in range(len(pivots)))
-            self.pivots = pivots
-        else:
-            self.basis = ()
-            self.pivots = ()
+            R, self.pivots = rref(Matrix._of(field, rows, ambient))
+            self.basis = R.data[:len(self.pivots)]
+
+    @classmethod
+    def _of(cls, field, ambient: int, basis: tuple, pivots: tuple) -> "Subspace":
+        """Trusted constructor: ``basis`` is already RREF rows, as tuples, with ``pivots``."""
+        self = object.__new__(cls)
+        self.field, self.ambient, self.basis, self.pivots = field, ambient, basis, pivots
+        return self
 
     @classmethod
     def from_columns(cls, M: Matrix) -> "Subspace":
@@ -168,17 +178,17 @@ class Subspace:
 class QuotientSpace:
     """A quotient Z/B of subspaces of k^n with chosen representatives.
 
-    ``reps`` are columns extending a basis of B to one of Z; ``coords_matrix(M)``
-    expresses the class of each column of M (which must lie in Z) in those
-    representatives.
+    Z is ``zspace`` as given and B the span of ``b_vectors``; ``reps`` extend
+    a basis of B to one of Z, and ``coords_matrix(M)`` expresses the class of
+    each column of M (which must lie in Z) in those representatives.
     """
 
     __slots__ = ("field", "ambient", "zspace", "bspace", "reps", "_solver")
 
-    def __init__(self, field, ambient, z_vectors, b_vectors):
-        self.field = field
-        self.ambient = ambient
-        self.zspace = Subspace(field, ambient, z_vectors)
+    def __init__(self, zspace: Subspace, b_vectors):
+        self.field = field = zspace.field
+        self.ambient = ambient = zspace.ambient
+        self.zspace = zspace
         self.bspace = Subspace(field, ambient, b_vectors)
         if not self.zspace.contains_space(self.bspace):
             raise ValueError("boundaries do not lie inside cocycles")
@@ -187,8 +197,7 @@ class QuotientSpace:
         echelon = list(zip(self.bspace.pivots, self.bspace.basis))
         self.reps = tuple(v for v in self.zspace.basis
                           if extend_echelon(field, echelon, v) is not None)
-        cols = [tuple(b) for b in self.bspace.basis] + [tuple(r) for r in self.reps]
-        self._solver = Matrix.from_columns(field, cols, rows=ambient)
+        self._solver = Matrix.from_columns(field, self.bspace.basis + self.reps, rows=ambient)
 
     @property
     def dim(self) -> int:

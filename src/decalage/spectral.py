@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .bockstein import k_induced_matrix
 from .complexes import ChainMap, FreeComplex
-from .kmatrix import QuotientSpace, Subspace, extend_echelon, kernel_cols, solve_field
+from .kmatrix import QuotientSpace, Subspace, extend_echelon, field_rank, kernel, solve_field
 from .rmatrix import Matrix
 from .sites import InstanceContext, SheafMap
 
@@ -79,7 +79,7 @@ class FilteredComplex:
                 _, basis, d = self.form[n]
                 span = basis.submatrix(0, basis.rows, 0, c)
                 if rho < rows:
-                    span = span @ kernel_cols(d.submatrix(rho, rows, 0, c))
+                    span = span @ kernel(d.submatrix(rho, rows, 0, c)).matrix().transpose()
                 z = Subspace.from_columns(span)
             self._z_spaces[key] = z
         return self._z_spaces[key]
@@ -99,9 +99,7 @@ class FilteredComplex:
         if cell is None:
             boundaries = self.ambient.d(n - 1) @ prev.matrix().transpose()
             den = list(finer.basis) + boundaries.columns()
-            cell = self._cells[key] = QuotientSpace(
-                self.field, max(self.ambient.rank(n), 0), list(num.basis), den
-            )
+            cell = self._cells[key] = QuotientSpace(num, den)
         return cell
 
 
@@ -304,9 +302,9 @@ def degeneration_check_HT(ctx: InstanceContext):
     for m in range(Fbar.lo(), Fbar.hi() + 1):
         cm = ctx.sections_map(ctx.truncation_sheaf(m))
         for i in total.degrees():
-            if ctx.quotient(cm.source, i).dim == 0:
-                continue
-            if kernel_cols(k_induced_matrix(ctx, cm, i)).cols != 0:
+            # injective when the induced matrix has full column rank
+            dim = ctx.quotient(cm.source, i).dim
+            if dim and field_rank(k_induced_matrix(ctx, cm, i)) < dim:
                 verdict = False
                 if witness is None:
                     witness = (i, m)

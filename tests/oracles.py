@@ -11,7 +11,9 @@ R/xi^N instead of exact Smith form machinery, and the lattice flag again from
 one lattice intersection per level instead of one adapted basis.  The dense
 product, the dense matrix-vector product, the dense RREF row update and the
 dense Smith normal form are kept here as the references for the library's
-zero-skipping kernels, and ``GenericKernels`` is a ring whose row kernels
+zero-skipping kernels, ``kernel_cols`` (an RREF, then one basis vector per
+free column) is the reference for the library's one-elimination kernel,
+and ``GenericKernels`` is a ring whose row kernels
 are ``BaseRing``'s generic defaults, the reference for the native-int ones.
 The pullback of a sheaf to the barycentric
 subdivision of its site, with the basis-free part of a theorem report, is
@@ -32,7 +34,7 @@ from itertools import combinations
 
 from decalage.bockstein import Memo, k_cohomology_quotient
 from decalage.complexes import FGModule, FreeComplex
-from decalage.kmatrix import QuotientSpace, Subspace, kernel_cols, rref
+from decalage.kmatrix import QuotientSpace, Subspace, rref
 from decalage.rings import BaseRing, IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, ShapeMismatch, snf
 from decalage.sites import InvalidSheaf, PosetSite, SheafComplex
@@ -164,6 +166,23 @@ def dense_rref(M: Matrix):
         if r == nr:
             break
     return Matrix(F, rows, cols=nc), tuple(pivots)
+
+
+def kernel_cols(M: Matrix) -> Matrix:
+    """Deterministic kernel basis from the RREF (one column per free column)."""
+    F = M.ring
+    R, pivots = rref(M)
+    pivot_set = set(pivots)
+    free = [c for c in range(M.cols) if c not in pivot_set]
+    # row pc of the basis is minus row r of R on the free columns; row fc is
+    # the unit vector of its free column
+    z, minus_one = F.zero(), F.neg(F.one())
+    out = [None] * M.cols
+    for k, fc in enumerate(free):
+        out[fc] = (z,) * k + (F.one(),) + (z,) * (len(free) - k - 1)
+    for row, pc in zip(R.data, pivots):
+        out[pc] = tuple(F.row_scale(minus_one, [row[fc] for fc in free]))
+    return Matrix._of(F, tuple(out), len(free))
 
 
 def _dense_pivot(R, D, t, rows, cols):
@@ -427,7 +446,7 @@ def quotient_map_matrix(W: Subspace) -> Matrix:
     field = W.field
     n = W.ambient
     ident = Matrix.identity(field, n)
-    q = QuotientSpace(field, n, [ident.column(j) for j in range(n)], list(W.basis))
+    q = QuotientSpace(Subspace(field, n, ident.columns()), list(W.basis))
     cols = [quotient_coords(q, ident.column(j)) for j in range(n)]
     return Matrix.from_columns(field, cols, rows=q.dim)
 

@@ -106,9 +106,9 @@ def test_connecting_factorization_example(z3):
     res = connecting_factorization(Memo(), K, 0)
     assert res.passed, res.failures
     bc = bockstein_complex(Memo(), K)
-    from decalage.kmatrix import kernel_cols
+    from decalage.kmatrix import kernel
 
-    assert kernel_cols(bc.d(0)).cols == 0
+    assert kernel(bc.d(0)).dim == 0
 
 
 def test_connecting_factorization_zero_differential(z3):

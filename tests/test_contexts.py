@@ -15,14 +15,15 @@ import pytest
 import decalage
 from decalage import bockstein, complexes, kmatrix, rmatrix, sites, spectral, theorem
 from decalage.bockstein import Memo
-from decalage.complexes import FreeComplex
+from decalage.complexes import ChainMap, FreeComplex
 from decalage.eta import eta_m
 from decalage.instances import generate_instance, random_complex
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
-from decalage.rmatrix import solve_exact
+from decalage.kmatrix import QuotientSpace, kernel
+from decalage.rmatrix import Matrix, ShapeMismatch, solve_exact
 from decalage.serialize import sheaf_from_json
 from decalage.sites import InstanceContext, PosetSite, global_sections_complex
-from decalage.spectral import FilteredComplex, ht_inclusions, ss_pages
+from decalage.spectral import FilteredComplex, adapted_form, ht_inclusions, ss_pages
 from decalage.suites import lemma_battery
 from decalage.theorem import Lattice, bb_filtration, verify_main_theorem
 
@@ -296,7 +297,7 @@ def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch,
     built = ht_inclusions(InstanceContext(F))
     # every kernel is taken inside z_space; record the (r, p, n) it was taken for
     requests, kernels = [], []
-    z_space, kernel_cols = FilteredComplex.z_space, spectral.kernel_cols
+    z_space, kernel = FilteredComplex.z_space, spectral.kernel
 
     def traced_z_space(fc, r, p, n):
         requests.append((r, p, n))
@@ -305,12 +306,12 @@ def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch,
         finally:
             requests.pop()
 
-    def counted_kernel_cols(M):
+    def counted_kernel(M):
         kernels.append(requests[-1] if requests else None)
-        return kernel_cols(M)
+        return kernel(M)
 
     monkeypatch.setattr(FilteredComplex, "z_space", traced_z_space)
-    monkeypatch.setattr(spectral, "kernel_cols", counted_kernel_cols)
+    monkeypatch.setattr(spectral, "kernel", counted_kernel)
     first = ss_pages(FilteredComplex(*built), 4)
     assert kernels and all(key is not None and 1 <= key[0] <= 4 for key in kernels)
     assert max(Counter(kernels).values()) == 1
@@ -357,39 +358,71 @@ def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(monkeypatch, z2
             ctx.truncation(Fbar.stalk(x), q)
         for m in range(F.hi() + 2):
             ctx.stage(F.stalk(x), m)
-    # every elimination a solve can run: rref over k, a Smith form over R
-    eliminated, requested = [], []
-    solve, solve_field, factor = ctx.solve, kmatrix.solve_field, Memo.factor
+    # every elimination a solve can run: rref of [A | B] over k, a Smith form of A over R
+    reduced, factored, requested = [], [], []
+    solve, rref, factor = ctx.solve, kmatrix.rref, Memo.factor
 
     def requested_solve(A, B):
-        requested.append(A)
+        requested.append((A, B))
         return solve(A, B)
 
-    def counted_solve_field(A, B):
-        eliminated.append(A)
-        return solve_field(A, B)
+    def counted_rref(M):
+        reduced.append(M)
+        return rref(M)
 
     def counted_factor(self, M):
-        eliminated.append(M)
+        factored.append(M)
         return factor(self, M)
 
     ctx.solve = requested_solve
-    assert bockstein in patch_everywhere(monkeypatch, kmatrix, "solve_field", counted_solve_field)
+    assert kmatrix in patch_everywhere(monkeypatch, kmatrix, "rref", counted_rref)
     monkeypatch.setattr(Memo, "factor", counted_factor)
     subsheaves = ([ctx.hodge_sheaf(p) for p in range(omega.lo(), omega.hi() + 2)]
                   + [ctx.truncation_sheaf(q) for q in range(Fbar.lo() - 1, Fbar.hi() + 1)]
                   + [ctx.stage_sheaf(m) for m in range(F.hi() + 2)])
     monkeypatch.undo()
-    assert any(A.is_identity() for A in requested)
-    assert eliminated and not any(A.is_identity() for A in eliminated)
+    identity_systems = {A.hstack(B) for A, B in requested if A.is_identity()}
+    assert any(A.ring.is_field for A in identity_systems)
+    assert any(not A.ring.is_field for A in identity_systems)
+    assert reduced and factored
+    assert not identity_systems.intersection(reduced)
+    assert not any(M.is_identity() for M in factored)
     for incl in subsheaves:
         sub, G = incl.source, incl.target
-        exact = solve_field if G.ring.is_field else solve_exact
+        exact = kmatrix.solve_field if G.ring.is_field else solve_exact
         for a, b in G.site.strict_pairs():
             for i in sub.stalk(a).degrees():
                 # the lift the solved route gives, identity inclusions included
                 moved = G.res(a, b).map(i) @ incl.map(a).map(i)
                 assert sub.res(a, b).map(i) == exact(incl.map(b).map(i), moved)
+
+
+@pytest.mark.parametrize("ring", [PrimeField(3), IntegerRing(2)], ids=["k", "R"])
+def test_identity_rule_keeps_the_shape_check(ring):
+    B = Matrix.zeros(ring, 3, 1)
+    for A in (Matrix.identity(ring, 2), Matrix(ring, [[1, 1], [0, 1]])):
+        with pytest.raises(ShapeMismatch):
+            Memo().solve(A, B)
+
+
+def test_identity_solves_over_k_run_no_rref(monkeypatch):
+    F = PrimeField(3)
+    whole = QuotientSpace(kernel(Matrix.zeros(F, 0, 2)), ())
+    K = FreeComplex(F, 0, [2, 2], [Matrix(F, [[1, 1], [0, 2]])])
+    M = Matrix(F, [[1, 2], [0, 1]])
+    calls, rref = [], kmatrix.rref
+
+    def counted_rref(A):
+        calls.append(A)
+        return rref(A)
+
+    assert kmatrix in patch_everywhere(monkeypatch, kmatrix, "rref", counted_rref)
+    # the cycle space is all of k^2, so the quotient solves against an identity
+    assert whole.coords_matrix(M) == M
+    # one filtration level: the adapted basis is the identity in every degree
+    form = adapted_form(K, {0: ChainMap.identity(K)})
+    assert form[0][1].is_identity() and form[0][2] == K.d(0)
+    assert calls == []
 
 
 def test_ss_pages_builds_each_cell_once_per_filtered_complex(monkeypatch, z2):
@@ -421,5 +454,5 @@ def test_ss_pages_builds_each_cell_once_per_filtered_complex(monkeypatch, z2):
     # every reused cell has the dimension of the quotient its own (r, p, q) defines
     for (r, p, n), (_, num, prev, finer) in zip(positions, cells):
         den = list(finer.basis) + (d(n - 1) @ prev.matrix().transpose()).columns()
-        own = build(probe.field, probe.ambient.rank(n), list(num.basis), den)
+        own = build(num, den)
         assert first[r - 1].dim(p, n - p) == own.dim

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from decalage import rmatrix
-from decalage.kmatrix import kernel_cols, rref, solve_field
+from decalage.kmatrix import Subspace, field_rank, kernel, rref, solve_field
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix, snf
 from decalage.theorem import verify_main_theorem
@@ -28,6 +28,7 @@ from oracles import (
     dense_matmul,
     dense_rref,
     dense_snf,
+    kernel_cols,
     matrix_sum,
     with_generic_kernels,
 )
@@ -100,6 +101,22 @@ def test_rref_matches_dense_rref(field, rows, cols, data):
     want, want_pivots = dense_rref(M)
     assert pivots == want_pivots
     assert_same_entries(got, want)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(FIELDS), dims, st.integers(0, 7), st.data())
+def test_kernel_is_the_normal_form_of_the_two_step_kernel(field, rows, cols, data):
+    M = data.draw(matrices(field, rows, cols))
+    got = kernel(M)
+    want = Subspace.from_columns(kernel_cols(M))
+    assert (got.field, got.ambient) == (field, cols)
+    assert [typed(v) for v in got.basis] == [typed(v) for v in want.basis]
+    # the pivots are M's free columns read right to left: each column in the
+    # span of the columns after it
+    free = tuple(c for c in range(cols)
+                 if field_rank(M.submatrix(0, rows, c, cols)) == field_rank(M.submatrix(0, rows, c + 1, cols)))
+    assert got.pivots == free == want.pivots
+    assert (M @ got.matrix().transpose()).is_zero()
 
 
 def assert_snf_matches_dense_snf(M: Matrix):
@@ -240,6 +257,9 @@ def test_field_elimination_matches_generic_kernels(ring, rows, cols, rhs, data):
     assert pivots == want_pivots
     assert_same_data(got, want)
     assert_same_data(kernel_cols(A), kernel_cols(GA))
+    got_kernel, want_kernel = kernel(A), kernel(GA)
+    assert got_kernel.pivots == want_kernel.pivots
+    assert_same_data(got_kernel.matrix(), want_kernel.matrix())
     solvable = A @ data.draw(matrices(F, cols, rhs))
     for B in (solvable, data.draw(matrices(F, rows, rhs))):
         got, want = solve_field(A, B), solve_field(GA, with_generic_kernels(B))

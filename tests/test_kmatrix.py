@@ -1,4 +1,4 @@
-from decalage.kmatrix import QuotientSpace, Subspace, field_rank, kernel_cols, rref, solve_field
+from decalage.kmatrix import QuotientSpace, Subspace, field_rank, kernel, rref, solve_field
 from decalage.rings import PrimeField, RationalField
 from decalage.rmatrix import Matrix
 
@@ -13,13 +13,14 @@ def test_rref_and_rank():
     assert field_rank(M) == 2
 
 
-def test_kernel_cols_deterministic():
+def test_kernel_deterministic():
     F = PrimeField(3)
     M = Matrix(F, [[1, 2, 0], [0, 0, 1]])
-    K = kernel_cols(M)
-    assert (M @ K).is_zero()
-    assert K.cols == 1
-    assert kernel_cols(M) == K
+    K = kernel(M)
+    assert (M @ K.matrix().transpose()).is_zero()
+    assert K.dim == 1
+    assert K.basis == ((1, 1, 0),) and K.pivots == (0,)
+    assert kernel(M) == K
 
 
 def test_solve_field_rationals():
@@ -58,7 +59,7 @@ def test_quotient_space_coords():
     F = PrimeField(5)
     z = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
     b = [(1, 1, 0)]
-    q = QuotientSpace(F, 3, z, b)
+    q = QuotientSpace(Subspace(F, 3, z), b)
     assert q.dim == 1
     c1 = quotient_coords(q, (1, 0, 0))
     c2 = quotient_coords(q, (0, 4, 0))  # = -(0,1,0) = (1,0,0) mod boundaries

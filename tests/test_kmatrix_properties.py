@@ -63,7 +63,7 @@ def old_greedy_reps(F, n, zspace, bspace):
 def test_quotient_reps_match_old_greedy_choice(space, data):
     F, n, z = space
     b = combinations_of(F, z, n, data.draw, data.draw(st.integers(0, 3)))
-    q = QuotientSpace(F, n, z, b)
+    q = QuotientSpace(Subspace(F, n, z), b)
     assert q.reps == old_greedy_reps(F, n, q.zspace, q.bspace)
     assert q.dim == q.zspace.dim - q.bspace.dim
 
@@ -73,7 +73,7 @@ def test_quotient_reps_match_old_greedy_choice(space, data):
 def test_coords_matrix_is_columnwise_coords(space, data):
     F, n, z = space
     b = combinations_of(F, z, n, data.draw, data.draw(st.integers(0, 3)))
-    q = QuotientSpace(F, n, z, b)
+    q = QuotientSpace(Subspace(F, n, z), b)
     cols = combinations_of(F, z, n, data.draw, data.draw(st.integers(0, 4)))
     M = Matrix.from_columns(F, cols, rows=n)
     C = q.coords_matrix(M)
