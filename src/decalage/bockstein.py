@@ -36,8 +36,8 @@ from .rmatrix import Matrix, SNFResult, snf
 def k_cohomology_quotient(cx: FreeComplex, i: int) -> QuotientSpace:
     """H^i of a complex over a field, with deterministic representatives."""
     if not cx.rank(i):
-        return QuotientSpace(Subspace(cx.ring, 0), ())
-    return QuotientSpace(kernel(cx.d(i)), cx.d(i - 1).columns())
+        return QuotientSpace(Subspace(cx.ring, 0), Matrix.zeros(cx.ring, 0, 0))
+    return QuotientSpace(kernel(cx.d(i)), cx.d(i - 1))
 
 
 def k_induced_matrix(ctx: Memo, cm: ChainMap, i: int) -> Matrix:

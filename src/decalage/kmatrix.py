@@ -2,9 +2,10 @@
 
 Everything here works on :class:`decalage.rmatrix.Matrix` instances whose ring
 is a field (PrimeField or RationalField); it is the one place that eliminates
-over k.  Subspaces are kept in row-reduced echelon normal form so that
+over k, and no echelon list leaves it.  Subspaces are kept in RREF so that
 equality of subspaces is equality of data, which is the comparison contract
-for flags and cokernel images.
+for flags and cokernel images.  One greedy column reduction picks adapted
+bases and persistence pairs (:func:`column_lows`) and quotient representatives.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def solve_field(A: Matrix, B: Matrix):
     return Matrix._of(F, tuple(X), B.cols)
 
 
-def reduce_vector(F, echelon, vec) -> list:
+def _reduce(F, echelon, vec) -> list:
     """vec minus its components along ``echelon``, as a list.
 
     ``echelon`` is a sequence of (pivot, row) pairs in increasing pivot order,
@@ -99,19 +100,30 @@ def reduce_vector(F, echelon, vec) -> list:
     return list(v)
 
 
-def extend_echelon(F, echelon: list, vec):
-    """Add vec to ``echelon`` unless it lies in its span; the new pivot, or None.
+def _extend(F, echelon: list, vectors):
+    """Add each of ``vectors`` in turn to ``echelon`` unless it lies in its span.
 
-    ``echelon`` is a list of (pivot, row) pairs as :func:`reduce_vector` takes
-    them, kept in increasing pivot order.  The new pivot is the first nonzero
-    entry of vec reduced along the echelon, which is the greatest first
-    nonzero entry over vec plus the span of the rows.
+    ``echelon`` is a list of (pivot, row) pairs as :func:`_reduce` takes them,
+    kept in increasing pivot order.  Yields each vector's new pivot, or None:
+    the first nonzero entry of the vector reduced along the echelon, which is
+    the greatest first nonzero entry over it plus the span of the rows so far.
     """
-    rest = reduce_vector(F, echelon, vec)
-    c = next((j for j, x in enumerate(rest) if x), None)
-    if c is not None:
-        insort(echelon, (c, tuple(F.row_scale(F.inv_unit(rest[c]), rest))))
-    return c
+    for vec in vectors:
+        rest = _reduce(F, echelon, vec)
+        c = next((j for j, x in enumerate(rest) if x), None)
+        if c is not None:
+            insort(echelon, (c, tuple(F.row_scale(F.inv_unit(rest[c]), rest))))
+        yield c
+
+
+def column_lows(M: Matrix) -> list:
+    """Each column's low, or None: the standard persistence column reduction.
+
+    The low of column j is the least last nonzero row over the column plus the
+    span of the columns before it; it is None when the column lies in that span.
+    """
+    lows = _extend(M.ring, [], (col[::-1] for col in M.transpose().data))
+    return [None if c is None else M.rows - 1 - c for c in lows]
 
 
 class Subspace:
@@ -138,7 +150,7 @@ class Subspace:
 
     @classmethod
     def from_columns(cls, M: Matrix) -> "Subspace":
-        return cls(M.ring, M.rows, [M.column(j) for j in range(M.cols)])
+        return cls(M.ring, M.rows, M.transpose().data)
 
     @property
     def dim(self) -> int:
@@ -164,40 +176,38 @@ class Subspace:
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        rest = reduce_vector(self.field, zip(self.pivots, self.basis), vec)
+        rest = _reduce(self.field, zip(self.pivots, self.basis), vec)
         return not any(rest)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
     def to_json(self):
-        fmt = self.field.format
-        return [[fmt(x) for x in row] for row in self.basis]
+        return self.matrix().to_json()
 
 
 class QuotientSpace:
     """A quotient Z/B of subspaces of k^n with chosen representatives.
 
-    Z is ``zspace`` as given and B the span of ``b_vectors``; ``reps`` extend
-    a basis of B to one of Z, and ``coords_matrix(M)`` expresses the class of
-    each column of M (which must lie in Z) in those representatives.
+    Z is ``zspace`` as given and B the column span of ``boundaries``.  The
+    representatives are the Z basis vectors that the column reduction, seeded
+    with B's RREF rows, keeps, and ``coords_matrix(M)`` expresses the class of
+    each column of M (which must lie in Z) in them.
     """
 
-    __slots__ = ("field", "ambient", "zspace", "bspace", "reps", "_solver")
+    __slots__ = ("field", "ambient", "reps", "_nb", "_solver")
 
-    def __init__(self, zspace: Subspace, b_vectors):
+    def __init__(self, zspace: Subspace, boundaries: Matrix):
         self.field = field = zspace.field
-        self.ambient = ambient = zspace.ambient
-        self.zspace = zspace
-        self.bspace = Subspace(field, ambient, b_vectors)
-        if not self.zspace.contains_space(self.bspace):
+        self.ambient = zspace.ambient
+        bspace = Subspace.from_columns(boundaries)
+        lows = _extend(field, list(zip(bspace.pivots, bspace.basis)), zspace.basis)
+        self.reps = tuple(v for v, low in zip(zspace.basis, lows) if low is not None)
+        # dim(B + Z) = dim B + #reps, which is dim Z exactly when B lies in Z
+        if bspace.dim + len(self.reps) != zspace.dim:
             raise ValueError("boundaries do not lie inside cocycles")
-        # greedy: keep each Z basis vector outside the span of B and the
-        # representatives kept so far, tracked as one growing echelon
-        echelon = list(zip(self.bspace.pivots, self.bspace.basis))
-        self.reps = tuple(v for v in self.zspace.basis
-                          if extend_echelon(field, echelon, v) is not None)
-        self._solver = Matrix.from_columns(field, self.bspace.basis + self.reps, rows=ambient)
+        self._nb = bspace.dim
+        self._solver = Matrix.from_columns(field, bspace.basis + self.reps, rows=self.ambient)
 
     @property
     def dim(self) -> int:
@@ -210,8 +220,7 @@ class QuotientSpace:
         sol = solve_field(self._solver, M)
         if sol is None:
             raise ValueError("vector not in the cocycle space")
-        nb = self.bspace.dim
-        return sol.submatrix(nb, nb + self.dim, 0, M.cols)
+        return sol.submatrix(self._nb, self._nb + self.dim, 0, M.cols)
 
     def rep_matrix(self) -> Matrix:
         return Matrix.from_columns(self.field, self.reps, rows=self.ambient)

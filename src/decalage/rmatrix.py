@@ -126,8 +126,8 @@ class Matrix:
     def column(self, j):
         return tuple(row[j] for row in self.data)
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+    def to_json(self) -> list:
+        return [[self.ring.format(x) for x in row] for row in self.data]
 
     def transpose(self) -> "Matrix":
         if not self.data:

@@ -75,10 +75,6 @@ def _check(value, spec, path: str = "$") -> None:
         raise SerializeError(f"{path}: expected {TYPE_NAMES[spec]}, got {shown}")
 
 
-def matrix_to_json(M: Matrix):
-    return [[M.ring.format(x) for x in row] for row in M.data]
-
-
 def _element(ring: BaseRing, text: str, path: str):
     try:
         return ring.parse(text)
@@ -98,7 +94,7 @@ def complex_to_json(K: FreeComplex) -> dict:
         "lo": K.lo,
         "hi": K.hi,
         "ranks": list(K.ranks()),
-        "differentials": [matrix_to_json(K.d(i)) for i in range(K.lo, K.hi)],
+        "differentials": [K.d(i).to_json() for i in range(K.lo, K.hi)],
         "twist": K.twist,
     }
 
@@ -142,9 +138,7 @@ def sheaf_to_json(F: SheafComplex) -> dict:
     for a, b in F.site.strict_pairs():
         src = F.stalk(a)
         cm = F.res(a, b)
-        out["restrictions"][f"{a}<={b}"] = [
-            matrix_to_json(cm.map(i)) for i in range(src.lo, src.hi + 1)
-        ]
+        out["restrictions"][f"{a}<={b}"] = [cm.map(i).to_json() for i in src.degrees()]
     return out
 
 

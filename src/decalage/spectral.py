@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .bockstein import k_induced_matrix
 from .complexes import ChainMap, FreeComplex
-from .kmatrix import QuotientSpace, Subspace, extend_echelon, field_rank, kernel, solve_field
+from .kmatrix import QuotientSpace, Subspace, column_lows, field_rank, kernel, solve_field
 from .rmatrix import Matrix
 from .sites import InstanceContext, SheafMap
 
@@ -98,7 +98,7 @@ class FilteredComplex:
         cell = self._cells.get(key)
         if cell is None:
             boundaries = self.ambient.d(n - 1) @ prev.matrix().transpose()
-            den = list(finer.basis) + boundaries.columns()
+            den = finer.matrix().transpose().hstack(boundaries)
             cell = self._cells[key] = QuotientSpace(num, den)
         return cell
 
@@ -123,7 +123,7 @@ class SSPage:
             {
                 "p": p,
                 "q": q,
-                "matrix": [[m.ring.format(x) for x in row] for row in m.data],
+                "matrix": m.to_json(),
                 "shape": [m.rows, m.cols],
             }
             for (p, q), m in sorted(self.differentials.items())
@@ -173,17 +173,17 @@ def adapted_form(ambient: FreeComplex, inclusions: dict) -> dict:
     a leading run of columns; ``d`` is d(n) in the degree-n and degree-(n+1)
     bases.
     """
-    F = ambient.ring
     adapted = {}
     for n in ambient.degrees():
-        echelon, kept = [], []
+        levels, stacked = [], Matrix.zeros(ambient.ring, ambient.rank(n), 0)
         for p in sorted(inclusions, reverse=True):
-            kept += [(p, v) for v in inclusions[p].map(n).columns()
-                     if extend_echelon(F, echelon, v) is not None]
+            levels += [p] * inclusions[p].map(n).cols
+            stacked = stacked.hstack(inclusions[p].map(n))
+        # a column has a low exactly when it lies outside the span of those before it
+        kept = [j for j, low in enumerate(column_lows(stacked)) if low is not None]
         if len(kept) != ambient.rank(n):
             raise ValueError("the lowest filtration piece is not the whole complex")
-        adapted[n] = ([p for p, _ in kept],
-                      Matrix.from_columns(F, [v for _, v in kept], rows=ambient.rank(n)))
+        adapted[n] = ([levels[j] for j in kept], stacked.take_columns(kept))
     # d out of the top degree is the empty matrix in any basis
     return {n: (levels, basis, solve_field(adapted[n + 1][1], ambient.d(n) @ basis)
                 if n < ambient.hi else ambient.d(n))
@@ -193,23 +193,20 @@ def adapted_form(ambient: FreeComplex, inclusions: dict) -> dict:
 def persistence_pairs(ambient: FreeComplex, inclusions: dict) -> list:
     """The persistence pairs (p_src, n, p_tgt) of a filtered complex.
 
-    In the adapted form, rows and columns ordered highest level first, the
-    columns of d go left to right, rows reversed, into one echelon per degree.
-    A column (level p, degree n) outside the span of those before it pairs
-    with its pivot, the least last nonzero row (level p + r) over the column
-    plus that span.  So d_r out of E_r(p, n - p) has rank the number of pairs
-    with gap r from (p, n), and E_r(p, n - p) counts the level-p, degree-n
-    basis vectors unpaired or paired with gap at least r.
+    In the adapted form, rows and columns ordered highest level first, a
+    column of d (level p, degree n) with a low pairs with it: the least last
+    nonzero row (level p + r) over the column plus the span of the columns
+    before it, as :func:`column_lows` reads it.  So d_r out of E_r(p, n - p)
+    has rank the number of pairs with gap r from (p, n), and E_r(p, n - p)
+    counts the level-p, degree-n basis vectors unpaired or paired with gap at
+    least r.
     """
-    F = ambient.ring
     form = adapted_form(ambient, inclusions)
     pairs = []
     for n, (levels, _, d) in form.items():
-        echelon = []
-        for j, col in enumerate(d.columns()):
-            pivot = extend_echelon(F, echelon, col[::-1])
-            if pivot is not None:
-                pairs.append((levels[j], n, form[n + 1][0][d.rows - 1 - pivot]))
+        for j, low in enumerate(column_lows(d)):
+            if low is not None:
+                pairs.append((levels[j], n, form[n + 1][0][low]))
     return pairs
 
 

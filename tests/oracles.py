@@ -168,6 +168,22 @@ def dense_rref(M: Matrix):
     return Matrix(F, rows, cols=nc), tuple(pivots)
 
 
+def column_lows_by_rank(M: Matrix) -> list:
+    """Each column's low, or None, read off ranks of submatrices by ``dense_rref``.
+
+    Column j has no low when rank M[:, :j+1] = rank M[:, :j]: it lies in the
+    span of the columns before it.  Otherwise its low is the least r with
+    rank M[r+1:, :j+1] = rank M[r+1:, :j], the least r below which the column
+    agrees with a combination of the columns before it.
+    """
+    def rank(r0, c1):
+        return len(dense_rref(M.submatrix(r0, M.rows, 0, c1))[1])
+
+    return [None if rank(0, j + 1) == rank(0, j)
+            else next(r for r in range(M.rows) if rank(r + 1, j + 1) == rank(r + 1, j))
+            for j in range(M.cols)]
+
+
 def kernel_cols(M: Matrix) -> Matrix:
     """Deterministic kernel basis from the RREF (one column per free column)."""
     F = M.ring
@@ -446,7 +462,7 @@ def quotient_map_matrix(W: Subspace) -> Matrix:
     field = W.field
     n = W.ambient
     ident = Matrix.identity(field, n)
-    q = QuotientSpace(Subspace(field, n, ident.columns()), list(W.basis))
+    q = QuotientSpace(Subspace.from_columns(ident), W.matrix().transpose())
     cols = [quotient_coords(q, ident.column(j)) for j in range(n)]
     return Matrix.from_columns(field, cols, rows=q.dim)
 
@@ -977,12 +993,12 @@ def abutment_graded_dims(fc, n: int) -> dict:
     F_p H^n is the image of H^n of the p-th subcomplex, computed as
     (F_p ∩ ker d + boundaries) / boundaries.
     """
-    hq = k_cohomology_quotient(fc.ambient, n)
     ker = Subspace.from_columns(kernel_cols(fc.ambient.d(n)))
+    boundaries = Subspace.from_columns(fc.ambient.d(n - 1))
     fdims = {}
     for p in range(fc.p_min, fc.p_max + 2):
         zn = subspace_intersect(fc.z_space(0, p, n), ker)
-        fdims[p] = subspace_add(zn, hq.bspace).dim - hq.bspace.dim
+        fdims[p] = subspace_add(zn, boundaries).dim - boundaries.dim
     return {p: fdims[p] - fdims[p + 1] for p in range(fc.p_min, fc.p_max + 1)}
 
 

@@ -407,7 +407,7 @@ def test_identity_rule_keeps_the_shape_check(ring):
 
 def test_identity_solves_over_k_run_no_rref(monkeypatch):
     F = PrimeField(3)
-    whole = QuotientSpace(kernel(Matrix.zeros(F, 0, 2)), ())
+    whole = QuotientSpace(kernel(Matrix.zeros(F, 0, 2)), Matrix.zeros(F, 2, 0))
     K = FreeComplex(F, 0, [2, 2], [Matrix(F, [[1, 1], [0, 2]])])
     M = Matrix(F, [[1, 2], [0, 1]])
     calls, rref = [], kmatrix.rref
@@ -453,6 +453,6 @@ def test_ss_pages_builds_each_cell_once_per_filtered_complex(monkeypatch, z2):
     assert [page.to_json() for page in first] == [page.to_json() for page in second]
     # every reused cell has the dimension of the quotient its own (r, p, q) defines
     for (r, p, n), (_, num, prev, finer) in zip(positions, cells):
-        den = list(finer.basis) + (d(n - 1) @ prev.matrix().transpose()).columns()
+        den = finer.matrix().transpose().hstack(d(n - 1) @ prev.matrix().transpose())
         own = build(num, den)
         assert first[r - 1].dim(p, n - p) == own.dim

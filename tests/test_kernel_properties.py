@@ -19,12 +19,13 @@ from fractions import Fraction
 import pytest
 
 from decalage import rmatrix
-from decalage.kmatrix import Subspace, field_rank, kernel, rref, solve_field
+from decalage.kmatrix import Subspace, column_lows, field_rank, kernel, rref, solve_field
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix, snf
 from decalage.theorem import verify_main_theorem
 from oracles import (
     GenericKernels,
+    column_lows_by_rank,
     dense_matmul,
     dense_rref,
     dense_snf,
@@ -117,6 +118,13 @@ def test_kernel_is_the_normal_form_of_the_two_step_kernel(field, rows, cols, dat
                  if field_rank(M.submatrix(0, rows, c, cols)) == field_rank(M.submatrix(0, rows, c + 1, cols)))
     assert got.pivots == free == want.pivots
     assert (M @ got.matrix().transpose()).is_zero()
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(FIELDS), dims, st.integers(0, 7), st.data())
+def test_column_lows_match_the_rank_oracle(field, rows, cols, data):
+    M = data.draw(matrices(field, rows, cols))
+    assert column_lows(M) == column_lows_by_rank(M)
 
 
 def assert_snf_matches_dense_snf(M: Matrix):
@@ -260,6 +268,7 @@ def test_field_elimination_matches_generic_kernels(ring, rows, cols, rhs, data):
     got_kernel, want_kernel = kernel(A), kernel(GA)
     assert got_kernel.pivots == want_kernel.pivots
     assert_same_data(got_kernel.matrix(), want_kernel.matrix())
+    assert column_lows(A) == column_lows(GA)
     solvable = A @ data.draw(matrices(F, cols, rhs))
     for B in (solvable, data.draw(matrices(F, rows, rhs))):
         got, want = solve_field(A, B), solve_field(GA, with_generic_kernels(B))

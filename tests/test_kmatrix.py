@@ -1,3 +1,5 @@
+import pytest
+
 from decalage.kmatrix import QuotientSpace, Subspace, field_rank, kernel, rref, solve_field
 from decalage.rings import PrimeField, RationalField
 from decalage.rmatrix import Matrix
@@ -59,7 +61,7 @@ def test_quotient_space_coords():
     F = PrimeField(5)
     z = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
     b = [(1, 1, 0)]
-    q = QuotientSpace(Subspace(F, 3, z), b)
+    q = QuotientSpace(Subspace(F, 3, z), Matrix.from_columns(F, b, rows=3))
     assert q.dim == 1
     c1 = quotient_coords(q, (1, 0, 0))
     c2 = quotient_coords(q, (0, 4, 0))  # = -(0,1,0) = (1,0,0) mod boundaries
@@ -67,3 +69,10 @@ def test_quotient_space_coords():
     assert c2 == tuple(F.neg(x) for x in c1) or c2 == c1
     # class of a boundary is zero
     assert quotient_coords(q, (2, 2, 0)) == (0,)
+
+
+def test_quotient_space_refuses_boundaries_outside_the_cycles():
+    F = PrimeField(5)
+    z = Subspace(F, 3, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="do not lie inside"):
+        QuotientSpace(z, Matrix.from_columns(F, [(1, 1, 0), (0, 1, 1)], rows=3))

@@ -11,7 +11,9 @@ hides an unused method; such methods are found by reading the callers.
 
 The same holds for data: every field a library class assigns is read by
 attribute somewhere in the library, and every module of the library and its
-tests uses each name it imports.
+tests uses each name it imports, and no module of the library imports a
+``_``-prefixed name from another: the echelon helpers ``_reduce`` and
+``_extend`` stay inside ``kmatrix``.
 """
 
 import ast
@@ -130,3 +132,12 @@ def test_every_import_is_used():
              if path.name != "__init__.py"]
     unused = sorted(name for path in paths for name in unused_imports(path))
     assert unused == sorted(UNUSED_IMPORT_EXEMPT)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    imported = sorted(f"{path.stem}: {node.module}.{alias.name}"
+                      for path in sorted(SRC.glob("*.py"))
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                      for alias in node.names if alias.name.startswith("_"))
+    assert imported == []
