@@ -23,6 +23,7 @@ from .complexes import (
     ChainMap,
     FGModule,
     FreeComplex,
+    cohomology_module,
     cohomology_presentation,
     factor_through,
     hodge_filtration,
@@ -82,9 +83,14 @@ class Memo:
     A context is the one builder of the objects made from a complex K: its
     cohomology groups, its stages, graded pieces, mod-xi subquotients and
     Hodge comparisons, its reduction K/xi with the truncations, and its
-    Bockstein complex with the Hodge parts.  A stage, truncation or Hodge
-    part is its inclusion chain map (``subcomplex``), whose ``source`` is the
-    piece, and a map into a piece is factored through it (``factor_through``);
+    Bockstein complex with the Hodge parts.  A cohomology group comes in two
+    forms: ``module`` gives its invariants alone, from the Smith forms of
+    the two differentials, for the readers that want nothing else (H1, the
+    torsion table, the stage cohomology check); ``presentation`` gives a
+    cocycle basis and relations, for every reader of a basis and for
+    quotients.  A stage, truncation or Hodge part is its inclusion chain map
+    (``subcomplex``), whose ``source`` is the piece, and a map into a piece
+    is factored through it (``factor_through``);
     a quotient is the injective chain map whose cokernel it is, and a
     comparison is a chain map.  Each is keyed by the complex it is built
     from: equal free complexes built separately share one entry, and the
@@ -92,9 +98,10 @@ class Memo:
     identity.  A context also holds the linear algebra
     on both rings.  Over R it is the one place where matrices are factored,
     keyed by content, and kernels, images, solves and preimages are views of
-    the Smith forms; ``rmatrix.solve_exact`` is the one solve over R outside
-    a context.  Over k, kernels and solves are ``kmatrix``'s, so no Smith form
-    is taken over a field; over R a solve against an identity returns B here.
+    the Smith forms, whose transforms are built only when one of these reads
+    them; ``rmatrix.solve_exact`` is the one solve over R outside a context.
+    Over k, kernels and solves are ``kmatrix``'s, so no Smith form is taken
+    over a field; over R a solve against an identity returns B here.
     """
 
     def __init__(self):
@@ -135,6 +142,10 @@ class Memo:
         """Basis of { x : A x lies in the column span of S }."""
         ker = self.kernel(A.hstack(S))
         return self.image(ker.submatrix(0, A.cols, 0, ker.cols))
+
+    def module(self, K: FreeComplex, i: int) -> FGModule:
+        """The invariants of H^i of a free complex K over R, as ``cohomology_module``."""
+        return self.once(("module", K, i), cohomology_module, self, K, i)
 
     def presentation(self, K, i: int):
         """H^i of K (of its cokernel for a chain map K) over R, as ``cohomology_presentation``."""

@@ -2,7 +2,8 @@
 
 A FreeComplex stores ranks and differentials on a window [lo, hi]; matrices
 act on column vectors, so d(i) has shape rank(i+1) x rank(i).  Cohomology is
-returned as an FGModule (free rank plus invariant-factor chain), and every
+returned as an FGModule (free rank plus invariant-factor chain), read by
+``cohomology_module`` off the Smith forms of the two differentials, and every
 degree also exposes a presentation: a basis of the cocycle submodule together
 with the relation matrix, which is what induced maps, snake maps and image
 filtrations are computed through.
@@ -342,6 +343,17 @@ def _presentation(ctx, ring, rels_i, rels_next, d_i, d_prev) -> CohomologyPresen
     if coords is None:
         raise ShapeMismatch("boundaries do not lie in the cocycle submodule")
     return CohomologyPresentation(ring, basis_snf, ctx.factor(coords))
+
+
+def cohomology_module(ctx, K: FreeComplex, i: int) -> FGModule:
+    """The invariants of H^i(K) for a free complex K, from the context's Smith forms.
+
+    ker d(i) is a direct summand of K^i, so H^i has the torsion of
+    coker d(i-1), its non-unit invariant factors, and free rank
+    rank K^i - rank d(i) - rank d(i-1).  No presentation is built.
+    """
+    return FGModule.from_snf(K.ring, K.rank(i) - ctx.factor(K.d(i)).rank,
+                             ctx.factor(K.d(i - 1)))
 
 
 def cohomology_presentation(ctx, K, i: int) -> CohomologyPresentation:

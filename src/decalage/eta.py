@@ -187,9 +187,7 @@ def verify_eta_m_cohomology(ctx, K: FreeComplex, m: int) -> CheckResult:
     stage = ctx.stage(K, m).source
     plain = ctx.stage(K, 0).source
 
-    def h(C, i):
-        return ctx.presentation(C, i).module
-
+    h = ctx.module
     for i in K.degrees():
         got = h(stage, i)
         want = h(plain, i) if i > m else h(K, i)

@@ -350,7 +350,9 @@ def generate_instance(profile: str, seed: int, ring: BaseRing | None = None,
         else:
             F = height_graded_sheaf(chosen_site, ring, rng, max_degree,
                                     max_rank, torsion_free)
-        F.validate()
+        if profile != "h1":
+            # for "h1", hypothesis_h1 builds RGamma(F), which validates F first
+            F.validate()
         if profile == "free":
             return F
         if profile == "h1":

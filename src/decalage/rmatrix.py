@@ -2,9 +2,10 @@
 
 Matrices are immutable, stored as tuple-of-row-tuples, and act on column
 vectors: an r x c matrix maps R^c -> R^r.  The Smith normal form carries all
-four transforms (U, U^-1, V, V^-1 with U*M*V = D), which is what makes exact
-kernel coordinates, image bases and linear solves one-liners: they are
-views of one ``SNFResult``.
+four transforms (U, U^-1, V, V^-1 with U*M*V = D), each built from its log of
+elementary operations on first read, which is what makes exact kernel
+coordinates, image bases and linear solves one-liners: they are views of one
+``SNFResult``.
 """
 
 from __future__ import annotations
@@ -222,28 +223,80 @@ def _dense_transpose(R, cols, nrows) -> Matrix:
                       len(cols))
 
 
+# the kinds of operation in a Smith form's log
+_SWAP, _ADD, _SCALE = range(3)
+
+
+def _replay(R, n, ops, inverse: bool) -> list:
+    """The n x n identity with a logged operation sequence replayed, as sparse dicts.
+
+    Forward, the dicts are the rows of U (``row_ops``) or the columns of V
+    (``col_ops``): a swap exchanges two, ``(_ADD, dst, src, c)`` adds c times
+    ``src`` to ``dst`` and ``(_SCALE, i, s)`` scales ``i`` by s.  With
+    ``inverse`` they are the columns of U^-1 or the rows of V^-1: the add
+    subtracts c times ``dst`` from ``src``, and the scaling is by s^-1.
+    """
+    one = R.one()
+    addmul, mul, neg = R.sparse_axpy, R.mul, R.neg
+    X = [{i: one} for i in range(n)]
+    for op in ops:
+        kind = op[0]
+        if kind == _SWAP:
+            _, a, b = op
+            X[a], X[b] = X[b], X[a]
+        elif kind == _ADD:
+            _, dst, src, c = op
+            if inverse:
+                addmul(X[src], neg(c), X[dst])
+            else:
+                addmul(X[dst], c, X[src])
+        else:
+            _, i, s = op
+            if inverse:
+                s = R.inv_unit(s)
+            X[i] = {j: mul(s, y) for j, y in X[i].items()}
+    return X
+
+
 class SNFResult:
     """U @ M @ V = D with U, V unimodular and D in Smith form.
 
-    ``uinv`` and ``vinv`` are the exact inverses, accumulated alongside the
-    elementary operations.  ``factors`` are the normalized nonzero diagonal
-    entries d_1 | d_2 | ...; ``rank`` is their count.  Kernel, image and
-    solve are views of the one factorization.
+    ``factors`` are the normalized nonzero diagonal entries d_1 | d_2 | ...;
+    ``rank`` is their count.  Kernel, image and solve are views of the one
+    factorization.
 
-    The factorization is kept as sparse rows, ``{column: nonzero entry}``:
-    D, U and V^-1 by rows, U^-1 and V by columns.  ``d``, ``u``, ``uinv``,
-    ``v`` and ``vinv`` are the dense matrices, built on first read.
+    ``snf`` keeps D, as sparse rows ``{column: nonzero entry}``, and the log
+    of its elementary operations: ``row_ops`` (row swaps, row add-multiples
+    and the final unit scaling of a row) and ``col_ops`` (column swaps and
+    column add-multiples).  U and V^-1 by rows, U^-1 and V by columns are
+    built by replaying the log on first read and kept; a reader of
+    ``factors`` or ``rank`` pays for D alone.  ``d``, ``u``, ``uinv``, ``v``
+    and ``vinv`` are the dense matrices, built on first read.
     """
 
-    def __init__(self, matrix, d_rows, u_rows, uinv_cols, v_cols, vinv_rows, rank, factors):
+    def __init__(self, matrix, d_rows, row_ops, col_ops, rank, factors):
         self.matrix = matrix
         self._d_rows = d_rows
-        self._u_rows = u_rows
-        self._uinv_cols = uinv_cols
-        self._v_cols = v_cols
-        self._vinv_rows = vinv_rows
+        self._row_ops = row_ops
+        self._col_ops = col_ops
         self.rank = rank
         self.factors = factors
+
+    @cached_property
+    def _u_rows(self):
+        return _replay(self.matrix.ring, self.matrix.rows, self._row_ops, False)
+
+    @cached_property
+    def _uinv_cols(self):
+        return _replay(self.matrix.ring, self.matrix.rows, self._row_ops, True)
+
+    @cached_property
+    def _v_cols(self):
+        return _replay(self.matrix.ring, self.matrix.cols, self._col_ops, False)
+
+    @cached_property
+    def _vinv_rows(self):
+        return _replay(self.matrix.ring, self.matrix.cols, self._col_ops, True)
 
     @cached_property
     def d(self) -> Matrix:
@@ -332,10 +385,11 @@ def snf(M: Matrix) -> SNFResult:
     """Smith normal form by Euclidean elimination on sparse rows.
 
     Pivot choice: smallest Euclidean valuation, ties broken by lowest row
-    then column index, which makes the output deterministic.  D, U and V^-1
-    are kept as rows and U^-1 and V as columns, each a ``{index: nonzero
-    entry}`` dict, so every row and column operation is a sparse row update
-    over the nonzero entries of its source.
+    then column index, which makes the output deterministic.  D is kept as
+    rows, each a ``{column: nonzero entry}`` dict, so every row operation is
+    a sparse row update over the nonzero entries of its source.  The
+    transforms are not accumulated here: each operation is logged, and
+    ``SNFResult`` replays the log for the transform a caller reads.
     """
     R = M.ring
     add, mul, neg, size, divrem = R.add, R.mul, R.neg, R.size, R.divrem
@@ -343,10 +397,7 @@ def snf(M: Matrix) -> SNFResult:
     zero, one = R.zero(), R.one()
     rows, cols = M.rows, M.cols
     D = [{j: x for j, x in enumerate(row) if x} for row in M.data]
-    U = [{i: one} for i in range(rows)]
-    Uit = [{i: one} for i in range(rows)]  # columns of U^-1
-    Vt = [{j: one} for j in range(cols)]   # columns of V
-    Vi = [{j: one} for j in range(cols)]
+    row_ops, col_ops = [], []
 
     def swap_entries(row, a, b):
         x, y = row.pop(a, None), row.pop(b, None)
@@ -360,23 +411,21 @@ def snf(M: Matrix) -> SNFResult:
     # touch the rows from t on.
 
     def row_swap(a, b):
-        for X in (D, U, Uit):
-            X[a], X[b] = X[b], X[a]
+        D[a], D[b] = D[b], D[a]
+        row_ops.append((_SWAP, a, b))
 
     def row_addmul(dst, src, c):
-        # row_dst += c * row_src; inverse op: col_src of U^-1 -= c * col_dst
+        # row_dst += c * row_src
         addmul(D[dst], c, D[src])
-        addmul(U[dst], c, U[src])
-        addmul(Uit[src], neg(c), Uit[dst])
+        row_ops.append((_ADD, dst, src, c))
 
     def col_swap(a, b):
         for i in range(t, rows):
             swap_entries(D[i], a, b)
-        for X in (Vt, Vi):
-            X[a], X[b] = X[b], X[a]
+        col_ops.append((_SWAP, a, b))
 
     def col_addmul(dst, src, c):
-        # col_dst += c * col_src; inverse op: row_src of V^-1 -= c * row_dst
+        # col_dst += c * col_src
         for i in range(t, rows):
             row = D[i]
             if src in row:
@@ -385,8 +434,7 @@ def snf(M: Matrix) -> SNFResult:
                     row[dst] = y
                 else:
                     row.pop(dst, None)
-        addmul(Vt[dst], c, Vt[src])
-        addmul(Vi[src], neg(c), Vi[dst])
+        col_ops.append((_ADD, dst, src, c))
 
     def pivot():
         # smallest (size, i, j) over the nonzero entries of the trailing
@@ -460,15 +508,13 @@ def snf(M: Matrix) -> SNFResult:
             break
         u, nrm = R.unit_normalize(x)
         if nrm != x:
-            # row_i *= s with s = u^-1, and col_i of U^-1 *= s^-1
+            # row_i *= s with s = u^-1
             s = R.inv_unit(u)
-            inv = R.inv_unit(s)
             D[i] = {j: mul(s, y) for j, y in D[i].items()}
-            U[i] = {j: mul(s, y) for j, y in U[i].items()}
-            Uit[i] = {j: mul(inv, y) for j, y in Uit[i].items()}
+            row_ops.append((_SCALE, i, s))
         factors.append(nrm)
 
-    return SNFResult(M, D, U, Uit, Vt, Vi, len(factors), tuple(factors))
+    return SNFResult(M, D, row_ops, col_ops, len(factors), tuple(factors))
 
 
 def solve_exact(A: Matrix, B: Matrix):

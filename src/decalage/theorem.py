@@ -216,7 +216,7 @@ def check_torsionfree_eta_m(ctx: InstanceContext) -> dict:
     for m in range(0, ctx.F.hi() + 2):
         total = ctx.sections(ctx.stage_sheaf(m).source)
         for i in total.degrees():
-            fg = ctx.presentation(total, i).module
+            fg = ctx.module(total, i)
             table[(i, m)] = {
                 "invariants": fg.describe(),
                 "xi_torsion_free": fg.xi_torsion_free,
@@ -228,7 +228,7 @@ def hypothesis_h1(ctx: InstanceContext) -> tuple:
     """All H^i of the sections xi-torsion-free; witness is the first failure."""
     total = ctx.sections(ctx.F)
     for i in total.degrees():
-        if not ctx.presentation(total, i).module.xi_torsion_free:
+        if not ctx.module(total, i).xi_torsion_free:
             return False, i
     return True, None
 

@@ -130,7 +130,8 @@ def sheaf_key(F):
 def count_group_builds(monkeypatch):
     """Count cohomology computations per (function, complex, degree)."""
     calls = Counter()
-    for module, name in ((complexes, "cohomology_presentation"),
+    for module, name in ((complexes, "cohomology_module"),
+                         (complexes, "cohomology_presentation"),
                          (bockstein, "k_cohomology_quotient")):
         def counted(*args, name=name, build=getattr(module, name)):
             *_, K, i = args
@@ -143,7 +144,7 @@ def count_group_builds(monkeypatch):
 
 def assert_each_group_once_per_call(calls, run):
     first = run()
-    assert {name for name, _, _ in calls} == {"cohomology_presentation",
+    assert {name for name, _, _ in calls} == {"cohomology_module", "cohomology_presentation",
                                               "k_cohomology_quotient"}
     assert max(calls.values()) == 1
     computed = sum(calls.values())
@@ -259,6 +260,54 @@ def test_main_theorem_factors_each_matrix_once_per_call(monkeypatch, z2, case):
     F = theorem_instance(case, z2)
     calls = count_factorizations(monkeypatch)
     assert_each_matrix_factored_once_per_call(calls, lambda: verify_main_theorem(F).to_json())
+
+
+TRANSFORMS = ("_u_rows", "_uinv_cols", "_v_cols", "_vinv_rows")
+
+
+def built_transforms(res) -> list:
+    """The transforms of a Smith form that have been replayed, so read."""
+    return [name for name in TRANSFORMS if name in vars(res)]
+
+
+@pytest.mark.parametrize("ring", [IntegerRing(2), PolynomialRing(PrimeField(5))],
+                         ids=["z2", "f5t"])
+def test_hypothesis_h1_builds_no_presentation_and_no_transform(monkeypatch, ring):
+    # the verdict needs the invariants of each H^i alone: the ranks and factors
+    # of the differentials' Smith forms
+    F = theorem_instance("h1-sphere", ring)
+    presented, factored = [], []
+    present, factor = complexes.cohomology_presentation, rmatrix.snf
+
+    def counted_presentation(*args):
+        presented.append(args)
+        return present(*args)
+
+    def recorded_snf(M):
+        factored.append(factor(M))
+        return factored[-1]
+
+    assert bockstein in patch_everywhere(monkeypatch, complexes, "cohomology_presentation",
+                                         counted_presentation)
+    assert bockstein in patch_everywhere(monkeypatch, rmatrix, "snf", recorded_snf)
+    assert theorem.hypothesis_h1(InstanceContext(F)) == (True, None)
+    assert presented == []
+    assert factored and not any(built_transforms(res) for res in factored)
+
+
+def test_smith_form_builds_each_transform_on_its_first_read():
+    rng = random.Random(5)
+    for ring in (IntegerRing(3), PolynomialRing(PrimeField(5))):
+        M = random_nonsingular(ring, 4, rng)
+        res = rmatrix.snf(M)
+        assert res.rank == 4 and len(res.factors) == 4
+        assert built_transforms(res) == []
+        assert (res.u @ M @ res.v) == res.d
+        assert built_transforms(res) == ["_u_rows", "_v_cols"]
+        assert res.image().cols == 4 and res.uinv @ res.u == Matrix.identity(ring, 4)
+        assert built_transforms(res) == ["_u_rows", "_uinv_cols", "_v_cols"]
+        assert res.vinv @ res.v == Matrix.identity(ring, 4)
+        assert built_transforms(res) == list(TRANSFORMS)
 
 
 def test_bb_filtration_factors_at_most_two_matrices(monkeypatch):

@@ -11,14 +11,20 @@ include empty ones and the share of zero entries ranges over [0, 1].
 The rings' native row kernels are checked the same way against
 ``oracles.GenericKernels``, which runs the same matrix code on ``BaseRing``'s
 generic kernels, and the falsy-zero contract the matrix code relies on is
-checked for every ring.
+checked for every ring.  The invariants of H^i that ``Memo.module`` reads
+off the differentials' Smith forms are checked against the module of the
+full presentation.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from decalage import rmatrix
+from decalage.bockstein import Memo
+from decalage.complexes import FGModule, FreeComplex, cohomology_presentation
+from decalage.instances import random_complex
 from decalage.kmatrix import Subspace, column_lows, field_rank, kernel, rref, solve_field
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix, snf
@@ -33,7 +39,7 @@ from oracles import (
     matrix_sum,
     with_generic_kernels,
 )
-from test_contexts import patch_everywhere, theorem_instance
+from test_contexts import built_transforms, patch_everywhere, theorem_instance
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -129,10 +135,12 @@ def test_column_lows_match_the_rank_oracle(field, rows, cols, data):
 
 def assert_snf_matches_dense_snf(M: Matrix):
     got, want = snf(M), dense_snf(M)
-    for name in ("d", "u", "uinv", "v", "vinv"):
-        assert_same_entries(getattr(got, name), getattr(want, name))
     assert got.rank == want.rank
     assert [typed(f) for f in got.factors] == [typed(f) for f in want.factors]
+    # the invariants are read off D alone; each transform is replayed on its first read
+    assert built_transforms(got) == []
+    for name in ("d", "u", "uinv", "v", "vinv"):
+        assert_same_entries(getattr(got, name), getattr(want, name))
     assert_same_entries(got.kernel(), want.v.take_columns(range(want.rank, M.cols)))
 
 
@@ -189,6 +197,38 @@ def test_snf_matches_dense_snf_on_theorem_traffic(monkeypatch, case, ring):
     monkeypatch.undo()
     for M in factored:
         assert_snf_matches_dense_snf(M)
+
+
+MODULE_RINGS = [IntegerRing(2), IntegerRing(3), IntegerRing(5), PolynomialRing(PrimeField(5)),
+                PolynomialRing(RationalField())]
+
+
+def assert_module_is_the_presentations_module(K: FreeComplex):
+    # every degree of the window and one past each end
+    for i in range(K.lo - 1, K.hi + 2):
+        got = Memo().module(K, i)
+        want = cohomology_presentation(Memo(), K, i).module
+        assert got == want
+        assert [typed(f) for f in got.factors] == [typed(f) for f in want.factors]
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.sampled_from(MODULE_RINGS), st.integers(0, 2 ** 32 - 1),
+                  st.integers(1, 3), st.integers(1, 3))
+def test_module_is_the_presentations_module(ring, seed, max_degree, max_rank):
+    assert_module_is_the_presentations_module(
+        random_complex(ring, random.Random(seed), max_degree, max_rank))
+
+
+@pytest.mark.parametrize("ring", MODULE_RINGS, ids=str)
+def test_module_keeps_xi_squared_torsion(ring):
+    # d(0) = diag(xi^2, 0): H^0 = R and H^1 = R/(xi^2) + R
+    z, xi2 = ring.zero(), ring.xi_power(2)
+    K = FreeComplex(ring, 0, [2, 2], [Matrix(ring, [[xi2, z], [z, z]])])
+    assert Memo().module(K, 0) == FGModule(ring, 1)
+    assert Memo().module(K, 1) == FGModule(ring, 1, [ring.unit_normalize(xi2)[1]])
+    assert not Memo().module(K, 1).xi_torsion_free
+    assert_module_is_the_presentations_module(K)
 
 
 @PROPERTY_SETTINGS
