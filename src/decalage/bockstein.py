@@ -77,6 +77,19 @@ def bockstein_complex(ctx: Memo, K: FreeComplex) -> FreeComplex:
 _MISSING = object()
 
 
+def _image(ctx: Memo, M: Matrix) -> Matrix:
+    return ctx.factor(M).image()
+
+
+def _solve(ctx: Memo, A: Matrix, B: Matrix):
+    return ctx.factor(A).solve(B)
+
+
+def _preimage(ctx: Memo, A: Matrix, S: Matrix) -> Matrix:
+    ker = ctx.kernel(A.hstack(S))
+    return ctx.image(ker.submatrix(0, A.cols, 0, ker.cols))
+
+
 class Memo:
     """Builds each keyed object once; a context lives for one top-level call.
 
@@ -95,13 +108,17 @@ class Memo:
     comparison is a chain map.  Each is keyed by the complex it is built
     from: equal free complexes built separately share one entry, and the
     chain maps presented as quotients (built once per context) are keyed by
-    identity.  A context also holds the linear algebra
-    on both rings.  Over R it is the one place where matrices are factored,
-    keyed by content, and kernels, images, solves and preimages are views of
-    the Smith forms, whose transforms are built only when one of these reads
-    them; ``rmatrix.solve_exact`` is the one solve over R outside a context.
-    Over k, kernels and solves are ``kmatrix``'s, so no Smith form is taken
-    over a field; over R a solve against an identity returns B here.
+    identity; behind that key a presentation is keyed by the content of the
+    four matrices it reads, so quotient maps equal in content share one.
+    A context also holds the linear algebra on both rings.  Over R it is the
+    one place where matrices are factored, keyed by content, and kernels,
+    images, solves and preimages are views of the Smith forms, whose
+    transforms are built only when one of these reads them; images,
+    preimages and solves are kept under their input matrices too, so each
+    is built once per content.  ``rmatrix.solve_exact`` is the one solve
+    over R outside a context.  Over k, kernels and solves are ``kmatrix``'s,
+    so no Smith form is taken over a field; over R a solve against an
+    identity returns B here, before any key is built.
     """
 
     def __init__(self):
@@ -125,7 +142,7 @@ class Memo:
 
     def image(self, M: Matrix) -> Matrix:
         """Columns form an R-basis of the column span of M, as ``SNFResult.image``."""
-        return self.factor(M).image()
+        return self.once(("image", M), _image, self, M)
 
     def solve(self, A: Matrix, B: Matrix):
         """X with A @ X = B, or None when no exact solution exists; by rref over a field.
@@ -136,12 +153,11 @@ class Memo:
             return solve_field(A, B)
         if A.rows == B.rows and A.is_identity():
             return B
-        return self.factor(A).solve(B)
+        return self.once(("solve", A, B), _solve, self, A, B)
 
     def preimage(self, A: Matrix, S: Matrix) -> Matrix:
         """Basis of { x : A x lies in the column span of S }."""
-        ker = self.kernel(A.hstack(S))
-        return self.image(ker.submatrix(0, A.cols, 0, ker.cols))
+        return self.once(("preimage", A, S), _preimage, self, A, S)
 
     def module(self, K: FreeComplex, i: int) -> FGModule:
         """The invariants of H^i of a free complex K over R, as ``cohomology_module``."""

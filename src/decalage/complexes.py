@@ -124,7 +124,7 @@ class FGModule:
 
 
 class FreeComplex:
-    __slots__ = ("ring", "lo", "hi", "_ranks", "_diffs", "twist", "_hash")
+    __slots__ = ("ring", "lo", "hi", "_ranks", "_diffs", "twist", "_hash", "_zeros")
 
     def __init__(self, ring, lo: int, ranks, diffs, twist: int = 0):
         ranks = tuple(ranks)
@@ -140,6 +140,7 @@ class FreeComplex:
         self._diffs = diffs
         self.twist = twist
         self._hash = None
+        self._zeros = {}
         for i, d in enumerate(diffs):
             if (d.rows, d.cols) != (ranks[i + 1], ranks[i]):
                 raise ShapeMismatch(
@@ -166,7 +167,11 @@ class FreeComplex:
     def d(self, i: int) -> Matrix:
         if self.lo <= i < self.hi:
             return self._diffs[i - self.lo]
-        return Matrix.zeros(self.ring, self.rank(i + 1), self.rank(i))
+        zero = self._zeros.get(i)
+        if zero is None:
+            # one zero map per degree outside the window, so memo keys hash it once
+            zero = self._zeros[i] = Matrix.zeros(self.ring, self.rank(i + 1), self.rank(i))
+        return zero
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -240,7 +245,9 @@ class ChainMap:
     def map(self, i: int) -> Matrix:
         f = self._maps.get(i)
         if f is None:
-            return Matrix.zeros(self.source.ring, self.target.rank(i), self.source.rank(i))
+            # kept, so each missing degree has one zero map
+            f = self._maps[i] = Matrix.zeros(self.source.ring, self.target.rank(i),
+                                             self.source.rank(i))
         return f
 
     def validate(self) -> None:
@@ -260,20 +267,23 @@ class ChainMap:
         return ChainMap(other.source, self.target, maps)
 
 
-def factor_through(ctx, f: ChainMap, incl: ChainMap) -> ChainMap:
+def factor_through(ctx, f: ChainMap, incl: ChainMap, first: ChainMap | None = None) -> ChainMap:
     """f's source -> incl's source: ``f`` factored through the inclusion ``incl``.
 
     Both map into one complex; one solve through ``ctx`` per degree of f's
-    source, outside which f is zero.  Raises ArithmeticError when f's image
-    does not lie in incl's.
+    source, outside which f is zero.  With ``first``, the map factored is
+    f ∘ first, from first's source, taken degreewise without building the
+    composite.  Raises ArithmeticError when the image does not lie in incl's.
     """
+    source = f.source if first is None else first.source
     maps = {}
-    for i in f.source.degrees():
-        sol = ctx.solve(incl.map(i), f.map(i))
+    for i in source.degrees():
+        image = f.map(i) if first is None else f.map(i) @ first.map(i)
+        sol = ctx.solve(incl.map(i), image)
         if sol is None:
             raise ArithmeticError(f"images are not nested at degree {i}")
         maps[i] = sol
-    return ChainMap(f.source, incl.source, maps)
+    return ChainMap(source, incl.source, maps)
 
 
 def subcomplex(ctx, K: FreeComplex, bases: dict) -> ChainMap:
@@ -337,12 +347,12 @@ class CohomologyPresentation:
         return self.gens_basis @ uinv.take_columns(range(self.snf.rank, uinv.cols))
 
 
-def _presentation(ctx, ring, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation:
+def _presentation(ctx, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation:
     basis_snf = ctx.factor(ctx.preimage(d_i, rels_next))
     coords = basis_snf.solve(d_prev.hstack(rels_i))
     if coords is None:
         raise ShapeMismatch("boundaries do not lie in the cocycle submodule")
-    return CohomologyPresentation(ring, basis_snf, ctx.factor(coords))
+    return CohomologyPresentation(d_i.ring, basis_snf, ctx.factor(coords))
 
 
 def cohomology_module(ctx, K: FreeComplex, i: int) -> FGModule:
@@ -361,15 +371,17 @@ def cohomology_presentation(ctx, K, i: int) -> CohomologyPresentation:
 
     K is a free complex, or an injective chain map whose cokernel is the
     quotient complex to present: generators and d from its target, relations
-    from its degree-i and degree-(i+1) maps.
+    from its degree-i and degree-(i+1) maps.  The presentation depends on
+    those four matrices alone, so ``ctx`` builds it once per their content.
     """
     if isinstance(K, ChainMap):
         T = K.target
-        return _presentation(ctx, T.ring, K.map(i), K.map(i + 1), T.d(i), T.d(i - 1))
-    ring = K.ring
-    empty_i = Matrix.zeros(ring, K.rank(i), 0)
-    empty_next = Matrix.zeros(ring, K.rank(i + 1), 0)
-    return _presentation(ctx, ring, empty_i, empty_next, K.d(i), K.d(i - 1))
+        inputs = (K.map(i), K.map(i + 1), T.d(i), T.d(i - 1))
+    else:
+        empty_i = Matrix.zeros(K.ring, K.rank(i), 0)
+        empty_next = Matrix.zeros(K.ring, K.rank(i + 1), 0)
+        inputs = (empty_i, empty_next, K.d(i), K.d(i - 1))
+    return ctx.once(("presented",) + inputs, _presentation, ctx, *inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ coordinates, image bases and linear solves one-liners: they are views of one
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .rings import BaseRing
 
 
@@ -269,10 +267,15 @@ class SNFResult:
     of its elementary operations: ``row_ops`` (row swaps, row add-multiples
     and the final unit scaling of a row) and ``col_ops`` (column swaps and
     column add-multiples).  U and V^-1 by rows, U^-1 and V by columns are
-    built by replaying the log on first read and kept; a reader of
-    ``factors`` or ``rank`` pays for D alone.  ``d``, ``u``, ``uinv``, ``v``
-    and ``vinv`` are the dense matrices, built on first read.
+    built by replaying the log on the first call of ``u_rows``,
+    ``vinv_rows``, ``uinv_cols`` or ``v_cols`` and kept in a slot that is
+    None until then; a reader of ``factors`` or ``rank`` pays for D alone.
+    ``d``, ``u``, ``uinv``, ``v`` and ``vinv`` are the dense matrices, made
+    from them on each read.
     """
+
+    __slots__ = ("matrix", "rank", "factors", "_d_rows", "_row_ops", "_col_ops",
+                 "_u_rows", "_uinv_cols", "_v_cols", "_vinv_rows")
 
     def __init__(self, matrix, d_rows, row_ops, col_ops, rank, factors):
         self.matrix = matrix
@@ -281,47 +284,53 @@ class SNFResult:
         self._col_ops = col_ops
         self.rank = rank
         self.factors = factors
+        # the sparse transforms, each None until its first read replays the log
+        self._u_rows = self._uinv_cols = self._v_cols = self._vinv_rows = None
 
-    @cached_property
-    def _u_rows(self):
-        return _replay(self.matrix.ring, self.matrix.rows, self._row_ops, False)
+    def u_rows(self) -> list:
+        if self._u_rows is None:
+            self._u_rows = _replay(self.matrix.ring, self.matrix.rows, self._row_ops, False)
+        return self._u_rows
 
-    @cached_property
-    def _uinv_cols(self):
-        return _replay(self.matrix.ring, self.matrix.rows, self._row_ops, True)
+    def uinv_cols(self) -> list:
+        if self._uinv_cols is None:
+            self._uinv_cols = _replay(self.matrix.ring, self.matrix.rows, self._row_ops, True)
+        return self._uinv_cols
 
-    @cached_property
-    def _v_cols(self):
-        return _replay(self.matrix.ring, self.matrix.cols, self._col_ops, False)
+    def v_cols(self) -> list:
+        if self._v_cols is None:
+            self._v_cols = _replay(self.matrix.ring, self.matrix.cols, self._col_ops, False)
+        return self._v_cols
 
-    @cached_property
-    def _vinv_rows(self):
-        return _replay(self.matrix.ring, self.matrix.cols, self._col_ops, True)
+    def vinv_rows(self) -> list:
+        if self._vinv_rows is None:
+            self._vinv_rows = _replay(self.matrix.ring, self.matrix.cols, self._col_ops, True)
+        return self._vinv_rows
 
-    @cached_property
+    @property
     def d(self) -> Matrix:
         return _dense(self.matrix.ring, self._d_rows, self.matrix.cols)
 
-    @cached_property
+    @property
     def u(self) -> Matrix:
-        return _dense(self.matrix.ring, self._u_rows, self.matrix.rows)
+        return _dense(self.matrix.ring, self.u_rows(), self.matrix.rows)
 
-    @cached_property
+    @property
     def uinv(self) -> Matrix:
-        return _dense_transpose(self.matrix.ring, self._uinv_cols, self.matrix.rows)
+        return _dense_transpose(self.matrix.ring, self.uinv_cols(), self.matrix.rows)
 
-    @cached_property
+    @property
     def v(self) -> Matrix:
-        return _dense_transpose(self.matrix.ring, self._v_cols, self.matrix.cols)
+        return _dense_transpose(self.matrix.ring, self.v_cols(), self.matrix.cols)
 
-    @cached_property
+    @property
     def vinv(self) -> Matrix:
-        return _dense(self.matrix.ring, self._vinv_rows, self.matrix.cols)
+        return _dense(self.matrix.ring, self.vinv_rows(), self.matrix.cols)
 
     def kernel(self) -> Matrix:
         """Columns form an R-basis of ker(M) (free over a PID)."""
         M = self.matrix
-        return _dense_transpose(M.ring, self._v_cols[self.rank:], M.cols)
+        return _dense_transpose(M.ring, self.v_cols()[self.rank:], M.cols)
 
     def image(self) -> Matrix:
         """Columns form an R-basis of the column span of M.
@@ -333,9 +342,10 @@ class SNFResult:
         M = self.matrix
         R = M.ring
         z, one = R.zero(), R.one()
+        uinv_cols = self.uinv_cols()
         cols = []
         for i in range(self.rank):
-            src = self._uinv_cols[i]
+            src = uinv_cols[i]
             col = R.row_scale(self._d_rows[i][i], [src.get(r, z) for r in range(M.rows)])
             lead = next((x for x in col if x), None)
             if lead is not None:
@@ -356,7 +366,7 @@ class SNFResult:
         # others must divide exactly by their invariant factor
         brows = [{j: b for j, b in enumerate(row) if b} for row in B.data]
         Y = []
-        for i, urow in enumerate(self._u_rows):
+        for i, urow in enumerate(self.u_rows()):
             acc = {}
             for k, a in urow.items():
                 axpy(acc, a, brows[k])
@@ -374,7 +384,7 @@ class SNFResult:
             Y.append(yrow)
         # X = V Y, accumulated as the outer products of V's columns with Y's rows
         out = [{} for _ in range(M.cols)]
-        for vcol, yrow in zip(self._v_cols, Y):
+        for vcol, yrow in zip(self.v_cols(), Y):
             if yrow:
                 for r, v in vcol.items():
                     axpy(out[r], v, yrow)

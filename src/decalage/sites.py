@@ -373,14 +373,14 @@ def _subsheaf(ctx: Memo, F: SheafComplex, piece, m: int) -> SheafMap:
 
     ``piece`` is the context's builder of a stalk piece as its inclusion
     (``ctx.stage``, ``ctx.truncation`` or ``ctx.hodge``).  Every inclusion
-    is injective, so each restriction of F factors uniquely through them,
-    by ``factor_through``.
+    is injective, so each restriction of F, after the inclusion at its
+    source, factors uniquely through them, by ``factor_through``.
     """
     parts = {x: piece(F.stalk(x), m) for x in F.site.elements}
     restrictions = {}
     for a, b in F.site.strict_pairs():
         try:
-            restrictions[(a, b)] = factor_through(ctx, F.res(a, b).after(parts[a]), parts[b])
+            restrictions[(a, b)] = factor_through(ctx, F.res(a, b), parts[b], parts[a])
         except ArithmeticError:
             raise InvalidSheaf(f"restriction {a}<={b} does not preserve the subsheaf",
                                (a, b)) from None

@@ -1,7 +1,7 @@
 """The caching contract: one context per top-level call, each stage built once,
 each cohomology group computed once, each stalk's Bockstein complex, truncation
-and Hodge part built once, each sheaf's sections built once and each matrix
-factored once."""
+and Hodge part built once, each sheaf's sections built once, each matrix
+factored once and each presentation built once per content of its inputs."""
 
 import importlib
 import json
@@ -9,16 +9,18 @@ import os
 import pkgutil
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import decalage
-from decalage import bockstein, complexes, kmatrix, rmatrix, sites, spectral, theorem
+from decalage import bockstein, complexes, kmatrix, rmatrix, sites, spectral, suites, theorem
 from decalage.bockstein import Memo
 from decalage.complexes import ChainMap, FreeComplex
 from decalage.eta import eta_m
 from decalage.instances import generate_instance, random_complex
-from decalage.rings import IntegerRing, PolynomialRing, PrimeField
+from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.kmatrix import QuotientSpace, kernel
 from decalage.rmatrix import Matrix, ShapeMismatch, solve_exact
 from decalage.serialize import sheaf_from_json
@@ -262,12 +264,107 @@ def test_main_theorem_factors_each_matrix_once_per_call(monkeypatch, z2, case):
     assert_each_matrix_factored_once_per_call(calls, lambda: verify_main_theorem(F).to_json())
 
 
+def matrix_key(M):
+    """A matrix by ring, shape and entries, as ``Matrix`` equality compares it."""
+    return (M.ring, M.rows, M.cols, M.data)
+
+
+def count_presentation_builds(monkeypatch):
+    """Count presentation builds per content of the four matrices each reads."""
+    calls = Counter()
+    build = complexes._presentation
+
+    def counted(ctx, *inputs):
+        calls[tuple(map(matrix_key, inputs))] += 1
+        return build(ctx, *inputs)
+
+    monkeypatch.setattr(complexes, "_presentation", counted)
+    return calls
+
+
+def assert_each_presentation_built_once_per_content(calls, run):
+    first = run()
+    assert calls and max(calls.values()) == 1
+    built = sum(calls.values())
+    calls.clear()
+    # nothing survives the first call: the second builds the same presentations again
+    assert run() == first
+    assert sum(calls.values()) == built and max(calls.values()) == 1
+    return built
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_lemma_battery_builds_each_presentation_once_per_content(monkeypatch, z2, f5t, seed):
+    ring = z2 if seed % 2 == 0 else f5t
+    K = random_complex(ring, random.Random(seed), max_degree=3, max_rank=3)
+    groups = count_group_builds(monkeypatch)
+    calls = count_presentation_builds(monkeypatch)
+    built = assert_each_presentation_built_once_per_content(
+        calls, lambda: [r.to_json() for r in lemma_battery(K)])
+    # the stages for m >= hi are xi^m K, whose quotient maps repeat in content
+    assert built < sum(n for (name, _, _), n in groups.items()
+                       if name == "cohomology_presentation")
+
+
+@pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
+def test_main_theorem_builds_each_presentation_once_per_content(monkeypatch, z2, case):
+    F = theorem_instance(case, z2)
+    calls = count_presentation_builds(monkeypatch)
+    assert_each_presentation_built_once_per_content(calls,
+                                                    lambda: verify_main_theorem(F).to_json())
+
+
+class CheckedMemo(Memo):
+    """A context that rebuilds, on a fresh context, each presentation and
+    preimage it serves from an earlier build, and compares the two."""
+
+    CHECKED = ("presentation", "presented", "preimage")
+
+    def __init__(self):
+        super().__init__()
+        self.hits = Counter()
+
+    def once(self, key, build, *args):
+        hit = key in self._built
+        served = super().once(key, build, *args)
+        if hit and key[0] in self.CHECKED:
+            self.hits[key[0]] += 1
+            # every checked builder takes the context first
+            fresh = build(Memo(), *args[1:])
+            if key[0] == "preimage":
+                assert served == fresh
+            else:
+                assert served.gens_basis == fresh.gens_basis
+                assert served.module == fresh.module
+                assert served.snf.factors == fresh.snf.factors
+        return served
+
+
+PROPERTY_RINGS = [IntegerRing(2), IntegerRing(3), PolynomialRing(PrimeField(5)),
+                  PolynomialRing(RationalField())]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(PROPERTY_RINGS), st.integers(0, 2 ** 32 - 1))
+def test_presentations_and_preimages_served_from_the_memo_equal_fresh_builds(ring, seed):
+    K = random_complex(ring, random.Random(seed), max_degree=3, max_rank=3)
+    contexts = []
+
+    def checked():
+        contexts.append(CheckedMemo())
+        return contexts[-1]
+
+    with mock.patch.object(suites, "Memo", checked):
+        lemma_battery(K)
+    assert len(contexts) == 1 and contexts[0].hits["presented"]
+
+
 TRANSFORMS = ("_u_rows", "_uinv_cols", "_v_cols", "_vinv_rows")
 
 
 def built_transforms(res) -> list:
     """The transforms of a Smith form that have been replayed, so read."""
-    return [name for name in TRANSFORMS if name in vars(res)]
+    return [name for name in TRANSFORMS if getattr(res, name) is not None]
 
 
 @pytest.mark.parametrize("ring", [IntegerRing(2), PolynomialRing(PrimeField(5))],
