@@ -1,8 +1,9 @@
 """Command line: validate instances, run the check suites, print pages.
 
 Exit codes: 0 all checks passed, 1 a verified identity failed (or an
-invariant was violated), 2 the input did not parse, 3 an instance did not
-meet the hypotheses so nothing was asserted.
+invariant was violated), 2 the input did not parse or the report could not
+be written to ``--out``, 3 an instance did not meet the hypotheses so nothing
+was asserted.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESES = 3
+
+
+class OutputError(Exception):
+    """The report could not be written to the ``--out`` path."""
 
 
 def fixtures_dir() -> str:
@@ -99,8 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(args, payload, text_lines) -> None:
     text = dump_json(payload) if args.format == "json" else "\n".join(text_lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write --out {args.out}: {exc.strerror}") from exc
         return
     try:
         print(text, flush=True)
@@ -269,11 +277,14 @@ def main(argv=None) -> int:
         "check-theorem": cmd_check_theorem,
         "ss": cmd_ss,
     }
-    # every command reads or generates its input before it verifies anything
+    # every command reads or generates its input before it verifies anything,
+    # and writes its report last
     try:
         return table[args.command](args)
     except SerializeError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
     except GenerationBudgetExceeded as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
     return EXIT_INPUT

@@ -1,11 +1,13 @@
 """Linear algebra over the residue field: RREF, kernel, solve, subspaces, quotients.
 
 Everything here works on :class:`decalage.rmatrix.Matrix` instances whose ring
-is a field (PrimeField or RationalField); it is the one place that eliminates
-over k, and no echelon list leaves it.  Subspaces are kept in RREF so that
-equality of subspaces is equality of data, which is the comparison contract
-for flags and cokernel images.  One greedy column reduction picks adapted
-bases and persistence pairs (:func:`column_lows`) and quotient representatives.
+is a field (PrimeField or RationalField).  It eliminates over k in one loop:
+:func:`_extend` keeps its echelon in RREF after every insertion, :func:`rref`
+reads that echelon, and the column reduction of :func:`column_lows` (adapted
+bases, persistence pairs) and the quotient representatives read its pivots.
+No echelon list leaves the module.  Subspaces are kept in RREF, so equality of
+subspaces is equality of data, the comparison contract for flags and cokernel
+images.
 """
 
 from __future__ import annotations
@@ -16,30 +18,15 @@ from .rmatrix import Matrix
 
 
 def rref(M: Matrix):
-    """Row-reduced echelon form; returns (R, pivot_columns)."""
-    F = M.ring
-    rows = list(M.data)
-    nr, nc = M.rows, M.cols
-    scale, sub = F.row_scale, F.row_sub_multiple
-    pivots = []
-    r = 0
-    for c in range(nc):
-        for pr in range(r, nr):
-            if rows[pr][c]:
-                break
-        else:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r] = scale(F.inv_unit(rows[r][c]), rows[r])
-        for i in range(nr):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = sub(rows[i], f, prow)
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Matrix._of(F, tuple(map(tuple, rows)), nc), tuple(pivots)
+    """(R, pivot_columns): M's RREF, the echelon :func:`_extend` grows over its rows."""
+    F, nc = M.ring, M.cols
+    echelon = []
+    for _ in _extend(F, echelon, M.data):
+        pass
+    rows = [tuple(row) for _, row in echelon]
+    pivots = tuple([c for c, _ in echelon])
+    rows += [(F.zero(),) * nc] * (M.rows - len(rows))
+    return Matrix._of(F, tuple(rows), nc), pivots
 
 
 def field_rank(M: Matrix) -> int:
@@ -84,35 +71,34 @@ def solve_field(A: Matrix, B: Matrix):
     return Matrix._of(F, tuple(X), B.cols)
 
 
-def _reduce(F, echelon, vec) -> list:
-    """vec minus its components along ``echelon``, as a list.
-
-    ``echelon`` is a sequence of (pivot, row) pairs in increasing pivot order,
-    each row zero before its pivot and one at it.  The result is zero at every
-    pivot, so it is zero exactly when vec lies in the span of the rows.
-    """
-    sub = F.row_sub_multiple
-    v = vec
-    for c, row in echelon:
-        f = v[c]
-        if f:
-            v = sub(v, f, row)
-    return list(v)
-
-
 def _extend(F, echelon: list, vectors):
     """Add each of ``vectors`` in turn to ``echelon`` unless it lies in its span.
 
-    ``echelon`` is a list of (pivot, row) pairs as :func:`_reduce` takes them,
-    kept in increasing pivot order.  Yields each vector's new pivot, or None:
-    the first nonzero entry of the vector reduced along the echelon, which is
-    the greatest first nonzero entry over it plus the span of the rows so far.
+    ``echelon`` holds (pivot, row) pairs in increasing pivot order, the rows of
+    an RREF, and stays an RREF after every insertion: a vector is reduced to
+    the one element of vec + span that is zero at every pivot; if that is
+    nonzero, its first nonzero entry (the greatest over vec + span) is the new
+    pivot, which is cleared from the rows already there.  Yields each new
+    pivot, or None.
     """
-    for vec in vectors:
-        rest = _reduce(F, echelon, vec)
-        c = next((j for j, x in enumerate(rest) if x), None)
-        if c is not None:
-            insort(echelon, (c, tuple(F.row_scale(F.inv_unit(rest[c]), rest))))
+    scale, sub, inv = F.row_scale, F.row_sub_multiple, F.inv_unit
+    for v in vectors:
+        for c, row in echelon:
+            f = v[c]
+            if f:
+                v = sub(v, f, row)
+        for c, x in enumerate(v):
+            if x:
+                break
+        else:
+            yield None
+            continue
+        new = scale(inv(x), v)
+        for i, (pc, row) in enumerate(echelon):
+            f = row[c]
+            if f:
+                echelon[i] = (pc, sub(row, f, new))
+        insort(echelon, (c, new))
         yield c
 
 
@@ -176,8 +162,7 @@ class Subspace:
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        rest = _reduce(self.field, zip(self.pivots, self.basis), vec)
-        return not any(rest)
+        return next(_extend(self.field, list(zip(self.pivots, self.basis)), (vec,))) is None
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)

@@ -1,8 +1,10 @@
 """The zero-skipping exact kernels against their dense references.
 
-``Matrix.__matmul__`` skips zero entries of both factors, ``rref`` updates
-only the rows with a nonzero entry in the pivot column, and ``snf`` keeps its matrices
-as sparse rows and updates them only at the nonzero entries of their source.
+``Matrix.__matmul__`` skips zero entries of both factors, ``rref`` reads the
+echelon that ``kmatrix``'s one elimination keeps in RREF row by row (it
+updates only the rows with a nonzero entry in the column it reduces or
+clears), and ``snf`` keeps its matrices as sparse rows and updates them only
+at the nonzero entries of their source.
 Each must return what the dense versions in ``oracles.py`` return, entry for
 entry and in the same normal form (same Python type, down to polynomial
 coefficients), because report digests see element representations.  Shapes

@@ -13,6 +13,10 @@ def test_rref_and_rank():
     R, pivots = rref(M)
     assert pivots == (0, 2)
     assert field_rank(M) == 2
+    # the second row's pivot comes before the first's, and the third row is
+    # the second plus twice the first: the clearing and the zero padding
+    R, pivots = rref(Matrix(PrimeField(3), [[0, 1, 1], [1, 2, 1], [1, 1, 0]]))
+    assert R.data == ((1, 0, 2), (0, 1, 1), (0, 0, 0)) and pivots == (0, 1)
 
 
 def test_kernel_deterministic():

@@ -12,8 +12,8 @@ hides an unused method; such methods are found by reading the callers.
 The same holds for data: every field a library class assigns is read by
 attribute somewhere in the library, and every module of the library and its
 tests uses each name it imports, and no module of the library imports a
-``_``-prefixed name from another: the echelon helpers ``_reduce`` and
-``_extend`` stay inside ``kmatrix``.
+``_``-prefixed name from another: the one elimination over k, ``_extend``,
+stays inside ``kmatrix``.
 """
 
 import ast

@@ -411,6 +411,17 @@ def test_cli_generation_options_with_a_path_are_parse_errors(command, options):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command", ["check-lemmas", "check-theorem", "ss"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_cli_unwritable_out_is_an_input_error(tmp_path, command, where):
+    out = tmp_path / "absent" / "x.json" if where == "missing-dir" else tmp_path
+    r = run_cli(command, "point_torsion_example.json", "--out", str(out))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr.count("\n") == 1 and r.stderr.startswith("output error: ")
+    assert str(out) in r.stderr
+
+
 def test_cli_runs_the_bundled_fixtures_by_bare_name():
     fixtures = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
     with open(os.path.join(fixtures, "h3_failure_witness.json")) as fh:
