@@ -9,6 +9,7 @@ was asserted.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -99,6 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--pages", type=int, default=4)
     _add_output(ss)
     return ap
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before the run, an ``--out`` path that is a directory or lies in none."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+        raise OutputError(f"cannot write --out {path}: {os.strerror(code)}")
 
 
 def _emit(args, payload, text_lines) -> None:
@@ -277,9 +285,11 @@ def main(argv=None) -> int:
         "check-theorem": cmd_check_theorem,
         "ss": cmd_ss,
     }
-    # every command reads or generates its input before it verifies anything,
-    # and writes its report last
+    # every command checks its --out path first, reads or generates its input
+    # before it verifies anything, and writes its report last
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return table[args.command](args)
     except SerializeError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -214,13 +214,6 @@ def _dense(R, rows, ncols) -> Matrix:
     return Matrix._of(R, tuple(out), ncols)
 
 
-def _dense_transpose(R, cols, nrows) -> Matrix:
-    """The matrix whose sparse columns ({row: nonzero entry}) are ``cols``."""
-    z = R.zero()
-    return Matrix._of(R, tuple(tuple([col.get(i, z) for col in cols]) for i in range(nrows)),
-                      len(cols))
-
-
 # the kinds of operation in a Smith form's log
 _SWAP, _ADD, _SCALE = range(3)
 
@@ -317,11 +310,11 @@ class SNFResult:
 
     @property
     def uinv(self) -> Matrix:
-        return _dense_transpose(self.matrix.ring, self.uinv_cols(), self.matrix.rows)
+        return _dense(self.matrix.ring, self.uinv_cols(), self.matrix.rows).transpose()
 
     @property
     def v(self) -> Matrix:
-        return _dense_transpose(self.matrix.ring, self.v_cols(), self.matrix.cols)
+        return _dense(self.matrix.ring, self.v_cols(), self.matrix.cols).transpose()
 
     @property
     def vinv(self) -> Matrix:
@@ -330,7 +323,7 @@ class SNFResult:
     def kernel(self) -> Matrix:
         """Columns form an R-basis of ker(M) (free over a PID)."""
         M = self.matrix
-        return _dense_transpose(M.ring, self.v_cols()[self.rank:], M.cols)
+        return _dense(M.ring, self.v_cols()[self.rank:], M.cols).transpose()
 
     def image(self) -> Matrix:
         """Columns form an R-basis of the column span of M.
@@ -400,11 +393,17 @@ def snf(M: Matrix) -> SNFResult:
     a sparse row update over the nonzero entries of its source.  The
     transforms are not accumulated here: each operation is logged, and
     ``SNFResult`` replays the log for the transform a caller reads.
+
+    The loop relies on three invariants.  Rows of D above the pivot t are
+    zero off the diagonal, and rows from t on are zero before column t.  Once
+    the pivot column's clear ends, column t is clear below t, so clearing the
+    pivot row by ``col_j -= q * col_t`` leaves only the remainder at (t, j).
+    D is diagonal at the end, so the unit scaling writes one entry a row.
     """
     R = M.ring
-    add, mul, neg, size, divrem = R.add, R.mul, R.neg, R.size, R.divrem
+    neg, size, divrem = R.neg, R.size, R.divrem
     addmul = R.sparse_axpy  # addmul(out, c, src): out += c * src
-    zero, one = R.zero(), R.one()
+    one = R.one()
     rows, cols = M.rows, M.cols
     D = [{j: x for j, x in enumerate(row) if x} for row in M.data]
     row_ops, col_ops = [], []
@@ -415,10 +414,6 @@ def snf(M: Matrix) -> SNFResult:
             row[b] = x
         if y is not None:
             row[a] = y
-
-    # Rows of D above t are zero off the diagonal, and rows from t on are
-    # zero before column t, so column operations on columns >= t only ever
-    # touch the rows from t on.
 
     def row_swap(a, b):
         D[a], D[b] = D[b], D[a]
@@ -433,18 +428,6 @@ def snf(M: Matrix) -> SNFResult:
         for i in range(t, rows):
             swap_entries(D[i], a, b)
         col_ops.append((_SWAP, a, b))
-
-    def col_addmul(dst, src, c):
-        # col_dst += c * col_src
-        for i in range(t, rows):
-            row = D[i]
-            if src in row:
-                y = add(row.get(dst, zero), mul(c, row[src]))
-                if y:
-                    row[dst] = y
-                else:
-                    row.pop(dst, None)
-        col_ops.append((_ADD, dst, src, c))
 
     def pivot():
         # smallest (size, i, j) over the nonzero entries of the trailing
@@ -487,18 +470,19 @@ def snf(M: Matrix) -> SNFResult:
                     break
             if restart:
                 continue
-            # clear the pivot row; a column update changes only its own
-            # column of row t, since the pivot column is clear below t
-            for j in sorted(k for k in D[t] if k > t):
-                q, r = divrem(D[t][j], p)
-                col_addmul(j, t, neg(q))
-                if r:
-                    col_swap(j, t)
-                    restart = True
-                    break
+            # clear the pivot row; a column update writes its remainder alone
+            row = D[t]
+            for j in sorted(k for k in row if k > t):
+                q, r = divrem(row[j], p)
+                col_ops.append((_ADD, j, t, neg(q)))
+                if not r:
+                    del row[j]
+                    continue
+                row[j] = r
+                col_swap(j, t)
+                restart = True
+                break
             if restart:
-                continue
-            if any(t in D[i] for i in range(t + 1, rows)):
                 continue
             # divisibility sweep: the pivot must divide the rest; a unit
             # divides everything, and anything divides zero
@@ -518,10 +502,9 @@ def snf(M: Matrix) -> SNFResult:
             break
         u, nrm = R.unit_normalize(x)
         if nrm != x:
-            # row_i *= s with s = u^-1
-            s = R.inv_unit(u)
-            D[i] = {j: mul(s, y) for j, y in D[i].items()}
-            row_ops.append((_SCALE, i, s))
+            # row_i *= u^-1, on the one entry of row i
+            D[i][i] = nrm
+            row_ops.append((_SCALE, i, R.inv_unit(u)))
         factors.append(nrm)
 
     return SNFResult(M, D, row_ops, col_ops, len(factors), tuple(factors))

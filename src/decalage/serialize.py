@@ -123,6 +123,10 @@ def site_to_json(site: PosetSite) -> dict:
 
 def site_from_json(data: dict, path: str = "$") -> PosetSite:
     _check(data, SITE, path)
+    # a sheaf keys each restriction "a<=b", which only names without "<=" split back
+    for i, x in enumerate(data["elements"]):
+        if "<=" in x:
+            raise SerializeError(f"{path}.elements[{i}]: element name {x!r} contains '<='")
     try:
         return PosetSite(data["elements"], [tuple(p) for p in data.get("leq", [])])
     except ValueError as exc:

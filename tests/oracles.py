@@ -11,7 +11,8 @@ R/xi^N instead of exact Smith form machinery, and the lattice flag again from
 one lattice intersection per level instead of one adapted basis.  The dense
 product, the dense matrix-vector product, the dense RREF row update and the
 dense Smith normal form are kept here as the references for the library's
-zero-skipping kernels, ``kernel_cols`` (an RREF, then one basis vector per
+zero-skipping kernels, a Smith form is certified by products alone where no
+dense oracle runs, ``kernel_cols`` (an RREF, then one basis vector per
 free column) is the reference for the library's one-elimination kernel,
 and ``GenericKernels`` is a ring whose row kernels
 are ``BaseRing``'s generic defaults, the reference for the native-int ones.
@@ -344,6 +345,37 @@ def dense_snf(M: Matrix) -> DenseSNF:
         rank,
         tuple(factors),
     )
+
+
+def validate_snf(M: Matrix, res) -> None:
+    """Raise ValueError unless ``res`` is a Smith form of M, checked by products alone.
+
+    The certificate (McConnell, Mehlhorn, Naeher and Schweitzer, "Certifying
+    algorithms", 2011) needs no second elimination, so it runs on matrices no
+    dense oracle reaches: U M V = D, U U^-1 = U^-1 U = I, V V^-1 = V^-1 V = I,
+    and D is diagonal with the factors on it, each normalized and dividing the
+    next.  That U and V are unimodular follows from their inverses.
+    """
+    R = M.ring
+    U, V, D = res.u, res.v, res.d
+    rows, cols = Matrix.identity(R, M.rows), Matrix.identity(R, M.cols)
+    for name, got, want in [("U M V", U @ M @ V, D),
+                            ("U U^-1", U @ res.uinv, rows), ("U^-1 U", res.uinv @ U, rows),
+                            ("V V^-1", V @ res.vinv, cols), ("V^-1 V", res.vinv @ V, cols)]:
+        if got != want:
+            raise ValueError(f"{name} is not {'D' if want is D else 'the identity'}")
+    if any(not R.is_zero(x) for i, row in enumerate(D.data) for j, x in enumerate(row) if i != j):
+        raise ValueError("D is not diagonal")
+    diagonal = [D.data[i][i] for i in range(min(M.rows, M.cols))]
+    factors = list(res.factors)
+    if res.rank != len(factors) or diagonal != factors + [R.zero()] * (len(diagonal) - res.rank):
+        raise ValueError("the diagonal of D is not the factors followed by zeros")
+    for f in factors:
+        if R.is_zero(f) or R.unit_normalize(f)[1] != f:
+            raise ValueError(f"factor {R.format(f)} is not a normalized nonzero element")
+    for a, b in zip(factors, factors[1:]):
+        if not R.divides(a, b):
+            raise ValueError(f"factor {R.format(a)} does not divide {R.format(b)}")
 
 # ---------------------------------------------------------------------------
 # minors

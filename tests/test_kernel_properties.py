@@ -175,6 +175,9 @@ def test_sparse_snf_matches_dense_snf(ring, rows, cols, data):
     [[0, 0, 2, 3]],                  # the pivot row's clear restarts on a remainder
     [[2, 0, 0], [0, 4, 3]],          # the sweep's offender sits past a row's first entry
     [[0, 0, 0], [0, 6, 0], [0, 0, 4]],
+    # an exact division clears the pivot row, the sweep adds row 1 to it, and
+    # the next remainder swaps in a column with an entry below the pivot
+    [[-3, -3], [0, 4]],
 ])
 def test_sparse_snf_branches_match_dense_snf(data):
     assert_snf_matches_dense_snf(Matrix(IntegerRing(5), data))

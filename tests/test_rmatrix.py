@@ -1,8 +1,12 @@
 import pytest
 
+from decalage import rmatrix
 from decalage.bockstein import Memo
+from decalage.instances import generate_instance
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, ShapeMismatch, snf, solve_exact
+from decalage.sites import PosetSite
+from decalage.theorem import verify_main_theorem
 
 from oracles import (
     determinant,
@@ -10,7 +14,10 @@ from oracles import (
     invariant_factors_by_minors,
     lattice_intersect,
     minors_rank,
+    sd_pullback,
+    validate_snf,
 )
+from test_contexts import patch_everywhere
 
 
 def rand_matrix(ring, rng, rows, cols, span=6):
@@ -25,24 +32,10 @@ def rand_matrix(ring, rng, rows, cols, span=6):
 
 def assert_snf_contract(M):
     res = snf(M)
-    R = M.ring
-    assert (res.u @ M @ res.v) == res.d
-    assert (res.u @ res.uinv) == Matrix.identity(R, M.rows)
-    assert (res.uinv @ res.u) == Matrix.identity(R, M.rows)
-    assert (res.v @ res.vinv) == Matrix.identity(R, M.cols)
-    # unimodular transforms
-    assert R.is_unit(determinant(res.u))
-    assert R.is_unit(determinant(res.v))
-    # diagonal, normalized, divisibility chain
-    for i in range(res.d.rows):
-        for j in range(res.d.cols):
-            if i != j:
-                assert R.is_zero(res.d.data[i][j])
-    for a, b in zip(res.factors, res.factors[1:]):
-        assert R.divides(a, b)
-    for f in res.factors:
-        _, n = R.unit_normalize(f)
-        assert n == f
+    validate_snf(M, res)
+    # the inverses make U and V unimodular; their determinants say so directly
+    assert M.ring.is_unit(determinant(res.u))
+    assert M.ring.is_unit(determinant(res.v))
 
 
 def test_snf_examples(z5):
@@ -99,6 +92,35 @@ def test_snf_contract_thousand(rng):
         ring = rings[j % len(rings)]
         M = rand_matrix(ring, rng, rng.randint(1, 5), rng.randint(1, 5), span=5)
         assert_snf_contract(M)
+
+
+@pytest.mark.parametrize("site, seed, ring", [
+    ("sd-sphere", 1, IntegerRing(2)),
+    ("sd-sphere", 2, IntegerRing(2)),
+    ("sd-sphere", 1, PolynomialRing(PrimeField(5))),
+    ("chain8", 1, IntegerRing(2)),
+], ids=["sd-sphere-1-z2", "sd-sphere-2-z2", "sd-sphere-1-f5t", "chain8-1-z2"])
+def test_snf_certificates_on_site_scale_theorem_traffic(monkeypatch, site, seed, ring):
+    # every Smith form verify_main_theorem reads on sites where the dense
+    # oracle cannot run, certified by products alone
+    if site == "sd-sphere":
+        F = sd_pullback(generate_instance("h1", seed, ring=ring, site=PosetSite.sphere()))
+    else:
+        F = generate_instance("h1", seed, ring=ring, site=PosetSite.chain(8))
+    factored = []
+    factor = rmatrix.snf
+
+    def recorded(M):
+        res = factor(M)
+        factored.append((M, res))
+        return res
+
+    patch_everywhere(monkeypatch, rmatrix, "snf", recorded)
+    verify_main_theorem(F)
+    monkeypatch.undo()
+    assert max(max(M.rows, M.cols) for M, _ in factored) >= 64
+    for M, res in factored:
+        validate_snf(M, res)
 
 
 def test_matrix_rejects_ragged_rows(z2):

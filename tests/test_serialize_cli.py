@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from decalage import cli
 from decalage.complexes import FreeComplex
 from decalage.instances import generate_instance
 from decalage.rings import RingElementError, ring_from_description
@@ -267,11 +268,13 @@ def test_ring_description_must_be_an_object():
 
 
 @pytest.mark.parametrize("where", ["poset", "sheaf"])
-@pytest.mark.parametrize("site", [
-    {"elements": "ab", "leq": []},
-    {"elements": ["a", "b"], "leq": ["ab"]},
-], ids=["elements-string", "leq-string"])
-def test_cli_malformed_site_is_a_parse_error(tmp_path, where, site):
+@pytest.mark.parametrize("site, field", [
+    ({"elements": "ab", "leq": []}, "elements"),
+    ({"elements": ["a", "b"], "leq": ["ab"]}, "leq[0]"),
+    # p <= "<=q" and "p<=" <= q would both be keyed "p<=<=q" in a sheaf file
+    ({"elements": ["p", "p<=", "<=q", "q"], "leq": [["p", "<=q"], ["p<=", "q"]]}, "elements[1]"),
+], ids=["elements-string", "leq-string", "name-with-leq"])
+def test_cli_malformed_site_is_a_parse_error(tmp_path, where, site, field):
     path = tmp_path / "site.json"
     if where == "poset":
         path.write_text(json.dumps(site))
@@ -281,8 +284,9 @@ def test_cli_malformed_site_is_a_parse_error(tmp_path, where, site):
         data["site"] = site
         path.write_text(json.dumps(data))
         r = run_cli("validate", str(path))
+        field = f"site.{field}"
     assert r.returncode == 2, r.stdout + r.stderr
-    assert "parse error" in r.stderr and r.stdout == ""
+    assert r.stderr.startswith(f"parse error: $.{field}: ") and r.stdout == ""
     assert "Traceback" not in r.stderr
 
 
@@ -413,13 +417,24 @@ def test_cli_generation_options_with_a_path_are_parse_errors(command, options):
 
 @pytest.mark.parametrize("command", ["check-lemmas", "check-theorem", "ss"])
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
-def test_cli_unwritable_out_is_an_input_error(tmp_path, command, where):
+def test_cli_unwritable_out_is_an_input_error(tmp_path, monkeypatch, capsys, command, where):
     out = tmp_path / "absent" / "x.json" if where == "missing-dir" else tmp_path
     r = run_cli(command, "point_torsion_example.json", "--out", str(out))
     assert r.returncode == 2, r.stdout + r.stderr
     assert r.stdout == ""
     assert r.stderr.count("\n") == 1 and r.stderr.startswith("output error: ")
     assert str(out) in r.stderr
+    assert not (tmp_path / "absent").exists()
+
+    # the path is refused before any instance is read, generated or verified
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    for name in ("load_instance_file", "generate_instance", "verify_main_theorem",
+                 "sheaf_lemma_report", "ht_spectral_sequence"):
+        monkeypatch.setattr(cli, name, never)
+    assert cli.main([command, "point_torsion_example.json", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (r.stdout, r.stderr)
 
 
 def test_cli_runs_the_bundled_fixtures_by_bare_name():
