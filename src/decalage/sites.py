@@ -32,75 +32,67 @@ class InvalidSheaf(ValueError):
 
 
 class PosetSite:
-    """A finite poset; relations are closed reflexively and transitively."""
+    """A finite poset; relations are closed reflexively and transitively.
 
-    __slots__ = ("elements", "_leq", "_chains")
+    The order is kept as up-sets (each element's strictly greater elements,
+    sorted), closed once by Warshall's rule.  The sorted strict pairs are read
+    from them once, and the chains, which global sections read, on first use.
+    """
+
+    __slots__ = ("elements", "_up", "_pairs", "_chains")
 
     def __init__(self, elements, relations):
         elems = tuple(sorted(elements))
         if not elems or len(set(elems)) < len(elems):
             raise ValueError(f"a site needs at least one element, each listed once: {elems}")
-        rel = set(relations)
-        for a, b in rel:
-            if a not in elems or b not in elems:
+        for x in elems:
+            # a restriction key "a<=b" only splits back for names without "<="
+            if "<=" in x:
+                raise ValueError(f"element name {x!r} contains '<='")
+        up = {x: set() for x in elems}
+        for a, b in relations:
+            if a not in up or b not in up:
                 raise ValueError(f"relation uses unknown element: {(a, b)}")
-        leq = {(e, e) for e in elems} | rel
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(leq):
-                for c, d in list(leq):
-                    if b == c and (a, d) not in leq:
-                        leq.add((a, d))
-                        changed = True
-        for a, b in leq:
-            if a != b and (b, a) in leq:
+            up[a].add(b)
+        for k in elems:
+            for x in elems:
+                if k in up[x]:
+                    up[x] |= up[k]
+        self._up = {x: tuple(sorted(up[x] - {x})) for x in elems}
+        self._pairs = tuple((a, b) for a in elems for b in self._up[a])
+        for a, b in self._pairs:
+            if a in up[b]:
                 raise ValueError(f"not antisymmetric: {a} <= {b} <= {a}")
         self.elements = elems
-        self._leq = frozenset(leq)
         self._chains = None
 
-    def leq(self, a, b) -> bool:
-        return (a, b) in self._leq
-
     def strict_pairs(self):
-        return sorted((a, b) for a, b in self._leq if a != b)
+        return self._pairs
 
     def chains(self):
         """All strictly increasing chains, grouped by length, sorted."""
         if self._chains is None:
+            # extending sorted chains by sorted up-sets keeps each level sorted
             out = []
-            singles = [(e,) for e in self.elements]
-            level = singles
+            level = [(e,) for e in self.elements]
             while level:
-                out.append(sorted(level))
-                nxt = []
-                for c in level:
-                    top = c[-1]
-                    for e in self.elements:
-                        if e != top and self.leq(top, e):
-                            nxt.append(c + (e,))
-                level = nxt
+                out.append(level)
+                level = [c + (e,) for c in level for e in self._up[c[-1]]]
             self._chains = out
         return self._chains
 
     def height(self, x) -> int:
-        best = 0
-        for chain_level in self.chains():
-            for c in chain_level:
-                if c[-1] == x:
-                    best = max(best, len(c) - 1)
-        return best
+        return max(n for n, level in enumerate(self.chains()) for c in level if c[-1] == x)
 
     def __len__(self):
         return len(self.elements)
 
     def __eq__(self, other):
         return (isinstance(other, PosetSite) and other.elements == self.elements
-                and other._leq == self._leq)
+                and other._pairs == self._pairs)
 
     def __hash__(self):
-        return hash((self.elements, self._leq))
+        return hash((self.elements, self._pairs))
 
     def describe(self) -> dict:
         return {"elements": list(self.elements), "leq": [list(p) for p in self.strict_pairs()]}
@@ -214,21 +206,17 @@ class SheafComplex:
                 f.validate()
             except Exception as exc:
                 raise InvalidSheaf(f"restriction {a}<={b} is not a chain map: {exc}", (a, b))
-        for a in self.site.elements:
-            for b in self.site.elements:
-                if a == b or not self.site.leq(a, b):
-                    continue
-                for c in self.site.elements:
-                    if b == c or not self.site.leq(b, c):
-                        continue
-                    left = self.res(b, c).after(self.res(a, b))
-                    right = self.res(a, c)
-                    for i in range(self.lo(), self.hi() + 1):
-                        if left.map(i) != right.map(i):
-                            raise InvalidSheaf(
-                                f"functoriality fails on {a}<={b}<={c} at degree {i}",
-                                (a, b, c),
-                            )
+        # the 3-chains a < b < c, in lexicographic order, without listing longer chains
+        for a, b in self.site.strict_pairs():
+            for c in self.site._up[b]:
+                left = self.res(b, c).after(self.res(a, b))
+                right = self.res(a, c)
+                for i in range(self.lo(), self.hi() + 1):
+                    if left.map(i) != right.map(i):
+                        raise InvalidSheaf(
+                            f"functoriality fails on {a}<={b}<={c} at degree {i}",
+                            (a, b, c),
+                        )
 
 
 class SheafMap:
@@ -252,12 +240,13 @@ class SheafMap:
 class SectionsIndex:
     """Block layout of the global sections complex.
 
-    blocks[N] is an ordered list of (chain, internal_degree, offset, size);
-    the order (chain length, then chain, then the stalk basis) is what makes
-    every construction on top of global sections reproducible.
+    blocks[N] maps (chain, internal_degree) to (offset, size), inserted in
+    the order (chain length, then chain) that, with the stalk basis inside
+    each block, makes every construction on top of global sections
+    reproducible; ranks[N] is the rank in degree N.
     """
 
-    __slots__ = ("lo", "hi", "blocks")
+    __slots__ = ("lo", "hi", "blocks", "ranks")
 
     def __init__(self, sheaf: SheafComplex):
         chains = sheaf.site.chains()
@@ -265,8 +254,9 @@ class SectionsIndex:
         self.lo = lo
         self.hi = hi + len(chains) - 1
         self.blocks = {}
+        self.ranks = {}
         for N in range(self.lo, self.hi + 1):
-            blocks = []
+            blocks = {}
             offset = 0
             for n, level in enumerate(chains):
                 i = N - n
@@ -275,16 +265,10 @@ class SectionsIndex:
                 for c in level:
                     size = sheaf.stalk(c[-1]).rank(i)
                     if size:
-                        blocks.append((c, i, offset, size))
+                        blocks[(c, i)] = (offset, size)
                         offset += size
             self.blocks[N] = blocks
-
-    def rank(self, N: int) -> int:
-        blocks = self.blocks.get(N, [])
-        return sum(b[3] for b in blocks)
-
-    def locate(self, N: int):
-        return {(c, i): (off, size) for c, i, off, size in self.blocks.get(N, [])}
+            self.ranks[N] = offset
 
 
 def _block_matrix(ring, rows: int, cols: int, blocks) -> Matrix:
@@ -308,12 +292,12 @@ def global_sections_complex(F: SheafComplex):
     F.validate()
     idx = SectionsIndex(F)
     ring = F.ring
-    ranks = [idx.rank(N) for N in range(idx.lo, idx.hi + 1)]
+    ranks = [idx.ranks[N] for N in range(idx.lo, idx.hi + 1)]
     diffs = []
     for N in range(idx.lo, idx.hi):
-        src_loc = idx.locate(N)
+        src_loc = idx.blocks[N]
         blocks = []
-        for c, i, roff, size in idx.blocks[N + 1]:
+        for (c, i), (roff, size) in idx.blocks[N + 1].items():
             n = len(c) - 1
             # internal differential of the top stalk, with sign (-1)^n
             src = src_loc.get((c, i - 1))
@@ -329,7 +313,7 @@ def global_sections_complex(F: SheafComplex):
                     continue
                 block = Matrix.identity(ring, size) if j < n else F.res(face[-1], c[-1]).map(i)
                 blocks.append((roff, src[0], block if j % 2 == 0 else -block))
-        diffs.append(_block_matrix(ring, idx.rank(N + 1), idx.rank(N), blocks))
+        diffs.append(_block_matrix(ring, idx.ranks[N + 1], idx.ranks[N], blocks))
     total = FreeComplex(ring, idx.lo, ranks, diffs)
     total.validate()
     return total, idx
@@ -344,10 +328,11 @@ def global_sections_map(phi: SheafMap, src: tuple, tgt: tuple) -> ChainMap:
     (src_total, src_idx), (tgt_total, tgt_idx) = src, tgt
     maps = {}
     for N in range(min(src_idx.lo, tgt_idx.lo), max(src_idx.hi, tgt_idx.hi) + 1):
-        tgt_loc = tgt_idx.locate(N)
+        tgt_loc = tgt_idx.blocks.get(N, {})
         blocks = [(tgt_loc[(c, i)][0], coff, phi.map(c[-1]).map(i))
-                  for c, i, coff, _ in src_idx.blocks.get(N, []) if (c, i) in tgt_loc]
-        maps[N] = _block_matrix(phi.target.ring, tgt_idx.rank(N), src_idx.rank(N), blocks)
+                  for (c, i), (coff, _) in src_idx.blocks.get(N, {}).items() if (c, i) in tgt_loc]
+        maps[N] = _block_matrix(phi.target.ring, tgt_idx.ranks.get(N, 0),
+                                src_idx.ranks.get(N, 0), blocks)
     return ChainMap(src_total, tgt_total, maps)
 
 

@@ -609,6 +609,40 @@ def hodge_stage_comparison_oracle(ctx, K, m: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the order a relation list generates
+
+
+def poset_order_oracle(elements, relations):
+    """(strict pairs, chains by length, heights) of the order ``relations`` generate.
+
+    The strict relation is closed by repeated composition until nothing
+    changes, and the chains are the totally ordered subsets of the sorted
+    elements, each listed bottom to top and each length sorted; the
+    reference for ``PosetSite``'s up-sets and the chains extended by them.
+    """
+    less = {(a, b) for a, b in relations if a != b}
+    while True:
+        more = {(a, d) for a, b in less for c, d in less if b == c} - less
+        if not more:
+            break
+        less |= more
+    elements = sorted(elements)
+    chains = []
+    for size in range(1, len(elements) + 1):
+        level = []
+        for subset in combinations(elements, size):
+            chain = sorted(subset, key=lambda e: sum((z, e) in less for z in elements))
+            if all(pair in less for pair in zip(chain, chain[1:])):
+                level.append(tuple(chain))
+        if not level:
+            break
+        chains.append(sorted(level))
+    heights = {x: max(len(c) - 1 for level in chains for c in level if c[-1] == x)
+               for x in elements}
+    return sorted(less), chains, heights
+
+
+# ---------------------------------------------------------------------------
 # order-complex cohomology with a one-degree local system
 
 
@@ -621,11 +655,12 @@ def order_complex_cohomology(site, stalk_dims, res_mats, field):
     position by position, independent of the package's sections machinery.
     """
     elements = list(site.elements)
+    less = set(site.strict_pairs())
 
     def sort_chain(subset):
-        chain = sorted(subset, key=lambda e: sum(1 for z in elements if site.leq(z, e)))
+        chain = sorted(subset, key=lambda e: sum(1 for z in elements if (z, e) in less))
         for a, b in zip(chain, chain[1:]):
-            if not site.leq(a, b) or a == b:
+            if (a, b) not in less:
                 return None
         return tuple(chain)
 

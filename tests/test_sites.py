@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decalage.complexes import ChainMap, FGModule, FreeComplex, cohomology_presentation, direct_sum
 from decalage.eta import eta_m
@@ -12,6 +14,7 @@ from decalage.instances import (
     random_complex,
 )
 from decalage.rmatrix import Matrix
+from decalage.serialize import site_from_json, site_to_json
 from decalage.sites import (
     InstanceContext,
     InvalidSheaf,
@@ -23,12 +26,50 @@ from decalage.sites import (
     sheaf_reduce,
 )
 
-from oracles import is_degreewise_injective, order_complex_cohomology, validate_sheaf_map
+from oracles import (
+    is_degreewise_injective,
+    order_complex_cohomology,
+    poset_order_oracle,
+    validate_sheaf_map,
+)
 
 
 def test_poset_antisymmetry_checked():
     with pytest.raises(ValueError):
         PosetSite(["x", "y"], [("x", "y"), ("y", "x")])
+    # a cycle is reported by its least offending strict pair
+    with pytest.raises(ValueError) as err:
+        PosetSite(["z", "y", "x"], [("y", "z"), ("z", "x"), ("x", "y")])
+    assert str(err.value) == "not antisymmetric: x <= y <= x"
+
+
+def test_element_names_with_leq_refused():
+    # restriction keys "a<=b" could not be split back: p <= "<=q" and "p<=" <= q
+    # would both be written under "p<=<=q"
+    with pytest.raises(ValueError, match=re.escape("element name '<=q' contains '<='")):
+        PosetSite(["p", "p<=", "<=q", "q"], [("p", "<=q"), ("p<=", "q")])
+
+
+# names that sort differently from the drawn order, so sorting is exercised
+ORDER_NAMES = ["a", "b", "c10", "c2", "d", "x", "y"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_order_chains_and_heights_match_the_composition_oracle(data):
+    # the drawn permutation is a linear extension, so the relation has no cycle;
+    # sparse draws leave it far from transitive, and pairs repeat or are reflexive
+    names = data.draw(st.permutations(ORDER_NAMES))[:data.draw(st.integers(1, 7))]
+    n = len(names)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted)
+    relations = [(names[i], names[j]) for i, j in data.draw(st.lists(pairs, max_size=2 * n))]
+    site = PosetSite(names, relations)
+    want_pairs, want_chains, want_heights = poset_order_oracle(names, relations)
+    assert list(site.strict_pairs()) == want_pairs
+    assert site.chains() == want_chains
+    assert {x: site.height(x) for x in site.elements} == want_heights
+    again = site_from_json(site_to_json(site))
+    assert again == site and hash(again) == hash(site)
 
 
 def test_point_site_identity(z3):
@@ -113,6 +154,14 @@ def test_functoriality_failure_detected(z3):
     with pytest.raises(InvalidSheaf) as err:
         F.validate()
     assert err.value.witness == ("c0", "c1", "c2")
+    # c2 <= c3 doubles, so c0 <= c2 <= c3 and c1 <= c2 <= c3 both fail; the
+    # lexicographically least is the witness
+    site = PosetSite.chain(4)
+    res = {pair: ChainMap(K, K, good) for pair in site.strict_pairs()}
+    res[("c2", "c3")] = ChainMap(K, K, {0: Matrix(z3, [[2]])})
+    with pytest.raises(InvalidSheaf) as err:
+        SheafComplex(site, {e: K for e in site.elements}, res).validate()
+    assert err.value.witness == ("c0", "c2", "c3")
 
 
 def test_sections_match_order_complex_oracle(rng):
