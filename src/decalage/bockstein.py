@@ -115,10 +115,11 @@ class Memo:
     images, solves and preimages are views of the Smith forms, whose
     transforms are built only when one of these reads them; images,
     preimages and solves are kept under their input matrices too, so each
-    is built once per content.  ``rmatrix.solve_exact`` is the one solve
-    over R outside a context.  Over k, kernels and solves are ``kmatrix``'s,
-    so no Smith form is taken over a field; over R a solve against an
-    identity returns B here, before any key is built.
+    is built once per content.  ``rmatrix.solve_exact`` is the public
+    one-shot solve over R outside a context, for callers of the library.
+    Over k, kernels and solves are ``kmatrix``'s, so no Smith form is taken
+    over a field; over R a solve against an identity returns B here, before
+    any key is built.
     """
 
     def __init__(self):

@@ -407,17 +407,3 @@ def hodge_filtration(ctx, K: FreeComplex, m: int) -> ChainMap:
         return ChainMap.zero(FreeComplex.zero(K.ring, K.lo, K.hi, K.twist), K)
     return subcomplex(ctx, K, {i: Matrix.identity(K.ring, K.rank(i))
                                for i in range(m, K.hi + 1)})
-
-
-def direct_sum(A: FreeComplex, B: FreeComplex) -> FreeComplex:
-    if A.ring != B.ring:
-        raise ShapeMismatch("direct sum over different rings")
-    ring = A.ring
-    lo, hi = min(A.lo, B.lo), max(A.hi, B.hi)
-    ranks = [A.rank(i) + B.rank(i) for i in range(lo, hi + 1)]
-    diffs = []
-    for i in range(lo, hi):
-        top = A.d(i).hstack(Matrix.zeros(ring, A.rank(i + 1), B.rank(i)))
-        bottom = Matrix.zeros(ring, B.rank(i + 1), A.rank(i)).hstack(B.d(i))
-        diffs.append(top.vstack(bottom))
-    return FreeComplex(ring, lo, ranks, diffs, A.twist)

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
-from .complexes import ChainMap, FreeComplex, direct_sum
+from .complexes import ChainMap, FreeComplex
 from .rings import BaseRing, IntegerRing, PolynomialRing, PrimeField
-from .rmatrix import Matrix, solve_exact
+from .rmatrix import Matrix
 from .sites import InstanceContext, PosetSite, SheafComplex
 from .theorem import hypothesis_h1
 from .spectral import degeneration_check_HT
@@ -77,22 +78,30 @@ def _shell_element(ring: BaseRing, rng: random.Random, torsion_free: bool):
     return ring.mul(base, ring.xi_power(e))
 
 
-def random_unimodular(ring: BaseRing, n: int, rng: random.Random) -> Matrix:
-    """Product of elementary row additions and swaps, so invertible over the ring."""
+def random_unimodular(ring: BaseRing, n: int, rng: random.Random) -> tuple:
+    """(P, P^-1) for P a product of elementary row swaps and additions.
+
+    Each row operation on P is matched by the inverse column operation on
+    P^-1, kept as its list of columns: swapping rows i and j swaps columns i
+    and j, and row_i += c*row_j makes col_j -= c*col_i.
+    """
     if n == 0:
-        return Matrix.identity(ring, 0)
-    data = [list(r) for r in Matrix.identity(ring, n).data]
+        return Matrix.identity(ring, 0), Matrix.identity(ring, 0)
+    identity = Matrix.identity(ring, n).data
+    rows, cols = [list(r) for r in identity], [list(r) for r in identity]
     for _ in range(n + 1):
         op = rng.randrange(3)
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
         if op == 0:
-            data[i], data[j] = data[j], data[i]
+            rows[i], rows[j] = rows[j], rows[i]
+            cols[i], cols[j] = cols[j], cols[i]
         else:
             c = _tiny_element(ring, rng)
-            data[i] = [ring.add(data[i][t], ring.mul(c, data[j][t])) for t in range(n)]
-    return Matrix(ring, data)
+            rows[i] = [ring.add(rows[i][t], ring.mul(c, rows[j][t])) for t in range(n)]
+            cols[j] = ring.row_sub_multiple(cols[j], c, cols[i])
+    return Matrix(ring, rows), Matrix.from_columns(ring, cols)
 
 
 def conjugate_complex(K: FreeComplex, rng: random.Random):
@@ -100,9 +109,9 @@ def conjugate_complex(K: FreeComplex, rng: random.Random):
 
     Returns the conjugated complex with the P_i and their inverses.
     """
-    mats = {i: random_unimodular(K.ring, K.rank(i), rng) for i in K.degrees()}
-    inv = {i: solve_exact(mats[i], Matrix.identity(K.ring, K.rank(i)))
-           for i in K.degrees()}
+    mats, inv = {}, {}
+    for i in K.degrees():
+        mats[i], inv[i] = random_unimodular(K.ring, K.rank(i), rng)
     diffs = [mats[i + 1] @ K.d(i) @ inv[i] for i in range(K.lo, K.hi)]
     conjugated = FreeComplex(K.ring, K.lo, [K.rank(i) for i in K.degrees()], diffs, K.twist)
     return conjugated, mats, inv
@@ -134,21 +143,16 @@ class _Piece:
 
 
 def _pieces_complex(ring, pieces, hi) -> FreeComplex:
-    K = FreeComplex.zero(ring, 0, hi)
-    for p in pieces:
-        if p.kind == "free":
-            ranks = [0] * (hi + 1)
-            ranks[p.deg] = 1
-            diffs = [Matrix.zeros(ring, ranks[i + 1], ranks[i]) for i in range(hi)]
-            K = direct_sum(K, FreeComplex(ring, 0, ranks, diffs))
-        else:
-            ranks = [0] * (hi + 1)
-            ranks[p.deg] = 1
-            ranks[p.deg + 1] = 1
-            diffs = [Matrix.zeros(ring, ranks[i + 1], ranks[i]) for i in range(hi)]
-            diffs[p.deg] = Matrix(ring, [[p.c]])
-            K = direct_sum(K, FreeComplex(ring, 0, ranks, diffs))
-    return K
+    """The direct sum of the pieces in order, block-diagonal by _piece_offsets."""
+    offsets = _piece_offsets(pieces, hi)
+    ranks = [sum(d in mine for mine in offsets) for d in range(hi + 1)]
+    zero = ring.zero()
+    rows = [[[zero] * ranks[i] for _ in range(ranks[i + 1])] for i in range(hi)]
+    for p, mine in zip(pieces, offsets):
+        if p.kind == "shell":
+            rows[p.deg][mine[p.deg + 1]][mine[p.deg]] = p.c
+    diffs = [Matrix(ring, rows[i], cols=ranks[i]) for i in range(hi)]
+    return FreeComplex(ring, 0, ranks, diffs)
 
 
 def _random_pieces(ring, rng, hi, max_rank, torsion_free):
@@ -256,11 +260,12 @@ def height_graded_sheaf(site: PosetSite, ring, rng: random.Random,
                                levels[j], levels[j + 1])
               for j in range(top)]
 
+    @cache
     def composite(h0, h1):
-        cm = ChainMap.identity(levels[h0])
-        for j in range(h0, h1):
-            cm = ladder[j].after(cm)
-        return cm
+        # the ladder maps from height h0 up to h1, built once per pair
+        if h0 == h1:
+            return ChainMap.identity(levels[h0])
+        return ladder[h1 - 1].after(composite(h0, h1 - 1))
 
     stalks = {x: levels[heights[x]] for x in site.elements}
     restrictions = {(a, b): composite(heights[a], heights[b]) for a, b in site.strict_pairs()}

@@ -166,11 +166,6 @@ class Matrix:
         return Matrix._of(self.ring, tuple(a + b for a, b in zip(self.data, other.data)),
                           self.cols + other.cols)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ShapeMismatch("vstack column mismatch")
-        return Matrix._of(self.ring, self.data + other.data, self.cols)
-
     def submatrix(self, r0, r1, c0, c1) -> "Matrix":
         return Matrix._of(self.ring, tuple(row[c0:c1] for row in self.data[r0:r1]),
                           len(range(self.cols)[c0:c1]))

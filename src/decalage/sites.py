@@ -36,10 +36,11 @@ class PosetSite:
 
     The order is kept as up-sets (each element's strictly greater elements,
     sorted), closed once by Warshall's rule.  The sorted strict pairs are read
-    from them once, and the chains, which global sections read, on first use.
+    from them once, and the chains, which global sections read, and the
+    heights on first use.
     """
 
-    __slots__ = ("elements", "_up", "_pairs", "_chains")
+    __slots__ = ("elements", "_up", "_pairs", "_chains", "_heights")
 
     def __init__(self, elements, relations):
         elems = tuple(sorted(elements))
@@ -65,6 +66,7 @@ class PosetSite:
                 raise ValueError(f"not antisymmetric: {a} <= {b} <= {a}")
         self.elements = elems
         self._chains = None
+        self._heights = None
 
     def strict_pairs(self):
         return self._pairs
@@ -82,7 +84,11 @@ class PosetSite:
         return self._chains
 
     def height(self, x) -> int:
-        return max(n for n, level in enumerate(self.chains()) for c in level if c[-1] == x)
+        """The length of the longest chain ending at x; all heights come from one pass."""
+        if self._heights is None:
+            # levels run by length, so each element keeps the last level it tops
+            self._heights = {c[-1]: n for n, level in enumerate(self.chains()) for c in level}
+        return self._heights[x]
 
     def __len__(self):
         return len(self.elements)

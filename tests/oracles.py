@@ -20,11 +20,14 @@ The pullback of a sheaf to the barycentric
 subdivision of its site, with the basis-free part of a theorem report, is
 the metamorphic oracle for the whole theorem path.  The last section holds
 the helpers that only the tests call: complex invariants and shifts, induced
-maps, the mapping cone, the graded pieces of an abutment, the vanishing of a
-page's differentials, the square of the Bockstein differential, sums and
-intersections of subspaces, random nonsingular matrices, scaled lattice
-pairs, the jumps of a flag, the validity checks of filtered complexes and
-sheaf maps, and the terms of the cokernel of a chain map.
+maps, stacked matrices and the direct sum of two complexes (the reference for
+the generators' block-diagonal piece complexes), the random base change as it
+was drawn before its inverse was kept, the mapping cone, the graded pieces of
+an abutment, the vanishing of a page's differentials, the square of the
+Bockstein differential, sums and intersections of subspaces, random
+nonsingular matrices, scaled lattice pairs, the jumps of a flag, the validity
+checks of filtered complexes and sheaf maps, and the terms of the cokernel of
+a chain map.
 """
 
 from __future__ import annotations
@@ -1039,6 +1042,55 @@ def induced_map(ctx, f, i: int) -> Matrix:
     return ctx.presentation(f.target, i).coords(f.map(i) @ src_pres.gens_basis)
 
 
+def vstack(top: Matrix, bottom: Matrix) -> Matrix:
+    """``top`` over ``bottom``, two matrices with one column count."""
+    if top.cols != bottom.cols:
+        raise ShapeMismatch("vstack column mismatch")
+    return Matrix(top.ring, top.data + bottom.data, cols=top.cols)
+
+
+def direct_sum(A: FreeComplex, B: FreeComplex) -> FreeComplex:
+    """A (+) B, block-diagonal: the reference for the generators' piece complexes."""
+    if A.ring != B.ring:
+        raise ShapeMismatch("direct sum over different rings")
+    ring = A.ring
+    lo, hi = min(A.lo, B.lo), max(A.hi, B.hi)
+    ranks = [A.rank(i) + B.rank(i) for i in range(lo, hi + 1)]
+    diffs = []
+    for i in range(lo, hi):
+        top = A.d(i).hstack(Matrix.zeros(ring, A.rank(i + 1), B.rank(i)))
+        bottom = Matrix.zeros(ring, B.rank(i + 1), A.rank(i)).hstack(B.d(i))
+        diffs.append(vstack(top, bottom))
+    return FreeComplex(ring, lo, ranks, diffs, A.twist)
+
+
+def unimodular_draw(ring, n: int, rng) -> Matrix:
+    """The random base change as drawn before its inverse was kept: P alone.
+
+    The same elementary row swaps and additions from the same rng calls, so
+    P and the rng state after the call are the generators' to match.
+    """
+    if n == 0:
+        return Matrix.identity(ring, 0)
+    data = [list(r) for r in Matrix.identity(ring, n).data]
+    for _ in range(n + 1):
+        op = rng.randrange(3)
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        if op == 0:
+            data[i], data[j] = data[j], data[i]
+            continue
+        if isinstance(ring, IntegerRing):
+            c = rng.choice([-1, -1, 1, 1, 2])
+        elif isinstance(ring.base, PrimeField):
+            c = ring.from_coeffs([rng.randrange(1, ring.base.p)])
+        else:
+            c = ring.from_coeffs([Fraction(rng.choice([-1, 1, 2]))])
+        data[i] = [ring.add(data[i][t], ring.mul(c, data[j][t])) for t in range(n)]
+    return Matrix(ring, data)
+
+
 def cone(f) -> FreeComplex:
     """Mapping cone: cone(f)^i = src^{i+1} (+) tgt^i, d = [[-d_src, 0], [f, d_tgt]]."""
     S, T = f.source, f.target
@@ -1050,7 +1102,7 @@ def cone(f) -> FreeComplex:
     for i in range(lo, hi):
         top = (-S.d(i + 1)).hstack(Matrix.zeros(ring, S.rank(i + 2), T.rank(i)))
         bottom = f.map(i + 1).hstack(T.d(i))
-        diffs.append(top.vstack(bottom))
+        diffs.append(vstack(top, bottom))
     return FreeComplex(ring, lo, ranks, diffs, T.twist)
 
 

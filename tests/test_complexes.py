@@ -7,13 +7,20 @@ from decalage.complexes import (
     FGModule,
     FreeComplex,
     cohomology_presentation,
-    direct_sum,
     hodge_filtration,
     truncate_leq,
 )
 from decalage.instances import random_complex
 from decalage.rmatrix import Matrix, snf
-from oracles import cone, euler_characteristic, induced_map, is_zero_complex, normalized_nonnegative
+from oracles import (
+    cone,
+    direct_sum,
+    euler_characteristic,
+    induced_map,
+    is_zero_complex,
+    normalized_nonnegative,
+    vstack,
+)
 
 
 def shell(ring, c, lo=0):
@@ -136,7 +143,7 @@ def test_cone_of_summand_inclusion_is_quotient(rng, z3):
         maps = {}
         for i in A.degrees():
             ide = Matrix.identity(z3, A.rank(i))
-            maps[i] = ide.vstack(Matrix.zeros(z3, B.rank(i), A.rank(i)))
+            maps[i] = vstack(ide, Matrix.zeros(z3, B.rank(i), A.rank(i)))
         f = ChainMap(A, S, maps)
         f.validate()
         c = cone(f)

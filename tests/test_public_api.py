@@ -25,9 +25,10 @@ SRC = ROOT / "src" / "decalage"
 
 # read from outside the library: sheaf_to_json pairs with sheaf_from_json, the
 # benchmark's tracer probes read SNFResult.v, SNFResult.vinv and
-# FreeComplex.total_rank, and perfbench/selftest.py shifts an image flag
+# FreeComplex.total_rank, perfbench/selftest.py shifts an image flag, and
+# solve_exact is the exported one-shot solve that the benchmark traces
 EXEMPT = {"serialize.sheaf_to_json", "SNFResult.v", "SNFResult.vinv", "FreeComplex.total_rank",
-          "Flag.shifted"}
+          "Flag.shifted", "rmatrix.solve_exact"}
 
 
 def public_definitions(path: Path):

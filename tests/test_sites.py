@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decalage.complexes import ChainMap, FGModule, FreeComplex, cohomology_presentation, direct_sum
+from decalage.complexes import ChainMap, FGModule, FreeComplex, cohomology_presentation
 from decalage.eta import eta_m
 from decalage.bockstein import Memo, k_cohomology_quotient
 from decalage.instances import (
@@ -27,10 +27,12 @@ from decalage.sites import (
 )
 
 from oracles import (
+    direct_sum,
     is_degreewise_injective,
     order_complex_cohomology,
     poset_order_oracle,
     validate_sheaf_map,
+    vstack,
 )
 
 
@@ -226,7 +228,7 @@ def test_sections_exact_on_split_sums(rng, z3):
             rb = FB.res(a, b).map(i)
             top = ra.hstack(Matrix.zeros(z3, ra.rows, rb.cols))
             bot = Matrix.zeros(z3, rb.rows, ra.cols).hstack(rb)
-            maps[i] = top.vstack(bot)
+            maps[i] = vstack(top, bot)
         res[(a, b)] = ChainMap(stalks[a], stalks[b], maps)
     FS = SheafComplex(site, stalks, res)
     TS, _ = global_sections_complex(FS)
