@@ -12,7 +12,7 @@ law by construction.
 Profiles: "free" places no constraint; "h1" retries until every H^i of the
 global sections is xi-torsion-free (and keeps stalks torsion-free to start
 from); "adversarial" hunts for instances whose truncation maps fail
-injectivity.
+injectivity.  Each draw is valid by construction; none is validated here.
 """
 
 from __future__ import annotations
@@ -339,7 +339,8 @@ def generate_instance(profile: str, seed: int, ring: BaseRing | None = None,
     random families cannot break it (they are pullback-shaped), so witness
     draws based on the coinduced-resolution construction are mixed in when
     the site is the sphere, where the witness lives, or is left to the draw.
-    On any other site the budget runs out.
+    On any other site the budget runs out.  Draws are valid by construction
+    and are not validated.
     """
     rng = random.Random(seed)
     ring = ring or IntegerRing(2)
@@ -355,9 +356,6 @@ def generate_instance(profile: str, seed: int, ring: BaseRing | None = None,
         else:
             F = height_graded_sheaf(chosen_site, ring, rng, max_degree,
                                     max_rank, torsion_free)
-        if profile != "h1":
-            # for "h1", hypothesis_h1 builds RGamma(F), which validates F first
-            F.validate()
         if profile == "free":
             return F
         if profile == "h1":

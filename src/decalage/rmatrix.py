@@ -20,25 +20,24 @@ class ShapeMismatch(ValueError):
 class Matrix:
     """An immutable matrix: ``data`` is a tuple of row tuples.
 
-    ``Matrix(ring, data)`` copies ``data`` into tuples and checks that the
-    rows have one length.  ``Matrix._of(ring, rows, cols)`` is the trusted
-    constructor for rows the library has just built: ``rows`` must already be
-    a tuple of tuples, which it keeps without copying; it still checks that
-    every row has ``cols`` entries.
+    ``Matrix(ring, data, cols)`` copies ``data`` into tuples and checks that
+    every row has ``cols`` entries (by default, as many as the first row).
+    ``Matrix._of(ring, rows, cols)`` is the trusted constructor for rows the
+    library has just built: ``rows`` must already be a tuple of tuples, which
+    it keeps without copying; it still checks that every row has ``cols``
+    entries.
     """
 
     __slots__ = ("ring", "rows", "cols", "data", "_hash")
 
     def __init__(self, ring: BaseRing, data, cols: int | None = None):
         rows = tuple(map(tuple, data))
-        if rows:
-            cols = len(rows[0])
-            for r in rows:
-                if len(r) != cols:
-                    raise ShapeMismatch("ragged rows")
-        elif cols is None:
-            # zero-row matrices still need a well-defined column count
-            cols = 0
+        if cols is None:
+            # a zero-row matrix without a column count has no columns
+            cols = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != cols:
+                raise ShapeMismatch("ragged rows")
         self.ring = ring
         self.rows = len(rows)
         self.cols = cols
@@ -75,7 +74,7 @@ class Matrix:
             if rows is None:
                 raise ShapeMismatch("empty column list needs an explicit row count")
             return cls.zeros(ring, rows, 0)
-        n = len(cols[0])
+        n = len(cols[0]) if rows is None else rows
         if any(len(col) != n for col in cols):
             raise ShapeMismatch("ragged columns")
         return cls._of(ring, tuple(zip(*cols)), len(cols))

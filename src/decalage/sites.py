@@ -293,9 +293,8 @@ def global_sections_complex(F: SheafComplex):
     """Total complex of the ordered-chain cochain complex of F.
 
     Returns (complex, index); for a one-point site the complex is the stalk
-    itself (same ranks and differentials).
+    itself.  F must be valid (its caller checks), and then so is the total.
     """
-    F.validate()
     idx = SectionsIndex(F)
     ring = F.ring
     ranks = [idx.ranks[N] for N in range(idx.lo, idx.hi + 1)]
@@ -320,9 +319,7 @@ def global_sections_complex(F: SheafComplex):
                 block = Matrix.identity(ring, size) if j < n else F.res(face[-1], c[-1]).map(i)
                 blocks.append((roff, src[0], block if j % 2 == 0 else -block))
         diffs.append(_block_matrix(ring, idx.ranks[N + 1], idx.ranks[N], blocks))
-    total = FreeComplex(ring, idx.lo, ranks, diffs)
-    total.validate()
-    return total, idx
+    return FreeComplex(ring, idx.lo, ranks, diffs), idx
 
 
 def global_sections_map(phi: SheafMap, src: tuple, tgt: tuple) -> ChainMap:

@@ -323,8 +323,10 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     flag; when both hypotheses hold, assert flag equality and the graded
     dimension identity against the term sheaves.  With a failed hypothesis
     the same data is returned unasserted.  All steps share one
-    InstanceContext, dropped on return.
+    InstanceContext, dropped on return.  F is validated first, and only
+    here: what is built from it is valid by construction.
     """
+    F.validate()
     report = TheoremReport()
     ctx = InstanceContext(F)
     h1, h1_witness = hypothesis_h1(ctx)

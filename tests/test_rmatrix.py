@@ -132,6 +132,14 @@ def test_matrix_rejects_ragged_rows(z2):
     assert Matrix(z2, [], cols=4).cols == 4
 
 
+def test_matrix_constructors_refuse_a_count_their_data_contradicts(z2):
+    with pytest.raises(ShapeMismatch):
+        Matrix(z2, [[1, 2]], cols=3)
+    with pytest.raises(ShapeMismatch):
+        Matrix.from_columns(z2, [(1, 2)], rows=3)
+    assert Matrix(z2, [[1, 2]], cols=2) == Matrix.from_columns(z2, [(1,), (2,)], rows=1)
+
+
 def test_matrix_hash_follows_content(z2, rng):
     M = rand_matrix(z2, rng, 3, 4)
     again = Matrix(z2, [list(row) for row in M.data])

@@ -1,3 +1,4 @@
+import os
 import random
 import re
 
@@ -13,8 +14,9 @@ from decalage.instances import (
     height_graded_sheaf,
     random_complex,
 )
+from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix
-from decalage.serialize import site_from_json, site_to_json
+from decalage.serialize import load_instance_file, site_from_json, site_to_json
 from decalage.sites import (
     InstanceContext,
     InvalidSheaf,
@@ -25,6 +27,7 @@ from decalage.sites import (
     sheaf_bockstein,
     sheaf_reduce,
 )
+from decalage.spectral import cokernel_maps
 
 from oracles import (
     direct_sum,
@@ -253,17 +256,57 @@ def test_sheaf_eta_point_reduces_to_complex_level(z5):
         assert all(incl.map("pt").map(i) == direct.map(i) for i in K.degrees())
 
 
-def test_sheaf_eta_constant_stalks(z5, rng):
-    site = PosetSite.pseudo_circle()
-    K = FreeComplex(z5, 0, [1, 1], [Matrix(z5, [[5]])])
-    F = SheafComplex.constant(site, K)
-    ctx = InstanceContext(F)
-    incl = ctx.stage_sheaf(1)
-    incl.source.validate()
+# The library validates a sheaf once, where it enters, and trusts every sheaf
+# and map it builds from it.  These inputs pin that trust on every source of
+# sheaves: the fixtures, generated draws on each builtin site, and each ring.
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
+RINGS = {"z2": IntegerRing(2), "z3": IntegerRing(3), "z5": IntegerRing(5),
+         "f5t": PolynomialRing(PrimeField(5)), "qt": PolynomialRing(RationalField())}
+THEOREM_PATH_INPUTS = (
+    [f"fixture:{name}" for name in sorted(os.listdir(FIXTURES))]
+    + [f"h1:{site}:{ring}" for site in ("point", "pseudo-circle", "chain3", "sphere")
+       for ring in ("z2", "z3", "f5t", "qt")]
+    + [f"adversarial:sphere:{ring}" for ring in ("z2", "z3", "f5t", "qt")]
+    + ["free:z5", "constant:pseudo-circle:z5"]
+)
+
+
+def theorem_path_input(case):
+    kind, *rest = case.split(":")
+    if kind == "fixture":
+        return load_instance_file(os.path.join(FIXTURES, rest[0]))
+    if kind == "constant":
+        z5 = RINGS["z5"]
+        K = FreeComplex(z5, 0, [1, 1], [Matrix(z5, [[5]])])
+        return SheafComplex.constant(PosetSite.builtin(rest[0]), K)
+    if kind == "free":
+        return generate_instance("free", 13, ring=RINGS[rest[0]])
+    site, ring = rest
+    return generate_instance(kind, 1, ring=RINGS[ring], site=PosetSite.builtin(site))
+
+
+def assert_built_valid(ctx, G):
+    """G validates, and so does RGamma(G): d^2 = 0 on the total complex."""
+    G.validate()
+    ctx.sections(G).validate()
+
+
+def assert_inclusion_valid(ctx, incl):
+    """The subsheaf validates, its inclusion is natural, and RGamma of it is a chain map."""
+    assert_built_valid(ctx, incl.source)
     validate_sheaf_map(incl)
-    cm = ctx.sections_map(ctx.stage_sheaf(1))
-    cm.validate()
-    assert is_degreewise_injective(cm)
+    ctx.sections_map(incl).validate()
+
+
+@pytest.mark.parametrize("case", THEOREM_PATH_INPUTS)
+def test_sheaf_eta_constant_stalks(case):
+    F = theorem_path_input(case)
+    F.validate()
+    ctx = InstanceContext(F)
+    for m in range(0, F.hi() + 2):
+        incl = ctx.stage_sheaf(m)
+        assert_inclusion_valid(ctx, incl)
+        assert is_degreewise_injective(ctx.sections_map(incl))
 
 
 def test_sheaf_eta_inclusion_chain(z5, rng):
@@ -280,21 +323,24 @@ def test_sheaf_eta_inclusion_chain(z5, rng):
             assert solve_exact(outer, inner) is not None
 
 
-def test_sheaf_reduce_truncate_hodge(z5, rng):
-    F = generate_instance("free", 13, ring=z5)
+@pytest.mark.parametrize("case", THEOREM_PATH_INPUTS)
+def test_sheaf_reduce_truncate_hodge(case):
+    F = theorem_path_input(case)
+    F.validate()
     ctx = InstanceContext(F)
-    Fbar = sheaf_reduce(ctx, F)
-    Fbar.validate()
-    for m in range(0, Fbar.hi() + 1):
-        incl = ctx.truncation_sheaf(m)
-        incl.source.validate()
-        validate_sheaf_map(incl)
-    omega = sheaf_bockstein(ctx)
-    omega.validate()
-    for m in range(0, omega.hi() + 1):
-        hincl = ctx.hodge_sheaf(m)
-        hincl.source.validate()
-        validate_sheaf_map(hincl)
+    assert ctx.reduced() == sheaf_reduce(ctx, F)
+    assert_built_valid(ctx, ctx.reduced())
+    assert ctx.bockstein_sheaf() == sheaf_bockstein(ctx)
+    assert_built_valid(ctx, ctx.bockstein_sheaf())
+    # the degrees the theorem path reads: truncations from lo, and the
+    # cokernel comparison's m = 0 .. hi + 1
+    for m in range(min(0, F.lo()), F.hi() + 2):
+        assert_inclusion_valid(ctx, ctx.truncation_sheaf(m))
+        assert_inclusion_valid(ctx, ctx.hodge_sheaf(m))
+        assert_built_valid(ctx, ctx.term(m))
+    for m in range(0, F.hi() + 2):
+        for cm in cokernel_maps(ctx, m):
+            cm.validate()
 
 
 def test_bockstein_term_sheaf_dims(z3):
@@ -317,3 +363,16 @@ def test_height_graded_sheaf_is_functorial(rng, z2):
         site = PosetSite.builtin(name)
         F = height_graded_sheaf(site, z2, rng, max_degree=2, max_rank=2)
         F.validate()
+
+
+def test_generated_instances_validate():
+    # generate_instance does not validate its draws; every profile, ring and
+    # builtin site draws valid sheaves (adversarial draws live on the sphere)
+    for ring in ("z2", "z3", "f5t", "qt"):
+        for profile, sites in (("free", ("point", "pseudo-circle", "chain3", "sphere")),
+                               ("h1", ("point", "pseudo-circle", "chain3", "sphere")),
+                               ("adversarial", ("sphere",))):
+            for site in sites:
+                for seed in (1, 2, 3):
+                    generate_instance(profile, seed, ring=RINGS[ring],
+                                      site=PosetSite.builtin(site)).validate()

@@ -9,7 +9,8 @@ from decalage.complexes import FreeComplex
 from decalage.instances import generate_instance, random_unimodular
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, snf
-from decalage.serialize import sheaf_from_json, sheaf_to_json
+from decalage import sites
+from decalage.serialize import load_instance, sheaf_from_json, sheaf_to_json
 from decalage.sites import InstanceContext, PosetSite, SheafComplex
 from decalage.theorem import (
     Lattice,
@@ -32,6 +33,7 @@ from oracles import (
     random_nonsingular,
     scaled,
 )
+from test_contexts import patch_everywhere
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
 
@@ -299,3 +301,54 @@ def test_golden_witness_settles_h1_vs_h3():
     # the stage torsion table genuinely fails despite H1
     bad = [k for k, v in rep.torsion_table.items() if not v["xi_torsion_free"]]
     assert bad, "expected xi-torsion in some stage cohomology"
+
+
+# The two invalid inputs of the boundary: a stalk with d^2 != 0 (a bare
+# complex, read as a point-site sheaf) and a chain3 sheaf whose a <= c is
+# not the composite of a <= b and b <= c.
+INVALID_INPUTS = {
+    "d2-nonzero": (
+        {"ring": {"kind": "z", "xi": "2"}, "lo": 0, "ranks": [1, 1, 1],
+         "differentials": [[["1"]], [["1"]]]},
+        "DifferentialSquareNonzero", "d(i+1) @ d(i) != 0 at degree 0"),
+    "not-functorial": (
+        {"site": {"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"]]},
+         "stalks": {x: {"ring": {"kind": "z", "xi": "2"}, "lo": 0, "ranks": [1]}
+                    for x in "abc"},
+         "restrictions": {"a<=b": [[["1"]]], "b<=c": [[["1"]]], "a<=c": [[["2"]]]}},
+        "InvalidSheaf", "functoriality fails on a<=b<=c at degree 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_main_theorem_refuses_an_invalid_sheaf_before_any_build(monkeypatch, case):
+    data, kind, message = INVALID_INPUTS[case]
+    F = load_instance(data)
+    built = []
+    build = sites.global_sections_complex
+
+    def counted(G):
+        built.append(G)
+        return build(G)
+
+    patch_everywhere(monkeypatch, sites, "global_sections_complex", counted)
+    with pytest.raises(Exception) as err:
+        verify_main_theorem(F)
+    assert (type(err.value).__name__, str(err.value)) == (kind, message)
+    assert built == []
+
+
+def test_main_theorem_validates_its_sheaf_once(monkeypatch, z2):
+    F = generate_instance("h1", 33, ring=z2, site=PosetSite.sphere())
+    calls = []
+    check = SheafComplex.validate
+
+    def counted(G):
+        calls.append(G)
+        check(G)
+
+    monkeypatch.setattr(SheafComplex, "validate", counted)
+    for _ in range(2):
+        calls.clear()
+        verify_main_theorem(F)
+        assert calls == [F]
