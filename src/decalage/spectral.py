@@ -288,25 +288,22 @@ def degeneration_check_HT(ctx: InstanceContext):
     """Injectivity of every truncation-level map on cohomology.
 
     Returns (verdict, witness, crosscheck_agrees): witness is the first
-    failing (i, m); crosscheck compares with vanishing of every HT d_r with
-    1 <= r <= 4 (reported pages 2 to 5), that is, with no persistence pair of
-    the truncation filtration spanning 1 to 4 steps.
+    failing (i, m), at which the check returns; the crosscheck, computed
+    first from every persistence pair, compares with vanishing of every HT
+    d_r with 1 <= r <= 4 (reported pages 2 to 5), that is, with no
+    persistence pair of the truncation filtration spanning 1 to 4 steps.
     """
+    pages_vanish = not any(1 <= t - s <= 4 for s, _, t in persistence_pairs(*ht_inclusions(ctx)))
     Fbar = ctx.reduced()
     total = ctx.sections(Fbar)
-    verdict = True
-    witness = None
     for m in range(Fbar.lo(), Fbar.hi() + 1):
         cm = ctx.sections_map(ctx.truncation_sheaf(m))
         for i in total.degrees():
             # injective when the induced matrix has full column rank
             dim = ctx.quotient(cm.source, i).dim
             if dim and field_rank(k_induced_matrix(ctx, cm, i)) < dim:
-                verdict = False
-                if witness is None:
-                    witness = (i, m)
-    pages_vanish = not any(1 <= t - s <= 4 for s, _, t in persistence_pairs(*ht_inclusions(ctx)))
-    return verdict, witness, pages_vanish == verdict
+                return False, (i, m), not pages_vanish
+    return True, None, pages_vanish
 
 
 def degeneration_check_HdR(ctx: InstanceContext):

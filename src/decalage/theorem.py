@@ -109,7 +109,7 @@ def relative_position(ctx, L: Lattice, L0: Lattice) -> list:
 
 
 class Flag:
-    """Increasing family of subspaces of k^n: zero for m << 0, full for m >> 0."""
+    """Increasing subspaces of k^n on a window m_lo .. m_hi with no gap: zero below, full above."""
 
     __slots__ = ("field", "n", "spaces", "m_lo", "m_hi")
 
@@ -124,7 +124,9 @@ class Flag:
         self.spaces = dict(spaces)
         prev = None
         for m in range(self.m_lo, self.m_hi + 1):
-            cur = self.subspace(m)
+            if m not in self.spaces:
+                raise ValueError(f"flag window has a gap at m = {m}")
+            cur = self.spaces[m]
             if prev is not None and not cur.contains_space(prev):
                 raise ValueError(f"flag not increasing at m = {m}")
             prev = cur
@@ -238,19 +240,14 @@ def reduction_iso_matrices(ctx: InstanceContext) -> dict:
 
     The sections complex reduces literally, so the right side is the
     cohomology of the residue of the total complex; the map reduces chosen
-    basis cocycles.  Only meaningful (and an isomorphism) when H^i and
-    H^{i+1} are torsion-free; callers check.
+    basis cocycles.  Called under H1: every H^i is torsion-free, so each
+    map is an isomorphism.
     """
     total = ctx.sections(ctx.F)
     red = ctx.sections(ctx.reduced())
-    out = {}
-    for i in total.degrees():
-        pres = ctx.presentation(total, i)
-        if not pres.module.xi_torsion_free:
-            out[i] = None
-            continue
-        out[i] = ctx.quotient(red, i).coords_matrix(pres.basis_cocycles().residue())
-    return out
+    return {i: ctx.quotient(red, i).coords_matrix(
+                ctx.presentation(total, i).basis_cocycles().residue())
+            for i in total.degrees()}
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +319,12 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     torsion-freeness; for each degree compute the lattice flag and the image
     flag; when both hypotheses hold, assert flag equality and the graded
     dimension identity against the term sheaves.  With a failed hypothesis
-    the same data is returned unasserted.  All steps share one
-    InstanceContext, dropped on return.  F is validated first, and only
-    here: what is built from it is valid by construction.
+    the same fields are returned unasserted, built without what only an
+    asserted check reads: the reduction identification and the cokernel
+    comparison without H1, the moved lattice flag and the graded target
+    dimensions without both; their checks stay, passed and empty.  All
+    steps share one InstanceContext, dropped on return.  F is validated
+    first, and only here: what is built from it is valid by construction.
     """
     F.validate()
     report = TheoremReport()
@@ -338,12 +338,11 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     }
     report.asserted = h1 and h3
 
-    hi = F.hi()
-    m_max = hi + 1
+    m_max = F.hi() + 1
     report.torsion_table = check_torsionfree_eta_m(ctx)
     torsion_check = CheckResult("torsion-free.eta-m-global")
-    for (i, m), row in sorted(report.torsion_table.items()):
-        if h1:
+    if h1:
+        for (i, m), row in sorted(report.torsion_table.items()):
             torsion_check.expect(row["xi_torsion_free"], i=i, m=m,
                                  invariants=row["invariants"])
     report.add_check(torsion_check)
@@ -354,23 +353,22 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     report.add_check(stationary)
 
     total = ctx.sections(F)
-    rho = reduction_iso_matrices(ctx)
-    red = ctx.sections(ctx.reduced())
+    if h1:
+        rho = reduction_iso_matrices(ctx)
+        red = ctx.sections(ctx.reduced())
+    if report.asserted:
+        # graded target dimensions: H^{i-m}(S, Omega^m-avatar), read at degree i
+        # of the sections of the term sheaf, which sits in degree m
+        omega_dims = {}
+        for m in range(0, m_max + 1):
+            av_total = ctx.sections(ctx.term(m))
+            omega_dims[m] = {i: ctx.quotient(av_total, i).dim
+                             for i in av_total.degrees()}
 
     flag_check = CheckResult("main.flag-equality")
     graded_check = CheckResult("main.graded-dims")
     iso_check = CheckResult("main.reduction-identification")
-
-    # graded target dimensions: H^{i-m}(S, Omega^m-avatar), read at degree i
-    # of the sections of the term sheaf, which sits in degree m
-    omega_dims = {}
-    for m in range(0, m_max + 1):
-        av_total = ctx.sections(ctx.term(m))
-        omega_dims[m] = {i: ctx.quotient(av_total, i).dim
-                         for i in av_total.degrees()}
-
     for i in total.degrees():
-        red_q = ctx.quotient(red, i)
         entry = {"i": i}
         try:
             L, L0 = lattice_pair_from_complex(ctx, i)
@@ -382,12 +380,8 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
             continue
         bb = bb_filtration(ctx, L, L0)
         entry["relative_position"] = relative_position(ctx, L, L0)
-        # move the lattice flag into H^i of the reduced sections; H^i is
-        # torsion-free here, so rho[i] is defined and has red_q.dim rows
-        moved = {m: Subspace.from_columns(rho[i] @ bb.subspace(m).matrix().transpose())
-                 for m in range(bb.m_lo, bb.m_hi + 1)}
-        bb_moved = Flag(red.ring, red_q.dim, moved)
         if h1:
+            red_q = ctx.quotient(red, i)
             iso_check.expect(rho[i].rows == rho[i].cols
                              and bb.n == red_q.dim
                              and field_rank(rho[i]) == red_q.dim, i=i,
@@ -398,16 +392,18 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
         entry["image_flag"] = img.to_json()
         report.flags[str(i)] = entry
         if report.asserted:
-            window = range(0, m_max + 1)
-            for m in window:
+            # move the lattice flag into H^i of the reduced sections
+            moved = {m: Subspace.from_columns(rho[i] @ bb.subspace(m).matrix().transpose())
+                     for m in range(bb.m_lo, bb.m_hi + 1)}
+            bb_moved = Flag(red.ring, red_q.dim, moved)
+            grades = {}
+            for m in range(0, m_max + 1):
                 flag_check.expect(
                     bb_moved.subspace(m) == img.subspace(m), i=i, m=m,
                     bb=bb_moved.subspace(m).to_json(), image=img.subspace(m).to_json(),
                 )
-            grades = {}
-            for m in window:
                 got = img.graded_dim(m)
-                want = omega_dims.get(m, {}).get(i, 0)
+                want = omega_dims[m].get(i, 0)
                 grades[str(m)] = {"flag": got, "omega": want}
                 graded_check.expect(got == want, i=i, m=m, flag=got, omega=want)
             report.graded[str(i)] = grades
@@ -418,10 +414,10 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
 
     # degeneration equivalence data rides along
     comp_check = CheckResult("degeneration.coker-comparison")
-    for i in total.degrees():
-        for m in range(0, m_max + 1):
-            rec = compare_degeneration(ctx, i, m)
-            if h1:
+    if h1:
+        for i in total.degrees():
+            for m in range(0, m_max + 1):
+                rec = compare_degeneration(ctx, i, m)
                 comp_check.expect(rec.equal, i=i, m=m,
                                   coker_f=rec.coker_f.to_json(),
                                   coker_g=rec.coker_g.to_json())

@@ -7,8 +7,10 @@ construction, the cycle spaces Z_r(p, n) of a filtered complex as an
 intersection with a preimage taken through a quotient map, the Bockstein
 differential and the Hodge-stage comparison one class at a time, the
 lattice / image flags from Gaussian elimination over the truncated ring
-R/xi^N instead of exact Smith form machinery, and the lattice flag again from
-one lattice intersection per level instead of one adapted basis.  The dense
+R/xi^N instead of exact Smith form machinery, the lattice flag again from
+one lattice intersection per level instead of one adapted basis, and the
+stage cohomology of the generators' elementary pieces in closed form, with
+Künneth for a constant sheaf on a site of free cohomology.  The dense
 product, the dense matrix-vector product, the dense RREF row update and the
 dense Smith normal form are kept here as the references for the library's
 zero-skipping kernels, a Smith form is certified by products alone where no
@@ -480,6 +482,63 @@ def fraction_kernel_rank(M: Matrix) -> int:
                 rows[i] = [rows[i][j] - f * rows[rank][j] for j in range(nc)]
         rank += 1
     return nc - rank
+
+
+# ---------------------------------------------------------------------------
+# stages of the generators' pieces in closed form, and Künneth over a site
+
+
+def piece_stage_cyclics(ring, pieces, hi: int, m: int, exponent: bool = True) -> dict:
+    """H^i of stage m of a sum of pieces, as {i: (free rank, [g])}: R^free + sum R/(g).
+
+    The stage of a sum is the sum of the stages.  With a(i) = m for i < m, a
+    shell R -c-> R at (d, d+1) spans xi^a(d) R -> xi^a(d+1) R, where for
+    i >= m a(d) is d when xi divides c and d + 1 otherwise, and
+    a(d+1) = d + 1.  Its differential in those bases is c * xi^e with
+    e = a(d) - a(d+1), so it leaves R/(c * xi^e) in degree d + 1 and nothing
+    in degree d.  A free line leaves R in its own degree.  The pieces are
+    read by their kind, degree and entry; ``exponent=False`` drops xi^e,
+    the negative control.
+    """
+    free = {i: 0 for i in range(hi + 1)}
+    gens = {i: [] for i in range(hi + 1)}
+    for p in pieces:
+        if p.kind == "free":
+            free[p.deg] += 1
+            continue
+        d = p.deg
+        low = m if d < m else d + (ring.xi_valuation(p.c) == 0)
+        e = low - max(m, d + 1) if exponent else 0
+        gens[d + 1].append(ring.mul(p.c, ring.xi_power(e)) if e >= 0
+                           else ring.xi_divide(p.c, -e))
+    return {i: (free[i], gens[i]) for i in free}
+
+
+def kunneth_cyclics(cyclics: dict, betti) -> dict:
+    """H^i of the sections of a constant sheaf: the sum of H^(i-p)(K)^(b_p).
+
+    ``cyclics`` gives H(K) as ``piece_stage_cyclics`` does and ``betti``
+    the site's Betti numbers b_0, b_1, ...; the site's cohomology is free,
+    so no Tor term enters.
+    """
+    out = {}
+    for i in range(len(betti) + max(cyclics)):
+        parts = [(b, cyclics[i - p]) for p, b in enumerate(betti) if i - p in cyclics]
+        out[i] = (sum(b * free for b, (free, _) in parts),
+                  [g for b, (_, gens) in parts for g in gens * b])
+    return out
+
+
+def cyclic_sum_module(ring, free_rank: int, gens) -> FGModule:
+    """R^free_rank plus the sum of the R/(g): the invariant factors of diag(g) by minors."""
+    gens = [g for g in gens if not ring.is_unit(g)]
+    if not gens:
+        return FGModule(ring, free_rank)
+    zero = ring.zero()
+    diag = Matrix(ring, [[g if j == k else zero for k in range(len(gens))]
+                         for j, g in enumerate(gens)])
+    return FGModule(ring, free_rank,
+                    [f for f in invariant_factors_by_minors(diag) if not ring.is_unit(f)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from decalage.rmatrix import Matrix, snf
 from decalage import sites
 from decalage.serialize import load_instance, sheaf_from_json, sheaf_to_json
 from decalage.sites import InstanceContext, PosetSite, SheafComplex
+from decalage.kmatrix import Subspace
 from decalage.theorem import (
+    Flag,
     Lattice,
     SingularBasis,
     TorsionObstruction,
@@ -95,6 +97,15 @@ def test_bb_filtration_examples(z5, f5t):
     assert fl2.subspace(-1).basis == ((f5t.residue_field().zero(),
                                        f5t.residue_field().one()),)
     assert flag_jumps(fl2) == [0, -1]
+
+
+def test_flag_refuses_a_gap_in_its_window():
+    # with m = 1 missing, the space there would read as the full space at m = 2
+    k = PrimeField(5)
+    zero, full = Subspace(k, 2), Subspace(k, 2, [(k.one(), k.zero()), (k.zero(), k.one())])
+    with pytest.raises(ValueError, match="gap at m = 1"):
+        Flag(k, 2, {0: zero, 2: full})
+    assert Flag(k, 2, {0: zero, 1: zero, 2: full}).dim(1) == 0
 
 
 def test_bb_scaling_shift(rng, z2):
