@@ -77,19 +77,6 @@ def bockstein_complex(ctx: Memo, K: FreeComplex) -> FreeComplex:
 _MISSING = object()
 
 
-def _image(ctx: Memo, M: Matrix) -> Matrix:
-    return ctx.factor(M).image()
-
-
-def _solve(ctx: Memo, A: Matrix, B: Matrix):
-    return ctx.factor(A).solve(B)
-
-
-def _preimage(ctx: Memo, A: Matrix, S: Matrix) -> Matrix:
-    ker = ctx.kernel(A.hstack(S))
-    return ctx.image(ker.submatrix(0, A.cols, 0, ker.cols))
-
-
 class Memo:
     """Builds each keyed object once; a context lives for one top-level call.
 
@@ -112,14 +99,14 @@ class Memo:
     four matrices it reads, so quotient maps equal in content share one.
     A context also holds the linear algebra on both rings.  Over R it is the
     one place where matrices are factored, keyed by content, and kernels,
-    images, solves and preimages are views of the Smith forms, whose
-    transforms are built only when one of these reads them; images,
-    preimages and solves are kept under their input matrices too, so each
-    is built once per content.  ``rmatrix.solve_exact`` is the public
-    one-shot solve over R outside a context, for callers of the library.
-    Over k, kernels and solves are ``kmatrix``'s, so no Smith form is taken
-    over a field; over R a solve against an identity returns B here, before
-    any key is built.
+    images and solves are views of the Smith forms, whose transforms are
+    built only when one of these reads them; images and solves are kept
+    under their input matrices too, so each is built once per content.  A
+    stage lattice takes no Smith form: it is one elimination over k.
+    ``rmatrix.solve_exact`` is the public one-shot solve over R outside a
+    context.  Over k, kernels and solves are ``kmatrix``'s, so no Smith form
+    is taken over a field; over R a solve against an identity returns B
+    here, before any key is built.
     """
 
     def __init__(self):
@@ -143,7 +130,7 @@ class Memo:
 
     def image(self, M: Matrix) -> Matrix:
         """Columns form an R-basis of the column span of M, as ``SNFResult.image``."""
-        return self.once(("image", M), _image, self, M)
+        return self.once(("image", M), lambda: self.factor(M).image())
 
     def solve(self, A: Matrix, B: Matrix):
         """X with A @ X = B, or None when no exact solution exists; by rref over a field.
@@ -154,11 +141,7 @@ class Memo:
             return solve_field(A, B)
         if A.rows == B.rows and A.is_identity():
             return B
-        return self.once(("solve", A, B), _solve, self, A, B)
-
-    def preimage(self, A: Matrix, S: Matrix) -> Matrix:
-        """Basis of { x : A x lies in the column span of S }."""
-        return self.once(("preimage", A, S), _preimage, self, A, S)
+        return self.once(("solve", A, B), lambda: self.factor(A).solve(B))
 
     def module(self, K: FreeComplex, i: int) -> FGModule:
         """The invariants of H^i of a free complex K over R, as ``cohomology_module``."""
@@ -178,8 +161,8 @@ class Memo:
 
     def inclusion(self, K: FreeComplex, m: int) -> ChainMap:
         """stage(m+1) -> stage(m) of K, as ``factor_through``."""
-        return self.once(("inclusion", K, m), factor_through, self, self.stage(K, m + 1),
-                         self.stage(K, m))
+        return self.once(("inclusion", K, m),
+                         lambda: factor_through(self, self.stage(K, m + 1), self.stage(K, m)))
 
     def graded(self, K: FreeComplex, m: int) -> ChainMap:
         """stage(m) mod xi onto the truncation of K/xi at m, as ``graded_piece``."""

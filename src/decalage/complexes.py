@@ -348,7 +348,9 @@ class CohomologyPresentation:
 
 
 def _presentation(ctx, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation:
-    basis_snf = ctx.factor(ctx.preimage(d_i, rels_next))
+    """The cocycle basis { x : d_i x in span(rels_next) }, the image of ker [d_i | rels_next]."""
+    ker = ctx.kernel(d_i.hstack(rels_next))
+    basis_snf = ctx.factor(ctx.image(ker.submatrix(0, d_i.cols, 0, ker.cols)))
     coords = basis_snf.solve(d_prev.hstack(rels_i))
     if coords is None:
         raise ShapeMismatch("boundaries do not lie in the cocycle submodule")

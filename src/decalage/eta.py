@@ -8,8 +8,10 @@ subcomplex has degree-i term
 
 realized as an honest submodule of K^i with a recorded basis, so inclusions
 between the stages (and the later lattice comparisons) are literal matrices.
-A stage is its inclusion chain map into K: the stage complex is its
-``source``, its degree-i basis is ``map(i)`` and K is its ``target``.
+Each lattice comes from one elimination over k (``_congruence_kernel``), once
+per complex: in degrees i >= m every stage has stage 0's term.  A stage is
+its inclusion chain map into K: the stage complex is its ``source``, its
+degree-i basis is ``map(i)`` and K is its ``target``.
 The family decreases in m and squeezes between xi-multiples:
 xi * stage(m) <= stage(m+1) <= stage(m).
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from .checks import CheckResult
 from .complexes import ChainMap, FGModule, FreeComplex, factor_through, subcomplex
-from .kmatrix import field_rank
+from .kmatrix import field_rank, kernel
 from .rmatrix import Matrix
 
 
@@ -43,10 +45,18 @@ class NegativeM(ValueError):
     """The refinement index m must be nonnegative."""
 
 
-def _congruence_kernel(ctx, K: FreeComplex, i: int) -> Matrix:
-    """Basis of { x in K^i : d(x) in xi*K^{i+1} } inside K^i."""
-    ring = K.ring
-    return ctx.preimage(K.d(i), Matrix.scalar(ring, K.rank(i + 1), ring.xi))
+def _congruence_kernel(K: FreeComplex, i: int) -> Matrix:
+    """Basis of { x in K^i : d(x) in xi*K^{i+1} }, the preimage of ker(d mod xi).
+
+    Column j is the lift of the kernel's RREF vector at a free column j and
+    xi*e_j at a pivot column j: lower triangular, with 1 or xi on the diagonal.
+    """
+    ring, n = K.ring, K.rank(i)
+    ker = kernel(K.d(i).residue())
+    lifted = dict(zip(ker.pivots, ker.matrix().map_entries(ring.lift, ring).data))
+    # xi*I is symmetric: its rows are its columns xi*e_j
+    columns = Matrix.scalar(ring, n, ring.xi).data
+    return Matrix.from_columns(ring, [lifted.get(j, e) for j, e in enumerate(columns)], rows=n)
 
 
 def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
@@ -54,8 +64,9 @@ def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
 
     The inclusion has square injective matrices in each degree (the stages
     are full-rank submodules); the degree-i basis carries the xi-power i for
-    the plain decalage part and m below degree m.  Every matrix is factored
-    by the context ``ctx``.
+    the plain decalage part and m below degree m.  Stage m > 0 reads its
+    degree >= m bases from ``ctx.stage(K, 0)``, which equals it there, and
+    the differentials are solved by the context ``ctx``.
     """
     if K.lo < 0:
         raise DegreeBelowZero(f"complex starts at degree {K.lo}")
@@ -66,8 +77,10 @@ def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
     for i in K.degrees():
         if i < m:
             bases[i] = Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
+        elif m:
+            bases[i] = ctx.stage(K, 0).map(i)
         else:
-            bases[i] = _congruence_kernel(ctx, K, i).xi_scale(i)
+            bases[i] = _congruence_kernel(K, i).xi_scale(i)
     return subcomplex(ctx, K, bases)
 
 

@@ -431,9 +431,9 @@ class InstanceContext(Memo):
 
         Keyed by the map object, which the memo keeps alive.
         """
-        src, tgt = (self.once(("sections", G), global_sections_complex, G)
-                    for G in (phi.source, phi.target))
-        return self.once(("sections-map", phi), global_sections_map, phi, src, tgt)
+        return self.once(("sections-map", phi), lambda: global_sections_map(
+            phi, *(self.once(("sections", G), global_sections_complex, G)
+                   for G in (phi.source, phi.target))))
 
     def reduced(self) -> SheafComplex:
         """F/xi, as ``sheaf_reduce``."""
@@ -445,8 +445,8 @@ class InstanceContext(Memo):
 
     def truncation_sheaf(self, q: int) -> SheafMap:
         """tau_{<=q}(F/xi) as its inclusion, as ``_subsheaf`` of the truncations."""
-        return self.once(("truncation-sheaf", q), _subsheaf, self, self.reduced(),
-                         self.truncation, q)
+        return self.once(("truncation-sheaf", q),
+                         lambda: _subsheaf(self, self.reduced(), self.truncation, q))
 
     def bockstein_sheaf(self) -> SheafComplex:
         """The Bockstein sheaf, as ``sheaf_bockstein``."""
@@ -458,5 +458,5 @@ class InstanceContext(Memo):
 
     def hodge_sheaf(self, p: int) -> SheafMap:
         """The degree >= p part of the Bockstein sheaf as its inclusion, as ``_subsheaf``."""
-        return self.once(("hodge-sheaf", p), _subsheaf, self, self.bockstein_sheaf(),
-                         self.hodge, p)
+        return self.once(("hodge-sheaf", p),
+                         lambda: _subsheaf(self, self.bockstein_sheaf(), self.hodge, p))

@@ -10,7 +10,9 @@ lattice / image flags from Gaussian elimination over the truncated ring
 R/xi^N instead of exact Smith form machinery, the lattice flag again from
 one lattice intersection per level instead of one adapted basis, and the
 stage cohomology of the generators' elementary pieces in closed form, with
-Künneth for a constant sheaf on a site of free cohomology.  The dense
+Künneth for a constant sheaf on a site of free cohomology, and each stage
+lattice the ring-side way, a Smith-form kernel then image, the reference for
+the library's one elimination over k.  The dense
 product, the dense matrix-vector product, the dense RREF row update and the
 dense Smith normal form are kept here as the references for the library's
 zero-skipping kernels, a Smith form is certified by products alone where no
@@ -22,8 +24,9 @@ The pullback of a sheaf to the barycentric
 subdivision of its site, with the basis-free part of a theorem report, is
 the metamorphic oracle for the whole theorem path.  The last section holds
 the helpers that only the tests call: complex invariants and shifts, induced
-maps, stacked matrices and the direct sum of two complexes (the reference for
-the generators' block-diagonal piece complexes), the random base change as it
+maps, stacked and block-diagonal matrices, the direct sum of two complexes
+(the reference for the generators' block-diagonal piece complexes) and of
+two sheaves, the random base change as it
 was drawn before its inverse was kept, the mapping cone, the graded pieces of
 an abutment, the vanishing of a page's differentials, the square of the
 Bockstein differential, sums and intersections of subspaces, random
@@ -39,7 +42,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from decalage.bockstein import Memo, k_cohomology_quotient
-from decalage.complexes import FGModule, FreeComplex
+from decalage.complexes import ChainMap, FGModule, FreeComplex
 from decalage.kmatrix import QuotientSpace, Subspace, rref
 from decalage.rings import BaseRing, IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, ShapeMismatch, snf
@@ -485,7 +488,8 @@ def fraction_kernel_rank(M: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# stages of the generators' pieces in closed form, and Künneth over a site
+# stages of the generators' pieces in closed form, Künneth over a site, and
+# the stage lattice over R
 
 
 def piece_stage_cyclics(ring, pieces, hi: int, m: int, exponent: bool = True) -> dict:
@@ -539,6 +543,17 @@ def cyclic_sum_module(ring, free_rank: int, gens) -> FGModule:
                          for j, g in enumerate(gens)])
     return FGModule(ring, free_rank,
                     [f for f in invariant_factors_by_minors(diag) if not ring.is_unit(f)])
+
+
+def congruence_kernel_by_snf(K: FreeComplex, i: int) -> Matrix:
+    """{ x in K^i : d(x) in xi*K^{i+1} } over R: the image of the top block of ker [d | xi*I].
+
+    The ring-side route, one Smith form for the kernel and one for the image:
+    the reference for ``eta._congruence_kernel``.
+    """
+    d = K.d(i)
+    ker = snf(d.hstack(Matrix.scalar(K.ring, d.rows, K.ring.xi))).kernel()
+    return snf(ker.submatrix(0, d.cols, 0, ker.cols)).image()
 
 
 # ---------------------------------------------------------------------------
@@ -1108,19 +1123,32 @@ def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     return Matrix(top.ring, top.data + bottom.data, cols=top.cols)
 
 
+def block_diagonal(A: Matrix, B: Matrix) -> Matrix:
+    """[[A, 0], [0, B]]."""
+    ring = A.ring
+    return vstack(A.hstack(Matrix.zeros(ring, A.rows, B.cols)),
+                  Matrix.zeros(ring, B.rows, A.cols).hstack(B))
+
+
 def direct_sum(A: FreeComplex, B: FreeComplex) -> FreeComplex:
     """A (+) B, block-diagonal: the reference for the generators' piece complexes."""
     if A.ring != B.ring:
         raise ShapeMismatch("direct sum over different rings")
-    ring = A.ring
     lo, hi = min(A.lo, B.lo), max(A.hi, B.hi)
     ranks = [A.rank(i) + B.rank(i) for i in range(lo, hi + 1)]
-    diffs = []
-    for i in range(lo, hi):
-        top = A.d(i).hstack(Matrix.zeros(ring, A.rank(i + 1), B.rank(i)))
-        bottom = Matrix.zeros(ring, B.rank(i + 1), A.rank(i)).hstack(B.d(i))
-        diffs.append(vstack(top, bottom))
-    return FreeComplex(ring, lo, ranks, diffs, A.twist)
+    diffs = [block_diagonal(A.d(i), B.d(i)) for i in range(lo, hi)]
+    return FreeComplex(A.ring, lo, ranks, diffs, A.twist)
+
+
+def sheaf_direct_sum(F: SheafComplex, G: SheafComplex) -> SheafComplex:
+    """F (+) G on their one site: stalkwise ``direct_sum``, block-diagonal restrictions."""
+    stalks = {x: direct_sum(F.stalk(x), G.stalk(x)) for x in F.site.elements}
+    restrictions = {
+        (a, b): ChainMap(stalks[a], stalks[b],
+                         {i: block_diagonal(F.res(a, b).map(i), G.res(a, b).map(i))
+                          for i in stalks[a].degrees()})
+        for a, b in F.site.strict_pairs()}
+    return SheafComplex(F.site, stalks, restrictions)
 
 
 def unimodular_draw(ring, n: int, rng) -> Matrix:

@@ -1,7 +1,10 @@
 import json
+import random
+import sys
 
 import pytest
 
+from decalage import rmatrix
 from decalage.bockstein import Memo, verify_mod_xi_subquotient
 from decalage.complexes import (
     ChainMap,
@@ -12,6 +15,7 @@ from decalage.complexes import (
 )
 from decalage.eta import (
     DegreeBelowZero,
+    _congruence_kernel,
     NegativeM,
     eta_m,
     graded_piece,
@@ -22,10 +26,17 @@ from decalage.eta import (
     xi_step_inclusion_holds,
 )
 from decalage.instances import generate_instance, random_complex
-from decalage.rings import IntegerRing
+from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix, solve_exact
 from decalage.sites import InstanceContext
-from oracles import cokernel_term, is_degreewise_injective, shift
+from oracles import (
+    cokernel_term,
+    congruence_kernel_by_snf,
+    dense_rref,
+    determinant,
+    is_degreewise_injective,
+    shift,
+)
 
 
 def shell(ring, c):
@@ -300,3 +311,62 @@ def test_failing_module_witnesses_print_as_before(monkeypatch):
     got = [check(Memo(), K, 1).to_json()
            for check in (verify_graded_piece, verify_eta_m_cohomology, verify_mod_xi_subquotient)]
     assert json.dumps(got, sort_keys=True) == json.dumps(FAILING_WITNESS_RECORDS, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the stage lattice from its definition over k, against the ring-side route
+
+
+LATTICE_RINGS = {"z2": IntegerRing(2), "z3": IntegerRing(3), "z5": IntegerRing(5),
+                 "f5t": PolynomialRing(PrimeField(5)), "qt": PolynomialRing(RationalField())}
+
+
+def same_span(A: Matrix, B: Matrix) -> bool:
+    return solve_exact(A, B) is not None and solve_exact(B, A) is not None
+
+
+@pytest.mark.parametrize("ring", sorted(LATTICE_RINGS))
+def test_congruence_kernel_is_the_ring_side_lattice(ring):
+    R = LATTICE_RINGS[ring]
+    controls = 0
+    for seed in range(200):
+        K = random_complex(R, random.Random(seed), max_degree=4, max_rank=4)
+        for i in K.degrees():
+            n, basis = K.rank(i), _congruence_kernel(K, i)
+            want = congruence_kernel_by_snf(K, i)
+            assert same_span(basis, want), (seed, i)
+            # column j is a pivot when it is not in the span of the columns after it
+            reversed_d = K.d(i).residue().take_columns(range(n - 1, -1, -1))
+            pivots = {n - 1 - c for c in dense_rref(reversed_d)[1]}
+            # lower triangular: 1 on the diagonal at free columns, xi at pivot columns
+            for r in range(n):
+                assert all(R.is_zero(x) for x in basis.data[r][r + 1:]), (seed, i)
+                assert basis.data[r][r] == (R.xi if r in pivots else R.one()), (seed, i)
+            assert determinant(basis) == R.xi_power(len(pivots)), (seed, i)
+            if R.kind == "z":
+                # the free columns are canonical lifts
+                assert all(0 <= basis.data[r][c] < R.xi
+                           for c in range(n) if c not in pivots for r in range(n)), (seed, i)
+            if pivots:
+                # negative control: e_j in place of xi*e_j at the pivot columns
+                unscaled = Matrix.from_columns(R, [
+                    basis.column(c) if c not in pivots else Matrix.identity(R, n).column(c)
+                    for c in range(n)], rows=n)
+                assert not same_span(unscaled, want), (seed, i)
+                controls += 1
+    assert controls
+
+
+def test_congruence_kernel_takes_no_smith_form(monkeypatch, z3):
+    def refused(M):
+        raise AssertionError("a Smith form was taken")
+
+    complexes = [random_complex(z3, random.Random(seed), max_degree=4, max_rank=4)
+                 for seed in range(20)]
+    want = [_congruence_kernel(K, i) for K in complexes for i in K.degrees()]
+    original = rmatrix.snf
+    for module in [m for name, m in sys.modules.items() if name.startswith("decalage")]:
+        if getattr(module, "snf", None) is original:
+            monkeypatch.setattr(module, "snf", refused)
+    assert rmatrix.snf is refused
+    assert [_congruence_kernel(K, i) for K in complexes for i in K.degrees()] == want

@@ -2,6 +2,7 @@ import pytest
 
 from decalage import rmatrix
 from decalage.bockstein import Memo
+from decalage.complexes import _presentation
 from decalage.instances import generate_instance
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, ShapeMismatch, snf, solve_exact
@@ -177,13 +178,20 @@ def test_image_basis_spans(rng, z3):
         assert solve_exact(M, B) is not None
 
 
+def preimage(A: Matrix, S: Matrix) -> Matrix:
+    """{ x : A x in span(S) }, as the cocycle basis of a presentation with A as
+    its differential, S as the next relations and no boundaries."""
+    empty = Matrix.zeros(A.ring, A.cols, 0)
+    return _presentation(Memo(), empty, S, A, empty).gens_basis
+
+
 def test_preimage_basis(rng, z5, f5t):
-    assert Memo().preimage(Matrix(z5, [[2]]), Matrix(z5, [[5]])) == Matrix(z5, [[5]])
+    assert preimage(Matrix(z5, [[2]]), Matrix(z5, [[5]])) == Matrix(z5, [[5]])
     for ring in (z5, f5t):
         for _ in range(40):
             A = rand_matrix(ring, rng, rng.randint(1, 3), rng.randint(1, 3))
             S = rand_matrix(ring, rng, A.rows, rng.randint(0, 2))
-            B = Memo().preimage(A, S)
+            B = preimage(A, S)
             assert minors_rank(B) == B.cols  # full column rank
             # A B lies in span(S), and every x with A x in span(S) lies in span(B)
             assert solve_exact(S, A @ B) is not None
