@@ -290,8 +290,9 @@ def subcomplex(ctx, K: FreeComplex, bases: dict) -> ChainMap:
     """The subcomplex of K spanned by ``bases``, as its inclusion into K.
 
     ``bases`` maps each degree of a run lo..hi to a full-column-rank basis in
-    K^i; d is restricted by one solve through ``ctx`` per degree.  Raises
-    ArithmeticError when d leaves the span.
+    K^i; d is restricted by one solve through ``ctx`` per degree.  A
+    subcomplex equal to K is K itself, so the memos keyed by it hit by
+    identity.  Raises ArithmeticError when d leaves the span.
     """
     lo, hi = min(bases), max(bases)
     diffs = []
@@ -301,7 +302,7 @@ def subcomplex(ctx, K: FreeComplex, bases: dict) -> ChainMap:
             raise ArithmeticError(f"d leaves the subcomplex at degree {i}")
         diffs.append(inner)
     S = FreeComplex(K.ring, lo, [bases[i].cols for i in range(lo, hi + 1)], diffs, K.twist)
-    return ChainMap(S, K, bases)
+    return ChainMap(K if S == K else S, K, bases)
 
 
 # ---------------------------------------------------------------------------

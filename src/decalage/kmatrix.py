@@ -19,6 +19,8 @@ from .rmatrix import Matrix
 
 def rref(M: Matrix):
     """(R, pivot_columns): M's RREF, the echelon :func:`_extend` grows over its rows."""
+    if not (M.rows and M.cols):
+        return M, ()
     F, nc = M.ring, M.cols
     echelon = []
     for _ in _extend(F, echelon, M.data):

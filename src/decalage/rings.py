@@ -14,19 +14,20 @@ unit), so matrix and complex code runs unchanged over either.
 Element encodings are plain immutable Python values: ``int`` for integers and
 prime fields (in ``[0, p)`` for F_p), ``Fraction`` for rationals, and
 ascending coefficient tuples (no trailing zeros, ``()`` is zero) for
-polynomials.  Every encoding is falsy exactly at zero, so ``bool(x) ==
-(not ring.is_zero(x))`` in every ring, and the matrix code tests entries for
-zero by truthiness.
+polynomials.  Every encoding is falsy exactly at zero, so ``is_zero`` is
+truthiness, defined once in ``BaseRing``, and the matrix code tests entries
+for zero the same way.
 
 Besides the element arithmetic, a ring serves four row kernels, which the
 matrix layer calls once per row instead of two or three element methods per
 entry: ``row_sub_multiple`` (the dense update ``row - f*src``),
 ``sparse_axpy`` (``out += c*src`` on ``{column: entry}`` rows, dropping
 zeros), ``row_scale`` and ``row_residue``.  ``BaseRing`` builds them from
-``add``/``mul``/``neg``/``residue``; ``IntegerRing`` and ``PrimeField``
-override them with native ``int`` arithmetic, and ``PolynomialRing`` runs its
-coefficient loops on the base field's kernels and native coefficients, so
-over F_p they run in native ints too.  Every kernel returns the same
+``add``/``mul``/``neg``/``residue``.  Each encoding has one definition of its
+arithmetic: Z and Q share the native number kernels of ``_NumberRing``,
+``PrimeField`` reduces native ``int`` arithmetic ``% p``, and
+``PolynomialRing`` runs its coefficient loops on the base field's kernels,
+so they run native over F_p and over Q too.  Every kernel returns the same
 canonical elements as the element methods it replaces.
 """
 
@@ -60,35 +61,28 @@ def _is_prime(n: int) -> bool:
 class BaseRing:
     """Shared protocol for exact commutative domains.
 
-    Subclasses fix the element encoding and implement arithmetic; everything
-    downstream (matrices, complexes) only goes through these methods.
+    Subclasses fix the element encoding and implement ``zero``, ``one``,
+    ``add``, ``neg``, ``mul``, ``is_unit``, ``inv_unit`` (the inverse of a
+    unit), ``format``, ``parse`` and ``describe``, and:
+
+    * ``divrem(a, b)``, Euclidean division: a = q*b + r with size(r) <
+      size(b), where ``size`` is the Euclidean valuation used for pivot
+      selection, 0 only for a = 0;
+    * ``unit_normalize(a)``: (u, n) with a = u*n, u a unit and n the normal
+      form (nonnegative integers, monic polynomials; field elements
+      normalize to one); unit_normalize(0) = (1, 0).
+
+    A ring with a distinguished prime adds ``xi``, ``xi_valuation(a)`` (the
+    largest e with xi**e | a; math.inf for a = 0), ``xi_divide(a, e)``
+    (exact division by xi**e), ``residue_field``, ``residue`` (the image in
+    k = R/(xi)) and ``lift``, the canonical lift k -> R of a residue element.
+    Everything downstream (matrices, complexes) only goes through these.
     """
 
-    kind = "?"
     is_field = False
 
-    # -- arithmetic -------------------------------------------------------
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
     def is_zero(self, a) -> bool:
-        return a == self.zero()
-
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
+        return not a
 
     # -- row kernels --------------------------------------------------------
     # A dense row is a sequence of elements; a sparse row is a dict
@@ -119,22 +113,6 @@ class BaseRing:
         """The dense row reduced entrywise to the residue field, as a list."""
         return list(map(self.residue, row))
 
-    def divrem(self, a, b):
-        """Euclidean division: a = q*b + r with size(r) < size(b)."""
-        raise NotImplementedError
-
-    def size(self, a) -> int:
-        """Euclidean valuation used for pivot selection; 0 only for a = 0."""
-        raise NotImplementedError
-
-    def unit_normalize(self, a):
-        """Return (u, n) with a = u*n, u a unit, n the normal form.
-
-        Normal forms: nonnegative integers, monic polynomials, field elements
-        normalize to one.  unit_normalize(0) = (1, 0).
-        """
-        raise NotImplementedError
-
     def exact_div(self, a, b):
         q, r = self.divrem(a, b)
         if not self.is_zero(r):
@@ -154,53 +132,38 @@ class BaseRing:
             acc = self.mul(acc, a)
         return acc
 
-    def inv_unit(self, a):
-        """Inverse of a unit."""
-        raise NotImplementedError
-
-    # -- xi layer ---------------------------------------------------------
-
-    @property
-    def xi(self):
-        raise NotImplementedError
-
-    def xi_valuation(self, a):
-        """Largest e with xi**e | a; math.inf for a = 0."""
-        raise NotImplementedError
-
     def xi_power(self, e: int):
         return self.pow(self.xi, e)
 
-    def xi_divide(self, a, e: int):
-        """Exact division by xi**e."""
-        for _ in range(e):
-            a = self.exact_div(a, self.xi)
-        return a
 
-    def residue_field(self) -> "BaseRing":
-        raise NotImplementedError
+class _NumberRing(BaseRing):
+    """Z and Q: elements are Python numbers, exact under their own ``+``, ``-``, ``*``."""
 
-    def residue(self, a):
-        """Image of a in k = R/(xi)."""
-        raise NotImplementedError
+    def add(self, a, b):
+        return a + b
 
-    def lift(self, c):
-        """Canonical lift k -> R of a residue element."""
-        raise NotImplementedError
+    def neg(self, a):
+        return -a
 
-    # -- strings ----------------------------------------------------------
+    def mul(self, a, b):
+        return a * b
 
-    def format(self, a) -> str:
-        raise NotImplementedError
+    def row_sub_multiple(self, row, f, src):
+        return [x - f * y for x, y in zip(row, src)]
 
-    def parse(self, s: str):
-        raise NotImplementedError
+    def sparse_axpy(self, out, c, src):
+        for j, x in src.items():
+            y = out.get(j, 0) + c * x
+            if y:
+                out[j] = y
+            else:
+                out.pop(j, None)
 
-    def describe(self) -> dict:
-        raise NotImplementedError
+    def row_scale(self, c, row):
+        return [c * x for x in row]
 
-    def __repr__(self):
-        return f"<ring {self.kind}>"
+    def format(self, a):
+        return str(a)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +192,6 @@ class PrimeField(BaseRing):
 
     def one(self):
         return 1
-
-    def is_zero(self, a):
-        return a == 0
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -292,7 +252,7 @@ class PrimeField(BaseRing):
         return f"<F_{self.p}>"
 
 
-class RationalField(BaseRing):
+class RationalField(_NumberRing):
     """Q, elements stored as Fraction."""
 
     kind = "rationals"
@@ -309,18 +269,6 @@ class RationalField(BaseRing):
 
     def one(self):
         return Fraction(1)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def is_unit(self, a):
         return a != 0
@@ -339,9 +287,6 @@ class RationalField(BaseRing):
             return Fraction(1), Fraction(0)
         return a, Fraction(1)
 
-    def format(self, a):
-        return str(a)
-
     def parse(self, s):
         try:
             return Fraction(s.strip())
@@ -359,7 +304,7 @@ class RationalField(BaseRing):
 # the integers
 
 
-class IntegerRing(BaseRing):
+class IntegerRing(_NumberRing):
     """Z with a distinguished prime xi = p."""
 
     kind = "z"
@@ -381,32 +326,6 @@ class IntegerRing(BaseRing):
 
     def one(self):
         return 1
-
-    def is_zero(self, a):
-        return a == 0
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def row_sub_multiple(self, row, f, src):
-        return [x - f * y for x, y in zip(row, src)]
-
-    def sparse_axpy(self, out, c, src):
-        for j, x in src.items():
-            y = out.get(j, 0) + c * x
-            if y:
-                out[j] = y
-            else:
-                out.pop(j, None)
-
-    def row_scale(self, c, row):
-        return [c * x for x in row]
 
     def row_residue(self, row):
         xi = self._xi
@@ -467,9 +386,6 @@ class IntegerRing(BaseRing):
     def lift(self, c):
         return int(c % self._xi)
 
-    def format(self, a):
-        return str(a)
-
     def parse(self, s):
         try:
             return int(s.strip())
@@ -492,11 +408,11 @@ class PolynomialRing(BaseRing):
 
     Elements are tuples of base-field coefficients in ascending powers with
     no trailing zeros; () is zero.  The coefficient loops of ``add``,
-    ``neg`` and ``divrem`` are row kernels of the base field, so over F_p
-    they run in native ints.  ``mul`` accumulates coefficient products with
-    the coefficients' own ``+`` and ``*`` (``int`` for F_p, ``Fraction`` for
-    Q, both exact) and brings the result to normal form with one
-    ``row_scale`` by one.
+    ``neg`` and ``divrem`` are row kernels of the base field, so they run
+    native over F_p and over Q.  ``mul`` accumulates coefficient products
+    with the coefficients' own ``+`` and ``*`` (``int`` for F_p,
+    ``Fraction`` for Q, both exact) and brings the result to normal form
+    with one ``row_scale`` by one.
     """
 
     def __init__(self, base: BaseRing):
@@ -555,9 +471,6 @@ class PolynomialRing(BaseRing):
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
         return self._trim(base.row_scale(base.one(), out))
-
-    def is_zero(self, a):
-        return len(a) == 0
 
     def is_unit(self, a):
         return len(a) == 1

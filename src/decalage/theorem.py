@@ -257,9 +257,9 @@ def reduction_iso_matrices(ctx: InstanceContext) -> dict:
 def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
     """Flag of images of H^i of the stage sections in H^i of sections of F/xi.
 
-    Stage m maps by dividing the sections of its inclusion by xi^m and
-    reducing; the images increase with m and stabilize at the image of the
-    full reduction.
+    Stage m maps by pushing the generators of H^i of its sections forward
+    along the sections of its inclusion, dividing by xi^m and reducing; the
+    images increase with m and stabilize at the image of the full reduction.
     """
     bar_total = ctx.sections(ctx.reduced())
     kfield = bar_total.ring
@@ -270,10 +270,11 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
         if dim_i == 0:
             spaces[m] = Subspace(kfield, 0)
             continue
-        # generators of H^i of the stage sections over R, reduced mod xi
+        # generators of H^i of the stage sections, pushed forward over R; the
+        # inclusion's sections are divisible by xi^m, so every entry is too
         incl = ctx.sections_map(ctx.stage_sheaf(m))
-        gens = ctx.presentation(incl.source, i).gens_basis.residue()
-        pushed = incl.map(i).xi_divide(m).residue() @ gens
+        gens_basis = ctx.presentation(incl.source, i).gens_basis
+        pushed = (incl.map(i) @ gens_basis).xi_divide(m).residue()
         spaces[m] = Subspace.from_columns(target.coords_matrix(pushed))
     return Flag(kfield, dim_i, spaces)
 

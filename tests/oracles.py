@@ -78,7 +78,8 @@ class GenericKernels(BaseRing):
         self.inner = ring
         self.kind, self.is_field = ring.kind, ring.is_field
         for name in self.ELEMENT_METHODS:
-            setattr(self, name, getattr(ring, name))
+            if hasattr(ring, name):
+                setattr(self, name, getattr(ring, name))
 
     @property
     def xi(self):

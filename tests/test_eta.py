@@ -39,6 +39,10 @@ from oracles import (
 )
 
 
+LATTICE_RINGS = {"z2": IntegerRing(2), "z3": IntegerRing(3), "z5": IntegerRing(5),
+                 "f5t": PolynomialRing(PrimeField(5)), "qt": PolynomialRing(RationalField())}
+
+
 def shell(ring, c):
     return FreeComplex(ring, 0, [1, 1], [Matrix(ring, [[c]])])
 
@@ -111,6 +115,21 @@ def test_eta_m_beyond_top_degree(z5, rng):
         for i in K.degrees():
             got = cohomology_presentation(Memo(), emb.source, i).module
             assert got == cohomology_presentation(Memo(), K, i).module
+
+
+@pytest.mark.parametrize("ring", sorted(LATTICE_RINGS))
+def test_stage_beyond_top_degree_is_the_complex_itself(ring):
+    # stage m > hi is xi^m K, whose restricted differentials are d: the
+    # subcomplex equals K, so its source is K, and its bases are xi^m I
+    R = LATTICE_RINGS[ring]
+    for seed in range(20):
+        K = random_complex(R, random.Random(seed), max_degree=3, max_rank=3)
+        ctx = Memo()
+        for m in range(K.hi + 1, K.hi + 3):
+            emb = ctx.stage(K, m)
+            assert emb.source is K, (seed, m)
+            assert all(emb.map(i) == Matrix.scalar(R, K.rank(i), R.xi_power(m))
+                       for i in K.degrees()), (seed, m)
 
 
 def test_filtration_containments(z5, rng):
@@ -315,10 +334,6 @@ def test_failing_module_witnesses_print_as_before(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the stage lattice from its definition over k, against the ring-side route
-
-
-LATTICE_RINGS = {"z2": IntegerRing(2), "z3": IntegerRing(3), "z5": IntegerRing(5),
-                 "f5t": PolynomialRing(PrimeField(5)), "qt": PolynomialRing(RationalField())}
 
 
 def same_span(A: Matrix, B: Matrix) -> bool:

@@ -1,10 +1,11 @@
 import pytest
 
+from decalage import kmatrix
 from decalage.kmatrix import QuotientSpace, Subspace, field_rank, kernel, rref, solve_field
 from decalage.rings import PrimeField, RationalField
 from decalage.rmatrix import Matrix
 
-from oracles import quotient_coords, subspace_add, subspace_intersect
+from oracles import dense_rref, quotient_coords, subspace_add, subspace_intersect
 
 
 def test_rref_and_rank():
@@ -17,6 +18,23 @@ def test_rref_and_rank():
     # the second plus twice the first: the clearing and the zero padding
     R, pivots = rref(Matrix(PrimeField(3), [[0, 1, 1], [1, 2, 1], [1, 1, 0]]))
     assert R.data == ((1, 0, 2), (0, 1, 1), (0, 0, 0)) and pivots == (0, 1)
+
+
+def test_rref_of_an_empty_matrix_eliminates_nothing(monkeypatch):
+    def refused(F, echelon, vectors):
+        raise AssertionError("an empty matrix reached the elimination")
+        yield
+
+    monkeypatch.setattr(kmatrix, "_extend", refused)
+    for F in (PrimeField(2), PrimeField(5), RationalField()):
+        for rows, cols in ((0, 0), (0, 1), (0, 4), (1, 0), (3, 0)):
+            M = Matrix.zeros(F, rows, cols)
+            got, pivots = rref(M)
+            want, want_pivots = dense_rref(M)
+            assert pivots == want_pivots == ()
+            assert (got.rows, got.cols) == (rows, cols) and got == want
+    with pytest.raises(AssertionError):
+        rref(Matrix(PrimeField(2), [[1]]))
 
 
 def test_kernel_deterministic():
