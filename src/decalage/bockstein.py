@@ -98,11 +98,12 @@ class Memo:
     identity; behind that key a presentation is keyed by the content of the
     four matrices it reads, so quotient maps equal in content share one.
     A context also holds the linear algebra on both rings.  Over R it is the
-    one place where matrices are factored, keyed by content, and kernels,
-    images and solves are views of the Smith forms, whose transforms are
-    built only when one of these reads them; images and solves are kept
-    under their input matrices too, so each is built once per content.  A
-    stage lattice takes no Smith form: it is one elimination over k.
+    one place where matrices are factored, keyed by content and keeping
+    nothing else about a matrix: a reader takes a kernel or an image from
+    ``factor(M)``, whose transforms are built only when one of these reads
+    them and which keeps its image once built; solves are kept under their
+    input matrices, so each is built once per content.  A stage lattice
+    takes no Smith form: it is one elimination over k.
     ``rmatrix.solve_exact`` is the public one-shot solve over R outside a
     context.  Over k, kernels and solves are ``kmatrix``'s, so no Smith form
     is taken over a field; over R a solve against an identity returns B
@@ -121,16 +122,6 @@ class Memo:
     def factor(self, M: Matrix) -> SNFResult:
         """The Smith normal form of M, as ``snf``."""
         return self.once(("factor", M), snf, M)
-
-    def kernel(self, M: Matrix) -> Matrix:
-        """Columns form a basis of ker(M) (free over a PID); over a field, its RREF rows."""
-        if M.ring.is_field:
-            return kernel(M).matrix().transpose()
-        return self.factor(M).kernel()
-
-    def image(self, M: Matrix) -> Matrix:
-        """Columns form an R-basis of the column span of M, as ``SNFResult.image``."""
-        return self.once(("image", M), lambda: self.factor(M).image())
 
     def solve(self, A: Matrix, B: Matrix):
         """X with A @ X = B, or None when no exact solution exists; by rref over a field.

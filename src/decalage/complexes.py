@@ -18,6 +18,7 @@ map the relations.
 
 from __future__ import annotations
 
+from .kmatrix import kernel
 from .rings import BaseRing
 from .rmatrix import Matrix, ShapeMismatch
 
@@ -349,9 +350,14 @@ class CohomologyPresentation:
 
 
 def _presentation(ctx, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation:
-    """The cocycle basis { x : d_i x in span(rels_next) }, the image of ker [d_i | rels_next]."""
-    ker = ctx.kernel(d_i.hstack(rels_next))
-    basis_snf = ctx.factor(ctx.image(ker.submatrix(0, d_i.cols, 0, ker.cols)))
+    """The cocycle basis { x : d_i x in span(rels_next) }, the image of ker [d_i | rels_next].
+
+    The kernel and the image are views of the context's Smith forms of
+    [d_i | rels_next] and of the kernel's top block; the image is kept on
+    its factorization, which the coordinates are solved against.
+    """
+    ker = ctx.factor(d_i.hstack(rels_next)).kernel()
+    basis_snf = ctx.factor(ctx.factor(ker.submatrix(0, d_i.cols, 0, ker.cols)).image())
     coords = basis_snf.solve(d_prev.hstack(rels_i))
     if coords is None:
         raise ShapeMismatch("boundaries do not lie in the cocycle submodule")
@@ -398,7 +404,8 @@ def truncate_leq(ctx, K: FreeComplex, m: int) -> ChainMap:
     if m < K.lo:
         return ChainMap.zero(FreeComplex.zero(K.ring, K.lo, K.hi, K.twist), K)
     bases = {i: Matrix.identity(K.ring, K.rank(i)) for i in range(K.lo, m)}
-    bases[m] = ctx.kernel(K.d(m))
+    bases[m] = (kernel(K.d(m)).matrix().transpose() if K.ring.is_field
+                else ctx.factor(K.d(m)).kernel())
     return subcomplex(ctx, K, bases)
 
 

@@ -1,11 +1,12 @@
 """Exact matrices over the coefficient rings and their Smith normal form.
 
 Matrices are immutable, stored as tuple-of-row-tuples, and act on column
-vectors: an r x c matrix maps R^c -> R^r.  The Smith normal form carries all
-four transforms (U, U^-1, V, V^-1 with U*M*V = D), each built from its log of
-elementary operations on first read, which is what makes exact kernel
+vectors: an r x c matrix maps R^c -> R^r.  A Smith normal form is one
+``SNFResult``: its invariant factors, which are the diagonal of D, and the
+logs of the elementary operations that give all four transforms (U, U^-1,
+V, V^-1 with U*M*V = D), each built on first read.  That makes exact kernel
 coordinates, image bases and linear solves one-liners: they are views of one
-``SNFResult``.
+factorization.
 """
 
 from __future__ import annotations
@@ -246,33 +247,33 @@ def _replay(R, n, ops, inverse: bool) -> list:
 class SNFResult:
     """U @ M @ V = D with U, V unimodular and D in Smith form.
 
-    ``factors`` are the normalized nonzero diagonal entries d_1 | d_2 | ...;
-    ``rank`` is their count.  Kernel, image and solve are views of the one
-    factorization.
+    ``factors`` are the normalized nonzero diagonal entries d_1 | d_2 | ...
+    of D, which is zero elsewhere; ``rank`` is their count.  Kernel, image
+    and solve are views of the one factorization.
 
-    ``snf`` keeps D, as sparse rows ``{column: nonzero entry}``, and the log
-    of its elementary operations: ``row_ops`` (row swaps, row add-multiples
-    and the final unit scaling of a row) and ``col_ops`` (column swaps and
-    column add-multiples).  U and V^-1 by rows, U^-1 and V by columns are
-    built by replaying the log on the first call of ``u_rows``,
-    ``vinv_rows``, ``uinv_cols`` or ``v_cols`` and kept in a slot that is
-    None until then; a reader of ``factors`` or ``rank`` pays for D alone.
-    ``d``, ``u``, ``uinv``, ``v`` and ``vinv`` are the dense matrices, made
-    from them on each read.
+    ``snf`` keeps the factors and the log of its elementary operations, not
+    D: ``row_ops`` (row swaps, row add-multiples and the final unit scaling
+    of a row) and ``col_ops`` (column swaps and column add-multiples).  U
+    and V^-1 by rows, U^-1 and V by columns are built by replaying the log
+    on the first call of ``u_rows``, ``vinv_rows``, ``uinv_cols`` or
+    ``v_cols`` and kept in a slot that is None until then, as is the image
+    until its first read; a reader of ``factors`` or ``rank`` pays for the
+    elimination alone.  ``d``, ``u``, ``uinv``, ``v`` and ``vinv`` are the
+    dense matrices, made on each read, ``d`` from the factors.
     """
 
-    __slots__ = ("matrix", "rank", "factors", "_d_rows", "_row_ops", "_col_ops",
-                 "_u_rows", "_uinv_cols", "_v_cols", "_vinv_rows")
+    __slots__ = ("matrix", "rank", "factors", "_row_ops", "_col_ops",
+                 "_u_rows", "_uinv_cols", "_v_cols", "_vinv_rows", "_image")
 
-    def __init__(self, matrix, d_rows, row_ops, col_ops, rank, factors):
+    def __init__(self, matrix, row_ops, col_ops, factors):
         self.matrix = matrix
-        self._d_rows = d_rows
         self._row_ops = row_ops
         self._col_ops = col_ops
-        self.rank = rank
+        self.rank = len(factors)
         self.factors = factors
-        # the sparse transforms, each None until its first read replays the log
+        # the sparse transforms and the image, each None until its first read
         self._u_rows = self._uinv_cols = self._v_cols = self._vinv_rows = None
+        self._image = None
 
     def u_rows(self) -> list:
         if self._u_rows is None:
@@ -296,7 +297,8 @@ class SNFResult:
 
     @property
     def d(self) -> Matrix:
-        return _dense(self.matrix.ring, self._d_rows, self.matrix.cols)
+        return _dense(self.matrix.ring, [{i: x} for i, x in enumerate(self.factors)]
+                      + [{}] * (self.matrix.rows - self.rank), self.matrix.cols)
 
     @property
     def u(self) -> Matrix:
@@ -320,27 +322,27 @@ class SNFResult:
         return _dense(M.ring, self.v_cols()[self.rank:], M.cols).transpose()
 
     def image(self) -> Matrix:
-        """Columns form an R-basis of the column span of M.
+        """Columns form an R-basis of the column span of M, built on the first read.
 
         Each basis column is scaled so its first nonzero entry is in normal
         form (positive / monic), keeping downstream bases reproducible to the
         eye.
         """
+        if self._image is not None:
+            return self._image
         M = self.matrix
         R = M.ring
         z, one = R.zero(), R.one()
-        uinv_cols = self.uinv_cols()
         cols = []
-        for i in range(self.rank):
-            src = uinv_cols[i]
-            col = R.row_scale(self._d_rows[i][i], [src.get(r, z) for r in range(M.rows)])
-            lead = next((x for x in col if x), None)
-            if lead is not None:
-                u, _ = R.unit_normalize(lead)
-                if u != one:
-                    col = R.row_scale(R.inv_unit(u), col)
+        for d, src in zip(self.factors, self.uinv_cols()):
+            col = R.row_scale(d, [src.get(r, z) for r in range(M.rows)])
+            # a column of U^-1 times a nonzero factor is nonzero
+            u, _ = R.unit_normalize(next(x for x in col if x))
+            if u != one:
+                col = R.row_scale(R.inv_unit(u), col)
             cols.append(col)
-        return Matrix.from_columns(R, cols, rows=M.rows)
+        self._image = Matrix.from_columns(R, cols, rows=M.rows)
+        return self._image
 
     def solve(self, B: Matrix):
         """Solve M @ X = B over the ring; None when no exact solution exists."""
@@ -361,7 +363,7 @@ class SNFResult:
                 if acc:
                     return None
                 continue
-            d = self._d_rows[i][i]
+            d = self.factors[i]
             yrow = {}
             for j, c in acc.items():
                 q, r = divrem(c, d)
@@ -392,7 +394,10 @@ def snf(M: Matrix) -> SNFResult:
     zero off the diagonal, and rows from t on are zero before column t.  Once
     the pivot column's clear ends, column t is clear below t, so clearing the
     pivot row by ``col_j -= q * col_t`` leaves only the remainder at (t, j).
-    D is diagonal at the end, so the unit scaling writes one entry a row.
+    No operation after step t touches a row above t.  So when the loop ends,
+    at t = rank, D is diagonal with its nonzero entries at (i, i) for i < t
+    and nothing else: each is its factor up to a unit, which the final row
+    scaling logs.  The factors are all that is kept of D.
     """
     R = M.ring
     neg, size, divrem = R.neg, R.size, R.divrem
@@ -490,18 +495,13 @@ def snf(M: Matrix) -> SNFResult:
         t += 1
 
     factors = []
-    for i in range(n):
-        x = D[i].get(i)
-        if x is None:
-            break
-        u, nrm = R.unit_normalize(x)
-        if nrm != x:
-            # row_i *= u^-1, on the one entry of row i
-            D[i][i] = nrm
+    for i in range(t):
+        u, nrm = R.unit_normalize(D[i][i])
+        if u != one:
+            # row_i *= u^-1 brings the entry at (i, i) to its normal form
             row_ops.append((_SCALE, i, R.inv_unit(u)))
         factors.append(nrm)
-
-    return SNFResult(M, D, row_ops, col_ops, len(factors), tuple(factors))
+    return SNFResult(M, row_ops, col_ops, tuple(factors))
 
 
 def solve_exact(A: Matrix, B: Matrix):

@@ -202,7 +202,7 @@ def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> tuple:
         raise TorsionObstruction(i, "stage")
     f = pres0.module.free_rank
     mapped = pres0.free_coords(incl.map(i) @ pres1.basis_cocycles())
-    lbasis = ctx.image(mapped)
+    lbasis = ctx.factor(mapped).image()
     if lbasis.cols != f:
         raise SingularBasis(f"stage lattice is not full rank at degree {i}")
     return Lattice(ctx, lbasis), Lattice.standard(ctx, ctx.F.ring, f)

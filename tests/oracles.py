@@ -1303,8 +1303,8 @@ def lattice_intersect(ctx, A: Matrix, B: Matrix) -> Matrix:
     """Basis of span(A) ∩ span(B) inside the common ambient R^rows."""
     if A.rows != B.rows:
         raise ShapeMismatch("ambient mismatch")
-    ker = ctx.kernel(A.hstack(-B))
-    return ctx.image(A @ ker.submatrix(0, A.cols, 0, ker.cols))
+    ker = ctx.factor(A.hstack(-B)).kernel()
+    return ctx.factor(A @ ker.submatrix(0, A.cols, 0, ker.cols)).image()
 
 
 def bb_flag_by_intersection(ctx, L: Lattice, L0: Lattice) -> Flag:

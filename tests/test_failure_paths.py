@@ -1,0 +1,156 @@
+"""The failure paths of the checks, each driven by a monkeypatched mutant.
+
+Every report a clean run prints passes, so these branches run only when
+something is broken: a crashed lemma check, a failed or crashing filtration
+step, a failed stationarity or flag check in the theorem report, a merged
+failing record, truncations that are not nested and an escaped snake.  Each
+test breaks one route and pins the records (or, for the command line, the
+SHA-256 of its output) that the break produces.  A moved pin means that a
+failure record changed its bytes: find out why, and do not re-record.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+from decalage import bockstein, cli, suites, theorem
+from decalage.bockstein import Memo, connecting_factorization, split_mod_xi
+from decalage.complexes import FreeComplex, factor_through
+from decalage.instances import generate_instance
+from decalage.rings import IntegerRing
+from decalage.rmatrix import Matrix
+from decalage.serialize import dump_json
+
+Z2 = IntegerRing(2)
+# H^1 and H^2 are R/(2), so every stage differs from the next below the top
+K = FreeComplex(Z2, 0, [1, 2, 1], [Matrix(Z2, [[2], [0]]), Matrix(Z2, [[0, 4]])])
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def failing_records(results) -> list:
+    return [r.to_json() for r in results if not r.passed]
+
+
+def unscaled_subquotient(ctx, K, m):
+    """The mutant: stage(m) itself, not xi * stage(m), factored through stage(m+1)."""
+    return factor_through(ctx, ctx.stage(K, m), ctx.stage(K, m + 1))
+
+
+def run_cli(argv) -> tuple:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv)
+    return status, out.getvalue()
+
+
+def not_nested(degree: int) -> dict:
+    return {"error": f"ArithmeticError: images are not nested at degree {degree}"}
+
+
+def test_unscaled_subquotient_crashes_its_checks_and_fails_every_filtration_step(monkeypatch):
+    # the guarded checks that read the subquotient become crash records, and
+    # the filtration step's membership test returns False at every m
+    monkeypatch.setattr(bockstein, "mod_xi_subquotient", unscaled_subquotient)
+    crashed = [{"check": name, "failures": [not_nested(0)], "passed": False}
+               for name in ("eta-m.mod-xi-subquotient", "eta-m.mod-xi-splitting")]
+    assert failing_records(suites.lemma_battery(K)) == crashed * 4 + [
+        {"check": "eta-m.filtration-steps",
+         "failures": [{"m": 0}, {"m": 1}, {"m": 2}, {"m": 3}], "passed": False}]
+
+
+def test_a_filtration_step_that_raises_records_its_error(monkeypatch):
+    # the subquotient of K/xi in place of K's: a field has no xi, so the
+    # membership test raises, and the step records the message at each m
+    subquotient = bockstein.mod_xi_subquotient
+    monkeypatch.setattr(bockstein, "mod_xi_subquotient",
+                        lambda ctx, K, m: subquotient(ctx, ctx.kbar(K), m))
+    residue = "'PrimeField' object has no attribute 'residue_field'"
+    xi = "'PrimeField' object has no attribute 'xi'"
+    crashed = [[{"check": name, "failures": [{"error": f"AttributeError: {message}"}],
+                 "passed": False}
+                for name in ("eta-m.mod-xi-subquotient", "eta-m.mod-xi-splitting")]
+               for message in (residue, xi, xi, xi)]
+    assert failing_records(suites.lemma_battery(K)) == sum(crashed, []) + [
+        {"check": "eta-m.filtration-steps",
+         "failures": [{"error": residue, "m": 0}, {"error": xi, "m": 1},
+                      {"error": xi, "m": 2}, {"error": xi, "m": 3}],
+         "passed": False}]
+
+
+def test_truncations_factored_the_wrong_way_fail_the_splitting_through_its_merge(monkeypatch):
+    # on a context that has built every piece, only the truncation inclusion
+    # tau_{<=m-1} -> tau_{<=m} is still factored: the mutant factors it
+    # backwards, so it fails where the two truncations differ
+    factor = bockstein.factor_through
+    for m in range(0, K.hi + 2):
+        ctx = Memo()
+        assert split_mod_xi(ctx, K, m).passed
+        with monkeypatch.context() as patch:
+            patch.setattr(bockstein, "factor_through", lambda ctx, f, g: factor(ctx, g, f))
+            got = split_mod_xi(ctx, K, m).to_json()
+        failures = [{"check": "eta-m.mod-xi-splitting-compat",
+                     "reason": f"truncations are not nested: images are not nested at degree {m}"}]
+        assert got == {"check": "eta-m.mod-xi-splitting", "passed": m not in (1, 2),
+                       "failures": failures if m in (1, 2) else []}, m
+
+
+def test_a_snake_without_a_lift_escapes_the_finer_stage():
+    # on a context that has built every piece, the mutant's solve finds no lift
+    records = {}
+    for m in range(0, K.hi + 2):
+        ctx = Memo()
+        assert connecting_factorization(ctx, K, m).passed
+        ctx.solve = lambda A, B: None
+        records[m] = connecting_factorization(ctx, K, m).to_json()["failures"]
+    escaped = "snake image escaped the finer stage"
+    assert records == {
+        0: [{"generator": 0, "m": 0, "reason": escaped}],
+        1: [{"generator": 0, "m": 1, "reason": escaped}, {"generator": 1, "m": 1, "reason": escaped}],
+        2: [], 3: []}
+
+
+def test_stationarity_checked_below_the_top_fails_the_report(monkeypatch):
+    # stage hi - 1 is not xi^(hi-1) * K on two stalks of the h1 seed-0 draw
+    stationary = theorem.is_stationary_stage
+    monkeypatch.setattr(theorem, "is_stationary_stage",
+                        lambda ctx, K, m: stationary(ctx, K, m - 2))
+    report = theorem.verify_main_theorem(generate_instance("h1", 0, ring=Z2))
+    assert report.asserted and not report.passed
+    assert failing_records(report.checks) == [
+        {"check": "torsion-free.stage-stationarity", "passed": False,
+         "failures": [{"element": "e", "m": 3}, {"element": "f", "m": 3}]}]
+    assert sha256(dump_json(report.to_json())) == (
+        "174403a7fe270e75cf838435c16c9420e2ed7d4a12b7ff1c1b7631eb4bf7e3ce")
+
+
+def test_check_theorem_prints_a_violated_identity_and_exits_1(monkeypatch):
+    # the image flag shifted by one, as the benchmark's self-test breaks it
+    image_flag = theorem.image_flag
+    monkeypatch.setattr(theorem, "image_flag",
+                        lambda ctx, i, m: image_flag(ctx, i, m).shifted(1))
+    status, out = run_cli(["check-theorem", "--count", "3"])
+    assert status == cli.EXIT_VIOLATION == 1
+    verdicts = [line for line in out.splitlines() if line.startswith("instance ")]
+    assert verdicts == [f"instance h1-{j}: FAIL (H1=True, H3=True)" for j in range(3)]
+    # each verdict follows the record it reads
+    records = out.split("\ninstance ")
+    for j, text in enumerate(records[:-1]):
+        record = json.loads(text if j == 0 else text.split("\n", 1)[1])
+        assert record["instance"] == f"h1-{j}"
+        assert record["asserted"] and not record["passed"]
+    assert sha256(out) == "c539dc761fa7d3f1221cd4cfb77898cecb86385a5f44e0d745edd51ccc04e94d"
+
+
+def test_check_lemmas_names_each_failing_check_and_exits_1(monkeypatch):
+    monkeypatch.setattr(bockstein, "mod_xi_subquotient", unscaled_subquotient)
+    status, out = run_cli(["check-lemmas", "--count", "1"])
+    assert status == cli.EXIT_VIOLATION == 1
+    lines = out.splitlines()
+    assert lines[0] == "instance h1-0: FAIL" and lines[-1] == "failures-present"
+    assert "  FAIL eta-m.filtration-steps (stalk a): [{'m': 1}]" in lines
+    assert all(line.startswith("  FAIL eta-m.") for line in lines[1:-1])
+    assert sha256(out) == "31d2b20abd02d4c58db85acd49a0eecd851273963b64489568203566d3c43f24"

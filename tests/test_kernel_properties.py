@@ -355,11 +355,3 @@ def test_product_and_reductions_match_generic_kernels(ring, rows, inner, cols, d
     if not ring.is_field:
         assert_same_data(A.residue(), GA.residue())
         assert_same_data(A.xi_scale(2).xi_divide(2), A)
-
-
-@PROPERTY_SETTINGS
-@hypothesis.given(st.sampled_from(RINGS + [r.residue_field() for r in RINGS if not r.is_field]),
-                  st.data())
-def test_every_element_is_falsy_exactly_at_zero(ring, data):
-    x = data.draw(st.one_of(st.just(ring.zero()), elements(ring)))
-    assert bool(x) == (not ring.is_zero(x))

@@ -49,6 +49,9 @@ REPORT_DIGESTS = {
     ("f5t", "sd-sphere", 1): "b690134712e3da69ac0c7741d8424814a1399a8a14455d1ba500ad4ace6cdff7",
     ("f5t", "sd-sphere", 2): "84973819b055eca22070aaf343e5989c0575776cfc65f9485ab9d65cec098c26",
     ("f5t", "sd-sphere", 3): "486439f97a820a1a76ba3faef9e5d2c79482ae6dab6b47cc603fc3c34f48d72f",
+    # a flag that sees the order of the quotient representatives: swapping the
+    # first two moves this digest, where it moves none of the others
+    ("f5t", "sd-sphere", 37): "b0da13440f38bfebc1ee395554d1d6657628f2eaaec47455c4c947dfe69cd790",
     ("qt", "chain7", 3): "79ce6648c4c5a8087baee7764b61a6324442fc53a10356107e8506bafa8eae54",
 }
 
