@@ -64,7 +64,7 @@ def bockstein_complex(ctx: Memo, K: FreeComplex) -> FreeComplex:
     beta = []
     for i in range(K.lo, K.hi):
         lifted = quotients[i].rep_matrix().map_entries(K.ring.lift, K.ring)
-        image = (K.d(i) @ lifted).xi_divide(1).residue()
+        image = (K.d(i) @ lifted).xi_residue(1)
         beta.append(quotients[i + 1].coords_matrix(image))
     ranks = [quotients[i].dim for i in K.degrees()]
     return FreeComplex(kbar.ring, K.lo, ranks, beta)
@@ -199,7 +199,7 @@ def hodge_stage_comparison(ctx: Memo, K: FreeComplex, m: int) -> ChainMap:
     stage = ctx.stage(K, m)
     maps = {}
     for i in range(max(m, K.lo), K.hi + 1):
-        wbar = stage.map(i).xi_divide(i).residue()
+        wbar = stage.map(i).xi_residue(i)
         maps[i] = ctx.quotient(kbar, i).coords_matrix(wbar)
     return ChainMap(ctx.kbar(stage.source), ctx.hodge(ctx.bockstein(K), m).source, maps)
 

@@ -35,7 +35,7 @@ class DifferentialSquareNonzero(ValueError):
 
 
 class FGModule:
-    """Isomorphism invariants of a f.g. module: free rank + invariant factors."""
+    """Isomorphism invariants of a f.g. module over R: free rank + invariant factors."""
 
     __slots__ = ("ring", "free_rank", "factors")
 
@@ -398,14 +398,16 @@ def cohomology_presentation(ctx, K, i: int) -> CohomologyPresentation:
 
 
 def truncate_leq(ctx, K: FreeComplex, m: int) -> ChainMap:
-    """Canonical truncation [... -> K^{m-1} -> Z^m -> 0], as its inclusion into K."""
+    """Canonical truncation [... -> K^{m-1} -> Z^m -> 0] of K over k, as its inclusion into K.
+
+    Truncations are only taken of K/xi, so Z^m is ``kmatrix.kernel`` of d(m).
+    """
     if m >= K.hi:
         return ChainMap.identity(K)
     if m < K.lo:
         return ChainMap.zero(FreeComplex.zero(K.ring, K.lo, K.hi, K.twist), K)
     bases = {i: Matrix.identity(K.ring, K.rank(i)) for i in range(K.lo, m)}
-    bases[m] = (kernel(K.d(m)).matrix().transpose() if K.ring.is_field
-                else ctx.factor(K.d(m)).kernel())
+    bases[m] = kernel(K.d(m)).matrix().transpose()
     return subcomplex(ctx, K, bases)
 
 

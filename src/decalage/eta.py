@@ -127,7 +127,7 @@ def graded_piece(ctx, K: FreeComplex, m: int) -> ChainMap:
     stage = ctx.stage(K, m)
     kbar = ctx.kbar(K)
     reduced = ChainMap(ctx.kbar(stage.source), kbar,
-                       {i: stage.map(i).xi_divide(m).residue()
+                       {i: stage.map(i).xi_residue(m)
                         for i in range(K.lo, min(m, K.hi) + 1)})
     return factor_through(ctx, reduced, ctx.truncation(kbar, m))
 

@@ -7,9 +7,11 @@ and exact arithmetic throughout:
 * ``F_p[t]`` with ``xi = t`` (p prime, p <= 2**16),
 * ``Q[t]`` with ``xi = t`` (Fraction coefficients).
 
-Their residue fields ``k = R/(xi)`` are exposed through the same element
-protocol (a field is the degenerate case where every nonzero element is a
-unit), so matrix and complex code runs unchanged over either.
+Their residue fields ``k = R/(xi)`` are ``PrimeField`` and ``RationalField``.
+They share the element protocol and the row kernels with the rings, so one
+``Matrix`` type holds entries of either, but they carry no Euclidean or xi
+protocol: Smith forms run over R only (``rmatrix``) and eliminations over k
+only (``kmatrix``).
 
 Element encodings are plain immutable Python values: ``int`` for integers and
 prime fields (in ``[0, p)`` for F_p), ``Fraction`` for rationals, and
@@ -61,20 +63,26 @@ def _is_prime(n: int) -> bool:
 class BaseRing:
     """Shared protocol for exact commutative domains.
 
-    Subclasses fix the element encoding and implement ``zero``, ``one``,
-    ``add``, ``neg``, ``mul``, ``is_unit``, ``inv_unit`` (the inverse of a
-    unit), ``format``, ``parse`` and ``describe``, and:
+    Every ring, the residue fields included, fixes the element encoding and
+    implements ``zero``, ``one``, ``add``, ``neg``, ``mul``, ``inv_unit``
+    (the inverse of a unit, so of any nonzero element of a field),
+    ``format``, ``parse`` and ``describe``.
 
+    The PIDs (``IntegerRing``, ``PolynomialRing``) add the Euclidean
+    protocol that ``snf`` and ``FGModule`` read:
+
+    * ``is_unit(a)``;
     * ``divrem(a, b)``, Euclidean division: a = q*b + r with size(r) <
       size(b), where ``size`` is the Euclidean valuation used for pivot
-      selection, 0 only for a = 0;
+      selection, 0 only for a = 0; ``exact_div`` and ``divides`` are built
+      from it;
     * ``unit_normalize(a)``: (u, n) with a = u*n, u a unit and n the normal
-      form (nonnegative integers, monic polynomials; field elements
-      normalize to one); unit_normalize(0) = (1, 0).
+      form (nonnegative integers, monic polynomials); unit_normalize(0) =
+      (1, 0);
 
-    A ring with a distinguished prime adds ``xi``, ``xi_valuation(a)`` (the
-    largest e with xi**e | a; math.inf for a = 0), ``xi_divide(a, e)``
-    (exact division by xi**e), ``residue_field``, ``residue`` (the image in
+    and the xi protocol: ``xi``, ``xi_valuation(a)`` (the largest e with
+    xi**e | a; math.inf for a = 0), ``xi_divide(a, e)`` (exact division by
+    xi**e), ``xi_power``, ``residue_field``, ``residue`` (the image in
     k = R/(xi)) and ``lift``, the canonical lift k -> R of a residue element.
     Everything downstream (matrices, complexes) only goes through these.
     """
@@ -219,22 +227,8 @@ class PrimeField(BaseRing):
         p = self.p
         return [(c * x) % p for x in row]
 
-    def is_unit(self, a):
-        return a % self.p != 0
-
     def inv_unit(self, a):
         return pow(a, -1, self.p)
-
-    def divrem(self, a, b):
-        return self.mul(a, self.inv_unit(b)), 0
-
-    def size(self, a):
-        return 0 if a % self.p == 0 else 1
-
-    def unit_normalize(self, a):
-        if a % self.p == 0:
-            return 1, 0
-        return a % self.p, 1
 
     def format(self, a):
         return str(a % self.p)
@@ -270,22 +264,8 @@ class RationalField(_NumberRing):
     def one(self):
         return Fraction(1)
 
-    def is_unit(self, a):
-        return a != 0
-
     def inv_unit(self, a):
         return 1 / a
-
-    def divrem(self, a, b):
-        return a / b, Fraction(0)
-
-    def size(self, a):
-        return 0 if a == 0 else 1
-
-    def unit_normalize(self, a):
-        if a == 0:
-            return Fraction(1), Fraction(0)
-        return a, Fraction(1)
 
     def parse(self, s):
         try:

@@ -1,12 +1,14 @@
-"""Exact matrices over the coefficient rings and their Smith normal form.
+"""Exact matrices over the coefficient rings and their Smith normal form over R.
 
 Matrices are immutable, stored as tuple-of-row-tuples, and act on column
-vectors: an r x c matrix maps R^c -> R^r.  A Smith normal form is one
-``SNFResult``: its invariant factors, which are the diagonal of D, and the
-logs of the elementary operations that give all four transforms (U, U^-1,
-V, V^-1 with U*M*V = D), each built on first read.  That makes exact kernel
-coordinates, image bases and linear solves one-liners: they are views of one
-factorization.
+vectors: an r x c matrix maps R^c -> R^r.  A matrix over R reaches k only
+through ``residue`` and ``xi_residue``, and one over k reaches R through
+``map_entries(R.lift, R)``.  A Smith normal form is taken over R only
+(``kmatrix`` eliminates over k).  It is one ``SNFResult``: its invariant
+factors, which are the diagonal of D, and the logs of the elementary
+operations that give all four transforms (U, U^-1, V, V^-1 with U*M*V = D),
+each built on first read.  That makes exact kernel coordinates, image bases
+and linear solves one-liners: they are views of one factorization.
 """
 
 from __future__ import annotations
@@ -175,9 +177,9 @@ class Matrix:
         return Matrix._of(self.ring, tuple(tuple([row[j] for j in idx]) for row in self.data),
                           len(idx))
 
-    def map_entries(self, fn, ring=None) -> "Matrix":
-        return Matrix._of(ring or self.ring, tuple(tuple(map(fn, row)) for row in self.data),
-                          self.cols)
+    def map_entries(self, fn, ring) -> "Matrix":
+        """``fn`` applied to every entry, landing in ``ring``: the way between R and k."""
+        return Matrix._of(ring, tuple(tuple(map(fn, row)) for row in self.data), self.cols)
 
     def residue(self) -> "Matrix":
         """Entrywise reduction to the residue field k = R/(xi)."""
@@ -188,9 +190,16 @@ class Matrix:
     def xi_scale(self, e: int) -> "Matrix":
         return self.scale(self.ring.xi_power(e))
 
-    def xi_divide(self, e: int) -> "Matrix":
+    def xi_residue(self, e: int) -> "Matrix":
+        """The matrix divided by xi**e and reduced to k = R/(xi), in one pass.
+
+        A zero entry becomes k's zero with no division.  Raises
+        ArithmeticError when an entry is not divisible by xi**e.
+        """
         R = self.ring
-        return self.map_entries(lambda x: R.xi_divide(x, e))
+        k = R.residue_field()
+        z, divide, residue = k.zero(), R.xi_divide, R.residue
+        return self.map_entries(lambda x: residue(divide(x, e)) if x else z, k)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +254,7 @@ def _replay(R, n, ops, inverse: bool) -> list:
 
 
 class SNFResult:
-    """U @ M @ V = D with U, V unimodular and D in Smith form.
+    """U @ M @ V = D over a PID R, with U, V unimodular and D in Smith form.
 
     ``factors`` are the normalized nonzero diagonal entries d_1 | d_2 | ...
     of D, which is zero elsewhere; ``rank`` is their count.  Kernel, image
@@ -381,7 +390,7 @@ class SNFResult:
 
 
 def snf(M: Matrix) -> SNFResult:
-    """Smith normal form by Euclidean elimination on sparse rows.
+    """Smith normal form over a PID R by Euclidean elimination on sparse rows.
 
     Pivot choice: smallest Euclidean valuation, ties broken by lowest row
     then column index, which makes the output deterministic.  D is kept as

@@ -15,12 +15,13 @@ from .eta import verify_eta_m_cohomology, verify_graded_piece, xi_step_inclusion
 from .sites import SheafComplex
 
 
-def _guard(name: str, fn) -> CheckResult:
+def _guard(name: str, fn, **where) -> CheckResult:
+    """``fn()``, or a failed check whose record is ``where`` plus the error when it raises."""
     try:
         return fn()
     except Exception as exc:  # a crash is a failed check with the message as witness
         out = CheckResult(name)
-        out.fail(error=f"{type(exc).__name__}: {exc}")
+        out.fail(**where, error=f"{type(exc).__name__}: {exc}")
         return out
 
 
@@ -30,16 +31,16 @@ def lemma_battery(K: FreeComplex) -> list:
     results = []
     for m in range(0, K.hi + 3):
         results.append(_guard("eta-m.cohomology",
-                              lambda m=m: verify_eta_m_cohomology(ctx, K, m)))
+                              lambda m=m: verify_eta_m_cohomology(ctx, K, m), m=m))
     for m in range(0, K.hi + 2):
         results.append(_guard("eta-m.graded-piece",
-                              lambda m=m: verify_graded_piece(ctx, K, m)))
+                              lambda m=m: verify_graded_piece(ctx, K, m), m=m))
         results.append(_guard("eta-m.mod-xi-subquotient",
-                              lambda m=m: verify_mod_xi_subquotient(ctx, K, m)))
+                              lambda m=m: verify_mod_xi_subquotient(ctx, K, m), m=m))
         results.append(_guard("eta-m.connecting-bockstein",
-                              lambda m=m: connecting_factorization(ctx, K, m)))
+                              lambda m=m: connecting_factorization(ctx, K, m), m=m))
         results.append(_guard("eta-m.mod-xi-splitting",
-                              lambda m=m: split_mod_xi(ctx, K, m)))
+                              lambda m=m: split_mod_xi(ctx, K, m), m=m))
     results.append(_guard("eta.mod-xi-bockstein-model",
                           lambda: verify_reduction_identification(ctx, K)))
     filt = CheckResult("eta-m.filtration-steps")
@@ -47,7 +48,7 @@ def lemma_battery(K: FreeComplex) -> list:
         try:
             filt.expect(xi_step_inclusion_holds(ctx, K, m), m=m)
         except Exception as exc:
-            filt.fail(m=m, error=str(exc))
+            filt.fail(m=m, error=f"{type(exc).__name__}: {exc}")
     results.append(filt)
     return results
 

@@ -274,7 +274,7 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
         # inclusion's sections are divisible by xi^m, so every entry is too
         incl = ctx.sections_map(ctx.stage_sheaf(m))
         gens_basis = ctx.presentation(incl.source, i).gens_basis
-        pushed = (incl.map(i) @ gens_basis).xi_divide(m).residue()
+        pushed = (incl.map(i) @ gens_basis).xi_residue(m)
         spaces[m] = Subspace.from_columns(target.coords_matrix(pushed))
     return Flag(kfield, dim_i, spaces)
 

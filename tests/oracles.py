@@ -653,7 +653,7 @@ def perturbed_beta(K, rng) -> dict:
             for _ in range(reps.cols)
         ], rows=reps.rows)
         lifted = matrix_sum(reps.map_entries(ring.lift, ring), noise.scale(ring.xi))
-        image = (K.d(i) @ lifted).xi_divide(1).residue()
+        image = (K.d(i) @ lifted).xi_residue(1)
         beta[i] = k_cohomology_quotient(kbar, i + 1).coords_matrix(image)
     return beta
 
@@ -1325,7 +1325,7 @@ def bb_flag_by_intersection(ctx, L: Lattice, L0: Lattice) -> Flag:
     spaces = {}
     for m in range(0, top + 2):
         coords = ctx.solve(m0, lattice_intersect(ctx, ml, m0.xi_scale(m)))
-        spaces[m] = Subspace.from_columns(coords.xi_divide(m).residue())
+        spaces[m] = Subspace.from_columns(coords.xi_residue(m))
     flag = Flag(kfield, L.n, spaces)
     if flag.subspace(top + 1).dim != L.n:
         raise ArithmeticError("flag failed to stabilize at full")

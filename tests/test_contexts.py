@@ -257,6 +257,32 @@ def test_lemma_battery_factors_each_matrix_once_per_call(monkeypatch, z2, f5t, s
         calls, lambda: [r.to_json() for r in lemma_battery(K)])
 
 
+@pytest.mark.parametrize("ring", [IntegerRing(2), IntegerRing(3), PolynomialRing(PrimeField(5)),
+                                  PolynomialRing(RationalField())], ids=str)
+def test_smith_forms_run_over_r_and_eliminations_over_k(monkeypatch, ring):
+    # the split the engine relies on: no field reaches snf, and no PID reaches
+    # _extend, which would run over Z without raising while its pivots are units
+    factored, eliminated = [], []
+    factor, extend = rmatrix.snf, kmatrix._extend
+
+    def recorded_snf(M):
+        factored.append(M.ring)
+        return factor(M)
+
+    def recorded_extend(F, echelon, vectors):
+        eliminated.append(F)
+        return extend(F, echelon, vectors)
+
+    patch_everywhere(monkeypatch, rmatrix, "snf", recorded_snf)
+    monkeypatch.setattr(kmatrix, "_extend", recorded_extend)
+    F = generate_instance("h1", 1, ring=ring)
+    verify_main_theorem(F)
+    for x in F.site.elements:
+        lemma_battery(F.stalk(x))
+    assert set(factored) == {ring}
+    assert set(eliminated) == {ring.residue_field()}
+
+
 @pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
 def test_main_theorem_factors_each_matrix_once_per_call(monkeypatch, z2, case):
     F = theorem_instance(case, z2)

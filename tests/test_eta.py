@@ -227,7 +227,7 @@ def test_stage_inclusion_solves_exactly(z5, rng):
         for m in range(K.hi + 2):
             stage, tau = ctx.stage(K, m), ctx.truncation(kbar, m)
             reduced = ChainMap(ctx.kbar(stage.source), kbar,
-                               {i: stage.map(i).xi_divide(m).residue()
+                               {i: stage.map(i).xi_residue(m)
                                 for i in K.degrees() if i <= m})
             comparison = ctx.graded(K, m)
             assert comparison.target is tau.source

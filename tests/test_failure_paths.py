@@ -47,38 +47,36 @@ def run_cli(argv) -> tuple:
     return status, out.getvalue()
 
 
-def not_nested(degree: int) -> dict:
-    return {"error": f"ArithmeticError: images are not nested at degree {degree}"}
+def not_nested(degree: int, m: int) -> dict:
+    return {"error": f"ArithmeticError: images are not nested at degree {degree}", "m": m}
 
 
 def test_unscaled_subquotient_crashes_its_checks_and_fails_every_filtration_step(monkeypatch):
-    # the guarded checks that read the subquotient become crash records, and
-    # the filtration step's membership test returns False at every m
+    # the guarded checks that read the subquotient become crash records, each
+    # at its m, and the filtration step's membership test returns False at every m
     monkeypatch.setattr(bockstein, "mod_xi_subquotient", unscaled_subquotient)
-    crashed = [{"check": name, "failures": [not_nested(0)], "passed": False}
+    crashed = [{"check": name, "failures": [not_nested(0, m)], "passed": False}
+               for m in range(4)
                for name in ("eta-m.mod-xi-subquotient", "eta-m.mod-xi-splitting")]
-    assert failing_records(suites.lemma_battery(K)) == crashed * 4 + [
+    assert failing_records(suites.lemma_battery(K)) == crashed + [
         {"check": "eta-m.filtration-steps",
          "failures": [{"m": 0}, {"m": 1}, {"m": 2}, {"m": 3}], "passed": False}]
 
 
 def test_a_filtration_step_that_raises_records_its_error(monkeypatch):
     # the subquotient of K/xi in place of K's: a field has no xi, so the
-    # membership test raises, and the step records the message at each m
+    # membership test raises, and the step records the error at each m
     subquotient = bockstein.mod_xi_subquotient
     monkeypatch.setattr(bockstein, "mod_xi_subquotient",
                         lambda ctx, K, m: subquotient(ctx, ctx.kbar(K), m))
-    residue = "'PrimeField' object has no attribute 'residue_field'"
-    xi = "'PrimeField' object has no attribute 'xi'"
-    crashed = [[{"check": name, "failures": [{"error": f"AttributeError: {message}"}],
-                 "passed": False}
-                for name in ("eta-m.mod-xi-subquotient", "eta-m.mod-xi-splitting")]
-               for message in (residue, xi, xi, xi)]
-    assert failing_records(suites.lemma_battery(K)) == sum(crashed, []) + [
-        {"check": "eta-m.filtration-steps",
-         "failures": [{"error": residue, "m": 0}, {"error": xi, "m": 1},
-                      {"error": xi, "m": 2}, {"error": xi, "m": 3}],
-         "passed": False}]
+    residue = "AttributeError: 'PrimeField' object has no attribute 'residue_field'"
+    xi = "AttributeError: 'PrimeField' object has no attribute 'xi'"
+    errors = [{"error": message, "m": m} for m, message in enumerate((residue, xi, xi, xi))]
+    crashed = [{"check": name, "failures": [error], "passed": False}
+               for error in errors
+               for name in ("eta-m.mod-xi-subquotient", "eta-m.mod-xi-splitting")]
+    assert failing_records(suites.lemma_battery(K)) == crashed + [
+        {"check": "eta-m.filtration-steps", "failures": errors, "passed": False}]
 
 
 def test_truncations_factored_the_wrong_way_fail_the_splitting_through_its_merge(monkeypatch):
@@ -153,4 +151,4 @@ def test_check_lemmas_names_each_failing_check_and_exits_1(monkeypatch):
     assert lines[0] == "instance h1-0: FAIL" and lines[-1] == "failures-present"
     assert "  FAIL eta-m.filtration-steps (stalk a): [{'m': 1}]" in lines
     assert all(line.startswith("  FAIL eta-m.") for line in lines[1:-1])
-    assert sha256(out) == "31d2b20abd02d4c58db85acd49a0eecd851273963b64489568203566d3c43f24"
+    assert sha256(out) == "dea8f608be661ce880b55f21093e058bab4c98f2672a0a69a15de6c1ec6e4ead"

@@ -50,8 +50,9 @@ PROPERTY_SETTINGS = hypothesis.settings(max_examples=150, deadline=None)
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5), RationalField()]
 RINGS = [IntegerRing(2), IntegerRing(3), PolynomialRing(PrimeField(5)),
          PolynomialRing(RationalField())] + FIELDS
-SNF_RINGS = [IntegerRing(2), IntegerRing(3), PrimeField(5), RationalField(),
-             PolynomialRing(PrimeField(5)), PolynomialRing(RationalField())]
+# Smith forms run over the PIDs alone; Z's units cover the unit-pivot branches
+SNF_RINGS = [IntegerRing(2), IntegerRing(3), PolynomialRing(PrimeField(5)),
+             PolynomialRing(RationalField())]
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 
@@ -324,7 +325,7 @@ def test_field_elimination_matches_generic_kernels(ring, rows, cols, rhs, data):
 
 
 @PROPERTY_SETTINGS
-@hypothesis.given(st.sampled_from(KERNEL_RINGS), dims, dims, dims, st.data())
+@hypothesis.given(st.sampled_from(SNF_RINGS), dims, dims, dims, st.data())
 def test_snf_and_solve_match_generic_kernels(ring, rows, cols, rhs, data):
     M = data.draw(matrices(ring, rows, cols))
     got, want = snf(M), snf(with_generic_kernels(M))
@@ -354,4 +355,4 @@ def test_product_and_reductions_match_generic_kernels(ring, rows, inner, cols, d
     assert_same_data(matrix_sum(A, A.scale(c)), matrix_sum(GA, GA.scale(c)))
     if not ring.is_field:
         assert_same_data(A.residue(), GA.residue())
-        assert_same_data(A.xi_scale(2).xi_divide(2), A)
+        assert_same_data(A.xi_scale(2).xi_residue(2), A.residue())

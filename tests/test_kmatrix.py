@@ -1,11 +1,15 @@
 import pytest
 
 from decalage import kmatrix
+from decalage.instances import generate_instance
 from decalage.kmatrix import QuotientSpace, Subspace, field_rank, kernel, rref, solve_field
-from decalage.rings import PrimeField, RationalField
+from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix
+from decalage.sites import PosetSite
+from decalage.theorem import verify_main_theorem
 
-from oracles import dense_rref, quotient_coords, subspace_add, subspace_intersect
+from oracles import dense_rref, quotient_coords, sd_pullback, subspace_add, subspace_intersect
+from test_contexts import patch_everywhere
 
 
 def test_rref_and_rank():
@@ -98,3 +102,62 @@ def test_quotient_space_refuses_boundaries_outside_the_cycles():
     z = Subspace(F, 3, [(1, 0, 0), (0, 1, 0)])
     with pytest.raises(ValueError, match="do not lie inside"):
         QuotientSpace(z, Matrix.from_columns(F, [(1, 1, 0), (0, 1, 1)], rows=3))
+
+
+@pytest.mark.parametrize("site, seed, ring", [
+    ("sd-sphere", 1, IntegerRing(2)),
+    ("sd-sphere", 2, IntegerRing(2)),
+    ("sd-sphere", 1, PolynomialRing(PrimeField(5))),
+    ("chain8", 1, IntegerRing(2)),
+], ids=["sd-sphere-1-z2", "sd-sphere-2-z2", "sd-sphere-1-f5t", "chain8-1-z2"])
+def test_field_certificates_on_site_scale_theorem_traffic(monkeypatch, site, seed, ring):
+    # the twin of the Smith-form certificates in test_rmatrix.py: every RREF,
+    # kernel and quotient verify_main_theorem builds over k, certified by the
+    # dense oracle's RREF and ranks
+    if site == "sd-sphere":
+        F = sd_pullback(generate_instance("h1", seed, ring=ring, site=PosetSite.sphere()))
+    else:
+        F = generate_instance("h1", seed, ring=ring, site=PosetSite.chain(8))
+    reduced, kernels, quotients = {}, {}, []
+    plain_rref, plain_kernel, plain_init = kmatrix.rref, kmatrix.kernel, QuotientSpace.__init__
+
+    def recorded_rref(M):
+        out = reduced[M] = plain_rref(M)
+        return out
+
+    def recorded_kernel(M):
+        out = kernels[M] = plain_kernel(M)
+        return out
+
+    def recorded_init(self, zspace, boundaries):
+        plain_init(self, zspace, boundaries)
+        quotients.append((zspace, boundaries, self.reps))
+
+    patch_everywhere(monkeypatch, kmatrix, "rref", recorded_rref)
+    patch_everywhere(monkeypatch, kmatrix, "kernel", recorded_kernel)
+    monkeypatch.setattr(QuotientSpace, "__init__", recorded_init)
+    verify_main_theorem(F)
+    monkeypatch.undo()
+    assert max(max(M.rows, M.cols) for M in reduced) >= 32
+    assert kernels and quotients
+    for M, got in reduced.items():
+        assert got == dense_rref(M)
+    for M, ker in kernels.items():
+        k, n = M.ring, M.cols
+        assert (M @ ker.matrix().transpose()).is_zero()
+        # a free column lies in the span of the columns after it
+        _, reversed_pivots = dense_rref(Matrix(k, [row[::-1] for row in M.data], cols=n))
+        free = tuple(sorted(set(range(n)).difference(n - 1 - c for c in reversed_pivots)))
+        assert ker.pivots == free
+        # 1 at its own free column and 0 at the others: independent, n - rank of them
+        for v, f in zip(ker.basis, free):
+            assert [v[g] for g in free] == [k.one() if g == f else k.zero() for g in free]
+    for zspace, boundaries, reps in quotients:
+        # the pivot columns of [B | Z] are the columns outside the span of the
+        # columns before them: the representatives are the basis vectors of Z,
+        # in order, outside B plus the representatives before them, and B + Z
+        # has rank dim Z, so B lies in Z
+        nb = boundaries.cols
+        _, pivots = dense_rref(boundaries.hstack(zspace.matrix().transpose()))
+        assert reps == tuple(v for j, v in enumerate(zspace.basis) if nb + j in pivots)
+        assert len(pivots) == zspace.dim

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from decalage import rmatrix
@@ -122,6 +124,19 @@ def test_snf_certificates_on_site_scale_theorem_traffic(monkeypatch, site, seed,
     assert max(max(M.rows, M.cols) for M, _ in factored) >= 64
     for M, res in factored:
         validate_snf(M, res)
+
+
+def test_xi_residue_divides_reduces_and_refuses(z2, qt):
+    M = Matrix(z2, [[0, 4, 6], [2, -8, 12]])
+    assert M.xi_residue(1) == Matrix(z2.residue_field(), [[0, 0, 1], [1, 0, 0]])
+    with pytest.raises(ArithmeticError):
+        M.xi_residue(2)
+    # every entry lands in k, a zero entry as k's own zero
+    got = Matrix(qt, [[(), qt.parse("3*t+t^2")]]).xi_residue(1)
+    assert got.ring == qt.residue_field()
+    assert [type(x) for x in got.data[0]] == [Fraction, Fraction] and got.data == ((0, 3),)
+    with pytest.raises(ArithmeticError):
+        Matrix(qt, [[qt.parse("1+t")]]).xi_residue(1)
 
 
 def test_matrix_rejects_ragged_rows(z2):
