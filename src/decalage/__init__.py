@@ -26,11 +26,10 @@ from .spectral import (
 )
 from .theorem import (
     Flag,
-    Lattice,
     bb_filtration,
     check_torsionfree_eta_m,
-    lattice_pair_from_complex,
     relative_position,
+    stage_lattice,
     verify_main_theorem,
 )
 from .instances import generate_instance

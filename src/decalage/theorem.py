@@ -1,21 +1,20 @@
-"""Lattices, the two-lattice flag, torsion-freeness tables, main comparison.
+"""The stage lattice, its flag, torsion-freeness tables, main comparison.
 
-A lattice is the column span of a nonsingular matrix over R, sitting inside
-the xi-inverted ambient space; xi^c times a lattice is the span of its basis
-scaled by xi^c, and scaling the reference lattice by xi^c instead lowers the
-relative position and the flag index by c.  Only xi-valuations carry
-meaning (primes away from xi act as units of the intended local model), so
+The stage lattice in degree i is the image of H^i of the stage-0 sections in
+H^i of the sections of F, a full-rank lattice in R^n, n the free rank, given
+as the column span of one matrix M.  Only xi-valuations carry meaning
+(primes away from xi act as units of the intended local model), so its
 relative position is read off the xi-valuations of the invariant factors of
-the change-of-basis matrix after clearing the largest invariant factor of the
-reference basis.
+M.
 
-The flag of a lattice pair is increasing in m: the image of L ∩ xi^m L0 in
-xi^m L0 / xi^{m+1} L0, zero for m small and full for m large, with jump
-multiset equal to the relative position.  The one Smith form that gives the
-relative position also gives the flag: its adapted basis of L0 spans L up to
-xi-powers, so the space at m is spanned by the residues of the adapted basis
-vectors whose valuation is at most m.  The main comparison identifies it,
-for the pair coming from the decalage of a sheaf complex, with the image
+The flag of M is increasing in m: the image of span(M) ∩ xi^m R^n in
+xi^m R^n / xi^{m+1} R^n = k^n, zero below 0 and full from one past the
+largest valuation, with jump multiset equal to the relative position.  The
+one Smith form U M V = D that gives the relative position also gives the
+flag: the columns of U^-1 times xi-powers span span(M) up to units, so the
+space at m is spanned by the residues of the columns whose valuation is at
+most m.  Both are intrinsic to the pair (R^n, span(M)): any basis of the
+span gives them.  The main comparison identifies the flag with the image
 filtration of the stages on the mod-xi cohomology, and matches graded
 dimensions against the cohomology of the term sheaves.
 """
@@ -41,7 +40,7 @@ from .spectral import (
 
 
 class SingularBasis(ValueError):
-    """Lattice basis matrices must be nonsingular."""
+    """A lattice matrix must have full row rank."""
 
 
 class TorsionObstruction(ValueError):
@@ -51,61 +50,25 @@ class TorsionObstruction(ValueError):
         super().__init__(f"{which} cohomology has xi-torsion at degree {degree}")
 
 
-class Lattice:
-    """The column span of a nonsingular basis inside the xi-inverted R^n.
+def _valuations(ctx, M: Matrix) -> list:
+    """xi-valuations of the invariant factors of M, which must have full row rank.
 
-    The context ``ctx`` factors the basis to check that it is nonsingular;
-    the lattice keeps no reference to it.
+    The context ``ctx`` factors M once for ``relative_position`` and
+    ``bb_filtration`` both.
     """
-
-    __slots__ = ("n", "basis")
-
-    def __init__(self, ctx, basis: Matrix):
-        if basis.rows != basis.cols:
-            raise SingularBasis("lattice basis must be square")
-        self.n = basis.rows
-        self.basis = basis
-        if self.n and ctx.factor(basis).rank != self.n:
-            raise SingularBasis("lattice basis is singular")
-
-    @classmethod
-    def standard(cls, ctx, ring, n) -> "Lattice":
-        return cls(ctx, Matrix.identity(ring, n))
+    res = ctx.factor(M)
+    if res.rank != M.rows:
+        raise SingularBasis("lattice matrix is not of full row rank")
+    return [int(M.ring.xi_valuation(f)) for f in res.factors]
 
 
-def _adapted_basis(ctx, L: Lattice, L0: Lattice) -> tuple:
-    """(valuations, U^-1): a basis of L0 adapted to L, in L0's coordinates.
+def relative_position(ctx, M: Matrix) -> list:
+    """xi-valuations of the elementary divisors of span(M) in R^n, descending.
 
-    With C the basis of L in L0's coordinates, cleared by the largest
-    invariant factor of L0, the context ``ctx`` factors U C V = D.  The
-    columns of U^-1 are a basis of L0, and column j times xi^valuations[j]
-    spans L's part along it up to a unit at xi.  ``relative_position`` and
-    ``bb_filtration`` ask it of the context, which builds it once per pair.
+    Invariant under M -> P M Q for P and Q invertible over the localization
+    at xi.
     """
-    if L.n != L0.n:
-        raise SingularBasis("lattices of different rank")
-    ring = L.basis.ring
-    if L.n == 0:
-        return [], Matrix.identity(ring, 0)
-    # the largest invariant factor of L0 clears its inverse
-    reference = ctx.factor(L0.basis)
-    clear = reference.factors[-1]
-    cleared = reference.solve(L.basis.scale(clear))
-    if cleared is None:
-        raise SingularBasis("could not clear the reference basis")
-    res = ctx.factor(cleared)
-    v0 = int(ring.xi_valuation(clear))
-    return [int(ring.xi_valuation(f)) - v0 for f in res.factors], res.uinv
-
-
-def relative_position(ctx, L: Lattice, L0: Lattice) -> list:
-    """xi-valuations of the elementary divisors of the pair, descending.
-
-    Invariant under any basis change of either lattice that is invertible
-    over the localization at xi.  The context ``ctx`` factors the matrices.
-    """
-    return sorted(ctx.once(("adapted-basis", L, L0), _adapted_basis, ctx, L, L0)[0],
-                  reverse=True)
+    return sorted(_valuations(ctx, M), reverse=True)
 
 
 class Flag:
@@ -163,35 +126,33 @@ class Flag:
         }
 
 
-def bb_filtration(ctx, L: Lattice, L0: Lattice) -> Flag:
-    """The two-lattice flag in L0/xi*L0, from the adapted basis of the pair.
+def bb_filtration(ctx, M: Matrix) -> Flag:
+    """The flag that span(M) cuts in k^n, from the adapted basis of M.
 
-    The space at m is spanned by the residues of the adapted basis vectors of
-    valuation at most m, for m from min(0, least valuation) to one past the
-    largest valuation, where it is full.  The context ``ctx`` factors the
-    matrices.
+    With U M V = D, column j of U^-1 times xi^mus[j] spans the part of
+    span(M) along it up to a unit at xi.  So the space at m, the residue of
+    span(M) ∩ xi^m R^n divided by xi^m, is spanned by the residues of the
+    columns of U^-1 with mus[j] <= m, for m from 0 to one past the largest
+    valuation, where it is full.
     """
-    kfield = L.basis.ring.residue_field()
-    mus, uinv = ctx.once(("adapted-basis", L, L0), _adapted_basis, ctx, L, L0)
-    if not mus:
-        return Flag(kfield, 0, {0: Subspace(kfield, 0)})
-    adapted = uinv.residue()
+    mus = _valuations(ctx, M)
+    adapted = ctx.factor(M).uinv.residue()
     spaces = {m: Subspace.from_columns(
                   adapted.take_columns([j for j, mu in enumerate(mus) if mu <= m]))
-              for m in range(min(0, min(mus)), max(mus) + 2)}
-    return Flag(kfield, L.n, spaces)
+              for m in range(0, max(mus, default=-1) + 2)}
+    return Flag(M.ring.residue_field(), M.rows, spaces)
 
 
 # ---------------------------------------------------------------------------
-# cohomology lattices of a sheaf complex
+# the stage lattice of a sheaf complex
 
 
-def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> tuple:
-    """(L, L0): L = image of H^i of the decalage stage, L0 = H^i of the sections of F.
+def stage_lattice(ctx: InstanceContext, i: int) -> Matrix:
+    """H^i of the stage-0 sections in the free coordinates of H^i of the sections of F.
 
     Both cohomologies must be xi-torsion-free (TorsionObstruction names the
-    offender); coordinates are the free-quotient coordinates of the
-    presentation of H^i(sections).
+    offender); the columns are the images of the basis cocycles of the
+    stage, and they span a lattice of full rank.
     """
     incl = ctx.sections_map(ctx.stage_sheaf(0))
     pres0 = ctx.presentation(incl.target, i)
@@ -200,12 +161,10 @@ def lattice_pair_from_complex(ctx: InstanceContext, i: int) -> tuple:
     pres1 = ctx.presentation(incl.source, i)
     if not pres1.module.xi_torsion_free:
         raise TorsionObstruction(i, "stage")
-    f = pres0.module.free_rank
-    mapped = pres0.free_coords(incl.map(i) @ pres1.basis_cocycles())
-    lbasis = ctx.factor(mapped).image()
-    if lbasis.cols != f:
+    M = pres0.free_coords(incl.map(i) @ pres1.basis_cocycles())
+    if ctx.factor(M).rank != M.rows:
         raise SingularBasis(f"stage lattice is not full rank at degree {i}")
-    return Lattice(ctx, lbasis), Lattice.standard(ctx, ctx.F.ring, f)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +222,10 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
     """
     bar_total = ctx.sections(ctx.reduced())
     kfield = bar_total.ring
-    target = ctx.quotient(bar_total, i) if i in bar_total.degrees() else None
-    dim_i = 0 if target is None else target.dim
+    target = ctx.quotient(bar_total, i)
     spaces = {}
     for m in range(0, m_max + 1):
-        if dim_i == 0:
+        if target.dim == 0:
             spaces[m] = Subspace(kfield, 0)
             continue
         # generators of H^i of the stage sections, pushed forward over R; the
@@ -276,7 +234,7 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
         gens_basis = ctx.presentation(incl.source, i).gens_basis
         pushed = (incl.map(i) @ gens_basis).xi_residue(m)
         spaces[m] = Subspace.from_columns(target.coords_matrix(pushed))
-    return Flag(kfield, dim_i, spaces)
+    return Flag(kfield, target.dim, spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +330,15 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     for i in total.degrees():
         entry = {"i": i}
         try:
-            L, L0 = lattice_pair_from_complex(ctx, i)
+            M = stage_lattice(ctx, i)
         except TorsionObstruction as exc:
             entry["torsion_obstruction"] = str(exc)
             report.flags[str(i)] = entry
             if report.asserted:
                 flag_check.fail(i=i, reason=str(exc))
             continue
-        bb = bb_filtration(ctx, L, L0)
-        entry["relative_position"] = relative_position(ctx, L, L0)
+        bb = bb_filtration(ctx, M)
+        entry["relative_position"] = relative_position(ctx, M)
         if h1:
             red_q = ctx.quotient(red, i)
             iso_check.expect(rho[i].rows == rho[i].cols

@@ -30,9 +30,8 @@ two sheaves, the random base change as it
 was drawn before its inverse was kept, the mapping cone, the graded pieces of
 an abutment, the vanishing of a page's differentials, the square of the
 Bockstein differential, sums and intersections of subspaces, random
-nonsingular matrices, scaled lattice pairs, the jumps of a flag, the validity
-checks of filtered complexes and sheaf maps, and the terms of the cokernel of
-a chain map.
+nonsingular matrices, the jumps of a flag, the validity checks of filtered
+complexes and sheaf maps, and the terms of the cokernel of a chain map.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from decalage.kmatrix import QuotientSpace, Subspace, rref
 from decalage.rings import BaseRing, IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, ShapeMismatch, snf
 from decalage.sites import InvalidSheaf, PosetSite, SheafComplex
-from decalage.theorem import Flag, Lattice, relative_position
+from decalage.theorem import Flag, relative_position
 
 
 # ---------------------------------------------------------------------------
@@ -864,53 +863,6 @@ class Trunc:
         return self.mul(a1, self.unit_inverse(b1))
 
 
-def trunc_solve(tr: Trunc, B, A):
-    """Solve B X = A over R/xi^N by min-valuation Gaussian elimination.
-
-    Forward elimination pivots on the minimum valuation over the remaining
-    submatrix (rows and columns), so every elimination division is exact;
-    back substitution then divides by the pivots, losing val(det B) digits
-    of precision in total.  Raises when B is not invertible at the working
-    precision or a division is not exact there.
-    """
-    n = len(B)
-    m = len(A[0]) if A else 0
-    B = [[tr.cut(x) for x in row] for row in B]
-    A = [[tr.cut(x) for x in row] for row in A]
-    col_order = []
-    free_cols = list(range(n))
-    for step in range(n):
-        piv, best = None, None
-        for i in range(step, n):
-            for j in free_cols:
-                v = tr.val(B[i][j])
-                if best is None or v < best:
-                    piv, best = (i, j), v
-        if piv is None or best >= tr.N:
-            raise ArithmeticError("system not solvable at this precision")
-        pi, pj = piv
-        B[step], B[pi] = B[pi], B[step]
-        A[step], A[pi] = A[pi], A[step]
-        col_order.append(pj)
-        free_cols.remove(pj)
-        for i in range(step + 1, n):
-            if tr.val(B[i][pj]) >= tr.N:
-                continue
-            f = tr.divide(B[i][pj], B[step][pj])
-            B[i] = [tr.sub(B[i][j], tr.mul(f, B[step][j])) for j in range(n)]
-            A[i] = [tr.sub(A[i][j], tr.mul(f, A[step][j])) for j in range(m)]
-    X = [[tr.ring.zero()] * m for _ in range(n)]
-    for step in range(n - 1, -1, -1):
-        pj = col_order[step]
-        for j in range(m):
-            acc = A[step][j]
-            for later in range(step + 1, n):
-                cj = col_order[later]
-                acc = tr.sub(acc, tr.mul(B[step][cj], X[cj][j]))
-            X[pj][j] = tr.divide(acc, B[step][pj])
-    return X
-
-
 def trunc_column_generators(tr: Trunc, cols):
     """Reduce a generating set of a submodule of (R/xi^N)^n to few columns."""
     n = len(cols[0]) if cols else 0
@@ -942,25 +894,21 @@ def trunc_column_generators(tr: Trunc, cols):
     return out
 
 
-def bb_flag_oracle(L, L0, N: int):
-    """The two-lattice flag recomputed over R/xi^N.
+def bb_flag_oracle(M: Matrix, N: int):
+    """The flag of span(M) in k^n recomputed over R/xi^N.
 
-    Scales the first lattice inside the second, solves for coordinates by
-    truncated Gaussian elimination, and peels xi-divisible layers; returns
-    {m: Subspace} over the residue field, in the unshifted indexing.
+    Starts from the columns of M truncated mod xi^N and peels xi-divisible
+    layers by truncated Gaussian elimination; returns {m: Subspace} over
+    the residue field.
     """
-    ring = L.basis.ring
-    n = L.n
+    ring = M.ring
+    n = M.rows
     kfield = ring.residue_field()
-    mus = relative_position(Memo(), L, L0)
-    c = max(0, -min(mus)) if mus else 0
-    ml = L.basis.xi_scale(c)
-    top = (max(mus) if mus else 0) + c
+    mus = relative_position(Memo(), M)
+    top = max(mus) if mus else 0
 
     tr = Trunc(ring, N + top + 2)
-    coords = trunc_solve(tr, [list(r) for r in L0.basis.data],
-                         [list(r) for r in ml.data])
-    gens = [[coords[i][j] for i in range(n)] for j in range(n)]
+    gens = [[tr.cut(x) for x in col] for col in M.transpose().data]
     spaces = {}
     for m in range(0, top + 2):
         reduced = []
@@ -990,7 +938,7 @@ def bb_flag_oracle(L, L0, N: int):
         for g in gens:
             survivors.append([tr.mul(ring.xi, x) for x in g])
         gens = trunc_column_generators(tr, survivors)
-    return {m - c: s for m, s in spaces.items()}
+    return spaces
 
 
 def trunc_kernel_generators(tr: Trunc, M: Matrix):
@@ -1267,22 +1215,11 @@ def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
     return Subspace.from_columns(a @ ker.submatrix(0, a.cols, 0, ker.cols))
 
 
-def scaled(ctx, L: Lattice, L0: Lattice, c: int) -> tuple:
-    """The pair (xi^c L, L0), as (L, xi^-c L0) when c < 0.
-
-    Scaling L0 by xi^t shifts the flag by -t, as scaling L by xi^-t does, so
-    the two pairs have the same relative position and flag.
-    """
-    if c >= 0:
-        return Lattice(ctx, L.basis.xi_scale(c)), L0
-    return L, Lattice(ctx, L0.basis.xi_scale(-c))
-
-
 def random_nonsingular(ring, n: int, rng) -> Matrix:
-    """A random nonsingular n x n matrix: small integers, or small polynomials over F_5."""
+    """A random nonsingular n x n matrix: small integers, or polynomials with small coefficients."""
     def entry():
         if isinstance(ring, PolynomialRing):
-            return ring.from_coeffs([rng.randrange(5) for _ in range(rng.randint(1, 3))])
+            return ring.from_coeffs([str(rng.randrange(5)) for _ in range(rng.randint(1, 3))])
         return rng.randint(-4, 4)
 
     while True:
@@ -1307,29 +1244,25 @@ def lattice_intersect(ctx, A: Matrix, B: Matrix) -> Matrix:
     return ctx.factor(A @ ker.submatrix(0, A.cols, 0, ker.cols)).image()
 
 
-def bb_flag_by_intersection(ctx, L: Lattice, L0: Lattice) -> Flag:
-    """The two-lattice flag from L ∩ xi^m L0, one intersection per level m.
+def bb_flag_by_intersection(ctx, M: Matrix) -> Flag:
+    """The flag of span(M) in k^n from span(M) ∩ xi^m R^n, one intersection per level m.
 
-    L is scaled by c = max(0, -min relative position) so that it sits inside
-    L0 with an integral basis; the space at m is the residue of the
-    coordinates of xi^c L ∩ xi^m L0 in L0, divided by xi^m, and the flag is
-    shifted back by c.  The top level must be full.
+    The space at m is the residue of the intersection divided by xi^m; the
+    top level must be full.
     """
-    kfield = L.basis.ring.residue_field()
-    mus = relative_position(ctx, L, L0)
+    kfield = M.ring.residue_field()
+    mus = relative_position(ctx, M)
     if not mus:
         return Flag(kfield, 0, {0: Subspace(kfield, 0)})
-    c = max(0, -min(mus))
-    ml, m0 = L.basis.xi_scale(c), L0.basis
-    top = max(mus) + c
+    top = max(mus)
     spaces = {}
     for m in range(0, top + 2):
-        coords = ctx.solve(m0, lattice_intersect(ctx, ml, m0.xi_scale(m)))
-        spaces[m] = Subspace.from_columns(coords.xi_residue(m))
-    flag = Flag(kfield, L.n, spaces)
-    if flag.subspace(top + 1).dim != L.n:
+        ambient = Matrix.scalar(M.ring, M.rows, M.ring.xi_power(m))
+        spaces[m] = Subspace.from_columns(lattice_intersect(ctx, M, ambient).xi_residue(m))
+    flag = Flag(kfield, M.rows, spaces)
+    if flag.subspace(top + 1).dim != M.rows:
         raise ArithmeticError("flag failed to stabilize at full")
-    return flag.shifted(-c)
+    return flag
 
 
 def validate_filtered(fc) -> None:

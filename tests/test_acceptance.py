@@ -30,7 +30,6 @@ from decalage.serialize import sheaf_from_json
 from decalage.sites import InstanceContext
 from decalage.spectral import compare_degeneration
 from decalage.theorem import (
-    Lattice,
     bb_filtration,
     relative_position,
     verify_main_theorem,
@@ -43,7 +42,6 @@ from oracles import (
     image_flag_oracle,
     invariant_factors_by_minors,
     perturbed_beta,
-    scaled,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fixtures")
@@ -184,7 +182,7 @@ def test_criterion_6_flag_equality_with_oracles(h1_reports):
 
 
 def _oracle_flag_check(F, rep, idx):
-    from decalage.theorem import image_flag, lattice_pair_from_complex
+    from decalage.theorem import image_flag, stage_lattice
 
     ring = F.ring
     failures = []
@@ -197,14 +195,14 @@ def _oracle_flag_check(F, rep, idx):
     main_flags = {i: image_flag(ctx, i, m_max) for i in live}
     # lattice flag against the truncated-ring oracle
     for i in live:
-        L, L0 = lattice_pair_from_complex(ctx, i)
-        mus = relative_position(ctx, L, L0)
+        M = stage_lattice(ctx, i)
+        mus = relative_position(ctx, M)
         if rep.flags[str(i)]["relative_position"] != mus:
             failures.append((idx, i, "relative-position"))
-        fl = bb_filtration(ctx, L, L0)
+        fl = bb_filtration(ctx, M)
         if mus:
-            N = 2 * max(abs(v) for v in mus) + 2
-            for m, s in bb_flag_oracle(L, L0, N).items():
+            N = 2 * max(mus) + 2
+            for m, s in bb_flag_oracle(M, N).items():
                 if fl.subspace(m) != s:
                     failures.append((idx, i, m, "bb-oracle"))
     # image flag against the truncated-kernel oracle, one stage build per m
@@ -273,22 +271,21 @@ def test_criterion_8_lattice_layer():
                                   for _ in range(n)], cols=n)
                 if snf(M).rank == n:
                     return M
-        B, shift = basis(), rng.randint(-3, 3)
-        L, L0 = scaled(ctx, Lattice(ctx, B), Lattice(ctx, basis()), shift)
-        mus = relative_position(ctx, L, L0)
-        fl = bb_filtration(ctx, L, L0)
+        M = basis().xi_scale(rng.randint(0, 3))
+        mus = relative_position(ctx, M)
+        fl = bb_filtration(ctx, M)
         if flag_jumps(fl) != mus:
             failures.append((trial, "jumps"))
             continue
-        N = 2 * max(abs(v) for v in mus) + 2
-        for m, s in bb_flag_oracle(L, L0, N).items():
+        N = 2 * max(mus) + 2
+        for m, s in bb_flag_oracle(M, N).items():
             if fl.subspace(m) != s:
                 failures.append((trial, m, "oracle"))
-        c = rng.randint(-2, 2)
-        if bb_filtration(ctx, *scaled(ctx, L, L0, c)) != fl.shifted(c):
+        c = rng.randint(0, 2)
+        if bb_filtration(ctx, M.xi_scale(c)) != fl.shifted(c):
             failures.append((trial, "scaling"))
     elapsed = time.time() - t0
-    verdict(8, not failures, f"500 pairs in {elapsed:.1f}s, failures: {failures[:3]}")
+    verdict(8, not failures, f"500 lattices in {elapsed:.1f}s, failures: {failures[:3]}")
 
 
 def test_criterion_9_deterministic_reports():

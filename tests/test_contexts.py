@@ -8,6 +8,7 @@ import json
 import os
 import pkgutil
 import random
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -27,9 +28,9 @@ from decalage.serialize import sheaf_from_json
 from decalage.sites import InstanceContext, PosetSite, global_sections_complex
 from decalage.spectral import FilteredComplex, adapted_form, ht_inclusions, ss_pages
 from decalage.suites import lemma_battery
-from decalage.theorem import Lattice, bb_filtration, verify_main_theorem
+from decalage.theorem import bb_filtration, relative_position, verify_main_theorem
 
-from oracles import random_nonsingular, scaled
+from oracles import random_nonsingular
 
 
 MODULES = [decalage] + [importlib.import_module(f"decalage.{info.name}")
@@ -448,35 +449,43 @@ def test_smith_form_builds_each_transform_on_its_first_read():
         assert built_transforms(res) == list(TRANSFORMS)
 
 
-def test_bb_filtration_factors_at_most_two_matrices(monkeypatch):
-    # the flag is read off the Smith form that gives the relative position
+def test_bb_filtration_factors_one_matrix(monkeypatch):
+    # the flag and the relative position are read off the one Smith form of M
     rng = random.Random(14)
     calls = count_factorizations(monkeypatch)
     for trial in range(60):
         ring = (IntegerRing(2), IntegerRing(3), PolynomialRing(PrimeField(5)))[trial % 3]
-        n = rng.randint(1, 4)
+        M = random_nonsingular(ring, rng.randint(1, 4), rng).xi_scale(rng.randint(0, 2))
         ctx = Memo()
-        L, L0 = scaled(ctx, Lattice(ctx, random_nonsingular(ring, n, rng)),
-                       Lattice(ctx, random_nonsingular(ring, n, rng)), rng.randint(-2, 2))
         calls.clear()
-        bb_filtration(Memo(), L, L0)
-        assert 1 <= sum(calls.values()) <= 2, trial
+        bb_filtration(ctx, M)
+        relative_position(ctx, M)
+        assert calls == {(M.ring, M.rows, M.cols, M.data): 1}, trial
 
 
 @pytest.mark.parametrize("case", ["h1-pseudo-circle", "h3_failure_witness"])
-def test_main_theorem_builds_each_adapted_basis_once_per_lattice_pair(monkeypatch, z2, case):
-    # relative_position and bb_filtration read the pair's one adapted basis
+def test_main_theorem_factors_each_stage_lattice_once(monkeypatch, z2, case):
+    # theorem.py asks the context to factor its stage lattices and nothing
+    # else, and each is factored once
     F = theorem_instance(case, z2)
-    calls = Counter()
-    build = theorem._adapted_basis
+    lattices, requested = [], []
+    build, factor = theorem.stage_lattice, Memo.factor
 
-    def counted(ctx, L, L0):
-        calls[(L, L0)] += 1  # lattices compare by identity
-        return build(ctx, L, L0)
+    def recorded(ctx, i):
+        lattices.append(build(ctx, i))
+        return lattices[-1]
 
-    monkeypatch.setattr(theorem, "_adapted_basis", counted)
+    def requested_factor(ctx, M):
+        if sys._getframe(1).f_globals["__name__"] == theorem.__name__:
+            requested.append(M)
+        return factor(ctx, M)
+
+    monkeypatch.setattr(theorem, "stage_lattice", recorded)
+    monkeypatch.setattr(Memo, "factor", requested_factor)
+    calls = count_factorizations(monkeypatch)
     verify_main_theorem(F)
-    assert calls and max(calls.values()) == 1
+    assert lattices and set(requested) == set(lattices)
+    assert all(calls[(M.ring, M.rows, M.cols, M.data)] == 1 for M in lattices)
 
 
 def test_ss_pages_builds_each_cycle_space_once_per_filtered_complex(monkeypatch, z2):

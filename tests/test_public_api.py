@@ -5,9 +5,11 @@ that nothing calls belongs nowhere.  The scan parses ``src/decalage`` and
 counts a definition as used when some module other than ``__init__.py``
 refers to it: a function by name, attribute or import alias, a method only
 by attribute (``x.method``), so a local variable of the same name does not
-count.  The scan matches by bare name, so an attribute of the same name on
-another object (``ctx.intersect`` for ``Subspace.intersect``, say) still
-hides an unused method; such methods are found by reading the callers.
+count, and a property only by an attribute that is read, not called
+(``res.u``, not ``K.d(i)``), so a method of the same name does not count.
+The scan matches by bare name, so an attribute of the same name on another
+object (``ctx.intersect`` for ``Subspace.intersect``, say) still hides an
+unused method; such methods are found by reading the callers.
 
 The same holds for data: every field a library class assigns is read by
 attribute somewhere in the library, and every module of the library and its
@@ -24,52 +26,63 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "decalage"
 
 # read from outside the library: sheaf_to_json pairs with sheaf_from_json, the
-# benchmark's tracer probes read SNFResult.v, SNFResult.vinv and
+# benchmark's tracer probes read SNFResult.d, SNFResult.v, SNFResult.vinv and
 # FreeComplex.total_rank, perfbench/selftest.py shifts an image flag, and
 # solve_exact is the exported one-shot solve that the benchmark traces
-EXEMPT = {"serialize.sheaf_to_json", "SNFResult.v", "SNFResult.vinv", "FreeComplex.total_rank",
-          "Flag.shifted", "rmatrix.solve_exact"}
+EXEMPT = {"serialize.sheaf_to_json", "SNFResult.d", "SNFResult.v", "SNFResult.vinv",
+          "FreeComplex.total_rank", "Flag.shifted", "rmatrix.solve_exact"}
 
 
 def public_definitions(path: Path):
-    """("module.function" or "Class.method", bare name, is a method) per public definition."""
+    """("module.function" or "Class.method", bare name, kind) per public definition.
+
+    The kind is "function", "method" or "property".
+    """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield f"{path.stem}.{node.name}", node.name, False
+            yield f"{path.stem}.{node.name}", node.name, "function"
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{node.name}.{item.name}", item.name, True
+                    is_property = any(isinstance(d, ast.Name) and d.id == "property"
+                                      for d in item.decorator_list)
+                    yield (f"{node.name}.{item.name}", item.name,
+                           "property" if is_property else "method")
 
 
 def referenced_names(path: Path) -> tuple:
-    """(names and import aliases, attribute names) that the module refers to."""
-    names, attributes = set(), set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    """(names and import aliases, attribute names, attribute names read but not called)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    names, attributes, read = set(), set(), set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             attributes.add(node.attr)
+            if id(node) not in callees:
+                read.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    return names, attributes
+    return names, attributes, read
 
 
 def test_every_public_function_has_a_caller_in_the_library():
     modules = sorted(SRC.glob("*.py"))
-    names, attributes = set(), set()
+    names, attributes, read = set(), set(), set()
     for path in modules:
         if path.name != "__init__.py":
-            found, attrs = referenced_names(path)
+            found, attrs, reads = referenced_names(path)
             names |= found
             attributes |= attrs
+            read |= reads
+    used = {"function": names | attributes, "method": attributes, "property": read}
     unused = sorted(
         qualified
         for path in modules
-        for qualified, name, is_method in public_definitions(path)
-        if not name.startswith("_")
-        and name not in (attributes if is_method else names | attributes)
+        for qualified, name, kind in public_definitions(path)
+        if not name.startswith("_") and name not in used[kind]
     )
     assert unused == sorted(EXEMPT)
 

@@ -7,22 +7,21 @@ from conftest import desk_rings
 from decalage.bockstein import Memo
 from decalage.complexes import FreeComplex
 from decalage.instances import generate_instance, random_unimodular
-from decalage.rings import IntegerRing, PolynomialRing, PrimeField
-from decalage.rmatrix import Matrix, snf
+from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
+from decalage.rmatrix import Matrix
 from decalage import sites
 from decalage.serialize import load_instance, sheaf_from_json, sheaf_to_json
 from decalage.sites import InstanceContext, PosetSite, SheafComplex
 from decalage.kmatrix import Subspace
 from decalage.theorem import (
     Flag,
-    Lattice,
     SingularBasis,
     TorsionObstruction,
     bb_filtration,
     check_torsionfree_eta_m,
     hypothesis_h1,
-    lattice_pair_from_complex,
     relative_position,
+    stage_lattice,
     verify_main_theorem,
 )
 
@@ -33,7 +32,6 @@ from oracles import (
     flag_jumps,
     image_flag_oracle,
     random_nonsingular,
-    scaled,
 )
 from test_contexts import patch_everywhere
 
@@ -42,61 +40,60 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fix
 
 def test_relative_position_examples(z5, f5t):
     ctx = Memo()
-    L0 = Lattice.standard(ctx, z5, 3)
-    assert relative_position(ctx, L0, L0) == [0, 0, 0]
-    assert relative_position(
-        ctx, Lattice(ctx, Matrix.identity(z5, 2).scale(5)), Lattice.standard(ctx, z5, 2)) == [1, 1]
+    assert relative_position(ctx, Matrix.identity(z5, 3)) == [0, 0, 0]
+    assert relative_position(ctx, Matrix.identity(z5, 2).scale(5)) == [1, 1]
+    # 3 is a unit at xi = 5, and a spanning set may have more columns than rows
+    assert relative_position(ctx, Matrix(z5, [[3]])) == [0]
+    assert relative_position(ctx, Matrix(z5, [[25, 50]])) == [2]
     t, one, zero = f5t.xi, f5t.one(), f5t.zero()
-    L, L0 = scaled(ctx, Lattice(ctx, Matrix(f5t, [[t, zero], [zero, one]])),
-                   Lattice.standard(ctx, f5t, 2), -1)
-    assert relative_position(ctx, L, L0) == [0, -1]
+    assert relative_position(ctx, Matrix(f5t, [[t, zero], [zero, one]])) == [1, 0]
+    assert relative_position(ctx, Matrix.identity(z5, 0)) == []
 
 
 def test_relative_position_basis_invariance(rng, z3):
+    # relative positions of a lattice inside R^n: never negative, and the
+    # same for P M Q with P and Q unimodular
     ctx = Memo()
     for _ in range(40):
         n = rng.randint(1, 3)
-
-        def basis():
-            while True:
-                M = Matrix(z3, [[rng.randint(-3, 3) for _ in range(n)]
-                                for _ in range(n)], cols=n)
-                if snf(M).rank == n:
-                    return M
-        B, shift = basis(), rng.randint(-2, 2)
-        L, L0 = scaled(ctx, Lattice(ctx, B), Lattice(ctx, basis()), shift)
-        mus = relative_position(ctx, L, L0)
-        U, _ = random_unimodular(z3, n, rng)
-        V, _ = random_unimodular(z3, n, rng)
-        assert relative_position(ctx, Lattice(ctx, L.basis @ U),
-                                 Lattice(ctx, L0.basis @ V)) == mus
+        M = random_nonsingular(z3, n, rng)
+        mus = relative_position(ctx, M)
+        assert min(mus) >= 0
+        P, _ = random_unimodular(z3, n, rng)
+        Q, _ = random_unimodular(z3, n, rng)
+        assert relative_position(ctx, P @ M @ Q) == mus
 
 
 def test_singular_basis_rejected(z3):
     ctx = Memo()
-    with pytest.raises(SingularBasis):
-        Lattice(ctx, Matrix(z3, [[1, 1], [1, 1]]))
+    for M in (Matrix(z3, [[1, 1], [1, 1]]), Matrix(z3, [[1], [2]]), Matrix.zeros(z3, 1, 0)):
+        with pytest.raises(SingularBasis):
+            relative_position(ctx, M)
+        with pytest.raises(SingularBasis):
+            bb_filtration(ctx, M)
 
 
 def test_bb_filtration_examples(z5, f5t):
     ctx = Memo()
-    L0 = Lattice.standard(ctx, z5, 2)
-    fl = bb_filtration(ctx, L0, L0)
+    fl = bb_filtration(ctx, Matrix.identity(z5, 2))
+    assert (fl.m_lo, fl.m_hi) == (0, 1)
     assert fl.dim(-1) == 0 and fl.dim(0) == 2
     assert flag_jumps(fl) == [0, 0]
 
-    one = Lattice(ctx, Matrix(z5, [[5]]))
-    fl1 = bb_filtration(ctx, one, Lattice.standard(ctx, z5, 1))
+    fl1 = bb_filtration(ctx, Matrix(z5, [[5]]))
     assert fl1.dim(0) == 0 and fl1.dim(1) == 1
     assert flag_jumps(fl1) == [1]
 
     t, e1, zero = f5t.xi, f5t.one(), f5t.zero()
-    fl2 = bb_filtration(ctx, *scaled(ctx, Lattice(ctx, Matrix(f5t, [[t, zero], [zero, e1]])),
-                                     Lattice.standard(ctx, f5t, 2), -1))
-    assert fl2.dim(-2) == 0 and fl2.dim(-1) == 1 and fl2.dim(0) == 2
-    assert fl2.subspace(-1).basis == ((f5t.residue_field().zero(),
-                                       f5t.residue_field().one()),)
-    assert flag_jumps(fl2) == [0, -1]
+    fl2 = bb_filtration(ctx, Matrix(f5t, [[t, zero], [zero, e1]]))
+    assert (fl2.m_lo, fl2.m_hi) == (0, 2)
+    assert fl2.dim(-1) == 0 and fl2.dim(0) == 1 and fl2.dim(1) == 2
+    assert fl2.subspace(0).basis == ((f5t.residue_field().zero(),
+                                      f5t.residue_field().one()),)
+    assert flag_jumps(fl2) == [1, 0]
+
+    fl0 = bb_filtration(ctx, Matrix.identity(z5, 0))
+    assert fl0.to_json() == {"ambient_dim": 0, "window": [0, 0], "subspaces": {"0": []}}
 
 
 def test_flag_refuses_a_gap_in_its_window():
@@ -109,77 +106,88 @@ def test_flag_refuses_a_gap_in_its_window():
 
 
 def test_bb_scaling_shift(rng, z2):
+    # xi^c M cuts the flag of M shifted up by c
     ctx = Memo()
     for _ in range(25):
-        n = rng.randint(1, 3)
-
-        def basis():
-            while True:
-                M = Matrix(z2, [[rng.randint(-3, 3) for _ in range(n)]
-                                for _ in range(n)], cols=n)
-                if snf(M).rank == n:
-                    return M
-        B, shift = basis(), rng.randint(-2, 2)
-        L, L0 = scaled(ctx, Lattice(ctx, B), Lattice(ctx, basis()), shift)
-        c = rng.randint(-3, 3)
-        assert (bb_filtration(ctx, *scaled(ctx, L, L0, c))
-                == bb_filtration(ctx, L, L0).shifted(c))
+        M = random_nonsingular(z2, rng.randint(1, 3), rng)
+        c = rng.randint(0, 3)
+        assert bb_filtration(ctx, M.xi_scale(c)) == bb_filtration(ctx, M).shifted(c)
 
 
 def test_bb_jump_multiset_and_oracle(rng, z5):
     ctx = Memo()
     for _ in range(60):
-        n = rng.randint(1, 4)
-
-        def basis():
-            while True:
-                M = Matrix(z5, [[rng.randint(-3, 3) for _ in range(n)]
-                                for _ in range(n)], cols=n)
-                if snf(M).rank == n:
-                    return M
-        B, shift = basis(), rng.randint(-2, 2)
-        L, L0 = scaled(ctx, Lattice(ctx, B), Lattice(ctx, basis()), shift)
-        mus = relative_position(ctx, L, L0)
-        fl = bb_filtration(ctx, L, L0)
+        M = random_nonsingular(z5, rng.randint(1, 4), rng)
+        mus = relative_position(ctx, M)
+        fl = bb_filtration(ctx, M)
         assert flag_jumps(fl) == mus
-        N = 2 * max(abs(v) for v in mus) + 2
-        for m, s in bb_flag_oracle(L, L0, N).items():
+        N = 2 * max(mus) + 2
+        for m, s in bb_flag_oracle(M, N).items():
             assert fl.subspace(m) == s
 
 
 def test_bb_filtration_matches_intersection_route(rng):
-    # the adapted basis and one intersection per level give the same flag and window
+    # one Smith form and one intersection per level give the same flag and window
     rings = desk_rings()
     for trial in range(80):
         ring = rings[trial % len(rings)]
-        n = rng.randint(0, 4)
+        M = random_nonsingular(ring, rng.randint(0, 4), rng).xi_scale(rng.randint(0, 2))
+        fl = bb_filtration(Memo(), M)
+        assert fl.to_json() == bb_flag_by_intersection(Memo(), M).to_json(), trial
+        assert flag_jumps(fl) == relative_position(Memo(), M)
+
+
+QT = PolynomialRing(RationalField())
+
+
+@pytest.mark.parametrize("ring", desk_rings() + [QT], ids=str)
+def test_bb_filtration_moves_with_a_base_change(rng, ring):
+    # the flag of P M is the residue of P applied to the flag of M
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        M = random_nonsingular(ring, n, rng)
+        P, _ = random_unimodular(ring, n, rng)
+        fl, moved = bb_filtration(Memo(), M), bb_filtration(Memo(), P @ M)
+        pbar = P.residue()
+        assert (moved.m_lo, moved.m_hi) == (fl.m_lo, fl.m_hi)
+        for m in range(fl.m_lo, fl.m_hi + 1):
+            image = Subspace.from_columns(pbar @ fl.subspace(m).matrix().transpose())
+            assert moved.subspace(m) == image
+
+
+@pytest.mark.parametrize("ring", [IntegerRing(2), IntegerRing(3),
+                                  PolynomialRing(PrimeField(5)), QT], ids=str)
+def test_flag_and_position_agree_on_the_image_basis(rng, ring):
+    # any spanning set of the lattice gives its flag and position: M with
+    # redundant columns against the image basis of its Smith form
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        B = random_nonsingular(ring, n, rng)
+        M = B.hstack(B @ random_nonsingular(ring, n, rng).xi_scale(rng.randint(0, 2)))
         ctx = Memo()
-        L, L0 = scaled(ctx, Lattice(ctx, random_nonsingular(ring, n, rng)),
-                       Lattice(ctx, random_nonsingular(ring, n, rng)), rng.randint(-3, 3))
-        fl = bb_filtration(Memo(), L, L0)
-        assert fl.to_json() == bb_flag_by_intersection(Memo(), L, L0).to_json(), trial
-        assert flag_jumps(fl) == relative_position(ctx, L, L0)
+        basis = ctx.factor(M).image()
+        assert basis.cols == n
+        assert bb_filtration(ctx, M).to_json() == bb_filtration(ctx, basis).to_json()
+        assert relative_position(ctx, M) == relative_position(ctx, basis)
 
 
-def test_lattice_pair_examples(z3):
+def test_stage_lattice_examples(z3):
     pt = PosetSite.point()
     K = FreeComplex(z3, 0, [1, 1], [Matrix.zeros(z3, 1, 1)])
     F = SheafComplex.constant(pt, K)
     ctx = InstanceContext(F)
-    L, L0 = lattice_pair_from_complex(ctx, 1)
-    fl = bb_filtration(ctx, L, L0)
+    fl = bb_filtration(ctx, stage_lattice(ctx, 1))
     assert fl.dim(0) == 0 and fl.dim(1) == 1
 
     K0 = FreeComplex(z3, 0, [2], [])
     F0 = SheafComplex.constant(pt, K0)
     ctx0 = InstanceContext(F0)
-    L, L0 = lattice_pair_from_complex(ctx0, 0)
-    assert relative_position(ctx0, L, L0) == [0, 0]
+    assert relative_position(ctx0, stage_lattice(ctx0, 0)) == [0, 0]
 
     Kp = FreeComplex(z3, 0, [1, 1], [Matrix(z3, [[3]])])
     Fp = SheafComplex.constant(pt, Kp)
     with pytest.raises(TorsionObstruction):
-        lattice_pair_from_complex(InstanceContext(Fp), 1)
+        stage_lattice(InstanceContext(Fp), 1)
 
 
 def test_torsionfree_table_example(z3):
