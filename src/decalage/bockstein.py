@@ -31,7 +31,7 @@ from .complexes import (
 )
 from .eta import eta_m, graded_piece, mod_xi_subquotient
 from .kmatrix import QuotientSpace, Subspace, field_rank, kernel, solve_field
-from .rmatrix import Matrix, SNFResult, snf
+from .rmatrix import Matrix, SNFResult, snf, substitute
 
 
 def k_cohomology_quotient(cx: FreeComplex, i: int) -> QuotientSpace:
@@ -101,13 +101,14 @@ class Memo:
     one place where matrices are factored, keyed by content and keeping
     nothing else about a matrix: a reader takes a kernel or an image from
     ``factor(M)``, whose transforms are built only when one of these reads
-    them and which keeps its image once built; solves are kept under their
-    input matrices, so each is built once per content.  A stage lattice
-    takes no Smith form: it is one elimination over k.
-    ``rmatrix.solve_exact`` is the public one-shot solve over R outside a
-    context.  Over k, kernels and solves are ``kmatrix``'s, so no Smith form
-    is taken over a field; over R a solve against an identity returns B
-    here, before any key is built.
+    them and which keeps its image once built.  A solve against a square
+    lower-triangular A with a nonzero diagonal (every stage basis, every
+    xi^e * I, every identity) is ``rmatrix.substitute``, with no Smith form
+    and no key; any other solve is kept under its input matrices, so each
+    is built once per content.  A stage lattice takes no Smith form: it is
+    one elimination over k.  ``rmatrix.solve_exact`` is the public one-shot
+    solve over R outside a context.  Over k, kernels and solves are
+    ``kmatrix``'s, so no Smith form is taken over a field.
     """
 
     def __init__(self):
@@ -126,12 +127,12 @@ class Memo:
     def solve(self, A: Matrix, B: Matrix):
         """X with A @ X = B, or None when no exact solution exists; by rref over a field.
 
-        Against an identity X is B itself, and nothing is eliminated.
+        Over R a nonsingular lower-triangular A is solved by substitution, unkept.
         """
         if A.ring.is_field:
             return solve_field(A, B)
-        if A.rows == B.rows and A.is_identity():
-            return B
+        if A.is_nonsingular_lower_triangular():
+            return substitute(A, B)
         return self.once(("solve", A, B), lambda: self.factor(A).solve(B))
 
     def module(self, K: FreeComplex, i: int) -> FGModule:

@@ -320,19 +320,22 @@ class CohomologyPresentation:
     module invariants and coordinates on the free quotient (all torsion
     killed, which loses nothing for xi-torsion-free groups, since primes away
     from xi act as units in the lattice story).  ``basis_snf`` is the Smith
-    form of ``gens_basis``, which coordinates are solved against.
+    form of ``gens_basis``, which coordinates are solved against; it is None
+    for an identity basis, whose coordinates are the columns themselves.
     """
 
     __slots__ = ("gens_basis", "basis_snf", "snf", "module")
 
-    def __init__(self, ring, basis_snf, relations_snf):
-        self.gens_basis = basis_snf.matrix
+    def __init__(self, gens_basis, basis_snf, relations_snf):
+        self.gens_basis = gens_basis
         self.basis_snf = basis_snf
         self.snf = relations_snf
-        self.module = FGModule.from_snf(ring, self.gens_basis.cols, relations_snf)
+        self.module = FGModule.from_snf(gens_basis.ring, gens_basis.cols, relations_snf)
 
     def coords(self, M: Matrix) -> Matrix:
         """Presentation coordinates of columns of M (each must lie in N)."""
+        if self.basis_snf is None:
+            return M
         sol = self.basis_snf.solve(M)
         if sol is None:
             raise ValueError("column is not a cocycle for this presentation")
@@ -353,15 +356,19 @@ def _presentation(ctx, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation
     """The cocycle basis { x : d_i x in span(rels_next) }, the image of ker [d_i | rels_next].
 
     The kernel and the image are views of the context's Smith forms of
-    [d_i | rels_next] and of the kernel's top block; the image is kept on
-    its factorization, which the coordinates are solved against.
+    [d_i | rels_next] and of the kernel's top block.  The coordinates of the
+    relations are solved against the context's Smith form of the image, or
+    are the relations themselves when the image is the identity.
     """
     ker = ctx.factor(d_i.hstack(rels_next)).kernel()
-    basis_snf = ctx.factor(ctx.factor(ker.submatrix(0, d_i.cols, 0, ker.cols)).image())
-    coords = basis_snf.solve(d_prev.hstack(rels_i))
+    top = ker.submatrix(0, d_i.cols, 0, ker.cols)
+    basis = top if top.is_identity() else ctx.factor(top).image()
+    basis_snf = None if basis.is_identity() else ctx.factor(basis)
+    relations = d_prev.hstack(rels_i)
+    coords = relations if basis_snf is None else basis_snf.solve(relations)
     if coords is None:
         raise ShapeMismatch("boundaries do not lie in the cocycle submodule")
-    return CohomologyPresentation(d_i.ring, basis_snf, ctx.factor(coords))
+    return CohomologyPresentation(basis, basis_snf, ctx.factor(coords))
 
 
 def cohomology_module(ctx, K: FreeComplex, i: int) -> FGModule:

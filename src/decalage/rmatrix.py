@@ -8,7 +8,9 @@ through ``residue`` and ``xi_residue``, and one over k reaches R through
 factors, which are the diagonal of D, and the logs of the elementary
 operations that give all four transforms (U, U^-1, V, V^-1 with U*M*V = D),
 each built on first read.  That makes exact kernel coordinates, image bases
-and linear solves one-liners: they are views of one factorization.
+and linear solves one-liners: they are views of one factorization.  A
+system whose matrix is square, lower triangular and nonzero on the diagonal
+needs none: ``substitute`` solves it row by row by exact division.
 """
 
 from __future__ import annotations
@@ -123,6 +125,11 @@ class Matrix:
             if row[i] != one or any(row[:i]) or any(row[i + 1:]):
                 return False
         return True
+
+    def is_nonsingular_lower_triangular(self) -> bool:
+        """Square, zero above the diagonal and nonzero on it; stops at the first row off it."""
+        return self.rows == self.cols and all(
+            row[i] and not any(row[i + 1:]) for i, row in enumerate(self.data))
 
     def column(self, j):
         return tuple(row[j] for row in self.data)
@@ -511,6 +518,33 @@ def snf(M: Matrix) -> SNFResult:
             row_ops.append((_SCALE, i, R.inv_unit(u)))
         factors.append(nrm)
     return SNFResult(M, row_ops, col_ops, tuple(factors))
+
+
+def substitute(A: Matrix, B: Matrix):
+    """Solve A @ X = B for a nonsingular lower-triangular A; None when no exact solution exists.
+
+    Row i of X is row i of B less a_ij times row j of X for each j < i, divided
+    exactly by a_ii.  The solution is unique: it is the one ``snf(A).solve(B)`` gives.
+    """
+    if A.rows != B.rows:
+        raise ShapeMismatch("solve shape mismatch")
+    R = A.ring
+    sub, divrem, one = R.row_sub_multiple, R.divrem, R.one()
+    X = []
+    for arow, row in zip(A.data, B.data):
+        for a, xrow in zip(arow, X):
+            if a:
+                row = sub(row, a, xrow)
+        d = arow[len(X)]
+        if d != one:
+            row = list(row)
+            for j, c in enumerate(row):
+                if c:
+                    row[j], r = divrem(c, d)
+                    if r:
+                        return None
+        X.append(tuple(row))
+    return Matrix._of(R, tuple(X), B.cols)
 
 
 def solve_exact(A: Matrix, B: Matrix):

@@ -580,9 +580,12 @@ def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(monkeypatch, z2
     identity_systems = {A.hstack(B) for A, B in requested if A.is_identity()}
     assert any(A.ring.is_field for A in identity_systems)
     assert any(not A.ring.is_field for A in identity_systems)
-    assert reduced and factored
+    assert reduced
     assert not identity_systems.intersection(reduced)
-    assert not any(M.is_identity() for M in factored)
+    # over R the stage bases are nonsingular lower triangular: substitution, no Smith form
+    assert any(not A.ring.is_field and not A.is_identity()
+               and A.is_nonsingular_lower_triangular() for A, _ in requested)
+    assert not any(M.is_nonsingular_lower_triangular() for M in factored)
     for incl in subsheaves:
         sub, G = incl.source, incl.target
         exact = kmatrix.solve_field if G.ring.is_field else solve_exact
@@ -591,6 +594,78 @@ def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(monkeypatch, z2
                 # the lift the solved route gives, identity inclusions included
                 moved = G.res(a, b).map(i) @ incl.map(a).map(i)
                 assert sub.res(a, b).map(i) == exact(incl.map(b).map(i), moved)
+
+
+def triangular_solves(monkeypatch, run):
+    """The nonsingular lower-triangular A that ``Memo.solve`` solves against over R
+    while ``run`` runs, and those of them it factors."""
+    solved, factored, solving = [], [], []
+    solve, factor = Memo.solve, Memo.factor
+
+    def traced_solve(self, A, B):
+        if not A.ring.is_field and A.is_nonsingular_lower_triangular():
+            solved.append(A)
+        solving.append(A)
+        try:
+            return solve(self, A, B)
+        finally:
+            solving.pop()
+
+    def traced_factor(self, M):
+        if solving and M.is_nonsingular_lower_triangular():
+            factored.append(M)
+        return factor(self, M)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Memo, "solve", traced_solve)
+        patched.setattr(Memo, "factor", traced_factor)
+        run()
+    return solved, factored
+
+
+@pytest.mark.parametrize("ring", [IntegerRing(2), IntegerRing(3), PolynomialRing(PrimeField(5)),
+                                  PolynomialRing(RationalField())], ids=str)
+def test_lemma_battery_solves_triangular_bases_with_no_smith_form(monkeypatch, ring):
+    F = generate_instance("h1", 1, ring=ring)
+
+    def battery():
+        for x in F.site.elements:
+            lemma_battery(F.stalk(x))
+
+    solved, factored = triangular_solves(monkeypatch, battery)
+    assert any(not A.is_identity() for A in solved) and not factored
+
+    # negative control: under the identity rule alone the stage bases are factored
+    def identity_rule(self, A, B):
+        if A.ring.is_field:
+            return kmatrix.solve_field(A, B)
+        if A.rows == B.rows and A.is_identity():
+            return B
+        return self.factor(A).solve(B)
+
+    monkeypatch.setattr(Memo, "solve", identity_rule)
+    assert triangular_solves(monkeypatch, battery)[1]
+
+
+def test_main_theorem_factors_no_identity_but_a_stage_lattice(monkeypatch, z2):
+    # a presentation whose cocycle basis is the identity takes no Smith form
+    # of it; a stage lattice that is the identity is still read off its own
+    F = theorem_instance("h1-pseudo-circle", z2)
+    factored, lattices = [], []
+    factor, build = rmatrix.snf, theorem.stage_lattice
+
+    def recorded(M):
+        factored.append(M)
+        return factor(M)
+
+    def recorded_lattice(ctx, i):
+        lattices.append(build(ctx, i))
+        return lattices[-1]
+
+    assert bockstein in patch_everywhere(monkeypatch, rmatrix, "snf", recorded)
+    monkeypatch.setattr(theorem, "stage_lattice", recorded_lattice)
+    verify_main_theorem(F)
+    assert factored and all(M in lattices for M in factored if M.is_identity())
 
 
 @pytest.mark.parametrize("ring", [PrimeField(3), IntegerRing(2)], ids=["k", "R"])

@@ -29,7 +29,7 @@ from decalage.complexes import FGModule, FreeComplex, cohomology_presentation
 from decalage.instances import random_complex
 from decalage.kmatrix import Subspace, column_lows, field_rank, kernel, rref, solve_field
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
-from decalage.rmatrix import Matrix, snf
+from decalage.rmatrix import Matrix, ShapeMismatch, snf
 from decalage.theorem import verify_main_theorem
 from oracles import (
     GenericKernels,
@@ -203,6 +203,88 @@ def test_snf_matches_dense_snf_on_theorem_traffic(monkeypatch, case, ring):
     monkeypatch.undo()
     for M in factored:
         assert_snf_matches_dense_snf(M)
+
+
+def units(ring):
+    """The units of a PID: +-1 over Z, the nonzero constants over F[t]."""
+    if isinstance(ring, IntegerRing):
+        return st.sampled_from([1, -1])
+    return elements(ring.base).filter(bool).map(lambda c: ring.from_coeffs([c]))
+
+
+@st.composite
+def lower_triangular(draw, ring, n):
+    """A nonsingular lower-triangular n x n matrix: each diagonal entry a unit times xi^0..2."""
+    A = [list(row) for row in draw(matrices(ring, n, n)).data]
+    for i, row in enumerate(A):
+        row[i] = ring.mul(draw(units(ring)), ring.xi_power(draw(st.integers(0, 2))))
+        row[i + 1:] = [ring.zero()] * (n - i - 1)
+    return Matrix(ring, A, cols=n)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(SNF_RINGS), dims, dims, st.data())
+def test_substitution_is_the_smith_form_solve(ring, n, rhs, data):
+    A = data.draw(lower_triangular(ring, n))
+    assert A.is_nonsingular_lower_triangular()
+    solvable = A @ data.draw(matrices(ring, n, rhs))
+    for B in (solvable, data.draw(matrices(ring, n, rhs))):
+        got, want = rmatrix.substitute(A, B), snf(A).solve(B)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert_same_entries(got, want)
+    assert rmatrix.substitute(A, solvable) is not None
+    # one entry that a non-unit diagonal entry does not divide: no solution
+    stuck = [i for i in range(n) if not ring.is_unit(A.data[i][i])]
+    if stuck and rhs:
+        i, j = stuck[0], data.draw(st.integers(0, rhs - 1))
+        B = [list(row) for row in solvable.data]
+        B[i][j] = ring.add(B[i][j], ring.one())
+        B = Matrix(ring, B, cols=rhs)
+        assert rmatrix.substitute(A, B) is None and snf(A).solve(B) is None
+    with pytest.raises(ShapeMismatch):
+        rmatrix.substitute(A, Matrix.zeros(ring, n + 1, rhs))
+
+
+class RecordingMemo(Memo):
+    """A context that records every matrix it factors."""
+
+    def __init__(self):
+        super().__init__()
+        self.factored = []
+
+    def factor(self, M):
+        self.factored.append(M)
+        return super().factor(M)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(SNF_RINGS), dims, dims, st.data())
+def test_memo_substitutes_on_nonsingular_lower_triangular_systems_alone(ring, rows, cols, data):
+    # a triangular matrix, upper or lower, with a diagonal entry zeroed or not, or any matrix
+    A = data.draw(lower_triangular(ring, rows))
+    if data.draw(st.booleans()):
+        A = A.transpose()
+    if rows and data.draw(st.booleans()):
+        entries = [list(row) for row in A.data]
+        k = data.draw(st.integers(0, rows - 1))
+        entries[k][k] = ring.zero()
+        A = Matrix(ring, entries, cols=rows)
+    if data.draw(st.booleans()):
+        A = data.draw(matrices(ring, rows, cols))
+    # square, nonzero on the diagonal and zero above it
+    triangular = A.rows == A.cols and all(
+        bool(A.data[i][j]) == (i == j) for i in range(A.rows) for j in range(i, A.cols))
+    assert A.is_nonsingular_lower_triangular() == triangular
+    B = data.draw(matrices(ring, A.rows, 2))
+    ctx = RecordingMemo()
+    got, want = ctx.solve(A, B), snf(A).solve(B)
+    assert ctx.factored == ([] if triangular else [A])
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert_same_entries(got, want)
+    with pytest.raises(ShapeMismatch):
+        ctx.solve(A, Matrix.zeros(ring, A.rows + 1, 2))
 
 
 MODULE_RINGS = [IntegerRing(2), IntegerRing(3), IntegerRing(5), PolynomialRing(PrimeField(5)),
