@@ -27,11 +27,12 @@ from .complexes import (
     cohomology_presentation,
     factor_through,
     hodge_filtration,
+    solve,
     truncate_leq,
 )
 from .eta import eta_m, graded_piece, mod_xi_subquotient
-from .kmatrix import QuotientSpace, Subspace, field_rank, kernel, solve_field
-from .rmatrix import Matrix, SNFResult, snf, substitute
+from .kmatrix import QuotientSpace, Subspace, field_rank, kernel
+from .rmatrix import Matrix, SNFResult, snf
 
 
 def k_cohomology_quotient(cx: FreeComplex, i: int) -> QuotientSpace:
@@ -97,18 +98,12 @@ class Memo:
     chain maps presented as quotients (built once per context) are keyed by
     identity; behind that key a presentation is keyed by the content of the
     four matrices it reads, so quotient maps equal in content share one.
-    A context also holds the linear algebra on both rings.  Over R it is the
-    one place where matrices are factored, keyed by content and keeping
-    nothing else about a matrix: a reader takes a kernel or an image from
-    ``factor(M)``, whose transforms are built only when one of these reads
-    them and which keeps its image once built.  A solve against a square
-    lower-triangular A with a nonzero diagonal (every stage basis, every
-    xi^e * I, every identity) is ``rmatrix.substitute``, with no Smith form
-    and no key; any other solve is kept under its input matrices, so each
-    is built once per content.  A stage lattice takes no Smith form: it is
-    one elimination over k.  ``rmatrix.solve_exact`` is the public one-shot
-    solve over R outside a context.  Over k, kernels and solves are
-    ``kmatrix``'s, so no Smith form is taken over a field.
+    A context is also the one place where matrices over R are factored,
+    keyed by content and keeping nothing else about a matrix: a reader takes
+    a kernel or an image from ``factor(M)``, whose transforms are built only
+    when one of these reads them and which keeps its image once built.  A
+    stage basis takes no Smith form: it is one elimination over k.  Over k,
+    kernels are ``kmatrix``'s, so no Smith form is taken over a field.
     """
 
     def __init__(self):
@@ -123,17 +118,6 @@ class Memo:
     def factor(self, M: Matrix) -> SNFResult:
         """The Smith normal form of M, as ``snf``."""
         return self.once(("factor", M), snf, M)
-
-    def solve(self, A: Matrix, B: Matrix):
-        """X with A @ X = B, or None when no exact solution exists; by rref over a field.
-
-        Over R a nonsingular lower-triangular A is solved by substitution, unkept.
-        """
-        if A.ring.is_field:
-            return solve_field(A, B)
-        if A.is_nonsingular_lower_triangular():
-            return substitute(A, B)
-        return self.once(("solve", A, B), lambda: self.factor(A).solve(B))
 
     def module(self, K: FreeComplex, i: int) -> FGModule:
         """The invariants of H^i of a free complex K over R, as ``cohomology_module``."""
@@ -154,7 +138,7 @@ class Memo:
     def inclusion(self, K: FreeComplex, m: int) -> ChainMap:
         """stage(m+1) -> stage(m) of K, as ``factor_through``."""
         return self.once(("inclusion", K, m),
-                         lambda: factor_through(self, self.stage(K, m + 1), self.stage(K, m)))
+                         lambda: factor_through(self.stage(K, m + 1), self.stage(K, m)))
 
     def graded(self, K: FreeComplex, m: int) -> ChainMap:
         """stage(m) mod xi onto the truncation of K/xi at m, as ``graded_piece``."""
@@ -170,7 +154,7 @@ class Memo:
 
     def truncation(self, K: FreeComplex, m: int) -> ChainMap:
         """tau_{<=m}(K) as its inclusion into K, as ``truncate_leq``."""
-        return self.once(("truncation", K, m), truncate_leq, self, K, m)
+        return self.once(("truncation", K, m), truncate_leq, K, m)
 
     def bockstein(self, K: FreeComplex) -> FreeComplex:
         """H^*(K/xi) with beta over k, as ``bockstein_complex``."""
@@ -178,7 +162,7 @@ class Memo:
 
     def hodge(self, K: FreeComplex, p: int) -> ChainMap:
         """The degree >= p part of K as its inclusion into K, as ``hodge_filtration``."""
-        return self.once(("hodge", K, p), hodge_filtration, self, K, p)
+        return self.once(("hodge", K, p), hodge_filtration, K, p)
 
     def comparison(self, K: FreeComplex, m: int) -> ChainMap:
         """stage(m) mod xi onto F_m, as ``hodge_stage_comparison``."""
@@ -299,7 +283,7 @@ def connecting_factorization(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
             z = gens.take_columns([j])
             rhs = betas.column(j)
             # snake: lift z, apply d, pull back along the stage inclusion
-            y = ctx.solve(inc.map(m + 1), stage.d(m) @ z)
+            y = solve(inc.map(m + 1), stage.d(m) @ z)
             if y is None:
                 out.fail(m=m, generator=j, reason="snake image escaped the finer stage")
                 continue
@@ -370,7 +354,7 @@ def _splitting_compatibility(ctx: Memo, K: FreeComplex, m: int) -> CheckResult:
         kbar = ctx.kbar(K)
         # inclusion tau_{<=m-1} -> tau_{<=m} over k
         try:
-            jmap = factor_through(ctx, ctx.truncation(kbar, m - 1), ctx.truncation(kbar, m))
+            jmap = factor_through(ctx.truncation(kbar, m - 1), ctx.truncation(kbar, m))
         except ArithmeticError as exc:
             out.fail(reason=f"truncations are not nested: {exc}")
             return out

@@ -18,9 +18,9 @@ map the relations.
 
 from __future__ import annotations
 
-from .kmatrix import kernel
+from .kmatrix import kernel, solve_field
 from .rings import BaseRing
-from .rmatrix import Matrix, ShapeMismatch
+from .rmatrix import Matrix, ShapeMismatch, substitute
 
 
 class DifferentialSquareNonzero(ValueError):
@@ -268,37 +268,47 @@ class ChainMap:
         return ChainMap(other.source, self.target, maps)
 
 
-def factor_through(ctx, f: ChainMap, incl: ChainMap, first: ChainMap | None = None) -> ChainMap:
+def solve(A: Matrix, B: Matrix):
+    """X with A @ X = B, or None when no exact solution exists.
+
+    Over a field, ``kmatrix.solve_field``.  Over R every A solved against is
+    a stage basis or an inclusion of stages, nonsingular and lower-triangular,
+    and X is ``rmatrix.substitute``'s, which refuses any other A.
+    """
+    return solve_field(A, B) if A.ring.is_field else substitute(A, B)
+
+
+def factor_through(f: ChainMap, incl: ChainMap, first: ChainMap | None = None) -> ChainMap:
     """f's source -> incl's source: ``f`` factored through the inclusion ``incl``.
 
-    Both map into one complex; one solve through ``ctx`` per degree of f's
-    source, outside which f is zero.  With ``first``, the map factored is
-    f ∘ first, from first's source, taken degreewise without building the
-    composite.  Raises ArithmeticError when the image does not lie in incl's.
+    Both map into one complex; one ``solve`` per degree of f's source,
+    outside which f is zero.  With ``first``, the map factored is f ∘ first,
+    from first's source, taken degreewise without building the composite.
+    Raises ArithmeticError when the image does not lie in incl's.
     """
     source = f.source if first is None else first.source
     maps = {}
     for i in source.degrees():
         image = f.map(i) if first is None else f.map(i) @ first.map(i)
-        sol = ctx.solve(incl.map(i), image)
+        sol = solve(incl.map(i), image)
         if sol is None:
             raise ArithmeticError(f"images are not nested at degree {i}")
         maps[i] = sol
     return ChainMap(source, incl.source, maps)
 
 
-def subcomplex(ctx, K: FreeComplex, bases: dict) -> ChainMap:
+def subcomplex(K: FreeComplex, bases: dict) -> ChainMap:
     """The subcomplex of K spanned by ``bases``, as its inclusion into K.
 
     ``bases`` maps each degree of a run lo..hi to a full-column-rank basis in
-    K^i; d is restricted by one solve through ``ctx`` per degree.  A
-    subcomplex equal to K is K itself, so the memos keyed by it hit by
-    identity.  Raises ArithmeticError when d leaves the span.
+    K^i; d is restricted by one ``solve`` per degree.  A subcomplex equal
+    to K is K itself, so the memos keyed by it hit by identity.  Raises
+    ArithmeticError when d leaves the span.
     """
     lo, hi = min(bases), max(bases)
     diffs = []
     for i in range(lo, hi):
-        inner = ctx.solve(bases[i + 1], K.d(i) @ bases[i])
+        inner = solve(bases[i + 1], K.d(i) @ bases[i])
         if inner is None:
             raise ArithmeticError(f"d leaves the subcomplex at degree {i}")
         diffs.append(inner)
@@ -404,7 +414,7 @@ def cohomology_presentation(ctx, K, i: int) -> CohomologyPresentation:
 # truncations and sums
 
 
-def truncate_leq(ctx, K: FreeComplex, m: int) -> ChainMap:
+def truncate_leq(K: FreeComplex, m: int) -> ChainMap:
     """Canonical truncation [... -> K^{m-1} -> Z^m -> 0] of K over k, as its inclusion into K.
 
     Truncations are only taken of K/xi, so Z^m is ``kmatrix.kernel`` of d(m).
@@ -415,14 +425,13 @@ def truncate_leq(ctx, K: FreeComplex, m: int) -> ChainMap:
         return ChainMap.zero(FreeComplex.zero(K.ring, K.lo, K.hi, K.twist), K)
     bases = {i: Matrix.identity(K.ring, K.rank(i)) for i in range(K.lo, m)}
     bases[m] = kernel(K.d(m)).matrix().transpose()
-    return subcomplex(ctx, K, bases)
+    return subcomplex(K, bases)
 
 
-def hodge_filtration(ctx, K: FreeComplex, m: int) -> ChainMap:
+def hodge_filtration(K: FreeComplex, m: int) -> ChainMap:
     """Brutal truncation: K^i for i >= m, zero below, as its inclusion into K."""
     if m <= K.lo:
         return ChainMap.identity(K)
     if m > K.hi:
         return ChainMap.zero(FreeComplex.zero(K.ring, K.lo, K.hi, K.twist), K)
-    return subcomplex(ctx, K, {i: Matrix.identity(K.ring, K.rank(i))
-                               for i in range(m, K.hi + 1)})
+    return subcomplex(K, {i: Matrix.identity(K.ring, K.rank(i)) for i in range(m, K.hi + 1)})

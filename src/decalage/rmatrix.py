@@ -22,6 +22,10 @@ class ShapeMismatch(ValueError):
     """Matrix shapes are inconsistent for the requested operation."""
 
 
+class NotTriangular(ValueError):
+    """A substitution asked of a matrix that is not square, nonsingular and lower-triangular."""
+
+
 class Matrix:
     """An immutable matrix: ``data`` is a tuple of row tuples.
 
@@ -525,9 +529,13 @@ def substitute(A: Matrix, B: Matrix):
 
     Row i of X is row i of B less a_ij times row j of X for each j < i, divided
     exactly by a_ii.  The solution is unique: it is the one ``snf(A).solve(B)`` gives.
+    Raises ``ShapeMismatch`` when B's rows are not A's, and ``NotTriangular``
+    when A is not square, nonzero on the diagonal and zero above it.
     """
     if A.rows != B.rows:
         raise ShapeMismatch("solve shape mismatch")
+    if not A.is_nonsingular_lower_triangular():
+        raise NotTriangular("substitution needs a nonsingular lower-triangular matrix")
     R = A.ring
     sub, divrem, one = R.row_sub_multiple, R.divrem, R.one()
     X = []
@@ -550,8 +558,7 @@ def substitute(A: Matrix, B: Matrix):
 def solve_exact(A: Matrix, B: Matrix):
     """Solve A @ X = B over the ring; None when no exact solution exists.
 
-    The one solve for callers without a context; a context (``Memo``,
-    bockstein module) factors each matrix over R once and serves kernels,
-    images, solves and preimages from that factorization.
+    The one-shot solve against any A, by its Smith form; the library solves
+    against triangular bases only, by ``substitute`` (``complexes.solve``).
     """
     return snf(A).solve(B)

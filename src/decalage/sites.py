@@ -356,7 +356,7 @@ def _sheaf(F: SheafComplex, stalks: dict, restriction) -> SheafComplex:
     })
 
 
-def _subsheaf(ctx: Memo, F: SheafComplex, piece, m: int) -> SheafMap:
+def _subsheaf(F: SheafComplex, piece, m: int) -> SheafMap:
     """The subsheaf of F with stalks ``piece(F(x), m).source``, as its inclusion into F.
 
     ``piece`` is the context's builder of a stalk piece as its inclusion
@@ -368,7 +368,7 @@ def _subsheaf(ctx: Memo, F: SheafComplex, piece, m: int) -> SheafMap:
     restrictions = {}
     for a, b in F.site.strict_pairs():
         try:
-            restrictions[(a, b)] = factor_through(ctx, F.res(a, b), parts[b], parts[a])
+            restrictions[(a, b)] = factor_through(F.res(a, b), parts[b], parts[a])
         except ArithmeticError:
             raise InvalidSheaf(f"restriction {a}<={b} does not preserve the subsheaf",
                                (a, b)) from None
@@ -441,12 +441,12 @@ class InstanceContext(Memo):
 
     def stage_sheaf(self, m: int) -> SheafMap:
         """The stage-m sheaf as its inclusion into F, as ``_subsheaf`` of the stages."""
-        return self.once(("stage-sheaf", m), _subsheaf, self, self.F, self.stage, m)
+        return self.once(("stage-sheaf", m), _subsheaf, self.F, self.stage, m)
 
     def truncation_sheaf(self, q: int) -> SheafMap:
         """tau_{<=q}(F/xi) as its inclusion, as ``_subsheaf`` of the truncations."""
         return self.once(("truncation-sheaf", q),
-                         lambda: _subsheaf(self, self.reduced(), self.truncation, q))
+                         lambda: _subsheaf(self.reduced(), self.truncation, q))
 
     def bockstein_sheaf(self) -> SheafComplex:
         """The Bockstein sheaf, as ``sheaf_bockstein``."""
@@ -459,4 +459,4 @@ class InstanceContext(Memo):
     def hodge_sheaf(self, p: int) -> SheafMap:
         """The degree >= p part of the Bockstein sheaf as its inclusion, as ``_subsheaf``."""
         return self.once(("hodge-sheaf", p),
-                         lambda: _subsheaf(self, self.bockstein_sheaf(), self.hodge, p))
+                         lambda: _subsheaf(self.bockstein_sheaf(), self.hodge, p))

@@ -63,12 +63,12 @@ def test_cocycles_boundaries(z5):
 def test_truncate_examples(z5):
     # truncations are taken of complexes over k: d = 1 mod 5 here, d = 0 mod 5 below
     K = shell(z5, 1).reduce_mod_xi()
-    assert truncate_leq(Memo(), K, 5).source == K
-    assert is_zero_complex(truncate_leq(Memo(), K, -1).source)
-    inc0 = truncate_leq(Memo(), K, 0)
+    assert truncate_leq(K, 5).source == K
+    assert is_zero_complex(truncate_leq(K, -1).source)
+    inc0 = truncate_leq(K, 0)
     assert inc0.source.rank(0) == 0
     inc0.validate()
-    inc0 = truncate_leq(Memo(), shell(z5, 5).reduce_mod_xi(), 0)
+    inc0 = truncate_leq(shell(z5, 5).reduce_mod_xi(), 0)
     assert inc0.source.rank(0) == 1
     inc0.validate()
 
@@ -78,7 +78,7 @@ def test_truncate_cohomology_property(rng, z3, z5):
         K = random_complex(z3 if trial % 2 else z5, rng, max_degree=3, max_rank=3)
         Kbar = K.reduce_mod_xi()
         for m in range(K.lo - 1, K.hi + 2):
-            inc = truncate_leq(Memo(), Kbar, m)
+            inc = truncate_leq(Kbar, m)
             T = inc.source
             inc.validate()
             ctx = Memo()
@@ -89,9 +89,9 @@ def test_truncate_cohomology_property(rng, z3, z5):
 
 def test_hodge_examples(z5):
     K = shell(z5, 5)
-    assert hodge_filtration(Memo(), K, 0).source == K
-    assert is_zero_complex(hodge_filtration(Memo(), K, 2).source)
-    inc = hodge_filtration(Memo(), K, 1)
+    assert hodge_filtration(K, 0).source == K
+    assert is_zero_complex(hodge_filtration(K, 2).source)
+    inc = hodge_filtration(K, 1)
     assert inc.source.lo == 1 and inc.source.rank(1) == 1
     inc.validate()
 

@@ -14,13 +14,14 @@ import hashlib
 import io
 import json
 
-from decalage import bockstein, cli, suites, theorem
+from decalage import bockstein, cli, complexes, suites, theorem
 from decalage.bockstein import Memo, connecting_factorization, split_mod_xi
 from decalage.complexes import FreeComplex, factor_through
 from decalage.instances import generate_instance
 from decalage.rings import IntegerRing
 from decalage.rmatrix import Matrix
 from decalage.serialize import dump_json
+from test_contexts import patch_everywhere
 
 Z2 = IntegerRing(2)
 # H^1 and H^2 are R/(2), so every stage differs from the next below the top
@@ -37,7 +38,7 @@ def failing_records(results) -> list:
 
 def unscaled_subquotient(ctx, K, m):
     """The mutant: stage(m) itself, not xi * stage(m), factored through stage(m+1)."""
-    return factor_through(ctx, ctx.stage(K, m), ctx.stage(K, m + 1))
+    return factor_through(ctx.stage(K, m), ctx.stage(K, m + 1))
 
 
 def run_cli(argv) -> tuple:
@@ -88,7 +89,7 @@ def test_truncations_factored_the_wrong_way_fail_the_splitting_through_its_merge
         ctx = Memo()
         assert split_mod_xi(ctx, K, m).passed
         with monkeypatch.context() as patch:
-            patch.setattr(bockstein, "factor_through", lambda ctx, f, g: factor(ctx, g, f))
+            patch.setattr(bockstein, "factor_through", lambda f, g: factor(g, f))
             got = split_mod_xi(ctx, K, m).to_json()
         failures = [{"check": "eta-m.mod-xi-splitting-compat",
                      "reason": f"truncations are not nested: images are not nested at degree {m}"}]
@@ -96,14 +97,15 @@ def test_truncations_factored_the_wrong_way_fail_the_splitting_through_its_merge
                        "failures": failures if m in (1, 2) else []}, m
 
 
-def test_a_snake_without_a_lift_escapes_the_finer_stage():
+def test_a_snake_without_a_lift_escapes_the_finer_stage(monkeypatch):
     # on a context that has built every piece, the mutant's solve finds no lift
     records = {}
     for m in range(0, K.hi + 2):
         ctx = Memo()
         assert connecting_factorization(ctx, K, m).passed
-        ctx.solve = lambda A, B: None
-        records[m] = connecting_factorization(ctx, K, m).to_json()["failures"]
+        with monkeypatch.context() as patch:
+            assert bockstein in patch_everywhere(patch, complexes, "solve", lambda A, B: None)
+            records[m] = connecting_factorization(ctx, K, m).to_json()["failures"]
     escaped = "snake image escaped the finer stage"
     assert records == {
         0: [{"generator": 0, "m": 0, "reason": escaped}],

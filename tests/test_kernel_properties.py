@@ -23,13 +23,13 @@ from fractions import Fraction
 
 import pytest
 
-from decalage import rmatrix
+from decalage import complexes, rmatrix
 from decalage.bockstein import Memo
 from decalage.complexes import FGModule, FreeComplex, cohomology_presentation
 from decalage.instances import random_complex
 from decalage.kmatrix import Subspace, column_lows, field_rank, kernel, rref, solve_field
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
-from decalage.rmatrix import Matrix, ShapeMismatch, snf
+from decalage.rmatrix import Matrix, NotTriangular, ShapeMismatch, snf
 from decalage.theorem import verify_main_theorem
 from oracles import (
     GenericKernels,
@@ -246,18 +246,6 @@ def test_substitution_is_the_smith_form_solve(ring, n, rhs, data):
         rmatrix.substitute(A, Matrix.zeros(ring, n + 1, rhs))
 
 
-class RecordingMemo(Memo):
-    """A context that records every matrix it factors."""
-
-    def __init__(self):
-        super().__init__()
-        self.factored = []
-
-    def factor(self, M):
-        self.factored.append(M)
-        return super().factor(M)
-
-
 @PROPERTY_SETTINGS
 @hypothesis.given(st.sampled_from(SNF_RINGS), dims, dims, st.data())
 def test_memo_substitutes_on_nonsingular_lower_triangular_systems_alone(ring, rows, cols, data):
@@ -277,14 +265,26 @@ def test_memo_substitutes_on_nonsingular_lower_triangular_systems_alone(ring, ro
         bool(A.data[i][j]) == (i == j) for i in range(A.rows) for j in range(i, A.cols))
     assert A.is_nonsingular_lower_triangular() == triangular
     B = data.draw(matrices(ring, A.rows, 2))
-    ctx = RecordingMemo()
-    got, want = ctx.solve(A, B), snf(A).solve(B)
-    assert ctx.factored == ([] if triangular else [A])
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert_same_entries(got, want)
-    with pytest.raises(ShapeMismatch):
-        ctx.solve(A, Matrix.zeros(ring, A.rows + 1, 2))
+    factored = []
+
+    def recorded(M):
+        factored.append(M)
+        return snf(M)
+
+    # over R the one solve substitutes, with no Smith form, and refuses any other A
+    with pytest.MonkeyPatch.context() as patch:
+        assert rmatrix in patch_everywhere(patch, rmatrix, "snf", recorded)
+        if triangular:
+            got, want = complexes.solve(A, B), snf(A).solve(B)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert_same_entries(got, want)
+        else:
+            with pytest.raises(NotTriangular):
+                complexes.solve(A, B)
+        with pytest.raises(ShapeMismatch):
+            complexes.solve(A, Matrix.zeros(ring, A.rows + 1, 2))
+    assert factored == []
 
 
 MODULE_RINGS = [IntegerRing(2), IntegerRing(3), IntegerRing(5), PolynomialRing(PrimeField(5)),
