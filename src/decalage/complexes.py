@@ -223,17 +223,14 @@ class FreeComplex:
 
 
 class ChainMap:
+    """Matrices f(i): source^i -> target^i, zero where none is given; unchecked until ``validate``."""
+
     __slots__ = ("source", "target", "_maps")
 
     def __init__(self, source, target, maps: dict):
         self.source = source
         self.target = target
         self._maps = dict(maps)
-        for i, f in self._maps.items():
-            if (f.rows, f.cols) != (target.rank(i), source.rank(i)):
-                raise ShapeMismatch(
-                    f"f({i}) must be {target.rank(i)}x{source.rank(i)}, got {f.rows}x{f.cols}"
-                )
 
     @classmethod
     def identity(cls, K) -> "ChainMap":
@@ -252,6 +249,11 @@ class ChainMap:
         return f
 
     def validate(self) -> None:
+        """ShapeMismatch unless each f(i) is target.rank(i) x source.rank(i) and f commutes with d."""
+        for i, f in self._maps.items():
+            shape = (self.target.rank(i), self.source.rank(i))
+            if (f.rows, f.cols) != shape:
+                raise ShapeMismatch(f"f({i}) must be {shape[0]}x{shape[1]}, got {f.rows}x{f.cols}")
         lo = min(self.source.lo, self.target.lo)
         hi = max(self.source.hi, self.target.hi)
         for i in range(lo, hi):

@@ -326,26 +326,26 @@ def resolution_witness_sheaf(ring: BaseRing, rng: random.Random | None = None) -
 
 
 _SITES = ("point", "pseudo-circle", "chain3", "sphere")
+BUDGET = 64  # draws a retrying profile takes before GenerationBudgetExceeded
 
 
 def generate_instance(profile: str, seed: int, ring: BaseRing | None = None,
-                      site: PosetSite | None = None, max_degree=2, max_rank=2,
-                      budget=64) -> SheafComplex:
+                      site: PosetSite | None = None, max_degree=2, max_rank=2) -> SheafComplex:
     """Deterministic-in-seed instance of the named profile.
 
     "free": any valid sheaf complex.  "h1": retries until every H^i of the
     global sections is xi-torsion-free.  "adversarial": retries until the
-    truncation-injectivity check fails, else GenerationBudgetExceeded; the
-    random families cannot break it (they are pullback-shaped), so witness
-    draws based on the coinduced-resolution construction are mixed in when
-    the site is the sphere, where the witness lives, or is left to the draw.
-    On any other site the budget runs out.  Draws are valid by construction
-    and are not validated.
+    truncation-injectivity check fails.  Retries stop after ``BUDGET`` draws
+    with GenerationBudgetExceeded.  The random families cannot break H3
+    (they are pullback-shaped), so witness draws of the coinduced-resolution
+    construction are mixed in when the site is the sphere, where the witness
+    lives, or is left to the draw; on any other site the budget runs out.
+    Draws are valid by construction and are not validated.
     """
     rng = random.Random(seed)
     ring = ring or IntegerRing(2)
     witnesses = profile == "adversarial" and site in (None, PosetSite.sphere())
-    for attempt in range(budget):
+    for attempt in range(BUDGET):
         chosen_site = site if site is not None else PosetSite.builtin(rng.choice(_SITES))
         torsion_free = profile == "h1"
         if witnesses and attempt % 3 == 2:
@@ -368,4 +368,4 @@ def generate_instance(profile: str, seed: int, ring: BaseRing | None = None,
                 return F
         else:
             raise ValueError(f"unknown profile {profile!r}")
-    raise GenerationBudgetExceeded(profile, budget)
+    raise GenerationBudgetExceeded(profile, BUDGET)

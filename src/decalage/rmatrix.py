@@ -32,9 +32,8 @@ class Matrix:
     ``Matrix(ring, data, cols)`` copies ``data`` into tuples and checks that
     every row has ``cols`` entries (by default, as many as the first row).
     ``Matrix._of(ring, rows, cols)`` is the trusted constructor for rows the
-    library has just built: ``rows`` must already be a tuple of tuples, which
-    it keeps without copying; it still checks that every row has ``cols``
-    entries.
+    library has just built: ``rows`` must already be a tuple of tuples with
+    ``cols`` entries each, which it keeps without copying or checking.
     """
 
     __slots__ = ("ring", "rows", "cols", "data", "_hash")
@@ -55,9 +54,7 @@ class Matrix:
 
     @classmethod
     def _of(cls, ring: BaseRing, rows: tuple, cols: int) -> "Matrix":
-        for r in rows:
-            if len(r) != cols:
-                raise ShapeMismatch("ragged rows")
+        """Keeps ``rows`` as they are: the library built them, so their shape holds."""
         self = object.__new__(cls)
         self.ring = ring
         self.rows = len(rows)

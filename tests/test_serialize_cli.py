@@ -415,6 +415,15 @@ def test_cli_generation_options_with_a_path_are_parse_errors(command, options):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command", ["check-lemmas", "check-theorem"])
+def test_cli_exhausted_generation_budget_exits_2(command):
+    # on a point the random families cannot break H3 and no witness draw is mixed in
+    r = run_cli(command, "--generate", "adversarial", "--poset", "builtin:point")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr == "generation failed: profile 'adversarial' exhausted its budget of 64\n"
+
+
 @pytest.mark.parametrize("command", ["check-lemmas", "check-theorem", "ss"])
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
 def test_cli_unwritable_out_is_an_input_error(tmp_path, monkeypatch, capsys, command, where):

@@ -295,7 +295,7 @@ def test_generate_instance_deterministic(z2):
 def test_adversarial_profile_finds_witness(z2):
     from decalage.spectral import degeneration_check_HT
 
-    F = generate_instance("adversarial", 0, ring=z2, budget=12)
+    F = generate_instance("adversarial", 0, ring=z2)
     ok, wit, _ = degeneration_check_HT(InstanceContext(F))
     assert not ok and wit is not None
 
