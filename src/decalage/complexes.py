@@ -332,8 +332,8 @@ class CohomologyPresentation:
     module invariants and coordinates on the free quotient (all torsion
     killed, which loses nothing for xi-torsion-free groups, since primes away
     from xi act as units in the lattice story).  ``basis_snf`` is the Smith
-    form of ``gens_basis``, which coordinates are solved against; it is None
-    for an identity basis, whose coordinates are the columns themselves.
+    form of the kernel's top block, whose image is ``gens_basis`` and whose
+    ``image_coords`` are coordinates; None when that block is the identity.
     """
 
     __slots__ = ("gens_basis", "basis_snf", "snf", "module")
@@ -348,7 +348,7 @@ class CohomologyPresentation:
         """Presentation coordinates of columns of M (each must lie in N)."""
         if self.basis_snf is None:
             return M
-        sol = self.basis_snf.solve(M)
+        sol = self.basis_snf.image_coords(M)
         if sol is None:
             raise ValueError("column is not a cocycle for this presentation")
         return sol
@@ -367,20 +367,20 @@ class CohomologyPresentation:
 def _presentation(ctx, rels_i, rels_next, d_i, d_prev) -> CohomologyPresentation:
     """The cocycle basis { x : d_i x in span(rels_next) }, the image of ker [d_i | rels_next].
 
-    The kernel and the image are views of the context's Smith forms of
-    [d_i | rels_next] and of the kernel's top block.  The coordinates of the
-    relations are solved against the context's Smith form of the image, or
-    are the relations themselves when the image is the identity.
+    The kernel is a view of the context's Smith form of [d_i | rels_next].
+    The basis is the image of the kernel's top block, and the coordinates of
+    the relations are read off the one Smith form of that block; a top block
+    that is the identity is its own image, and takes none.
     """
     ker = ctx.factor(d_i.hstack(rels_next)).kernel()
     top = ker.submatrix(0, d_i.cols, 0, ker.cols)
-    basis = top if top.is_identity() else ctx.factor(top).image()
-    basis_snf = None if basis.is_identity() else ctx.factor(basis)
-    relations = d_prev.hstack(rels_i)
-    coords = relations if basis_snf is None else basis_snf.solve(relations)
+    if top.is_identity():
+        return CohomologyPresentation(top, None, ctx.factor(d_prev.hstack(rels_i)))
+    top_snf = ctx.factor(top)
+    coords = top_snf.image_coords(d_prev.hstack(rels_i))
     if coords is None:
         raise ShapeMismatch("boundaries do not lie in the cocycle submodule")
-    return CohomologyPresentation(basis, basis_snf, ctx.factor(coords))
+    return CohomologyPresentation(top_snf.image(), top_snf, ctx.factor(coords))
 
 
 def cohomology_module(ctx, K: FreeComplex, i: int) -> FGModule:

@@ -7,8 +7,9 @@ through ``residue`` and ``xi_residue``, and one over k reaches R through
 (``kmatrix`` eliminates over k).  It is one ``SNFResult``: its invariant
 factors, which are the diagonal of D, and the logs of the elementary
 operations that give all four transforms (U, U^-1, V, V^-1 with U*M*V = D),
-each built on first read.  That makes exact kernel coordinates, image bases
-and linear solves one-liners: they are views of one factorization.  A
+each built on first read.  That makes exact kernel coordinates, image bases,
+coordinates in an image basis and linear solves one-liners: they are views
+of one factorization, and no basis read off it is factored again.  A
 system whose matrix is square, lower triangular and nonzero on the diagonal
 needs none: ``substitute`` solves it row by row by exact division.
 """
@@ -171,8 +172,13 @@ class Matrix:
                           self.cols)
 
     def hstack(self, other: "Matrix") -> "Matrix":
+        """[self | other]; a side with no columns leaves the other side itself, shared."""
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
+        if not other.cols:
+            return self
+        if not self.cols:
+            return other
         return Matrix._of(self.ring, tuple(a + b for a, b in zip(self.data, other.data)),
                           self.cols + other.cols)
 
@@ -265,8 +271,12 @@ class SNFResult:
     """U @ M @ V = D over a PID R, with U, V unimodular and D in Smith form.
 
     ``factors`` are the normalized nonzero diagonal entries d_1 | d_2 | ...
-    of D, which is zero elsewhere; ``rank`` is their count.  Kernel, image
-    and solve are views of the one factorization.
+    of D, which is zero elsewhere; ``rank`` is their count.  Kernel, image,
+    image coordinates and solve are views of the one factorization.  U maps
+    column j of ``image()`` to d_j / u_j times e_j, u_j the unit its
+    normalization divides out, so the coordinates of B in that basis are
+    rows j of D^+ U B times u_j: ``image_coords`` and ``solve`` share that
+    one division of U B.
 
     ``snf`` keeps the factors and the log of its elementary operations, not
     D: ``row_ops`` (row swaps, row add-multiples and the final unit scaling
@@ -280,7 +290,7 @@ class SNFResult:
     """
 
     __slots__ = ("matrix", "rank", "factors", "_row_ops", "_col_ops",
-                 "_u_rows", "_uinv_cols", "_v_cols", "_vinv_rows", "_image")
+                 "_u_rows", "_uinv_cols", "_v_cols", "_vinv_rows", "_image", "_image_scales")
 
     def __init__(self, matrix, row_ops, col_ops, factors):
         self.matrix = matrix
@@ -343,33 +353,39 @@ class SNFResult:
 
         Each basis column is scaled so its first nonzero entry is in normal
         form (positive / monic), keeping downstream bases reproducible to the
-        eye.
+        eye.  Column j is d_j / u_j times column j of U^-1, where u_j is the
+        unit that scaling divides out; the d_j / u_j are kept for ``image_coords``.
         """
         if self._image is not None:
             return self._image
         M = self.matrix
         R = M.ring
         z, one = R.zero(), R.one()
-        cols = []
+        cols, scales = [], []
         for d, src in zip(self.factors, self.uinv_cols()):
             col = R.row_scale(d, [src.get(r, z) for r in range(M.rows)])
             # a column of U^-1 times a nonzero factor is nonzero
             u, _ = R.unit_normalize(next(x for x in col if x))
             if u != one:
-                col = R.row_scale(R.inv_unit(u), col)
+                inv = R.inv_unit(u)
+                col = R.row_scale(inv, col)
+                d = R.mul(inv, d)
             cols.append(col)
+            scales.append(d)
+        self._image_scales = scales
         self._image = Matrix.from_columns(R, cols, rows=M.rows)
         return self._image
 
-    def solve(self, B: Matrix):
-        """Solve M @ X = B over the ring; None when no exact solution exists."""
+    def _divide(self, B: Matrix, divisors):
+        """Rows i < rank of U B, each divided exactly by divisors[i], as sparse dicts.
+
+        None when a row past the rank is nonzero or an entry does not divide.
+        """
         M = self.matrix
         if M.rows != B.rows:
             raise ShapeMismatch("solve shape mismatch")
         R = M.ring
         axpy, divrem = R.sparse_axpy, R.divrem
-        # Y = D^+ U B, row by row: the rows past the rank must vanish and the
-        # others must divide exactly by their invariant factor
         brows = [{j: b for j, b in enumerate(row) if b} for row in B.data]
         Y = []
         for i, urow in enumerate(self.u_rows()):
@@ -380,7 +396,7 @@ class SNFResult:
                 if acc:
                     return None
                 continue
-            d = self.factors[i]
+            d = divisors[i]
             yrow = {}
             for j, c in acc.items():
                 q, r = divrem(c, d)
@@ -388,13 +404,28 @@ class SNFResult:
                     return None
                 yrow[j] = q
             Y.append(yrow)
+        return Y
+
+    def image_coords(self, B: Matrix):
+        """The columns of B in the ``image()`` basis; None when a column leaves the span."""
+        self.image()  # which keeps the d_j / u_j
+        Y = self._divide(B, self._image_scales)
+        return None if Y is None else _dense(self.matrix.ring, Y, B.cols)
+
+    def solve(self, B: Matrix):
+        """Solve M @ X = B over the ring; None when no exact solution exists."""
+        Y = self._divide(B, self.factors)  # D^+ U B
+        if Y is None:
+            return None
+        M = self.matrix
+        axpy = M.ring.sparse_axpy
         # X = V Y, accumulated as the outer products of V's columns with Y's rows
         out = [{} for _ in range(M.cols)]
         for vcol, yrow in zip(self.v_cols(), Y):
             if yrow:
                 for r, v in vcol.items():
                     axpy(out[r], v, yrow)
-        return _dense(R, out, B.cols)
+        return _dense(M.ring, out, B.cols)
 
 
 def snf(M: Matrix) -> SNFResult:

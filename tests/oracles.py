@@ -16,7 +16,8 @@ the library's one elimination over k.  The dense
 product, the dense matrix-vector product, the dense RREF row update and the
 dense Smith normal form are kept here as the references for the library's
 zero-skipping kernels, a Smith form is certified by products alone where no
-dense oracle runs, ``kernel_cols`` (an RREF, then one basis vector per
+dense oracle runs, coordinates in an image basis are solved against a second
+Smith form, that of the basis, ``kernel_cols`` (an RREF, then one basis vector per
 free column) is the reference for the library's one-elimination kernel,
 and ``GenericKernels`` is a ring whose row kernels
 are ``BaseRing``'s generic defaults, the reference for the native-int ones.
@@ -384,6 +385,12 @@ def validate_snf(M: Matrix, res) -> None:
     for a, b in zip(factors, factors[1:]):
         if not R.divides(a, b):
             raise ValueError(f"factor {R.format(a)} does not divide {R.format(b)}")
+
+
+def image_coords_by_solve(res, B: Matrix):
+    """The columns of B in the basis ``res.image()``, solved against a second
+    Smith form, that of the basis: the reference for ``SNFResult.image_coords``."""
+    return snf(res.image()).solve(B)
 
 # ---------------------------------------------------------------------------
 # minors

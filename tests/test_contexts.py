@@ -1,7 +1,8 @@
 """The caching contract: one context per top-level call, each stage built once,
 each cohomology group computed once, each stalk's Bockstein complex, truncation
 and Hodge part built once, each sheaf's sections built once, each matrix
-factored once and each presentation built once per content of its inputs."""
+factored once and each presentation built once per content of its inputs, and
+no cocycle basis factored again after the Smith form it is the image of."""
 
 import importlib
 import json
@@ -666,6 +667,59 @@ def test_main_theorem_factors_no_identity_but_a_stage_lattice(monkeypatch, z2):
     monkeypatch.setattr(theorem, "stage_lattice", recorded_lattice)
     verify_main_theorem(F)
     assert factored and all(M in lattices for M in factored if M.is_identity())
+
+
+def factored_cocycle_bases(run, build=complexes._presentation) -> tuple:
+    """(presentations built, cocycle bases that reached ``snf``) over ``run()``.
+
+    Each presentation is built by ``build``; a basis counts when the very
+    object ``gens_basis`` is handed to ``snf``.
+    """
+    bases, factored = [], []
+    factor = rmatrix.snf
+
+    def recorded_factor(M):
+        factored.append(M)
+        return factor(M)
+
+    def recorded_build(*args):
+        pres = build(*args)
+        bases.append(pres.gens_basis)
+        return pres
+
+    with pytest.MonkeyPatch.context() as patch:
+        assert bockstein in patch_everywhere(patch, rmatrix, "snf", recorded_factor)
+        assert complexes in patch_everywhere(patch, complexes, "_presentation", recorded_build)
+        run()
+    seen = {id(M) for M in factored}
+    return len(bases), sum(id(B) in seen for B in bases)
+
+
+@pytest.mark.parametrize("ring", [IntegerRing(2), PolynomialRing(PrimeField(5))],
+                         ids=["z2", "f5t"])
+def test_no_cocycle_basis_is_factored(ring):
+    # the coordinates in a cocycle basis are read off the Smith form that built it
+    def lemmas():
+        for seed in range(4):
+            K = random_complex(ring, random.Random(seed), max_degree=3, max_rank=3)
+            assert all(r.passed for r in lemma_battery(K))
+
+    def theorems():
+        for case in ("h1-sphere", "h1-pseudo-circle"):
+            report = verify_main_theorem(theorem_instance(case, ring))
+            assert report.asserted and report.passed
+
+    # negative control: the route that factored each basis again to solve against it
+    def basis_factored(ctx, *inputs, build=complexes._presentation):
+        pres = build(ctx, *inputs)
+        if not pres.gens_basis.is_identity():
+            ctx.factor(pres.gens_basis)
+        return pres
+
+    for run in (lemmas, theorems):
+        built, factored = factored_cocycle_bases(run)
+        assert built and factored == 0
+        assert factored_cocycle_bases(run, basis_factored)[1]
 
 
 @pytest.mark.parametrize("ring", [PrimeField(3), IntegerRing(2)], ids=["k", "R"])

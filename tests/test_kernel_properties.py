@@ -9,6 +9,9 @@ Each must return what the dense versions in ``oracles.py`` return, entry for
 entry and in the same normal form (same Python type, down to polynomial
 coefficients), because report digests see element representations.  Shapes
 include empty ones and the share of zero entries ranges over [0, 1].
+``SNFResult.image_coords`` reads coordinates in an image basis off the Smith
+form that built the basis; it must give what a second Smith form, that of
+the basis, gives.
 
 The rings' native row kernels are checked the same way against
 ``oracles.GenericKernels``, which runs the same matrix code on ``BaseRing``'s
@@ -37,6 +40,7 @@ from oracles import (
     dense_matmul,
     dense_rref,
     dense_snf,
+    image_coords_by_solve,
     kernel_cols,
     matrix_sum,
     with_generic_kernels,
@@ -169,6 +173,40 @@ def test_sparse_snf_matches_dense_snf(ring, rows, cols, data):
     # shapes and zero shares of the sections-complex differentials: the
     # restarts and the divisibility sweep run on sparse rows
     assert_snf_matches_dense_snf(data.draw(sparse_matrices(ring, rows, cols)))
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.sampled_from(SNF_RINGS), dims, dims, dims, st.data())
+def test_image_coords_are_the_coordinates_in_the_image_basis(ring, rows, cols, rhs, data):
+    M = data.draw(matrices(ring, rows, cols))
+    res = snf(M)
+    image = res.image()
+    C = data.draw(matrices(ring, res.rank, rhs))
+    B = image @ C
+    # read off the one factorization, before or after the image is built
+    for got in (res.image_coords(B), snf(M).image_coords(B)):
+        assert got == C
+        assert_same_entries(got, image_coords_by_solve(res, B))
+    # a unit column off the span exists exactly when the span is not all of R^rows
+    units = Matrix.identity(ring, rows)
+    off = [k for k in range(rows)
+           if image_coords_by_solve(res, units.take_columns([k])) is None]
+    assert bool(off) == (res.rank < rows or not all(map(ring.is_unit, res.factors)))
+    if off and rhs:
+        j = data.draw(st.integers(0, rhs - 1))
+        moved = [list(row) for row in B.data]
+        moved[off[0]][j] = ring.add(moved[off[0]][j], ring.one())
+        moved = Matrix(ring, moved, cols=rhs)
+        assert res.image_coords(moved) is None
+        assert image_coords_by_solve(res, moved) is None
+    # any right-hand side: the same answer as the route through the basis's Smith form
+    free = data.draw(matrices(ring, rows, rhs))
+    got, want = res.image_coords(free), image_coords_by_solve(res, free)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert_same_entries(got, want)
+    with pytest.raises(ShapeMismatch):
+        res.image_coords(Matrix.zeros(ring, rows + 1, rhs))
 
 
 @pytest.mark.parametrize("data", [

@@ -247,6 +247,23 @@ def test_zero_shape_handling(z3):
     assert prod.rows == 2 and prod.cols == 4 and prod.is_zero()
 
 
+def test_hstack_with_an_empty_side_is_the_other_side(z3):
+    M = Matrix(z3, [[1, 2], [0, 3]])
+    empty = Matrix.zeros(z3, 2, 0)
+    # matrices are immutable, so the other side itself is returned, not a copy
+    assert M.hstack(empty) is M
+    assert empty.hstack(M) is M
+    assert empty.hstack(empty) is empty
+    assert M.hstack(M) == Matrix(z3, [[1, 2, 1, 2], [0, 3, 0, 3]])
+    no_rows = Matrix.zeros(z3, 0, 2)
+    assert no_rows.hstack(Matrix.zeros(z3, 0, 0)) is no_rows
+    # an empty side of another height is still refused
+    for a, b in ((M, Matrix.zeros(z3, 3, 0)), (Matrix.zeros(z3, 3, 0), M),
+                 (M, Matrix.zeros(z3, 1, 2))):
+        with pytest.raises(ShapeMismatch):
+            a.hstack(b)
+
+
 def test_determinant(rng, z5):
     assert determinant(Matrix.identity(z5, 3)) == 1
     for _ in range(30):
