@@ -97,9 +97,13 @@ class Memo:
     from: equal free complexes built separately share one entry, and the
     chain maps presented as quotients (built once per context) are keyed by
     identity; behind that key a presentation is keyed by the content of the
-    four matrices it reads, so quotient maps equal in content share one.
-    A context is also the one place where matrices over R are factored,
-    keyed by content and keeping nothing else about a matrix: a reader takes
+    four matrices it reads, so quotient maps equal in content share one,
+    and H^i over k (``quotient``) is keyed by the content of d(i) and
+    d(i-1), the two matrices it reads.  Stages m > 0 and what they share
+    with stage 0 (subquotient and Hodge comparison maps above m) are read
+    from the entries for stage 0, not solved again.  A context is also the
+    one place where matrices over R are factored, keyed by content and
+    keeping nothing else about a matrix: a reader takes
     a kernel or an image from ``factor(M)``, whose transforms are built only
     when one of these reads them and which keeps its image once built.  A
     stage basis takes no Smith form: it is one elimination over k.  Over k,
@@ -128,8 +132,14 @@ class Memo:
         return self.once(("presentation", K, i), cohomology_presentation, self, K, i)
 
     def quotient(self, K: FreeComplex, i: int) -> QuotientSpace:
-        """H^i(K) of a complex over k, as ``k_cohomology_quotient``."""
-        return self.once(("quotient", K, i), k_cohomology_quotient, K, i)
+        """H^i(K) of a complex over k, as ``k_cohomology_quotient``.
+
+        Behind the ``("quotient", K, i)`` key it is built once per content of
+        d(i) and d(i-1), the two matrices it reads, so complexes that agree
+        there share one ``QuotientSpace``.
+        """
+        return self.once(("quotient", K, i), lambda: self.once(
+            ("k-quotient", K.d(i), K.d(i - 1)), k_cohomology_quotient, K, i))
 
     def stage(self, K: FreeComplex, m: int) -> ChainMap:
         """Stage m of K as its inclusion into K, as ``eta_m``."""
@@ -178,14 +188,18 @@ def hodge_stage_comparison(ctx: Memo, K: FreeComplex, m: int) -> ChainMap:
 
     It factors through stage(m)/xi*stage(m-1).  For m = 0 this is the
     comparison of the full reduced decalage.  F_m is zero below m; at degree
-    i >= m generator j is xi^i * w_j and maps to the class of w_j.
+    i >= m generator j is xi^i * w_j and maps to the class of w_j.  In those
+    degrees stage m holds stage 0's bases, so for m > 0 the maps are
+    ``ctx.comparison(K, 0)``'s.
     """
-    kbar = ctx.kbar(K)
     stage = ctx.stage(K, m)
-    maps = {}
-    for i in range(max(m, K.lo), K.hi + 1):
-        wbar = stage.map(i).xi_residue(i)
-        maps[i] = ctx.quotient(kbar, i).coords_matrix(wbar)
+    degrees = range(max(m, K.lo), K.hi + 1)
+    if m:
+        maps = {i: ctx.comparison(K, 0).map(i) for i in degrees}
+    else:
+        kbar = ctx.kbar(K)
+        maps = {i: ctx.quotient(kbar, i).coords_matrix(stage.map(i).xi_residue(i))
+                for i in degrees}
     return ChainMap(ctx.kbar(stage.source), ctx.hodge(ctx.bockstein(K), m).source, maps)
 
 

@@ -9,7 +9,9 @@ subcomplex has degree-i term
 realized as an honest submodule of K^i with a recorded basis, so inclusions
 between the stages (and the later lattice comparisons) are literal matrices.
 Each lattice comes from one elimination over k (``_congruence_kernel``), once
-per complex: in degrees i >= m every stage has stage 0's term.  A stage is
+per complex: in degrees i >= m every stage has stage 0's term, and below m
+it is xi^m K, so stage m > 0 takes its bases and differentials from stage 0
+and K and solves only at the seam degree m - 1.  A stage is
 its inclusion chain map into K: the stage complex is its ``source``, its
 degree-i basis is ``map(i)`` and K is its ``target``.
 The family decreases in m and squeezes between xi-multiples:
@@ -32,7 +34,7 @@ once per call: ``xi_step_inclusion_holds``, ``is_stationary_stage``,
 from __future__ import annotations
 
 from .checks import CheckResult
-from .complexes import ChainMap, FGModule, FreeComplex, factor_through, subcomplex
+from .complexes import ChainMap, FGModule, FreeComplex, factor_through, solve, subcomplex
 from .kmatrix import field_rank, kernel
 from .rmatrix import Matrix
 
@@ -64,24 +66,38 @@ def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
 
     The inclusion has square injective matrices in each degree (the stages
     are full-rank submodules); the degree-i basis carries the xi-power i for
-    the plain decalage part and m below degree m.  Stage m > 0 reads its
-    degree >= m bases from ``ctx.stage(K, 0)``, which equals it there, and
-    ``subcomplex`` restricts the differentials to the bases.
+    the plain decalage part and m below degree m.  Stage 0 restricts d to
+    its bases by ``subcomplex``.  Stage m > 0 is built from stage 0 and K:
+    in degrees >= m its bases and differentials are ``ctx.stage(K, 0)``'s,
+    below m - 1 its differentials are K's (xi^m cancels), and the one
+    ``solve`` is at the seam degree m - 1.  A stage equal to K is K itself.
     """
     if K.lo < 0:
         raise DegreeBelowZero(f"complex starts at degree {K.lo}")
     if m < 0:
         raise NegativeM(f"m = {m}")
+    if not m:
+        return subcomplex(K, {i: _congruence_kernel(K, i).xi_scale(i) for i in K.degrees()})
     ring = K.ring
     bases = {}
     for i in K.degrees():
         if i < m:
             bases[i] = Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
-        elif m:
-            bases[i] = ctx.stage(K, 0).map(i)
         else:
-            bases[i] = _congruence_kernel(K, i).xi_scale(i)
-    return subcomplex(K, bases)
+            bases[i] = ctx.stage(K, 0).map(i)
+    diffs = []
+    for i in range(K.lo, K.hi):
+        if i >= m:
+            diffs.append(ctx.stage(K, 0).source.d(i))
+        elif i < m - 1:
+            diffs.append(K.d(i))
+        else:
+            seam = solve(bases[m], K.d(i).xi_scale(m))
+            if seam is None:
+                raise ArithmeticError(f"d leaves the subcomplex at degree {i}")
+            diffs.append(seam)
+    S = FreeComplex(ring, K.lo, K.ranks(), diffs, K.twist)
+    return ChainMap(K if S == K else S, K, bases)
 
 
 def xi_step_inclusion_holds(ctx, K: FreeComplex, m: int) -> bool:
@@ -175,14 +191,25 @@ def mod_xi_subquotient(ctx, K: FreeComplex, m: int) -> ChainMap:
     """xi: stage(m) -> stage(m+1), whose cokernel is stage(m+1)/(xi * stage(m)).
 
     Degreewise the cokernel is 0 below m, K^m/{x : dx in xi K^{m+1}} at m,
-    and the mod-xi reduction of the plain decalage terms above m.  The
-    cross-check against the Hodge part of the cohomology complex of K/xi
-    lives in the bockstein module.
+    and the mod-xi reduction of the plain decalage terms above m.  Up to
+    degree m, xi times stage(m)'s basis is factored through stage(m+1); for
+    m > 0, above m both stages hold stage 0's bases, so the maps there are
+    ``ctx.subquotient(K, 0)``'s.  The cross-check against the Hodge part of
+    the cohomology complex of K/xi lives in the bockstein module.
     """
     stage = ctx.stage(K, m)
-    scaled = ChainMap(stage.source, K,
-                      {i: stage.map(i).scale(K.ring.xi) for i in K.degrees()})
-    return factor_through(scaled, ctx.stage(K, m + 1))
+    finer = ctx.stage(K, m + 1)
+    xi = K.ring.xi
+    maps = {}
+    for i in K.degrees():
+        if m and i > m:
+            maps[i] = ctx.subquotient(K, 0).map(i)
+            continue
+        sol = solve(finer.map(i), stage.map(i).scale(xi))
+        if sol is None:
+            raise ArithmeticError(f"images are not nested at degree {i}")
+        maps[i] = sol
+    return ChainMap(stage.source, finer.source, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -379,13 +379,14 @@ class SNFResult:
     def _divide(self, B: Matrix, divisors):
         """Rows i < rank of U B, each divided exactly by divisors[i], as sparse dicts.
 
-        None when a row past the rank is nonzero or an entry does not divide.
+        A divisor equal to one leaves its row as it is.  None when a row past
+        the rank is nonzero or an entry does not divide.
         """
         M = self.matrix
         if M.rows != B.rows:
             raise ShapeMismatch("solve shape mismatch")
         R = M.ring
-        axpy, divrem = R.sparse_axpy, R.divrem
+        axpy, divrem, one = R.sparse_axpy, R.divrem, R.one()
         brows = [{j: b for j, b in enumerate(row) if b} for row in B.data]
         Y = []
         for i, urow in enumerate(self.u_rows()):
@@ -397,6 +398,9 @@ class SNFResult:
                     return None
                 continue
             d = divisors[i]
+            if d == one:
+                Y.append(acc)
+                continue
             yrow = {}
             for j, c in acc.items():
                 q, r = divrem(c, d)
@@ -557,14 +561,18 @@ def substitute(A: Matrix, B: Matrix):
 
     Row i of X is row i of B less a_ij times row j of X for each j < i, divided
     exactly by a_ii.  The solution is unique: it is the one ``snf(A).solve(B)`` gives.
-    Raises ``ShapeMismatch`` when B's rows are not A's, and ``NotTriangular``
-    when A is not square, nonzero on the diagonal and zero above it.
+    B that is A itself, as where two stages share a basis object, gives the
+    identity after both refusals.  Raises ``ShapeMismatch`` when B's rows are
+    not A's, and ``NotTriangular`` when A is not square, nonzero on the
+    diagonal and zero above it.
     """
     if A.rows != B.rows:
         raise ShapeMismatch("solve shape mismatch")
     if not A.is_nonsingular_lower_triangular():
         raise NotTriangular("substitution needs a nonsingular lower-triangular matrix")
     R = A.ring
+    if B is A:
+        return Matrix.identity(R, A.cols)
     sub, divrem, one = R.row_sub_multiple, R.divrem, R.one()
     X = []
     for arow, row in zip(A.data, B.data):

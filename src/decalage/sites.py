@@ -382,6 +382,24 @@ def sheaf_reduce(ctx: Memo, F: SheafComplex) -> SheafComplex:
                   lambda a, b, i: F.res(a, b).map(i).residue())
 
 
+def sheaf_stage(ctx: "InstanceContext", m: int) -> SheafMap:
+    """The stage-m sheaf of F, with each stalk's stage from ``ctx``, as its inclusion into F.
+
+    Stage 0 is ``_subsheaf`` of the stalks' stages.  Stage m > 0 is read off
+    F and stage sheaf 0, with no ``factor_through``: below m each stalk's
+    stage is xi^m times it, so a restriction is F's own, and from m on the
+    stalks hold stage 0's bases, so it is stage sheaf 0's.
+    """
+    F = ctx.F
+    if not m:
+        return _subsheaf(F, ctx.stage, 0)
+    plain = ctx.stage_sheaf(0).source
+    parts = {x: ctx.stage(F.stalk(x), m) for x in F.site.elements}
+    sub = _sheaf(F, {x: parts[x].source for x in F.site.elements},
+                 lambda a, b, i: (F if i < m else plain).res(a, b).map(i))
+    return SheafMap(sub, F, parts)
+
+
 def sheaf_bockstein(ctx: "InstanceContext") -> SheafComplex:
     """Objectwise Bockstein complex with induced restrictions, over k."""
     F, Fbar = ctx.F, ctx.reduced()
@@ -440,8 +458,8 @@ class InstanceContext(Memo):
         return self.once("reduced", sheaf_reduce, self, self.F)
 
     def stage_sheaf(self, m: int) -> SheafMap:
-        """The stage-m sheaf as its inclusion into F, as ``_subsheaf`` of the stages."""
-        return self.once(("stage-sheaf", m), _subsheaf, self.F, self.stage, m)
+        """The stage-m sheaf as its inclusion into F, as ``sheaf_stage``."""
+        return self.once(("stage-sheaf", m), sheaf_stage, self, m)
 
     def truncation_sheaf(self, q: int) -> SheafMap:
         """tau_{<=q}(F/xi) as its inclusion, as ``_subsheaf`` of the truncations."""

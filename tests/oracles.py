@@ -12,7 +12,10 @@ one lattice intersection per level instead of one adapted basis, and the
 stage cohomology of the generators' elementary pieces in closed form, with
 Künneth for a constant sheaf on a site of free cohomology, and each stage
 lattice the ring-side way, a Smith-form kernel then image, the reference for
-the library's one elimination over k.  The dense
+the library's one elimination over k.  Every stage, mod-xi subquotient, Hodge
+comparison and stage sheaf is also built the all-degree way, one solve or
+classification in every degree, the reference for the library's stages m > 0
+read off stage 0 and K.  The dense
 product, the dense matrix-vector product, the dense RREF row update and the
 dense Smith normal form are kept here as the references for the library's
 zero-skipping kernels, a Smith form is certified by products alone where no
@@ -42,11 +45,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from decalage.bockstein import Memo, k_cohomology_quotient
-from decalage.complexes import ChainMap, FGModule, FreeComplex
+from decalage.complexes import ChainMap, FGModule, FreeComplex, factor_through, subcomplex
+from decalage.eta import _congruence_kernel
 from decalage.kmatrix import QuotientSpace, Subspace, rref
 from decalage.rings import BaseRing, IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, ShapeMismatch, snf
-from decalage.sites import InvalidSheaf, PosetSite, SheafComplex
+from decalage.sites import InvalidSheaf, PosetSite, SheafComplex, SheafMap, _subsheaf
 from decalage.theorem import Flag, relative_position
 
 
@@ -561,6 +565,40 @@ def congruence_kernel_by_snf(K: FreeComplex, i: int) -> Matrix:
     d = K.d(i)
     ker = snf(d.hstack(Matrix.scalar(K.ring, d.rows, K.ring.xi))).kernel()
     return snf(ker.submatrix(0, d.cols, 0, ker.cols)).image()
+
+
+# ---------------------------------------------------------------------------
+# the stages, their subquotients, comparisons and sheaves, every degree solved
+
+
+def eta_m_all_degrees(K: FreeComplex, m: int) -> ChainMap:
+    """Stage m with every basis built and d restricted by one solve in every degree.
+
+    The route the library takes for stage 0 only: the reference for stage
+    m > 0 read off stage 0 and K.
+    """
+    ring = K.ring
+    return subcomplex(K, {i: Matrix.scalar(ring, K.rank(i), ring.xi_power(m)) if i < m
+                          else _congruence_kernel(K, i).xi_scale(i) for i in K.degrees()})
+
+
+def mod_xi_subquotient_all_degrees(K: FreeComplex, m: int) -> ChainMap:
+    """xi * stage(m) factored through stage(m+1) in every degree, stages from the oracle."""
+    stage, finer = eta_m_all_degrees(K, m), eta_m_all_degrees(K, m + 1)
+    scaled = ChainMap(stage.source, K, {i: stage.map(i).scale(K.ring.xi) for i in K.degrees()})
+    return factor_through(scaled, finer)
+
+
+def hodge_stage_comparison_all_degrees(K: FreeComplex, m: int) -> dict:
+    """The Hodge comparison's maps, each degree i >= m classified in a fresh H^i(K/xi)."""
+    stage, kbar = eta_m_all_degrees(K, m), K.reduce_mod_xi()
+    return {i: k_cohomology_quotient(kbar, i).coords_matrix(stage.map(i).xi_residue(i))
+            for i in range(max(m, K.lo), K.hi + 1)}
+
+
+def stage_sheaf_all_degrees(F: SheafComplex, m: int) -> SheafMap:
+    """The stage-m sheaf, each restriction factored through the oracle's stalk stages."""
+    return _subsheaf(F, eta_m_all_degrees, m)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Each command runs in-process through ``cli.main``: every subcommand on the
 three bundled fixtures, the generated ``check-theorem`` and ``check-lemmas``
 runs on each ring (the Q[t] rank-8 lemma reports among them, which no other
 test sees), and the two commands whose adversarial generation exhausts its
-budget.  A moved pin means an output changed: find out why, and do not
-re-record.
+budget.  The generated runs print JSON: a lemma report's JSON lists every
+check with its failures, where its text form prints only the verdicts.  A
+moved pin means an output changed: find out why, and do not re-record.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ GENERATED = [
     ["check-theorem", "--generate", "free", "--count", "3", "--format", "json"],
     ["check-theorem", "--generate", "adversarial", "--count", "3", "--format", "json"],
     ["check-lemmas", "--generate", "free", "--max-degree", "3", "--max-rank", "8",
-     "--count", "3"],
+     "--count", "3", "--format", "json"],
 ]
 
 COMMANDS = (
@@ -118,17 +119,17 @@ PINS = {
     'check-theorem --generate adversarial --count 3 --format json --ring q-poly':
         (3, 'af7dc02337532fb9790903e01f8dcdb02aeae64640542a0478247898c8e5120f',
          'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'check-lemmas --generate free --max-degree 3 --max-rank 8 --count 3 --ring z':
-        (0, '91c79c5e9309c19272c5cd830caa89422ceb4af719aeb436c88097fd479c5590',
+    'check-lemmas --generate free --max-degree 3 --max-rank 8 --count 3 --format json --ring z':
+        (0, '97efb118f393ff800af51876f747b44be5948fddd775cd468de76c2ed36d300e',
          'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'check-lemmas --generate free --max-degree 3 --max-rank 8 --count 3 --ring z --xi 3':
-        (0, '91c79c5e9309c19272c5cd830caa89422ceb4af719aeb436c88097fd479c5590',
+    'check-lemmas --generate free --max-degree 3 --max-rank 8 --count 3 --format json --ring z --xi 3':
+        (0, '97efb118f393ff800af51876f747b44be5948fddd775cd468de76c2ed36d300e',
          'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'check-lemmas --generate free --max-degree 3 --max-rank 8 --count 3 --ring fp-poly':
-        (0, '91c79c5e9309c19272c5cd830caa89422ceb4af719aeb436c88097fd479c5590',
+    'check-lemmas --generate free --max-degree 3 --max-rank 8 --count 3 --format json --ring fp-poly':
+        (0, '97efb118f393ff800af51876f747b44be5948fddd775cd468de76c2ed36d300e',
          'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'check-lemmas --generate free --max-degree 3 --max-rank 8 --count 3 --ring q-poly':
-        (0, '91c79c5e9309c19272c5cd830caa89422ceb4af719aeb436c88097fd479c5590',
+    'check-lemmas --generate free --max-degree 3 --max-rank 8 --count 3 --format json --ring q-poly':
+        (0, '97efb118f393ff800af51876f747b44be5948fddd775cd468de76c2ed36d300e',
          'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'check-lemmas --generate adversarial --poset builtin:point':
         (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
