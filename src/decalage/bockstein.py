@@ -30,7 +30,7 @@ from .complexes import (
     solve,
     truncate_leq,
 )
-from .eta import eta_m, graded_piece, mod_xi_subquotient
+from .eta import eta_m, graded_piece, mod_xi_subquotient, stage_inclusion
 from .kmatrix import QuotientSpace, Subspace, field_rank, kernel
 from .rmatrix import Matrix, SNFResult, snf
 
@@ -99,9 +99,15 @@ class Memo:
     identity; behind that key a presentation is keyed by the content of the
     four matrices it reads, so quotient maps equal in content share one,
     and H^i over k (``quotient``) is keyed by the content of d(i) and
-    d(i-1), the two matrices it reads.  Stages m > 0 and what they share
-    with stage 0 (subquotient and Hodge comparison maps above m) are read
-    from the entries for stage 0, not solved again.  A context is also the
+    d(i-1), the two matrices it reads.  Stages 0 < m < hi and the Hodge
+    comparison maps of stage m > 0 are read from the entries for stage 0,
+    not solved again, and the maps between neighbouring stages are solved
+    only at their seam degree.  From m = hi on stage m is xi^m K, with K as
+    its source, and the maps built from it do not depend on m: inclusion,
+    subquotient, graded and truncation entries are keyed by min(m, hi),
+    comparison entries by min(m, hi + 1) and Hodge parts by p clamped to
+    [lo, hi + 1], each content-equal to the entry it stands for.  A
+    context is also the
     one place where matrices over R are factored, keyed by content and
     keeping nothing else about a matrix: a reader takes
     a kernel or an image from ``factor(M)``, whose transforms are built only
@@ -146,16 +152,18 @@ class Memo:
         return self.once(("stage", K, m), eta_m, self, K, m)
 
     def inclusion(self, K: FreeComplex, m: int) -> ChainMap:
-        """stage(m+1) -> stage(m) of K, as ``factor_through``."""
-        return self.once(("inclusion", K, m),
-                         lambda: factor_through(self.stage(K, m + 1), self.stage(K, m)))
+        """stage(m+1) -> stage(m) of K, as ``stage_inclusion``; one entry from m = hi on."""
+        m = min(m, K.hi)
+        return self.once(("inclusion", K, m), stage_inclusion, self, K, m)
 
     def graded(self, K: FreeComplex, m: int) -> ChainMap:
-        """stage(m) mod xi onto the truncation of K/xi at m, as ``graded_piece``."""
+        """stage(m) mod xi onto the truncation of K/xi at m, as ``graded_piece``; one from m = hi on."""
+        m = min(m, K.hi)
         return self.once(("graded", K, m), graded_piece, self, K, m)
 
     def subquotient(self, K: FreeComplex, m: int) -> ChainMap:
-        """xi: stage(m) -> stage(m+1) of K, as ``mod_xi_subquotient``."""
+        """xi: stage(m) -> stage(m+1) of K, as ``mod_xi_subquotient``; one from m = hi on."""
+        m = min(m, K.hi)
         return self.once(("subquotient", K, m), mod_xi_subquotient, self, K, m)
 
     def kbar(self, K: FreeComplex) -> FreeComplex:
@@ -163,7 +171,8 @@ class Memo:
         return self.once(("kbar", K), K.reduce_mod_xi)
 
     def truncation(self, K: FreeComplex, m: int) -> ChainMap:
-        """tau_{<=m}(K) as its inclusion into K, as ``truncate_leq``."""
+        """tau_{<=m}(K) as its inclusion into K, as ``truncate_leq``; one from m = hi on."""
+        m = min(m, K.hi)
         return self.once(("truncation", K, m), truncate_leq, K, m)
 
     def bockstein(self, K: FreeComplex) -> FreeComplex:
@@ -171,11 +180,16 @@ class Memo:
         return self.once(("bockstein", K), bockstein_complex, self, K)
 
     def hodge(self, K: FreeComplex, p: int) -> ChainMap:
-        """The degree >= p part of K as its inclusion into K, as ``hodge_filtration``."""
+        """The degree >= p part of K as its inclusion into K, as ``hodge_filtration``.
+
+        One entry for p <= lo (all of K) and one for p > hi (zero).
+        """
+        p = min(max(p, K.lo), K.hi + 1)
         return self.once(("hodge", K, p), hodge_filtration, K, p)
 
     def comparison(self, K: FreeComplex, m: int) -> ChainMap:
-        """stage(m) mod xi onto F_m, as ``hodge_stage_comparison``."""
+        """stage(m) mod xi onto F_m, as ``hodge_stage_comparison``; one from m = hi + 1 on."""
+        m = min(m, K.hi + 1)
         return self.once(("comparison", K, m), hodge_stage_comparison, self, K, m)
 
 

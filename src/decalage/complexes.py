@@ -62,7 +62,7 @@ class FGModule:
     def __eq__(self, other):
         return (
             isinstance(other, FGModule)
-            and other.ring == self.ring
+            and (other.ring is self.ring or other.ring == self.ring)
             and other.free_rank == self.free_rank
             and other.factors == self.factors
         )
@@ -205,7 +205,7 @@ class FreeComplex:
     def __eq__(self, other):
         return (
             isinstance(other, FreeComplex)
-            and other.ring == self.ring
+            and (other.ring is self.ring or other.ring == self.ring)
             and other.lo == self.lo
             and other._ranks == self._ranks
             and other._diffs == self._diffs

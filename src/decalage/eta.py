@@ -11,7 +11,10 @@ between the stages (and the later lattice comparisons) are literal matrices.
 Each lattice comes from one elimination over k (``_congruence_kernel``), once
 per complex: in degrees i >= m every stage has stage 0's term, and below m
 it is xi^m K, so stage m > 0 takes its bases and differentials from stage 0
-and K and solves only at the seam degree m - 1.  A stage is
+and K and solves only at the seam degree m - 1.  From m = hi on the
+congruence condition is empty, so stage m is xi^m K on the nose: its
+source is K itself and it takes no solve, and the maps between stationary
+stages do not depend on m.  A stage is
 its inclusion chain map into K: the stage complex is its ``source``, its
 degree-i basis is ``map(i)`` and K is its ``target``.
 The family decreases in m and squeezes between xi-multiples:
@@ -20,15 +23,18 @@ xi * stage(m) <= stage(m+1) <= stage(m).
 A quotient of stages is the injective chain map whose cokernel it is: the
 graded piece stage(m)/stage(m+1) is the cokernel of ``ctx.inclusion(K, m)``
 and the subquotient stage(m+1)/xi*stage(m) that of ``ctx.subquotient(K, m)``.
+Stages m and m+1 share their term above m and are xi^m K and xi^(m+1) K
+below m, so both maps are a scalar matrix in every degree but m, and each
+takes one ``solve``, at its seam degree m.
 The comparison of the graded piece with the truncation of K/xi is a chain
 map from the stage mod xi, ``ctx.graded(K, m)``.  Every builder
 takes a context (a ``Memo``, bockstein module), which factors each matrix
 once per call.  Everything built from several stages takes the context and
 K, and reads the stages and their inclusions from the context
 (``ctx.stage(K, m)``, ``ctx.inclusion(K, m)``), which builds each of them
-once per call: ``xi_step_inclusion_holds``, ``is_stationary_stage``,
-``graded_piece``, ``verify_graded_piece``, ``mod_xi_subquotient`` and
-``verify_eta_m_cohomology``.
+once per call: ``stage_inclusion``, ``xi_step_inclusion_holds``,
+``is_stationary_stage``, ``graded_piece``, ``verify_graded_piece``,
+``mod_xi_subquotient`` and ``verify_eta_m_cohomology``.
 """
 
 from __future__ import annotations
@@ -66,19 +72,25 @@ def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
 
     The inclusion has square injective matrices in each degree (the stages
     are full-rank submodules); the degree-i basis carries the xi-power i for
-    the plain decalage part and m below degree m.  Stage 0 restricts d to
-    its bases by ``subcomplex``.  Stage m > 0 is built from stage 0 and K:
-    in degrees >= m its bases and differentials are ``ctx.stage(K, 0)``'s,
-    below m - 1 its differentials are K's (xi^m cancels), and the one
-    ``solve`` is at the seam degree m - 1.  A stage equal to K is K itself.
+    the plain decalage part and m below degree m.  Stage m >= hi is xi^m K,
+    since at hi the congruence condition is empty: its basis is xi^m I in
+    every degree and its source is K itself, with no solve.  Stage 0
+    restricts d to its bases by ``subcomplex``.  Stage 0 < m < hi is built
+    from stage 0 and K: in degrees >= m its bases and differentials are
+    ``ctx.stage(K, 0)``'s, below m - 1 its differentials are K's (xi^m
+    cancels), and the one ``solve`` is at the seam degree m - 1.  A stage
+    equal to K is K itself.
     """
     if K.lo < 0:
         raise DegreeBelowZero(f"complex starts at degree {K.lo}")
     if m < 0:
         raise NegativeM(f"m = {m}")
+    ring = K.ring
+    if m >= K.hi:
+        return ChainMap(K, K, {i: Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
+                               for i in K.degrees()})
     if not m:
         return subcomplex(K, {i: _congruence_kernel(K, i).xi_scale(i) for i in K.degrees()})
-    ring = K.ring
     bases = {}
     for i in K.degrees():
         if i < m:
@@ -100,6 +112,27 @@ def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
     return ChainMap(K if S == K else S, K, bases)
 
 
+def stage_inclusion(ctx, K: FreeComplex, m: int) -> ChainMap:
+    """stage(m+1) -> stage(m), whose cokernel is the graded piece stage(m)/stage(m+1).
+
+    Below m the stages are xi^(m+1) K and xi^m K, so the map is xi*I; above
+    m both hold one term, so it is the identity; the one ``solve`` is at
+    the seam degree m.
+    """
+    stage, finer = ctx.stage(K, m), ctx.stage(K, m + 1)
+    ring = K.ring
+    maps = {}
+    for i in K.degrees():
+        if i != m:
+            maps[i] = Matrix.scalar(ring, K.rank(i), ring.xi if i < m else ring.one())
+            continue
+        sol = solve(stage.map(i), finer.map(i))
+        if sol is None:
+            raise ArithmeticError(f"images are not nested at degree {i}")
+        maps[i] = sol
+    return ChainMap(finer.source, stage.source, maps)
+
+
 def xi_step_inclusion_holds(ctx, K: FreeComplex, m: int) -> bool:
     """Membership test for xi * stage(m) <= stage(m+1) <= stage(m).
 
@@ -115,7 +148,7 @@ def xi_step_inclusion_holds(ctx, K: FreeComplex, m: int) -> bool:
 
 
 def is_stationary_stage(ctx, K: FreeComplex, m: int) -> bool:
-    """True when stage m equals xi^m * K on the nose (holds for m > hi)."""
+    """True when stage m equals xi^m * K on the nose (holds for m >= hi)."""
     stage = ctx.stage(K, m)
     ring = K.ring
     scaled = ChainMap(K, K, {i: Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
@@ -191,21 +224,22 @@ def mod_xi_subquotient(ctx, K: FreeComplex, m: int) -> ChainMap:
     """xi: stage(m) -> stage(m+1), whose cokernel is stage(m+1)/(xi * stage(m)).
 
     Degreewise the cokernel is 0 below m, K^m/{x : dx in xi K^{m+1}} at m,
-    and the mod-xi reduction of the plain decalage terms above m.  Up to
-    degree m, xi times stage(m)'s basis is factored through stage(m+1); for
-    m > 0, above m both stages hold stage 0's bases, so the maps there are
-    ``ctx.subquotient(K, 0)``'s.  The cross-check against the Hodge part of
-    the cohomology complex of K/xi lives in the bockstein module.
+    and the mod-xi reduction of the plain decalage terms above m.  Below m
+    the stages are xi^m K and xi^(m+1) K, so the map is the identity; above
+    m both hold one term, so it is xi*I; at the seam degree m, xi times
+    stage(m)'s basis is factored through stage(m+1) by one ``solve``.  The
+    cross-check against the Hodge part of the cohomology complex of K/xi
+    lives in the bockstein module.
     """
     stage = ctx.stage(K, m)
     finer = ctx.stage(K, m + 1)
-    xi = K.ring.xi
+    ring = K.ring
     maps = {}
     for i in K.degrees():
-        if m and i > m:
-            maps[i] = ctx.subquotient(K, 0).map(i)
+        if i != m:
+            maps[i] = Matrix.scalar(ring, K.rank(i), ring.one() if i < m else ring.xi)
             continue
-        sol = solve(finer.map(i), stage.map(i).scale(xi))
+        sol = solve(finer.map(i), stage.map(i).scale(ring.xi))
         if sol is None:
             raise ArithmeticError(f"images are not nested at degree {i}")
         maps[i] = sol

@@ -95,9 +95,12 @@ class Matrix:
     # -- basics --------------------------------------------------------------
 
     def __eq__(self, other):
+        # most comparisons meet the very object, or one over the same ring object
+        if other is self:
+            return True
         return (
             isinstance(other, Matrix)
-            and other.ring == self.ring
+            and (other.ring is self.ring or other.ring == self.ring)
             and other.cols == self.cols
             and other.data == self.data
         )
@@ -561,18 +564,14 @@ def substitute(A: Matrix, B: Matrix):
 
     Row i of X is row i of B less a_ij times row j of X for each j < i, divided
     exactly by a_ii.  The solution is unique: it is the one ``snf(A).solve(B)`` gives.
-    B that is A itself, as where two stages share a basis object, gives the
-    identity after both refusals.  Raises ``ShapeMismatch`` when B's rows are
-    not A's, and ``NotTriangular`` when A is not square, nonzero on the
-    diagonal and zero above it.
+    Raises ``ShapeMismatch`` when B's rows are not A's, and ``NotTriangular``
+    when A is not square, nonzero on the diagonal and zero above it.
     """
     if A.rows != B.rows:
         raise ShapeMismatch("solve shape mismatch")
     if not A.is_nonsingular_lower_triangular():
         raise NotTriangular("substitution needs a nonsingular lower-triangular matrix")
     R = A.ring
-    if B is A:
-        return Matrix.identity(R, A.cols)
     sub, divrem, one = R.row_sub_multiple, R.divrem, R.one()
     X = []
     for arow, row in zip(A.data, B.data):

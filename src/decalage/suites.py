@@ -10,7 +10,7 @@ from .bockstein import (
     verify_mod_xi_subquotient,
 )
 from .checks import CheckResult
-from .complexes import FreeComplex
+from .complexes import DifferentialSquareNonzero, FreeComplex
 from .eta import verify_eta_m_cohomology, verify_graded_piece, xi_step_inclusion_holds
 from .sites import SheafComplex
 
@@ -26,7 +26,17 @@ def _guard(name: str, fn, **where) -> CheckResult:
 
 
 def lemma_battery(K: FreeComplex) -> list:
-    """Every stage-level identity for one complex, across all useful m."""
+    """Every stage-level identity for one complex, across all useful m.
+
+    A K with d^2 != 0 is no complex and has no stages: its battery is one
+    failed ``complex.valid`` record.
+    """
+    try:
+        K.validate()
+    except DifferentialSquareNonzero as exc:
+        bad = CheckResult("complex.valid")
+        bad.fail(error=f"{type(exc).__name__}: {exc}")
+        return [bad]
     ctx = Memo()
     results = []
     for m in range(0, K.hi + 3):

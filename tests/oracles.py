@@ -45,7 +45,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from decalage.bockstein import Memo, k_cohomology_quotient
-from decalage.complexes import ChainMap, FGModule, FreeComplex, factor_through, subcomplex
+from decalage.complexes import (
+    ChainMap,
+    FGModule,
+    FreeComplex,
+    factor_through,
+    subcomplex,
+    truncate_leq,
+)
 from decalage.eta import _congruence_kernel
 from decalage.kmatrix import QuotientSpace, Subspace, rref
 from decalage.rings import BaseRing, IntegerRing, PolynomialRing, PrimeField
@@ -587,6 +594,14 @@ def mod_xi_subquotient_all_degrees(K: FreeComplex, m: int) -> ChainMap:
     stage, finer = eta_m_all_degrees(K, m), eta_m_all_degrees(K, m + 1)
     scaled = ChainMap(stage.source, K, {i: stage.map(i).scale(K.ring.xi) for i in K.degrees()})
     return factor_through(scaled, finer)
+
+
+def graded_piece_all_degrees(K: FreeComplex, m: int) -> ChainMap:
+    """The oracle's stage m mod xi factored through a fresh truncation of K/xi at m."""
+    stage, kbar = eta_m_all_degrees(K, m), K.reduce_mod_xi()
+    reduced = ChainMap(stage.source.reduce_mod_xi(), kbar,
+                       {i: stage.map(i).xi_residue(m) for i in range(K.lo, min(m, K.hi) + 1)})
+    return factor_through(reduced, truncate_leq(kbar, m))
 
 
 def hodge_stage_comparison_all_degrees(K: FreeComplex, m: int) -> dict:

@@ -134,7 +134,7 @@ def test_a_restriction_out_of_shape_is_an_invalid_sheaf(ranks_a, ranks_b, maps, 
         assert str(exc.value) == expected and exc.value.witness == ("a", "b")
 
 
-# -- FreeComplex(...) keeps its checks: lemma_battery takes its complex as valid
+# -- FreeComplex(...) keeps its shape checks, and lemma_battery checks d^2 = 0
 
 
 def test_free_complex_refuses_a_differential_out_of_shape():
@@ -145,3 +145,25 @@ def test_free_complex_refuses_a_differential_out_of_shape():
 def test_free_complex_refuses_a_differential_over_another_ring():
     with pytest.raises(ShapeMismatch, match="^differential over the wrong ring$"):
         FreeComplex(Z2, 0, [1, 1], [Matrix(IntegerRing(3), [[1]])])
+
+
+def d2_nonzero_complexes():
+    """(K, degree of the first nonzero d(i+1) @ d(i)) over each ring."""
+    z3, f5t, qt = IntegerRing(3), PolynomialRing(PrimeField(5)), PolynomialRing(RationalField())
+    t5, tq = f5t.from_coeffs([0, 1]), qt.from_coeffs([0, 1])
+    return [
+        # the invalid instance of the command-line checks: d = (1), (1)
+        (FreeComplex(Z2, 0, [1, 1, 1], [Matrix(Z2, [[1]]), Matrix(Z2, [[1]])]), 0),
+        (FreeComplex(z3, 1, [2, 1, 1], [Matrix(z3, [[1, 0]]), Matrix(z3, [[3]])]), 1),
+        (FreeComplex(f5t, 0, [1, 1, 1, 1], [Matrix(f5t, [[0]]), Matrix(f5t, [[t5]]),
+                                            Matrix(f5t, [[t5]])]), 1),
+        (FreeComplex(qt, 0, [1, 2, 1], [Matrix(qt, [[tq], [qt.one()]]),
+                                        Matrix(qt, [[qt.zero(), tq]])]), 0),
+    ]
+
+
+@pytest.mark.parametrize("K, degree", d2_nonzero_complexes(), ids=["z2", "z3", "f5t", "qt"])
+def test_lemma_battery_refuses_a_complex_whose_differential_squares_to_nonzero(K, degree):
+    error = f"DifferentialSquareNonzero: d(i+1) @ d(i) != 0 at degree {degree}"
+    assert [r.to_json() for r in lemma_battery(K)] == [
+        {"check": "complex.valid", "passed": False, "failures": [{"error": error}]}]

@@ -1,25 +1,37 @@
 """Stages m > 0 read off stage 0 and K, against the all-degree builders.
 
-The library builds stage m > 0 from stage 0 (degrees >= m) and K (below the
-seam degree m - 1), the mod-xi subquotient and the Hodge comparison of
-stage m from those of stage 0 above m, the stage sheaf m from F and stage
-sheaf 0, and H^i over k once per content of (d(i), d(i-1)).  Each shared
-object must be the one the all-degree route of ``tests/oracles.py`` builds,
-entry for entry.
+The library builds stage 0 < m < hi from stage 0 (degrees >= m) and K
+(below the seam degree m - 1), stage m >= hi as xi^m K with K as its
+source, the inclusion stage(m+1) -> stage(m) and the mod-xi subquotient as
+scalar matrices but at their seam degree m, the Hodge comparison of stage m
+from that of stage 0, the stage sheaf m from F and stage sheaf 0, and H^i
+over k once per content of (d(i), d(i-1)).  From m = hi on (m = hi + 1 for
+the Hodge parts and comparisons) the context keeps one entry per kind.
+Each shared object must be the one the all-degree route of
+``tests/oracles.py`` builds, entry for entry.
 """
 
 import random
 
 import pytest
 
+from decalage import eta
 from decalage.bockstein import Memo
-from decalage.complexes import ChainMap, FreeComplex, factor_through
+from decalage.complexes import (
+    ChainMap,
+    FreeComplex,
+    factor_through,
+    hodge_filtration,
+    solve,
+    truncate_leq,
+)
 from decalage.instances import generate_instance, random_complex
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix, NotTriangular, ShapeMismatch, substitute
 from decalage.sites import InstanceContext, PosetSite, SheafComplex
 from oracles import (
     eta_m_all_degrees,
+    graded_piece_all_degrees,
     hodge_stage_comparison_all_degrees,
     mod_xi_subquotient_all_degrees,
     stage_sheaf_all_degrees,
@@ -39,29 +51,80 @@ def same_maps(f: ChainMap, g: ChainMap, degrees) -> bool:
     return all(f.map(i) == g.map(i) for i in degrees)
 
 
+def same_map(f: ChainMap, g: ChainMap) -> bool:
+    """Equal source and target, and equal maps in every degree of either."""
+    degrees = set(f.source.degrees()) | set(f.target.degrees())
+    return f.source == g.source and f.target == g.target and same_maps(f, g, degrees)
+
+
 @pytest.mark.parametrize("ring", sorted(RINGS))
 def test_stages_subquotients_and_comparisons_are_the_all_degree_ones(ring):
     seams = 0
     for K in draws(RINGS[ring]):
         ctx = Memo()
-        for m in range(K.hi + 2):
+        kbar, bcx = ctx.kbar(K), ctx.bockstein(K)
+        # m = hi + 3 is three steps into the stationary tail
+        for m in range(K.hi + 4):
             stage, want = ctx.stage(K, m), eta_m_all_degrees(K, m)
             assert stage.source == want.source, (K, m)
             assert same_maps(stage, want, K.degrees()), (K, m)
-            seams += K.lo < m <= K.hi
+            seams += K.lo < m < K.hi
             # a stage equal to K is K itself, as on the all-degree route
             assert (stage.source is K) == (want.source is K), (K, m)
             sq, sq_want = ctx.subquotient(K, m), mod_xi_subquotient_all_degrees(K, m)
             assert sq.source is stage.source and sq.target is ctx.stage(K, m + 1).source
             assert same_maps(sq, sq_want, K.degrees()), (K, m)
-            # stages m and m+1 share stage 0's basis objects above m: the identity
             inc = ctx.inclusion(K, m)
-            assert same_maps(inc, factor_through(eta_m_all_degrees(K, m + 1), want),
-                             K.degrees()), (K, m)
+            assert same_map(inc, factor_through(eta_m_all_degrees(K, m + 1), want)), (K, m)
+            assert same_map(ctx.graded(K, m), graded_piece_all_degrees(K, m)), (K, m)
+            assert same_map(ctx.truncation(kbar, m), truncate_leq(kbar, m)), (K, m)
+            assert same_map(ctx.hodge(bcx, m), hodge_filtration(bcx, m)), (K, m)
             comp, comp_want = ctx.comparison(K, m), hodge_stage_comparison_all_degrees(K, m)
+            assert comp.target == hodge_filtration(bcx, m).source
             assert same_maps(comp, ChainMap(comp.source, comp.target, comp_want),
                              K.degrees()), (K, m)
     assert seams
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_the_stationary_tail_is_one_entry_per_kind(ring):
+    for K in draws(RINGS[ring], 20):
+        ctx = Memo()
+        kbar, bcx, top = ctx.kbar(K), ctx.bockstein(K), K.hi
+        for m in range(top, top + 4):
+            assert ctx.stage(K, m).source is K, (K, m)
+            for kind in (ctx.inclusion, ctx.subquotient, ctx.graded):
+                assert kind(K, m) is kind(K, top), (K, m, kind)
+            assert ctx.truncation(kbar, m) is ctx.truncation(kbar, top)
+            assert ctx.comparison(K, m + 1) is ctx.comparison(K, top + 1)
+            assert ctx.hodge(bcx, m + 1) is ctx.hodge(bcx, top + 1)
+        # stage hi is xi^hi K on the nose, and so is every stage after it
+        assert all(eta.is_stationary_stage(ctx, K, m) for m in range(top, top + 4))
+        for p in range(K.lo - 2, K.lo):
+            assert ctx.hodge(bcx, p) is ctx.hodge(bcx, K.lo)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_each_stage_map_is_solved_once_at_its_seam(ring, monkeypatch):
+    solved = []
+
+    def recorded(A, B):
+        solved.append(A)
+        return solve(A, B)
+
+    monkeypatch.setattr(eta, "solve", recorded)
+    for K in draws(RINGS[ring], 20):
+        ctx = Memo()
+        for m in range(K.hi + 4):
+            stage, finer = ctx.stage(K, m), ctx.stage(K, m + 1)
+            seam = m in K.degrees()
+            # the inclusion solves against stage m's basis, the subquotient
+            # against stage m+1's, at degree m alone; the tail solves nothing
+            for build, basis in ((ctx.inclusion, stage), (ctx.subquotient, finer)):
+                solved.clear()
+                build(K, m)
+                assert len(solved) == seam, (K, m, build)
+                assert not seam or solved[0] is basis.map(m), (K, m, build)
 
 
 def sheared_sheaf(R) -> SheafComplex:
