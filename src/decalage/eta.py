@@ -11,11 +11,12 @@ between the stages (and the later lattice comparisons) are literal matrices.
 Each lattice comes from one elimination over k (``_congruence_kernel``), once
 per complex: in degrees i >= m every stage has stage 0's term, and below m
 it is xi^m K, so stage m > 0 takes its bases and differentials from stage 0
-and K and solves only at the seam degree m - 1.  From m = hi on the
-congruence condition is empty, so stage m is xi^m K on the nose: its
-source is K itself and it takes no solve, and the maps between stationary
-stages do not depend on m.  A stage is
-its inclusion chain map into K: the stage complex is its ``source``, its
+and K and solves only at the seam degree m - 1.  A stage complex equal to
+K is K, and one equal to stage 0's is stage 0's, so the memos keyed by it
+hit by identity.  From m = hi on the congruence condition is empty, so
+stage m is xi^m K on the nose: its source is K itself and it takes no
+solve, and the maps between stationary stages do not depend on m.  A stage
+is its inclusion chain map into K: the stage complex is its ``source``, its
 degree-i basis is ``map(i)`` and K is its ``target``.
 The family decreases in m and squeezes between xi-multiples:
 xi * stage(m) <= stage(m+1) <= stage(m).
@@ -78,8 +79,8 @@ def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
     restricts d to its bases by ``subcomplex``.  Stage 0 < m < hi is built
     from stage 0 and K: in degrees >= m its bases and differentials are
     ``ctx.stage(K, 0)``'s, below m - 1 its differentials are K's (xi^m
-    cancels), and the one ``solve`` is at the seam degree m - 1.  A stage
-    equal to K is K itself.
+    cancels), and the one ``solve`` is at the seam degree m - 1.  Its
+    source is K when it equals K, else stage 0's source when it equals that.
     """
     if K.lo < 0:
         raise DegreeBelowZero(f"complex starts at degree {K.lo}")
@@ -91,16 +92,15 @@ def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
                                for i in K.degrees()})
     if not m:
         return subcomplex(K, {i: _congruence_kernel(K, i).xi_scale(i) for i in K.degrees()})
-    bases = {}
-    for i in K.degrees():
-        if i < m:
-            bases[i] = Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
-        else:
-            bases[i] = ctx.stage(K, 0).map(i)
+    # in degree order, so a failure below m comes before one in stage 0
+    bases = {i: Matrix.scalar(ring, K.rank(i), ring.xi_power(m)) for i in range(K.lo, m)}
+    stage0 = ctx.stage(K, 0)
+    plain = stage0.source
+    bases.update((i, stage0.map(i)) for i in range(max(K.lo, m), K.hi + 1))
     diffs = []
     for i in range(K.lo, K.hi):
         if i >= m:
-            diffs.append(ctx.stage(K, 0).source.d(i))
+            diffs.append(plain.d(i))
         elif i < m - 1:
             diffs.append(K.d(i))
         else:
@@ -109,7 +109,7 @@ def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
                 raise ArithmeticError(f"d leaves the subcomplex at degree {i}")
             diffs.append(seam)
     S = FreeComplex(ring, K.lo, K.ranks(), diffs, K.twist)
-    return ChainMap(K if S == K else S, K, bases)
+    return ChainMap(K if S == K else plain if S == plain else S, K, bases)
 
 
 def stage_inclusion(ctx, K: FreeComplex, m: int) -> ChainMap:

@@ -95,9 +95,6 @@ class Matrix:
     # -- basics --------------------------------------------------------------
 
     def __eq__(self, other):
-        # most comparisons meet the very object, or one over the same ring object
-        if other is self:
-            return True
         return (
             isinstance(other, Matrix)
             and (other.ring is self.ring or other.ring == self.ring)

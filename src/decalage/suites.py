@@ -15,10 +15,10 @@ from .eta import verify_eta_m_cohomology, verify_graded_piece, xi_step_inclusion
 from .sites import SheafComplex
 
 
-def _guard(name: str, fn, **where) -> CheckResult:
-    """``fn()``, or a failed check whose record is ``where`` plus the error when it raises."""
+def _guard(name: str, check, *args, **where) -> CheckResult:
+    """``check(*args)``, or when it raises a failed check recording ``where`` and the error."""
     try:
-        return fn()
+        return check(*args)
     except Exception as exc:  # a crash is a failed check with the message as witness
         out = CheckResult(name)
         out.fail(**where, error=f"{type(exc).__name__}: {exc}")
@@ -38,21 +38,16 @@ def lemma_battery(K: FreeComplex) -> list:
         bad.fail(error=f"{type(exc).__name__}: {exc}")
         return [bad]
     ctx = Memo()
-    results = []
-    for m in range(0, K.hi + 3):
-        results.append(_guard("eta-m.cohomology",
-                              lambda m=m: verify_eta_m_cohomology(ctx, K, m), m=m))
+    results = [_guard("eta-m.cohomology", verify_eta_m_cohomology, ctx, K, m, m=m)
+               for m in range(0, K.hi + 3)]
+    # read at call time, so a patched or traced check is the one that runs
+    per_m = (("eta-m.graded-piece", verify_graded_piece),
+             ("eta-m.mod-xi-subquotient", verify_mod_xi_subquotient),
+             ("eta-m.connecting-bockstein", connecting_factorization),
+             ("eta-m.mod-xi-splitting", split_mod_xi))
     for m in range(0, K.hi + 2):
-        results.append(_guard("eta-m.graded-piece",
-                              lambda m=m: verify_graded_piece(ctx, K, m), m=m))
-        results.append(_guard("eta-m.mod-xi-subquotient",
-                              lambda m=m: verify_mod_xi_subquotient(ctx, K, m), m=m))
-        results.append(_guard("eta-m.connecting-bockstein",
-                              lambda m=m: connecting_factorization(ctx, K, m), m=m))
-        results.append(_guard("eta-m.mod-xi-splitting",
-                              lambda m=m: split_mod_xi(ctx, K, m), m=m))
-    results.append(_guard("eta.mod-xi-bockstein-model",
-                          lambda: verify_reduction_identification(ctx, K)))
+        results.extend(_guard(name, check, ctx, K, m, m=m) for name, check in per_m)
+    results.append(_guard("eta.mod-xi-bockstein-model", verify_reduction_identification, ctx, K))
     filt = CheckResult("eta-m.filtration-steps")
     for m in range(0, K.hi + 2):
         try:

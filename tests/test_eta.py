@@ -210,7 +210,7 @@ def assert_factors(g, f, incl):
         assert incl.map(i) @ g.map(i) == f.map(i), i
 
 
-def test_stage_inclusion_solves_exactly(z5, rng):
+def test_stage_inclusion_solves_exactly(z5, z2, z3, f5t, qt, rng):
     for _ in range(8):
         K = random_complex(z5, rng, max_degree=2, max_rank=3)
         ctx = Memo()
@@ -233,15 +233,17 @@ def test_stage_inclusion_solves_exactly(z5, rng):
             assert comparison.target is tau.source
             for i in K.degrees():
                 assert tau.map(i) @ comparison.map(i) == reduced.map(i), (m, i)
-    # each restriction of a subsheaf is the restriction of F factored through it
-    F = generate_instance("free", 11, ring=z5)
-    ctx = InstanceContext(F)
-    for incl in ([ctx.stage_sheaf(m) for m in range(F.hi() + 2)]
-                 + [ctx.truncation_sheaf(q) for q in range(F.hi() + 1)]
-                 + [ctx.hodge_sheaf(p) for p in range(F.hi() + 2)]):
-        sub, G = incl.source, incl.target
-        for a, b in G.site.strict_pairs():
-            assert_factors(sub.res(a, b), G.res(a, b).after(incl.map(a)), incl.map(b))
+    # each restriction of a subsheaf is the restriction of F factored through it,
+    # and each stalk of a subsheaf is its inclusion's source there
+    for F in [generate_instance("free", 11, ring=z5)] + [
+            generate_instance("h1", 0, ring=R) for R in (z2, z3, f5t, qt)]:
+        ctx = InstanceContext(F)
+        for incl in ([ctx.stage_sheaf(m) for m in range(F.hi() + 2)]
+                     + [ctx.truncation_sheaf(q) for q in range(F.hi() + 1)]
+                     + [ctx.hodge_sheaf(p) for p in range(F.hi() + 2)]):
+            sub, G = incl.source, incl.target
+            for a, b in G.site.strict_pairs():
+                assert_factors(sub.res(a, b), G.res(a, b).after(incl.map(a)), incl.map(b))
 
 
 def test_factor_through_refuses_images_that_are_not_nested(z5, rng):

@@ -105,6 +105,26 @@ def test_the_stationary_tail_is_one_entry_per_kind(ring):
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))
+def test_a_stage_equal_to_k_or_to_stage_0_is_that_complex(ring):
+    # a stage complex equal to K or to stage 0's is that complex, so its memo hits are by identity
+    like_stage_0 = 0
+    for K in draws(RINGS[ring]):
+        ctx = Memo()
+        plain = ctx.stage(K, 0).source
+        for m in range(1, K.hi):
+            source = ctx.stage(K, m).source
+            if source == K:
+                assert source is K, (K, m)
+            elif source == plain:
+                assert source is plain, (K, m)
+                like_stage_0 += 1
+            else:
+                assert source is not K and source is not plain, (K, m)
+    # the draws reach the stage-0 case, so the rule is exercised
+    assert like_stage_0
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
 def test_each_stage_map_is_solved_once_at_its_seam(ring, monkeypatch):
     solved = []
 
