@@ -18,6 +18,7 @@ injectivity.  Each draw is valid by construction; none is validated here.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -131,15 +132,8 @@ def conjugate_sheaf(F: SheafComplex, rng: random.Random) -> SheafComplex:
     return SheafComplex(site, stalks, restrictions)
 
 
-class _Piece:
-    """An elementary summand: a shell [R -c-> R] at (deg, deg+1) or a free line."""
-
-    __slots__ = ("kind", "deg", "c")
-
-    def __init__(self, kind, deg, c=None):
-        self.kind = kind
-        self.deg = deg
-        self.c = c
+# An elementary summand: a shell [R -c-> R] at (deg, deg+1) or a free line.
+_Piece = namedtuple("_Piece", "kind deg c", defaults=(None,))
 
 
 def _pieces_complex(ring, pieces, hi) -> FreeComplex:
@@ -176,27 +170,21 @@ def random_complex(ring: BaseRing, rng: random.Random, max_degree=2, max_rank=3,
 
 
 def _piece_hom(ring, rng, src: _Piece, tgt: _Piece):
-    """A random chain map between two elementary pieces, as per-degree 1x1 data."""
-    out = {}
+    """A random chain map between two elementary pieces, as per-degree 1x1 data.
+
+    With a free line on either side, the source's generator in degree
+    src.deg maps to a cycle there: a free line, or the top of a shell one
+    degree below.  A shell maps to a shell in its degree by a pair (a, b)
+    with b * c_src = a * c_tgt.
+    """
     a = _small_element(ring, rng)
-    if src.kind == "free" and tgt.kind == "free":
-        if src.deg == tgt.deg:
-            out[src.deg] = a
-    elif src.kind == "free" and tgt.kind == "shell":
-        if src.deg == tgt.deg + 1:
-            out[src.deg] = a
-    elif src.kind == "shell" and tgt.kind == "free":
-        if src.deg == tgt.deg:
-            out[src.deg] = a
-    else:
-        if src.deg == tgt.deg:
-            # pair (a, b) with b * c_src = a * c_tgt
-            cs, ct = src.c, tgt.c
-            prod = ring.mul(a, ct)
-            if ring.divides(cs, prod):
-                out[src.deg] = a
-                out[src.deg + 1] = ring.exact_div(prod, cs)
-    return out
+    if src.kind == "free" or tgt.kind == "free":
+        return {src.deg: a} if src.deg == tgt.deg + (tgt.kind == "shell") else {}
+    if src.deg == tgt.deg:
+        prod = ring.mul(a, tgt.c)
+        if ring.divides(src.c, prod):
+            return {src.deg: a, src.deg + 1: ring.exact_div(prod, src.c)}
+    return {}
 
 
 def random_chain_map(ring, rng, src_pieces, tgt_pieces, hi,

@@ -243,40 +243,6 @@ class SheafMap:
 # derived global sections
 
 
-class SectionsIndex:
-    """Block layout of the global sections complex.
-
-    blocks[N] maps (chain, internal_degree) to (offset, size), inserted in
-    the order (chain length, then chain) that, with the stalk basis inside
-    each block, makes every construction on top of global sections
-    reproducible; ranks[N] is the rank in degree N.
-    """
-
-    __slots__ = ("lo", "hi", "blocks", "ranks")
-
-    def __init__(self, sheaf: SheafComplex):
-        chains = sheaf.site.chains()
-        lo, hi = sheaf.lo(), sheaf.hi()
-        self.lo = lo
-        self.hi = hi + len(chains) - 1
-        self.blocks = {}
-        self.ranks = {}
-        for N in range(self.lo, self.hi + 1):
-            blocks = {}
-            offset = 0
-            for n, level in enumerate(chains):
-                i = N - n
-                if i < lo or i > hi:
-                    continue
-                for c in level:
-                    size = sheaf.stalk(c[-1]).rank(i)
-                    if size:
-                        blocks[(c, i)] = (offset, size)
-                        offset += size
-            self.blocks[N] = blocks
-            self.ranks[N] = offset
-
-
 def _block_matrix(ring, rows: int, cols: int, blocks) -> Matrix:
     """A rows x cols matrix holding each (row offset, column offset, block).
 
@@ -292,23 +258,42 @@ def _block_matrix(ring, rows: int, cols: int, blocks) -> Matrix:
 def global_sections_complex(F: SheafComplex):
     """Total complex of the ordered-chain cochain complex of F.
 
-    Returns (complex, index); for a one-point site the complex is the stalk
-    itself.  F must be valid (its caller checks), and then so is the total.
+    Returns (complex, layout); layout[N] is (rank, blocks), where blocks maps
+    (chain, internal_degree) to (offset, size), inserted in the order (chain
+    length, then chain) that, with the stalk basis inside each block, makes
+    every construction on top of global sections reproducible.  For a
+    one-point site the complex is the stalk itself.  F must be valid (its
+    caller checks), and then so is the total.
     """
-    idx = SectionsIndex(F)
     ring = F.ring
-    ranks = [idx.ranks[N] for N in range(idx.lo, idx.hi + 1)]
-    diffs = []
-    for N in range(idx.lo, idx.hi):
-        src_loc = idx.blocks[N]
-        blocks = []
-        for (c, i), (roff, size) in idx.blocks[N + 1].items():
+    chains = F.site.chains()
+    lo, hi = F.lo(), F.hi()
+    layout, ranks, diffs = {}, [], []
+    for N in range(lo, hi + len(chains)):
+        blocks = {}
+        offset = 0
+        for n, level in enumerate(chains):
+            i = N - n
+            if i < lo or i > hi:
+                continue
+            for c in level:
+                size = F.stalk(c[-1]).rank(i)
+                if size:
+                    blocks[(c, i)] = (offset, size)
+                    offset += size
+        layout[N] = (offset, blocks)
+        ranks.append(offset)
+        if N == lo:
+            continue
+        cols, src_loc = layout[N - 1]
+        parts = []
+        for (c, i), (roff, size) in blocks.items():
             n = len(c) - 1
             # internal differential of the top stalk, with sign (-1)^n
             src = src_loc.get((c, i - 1))
             if src is not None:
                 d = F.stalk(c[-1]).d(i - 1)
-                blocks.append((roff, src[0], d if n % 2 == 0 else -d))
+                parts.append((roff, src[0], d if n % 2 == 0 else -d))
             # the faces of c: dropping c[j] has sign (-1)^j, and dropping the
             # top element restricts from the new top
             for j in range(n + 1):
@@ -317,9 +302,9 @@ def global_sections_complex(F: SheafComplex):
                 if src is None:
                     continue
                 block = Matrix.identity(ring, size) if j < n else F.res(face[-1], c[-1]).map(i)
-                blocks.append((roff, src[0], block if j % 2 == 0 else -block))
-        diffs.append(_block_matrix(ring, idx.ranks[N + 1], idx.ranks[N], blocks))
-    return FreeComplex(ring, idx.lo, ranks, diffs), idx
+                parts.append((roff, src[0], block if j % 2 == 0 else -block))
+        diffs.append(_block_matrix(ring, offset, cols, parts))
+    return FreeComplex(ring, lo, ranks, diffs), layout
 
 
 def global_sections_map(phi: SheafMap, src: tuple, tgt: tuple) -> ChainMap:
@@ -328,14 +313,15 @@ def global_sections_map(phi: SheafMap, src: tuple, tgt: tuple) -> ChainMap:
     ``src`` and ``tgt`` are the sections of its source and target, as
     ``global_sections_complex`` returns them.
     """
-    (src_total, src_idx), (tgt_total, tgt_idx) = src, tgt
+    (src_total, src_layout), (tgt_total, tgt_layout) = src, tgt
+    empty = (0, {})
     maps = {}
-    for N in range(min(src_idx.lo, tgt_idx.lo), max(src_idx.hi, tgt_idx.hi) + 1):
-        tgt_loc = tgt_idx.blocks.get(N, {})
-        blocks = [(tgt_loc[(c, i)][0], coff, phi.map(c[-1]).map(i))
-                  for (c, i), (coff, _) in src_idx.blocks.get(N, {}).items() if (c, i) in tgt_loc]
-        maps[N] = _block_matrix(phi.target.ring, tgt_idx.ranks.get(N, 0),
-                                src_idx.ranks.get(N, 0), blocks)
+    for N in range(min(src_total.lo, tgt_total.lo), max(src_total.hi, tgt_total.hi) + 1):
+        cols, src_blocks = src_layout.get(N, empty)
+        rows, tgt_blocks = tgt_layout.get(N, empty)
+        blocks = [(tgt_blocks[(c, i)][0], coff, phi.map(c[-1]).map(i))
+                  for (c, i), (coff, _) in src_blocks.items() if (c, i) in tgt_blocks]
+        maps[N] = _block_matrix(phi.target.ring, rows, cols, blocks)
     return ChainMap(src_total, tgt_total, maps)
 
 

@@ -16,7 +16,7 @@ spectral sequences are packaged: the truncation-filtration one on the global
 sections of K/xi (reported with its customary page numbering, starting at 2)
 and the Hodge-filtration one on the global sections of the objectwise
 Bockstein complex (starting at 1).  Degeneration detectors and the
-cokernel-comparison record live here as well.
+cokernel comparison live here as well.
 """
 
 from __future__ import annotations
@@ -317,15 +317,6 @@ def degeneration_check_HdR(ctx: InstanceContext):
     return witness is None, witness
 
 
-@dataclass
-class CokernelComparison:
-    """Images of the truncation-side and Hodge-side maps into H^{i-m}(S, Omega^m)."""
-
-    coker_f: Subspace
-    coker_g: Subspace
-    equal: bool
-
-
 def cokernel_maps(ctx: InstanceContext, m: int):
     """The truncation-side and Hodge-side maps into the sections of Omega^m[-m].
 
@@ -350,15 +341,14 @@ def cokernel_maps(ctx: InstanceContext, m: int):
     return cm_f, ctx.sections_map(SheafMap(hodge, avatar, maps_g))
 
 
-def compare_degeneration(ctx: InstanceContext, i: int, m: int) -> CokernelComparison:
-    """Both cokernel images inside H^i(RGamma(S, Omega^m[-m])), compared.
+def compare_degeneration(ctx: InstanceContext, i: int, m: int) -> tuple:
+    """Both cokernel images inside H^i(RGamma(S, Omega^m[-m])), as (coker_f, coker_g).
 
     The truncation side maps tau_{<=m}(K/xi) onto its top cohomology sheaf;
     the Hodge side projects the degree >= m part of the Bockstein sheaf onto
     its degree-m term.  Under the torsion-freeness hypothesis the two images
-    agree; without it the record is returned for inspection.
+    are equal; without it the pair is returned for inspection.
     """
     cm_f, cm_g = ctx.once(("cokernel-maps", m), cokernel_maps, ctx, m)
-    coker_f = Subspace.from_columns(k_induced_matrix(ctx, cm_f, i))
-    coker_g = Subspace.from_columns(k_induced_matrix(ctx, cm_g, i))
-    return CokernelComparison(coker_f, coker_g, coker_f == coker_g)
+    return (Subspace.from_columns(k_induced_matrix(ctx, cm_f, i)),
+            Subspace.from_columns(k_induced_matrix(ctx, cm_g, i)))

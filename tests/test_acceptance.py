@@ -241,9 +241,9 @@ def test_criterion_7_degeneration_equivalence(h1_reports):
     # the stored non-torsion-free fixture must separate the two cokernels
     with open(os.path.join(FIXTURES, "point_torsion_example.json")) as fh:
         P = sheaf_from_json(json.load(fh))
-    rec = compare_degeneration(InstanceContext(P), 0, 0)
-    if rec.equal or rec.coker_f.dim != 1 or rec.coker_g.dim != 0:
-        failures.append(("fixture", rec.coker_f.dim, rec.coker_g.dim))
+    coker_f, coker_g = compare_degeneration(InstanceContext(P), 0, 0)
+    if coker_f == coker_g or coker_f.dim != 1 or coker_g.dim != 0:
+        failures.append(("fixture", coker_f.dim, coker_g.dim))
     elapsed = time.time() - t0
     verdict(7, not failures, f"{elapsed:.1f}s, failures: {failures[:3]}")
 

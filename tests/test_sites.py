@@ -245,6 +245,29 @@ def test_sections_exact_on_split_sums(rng, z3):
         assert sorted(map(str, ds.factors)) == sorted(map(str, da.factors + db.factors))
 
 
+@pytest.mark.parametrize("ring", ["z2", "z3", "f5t", "qt"])
+def test_sections_layout_tiles_each_degree_in_chain_order(ring):
+    # layout[N] = (rank, blocks): one block per chain whose top stalk is nonzero
+    # in the chain's internal degree, in (chain length, chain) order, filling
+    # [0, rank) without gaps, and rank is the total complex's rank
+    for site in ("point", "pseudo-circle", "chain3", "sphere"):
+        for seed in (1, 2, 3):
+            F = generate_instance("h1", seed, ring=RINGS[ring], site=PosetSite.builtin(site))
+            T, layout = global_sections_complex(F)
+            chains = sorted((c for level in F.site.chains() for c in level),
+                            key=lambda c: (len(c), c))
+            assert list(layout) == list(T.degrees())
+            for N, (rank, blocks) in layout.items():
+                assert rank == T.rank(N)
+                keys = [(c, N - len(c) + 1) for c in chains]
+                assert list(blocks) == [(c, i) for c, i in keys if F.stalk(c[-1]).rank(i)]
+                offset = 0
+                for (c, i), (start, size) in blocks.items():
+                    assert (start, size) == (offset, F.stalk(c[-1]).rank(i))
+                    offset += size
+                assert offset == rank
+
+
 def test_sheaf_eta_point_reduces_to_complex_level(z5):
     K = FreeComplex(z5, 0, [1, 1], [Matrix(z5, [[5]])])
     F = SheafComplex.constant(PosetSite.point(), K)

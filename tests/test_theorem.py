@@ -105,6 +105,13 @@ def test_flag_refuses_a_gap_in_its_window():
     assert Flag(k, 2, {0: zero, 1: zero, 2: full}).dim(1) == 0
 
 
+def test_flag_refuses_an_empty_window():
+    # with no space there is no window to read a subspace, a dim or a grade on
+    k = PrimeField(5)
+    with pytest.raises(ValueError, match="at least one space"):
+        Flag(k, 2, {})
+
+
 def test_bb_scaling_shift(rng, z2):
     # xi^c M cuts the flag of M shifted up by c
     ctx = Memo()
