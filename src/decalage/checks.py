@@ -21,14 +21,6 @@ class CheckResult:
         if not condition:
             self.fail(**witness)
 
-    def merge(self, other: "CheckResult") -> None:
-        if not other.passed:
-            self.passed = False
-            self.failures.extend(
-                {"check": other.name, **f} if "check" not in f else f
-                for f in other.failures
-            )
-
     def to_json(self) -> dict:
         return {
             "check": self.name,

@@ -413,7 +413,7 @@ def cohomology_presentation(ctx, K, i: int) -> CohomologyPresentation:
 
 
 # ---------------------------------------------------------------------------
-# truncations and sums
+# truncations
 
 
 def truncate_leq(K: FreeComplex, m: int) -> ChainMap:

@@ -64,11 +64,10 @@ def _check(value, spec, path: str = "$") -> None:
                 raise SerializeError(f"{path}.{name}: unknown key")
     elif type(spec) in (list, tuple):
         _check(value, list, path)
-        specs = spec * len(value) if type(spec) is list else spec
-        if len(value) != len(specs):
+        if type(spec) is tuple and len(value) != len(spec):
             raise SerializeError(f"{path}: expected a list of {len(spec)}, got {len(value)}")
-        for i, (x, sub) in enumerate(zip(value, specs)):
-            _check(x, sub, f"{path}[{i}]")
+        for i, x in enumerate(value):
+            _check(x, spec[i] if type(spec) is tuple else spec[0], f"{path}[{i}]")
     elif not (spec is object or type(value) is spec
               or spec is NAT and type(value) is int and value >= 0):
         shown = TYPE_NAMES[type(value)] if type(value) in (list, dict) else json.dumps(value)
@@ -82,8 +81,18 @@ def _element(ring: BaseRing, text: str, path: str):
         raise SerializeError(f"{path}: {exc}") from exc
 
 
+def _check_length(value, n: int, path: str) -> None:
+    """_check(value, (spec,) * n, path)'s length test, which builds no spec of length n."""
+    _check(value, list, path)
+    if len(value) != n:
+        raise SerializeError(f"{path}: expected a list of {n}, got {len(value)}")
+
+
 def matrix_from_json(ring: BaseRing, data, rows: int, cols: int, path: str = "$") -> Matrix:
-    _check(data, ((str,) * cols,) * rows, path)
+    _check_length(data, rows, path)
+    for r, row in enumerate(data):
+        _check_length(row, cols, f"{path}[{r}]")
+        _check(row, [str], f"{path}[{r}]")
     return Matrix(ring, [[_element(ring, x, f"{path}[{r}][{c}]") for c, x in enumerate(row)]
                          for r, row in enumerate(data)], cols=cols)
 
@@ -183,7 +192,7 @@ def read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
         raise SerializeError(f"cannot read {path}: {exc}") from exc
 
 

@@ -2,8 +2,9 @@
 
 Every report a clean run prints passes, so these branches run only when
 something is broken: a crashed lemma check, a failed or crashing filtration
-step, a failed stationarity or flag check in the theorem report, a merged
-failing record, truncations that are not nested and an escaped snake.  Each
+step, a failed stationarity, flag or cokernel comparison in the theorem
+report, a failing splitting square, truncations that are not nested, and a
+snake that escapes or does not factor through beta.  Each
 test breaks one route and pins the records (or, for the command line, the
 SHA-256 of its output) that the break produces.  A moved pin means that a
 failure record changed its bytes: find out why, and do not re-record.
@@ -16,8 +17,9 @@ import json
 
 from decalage import bockstein, cli, complexes, suites, theorem
 from decalage.bockstein import Memo, connecting_factorization, split_mod_xi
-from decalage.complexes import FreeComplex, factor_through
+from decalage.complexes import ChainMap, FreeComplex, factor_through
 from decalage.instances import generate_instance
+from decalage.kmatrix import Subspace
 from decalage.rings import IntegerRing
 from decalage.rmatrix import Matrix
 from decalage.serialize import dump_json
@@ -80,7 +82,7 @@ def test_a_filtration_step_that_raises_records_its_error(monkeypatch):
         {"check": "eta-m.filtration-steps", "failures": errors, "passed": False}]
 
 
-def test_truncations_factored_the_wrong_way_fail_the_splitting_through_its_merge(monkeypatch):
+def test_truncations_factored_the_wrong_way_fail_the_splitting_under_its_compat_key(monkeypatch):
     # on a context that has built every piece, only the truncation inclusion
     # tau_{<=m-1} -> tau_{<=m} is still factored: the mutant factors it
     # backwards, so it fails where the two truncations differ
@@ -95,6 +97,62 @@ def test_truncations_factored_the_wrong_way_fail_the_splitting_through_its_merge
                      "reason": f"truncations are not nested: images are not nested at degree {m}"}]
         assert got == {"check": "eta-m.mod-xi-splitting", "passed": m not in (1, 2),
                        "failures": failures if m in (1, 2) else []}, m
+
+
+def compat(degree: int, m: int, generator: int, side: str) -> dict:
+    return {"check": "eta-m.mod-xi-splitting-compat", "degree": degree, "m": m,
+            "generator": generator, "reason": f"{side}-side compatibility square fails"}
+
+
+def test_a_zero_truncation_inclusion_fails_the_truncation_side_square(monkeypatch):
+    # on a context that has built every piece, the mutant factors the
+    # truncation inclusion tau_{<=m-1} -> tau_{<=m} as the zero map
+    records = {}
+    for m in range(0, K.hi + 2):
+        ctx = Memo()
+        assert split_mod_xi(ctx, K, m).passed
+        with monkeypatch.context() as patch:
+            patch.setattr(bockstein, "factor_through",
+                          lambda f, g: ChainMap.zero(f.source, g.source))
+            records[m] = split_mod_xi(ctx, K, m).to_json()
+        assert records[m]["check"] == "eta-m.mod-xi-splitting"
+        assert records[m]["passed"] == (not records[m]["failures"])
+        # the key a square's failure leads with, as the text report prints it
+        assert all(list(f)[0] == "check" for f in records[m]["failures"])
+    assert {m: r["failures"] for m, r in records.items()} == {
+        0: [],
+        1: [compat(0, 1, 0, "truncation")],
+        2: [compat(0, 2, 0, "truncation"), compat(1, 2, 0, "truncation"),
+            compat(1, 2, 1, "truncation")],
+        3: [compat(0, 3, 0, "truncation"), compat(1, 3, 0, "truncation"),
+            compat(1, 3, 1, "truncation"), compat(2, 3, 0, "truncation")]}
+
+
+def test_a_zero_finer_comparison_fails_the_hodge_side_square(monkeypatch):
+    # on a context that has built every piece, the mutant context hands out
+    # the Hodge comparison at level m + 1 as the zero map; at m = 0 the
+    # square holds on generator 0 of degree 1 and fails on generator 1
+    records = {}
+    for m in range(0, K.hi + 2):
+        ctx = Memo()
+        assert split_mod_xi(ctx, K, m).passed
+        comparison = ctx.comparison
+
+        def zeroed(L, n, m=m):
+            comp = comparison(L, n)
+            return ChainMap.zero(comp.source, comp.target) if n == m + 1 else comp
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ctx, "comparison", zeroed)
+            records[m] = split_mod_xi(ctx, K, m).to_json()
+        assert records[m]["check"] == "eta-m.mod-xi-splitting"
+        assert records[m]["passed"] == (not records[m]["failures"])
+        # the key a square's failure leads with, as the text report prints it
+        assert all(list(f)[0] == "check" for f in records[m]["failures"])
+    assert {m: r["failures"] for m, r in records.items()} == {
+        0: [compat(1, 0, 1, "Hodge"), compat(2, 0, 0, "Hodge")],
+        1: [compat(2, 1, 0, "Hodge")],
+        2: [], 3: []}
 
 
 def test_a_snake_without_a_lift_escapes_the_finer_stage(monkeypatch):
@@ -113,6 +171,22 @@ def test_a_snake_without_a_lift_escapes_the_finer_stage(monkeypatch):
         2: [], 3: []}
 
 
+def test_a_zero_snake_lift_does_not_factor_through_beta(monkeypatch):
+    # on a context that has built every piece, the mutant's solve lifts to zero
+    records = {}
+    for m in range(0, K.hi + 2):
+        ctx = Memo()
+        assert connecting_factorization(ctx, K, m).passed
+        with monkeypatch.context() as patch:
+            assert bockstein in patch_everywhere(
+                patch, complexes, "solve", lambda A, B: Matrix.zeros(A.ring, A.cols, B.cols))
+            records[m] = connecting_factorization(ctx, K, m).to_json()["failures"]
+    assert records == {
+        0: [{"beta": ["1", "0"], "generator": 0, "m": 0,
+             "reason": "connecting map does not factor through beta", "snake": ["0", "0"]}],
+        1: [], 2: [], 3: []}
+
+
 def test_stationarity_checked_below_the_top_fails_the_report(monkeypatch):
     # stage hi - 1 is not xi^(hi-1) * K on two stalks of the h1 seed-0 draw
     stationary = theorem.is_stationary_stage
@@ -125,6 +199,26 @@ def test_stationarity_checked_below_the_top_fails_the_report(monkeypatch):
          "failures": [{"element": "e", "m": 3}, {"element": "f", "m": 3}]}]
     assert sha256(dump_json(report.to_json())) == (
         "174403a7fe270e75cf838435c16c9420e2ed7d4a12b7ff1c1b7631eb4bf7e3ce")
+
+
+def test_a_zero_hodge_cokernel_fails_the_coker_comparison(monkeypatch):
+    # the Hodge side's image is replaced by zero: the comparison fails
+    # wherever the truncation side's image is nonzero, and names both
+    compare = theorem.compare_degeneration
+
+    def zero_hodge_side(ctx, i, m):
+        coker_f, _ = compare(ctx, i, m)
+        return coker_f, Subspace(coker_f.field, coker_f.ambient)
+
+    monkeypatch.setattr(theorem, "compare_degeneration", zero_hodge_side)
+    report = theorem.verify_main_theorem(generate_instance("h1", 0, ring=Z2))
+    assert report.asserted and not report.passed
+    assert failing_records(report.checks) == [
+        {"check": "degeneration.coker-comparison", "passed": False,
+         "failures": [{"i": 1, "m": 1, "coker_f": [["1"]], "coker_g": []},
+                      {"i": 2, "m": 1, "coker_g": [],
+                       "coker_f": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+                      {"i": 4, "m": 2, "coker_f": [["1", "0"], ["0", "1"]], "coker_g": []}]}]
 
 
 def test_check_theorem_prints_a_violated_identity_and_exits_1(monkeypatch):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -76,6 +77,47 @@ def test_cli_validate_exit_codes(tmp_path, z3):
     r = run_cli("validate", str(invalid))
     assert r.returncode == 1
     assert "DifferentialSquareNonzero" in r.stdout
+
+
+Z2 = {"kind": "z", "xi": "2"}
+
+
+@pytest.mark.parametrize("read,where", [
+    (lambda: complex_from_json({"ring": Z2, "lo": 0, "ranks": [10**6, 1],
+                                "differentials": [[["1"]]]}), "$.differentials[0][0]"),
+    (lambda: complex_from_json({"ring": Z2, "lo": 0, "ranks": [1, 10**6],
+                                "differentials": [[["1"]]]}), "$.differentials[0]"),
+    (lambda: sheaf_from_json({"site": {"elements": ["a", "b"], "leq": [["a", "b"]]},
+                              "stalks": {"a": {"ring": Z2, "lo": 0, "ranks": [10**6]},
+                                         "b": {"ring": Z2, "lo": 0, "ranks": [1]}},
+                              "restrictions": {"a<=b": [[["1"]]]}}), "$.restrictions.a<=b[0][0]"),
+], ids=["columns", "rows", "restriction"])
+def test_a_huge_declared_rank_is_refused_before_anything_of_its_size_is_built(read, where):
+    # a one-entry matrix against a declared rank of a million: the lengths
+    # are compared first, so the refusal costs no memory in the rank
+    tracemalloc.start()
+    try:
+        with pytest.raises(SerializeError) as refused:
+            read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"{where}: expected a list of 1000000, got 1"
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("args", [
+    ("validate",), ("check-lemmas",), ("check-theorem",), ("ss",),
+    ("check-lemmas", "--poset"), ("check-theorem", "--poset"),
+], ids=["validate", "check-lemmas", "check-theorem", "ss",
+        "check-lemmas-poset", "check-theorem-poset"])
+def test_cli_json_nested_past_the_recursion_limit_is_a_parse_error(tmp_path, args):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    r = run_cli(*args, str(path))
+    assert r.returncode == 2, r.stdout + r.stderr[-1000:]
+    assert r.stderr.startswith(f"parse error: cannot read {path}: ") and r.stdout == ""
+    assert "Traceback" not in r.stderr and len(r.stderr.splitlines()) == 1, r.stderr[-1000:]
 
 
 @pytest.mark.parametrize("command", ["validate", "check-lemmas", "check-theorem", "ss"])
