@@ -241,14 +241,13 @@ def _render_pages(pages) -> list:
             continue
         ps = sorted({p for p, _ in page.entries})
         qs = sorted({q for _, q in page.entries}, reverse=True)
-        width = 4
-        header = "  q\\p " + "".join(f"{p:>{width}}" for p in ps)
-        lines.append(header)
-        for q in qs:
-            row = f"  {q:>3} " + "".join(
-                f"{page.dim(p, q) or '.':>{width}}" for p in ps
-            )
-            lines.append(row)
+        cells = {(p, q): str(page.dim(p, q) or ".") for p in ps for q in qs}
+        # widths 4 and 3, widened so that no label or entry touches its neighbour
+        widths = {p: max(4, 1 + len(str(p)), *(1 + len(cells[p, q]) for q in qs)) for p in ps}
+        qw = max(3, *(len(str(q)) for q in qs))
+        lines.append("  " + "q\\p".rjust(qw) + " " + "".join(str(p).rjust(widths[p]) for p in ps))
+        lines += ["  " + str(q).rjust(qw) + " " + "".join(cells[p, q].rjust(widths[p]) for p in ps)
+                  for q in qs]
         nonzero = [
             f"  d_{page.r} at (p={p}, q={q}) is nonzero"
             for (p, q), m in sorted(page.differentials.items())

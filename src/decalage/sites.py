@@ -201,6 +201,8 @@ class SheafComplex:
         return max(K.hi for K in self.stalks.values())
 
     def validate(self) -> None:
+        """InvalidSheaf unless the stalks and restrictions are valid and compose, each
+        3-chain a < b < c compared on the degrees of the stalk at a, where both sides live."""
         for e, K in sorted(self.stalks.items()):
             K.validate()
         for (a, b), f in sorted(self.restrictions.items()):
@@ -217,7 +219,7 @@ class SheafComplex:
             for c in self.site._up[b]:
                 left = self.res(b, c).after(self.res(a, b))
                 right = self.res(a, c)
-                for i in range(self.lo(), self.hi() + 1):
+                for i in self.stalk(a).degrees():
                     if left.map(i) != right.map(i):
                         raise InvalidSheaf(
                             f"functoriality fails on {a}<={b}<={c} at degree {i}",
@@ -311,14 +313,15 @@ def global_sections_map(phi: SheafMap, src: tuple, tgt: tuple) -> ChainMap:
     """RGamma of a sheaf map, blockwise on matching chains.
 
     ``src`` and ``tgt`` are the sections of its source and target, as
-    ``global_sections_complex`` returns them.
+    ``global_sections_complex`` returns them.  It is built on the source's
+    degrees only, some of which the target may lack; ``ChainMap`` reads
+    every other degree as the zero map.
     """
     (src_total, src_layout), (tgt_total, tgt_layout) = src, tgt
-    empty = (0, {})
     maps = {}
-    for N in range(min(src_total.lo, tgt_total.lo), max(src_total.hi, tgt_total.hi) + 1):
-        cols, src_blocks = src_layout.get(N, empty)
-        rows, tgt_blocks = tgt_layout.get(N, empty)
+    for N in src_total.degrees():
+        cols, src_blocks = src_layout[N]
+        rows, tgt_blocks = tgt_layout.get(N, (0, {}))
         blocks = [(tgt_blocks[(c, i)][0], coff, phi.map(c[-1]).map(i))
                   for (c, i), (coff, _) in src_blocks.items() if (c, i) in tgt_blocks]
         maps[N] = _block_matrix(phi.target.ring, rows, cols, blocks)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -532,6 +533,27 @@ def test_cli_ss_renders_pages(tmp_path, z3):
     assert r2.returncode == 0
     payload = json.loads(r2.stdout)
     assert payload["pages"][0]["r"] == 2
+
+
+@pytest.mark.parametrize("filtration", ["hodge", "tau"])
+def test_cli_ss_columns_stay_apart_past_three_digits(tmp_path, capsys, filtration):
+    # labels of four digits widen their columns: each row's entries end where
+    # the header's labels do, and no two labels run together
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"ring": {"kind": "z", "xi": "2"}, "lo": 998, "ranks": [1, 1, 1, 1],
+                                "differentials": [[["2"]], [["0"]], [["2"]]]}))
+    assert cli.main(["ss", str(path), "--filtration", filtration, "--pages", "1"]) == 0
+    header, *rows = [line for line in capsys.readouterr().out.splitlines()[1:]
+                     if not line.startswith("  d_")]
+    if filtration == "hodge":
+        assert header.split() == ["q\\p", "998", "999", "1000", "1001"]
+    else:
+        assert [row.split()[0] for row in rows] == ["1001", "1000", "999", "998"]
+
+    def ends(line):
+        return [m.end() for m in re.finditer(r"\S+", line)]
+
+    assert all(ends(row) == ends(header) for row in rows)
 
 
 def test_cli_fixture_dir_env(tmp_path, z3):

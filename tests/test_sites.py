@@ -147,21 +147,24 @@ def test_sheaves_differing_in_one_restriction_entry_stalk_or_ring_are_unequal(z3
 
 def test_functoriality_failure_detected(z3):
     site = PosetSite.chain(3)
-    K = FreeComplex(z3, 0, [1], [])
-    stalks = {e: K for e in site.elements}
-    good = {i: Matrix.identity(z3, 1) for i in K.degrees()}
-    res = {
-        ("c0", "c1"): ChainMap(K, K, good),
-        ("c1", "c2"): ChainMap(K, K, good),
-        ("c0", "c2"): ChainMap(K, K, {0: Matrix(z3, [[2]])}),
-    }
-    F = SheafComplex(site, stalks, res)
-    with pytest.raises(InvalidSheaf) as err:
-        F.validate()
-    assert err.value.witness == ("c0", "c1", "c2")
+    # stalks in degree 0, and far from it: the failure is found in the stalks' degree
+    for degree in (0, 5):
+        K = FreeComplex(z3, degree, [1], [])
+        good = {degree: Matrix.identity(z3, 1)}
+        res = {
+            ("c0", "c1"): ChainMap(K, K, good),
+            ("c1", "c2"): ChainMap(K, K, good),
+            ("c0", "c2"): ChainMap(K, K, {degree: Matrix(z3, [[2]])}),
+        }
+        with pytest.raises(InvalidSheaf) as err:
+            SheafComplex(site, {e: K for e in site.elements}, res).validate()
+        assert err.value.witness == ("c0", "c1", "c2")
+        assert str(err.value) == f"functoriality fails on c0<=c1<=c2 at degree {degree}"
     # c2 <= c3 doubles, so c0 <= c2 <= c3 and c1 <= c2 <= c3 both fail; the
     # lexicographically least is the witness
     site = PosetSite.chain(4)
+    K = FreeComplex(z3, 0, [1], [])
+    good = {0: Matrix.identity(z3, 1)}
     res = {pair: ChainMap(K, K, good) for pair in site.strict_pairs()}
     res[("c2", "c3")] = ChainMap(K, K, {0: Matrix(z3, [[2]])})
     with pytest.raises(InvalidSheaf) as err:

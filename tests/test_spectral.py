@@ -11,7 +11,7 @@ from decalage.instances import generate_instance
 from decalage.kmatrix import field_rank, solve_field
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix
-from decalage.serialize import sheaf_from_json
+from decalage.serialize import load_instance_file, sheaf_from_json
 from decalage.sites import InstanceContext, PosetSite, SheafComplex
 from decalage.spectral import (
     FilteredComplex,
@@ -183,6 +183,26 @@ def test_h1_instances_equal_cokernels(rng, z2):
             for m in range(0, F.hi() + 2):
                 coker_f, coker_g = compare_degeneration(ctx, i, m)
                 assert coker_f == coker_g, (seed, i, m)
+
+
+# the h1-theorem pool's first eight draws, two per benchmark ring, and the fixtures
+BENCHMARK_RINGS = (IntegerRing(2), IntegerRing(3), IntegerRing(5), PolynomialRing(PrimeField(5)))
+DEGREE_BOUND_CASES = list(range(7000, 7008)) + sorted(os.listdir(FIXTURES))
+
+
+@pytest.mark.parametrize("case", DEGREE_BOUND_CASES)
+def test_no_cokernel_image_below_its_term_degree(case):
+    # RGamma(S, Omega^m[-m]) starts at degree m, so for i < m both images lie
+    # in a zero space: verify_main_theorem compares m <= i only
+    if isinstance(case, int):
+        F = generate_instance("h1", case, ring=BENCHMARK_RINGS[case % 4], max_degree=2, max_rank=2)
+    else:
+        F = load_instance_file(os.path.join(FIXTURES, case))
+    ctx = InstanceContext(F)
+    for i in ctx.sections(F).degrees():
+        for m in range(max(i + 1, 0), F.hi() + 2):
+            coker_f, coker_g = compare_degeneration(ctx, i, m)
+            assert coker_f.ambient == coker_g.ambient == 0, (i, m)
 
 
 def z_space_instance(case):

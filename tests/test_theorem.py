@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -10,7 +11,7 @@ from decalage.instances import generate_instance, random_unimodular
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix
 from decalage import sites
-from decalage.serialize import load_instance, sheaf_from_json, sheaf_to_json
+from decalage.serialize import dump_json, load_instance, sheaf_from_json, sheaf_to_json
 from decalage.sites import InstanceContext, PosetSite, SheafComplex
 from decalage.kmatrix import Subspace
 from decalage.theorem import (
@@ -378,3 +379,31 @@ def test_main_theorem_validates_its_sheaf_once(monkeypatch, z2):
         calls.clear()
         verify_main_theorem(F)
         assert calls == [F]
+
+
+# SHA-256 of each report of the one-degree complex at lo = L, recorded while
+# RGamma of a sheaf map still walked both windows from degree 0
+FAR_FROM_ZERO = {
+    100: "ade3347179f89973235b08e25023ea4b92ec174dbb402acdda7fb841e1bee9bc",
+    200: "8f01b8f691b44b00eaf32833dd2e2d10e18f941c7054881b7173467a77136e38",
+    300: "6457511105bfdd16a330e852eac29e8b68ab6f72d6d88172936710122efc5f9a",
+}
+
+
+@pytest.mark.parametrize("lo", sorted(FAR_FROM_ZERO))
+def test_a_complex_far_from_degree_zero_builds_blocks_linear_in_lo(monkeypatch, lo):
+    # a sheaf map's sections live on its source's degrees and the cokernel
+    # comparison stops at m = i, so the block matrices grow with lo, not with
+    # its square (10,410 / 40,810 / 91,210 of them when every window was walked)
+    F = load_instance({"ring": {"kind": "z", "xi": "2"}, "lo": lo, "ranks": [1]})
+    calls = []
+    build = sites._block_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sites, "_block_matrix", counted)
+    report = verify_main_theorem(F)
+    assert len(calls) <= 4 * lo
+    assert hashlib.sha256(dump_json(report.to_json()).encode()).hexdigest() == FAR_FROM_ZERO[lo]
