@@ -16,6 +16,7 @@ import sys
 from .instances import GenerationBudgetExceeded, generate_instance
 from .rings import make_ring
 from .serialize import (
+    MAX_RANK,
     SerializeError,
     dump_json,
     load_instance_file,
@@ -142,6 +143,8 @@ def _instances(args):
         if getattr(args, option) < 1:
             raise SerializeError(f"--{option.replace('_', '-')} must be at least 1, "
                                  f"got {getattr(args, option)}")
+    if args.max_rank > MAX_RANK:
+        raise SerializeError(f"--max-rank must be at most {MAX_RANK}, got {args.max_rank}")
     profile = args.generate
     poset = args.poset or ""
     builtin = poset.startswith("builtin:")

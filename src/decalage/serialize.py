@@ -3,8 +3,9 @@
 Ring elements travel as strings (decimal integers, polynomials in canonical
 descending form such as "2*t^3+1"); matrices as row-major nested arrays of
 such strings.  Complexes carry {ring, lo, hi, ranks, differentials}, with
-lo >= 0 since the engine works in nonnegative degrees; sheaf complexes carry
-{site, stalks, restrictions} with restriction keys "a<=b".
+lo >= 0 since the engine works in nonnegative degrees, and every rank at
+most MAX_RANK; sheaf complexes carry {site, stalks, restrictions} with
+restriction keys "a<=b".
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ from .sites import InvalidSheaf, PosetSite, SheafComplex
 
 class SerializeError(ValueError):
     """Input does not parse as the expected object."""
+
+
+# the largest rank an input complex may declare, and the largest --max-rank:
+# check-theorem on one free module of this rank takes seconds and about half
+# a gigabyte, and twice it about 2 GB (README, Limits)
+MAX_RANK = 1024
 
 
 # The input records, each walked by _check before it is read: a record maps
@@ -118,6 +125,10 @@ def complex_from_json(data: dict, path: str = "$") -> FreeComplex:
         raise SerializeError(f"{path}.ring: a complex needs a ring with a uniformizer xi; "
                              f"{ring.kind!r} is a field")
     lo, ranks, raw = data["lo"], data["ranks"], data.get("differentials", [])
+    for j, rank in enumerate(ranks):
+        if rank > MAX_RANK:
+            raise SerializeError(f"{path}.ranks[{j}]: expected a rank of at most {MAX_RANK}, "
+                                 f"got {rank}")
     if data.get("hi", lo + len(ranks) - 1) != lo + len(ranks) - 1:
         raise SerializeError(f"{path}.hi: does not match lo + len(ranks) - 1")
     _check(raw, (list,) * max(len(ranks) - 1, 0), f"{path}.differentials")

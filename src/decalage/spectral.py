@@ -242,18 +242,29 @@ def ht_spectral_sequence(ctx: InstanceContext, r_max: int = 4) -> list:
     return ss_pages(fc, r_max, label_shift=1, relabel=relabel)
 
 
+def term_dims(ctx: InstanceContext, q: int) -> dict:
+    """n -> dim H^n(S, Omega^q[-q]), on the degrees of the term sheaf's sections.
+
+    The one table of these dimensions: E_2^{n-q,q} for ``ht_e2_crosscheck``,
+    and for ``verify_main_theorem`` the graded targets and the space of the
+    cokernel comparison at (n, q).  A degree off the map has dimension 0.
+    """
+    total = ctx.sections(ctx.term(q))
+    return {n: ctx.quotient(total, n).dim for n in total.degrees()}
+
+
 def ht_e2_crosscheck(ctx: InstanceContext, pages) -> list:
-    """Recompute every E_2 entry as H^p(S, H^q-sheaf); returns mismatches."""
+    """Recompute every E_2 entry as H^p(S, H^q-sheaf); returns mismatches.
+
+    The direct side of entry (p, q) is ``term_dims(ctx, q)`` at p + q.
+    """
     first = pages[0]
     mismatches = []
     covered = set()
     Fbar = ctx.reduced()
     for q in range(Fbar.lo(), Fbar.hi() + 1):
-        # the term sheaf sits in degree q, so H^{p+q} of its sections is E_2^{p,q}
-        av_total = ctx.sections(ctx.term(q))
-        for n in av_total.degrees():
+        for n, want in term_dims(ctx, q).items():
             p = n - q
-            want = ctx.quotient(av_total, n).dim
             got = first.dim(p, q)
             covered.add((p, q))
             if got != want:
@@ -347,7 +358,9 @@ def compare_degeneration(ctx: InstanceContext, i: int, m: int) -> tuple:
     The truncation side maps tau_{<=m}(K/xi) onto its top cohomology sheaf;
     the Hodge side projects the degree >= m part of the Bockstein sheaf onto
     its degree-m term.  Under the torsion-freeness hypothesis the two images
-    are equal; without it the pair is returned for inspection.
+    are equal; without it the pair is returned for inspection.  Both live in
+    a space of dimension ``term_dims(ctx, m).get(i, 0)``, and where that is
+    zero they are equal, so ``verify_main_theorem`` asks nowhere else.
     """
     cm_f, cm_g = ctx.once(("cokernel-maps", m), cokernel_maps, ctx, m)
     return (Subspace.from_columns(k_induced_matrix(ctx, cm_f, i)),

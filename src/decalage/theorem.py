@@ -36,6 +36,7 @@ from .spectral import (
     compare_degeneration,
     degeneration_check_HT,
     degeneration_check_HdR,
+    term_dims,
 )
 
 
@@ -271,11 +272,14 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     the injectivity hypothesis on the truncation maps; tabulate the stage
     torsion-freeness; for each degree compute the lattice flag and the image
     flag; when both hypotheses hold, assert flag equality and the graded
-    dimension identity against the term sheaves.  With a failed hypothesis
-    the same fields are returned unasserted, built without what only an
-    asserted check reads: the reduction identification and the cokernel
-    comparison without H1, the moved lattice flag and the graded target
-    dimensions without both; their checks stay, passed and empty.  All
+    dimension identity against the term sheaves.  Under H1 the cokernel
+    comparison runs at each (i, m) with H^i(S, Omega^m[-m]) nonzero, read
+    off the same ``term_dims`` table as the graded targets: both images lie
+    in that space, so where it is zero they are equal.  With a failed
+    hypothesis the same fields are returned unasserted, built without what
+    only an asserted check reads: the reduction identification, that table
+    and the cokernel comparison without H1, the moved lattice flag without
+    both; their checks stay, passed and empty.  All
     steps share one InstanceContext, dropped on return.  F is validated
     first, and only here: what is built from it is valid by construction.
     """
@@ -309,14 +313,7 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     if h1:
         rho = reduction_iso_matrices(ctx)
         red = ctx.sections(ctx.reduced())
-    if report.asserted:
-        # graded target dimensions: H^{i-m}(S, Omega^m-avatar), read at degree i
-        # of the sections of the term sheaf, which sits in degree m
-        omega_dims = {}
-        for m in range(0, m_max + 1):
-            av_total = ctx.sections(ctx.term(m))
-            omega_dims[m] = {i: ctx.quotient(av_total, i).dim
-                             for i in av_total.degrees()}
+        omega_dims = {m: term_dims(ctx, m) for m in range(0, m_max + 1)}
 
     flag_check = CheckResult("main.flag-equality")
     graded_check = CheckResult("main.graded-dims")
@@ -366,8 +363,8 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
     comp_check = CheckResult("degeneration.coker-comparison")
     if h1:
         for i in total.degrees():
-            # RGamma(Omega^m[-m]) starts at degree m, so above i both images are zero
-            for m in range(0, min(i, m_max) + 1):
+            # both images lie in H^i(S, Omega^m[-m]), so they differ only where it is nonzero
+            for m in [m for m, dims in omega_dims.items() if dims.get(i)]:
                 coker_f, coker_g = compare_degeneration(ctx, i, m)
                 if coker_f != coker_g:
                     comp_check.fail(i=i, m=m, coker_f=coker_f.to_json(), coker_g=coker_g.to_json())

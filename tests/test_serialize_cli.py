@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from decalage.instances import generate_instance
 from decalage.rings import RingElementError, ring_from_description
 from decalage.rmatrix import Matrix
 from decalage.serialize import (
+    MAX_RANK,
     SerializeError,
     complex_from_json,
     complex_to_json,
@@ -83,19 +85,35 @@ def test_cli_validate_exit_codes(tmp_path, z3):
 Z2 = {"kind": "z", "xi": "2"}
 
 
-@pytest.mark.parametrize("read,where", [
-    (lambda: complex_from_json({"ring": Z2, "lo": 0, "ranks": [10**6, 1],
-                                "differentials": [[["1"]]]}), "$.differentials[0][0]"),
-    (lambda: complex_from_json({"ring": Z2, "lo": 0, "ranks": [1, 10**6],
-                                "differentials": [[["1"]]]}), "$.differentials[0]"),
+PAST_THE_BOUND = {"ring": Z2, "lo": 0, "ranks": [10**7]}
+
+
+@pytest.mark.parametrize("read,message", [
+    (lambda: complex_from_json({"ring": Z2, "lo": 0, "ranks": [MAX_RANK, 1],
+                                "differentials": [[["1"]]]}),
+     f"$.differentials[0][0]: expected a list of {MAX_RANK}, got 1"),
+    (lambda: complex_from_json({"ring": Z2, "lo": 0, "ranks": [1, MAX_RANK],
+                                "differentials": [[["1"]]]}),
+     f"$.differentials[0]: expected a list of {MAX_RANK}, got 1"),
     (lambda: sheaf_from_json({"site": {"elements": ["a", "b"], "leq": [["a", "b"]]},
-                              "stalks": {"a": {"ring": Z2, "lo": 0, "ranks": [10**6]},
+                              "stalks": {"a": {"ring": Z2, "lo": 0, "ranks": [MAX_RANK]},
                                          "b": {"ring": Z2, "lo": 0, "ranks": [1]}},
-                              "restrictions": {"a<=b": [[["1"]]]}}), "$.restrictions.a<=b[0][0]"),
-], ids=["columns", "rows", "restriction"])
-def test_a_huge_declared_rank_is_refused_before_anything_of_its_size_is_built(read, where):
-    # a one-entry matrix against a declared rank of a million: the lengths
-    # are compared first, so the refusal costs no memory in the rank
+                              "restrictions": {"a<=b": [[["1"]]]}}),
+     f"$.restrictions.a<=b[0][0]: expected a list of {MAX_RANK}, got 1"),
+    (lambda: complex_from_json(PAST_THE_BOUND),
+     f"$.ranks[0]: expected a rank of at most {MAX_RANK}, got 10000000"),
+    (lambda: complex_from_json({**PAST_THE_BOUND, "ranks": [1, MAX_RANK + 1, 1]}),
+     f"$.ranks[1]: expected a rank of at most {MAX_RANK}, got {MAX_RANK + 1}"),
+    (lambda: load_instance({"site": {"elements": ["a", "b"], "leq": [["a", "b"]]},
+                            "stalks": {"a": {"ring": Z2, "lo": 0, "ranks": [1]},
+                                       "b": PAST_THE_BOUND}}),
+     f"$.stalks.b.ranks[0]: expected a rank of at most {MAX_RANK}, got 10000000"),
+], ids=["columns", "rows", "restriction", "past-the-bound", "bound-plus-one", "stalk-past-the-bound"])
+def test_a_huge_declared_rank_is_refused_before_anything_of_its_size_is_built(read, message):
+    # a rank past MAX_RANK is refused first (a 64-byte file declaring ten
+    # million once passed as valid and ran the checks out of memory), and a
+    # one-entry matrix against the largest rank admitted by its lengths:
+    # neither refusal costs memory in the rank
     tracemalloc.start()
     try:
         with pytest.raises(SerializeError) as refused:
@@ -103,8 +121,30 @@ def test_a_huge_declared_rank_is_refused_before_anything_of_its_size_is_built(re
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(refused.value) == f"{where}: expected a list of 1000000, got 1"
+    assert str(refused.value) == message
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("args", [
+    ("validate",), ("check-lemmas",), ("check-theorem",),
+    ("ss", "--filtration", "tau"), ("ss", "--filtration", "hodge"),
+    ("check-lemmas", "--generate", "free", "--max-rank", str(MAX_RANK + 1)),
+    ("check-theorem", "--max-rank", str(MAX_RANK + 1)),
+], ids=["validate", "check-lemmas", "check-theorem", "ss-tau", "ss-hodge",
+        "check-lemmas-max-rank", "check-theorem-max-rank"])
+def test_cli_refuses_a_rank_past_the_bound(tmp_path, args):
+    path = tmp_path / "past-the-bound.json"
+    path.write_text(json.dumps(PAST_THE_BOUND))
+    generated = "--max-rank" in args
+    # a gigabyte of address space and a minute: a run that builds the rank
+    # fails here, not by exhausting the host
+    r = subprocess.run([sys.executable, "-m", "decalage", *args,
+                        *(() if generated else (str(path),))],
+                       capture_output=True, text=True, timeout=60,
+                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    want = (f"--max-rank must be at most {MAX_RANK}, got {MAX_RANK + 1}" if generated
+            else f"$.ranks[0]: expected a rank of at most {MAX_RANK}, got 10000000")
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"parse error: {want}\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -10,7 +10,7 @@ from decalage.complexes import FreeComplex
 from decalage.instances import generate_instance, random_unimodular
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix
-from decalage import sites
+from decalage import sites, theorem
 from decalage.serialize import dump_json, load_instance, sheaf_from_json, sheaf_to_json
 from decalage.sites import InstanceContext, PosetSite, SheafComplex
 from decalage.kmatrix import Subspace
@@ -393,8 +393,9 @@ FAR_FROM_ZERO = {
 @pytest.mark.parametrize("lo", sorted(FAR_FROM_ZERO))
 def test_a_complex_far_from_degree_zero_builds_blocks_linear_in_lo(monkeypatch, lo):
     # a sheaf map's sections live on its source's degrees and the cokernel
-    # comparison stops at m = i, so the block matrices grow with lo, not with
-    # its square (10,410 / 40,810 / 91,210 of them when every window was walked)
+    # comparison runs only where its space is nonzero, so the block matrices
+    # grow with lo, not with its square (10,410 / 40,810 / 91,210 of them when
+    # every window was walked)
     F = load_instance({"ring": {"kind": "z", "xi": "2"}, "lo": lo, "ranks": [1]})
     calls = []
     build = sites._block_matrix
@@ -406,4 +407,23 @@ def test_a_complex_far_from_degree_zero_builds_blocks_linear_in_lo(monkeypatch, 
     monkeypatch.setattr(sites, "_block_matrix", counted)
     report = verify_main_theorem(F)
     assert len(calls) <= 4 * lo
+    assert hashlib.sha256(dump_json(report.to_json()).encode()).hexdigest() == FAR_FROM_ZERO[lo]
+
+
+@pytest.mark.parametrize("lo", sorted(FAR_FROM_ZERO))
+def test_a_complex_far_from_degree_zero_compares_cokernels_once(monkeypatch, lo):
+    # on a point H^i(S, Omega^m[-m]) is nonzero at i = m = lo alone, and the
+    # comparison runs only where that space is nonzero (lo + 1 times when it
+    # ran for every m <= i)
+    F = load_instance({"ring": {"kind": "z", "xi": "2"}, "lo": lo, "ranks": [1]})
+    calls = []
+    compare = theorem.compare_degeneration
+
+    def counted(ctx, i, m):
+        calls.append((i, m))
+        return compare(ctx, i, m)
+
+    monkeypatch.setattr(theorem, "compare_degeneration", counted)
+    report = verify_main_theorem(F)
+    assert calls == [(lo, lo)]
     assert hashlib.sha256(dump_json(report.to_json()).encode()).hexdigest() == FAR_FROM_ZERO[lo]
