@@ -148,17 +148,10 @@ def xi_step_inclusion_holds(ctx, K: FreeComplex, m: int) -> bool:
 
 
 def is_stationary_stage(ctx, K: FreeComplex, m: int) -> bool:
-    """True when stage m equals xi^m * K on the nose (holds for m >= hi)."""
-    stage = ctx.stage(K, m)
-    ring = K.ring
-    scaled = ChainMap(K, K, {i: Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
-                             for i in K.degrees()})
-    try:
-        factor_through(scaled, stage)
-        factor_through(stage, scaled)
-    except ArithmeticError:
-        return False
-    return True
+    """True when stage m is ``eta_m``'s xi^m K on the nose: source K, every basis xi^m I."""
+    stage, xi_m = ctx.stage(K, m), K.ring.xi_power(m)
+    return stage.source == K and all(
+        stage.map(i) == Matrix.scalar(K.ring, K.rank(i), xi_m) for i in K.degrees())
 
 
 # ---------------------------------------------------------------------------

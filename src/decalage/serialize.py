@@ -203,7 +203,8 @@ def read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+    # json.JSONDecodeError, invalid UTF-8 and an integer past the digit limit are ValueErrors
+    except (OSError, RecursionError, ValueError) as exc:
         raise SerializeError(f"cannot read {path}: {exc}") from exc
 
 

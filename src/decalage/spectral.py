@@ -217,12 +217,12 @@ def persistence_pairs(ambient: FreeComplex, inclusions: dict) -> list:
 def ht_inclusions(ctx: InstanceContext) -> tuple:
     """The truncation filtration: (sections of K/xi, p -> inclusion of F_p).
 
-    Truncation level q gives the piece at p = q_max - q, decreasing in p.
+    Truncation level q gives the piece at p = q_max - q; p = 0, all of K/xi, is the identity.
     """
     Fbar = ctx.reduced()
-    q_max = Fbar.hi()
-    return ctx.sections(Fbar), {q_max - q: ctx.sections_map(ctx.truncation_sheaf(q))
-                                for q in range(Fbar.lo(), q_max + 1)}
+    total, q_max = ctx.sections(Fbar), Fbar.hi()
+    return total, {0: ChainMap.identity(total), **{
+        q_max - q: ctx.sections_map(ctx.truncation_sheaf(q)) for q in range(Fbar.lo(), q_max)}}
 
 
 def ht_spectral_sequence(ctx: InstanceContext, r_max: int = 4) -> list:
@@ -276,10 +276,14 @@ def ht_e2_crosscheck(ctx: InstanceContext, pages) -> list:
 
 
 def hdr_inclusions(ctx: InstanceContext) -> tuple:
-    """The Hodge filtration: (sections of the Bockstein sheaf, p -> inclusion of F_p)."""
+    """The Hodge filtration: (sections of the Bockstein sheaf, p -> inclusion of F_p).
+
+    The whole piece p = lo, all of the sheaf, is the identity of the sections.
+    """
     omega = ctx.bockstein_sheaf()
-    return ctx.sections(omega), {p: ctx.sections_map(ctx.hodge_sheaf(p))
-                                 for p in range(omega.lo(), omega.hi() + 1)}
+    total = ctx.sections(omega)
+    return total, {omega.lo(): ChainMap.identity(total), **{
+        p: ctx.sections_map(ctx.hodge_sheaf(p)) for p in range(omega.lo() + 1, omega.hi() + 1)}}
 
 
 def hdr_spectral_sequence(ctx: InstanceContext, r_max: int = 4) -> list:
@@ -296,7 +300,7 @@ def hdr_spectral_sequence(ctx: InstanceContext, r_max: int = 4) -> list:
 
 
 def degeneration_check_HT(ctx: InstanceContext):
-    """Injectivity of every truncation-level map on cohomology.
+    """Injectivity on cohomology of every truncation-level map but the top, an identity.
 
     Returns (verdict, witness, crosscheck_agrees): witness is the first
     failing (i, m), at which the check returns; the crosscheck, computed
@@ -307,7 +311,7 @@ def degeneration_check_HT(ctx: InstanceContext):
     pages_vanish = not any(1 <= t - s <= 4 for s, _, t in persistence_pairs(*ht_inclusions(ctx)))
     Fbar = ctx.reduced()
     total = ctx.sections(Fbar)
-    for m in range(Fbar.lo(), Fbar.hi() + 1):
+    for m in range(Fbar.lo(), Fbar.hi()):
         cm = ctx.sections_map(ctx.truncation_sheaf(m))
         for i in total.degrees():
             # injective when the induced matrix has full column rank

@@ -214,13 +214,14 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
 
     Stage m maps by pushing the generators of H^i of its sections forward
     along the sections of its inclusion, dividing by xi^m and reducing; the
-    images increase with m and stabilize at the image of the full reduction.
+    images increase with m, and above hi, where stage m is xi^m F, they are hi's.
     """
     bar_total = ctx.sections(ctx.reduced())
     kfield = bar_total.ring
     target = ctx.quotient(bar_total, i)
+    top = min(m_max, ctx.F.hi())
     spaces = {}
-    for m in range(0, m_max + 1):
+    for m in range(0, top + 1):
         if target.dim == 0:
             spaces[m] = Subspace(kfield, 0)
             continue
@@ -230,6 +231,7 @@ def image_flag(ctx: InstanceContext, i: int, m_max: int) -> Flag:
         gens_basis = ctx.presentation(incl.source, i).gens_basis
         pushed = (incl.map(i) @ gens_basis).xi_residue(m)
         spaces[m] = Subspace.from_columns(target.coords_matrix(pushed))
+    spaces.update(dict.fromkeys(range(top + 1, m_max + 1), spaces[top]))
     return Flag(kfield, target.dim, spaces)
 
 

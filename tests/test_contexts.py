@@ -541,6 +541,35 @@ def test_main_theorem_builds_no_spectral_page(monkeypatch, z2, case):
     assert calls["ss_pages"] == 0 and calls["entry"] == 0
 
 
+@pytest.mark.parametrize("max_degree", [2, 3])
+@pytest.mark.parametrize("site", ["sphere", "pseudo_circle"])
+@pytest.mark.parametrize("ring", ["z2", "z3", "f5t"])
+def test_main_theorem_takes_no_sections_of_a_piece_fixed_at_the_ends(monkeypatch, request,
+                                                                     ring, site, max_degree):
+    # the whole pieces of both filtrations are identities, and every stage
+    # above hi is xi^m F, so RGamma of none of their sheaf maps is taken
+    F = generate_instance("h1", 33, ring=request.getfixturevalue(ring),
+                          site=getattr(PosetSite, site)(), max_degree=max_degree)
+    taken = []
+    sections_map = InstanceContext.sections_map
+
+    def recorded(ctx, phi):
+        taken.append((ctx, phi))
+        return sections_map(ctx, phi)
+
+    monkeypatch.setattr(InstanceContext, "sections_map", recorded)
+    verify_main_theorem(F)
+    ctx = taken[0][0]
+    assert all(c is ctx for c, _ in taken)
+    maps = [phi for _, phi in taken]
+    # the recorder sees the maps the run does take: the stage lattice's
+    assert any(phi is ctx.stage_sheaf(0) for phi in maps)
+    ends = [ctx.truncation_sheaf(ctx.reduced().hi()),
+            ctx.hodge_sheaf(ctx.bockstein_sheaf().lo()),
+            ctx.stage_sheaf(F.hi() + 1)]
+    assert not [end for end in ends if any(phi is end for phi in maps)]
+
+
 @pytest.mark.parametrize("case", ["h1-sphere", "h3_failure_witness"])
 def test_subsheaf_lifts_solve_only_along_non_identity_inclusions(monkeypatch, z2, case):
     F = theorem_instance(case, z2)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from decalage import rmatrix
+from decalage import eta, rmatrix
 from decalage.bockstein import Memo, verify_mod_xi_subquotient
 from decalage.complexes import (
     ChainMap,
@@ -115,6 +115,34 @@ def test_eta_m_beyond_top_degree(z5, rng):
         for i in K.degrees():
             got = cohomology_presentation(Memo(), emb.source, i).module
             assert got == cohomology_presentation(Memo(), K, i).module
+
+
+def test_stationarity_takes_no_solve(monkeypatch, z5, rng):
+    def refused(*args):
+        raise AssertionError("stationarity is compared on the nose, with no solve")
+
+    monkeypatch.setattr(eta, "factor_through", refused)
+    monkeypatch.setattr(eta, "solve", refused)
+    for _ in range(10):
+        K = random_complex(z5, rng, max_degree=3, max_rank=3)
+        assert is_stationary_stage(Memo(), K, K.hi + 1)
+
+
+def test_stationarity_is_on_the_nose_not_up_to_a_change_of_basis(z5, rng):
+    # a stage xi^m * P with P unimodular but not the identity has the span of
+    # xi^m K, and still is not what eta_m builds from m = hi on
+    for _ in range(10):
+        K = random_complex(z5, rng, max_degree=3, max_rank=3)
+        assert any(K.ranks())
+        m = K.hi + 1
+        ctx = Memo()
+        turned = ChainMap(K, K, {i: Matrix.scalar(z5, K.rank(i), -z5.xi_power(m))
+                                 for i in K.degrees()})
+        scaled = ctx.stage(K, m)
+        factor_through(turned, scaled)
+        factor_through(scaled, turned)
+        ctx.stage = lambda K, m: turned
+        assert not is_stationary_stage(ctx, K, m)
 
 
 @pytest.mark.parametrize("ring", sorted(LATTICE_RINGS))

@@ -161,6 +161,31 @@ def test_cli_json_nested_past_the_recursion_limit_is_a_parse_error(tmp_path, arg
     assert "Traceback" not in r.stderr and len(r.stderr.splitlines()) == 1, r.stderr[-1000:]
 
 
+# two files json.load refuses with a ValueError other than JSONDecodeError
+UNREADABLE = {
+    "invalid-utf8": b'{"ring": \xff',
+    # Python refuses to convert an integer of more than 4,300 digits
+    "huge-number": (b'{"ring": {"kind": "z", "xi": "2"}, "lo": 0, "ranks": [1], "twist": '
+                    + b"7" * 5000 + b"}"),
+}
+
+
+@pytest.mark.parametrize("args", [
+    ("validate",), ("check-lemmas",), ("check-theorem",),
+    ("ss", "--filtration", "tau"), ("ss", "--filtration", "hodge"),
+    ("check-lemmas", "--poset"), ("check-theorem", "--poset"),
+], ids=["validate", "check-lemmas", "check-theorem", "ss-tau", "ss-hodge",
+        "check-lemmas-poset", "check-theorem-poset"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_cli_unreadable_json_is_a_parse_error(tmp_path, name, args):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE[name])
+    r = run_cli(*args, str(path))
+    assert r.returncode == 2, r.stdout + r.stderr[-1000:]
+    assert r.stderr.startswith(f"parse error: cannot read {path}: ") and r.stdout == ""
+    assert "Traceback" not in r.stderr and len(r.stderr.splitlines()) == 1, r.stderr[-1000:]
+
+
 @pytest.mark.parametrize("command", ["validate", "check-lemmas", "check-theorem", "ss"])
 def test_cli_negative_rank_is_a_parse_error(tmp_path, command):
     path = tmp_path / "negative.json"
