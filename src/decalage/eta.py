@@ -8,16 +8,18 @@ subcomplex has degree-i term
 
 realized as an honest submodule of K^i with a recorded basis, so inclusions
 between the stages (and the later lattice comparisons) are literal matrices.
-Each lattice comes from one elimination over k (``_congruence_kernel``), once
-per complex: in degrees i >= m every stage has stage 0's term, and below m
-it is xi^m K, so stage m > 0 takes its bases and differentials from stage 0
-and K and solves only at the seam degree m - 1.  A stage complex equal to
-K is K, and one equal to stage 0's is stage 0's, so the memos keyed by it
-hit by identity.  From m = hi on the congruence condition is empty, so
-stage m is xi^m K on the nose: its source is K itself and it takes no
-solve, and the maps between stationary stages do not depend on m.  A stage
-is its inclusion chain map into K: the stage complex is its ``source``, its
-degree-i basis is ``map(i)`` and K is its ``target``.
+Each lattice comes from one elimination over k, the ``congruence_kernel``
+of the differential (the lattice flag, ``theorem.bb_filtration``, takes it
+of a lattice basis), once per complex: in degrees i >= m every stage has
+stage 0's term, and below m it is xi^m K, so stage m > 0 takes its bases
+and differentials from stage 0 and K and solves only at the seam degree
+m - 1.  A stage complex equal to K is K, and one equal to stage 0's is
+stage 0's, so the memos keyed by it hit by identity.  From m = hi on the
+congruence condition is empty, so stage m is xi^m K on the nose: its source
+is K itself and it takes no solve, and the maps between stationary stages
+do not depend on m.  A stage is its inclusion chain map into K: the stage
+complex is its ``source``, its degree-i basis is ``map(i)`` and K is its
+``target``.
 The family decreases in m and squeezes between xi-multiples:
 xi * stage(m) <= stage(m+1) <= stage(m).
 
@@ -54,14 +56,14 @@ class NegativeM(ValueError):
     """The refinement index m must be nonnegative."""
 
 
-def _congruence_kernel(K: FreeComplex, i: int) -> Matrix:
-    """Basis of { x in K^i : d(x) in xi*K^{i+1} }, the preimage of ker(d mod xi).
+def congruence_kernel(D: Matrix) -> Matrix:
+    """Basis of { x in R^n : D x in xi*R^rows }, n = D.cols, the preimage of ker(D mod xi).
 
     Column j is the lift of the kernel's RREF vector at a free column j and
     xi*e_j at a pivot column j: lower triangular, with 1 or xi on the diagonal.
     """
-    ring, n = K.ring, K.rank(i)
-    ker = kernel(K.d(i).residue())
+    ring, n = D.ring, D.cols
+    ker = kernel(D.residue())
     lifted = dict(zip(ker.pivots, ker.matrix().map_entries(ring.lift, ring).data))
     # xi*I is symmetric: its rows are its columns xi*e_j
     columns = Matrix.scalar(ring, n, ring.xi).data
@@ -91,7 +93,7 @@ def eta_m(ctx, K: FreeComplex, m: int) -> ChainMap:
         return ChainMap(K, K, {i: Matrix.scalar(ring, K.rank(i), ring.xi_power(m))
                                for i in K.degrees()})
     if not m:
-        return subcomplex(K, {i: _congruence_kernel(K, i).xi_scale(i) for i in K.degrees()})
+        return subcomplex(K, {i: congruence_kernel(K.d(i)).xi_scale(i) for i in K.degrees()})
     # in degree order, so a failure below m comes before one in stage 0
     bases = {i: Matrix.scalar(ring, K.rank(i), ring.xi_power(m)) for i in range(K.lo, m)}
     stage0 = ctx.stage(K, 0)

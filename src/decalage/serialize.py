@@ -82,6 +82,9 @@ def _check(value, spec, path: str = "$") -> None:
 
 
 def _element(ring: BaseRing, text: str, path: str):
+    # int() and Fraction() also read digit separators and non-ASCII digits
+    if not text.isascii() or "_" in text:
+        raise SerializeError(f"{path}: bad ring element {text!r}: ASCII without '_' only")
     try:
         return ring.parse(text)
     except RingElementError as exc:

@@ -1,22 +1,22 @@
 """The stage lattice, its flag, torsion-freeness tables, main comparison.
 
 The stage lattice in degree i is the image of H^i of the stage-0 sections in
-H^i of the sections of F, a full-rank lattice in R^n, n the free rank, given
-as the column span of one matrix M.  Only xi-valuations carry meaning
-(primes away from xi act as units of the intended local model), so its
-relative position is read off the xi-valuations of the invariant factors of
-M.
+H^i of the sections of F, a full-rank lattice L in R^n, n the free rank,
+given as the column span of one matrix M.  Only xi-valuations carry meaning
+(primes away from xi act as units of the intended local model).
 
-The flag of M is increasing in m: the image of span(M) ∩ xi^m R^n in
+The flag of M is increasing in m: the image of L ∩ xi^m R^n in
 xi^m R^n / xi^{m+1} R^n = k^n, zero below 0 and full from one past the
-largest valuation, with jump multiset equal to the relative position.  The
-one Smith form U M V = D that gives the relative position also gives the
-flag: the columns of U^-1 times xi-powers span span(M) up to units, so the
-space at m is spanned by the residues of the columns whose valuation is at
-most m.  Both are intrinsic to the pair (R^n, span(M)): any basis of the
-span gives them.  The main comparison identifies the flag with the image
-filtration of the stages on the mod-xi cohomology, and matches graded
-dimensions against the cohomology of the term sheaves.
+largest valuation of an elementary divisor.  It is read by the decalage's
+own congruence condition applied to L: L_0 = L and
+L_{m+1} = {y : xi y in L_m} = (L_m ∩ xi R^n) / xi, whose basis is
+B C / xi for B a basis of L_m and C its ``congruence_kernel``, and the
+space at m is L_m mod xi.  The relative position, the xi-valuations of the
+elementary divisors, is the flag's jump multiset.  Both are intrinsic to
+the pair (R^n, L): any basis of the span gives them.  The main comparison
+identifies the flag with the image filtration of the stages on the mod-xi
+cohomology, and matches graded dimensions against the cohomology of the
+term sheaves.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .bockstein import k_cohomology_quotient  # noqa: F401 (perfbench/selftest.py checks this alias)
 from .checks import CheckResult
-from .eta import is_stationary_stage
+from .eta import congruence_kernel, is_stationary_stage
 from .kmatrix import Subspace, field_rank
 from .rmatrix import Matrix
 from .sites import (
@@ -47,27 +47,6 @@ class SingularBasis(ValueError):
 class TorsionObstruction(ValueError):
     def __init__(self, degree, which):
         super().__init__(f"{which} cohomology has xi-torsion at degree {degree}")
-
-
-def _valuations(ctx, M: Matrix) -> list:
-    """xi-valuations of the invariant factors of M, which must have full row rank.
-
-    The context ``ctx`` factors M once for ``relative_position`` and
-    ``bb_filtration`` both.
-    """
-    res = ctx.factor(M)
-    if res.rank != M.rows:
-        raise SingularBasis("lattice matrix is not of full row rank")
-    return [int(M.ring.xi_valuation(f)) for f in res.factors]
-
-
-def relative_position(ctx, M: Matrix) -> list:
-    """xi-valuations of the elementary divisors of span(M) in R^n, descending.
-
-    Invariant under M -> P M Q for P and Q invertible over the localization
-    at xi.
-    """
-    return sorted(_valuations(ctx, M), reverse=True)
 
 
 class Flag:
@@ -124,21 +103,35 @@ class Flag:
         }
 
 
-def bb_filtration(ctx, M: Matrix) -> Flag:
-    """The flag that span(M) cuts in k^n, from the adapted basis of M.
+def bb_filtration(M: Matrix, top: int) -> Flag:
+    """The flag that L = span(M) cuts in k^n, read level by level off L_m.
 
-    With U M V = D, column j of U^-1 times xi^mus[j] spans the part of
-    span(M) along it up to a unit at xi.  So the space at m, the residue of
-    span(M) ∩ xi^m R^n divided by xi^m, is spanned by the residues of the
-    columns of U^-1 with mus[j] <= m, for m from 0 to one past the largest
-    valuation, where it is full.
+    From B = M, a basis of L_0 = L, the space at m is B mod xi; until it is
+    full, B becomes B C / xi with C = ``congruence_kernel(B)``, a basis of
+    L_{m+1} = (L_m ∩ xi R^n) / xi.  The window runs from 0 to one past the
+    level where the space is full, the largest valuation (only 0 when
+    n = 0).  Raises SingularBasis unless the space is full by m = ``top``,
+    which must be at least the largest valuation; a singular M never fills.
     """
-    mus = _valuations(ctx, M)
-    adapted = ctx.factor(M).uinv.residue()
-    spaces = {m: Subspace.from_columns(
-                  adapted.take_columns([j for j, mu in enumerate(mus) if mu <= m]))
-              for m in range(0, max(mus, default=-1) + 2)}
-    return Flag(M.ring.residue_field(), M.rows, spaces)
+    ring, spaces, B = M.ring, {}, M
+    for m in range(top + 1):
+        spaces[m] = Subspace.from_columns(B.residue())
+        if spaces[m].dim == M.rows:
+            if M.rows:
+                spaces[m + 1] = spaces[m]
+            return Flag(ring.residue_field(), M.rows, spaces)
+        B = (B @ congruence_kernel(B)).map_entries(lambda x: ring.xi_divide(x, 1), ring)
+    raise SingularBasis(f"flag not full by m = {top}: M is singular or has a larger valuation")
+
+
+def relative_position(flag: Flag) -> list:
+    """The jumps of the flag with multiplicity, descending.
+
+    For the flag of span(M), the xi-valuations of the elementary divisors of
+    span(M) in R^n: invariant under M -> P M Q for P and Q invertible over
+    the localization at xi.
+    """
+    return [m for m in range(flag.m_hi, flag.m_lo - 1, -1) for _ in range(flag.graded_dim(m))]
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +143,9 @@ def stage_lattice(ctx: InstanceContext, i: int) -> Matrix:
 
     Both cohomologies must be xi-torsion-free (TorsionObstruction names the
     offender); the columns are the images of the basis cocycles of the
-    stage.  Their lattice must have full rank: ``bb_filtration`` and
-    ``relative_position`` test that, and raise SingularBasis if not.
+    stage.  Their lattice has full rank, and contains xi^hi R^n, since stage
+    hi is xi^hi F inside stage 0: ``bb_filtration`` with ``top`` = hi reads
+    its flag, and raises SingularBasis if it is not full by then.
     """
     incl = ctx.sections_map(ctx.stage_sheaf(0))
     pres0 = ctx.presentation(incl.target, i)
@@ -330,8 +324,8 @@ def verify_main_theorem(F: SheafComplex) -> TheoremReport:
             if report.asserted:
                 flag_check.fail(i=i, reason=str(exc))
             continue
-        bb = bb_filtration(ctx, M)
-        entry["relative_position"] = relative_position(ctx, M)
+        bb = bb_filtration(M, F.hi())
+        entry["relative_position"] = relative_position(bb)
         if h1:
             red_q = ctx.quotient(red, i)
             iso_check.expect(rho[i].rows == rho[i].cols

@@ -7,13 +7,15 @@ construction, the cycle spaces Z_r(p, n) of a filtered complex as an
 intersection with a preimage taken through a quotient map, the Bockstein
 differential and the Hodge-stage comparison one class at a time, the
 lattice / image flags from Gaussian elimination over the truncated ring
-R/xi^N instead of exact Smith form machinery, the lattice flag again from
-one lattice intersection per level instead of one adapted basis, and the
-stage cohomology of the generators' elementary pieces in closed form, with
-Künneth for a constant sheaf on a site of free cohomology, and each stage
-lattice the ring-side way, a Smith-form kernel then image, the reference for
-the library's one elimination over k.  Every stage, mod-xi subquotient, Hodge
-comparison and stage sheaf is also built the all-degree way, one solve or
+R/xi^N instead of exact Smith form machinery, the lattice flag and relative
+position from one Smith form and its adapted basis U^-1 instead of one
+congruence kernel per level, and again from one lattice intersection per
+level, and the stage cohomology of the generators' elementary pieces in
+closed form, with Künneth for a constant sheaf on a site of free
+cohomology, and each stage lattice the ring-side way, a Smith-form kernel
+then image, the reference for the library's one elimination over k.
+Every stage, mod-xi subquotient, Hodge comparison and stage sheaf is also
+built the all-degree way, one solve or
 classification in every degree, the reference for the library's stages m > 0
 read off stage 0 and K.  The dense
 product, the dense matrix-vector product, the dense RREF row update and the
@@ -44,7 +46,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from decalage.bockstein import Memo, k_cohomology_quotient
+from decalage.bockstein import k_cohomology_quotient
 from decalage.complexes import (
     ChainMap,
     FGModule,
@@ -53,12 +55,12 @@ from decalage.complexes import (
     subcomplex,
     truncate_leq,
 )
-from decalage.eta import _congruence_kernel
+from decalage.eta import congruence_kernel
 from decalage.kmatrix import QuotientSpace, Subspace, rref
 from decalage.rings import BaseRing, IntegerRing, PolynomialRing, PrimeField
 from decalage.rmatrix import Matrix, ShapeMismatch, snf
 from decalage.sites import InvalidSheaf, PosetSite, SheafComplex, SheafMap, _subsheaf
-from decalage.theorem import Flag, relative_position
+from decalage.theorem import Flag, SingularBasis
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +569,7 @@ def congruence_kernel_by_snf(K: FreeComplex, i: int) -> Matrix:
     """{ x in K^i : d(x) in xi*K^{i+1} } over R: the image of the top block of ker [d | xi*I].
 
     The ring-side route, one Smith form for the kernel and one for the image:
-    the reference for ``eta._congruence_kernel``.
+    the reference for ``eta.congruence_kernel``.
     """
     d = K.d(i)
     ker = snf(d.hstack(Matrix.scalar(K.ring, d.rows, K.ring.xi))).kernel()
@@ -586,7 +588,7 @@ def eta_m_all_degrees(K: FreeComplex, m: int) -> ChainMap:
     """
     ring = K.ring
     return subcomplex(K, {i: Matrix.scalar(ring, K.rank(i), ring.xi_power(m)) if i < m
-                          else _congruence_kernel(K, i).xi_scale(i) for i in K.degrees()})
+                          else congruence_kernel(K.d(i)).xi_scale(i) for i in K.degrees()})
 
 
 def mod_xi_subquotient_all_degrees(K: FreeComplex, m: int) -> ChainMap:
@@ -954,6 +956,27 @@ def trunc_column_generators(tr: Trunc, cols):
     return out
 
 
+def bb_by_snf(M: Matrix) -> tuple:
+    """(relative position, flag) of span(M) in R^n from one Smith form U M V = D.
+
+    The reference for ``theorem.bb_filtration`` and ``relative_position``.
+    M must have full row rank (SingularBasis if not).  The relative position
+    is the xi-valuations mus of the invariant factors, descending.  Column j
+    of U^-1 times xi^mus[j] spans the part of span(M) along it up to a unit
+    at xi, so the space at m is spanned by the residues of the columns of
+    U^-1 with mus[j] <= m, for m from 0 to one past the largest valuation.
+    """
+    res = snf(M)
+    if res.rank != M.rows:
+        raise SingularBasis("lattice matrix is not of full row rank")
+    mus = [int(M.ring.xi_valuation(f)) for f in res.factors]
+    adapted = res.uinv.residue()
+    spaces = {m: Subspace.from_columns(
+                  adapted.take_columns([j for j, mu in enumerate(mus) if mu <= m]))
+              for m in range(0, max(mus, default=-1) + 2)}
+    return sorted(mus, reverse=True), Flag(M.ring.residue_field(), M.rows, spaces)
+
+
 def bb_flag_oracle(M: Matrix, N: int):
     """The flag of span(M) in k^n recomputed over R/xi^N.
 
@@ -964,7 +987,7 @@ def bb_flag_oracle(M: Matrix, N: int):
     ring = M.ring
     n = M.rows
     kfield = ring.residue_field()
-    mus = relative_position(Memo(), M)
+    mus, _ = bb_by_snf(M)
     top = max(mus) if mus else 0
 
     tr = Trunc(ring, N + top + 2)
@@ -1275,6 +1298,12 @@ def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
     return Subspace.from_columns(a @ ker.submatrix(0, a.cols, 0, ker.cols))
 
 
+# ``bb_filtration``'s ``top`` for the tests' own lattices: above every
+# valuation of a desk-scale draw (at most 4 x 4, entries of 3 bits or degree
+# 2, so a determinant of valuation at most 12), scaled by at most xi^5
+DESK_TOP = 32
+
+
 def random_nonsingular(ring, n: int, rng) -> Matrix:
     """A random nonsingular n x n matrix: small integers, or polynomials with small coefficients."""
     def entry():
@@ -1311,7 +1340,7 @@ def bb_flag_by_intersection(ctx, M: Matrix) -> Flag:
     top level must be full.
     """
     kfield = M.ring.residue_field()
-    mus = relative_position(ctx, M)
+    mus, _ = bb_by_snf(M)
     if not mus:
         return Flag(kfield, 0, {0: Subspace(kfield, 0)})
     top = max(mus)

@@ -31,11 +31,12 @@ from decalage.sites import InstanceContext
 from decalage.spectral import compare_degeneration
 from decalage.theorem import (
     bb_filtration,
-    relative_position,
     verify_main_theorem,
 )
 
 from oracles import (
+    DESK_TOP,
+    bb_by_snf,
     bb_flag_oracle,
     beta_squared_is_zero,
     flag_jumps,
@@ -196,10 +197,10 @@ def _oracle_flag_check(F, rep, idx):
     # lattice flag against the truncated-ring oracle
     for i in live:
         M = stage_lattice(ctx, i)
-        mus = relative_position(ctx, M)
+        fl = bb_filtration(M, F.hi())
+        mus = bb_by_snf(M)[0]
         if rep.flags[str(i)]["relative_position"] != mus:
             failures.append((idx, i, "relative-position"))
-        fl = bb_filtration(ctx, M)
         if mus:
             N = 2 * max(mus) + 2
             for m, s in bb_flag_oracle(M, N).items():
@@ -250,7 +251,6 @@ def test_criterion_7_degeneration_equivalence(h1_reports):
 
 def test_criterion_8_lattice_layer():
     rng = random.Random(505)
-    ctx = Memo()
     t0 = time.time()
     failures = []
     rings = [IntegerRing(2), IntegerRing(3), IntegerRing(5),
@@ -272,8 +272,8 @@ def test_criterion_8_lattice_layer():
                 if snf(M).rank == n:
                     return M
         M = basis().xi_scale(rng.randint(0, 3))
-        mus = relative_position(ctx, M)
-        fl = bb_filtration(ctx, M)
+        fl = bb_filtration(M, DESK_TOP)
+        mus = bb_by_snf(M)[0]
         if flag_jumps(fl) != mus:
             failures.append((trial, "jumps"))
             continue
@@ -282,7 +282,7 @@ def test_criterion_8_lattice_layer():
             if fl.subspace(m) != s:
                 failures.append((trial, m, "oracle"))
         c = rng.randint(0, 2)
-        if bb_filtration(ctx, M.xi_scale(c)) != fl.shifted(c):
+        if bb_filtration(M.xi_scale(c), DESK_TOP) != fl.shifted(c):
             failures.append((trial, "scaling"))
     elapsed = time.time() - t0
     verdict(8, not failures, f"500 lattices in {elapsed:.1f}s, failures: {failures[:3]}")

@@ -302,9 +302,16 @@ def test_cli_sheaf_records_are_read_strictly(tmp_path, sheaf, edit, path):
     ({"kind": "z", "xi": "2"}, "1.5"),
     ({"kind": "fp-poly", "p": 5}, "t^"),
     ({"kind": "q-poly"}, "1/0"),
-], ids=["z", "fp-poly", "q-poly"])
+    ({"kind": "z", "xi": "2"}, "1_0"),
+    ({"kind": "z", "xi": "2"}, "\u0663"),
+    ({"kind": "z", "xi": "2"}, "\uff13"),
+    ({"kind": "q-poly"}, "1_0/2*t"),
+], ids=["z", "fp-poly", "q-poly", "z-digit-separator", "z-arabic-indic-digit",
+        "z-fullwidth-digit", "q-poly-digit-separator"])
 def test_cli_bad_element_names_its_entry(tmp_path, ring, bad, where):
-    # the entry is a string, so only the ring's parser can refuse it
+    # the entry is a string, so only the ring's parser can refuse it; what
+    # int() and Fraction() read beyond ASCII decimals (digit separators,
+    # other scripts' digits) is refused before them
     stalk = {"ring": ring, "lo": 0, "ranks": [1, 2], "differentials": [[["0"], ["0"]]]}
     data = {"site": {"elements": ["a", "b"], "leq": [["a", "b"]]},
             "stalks": {"a": stalk, "b": json.loads(json.dumps(stalk))},
@@ -320,6 +327,7 @@ def test_cli_bad_element_names_its_entry(tmp_path, ring, bad, where):
     r = run_cli("validate", str(file))
     assert r.returncode == 2, r.stdout + r.stderr
     assert r.stderr.startswith(f"parse error: {path}: ") and r.stdout == "", r.stderr
+    assert r.stderr.count("\n") == 1, r.stderr
 
 
 BIG_PRIME = "100000000000000000000000000319"  # the least prime above 10**29

@@ -7,6 +7,7 @@ import pytest
 from conftest import desk_rings
 from decalage.bockstein import Memo
 from decalage.complexes import FreeComplex
+from decalage.eta import congruence_kernel
 from decalage.instances import generate_instance, random_unimodular
 from decalage.rings import IntegerRing, PolynomialRing, PrimeField, RationalField
 from decalage.rmatrix import Matrix
@@ -27,6 +28,8 @@ from decalage.theorem import (
 )
 
 from oracles import (
+    DESK_TOP,
+    bb_by_snf,
     bb_flag_by_intersection,
     bb_flag_oracle,
     direct_sum,
@@ -40,60 +43,59 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "decalage", "fix
 
 
 def test_relative_position_examples(z5, f5t):
-    ctx = Memo()
-    assert relative_position(ctx, Matrix.identity(z5, 3)) == [0, 0, 0]
-    assert relative_position(ctx, Matrix.identity(z5, 2).scale(5)) == [1, 1]
+    def position(M):
+        return relative_position(bb_filtration(M, DESK_TOP))
+    assert position(Matrix.identity(z5, 3)) == [0, 0, 0]
+    assert position(Matrix.identity(z5, 2).scale(5)) == [1, 1]
     # 3 is a unit at xi = 5, and a spanning set may have more columns than rows
-    assert relative_position(ctx, Matrix(z5, [[3]])) == [0]
-    assert relative_position(ctx, Matrix(z5, [[25, 50]])) == [2]
+    assert position(Matrix(z5, [[3]])) == [0]
+    assert position(Matrix(z5, [[25, 50]])) == [2]
     t, one, zero = f5t.xi, f5t.one(), f5t.zero()
-    assert relative_position(ctx, Matrix(f5t, [[t, zero], [zero, one]])) == [1, 0]
-    assert relative_position(ctx, Matrix.identity(z5, 0)) == []
+    assert position(Matrix(f5t, [[t, zero], [zero, one]])) == [1, 0]
+    assert position(Matrix.identity(z5, 0)) == []
 
 
 def test_relative_position_basis_invariance(rng, z3):
     # relative positions of a lattice inside R^n: never negative, and the
     # same for P M Q with P and Q unimodular
-    ctx = Memo()
     for _ in range(40):
         n = rng.randint(1, 3)
         M = random_nonsingular(z3, n, rng)
-        mus = relative_position(ctx, M)
+        mus = relative_position(bb_filtration(M, DESK_TOP))
         assert min(mus) >= 0
         P, _ = random_unimodular(z3, n, rng)
         Q, _ = random_unimodular(z3, n, rng)
-        assert relative_position(ctx, P @ M @ Q) == mus
+        assert relative_position(bb_filtration(P @ M @ Q, DESK_TOP)) == mus
 
 
 def test_singular_basis_rejected(z3):
-    ctx = Memo()
+    # a singular M never fills, whatever the bound, and the Smith route refuses it too
     for M in (Matrix(z3, [[1, 1], [1, 1]]), Matrix(z3, [[1], [2]]), Matrix.zeros(z3, 1, 0)):
         with pytest.raises(SingularBasis):
-            relative_position(ctx, M)
+            bb_filtration(M, DESK_TOP)
         with pytest.raises(SingularBasis):
-            bb_filtration(ctx, M)
+            bb_by_snf(M)
 
 
 def test_bb_filtration_examples(z5, f5t):
-    ctx = Memo()
-    fl = bb_filtration(ctx, Matrix.identity(z5, 2))
+    fl = bb_filtration(Matrix.identity(z5, 2), DESK_TOP)
     assert (fl.m_lo, fl.m_hi) == (0, 1)
     assert fl.dim(-1) == 0 and fl.dim(0) == 2
     assert flag_jumps(fl) == [0, 0]
 
-    fl1 = bb_filtration(ctx, Matrix(z5, [[5]]))
+    fl1 = bb_filtration(Matrix(z5, [[5]]), DESK_TOP)
     assert fl1.dim(0) == 0 and fl1.dim(1) == 1
     assert flag_jumps(fl1) == [1]
 
     t, e1, zero = f5t.xi, f5t.one(), f5t.zero()
-    fl2 = bb_filtration(ctx, Matrix(f5t, [[t, zero], [zero, e1]]))
+    fl2 = bb_filtration(Matrix(f5t, [[t, zero], [zero, e1]]), DESK_TOP)
     assert (fl2.m_lo, fl2.m_hi) == (0, 2)
     assert fl2.dim(-1) == 0 and fl2.dim(0) == 1 and fl2.dim(1) == 2
     assert fl2.subspace(0).basis == ((f5t.residue_field().zero(),
                                       f5t.residue_field().one()),)
     assert flag_jumps(fl2) == [1, 0]
 
-    fl0 = bb_filtration(ctx, Matrix.identity(z5, 0))
+    fl0 = bb_filtration(Matrix.identity(z5, 0), DESK_TOP)
     assert fl0.to_json() == {"ambient_dim": 0, "window": [0, 0], "subspaces": {"0": []}}
 
 
@@ -115,34 +117,32 @@ def test_flag_refuses_an_empty_window():
 
 def test_bb_scaling_shift(rng, z2):
     # xi^c M cuts the flag of M shifted up by c
-    ctx = Memo()
     for _ in range(25):
         M = random_nonsingular(z2, rng.randint(1, 3), rng)
         c = rng.randint(0, 3)
-        assert bb_filtration(ctx, M.xi_scale(c)) == bb_filtration(ctx, M).shifted(c)
+        assert bb_filtration(M.xi_scale(c), DESK_TOP) == bb_filtration(M, DESK_TOP).shifted(c)
 
 
 def test_bb_jump_multiset_and_oracle(rng, z5):
-    ctx = Memo()
     for _ in range(60):
         M = random_nonsingular(z5, rng.randint(1, 4), rng)
-        mus = relative_position(ctx, M)
-        fl = bb_filtration(ctx, M)
-        assert flag_jumps(fl) == mus
+        fl = bb_filtration(M, DESK_TOP)
+        mus = relative_position(fl)
+        assert flag_jumps(fl) == mus == bb_by_snf(M)[0]
         N = 2 * max(mus) + 2
         for m, s in bb_flag_oracle(M, N).items():
             assert fl.subspace(m) == s
 
 
 def test_bb_filtration_matches_intersection_route(rng):
-    # one Smith form and one intersection per level give the same flag and window
+    # one congruence kernel and one intersection per level give the same flag and window
     rings = desk_rings()
     for trial in range(80):
         ring = rings[trial % len(rings)]
         M = random_nonsingular(ring, rng.randint(0, 4), rng).xi_scale(rng.randint(0, 2))
-        fl = bb_filtration(Memo(), M)
+        fl = bb_filtration(M, DESK_TOP)
         assert fl.to_json() == bb_flag_by_intersection(Memo(), M).to_json(), trial
-        assert flag_jumps(fl) == relative_position(Memo(), M)
+        assert flag_jumps(fl) == bb_by_snf(M)[0]
 
 
 QT = PolynomialRing(RationalField())
@@ -155,7 +155,7 @@ def test_bb_filtration_moves_with_a_base_change(rng, ring):
         n = rng.randint(1, 4)
         M = random_nonsingular(ring, n, rng)
         P, _ = random_unimodular(ring, n, rng)
-        fl, moved = bb_filtration(Memo(), M), bb_filtration(Memo(), P @ M)
+        fl, moved = bb_filtration(M, DESK_TOP), bb_filtration(P @ M, DESK_TOP)
         pbar = P.residue()
         assert (moved.m_lo, moved.m_hi) == (fl.m_lo, fl.m_hi)
         for m in range(fl.m_lo, fl.m_hi + 1):
@@ -172,11 +172,11 @@ def test_flag_and_position_agree_on_the_image_basis(rng, ring):
         n = rng.randint(1, 4)
         B = random_nonsingular(ring, n, rng)
         M = B.hstack(B @ random_nonsingular(ring, n, rng).xi_scale(rng.randint(0, 2)))
-        ctx = Memo()
-        basis = ctx.factor(M).image()
+        basis = Memo().factor(M).image()
         assert basis.cols == n
-        assert bb_filtration(ctx, M).to_json() == bb_filtration(ctx, basis).to_json()
-        assert relative_position(ctx, M) == relative_position(ctx, basis)
+        fl, fl_basis = bb_filtration(M, DESK_TOP), bb_filtration(basis, DESK_TOP)
+        assert fl.to_json() == fl_basis.to_json()
+        assert relative_position(fl) == relative_position(fl_basis)
 
 
 def test_stage_lattice_examples(z3):
@@ -184,18 +184,79 @@ def test_stage_lattice_examples(z3):
     K = FreeComplex(z3, 0, [1, 1], [Matrix.zeros(z3, 1, 1)])
     F = SheafComplex.constant(pt, K)
     ctx = InstanceContext(F)
-    fl = bb_filtration(ctx, stage_lattice(ctx, 1))
+    fl = bb_filtration(stage_lattice(ctx, 1), F.hi())
     assert fl.dim(0) == 0 and fl.dim(1) == 1
 
     K0 = FreeComplex(z3, 0, [2], [])
     F0 = SheafComplex.constant(pt, K0)
     ctx0 = InstanceContext(F0)
-    assert relative_position(ctx0, stage_lattice(ctx0, 0)) == [0, 0]
+    assert relative_position(bb_filtration(stage_lattice(ctx0, 0), F0.hi())) == [0, 0]
 
     Kp = FreeComplex(z3, 0, [1, 1], [Matrix(z3, [[3]])])
     Fp = SheafComplex.constant(pt, Kp)
     with pytest.raises(TorsionObstruction):
         stage_lattice(InstanceContext(Fp), 1)
+
+
+@pytest.fixture(scope="module")
+def stage_lattice_sample():
+    """(F.hi(), M, Smith-route position and flag) for every stage lattice of a fixed sample.
+
+    The h1 pool's draws and larger h1 draws over all five rings, adversarial
+    draws, and the CLI's default-profile draws at --max-rank 32 whose Smith
+    transforms grow past 8,000 bits (seeds 3 and 11).
+    """
+    rings = desk_rings() + [QT]
+    draws = [generate_instance("h1", 7000 + s, ring=rings[s % 5], max_degree=d, max_rank=d)
+             for s in range(60) for d in (2, 3)]
+    draws += [generate_instance("adversarial", 7000 + s, ring=rings[s % 5]) for s in range(60)]
+    draws += [generate_instance("h1", s, max_rank=32) for s in (3, 11)]
+    sample = []
+    for F in draws:
+        ctx = InstanceContext(F)
+        for i in ctx.sections(F).degrees():
+            try:
+                M = stage_lattice(ctx, i)
+            except TorsionObstruction:
+                continue
+            sample.append((F.hi(), M, *bb_by_snf(M)))
+    return sample
+
+
+def test_bb_filtration_matches_the_smith_route_on_every_stage_lattice(stage_lattice_sample):
+    # top = hi is enough: stage hi is xi^hi F inside stage 0
+    assert len(stage_lattice_sample) > 500
+    for hi, M, mus, want in stage_lattice_sample:
+        fl = bb_filtration(M, hi)
+        assert fl.to_json() == want.to_json()
+        assert relative_position(fl) == mus
+
+
+def test_bb_filtration_refuses_a_top_below_the_largest_valuation(stage_lattice_sample):
+    jumped = [(M, max(mus)) for _, M, mus, _ in stage_lattice_sample if mus and max(mus)]
+    assert jumped
+    for M, top in jumped:
+        assert bb_filtration(M, top).dim(top) == M.rows
+        with pytest.raises(SingularBasis):
+            bb_filtration(M, top - 1)
+
+
+def test_a_skipped_congruence_step_fails_the_comparison(monkeypatch, stage_lattice_sample):
+    # negative control: the first step returns xi*I, so B stays M for one level
+    steps = []
+
+    def skipping_first(B):
+        steps.append(B)
+        return Matrix.scalar(B.ring, B.cols, B.ring.xi) if len(steps) == 1 else congruence_kernel(B)
+
+    monkeypatch.setattr(theorem, "congruence_kernel", skipping_first)
+    caught = []
+    for hi, M, mus, want in stage_lattice_sample:
+        steps.clear()
+        caught.append(bb_filtration(M, hi + 1).to_json() != want.to_json())
+    # every lattice with a jump above 0 takes a first step, and is caught
+    assert any(caught)
+    assert caught == [bool(mus) and max(mus) > 0 for _, _, mus, _ in stage_lattice_sample]
 
 
 def test_torsionfree_table_example(z3):
